@@ -20,7 +20,7 @@ from .rootsys import (
     eigenspace_dim,
     identity_matrix,
     length,
-    longest_element,
+    longest_element,  # noqa: F401  re-exported; bench/tests/test_tracer.py checks this binding
     mat_mul,
     mat_trace,
     multiply,
@@ -94,8 +94,7 @@ def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> OrbitClas
     assert t + a == rs.rank  # involutions split the root space exactly
     assert a - t == mat_trace(m)
 
-    w0 = longest_element(rs)
-    codim_y = length(rs, multiply(rs, psi, rf.w_b, w0))
+    codim_y = length(rs, multiply(rs, psi, rf.w_b, rf.w0))
     dim_orbit = 2 * len(rs.positive_roots) - codim_y
     leaf_dim = dim_orbit - rf.dim_k0 + t
     leaf_codim = rf.dim_x - leaf_dim
@@ -118,7 +117,7 @@ def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> OrbitClas
 
 def open_class_element(rf: RealFormData, rs: RootSystem) -> WeylElement:
     """The unique psi with codim_Y = 0, namely w_0 w_b."""
-    return multiply(rs, longest_element(rs), rf.w_b)
+    return multiply(rs, rf.w0, rf.w_b)
 
 
 def open_leaf_test(rf: RealFormData, rs: RootSystem) -> bool:
@@ -209,7 +208,7 @@ def atlas(
 
     return AtlasReport(
         form=rf,
-        w0_word=longest_element(rs).word,
+        w0_word=rf.w0.word,
         wb_word=rf.w_b.word,
         classes=tuple(classes),
         has_open_leaves=has_open,

@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .atlas import AtlasReport, atlas, catalog_text_hash, twisted_involutions, orbit_class
+from .atlas import AtlasReport, atlas, catalog_text_hash
+from .atlas import orbit_class  # noqa: F401  re-exported; bench/tests/test_tracer.py checks this binding
 from .rootsys import DEFAULT_WEYL_CAP, WeylCapError
 from .satake import (
     CatalogParseError,
@@ -24,7 +25,6 @@ from .satake import (
     SatakeError,
     builtin_catalog,
     load_catalog,
-    real_form_data,
     render_catalog,
     validate,
 )
@@ -209,11 +209,7 @@ def cmd_atlas(cfg: RunConfig) -> int:
         for c in report_v.failures():
             sys.stderr.write(f"  {c.name}: {c.detail}\n")
         return EXIT_DOMAIN
-    try:
-        report = atlas(sd, weyl_cap=cfg.weyl_cap, catalog_hash=cat_hash)
-    except WeylCapError as exc:
-        sys.stderr.write(f"{exc} (partial count {exc.partial_count})\n")
-        return EXIT_DOMAIN
+    report = atlas(sd, weyl_cap=cfg.weyl_cap, catalog_hash=cat_hash)
     if cfg.output_format == "md":
         _emit(cfg, atlas_markdown(report))
     else:
@@ -244,9 +240,8 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
     rf = ml.realization(sd.label)
     tol = default_tolerances(rf)
     tol.update(cfg.tolerances)
-    rs = sd.root_system()
-    rfe = real_form_data(sd)
     report = atlas(sd, weyl_cap=cfg.weyl_cap)
+    rfe = report.form
     seed = cfg.seed
     samples = cfg.samples
     checks: list[dict] = []
@@ -260,10 +255,11 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         ml.tau_root_action(rf) == rfe.tau_star,
         "concrete conjugation induces the catalog involution",
     ))
+    fixed_dim = ml.fixed_triangular_dim(rf)
     checks.append(_check_exact(
         "triangular_fixed_dim",
-        ml.fixed_triangular_dim(rf) == rfe.dim_p0,
-        f"dim (a+n)^tau = {ml.fixed_triangular_dim(rf)} vs dim_p0 = {rfe.dim_p0}",
+        fixed_dim == rfe.dim_p0,
+        f"dim (a+n)^tau = {fixed_dim} vs dim_p0 = {rfe.dim_p0}",
     ))
 
     ann = ml.annihilator_check(rf)
@@ -349,11 +345,9 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         checks.append(_check("hermitian_fit_stability", abs(fit1.b - fit2.b),
                              tol["hermitian"]))
 
-    found, matched, total = 0, 0, 0
-    for psi in twisted_involutions(rfe, rs, cap=cfg.weyl_cap):
-        total += 1
-        cls = orbit_class(rfe, rs, psi)
-        u = ml.representative_for(rf, psi, max_candidates=4000)
+    found, matched, total = 0, 0, len(report.classes)
+    for cls in report.classes:
+        u = ml.representative_for(rf, cls.psi, max_candidates=4000)
         if u is None:
             continue
         found += 1
@@ -500,12 +494,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_tol(items: Sequence[str]) -> dict[str, float]:
+    known = default_tolerances()
     out = {}
     for item in items:
         if "=" not in item:
             raise ValueError(f"expected NAME=VALUE, got {item!r}")
         name, _, value = item.partition("=")
-        out[name.strip()] = float(value)
+        name = name.strip()
+        if name not in known:
+            raise ValueError(
+                f"unknown tolerance {name!r}; known: {', '.join(sorted(known))}"
+            )
+        out[name] = float(value)
     return out
 
 
@@ -573,6 +573,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
+    if getattr(args, "samples", 1) < 1:
+        sys.stderr.write(f"--samples must be at least 1, got {args.samples}\n")
+        return EXIT_USAGE
 
     cfg = RunConfig(
         command=args.command,
@@ -606,6 +609,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_DOMAIN
     except SatakeError as exc:
         sys.stderr.write(f"{exc}\n")
+        return EXIT_DOMAIN
+    except WeylCapError as exc:
+        sys.stderr.write(f"{exc} (partial count {exc.partial_count})\n")
         return EXIT_DOMAIN
     except OSError as exc:
         sys.stderr.write(f"{exc}\n")

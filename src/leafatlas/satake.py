@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .rootsys import (
     IntMatrix,
     RootSystem,
+    UnsupportedCartanTypeError,
     WeylElement,
     build_root_system,
     eigenspace_dim,
@@ -25,6 +26,7 @@ from .rootsys import (
     longest_element,
     mat_mul,
     mat_vec,
+    multiply,
 )
 
 FracVector = tuple[Fraction, ...]
@@ -82,6 +84,7 @@ class RealFormData:
     tau_star: IntMatrix
     sigma: tuple[int, ...]  # node permutation, 0-based images
     w_b: WeylElement
+    w0: WeylElement
     restricted: dict[FracVector, int]  # both signs, multiplicities
     real_rank: int
     dim_g: int
@@ -93,16 +96,14 @@ class RealFormData:
         return self.dim_p0
 
     def positive_restricted(self) -> dict[FracVector, int]:
-        rs = self.diagram.root_system()
-        out: dict[FracVector, int] = {}
-        for alpha in rs.positive_roots:
-            lam = project_restricted(self.tau_star, alpha)
-            if any(x != 0 for x in lam):
-                out[lam] = out.get(lam, 0) + 1
-        return out
+        return _positive_part(self.restricted)
 
 
 def _structural_check(sd: SatakeDiagram) -> None:
+    try:
+        sd.root_system()
+    except UnsupportedCartanTypeError as exc:
+        raise SatakeError(f"{sd.label}: {exc}") from None
     nodes = set(range(1, sd.rank + 1))
     if not sd.black <= nodes:
         raise SatakeError(f"{sd.label}: black nodes {sorted(sd.black)} outside diagram")
@@ -121,27 +122,23 @@ def _structural_check(sd: SatakeDiagram) -> None:
         )
 
 
-def node_permutation(sd: SatakeDiagram) -> tuple[int, ...]:
+def node_permutation(sd: SatakeDiagram, wb: WeylElement) -> tuple[int, ...]:
     """The permutation sigma: arrows on white nodes, the opposition involution
-    of the black subdiagram (read off from w_b) on black nodes."""
-    rs = sd.root_system()
+    of the black subdiagram (read off from its longest element w_b) on black
+    nodes."""
+    simple = sd.root_system().simple_roots
     perm = list(range(sd.rank))
     for a, b in sd.arrows:
         perm[a - 1] = b - 1
         perm[b - 1] = a - 1
-    if sd.black:
-        wb = longest_element(rs, sd.black)
-        for j in sorted(sd.black):
-            image = wb.apply(rs.simple_roots[j - 1])
-            neg = tuple(-x for x in image)
-            target = next(
-                (k for k in sd.black if rs.simple_roots[k - 1] == neg), None
+    for j in sorted(sd.black):
+        neg = tuple(-x for x in wb.apply(simple[j - 1]))
+        target = next((k for k in sd.black if simple[k - 1] == neg), None)
+        if target is None:
+            raise InconsistentSatakeError(
+                f"{sd.label}: black subsystem does not permute its simple roots"
             )
-            if target is None:
-                raise InconsistentSatakeError(
-                    f"{sd.label}: black subsystem does not permute its simple roots"
-                )
-            perm[j - 1] = target - 1
+        perm[j - 1] = target - 1
     return tuple(perm)
 
 
@@ -152,22 +149,10 @@ def _sigma_matrix(perm: Sequence[int]) -> IntMatrix:
     )
 
 
-def w_b_element(sd: SatakeDiagram) -> WeylElement:
-    return longest_element(sd.root_system(), sd.black)
-
-
-def tau_star_matrix(sd: SatakeDiagram) -> IntMatrix:
-    """The induced involution on the root space, tau* = w_b . sigma.
-
-    Postconditions: tau*^2 = 1; tau* negates exactly the black simple roots;
-    every positive root is sent to a positive root or to its own negative.
-    """
-    _structural_check(sd)
-    rs = sd.root_system()
-    perm = node_permutation(sd)
-    wb = w_b_element(sd)
-    tau = mat_mul(wb.matrix, _sigma_matrix(perm))
-
+def _check_involution(sd: SatakeDiagram, rs: RootSystem, tau: IntMatrix) -> None:
+    """Postconditions of tau*: tau*^2 = 1; tau* negates exactly the black
+    simple roots; every positive root is sent to a positive root or to its
+    own negative."""
     if mat_mul(tau, tau) != identity_matrix(rs.rank):
         raise InconsistentSatakeError(f"{sd.label}: tau* is not an involution")
     for i in range(1, rs.rank + 1):
@@ -185,7 +170,6 @@ def tau_star_matrix(sd: SatakeDiagram) -> IntMatrix:
             raise InconsistentSatakeError(
                 f"{sd.label}: tau* sends positive root {alpha} to {img}"
             )
-    return tau
 
 
 def project_restricted(tau_star: IntMatrix, alpha: Sequence[int]) -> FracVector:
@@ -194,11 +178,19 @@ def project_restricted(tau_star: IntMatrix, alpha: Sequence[int]) -> FracVector:
     return tuple(Fraction(a + b, 2) for a, b in zip(alpha, img))
 
 
-def restricted_roots(sd: SatakeDiagram, tau: IntMatrix | None = None) -> tuple[dict[FracVector, int], int]:
-    """Restricted roots with multiplicities (both signs) and the real rank."""
+def real_form_data(sd: SatakeDiagram) -> RealFormData:
+    """The one construction of a diagram's involution data: w_b, sigma,
+    tau* = w_b . sigma and w_0, then the restricted roots (both signs, with
+    multiplicities), the real rank and the dimensions. Consumers read these
+    fields instead of rebuilding them.
+    """
+    _structural_check(sd)
     rs = sd.root_system()
-    if tau is None:
-        tau = tau_star_matrix(sd)
+    wb = longest_element(rs, sd.black)
+    perm = node_permutation(sd, wb)
+    tau = mat_mul(wb.matrix, _sigma_matrix(perm))
+    _check_involution(sd, rs, tau)
+
     mult: dict[FracVector, int] = {}
     for alpha in rs.positive_roots:
         for root in (alpha, tuple(-x for x in alpha)):
@@ -206,24 +198,9 @@ def restricted_roots(sd: SatakeDiagram, tau: IntMatrix | None = None) -> tuple[d
             if any(x != 0 for x in lam):
                 mult[lam] = mult.get(lam, 0) + 1
     real_rank = eigenspace_dim(tau, 1)
-    return mult, real_rank
-
-
-def real_form_data(sd: SatakeDiagram) -> RealFormData:
-    """Full derived data: involution, w_b, restricted roots, dimensions."""
-    rs = sd.root_system()
-    tau = tau_star_matrix(sd)
-    perm = node_permutation(sd)
-    wb = w_b_element(sd)
-    mult, real_rank = restricted_roots(sd, tau)
 
     dim_g = rs.rank + 2 * len(rs.positive_roots)
-    positive_mult = sum(
-        m
-        for lam, m in mult.items()
-        if _is_positive_combination(lam)
-    )
-    dim_p0 = real_rank + positive_mult
+    dim_p0 = real_rank + sum(_positive_part(mult).values())
     dim_k0 = dim_g - dim_p0
 
     return RealFormData(
@@ -231,6 +208,7 @@ def real_form_data(sd: SatakeDiagram) -> RealFormData:
         tau_star=tau,
         sigma=perm,
         w_b=wb,
+        w0=longest_element(rs),
         restricted=mult,
         real_rank=real_rank,
         dim_g=dim_g,
@@ -239,8 +217,11 @@ def real_form_data(sd: SatakeDiagram) -> RealFormData:
     )
 
 
-def _is_positive_combination(lam: FracVector) -> bool:
-    return any(x != 0 for x in lam) and all(x >= 0 for x in lam)
+def _positive_part(mult: dict[FracVector, int]) -> dict[FracVector, int]:
+    return {
+        lam: m for lam, m in mult.items()
+        if any(x != 0 for x in lam) and all(x >= 0 for x in lam)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +265,15 @@ def validate(sd: SatakeDiagram) -> ValidationReport:
         record("structure", False, str(exc))
         return ValidationReport(sd.label, tuple(checks))
 
-    rs = sd.root_system()
     try:
-        tau = tau_star_matrix(sd)
+        rf = real_form_data(sd)
         record("involution", True)
     except SatakeError as exc:
         record("involution", False, str(exc))
         return ValidationReport(sd.label, tuple(checks))
 
-    wb = w_b_element(sd)
-    w0 = longest_element(rs)
+    rs = sd.root_system()
+    tau, wb, w0 = rf.tau_star, rf.w_b, rf.w0
     record(
         "tau_w0_commute",
         mat_mul(tau, w0.matrix) == mat_mul(w0.matrix, tau),
@@ -306,15 +286,12 @@ def validate(sd: SatakeDiagram) -> ValidationReport:
         "w0_wb_commute",
         mat_mul(w0.matrix, wb.matrix) == mat_mul(wb.matrix, w0.matrix),
     )
-    from .rootsys import multiply
-
     record(
         "length_identity",
         length(rs, multiply(rs, wb, w0)) == length(rs, w0) - length(rs, wb),
         "l(w_b w_0) vs l(w_0)-l(w_b)",
     )
 
-    rf = real_form_data(sd)
     record("dims_additive", rf.dim_k0 + rf.dim_p0 == rf.dim_g)
     record("dim_g_root_count", rf.dim_g == rs.rank + 2 * len(rs.positive_roots))
     record("dim_k0_lower_bound", rf.dim_k0 >= len(sd.black))

@@ -12,8 +12,6 @@ from leafatlas.satake import (
     builtin_catalog,
     catalog_by_label,
     real_form_data,
-    tau_star_matrix,
-    w_b_element,
 )
 
 BY_LABEL = catalog_by_label()
@@ -126,14 +124,13 @@ def test_criterion_06_catalog_structural_invariants():
     with timer(10.0) as t:
         for sd in builtin_catalog():
             rs = sd.root_system()
-            tau = tau_star_matrix(sd)
-            wb = w_b_element(sd)
-            w0 = longest_element(rs)
+            rfe = real_form_data(sd)
+            tau, wb, w0 = rfe.tau_star, rfe.w_b, rfe.w0
+            assert w0 == longest_element(rs)
             assert mat_mul(w0.matrix, wb.matrix) == mat_mul(wb.matrix, w0.matrix)
             assert mat_mul(tau, w0.matrix) == mat_mul(w0.matrix, tau)
             assert mat_mul(tau, wb.matrix) == mat_mul(wb.matrix, tau)
             assert length(rs, multiply(rs, wb, w0)) == length(rs, w0) - length(rs, wb)
-            rfe = real_form_data(sd)
             for psi in twisted_involutions(rfe, rs):
                 cls = orbit_class(rfe, rs, psi)
                 assert cls.t + cls.a == rs.rank

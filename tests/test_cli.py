@@ -1,4 +1,9 @@
+import hashlib
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 from leafatlas.cli import main
 from leafatlas.satake import builtin_catalog, render_catalog
@@ -77,6 +82,32 @@ def test_atlas_weyl_cap_exceeded(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("cartan_type", ["E9", "A0"])
+def test_atlas_unsupported_cartan_type(capsys, cartan_type):
+    code, out, err = run(capsys, "atlas", "--type", cartan_type)
+    assert code == 2 and out == ""
+    assert f"structure: custom({cartan_type}): unsupported Cartan type {cartan_type}" in err
+    assert "compact" not in err
+
+
+def test_atlas_golden_documents(tmp_path):
+    """Every catalog form's atlas JSON is byte-identical to the recorded one."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    catalog = bench / "catalog.txt"
+    golden = json.loads((bench / "golden.json").read_text(encoding="utf-8"))
+    labels = re.findall(r"^name=([^;]+);", catalog.read_text(encoding="utf-8"), re.M)
+    assert labels
+    out = tmp_path / "atlas.json"
+    mismatched = []
+    for label in labels:
+        code = main(["atlas", "--catalog", str(catalog), "--seed", "0",
+                     "--form", label, "--out", str(out)])
+        assert code == 0, label
+        if hashlib.sha256(out.read_bytes()).hexdigest() != golden[label]:
+            mismatched.append(label)
+    assert mismatched == []
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -121,6 +152,26 @@ def test_verify_bad_tolerance_syntax(capsys):
     assert code == 1
 
 
+def test_verify_unknown_tolerance_name(capsys):
+    code, out, err = run(capsys, "verify", "--form", "sl(2,R)", "--tol", "jacobbi=1")
+    assert code == 1 and out == ""
+    assert "unknown tolerance 'jacobbi'" in err
+    assert "jacobi" in err.split("known:")[1]
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_nonpositive_samples(capsys, samples):
+    code, out, err = run(capsys, "verify", "--form", "su(2,1)", "--samples", samples)
+    assert code == 1 and out == ""
+    assert "--samples" in err
+
+
+def test_verify_weyl_cap_exceeded(capsys):
+    code, out, err = run(capsys, "verify", "--form", "sl(3,R)", "--weyl-cap", "2")
+    assert code == 2 and out == ""
+    assert "exceeds cap 2 (partial count 2)" in err
+
+
 # ---------------------------------------------------------------------------
 # catalog
 
@@ -157,6 +208,17 @@ def test_catalog_invalid_entry_flagged(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["entries"][0]["passed"] is False
     assert "tau_w0_commute" in doc["entries"][0]["failed_checks"]
+
+
+def test_catalog_unsupported_cartan_type_flagged(tmp_path, capsys):
+    path = tmp_path / "cat.txt"
+    path.write_text("name=big; type=E9; black={}; arrows={}\n")
+    code, out, _ = run(capsys, "catalog", "--catalog", str(path))
+    assert code == 2
+    assert json.loads(out)["entries"][0]["failed_checks"] == ["structure"]
+    code, _, err = run(capsys, "atlas", "--catalog", str(path), "--form", "big")
+    assert code == 2
+    assert "unsupported Cartan type E9" in err
 
 
 def test_catalog_parse_error_reports_line(tmp_path, capsys):

@@ -12,10 +12,7 @@ from leafatlas.satake import (
     load_catalog,
     real_form_data,
     render_catalog,
-    restricted_roots,
-    tau_star_matrix,
     validate,
-    w_b_element,
 )
 
 BY_LABEL = catalog_by_label()
@@ -90,15 +87,15 @@ def test_shipped_data_file_matches_builtin():
 
 def test_tau_star_split_form_is_identity():
     sd = diagram("sl(2,R)")
-    assert tau_star_matrix(sd) == identity_matrix(1)
+    assert real_form_data(sd).tau_star == identity_matrix(1)
 
 
 def test_tau_star_su21_is_node_swap():
-    assert tau_star_matrix(diagram("su(2,1)")) == ((0, 1), (1, 0))
+    assert real_form_data(diagram("su(2,1)")).tau_star == ((0, 1), (1, 0))
 
 
 def test_tau_star_su31_values():
-    tau = tau_star_matrix(diagram("su(3,1)"))
+    tau = real_form_data(diagram("su(3,1)")).tau_star
     from leafatlas.rootsys import mat_vec
 
     assert mat_vec(tau, (0, 1, 0)) == (0, -1, 0)
@@ -107,27 +104,29 @@ def test_tau_star_su31_values():
 
 def test_wb_empty_black_is_identity():
     sd = diagram("su(2,1)")
-    assert w_b_element(sd).matrix == identity_matrix(2)
+    assert real_form_data(sd).w_b.matrix == identity_matrix(2)
 
 
 def test_wb_single_black_node():
     sd = diagram("su(3,1)")
     rs = sd.root_system()
-    wb = w_b_element(sd)
+    wb = real_form_data(sd).w_b
     assert length(rs, wb) == 1
     assert wb.apply((0, 1, 0)) == (0, -1, 0)
 
 
 def test_wb_full_black_equals_longest():
+    # real_form_data rejects an all-black (compact) diagram, so w_b is built
+    # the way it builds it: the longest element over the black nodes
     sd = SatakeDiagram("t", "A", 2, frozenset({1, 2}), frozenset())
     rs = sd.root_system()
-    assert w_b_element(sd) == longest_element(rs)
+    assert longest_element(rs, sd.black) == longest_element(rs)
 
 
 def test_compact_form_rejected():
     sd = SatakeDiagram("compact", "A", 2, frozenset({1, 2}), frozenset())
     with pytest.raises(CompactFormError):
-        tau_star_matrix(sd)
+        real_form_data(sd)
 
 
 def test_inadmissible_black_set_fails():
@@ -135,7 +134,7 @@ def test_inadmissible_black_set_fails():
     # construction goes through (the induced involution even maps positive
     # roots to positive roots), but the commutation identities expose it
     sd = SatakeDiagram("bad", "A", 2, frozenset({1}), frozenset())
-    tau = tau_star_matrix(sd)
+    tau = real_form_data(sd).tau_star
     assert mat_mul(tau, tau) == identity_matrix(2)
     report = validate(sd)
     assert not report.passed
@@ -146,10 +145,9 @@ def test_inadmissible_black_set_fails():
 # restricted roots and dimensions
 
 def test_restricted_split_rank_one():
-    sd = diagram("sl(2,R)")
-    mult, rank = restricted_roots(sd)
-    assert rank == 1
-    assert mult == {(Fraction(1),): 1, (Fraction(-1),): 1}
+    rf = real_form_data(diagram("sl(2,R)"))
+    assert rf.real_rank == 1
+    assert rf.restricted == {(Fraction(1),): 1, (Fraction(-1),): 1}
 
 
 def test_restricted_su21_multiplicities():
@@ -164,7 +162,7 @@ def test_restricted_su21_multiplicities():
 
 def test_restricted_su31_black_root_projects_to_zero():
     sd = diagram("su(3,1)")
-    tau = tau_star_matrix(sd)
+    tau = real_form_data(sd).tau_star
     from leafatlas.satake import project_restricted
 
     assert all(x == 0 for x in project_restricted(tau, (0, 1, 0)))
@@ -248,9 +246,9 @@ def test_catalog_entry_validates(sd):
 @pytest.mark.parametrize("sd", builtin_catalog(), ids=lambda s: s.label)
 def test_catalog_commutation_and_length_identities(sd):
     rs = sd.root_system()
-    tau = tau_star_matrix(sd)
-    wb = w_b_element(sd)
-    w0 = longest_element(rs)
+    rf = real_form_data(sd)
+    tau, wb, w0 = rf.tau_star, rf.w_b, rf.w0
+    assert w0 == longest_element(rs)
     assert mat_mul(tau, tau) == identity_matrix(rs.rank)
     assert mat_mul(tau, w0.matrix) == mat_mul(w0.matrix, tau)
     assert mat_mul(tau, wb.matrix) == mat_mul(wb.matrix, tau)
@@ -261,7 +259,7 @@ def test_catalog_commutation_and_length_identities(sd):
 @pytest.mark.parametrize("sd", builtin_catalog(), ids=lambda s: s.label)
 def test_catalog_positivity_conditions(sd):
     rs = sd.root_system()
-    tau = tau_star_matrix(sd)
+    tau = real_form_data(sd).tau_star
     from leafatlas.rootsys import mat_vec
 
     for i, alpha in enumerate(rs.simple_roots, start=1):
