@@ -14,12 +14,13 @@ from typing import Iterator
 from .rootsys import (
     DEFAULT_WEYL_CAP,
     IntMatrix,
+    Perm,
     RootSystem,
+    WeylCapError,
     WeylElement,
-    enumerate_weyl,
+    enumerate_weyl,  # noqa: F401  re-exported; bench/tests/test_tracer.py checks this binding
     eigenspace_dim,
     identity_matrix,
-    length,
     longest_element,  # noqa: F401  re-exported; bench/tests/test_tracer.py checks this binding
     mat_mul,
     mat_trace,
@@ -36,18 +37,51 @@ def twisted_matrix(rf: RealFormData, psi: WeylElement) -> IntMatrix:
     return mat_mul(psi.matrix, rf.tau_star)
 
 
-def is_twisted_involution(rf: RealFormData, psi: WeylElement) -> bool:
-    m = twisted_matrix(rf, psi)
-    return mat_mul(m, m) == identity_matrix(len(m))
-
-
 def twisted_involutions(
     rf: RealFormData, rs: RootSystem, cap: int = DEFAULT_WEYL_CAP
 ) -> Iterator[WeylElement]:
-    """All w in W with (w tau*)^2 = 1, in the deterministic enumeration order."""
-    for w in enumerate_weyl(rs, cap=cap):
-        if is_twisted_involution(rf, w):
-            yield w
+    """All psi in W with (psi tau*)^2 = 1, each with its lexicographically
+    least reduced word.
+
+    With tau* = w_b sigma, psi is a twisted involution exactly when
+    v = psi w_b satisfies sigma v sigma = v^-1. Those v are the orbit of the
+    identity under the moves v -> s v sigma(s), or v -> s v when
+    s v sigma(s) = v (Richardson-Springer, Geom. Dedicata 35, 1990; Hultman,
+    Adv. Math. 195, 2005), and each v other than the identity is reached by
+    such a move along a simple s that is not a left descent, so the walk only
+    goes up. Raises WeylCapError once more than `cap` twisted involutions
+    have been visited.
+    """
+    k = rs.permutations
+    wb = k.perm(rf.w_b)
+    twisted = [(k.reflections[i], k.reflections[j], k.simple[j])
+               for i, j in enumerate(rf.sigma)]
+    seen = {k.identity}
+    level = [k.identity]
+    count = 0
+    while level:
+        nxt: list[Perm] = []
+        for v in level:
+            count += 1
+            if count > cap:
+                raise WeylCapError(
+                    f"{rf.diagram.label}: number of twisted involutions exceeds cap {cap}",
+                    partial_count=cap,
+                )
+            yield k.element(k.compose(v, wb))
+            for s, s_sigma, alpha_sigma in twisted:
+                # s_i is a left descent of v iff v^-1 = sigma v sigma sends
+                # alpha_i to a negative root, iff v does so to alpha_sigma(i)
+                if v[alpha_sigma] >= k.npos:
+                    continue
+                sv = k.compose(s, v)
+                u = k.compose(sv, s_sigma)
+                if u == v:
+                    u = sv
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        level = nxt
 
 
 @dataclass(frozen=True)
@@ -94,7 +128,8 @@ def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> OrbitClas
     assert t + a == rs.rank  # involutions split the root space exactly
     assert a - t == mat_trace(m)
 
-    codim_y = length(rs, multiply(rs, psi, rf.w_b, rf.w0))
+    k = rs.permutations
+    codim_y = k.length(k.compose(k.perm(psi), rf.wb_w0))
     dim_orbit = 2 * len(rs.positive_roots) - codim_y
     leaf_dim = dim_orbit - rf.dim_k0 + t
     leaf_codim = rf.dim_x - leaf_dim

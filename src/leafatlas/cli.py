@@ -517,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "md"), default="json")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--weyl-cap", type=int, default=DEFAULT_WEYL_CAP)
+    common.add_argument("--weyl-cap", type=int, default=DEFAULT_WEYL_CAP,
+                        help="most twisted involutions the atlas walk may visit")
     common.add_argument("--catalog", help=f"catalog file (or ${ENV_CATALOG})")
     common.add_argument("--out", help="write the report to this path atomically")
 
@@ -575,6 +576,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     if getattr(args, "samples", 1) < 1:
         sys.stderr.write(f"--samples must be at least 1, got {args.samples}\n")
+        return EXIT_USAGE
+    if args.weyl_cap < 1:
+        sys.stderr.write(f"--weyl-cap must be at least 1, got {args.weyl_cap}\n")
         return EXIT_USAGE
 
     cfg = RunConfig(

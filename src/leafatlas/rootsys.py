@@ -2,16 +2,20 @@
 
 Roots are stored as integer coordinate vectors in the simple-root basis.
 All matrices are tuples of tuples of Python ints, so every computation in
-this module is exact; no floating point enters the combinatorics.
+this module is exact; no floating point enters the combinatorics. Where many
+Weyl elements are handled, as in the twisted-involution walk, they are held
+as permutations of the root list instead (`RootPermutations`).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
+Perm = tuple[int, ...]  # images of root indices, see RootPermutations
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -24,7 +28,9 @@ class UnsupportedCartanTypeError(ValueError):
 
 
 class WeylCapError(RuntimeError):
-    """Raised when Weyl-group enumeration exceeds the configured cap."""
+    """Raised when a walk over Weyl-group elements exceeds the configured cap:
+    all of W for `enumerate_weyl`, the twisted involutions for
+    `atlas.twisted_involutions`."""
 
     def __init__(self, message: str, partial_count: int):
         super().__init__(message)
@@ -193,6 +199,11 @@ class RootSystem:
     def is_root(self, v: Sequence[int]) -> bool:
         t = tuple(v)
         return t in self.positive_roots or tuple(-x for x in t) in self.positive_roots
+
+    @cached_property
+    def permutations(self) -> RootPermutations:
+        """The root-permutation tables, built on first use."""
+        return RootPermutations(self)
 
 
 @dataclass(frozen=True)
@@ -375,3 +386,92 @@ def preserves_form(rs: RootSystem, w: WeylElement) -> bool:
     """Check w^T * form * w == form (Weyl invariance of the pairing)."""
     m = mat_mul(mat_transpose(w.matrix), mat_mul(rs.form, w.matrix))
     return m == rs.form
+
+
+# ---------------------------------------------------------------------------
+# Weyl elements as permutations of the roots
+
+class RootPermutations:
+    """Weyl elements of one root system as permutations of its roots.
+
+    `roots` lists the positive roots in the order of `RootSystem.positive_roots`
+    and then their negatives in the same order, so index j is a positive root
+    iff j < npos, and -roots[j] is roots[j + npos] or roots[j - npos]. A
+    permutation p sends roots[j] to roots[p[j]]. Products are index lookups
+    and the length is a count: no matrix arithmetic runs on this path.
+    """
+
+    def __init__(self, rs: RootSystem):
+        a = rs.cartan_matrix
+        positive = rs.positive_roots
+        self.npos = len(positive)
+        self.roots = positive + tuple(tuple(-x for x in r) for r in positive)
+        self.index = {r: j for j, r in enumerate(self.roots)}
+        self.simple = tuple(self.index[r] for r in rs.simple_roots)
+        self.identity: Perm = tuple(range(len(self.roots)))
+        self.reflections: tuple[Perm, ...] = tuple(
+            tuple(self.index[_reflect_vector(a, k, r)] for r in self.roots)
+            for k in range(rs.rank)
+        )
+        # Each positive root as (index of root - alpha_i, i), or (-1, i) for
+        # alpha_i itself, so that w(root) = w(root - alpha_i) + w(alpha_i).
+        # Lexicographic order puts root - alpha_i first.
+        self._steps: list[tuple[int, int]] = []
+        for r in positive:
+            if sum(r) == 1:
+                self._steps.append((-1, r.index(1)))
+                continue
+            i = next(i for i in range(rs.rank) if _minus(r, i) in self.index)
+            self._steps.append((self.index[_minus(r, i)], i))
+
+    def compose(self, p: Perm, q: Perm) -> Perm:
+        """The product p·q: q acts first, as in `multiply`."""
+        return tuple(map(p.__getitem__, q))
+
+    def length(self, p: Perm) -> int:
+        """The number of positive roots that p sends to negative ones."""
+        npos = self.npos
+        return sum(1 for x in p[:npos] if x >= npos)
+
+    def perm(self, w: WeylElement) -> Perm:
+        """The permutation of w, from the images of the simple roots (the
+        columns of its matrix) by linearity."""
+        columns = tuple(zip(*w.matrix))
+        images: list[IntVector] = []
+        for parent, i in self._steps:
+            images.append(columns[i] if parent < 0
+                          else tuple(x + y for x, y in zip(images[parent], columns[i])))
+        npos = self.npos
+        head = tuple(self.index[v] for v in images)
+        return head + tuple(x + npos if x < npos else x - npos for x in head)
+
+    def reduced_word(self, p: Perm) -> tuple[int, ...]:
+        """The lexicographically least reduced word of p (1-based indices),
+        built greedily: the least left descent s_i of p (p^-1 sends alpha_i to
+        a negative root) comes first, then the word of s_i·p."""
+        inv = [0] * len(p)
+        for j, x in enumerate(p):
+            inv[x] = j
+        word: list[int] = []
+        while True:
+            i = next((i for i, a in enumerate(self.simple) if inv[a] >= self.npos), None)
+            if i is None:
+                return tuple(word)
+            word.append(i + 1)
+            inv = self.compose(inv, self.reflections[i])  # (s_i·p)^-1 = p^-1·s_i
+
+    def element(self, p: Perm) -> WeylElement:
+        """p as a WeylElement: its matrix and its lexicographically least
+        reduced word."""
+        matrix = tuple(zip(*(self.roots[p[a]] for a in self.simple)))
+        return WeylElement(word=self.reduced_word(p), matrix=matrix)
+
+
+def _reflect_vector(a: IntMatrix, k: int, v: IntVector) -> IntVector:
+    """s_k(v) in simple-root coordinates, as the matrix of `reflect` acts."""
+    pairing = sum(v[c] * a[c][k] for c in range(len(v)))
+    return tuple(x - pairing if t == k else x for t, x in enumerate(v))
+
+
+def _minus(v: IntVector, i: int) -> IntVector:
+    return tuple(x - 1 if t == i else x for t, x in enumerate(v))

@@ -11,11 +11,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 from .rootsys import (
     IntMatrix,
+    Perm,
     RootSystem,
     UnsupportedCartanTypeError,
     WeylElement,
@@ -98,6 +99,12 @@ class RealFormData:
     def positive_restricted(self) -> dict[FracVector, int]:
         return _positive_part(self.restricted)
 
+    @cached_property
+    def wb_w0(self) -> Perm:
+        """w_b w_0 as a root permutation, for codim_Y = l(psi w_b w_0)."""
+        k = self.diagram.root_system().permutations
+        return k.compose(k.perm(self.w_b), k.perm(self.w0))
+
 
 def _structural_check(sd: SatakeDiagram) -> None:
     try:
@@ -125,7 +132,8 @@ def _structural_check(sd: SatakeDiagram) -> None:
 def node_permutation(sd: SatakeDiagram, wb: WeylElement) -> tuple[int, ...]:
     """The permutation sigma: arrows on white nodes, the opposition involution
     of the black subdiagram (read off from its longest element w_b) on black
-    nodes."""
+    nodes. It must be an automorphism of the Dynkin diagram, or the twisted
+    involutions are not the ones the atlas walk finds."""
     simple = sd.root_system().simple_roots
     perm = list(range(sd.rank))
     for a, b in sd.arrows:
@@ -139,6 +147,12 @@ def node_permutation(sd: SatakeDiagram, wb: WeylElement) -> tuple[int, ...]:
                 f"{sd.label}: black subsystem does not permute its simple roots"
             )
         perm[j - 1] = target - 1
+    cartan = sd.root_system().cartan_matrix
+    if any(cartan[perm[i]][perm[j]] != cartan[i][j]
+           for i in range(sd.rank) for j in range(sd.rank)):
+        raise InconsistentSatakeError(
+            f"{sd.label}: arrows and black nodes do not give a diagram automorphism"
+        )
     return tuple(perm)
 
 

@@ -1,6 +1,9 @@
 import re
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafatlas.atlas import (
     NotTwistedInvolutionError,
@@ -9,17 +12,27 @@ from leafatlas.atlas import (
     open_leaf_test,
     orbit_class,
     twisted_involutions,
+    twisted_matrix,
 )
 from leafatlas.rootsys import (
+    build_root_system,
     enumerate_weyl,
     from_word,
+    identity_matrix,
     length,
     longest_element,
+    mat_mul,
     mat_trace,
     multiply,
     reflect,
 )
-from leafatlas.satake import builtin_catalog, catalog_by_label, real_form_data
+from leafatlas.satake import (
+    SatakeDiagram,
+    SatakeError,
+    builtin_catalog,
+    catalog_by_label,
+    real_form_data,
+)
 
 BY_LABEL = catalog_by_label()
 
@@ -56,6 +69,89 @@ def test_twisted_involutions_sl3_are_ordinary_involutions():
     }
     assert got == expected
     assert len(got) == 4
+
+
+@lru_cache(maxsize=None)
+def _weyl_group(family, rank):
+    return tuple(enumerate_weyl(build_root_system(family, rank)))
+
+
+def _brute_force(rf, rs):
+    """Reference: every w in W with (w tau*)^2 = 1, with the breadth-first
+    word of enumerate_weyl, keyed by matrix."""
+    one = identity_matrix(rs.rank)
+    found = {}
+    for w in _weyl_group(rs.family, rs.rank):
+        m = twisted_matrix(rf, w)
+        if mat_mul(m, m) == one:
+            found[w.matrix] = w.word
+    return found
+
+
+def _walked(rf, rs):
+    walked = {}
+    for psi in twisted_involutions(rf, rs):
+        assert psi.matrix not in walked
+        walked[psi.matrix] = psi.word
+    return walked
+
+
+def _plain(family, rank, arrows=()):
+    return SatakeDiagram(label=f"{family}{rank} {sorted(arrows)}", family=family,
+                         rank=rank, black=frozenset(), arrows=frozenset(arrows))
+
+
+SPLIT_AND_QUASI_SPLIT = (
+    [_plain("A", n) for n in range(1, 6)]
+    + [_plain("B", n) for n in range(2, 6)]
+    + [_plain("C", n) for n in range(3, 6)]
+    + [_plain("D", n) for n in (4, 5)]
+    + [_plain("G", 2), _plain("F", 4)]
+    + [_plain("A", n, [(i, n + 1 - i) for i in range(1, n // 2 + 1)])
+       for n in range(2, 6)]
+    + [_plain("D", n, [(n - 1, n)]) for n in (4, 5)]
+)
+
+
+@pytest.mark.parametrize("sd", builtin_catalog() + tuple(SPLIT_AND_QUASI_SPLIT),
+                         ids=lambda s: s.label)
+def test_walk_matches_brute_force(sd):
+    # the walk gives the same elements as filtering all of W, each with the
+    # breadth-first word, which is the lexicographically least reduced word
+    rs = sd.root_system()
+    rf = real_form_data(sd)
+    assert _walked(rf, rs) == _brute_force(rf, rs)
+
+
+TYPES_UP_TO_RANK_4 = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                      ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("F", 4),
+                      ("G", 2)]
+
+
+@st.composite
+def decorated_diagrams(draw):
+    family, rank = draw(st.sampled_from(TYPES_UP_TO_RANK_4))
+    black = draw(st.frozensets(st.integers(1, rank)))
+    pairs = [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
+    arrows = draw(st.frozensets(st.sampled_from(pairs), max_size=2)) if pairs else frozenset()
+    return SatakeDiagram(label=f"random({family}{rank})", family=family, rank=rank,
+                         black=black, arrows=arrows)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(decorated_diagrams())
+def test_random_diagrams_rejected_or_consistent(sd):
+    try:
+        rf = real_form_data(sd)
+    except SatakeError:
+        return
+    rs = sd.root_system()
+    assert _walked(rf, rs) == _brute_force(rf, rs)
+    for psi in twisted_involutions(rf, rs):
+        assert len(psi.word) == length(rs, psi)
+    report = atlas(sd)
+    assert sum(c.is_closed_class for c in report.classes) == 1
+    assert sum(c.codim_Y == 0 for c in report.classes) == 1
 
 
 def test_not_twisted_involution_rejected():
@@ -190,8 +286,6 @@ def test_trace_cross_check(label):
     sd = BY_LABEL[label]
     rs = sd.root_system()
     rf = real_form_data(sd)
-    from leafatlas.atlas import twisted_matrix
-
     for psi in twisted_involutions(rf, rs):
         cls = orbit_class(rf, rs, psi)
         assert cls.a - cls.t == mat_trace(twisted_matrix(rf, psi))

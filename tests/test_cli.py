@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from leafatlas.cli import main
+from leafatlas.cli import ENV_CATALOG, main
 from leafatlas.satake import builtin_catalog, render_catalog
 
 
@@ -79,7 +79,27 @@ def test_atlas_out_file(tmp_path, capsys):
 def test_atlas_weyl_cap_exceeded(capsys):
     code, _, err = run(capsys, "atlas", "--form", "so(8,1)", "--weyl-cap", "10")
     assert code == 2
-    assert "cap" in err
+    assert "number of twisted involutions exceeds cap 10 (partial count 10)" in err
+
+
+@pytest.mark.parametrize("command", ["atlas", "verify"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_rejects_nonpositive_weyl_cap(capsys, command, cap):
+    code, out, err = run(capsys, command, "--form", "sl(3,R)", "--weyl-cap", cap)
+    assert code == 1 and out == ""
+    assert f"--weyl-cap must be at least 1, got {cap}" in err
+
+
+def test_atlas_split_e6_document(capsys, monkeypatch):
+    """Split E6 has 892 classes. Its document, pinned by SHA-256, fixes every
+    class's psi_word as the lexicographically least reduced word."""
+    monkeypatch.delenv(ENV_CATALOG, raising=False)
+    code, out, _ = run(capsys, "atlas", "--type", "E6", "--seed", "0")
+    assert code == 0
+    assert len(json.loads(out)["classes"]) == 892
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "e222ec0926d7825e0d2bac2fedd633124b3f7bda8fef56ff9ef6851f65f6f750"
+    )
 
 
 @pytest.mark.parametrize("cartan_type", ["E9", "A0"])

@@ -247,3 +247,23 @@ def test_dimension_count_matches_su_n():
     for n in range(2, 6):
         rs = build_root_system("A", n - 1)
         assert n * n - 1 == rs.rank + 2 * len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4)])
+def test_root_permutations_agree_with_matrices(family, rank):
+    rs = build_root_system(family, rank)
+    k = rs.permutations
+    assert list(k.reflections) == [k.perm(reflect(rs, i)) for i in range(1, rank + 1)]
+    elements = list(enumerate_weyl(rs))
+    for w in elements:
+        p = k.perm(w)
+        assert k.length(p) == length(rs, w)
+        back = k.element(p)
+        # the lexicographically least reduced word is the breadth-first word
+        assert back == w and back.word == w.word
+    import random
+
+    rnd = random.Random(7)
+    for _ in range(100):
+        u, v = rnd.choice(elements), rnd.choice(elements)
+        assert k.compose(k.perm(u), k.perm(v)) == k.perm(multiply(rs, u, v))

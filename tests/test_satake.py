@@ -6,6 +6,7 @@ from leafatlas.rootsys import identity_matrix, length, mat_mul, multiply, longes
 from leafatlas.satake import (
     CatalogParseError,
     CompactFormError,
+    InconsistentSatakeError,
     SatakeDiagram,
     builtin_catalog,
     catalog_by_label,
@@ -127,6 +128,16 @@ def test_compact_form_rejected():
     sd = SatakeDiagram("compact", "A", 2, frozenset({1, 2}), frozenset())
     with pytest.raises(CompactFormError):
         real_form_data(sd)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_arrows_must_give_a_diagram_automorphism(family, rank):
+    # an arrow (1,2) swaps two nodes that no automorphism of these diagrams
+    # swaps; before the check, G2 with this arrow even produced an atlas
+    sd = SatakeDiagram("bad", family, rank, frozenset(), frozenset({(1, 2)}))
+    with pytest.raises(InconsistentSatakeError, match="diagram automorphism"):
+        real_form_data(sd)
+    assert [c.name for c in validate(sd).failures()] == ["involution"]
 
 
 def test_inadmissible_black_set_fails():
