@@ -306,12 +306,13 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         tol["jacobi"],
     ))
 
-    max_rank = ml.max_sampled_rank(rf, n_samples=max(samples, 50), seed=seed + 5,
-                                   threshold=tol["rank_threshold"])
+    max_rank, n_borderline = ml.max_sampled_rank(
+        rf, n_samples=max(samples, 50), seed=seed + 5, threshold=tol["rank_threshold"])
     expected_rank = rfe.dim_p0 - report.min_leaf_codim()
     checks.append(_check_exact(
         "rank_vs_atlas", max_rank == expected_rank,
-        f"max sampled rank {max_rank}, atlas ceiling {expected_rank}",
+        f"max sampled rank {max_rank}, atlas ceiling {expected_rank}, "
+        f"{n_borderline} borderline samples",
     ))
 
     worst_tang = 0.0
@@ -347,7 +348,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
 
     found, matched, total = 0, 0, len(report.classes)
     for cls in report.classes:
-        u = ml.representative_for(rf, cls.psi, max_candidates=4000)
+        u = ml.representative_for(rf, cls.psi)
         if u is None:
             continue
         found += 1
@@ -359,7 +360,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         matched += int(ok)
     checks.append(_check_exact(
         "stabilizer_dims", matched == found,
-        f"{matched}/{found} matched of {total} classes ({total - found} inconclusive)",
+        f"{matched}/{found} matched of {total} classes ({total - found} unrealizable)",
     ))
 
     return {

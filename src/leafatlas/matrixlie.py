@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -173,6 +173,7 @@ class MatrixRealForm:
 
         self.basis_u, self.root_pairs = su_basis(n)
         self.dim_u = len(self.basis_u)
+        self._basis_stack = np.stack(self.basis_u)
         self._B = np.stack([_vec(b) for b in self.basis_u], axis=1)
         self._Bpinv = np.linalg.pinv(self._B)
         self.lam = lambda_matrix(n)
@@ -222,12 +223,16 @@ class MatrixRealForm:
             out += c * b
         return out
 
+    def _stack_coeffs(self, ms: np.ndarray) -> np.ndarray:
+        """Coefficients of a stack of matrices, one column per matrix."""
+        flat = ms.reshape(len(ms), -1)
+        return self._Bpinv @ np.concatenate([flat.real, flat.imag], axis=1).T
+
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([self.coeffs(x @ b - b @ x) for b in self.basis_u], axis=1)
+        return self._stack_coeffs(x @ self._basis_stack - self._basis_stack @ x)
 
     def Ad_matrix(self, u: np.ndarray) -> np.ndarray:
-        uc = u.conj().T
-        return np.stack([self.coeffs(u @ b @ uc) for b in self.basis_u], axis=1)
+        return self._stack_coeffs(u @ self._basis_stack @ u.conj().T)
 
     def _split_tau(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         k0: list[np.ndarray] = []
@@ -610,13 +615,6 @@ def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray, include_torus: bool = Fals
 # ---------------------------------------------------------------------------
 # representatives of twisted involutions
 
-def _det_normalize(u: np.ndarray) -> np.ndarray:
-    # input is unitary up to roundoff, so the determinant is a pure phase
-    d = complex(np.linalg.det(u))
-    phase = cmath.exp(-1j * cmath.phase(d) / u.shape[0])
-    return phase * u
-
-
 def induced_weyl_matrix(rf: MatrixRealForm, u: np.ndarray,
                         tol: float = TOL_NORMALIZER) -> tuple[IntMatrix | None, float]:
     """Extract the Weyl-group class of u tau(u)^{-1} as an integer matrix on
@@ -644,13 +642,18 @@ def induced_weyl_matrix(rf: MatrixRealForm, u: np.ndarray,
     return tuple(tuple(int(x) for x in row) for row in matrix), residual
 
 
-def _sl_real_representative(rf: MatrixRealForm, psi: WeylElement) -> np.ndarray:
-    """Direct construction for the split realization: the permutation of psi
-    is a product of disjoint transpositions, each realized by a Cayley block."""
-    n = rf.n
+def _weyl_permutation(psi: WeylElement, n: int) -> list[int]:
+    """psi as the permutation e_j -> e_{perm[j]} of the diagonal."""
     perm = list(range(n))
     for i in psi.word:
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return perm
+
+
+def _sl_real_representative(perm: list[int]) -> np.ndarray:
+    """Direct construction for the split realization: the permutation of psi
+    is a product of disjoint transpositions, each realized by a Cayley block."""
+    n = len(perm)
     u = np.eye(n, dtype=complex)
     seen = set()
     for j in range(n):
@@ -667,74 +670,60 @@ def _sl_real_representative(rf: MatrixRealForm, psi: WeylElement) -> np.ndarray:
     return u
 
 
-def _su_pq_candidates(rf: MatrixRealForm, rng: np.random.Generator,
-                      max_candidates: int) -> Iterable[np.ndarray]:
+def _su_pq_representative(rf: MatrixRealForm, perm: list[int]) -> np.ndarray | None:
+    """Construction from the (p, q)-clan of psi, or None when there is none.
+
+    For unitary u, u tau(u)^{-1} = (u J u^dagger) J, so psi is realized exactly
+    when H = P J (P the permutation matrix of psi) is, up to signs, a
+    Hermitian involution of signature (p, q): P J must be an involution with
+    k <= q two-cycles.  Each two-cycle carries one +1 and one -1 eigenvalue;
+    the first p - k fixed points get +1 and the rest -1.  u then maps the
+    eigenbasis of J onto that of H, eigenvalues in the same order, so that
+    u J u^dagger = H.
+    """
     n = rf.n
-    pool: list[np.ndarray] = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            for theta in (math.pi / 4, math.pi / 2, -math.pi / 4):
-                rot = np.eye(n, dtype=complex)
-                rot[j, j] = rot[k, k] = math.cos(theta)
-                rot[j, k] = math.sin(theta)
-                rot[k, j] = -math.sin(theta)
-                pool.append(rot)
-                cay = np.eye(n, dtype=complex)
-                cay[j, j] = cay[k, k] = math.cos(theta)
-                cay[j, k] = cay[k, j] = 1j * math.sin(theta)
-                pool.append(cay)
-    for _ in range(4):
-        phases = rng.uniform(0, 2 * math.pi, size=n)
-        phases -= phases.mean()
-        pool.append(np.diag(np.exp(1j * phases)))
-
-    count = 0
-    yield np.eye(n, dtype=complex)
-    for a in pool:
-        count += 1
-        if count > max_candidates:
-            return
-        yield a
-    for a in pool:
-        for b in pool:
-            count += 1
-            if count > max_candidates:
-                return
-            yield a @ b
-    for a in pool:
-        for b in pool:
-            for c in pool:
-                count += 1
-                if count > max_candidates:
-                    return
-                yield a @ b @ c
+    h = np.eye(n)[:, perm] @ rf.J
+    if not np.array_equal(h, h.T):
+        return None
+    fixed = np.flatnonzero(np.diag(h))
+    pairs = (n - len(fixed)) // 2
+    if pairs > rf.q:
+        return None
+    minus = fixed[rf.p - pairs:]
+    h[minus, minus] = -1.0
+    _, qh = np.linalg.eigh(h)
+    _, qj = np.linalg.eigh(rf.J)
+    if np.linalg.det(qh) * np.linalg.det(qj) < 0:
+        qh[:, 0] = -qh[:, 0]
+    return (qh @ qj.T).astype(complex)
 
 
-def representative_for(rf: MatrixRealForm, psi: WeylElement,
-                       max_candidates: int = 40000,
-                       seed: int = 7) -> np.ndarray | None:
-    """Search for a unitary u whose normalizer-valued invariant u tau(u)^{-1}
-    induces exactly psi; returns None when the bounded search is inconclusive.
+def representative_for(rf: MatrixRealForm, psi: WeylElement) -> np.ndarray | None:
+    """A unitary u of determinant 1 whose normalizer-valued invariant
+    u tau(u)^{-1} induces exactly psi, or None when no orbit realizes psi
+    (possible for su(p, q) only).
 
-    The result is self-verified: the off-normalizer residual must be below
-    tolerance and the induced integer matrix must equal psi's matrix.
+    The constructed u is self-verified: the off-normalizer residual must be
+    below tolerance and the induced integer matrix must equal psi's matrix;
+    a failure is a bug and raises RuntimeError.
     """
     if len(psi.word) == 0:
         return np.eye(rf.n, dtype=complex)
 
+    perm = _weyl_permutation(psi, rf.n)
     if rf.kind == "sl_real":
-        u = _sl_real_representative(rf, psi)
-        got, residual = induced_weyl_matrix(rf, u)
-        if got == psi.matrix and residual <= TOL_NORMALIZER:
-            return u
-        return None
-
-    rng = np.random.default_rng(seed)
-    for cand in _su_pq_candidates(rf, rng, max_candidates):
-        got, residual = induced_weyl_matrix(rf, cand)
-        if got is not None and got == psi.matrix and residual <= TOL_NORMALIZER:
-            return _det_normalize(cand)
-    return None
+        u = _sl_real_representative(perm)
+    else:
+        u = _su_pq_representative(rf, perm)
+        if u is None:
+            return None
+    got, residual = induced_weyl_matrix(rf, u)
+    if got != psi.matrix or residual > TOL_NORMALIZER:
+        raise RuntimeError(
+            f"{rf.label}: constructed representative of word {psi.word} fails "
+            f"the self-check (residual {residual:.2e})"
+        )
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +801,8 @@ def sample_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     q = q @ np.diag(np.sign(np.diag(r).real + 1e-300))
-    return _det_normalize(q)
+    # q is unitary up to roundoff, so its determinant is a pure phase
+    return q * cmath.exp(-1j * cmath.phase(np.linalg.det(q)) / n)
 
 
 def multiplicativity_residual(rf: MatrixRealForm, n_pairs: int = 100,
@@ -848,14 +838,17 @@ def t_invariance_residual(rf: MatrixRealForm, n_samples: int = 50,
 
 
 def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0,
-                     threshold: float = RANK_THRESHOLD) -> int:
-    best = 0
+                     threshold: float = RANK_THRESHOLD) -> tuple[int, int]:
+    """(largest quotient-bivector rank over seeded samples, number of
+    samples whose rank was borderline)."""
+    best, n_borderline = 0, 0
     for child in np.random.SeedSequence(seed).spawn(n_samples):
         rng = np.random.default_rng(child)
         u = sample_unitary(rng, rf.n)
-        rank, _ = pi_0_at(rf, u).rank(threshold)
+        rank, borderline = pi_0_at(rf, u).rank(threshold)
         best = max(best, rank)
-    return best
+        n_borderline += borderline
+    return best, n_borderline
 
 
 # ---------------------------------------------------------------------------
@@ -883,11 +876,11 @@ def _levi_indices(rf: MatrixRealForm) -> tuple[list[int], list[int]]:
 
 def _block_alignment(rf: MatrixRealForm) -> np.ndarray:
     """Unitary u0 conjugating the realization's isotropy algebra onto the
-    block Levi: u0 J u0^dagger equals the diagonal signature matrix."""
+    block Levi: u0 J u0^dagger equals the diagonal signature matrix.  Only
+    Ad(u0) is used, so its determinant is left at +-1."""
     vals, vecs = np.linalg.eigh(rf.J)
     order = np.argsort(-vals)  # +1 eigenvalues first
-    u0 = vecs[:, order].conj().T
-    return _det_normalize(u0)
+    return vecs[:, order].conj().T
 
 
 def invariant_bivector(rf: MatrixRealForm) -> np.ndarray:

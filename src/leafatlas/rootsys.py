@@ -70,7 +70,38 @@ def mat_trace(a: IntMatrix) -> int:
 
 
 def rational_rank(rows: Iterable[Sequence[Fraction | int]]) -> int:
-    """Rank of a small matrix by exact Gaussian elimination over the rationals."""
+    """Rank of a small matrix by exact elimination: fraction-free (Bareiss)
+    over Python ints when every entry is an int, else over the rationals."""
+    m = [list(row) for row in rows]
+    if all(isinstance(x, int) for row in m for x in row):
+        return _integer_rank(m)
+    return _fraction_rank(m)
+
+
+def _integer_rank(m: list[list[int]]) -> int:
+    # Bareiss: after each pivot every entry below it is a minor of the input,
+    # so the division by the previous pivot is exact.  Consumes m.
+    rank, prev = 0, 1
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col]
+            m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
+def _fraction_rank(rows: list[list[Fraction | int]]) -> int:
+    """Gauss-Jordan over the rationals."""
     m = [[Fraction(x) for x in row] for row in rows]
     rank = 0
     ncols = len(m[0]) if m else 0

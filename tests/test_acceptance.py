@@ -103,7 +103,7 @@ def test_criterion_04_sl3_rank_ceiling():
         report = atlas(BY_LABEL["sl(3,R)"])
         assert report.min_leaf_codim() == 1
         rf = ml.realization("sl(3,R)")
-        got = ml.max_sampled_rank(rf, n_samples=200, seed=1004, threshold=1e-8)
+        got, _ = ml.max_sampled_rank(rf, n_samples=200, seed=1004, threshold=1e-8)
         assert got == report.form.dim_x - 1 == 4
     verdict(4, f"split rank ceiling 4 = dim X - 1 over 200 points, {t.elapsed:.2f}s")
 
@@ -115,7 +115,7 @@ def test_criterion_05_su21_full_rank():
         assert top.is_open and top.leaf_dim == report.form.dim_x == 4
         assert top.family_dim == 0
         rf = ml.realization("su(2,1)")
-        got = ml.max_sampled_rank(rf, n_samples=200, seed=1005, threshold=1e-8)
+        got, _ = ml.max_sampled_rank(rf, n_samples=200, seed=1005, threshold=1e-8)
         assert got == 4
     verdict(5, f"open-leaf realization attains full rank 4, {t.elapsed:.2f}s")
 

@@ -130,6 +130,19 @@ def test_quotient_presentations_mirror(sl2, sl3):
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
+@pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)", "su(3,2)"])
+def test_stacked_adjoint_matches_basis_loop(label):
+    rf = ml.realization(label)
+    for child in np.random.SeedSequence(24).spawn(5):
+        rng = np.random.default_rng(child)
+        u = ml.sample_unitary(rng, rf.n)
+        x = rng.normal(size=(rf.n, rf.n)) + 1j * rng.normal(size=(rf.n, rf.n))
+        big = np.stack([rf.coeffs(u @ b @ u.conj().T) for b in rf.basis_u], axis=1)
+        small = np.stack([rf.coeffs(x @ b - b @ x) for b in rf.basis_u], axis=1)
+        assert np.abs(rf.Ad_matrix(u) - big).max() < 1e-12
+        assert np.abs(rf.ad_matrix(x) - small).max() < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # the disk chart on the rank-one example
 
@@ -336,24 +349,69 @@ def test_representative_cayley_self_verifies(sl2):
     assert got == psi.matrix and residual < 1e-10
 
 
-def test_representative_bounded_search_inconclusive_for_flagged_class():
+def test_representative_none_for_flagged_class():
     # the class below has negative formal leaf dimension, so no orbit
-    # realizes it; the bounded search must come back empty-handed
+    # realizes it and there is no representative to construct
     rf = ml.realization("su(3,1)")
     rs = build_root_system("A", 3)
     psi = reflect(rs, 2)
     rfe = real_form_data(BY_LABEL["su(3,1)"])
     cls = orbit_class(rfe, rs, psi)
     assert not cls.dims_in_range
-    assert ml.representative_for(rf, psi, max_candidates=2500) is None
+    assert ml.representative_for(rf, psi) is None
 
 
-def test_representative_tiny_budget_is_inconclusive():
+def test_representative_su21_longest_element_self_verifies():
     rf = ml.realization("su(2,1)")
-    rs = build_root_system("A", 2)
-    from leafatlas.rootsys import longest_element
+    w0 = real_form_data(BY_LABEL["su(2,1)"]).w0
+    u = ml.representative_for(rf, w0)
+    assert u is not None
+    assert np.abs(u @ u.conj().T - np.eye(3)).max() < 1e-12
+    assert abs(np.linalg.det(u) - 1) < 1e-12
+    got, residual = ml.induced_weyl_matrix(rf, u)
+    assert got == w0.matrix and residual < 1e-10
 
-    assert ml.representative_for(rf, longest_element(rs), max_candidates=1) is None
+
+def _clan_realizable(rf, psi) -> bool:
+    # the (p, q)-clan criterion, stated on permutations: psi acts on the
+    # diagonal by e_j -> e_perm[j], J by e_j -> e_jp[j]; psi is realized iff
+    # j -> perm[jp[j]] is an involution with at most q two-cycles
+    perm = list(range(rf.n))
+    for i in psi.word:
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    jp = [int(np.argmax(rf.J[:, j])) for j in range(rf.n)]
+    h = [perm[jp[j]] for j in range(rf.n)]
+    if any(h[h[j]] != j for j in range(rf.n)):
+        return False
+    return sum(h[j] > j for j in range(rf.n)) <= rf.q
+
+
+@pytest.mark.parametrize("label,realized", [
+    ("su(1,1)", 2), ("su(2,1)", 4), ("su(3,1)", 7),
+    ("su(2,2)", 10), ("su(4,1)", 11), ("su(3,2)", 26),
+])
+def test_su_pq_representatives_follow_the_clans(label, realized):
+    rf = ml.realization(label)
+    sd = BY_LABEL[label]
+    rs = sd.root_system()
+    rfe = real_form_data(sd)
+    count = 0
+    for psi in twisted_involutions(rfe, rs):
+        cls = orbit_class(rfe, rs, psi)
+        u = ml.representative_for(rf, psi)
+        assert (u is not None) == _clan_realizable(rf, psi)
+        if u is None:
+            continue
+        count += 1
+        # every flagged class is unrealizable
+        assert cls.dims_in_range and cls.parity_ok
+        assert abs(np.linalg.det(u) - 1) < 1e-12
+        assert ml.stabilizer_dim(rf, u) == cls.a + cls.codim_Y
+        assert (
+            ml.stabilizer_dim(rf, u, include_torus=True)
+            == cls.t + cls.a + cls.codim_Y
+        )
+    assert count == realized
 
 
 @pytest.mark.parametrize("label", ["sl(2,R)", "sl(3,R)"])
@@ -429,11 +487,11 @@ def test_hermitian_fit_rejects_split_form(sl3):
 # rank sampling
 
 def test_max_rank_matches_atlas_sl3(sl3):
-    assert ml.max_sampled_rank(sl3, n_samples=60, seed=22) == 4
+    assert ml.max_sampled_rank(sl3, n_samples=60, seed=22)[0] == 4
 
 
 def test_max_rank_matches_atlas_su21():
-    assert ml.max_sampled_rank(ml.realization("su(2,1)"), n_samples=60, seed=23) == 4
+    assert ml.max_sampled_rank(ml.realization("su(2,1)"), n_samples=60, seed=23)[0] == 4
 
 
 def test_realization_errors():

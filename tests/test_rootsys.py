@@ -1,6 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafatlas.rootsys import (
     UnsupportedCartanTypeError,
@@ -17,6 +20,7 @@ from leafatlas.rootsys import (
     mat_transpose,
     multiply,
     preserves_form,
+    rational_rank,
     reflect,
 )
 
@@ -267,3 +271,24 @@ def test_root_permutations_agree_with_matrices(family, rank):
     for _ in range(100):
         u, v = rnd.choice(elements), rnd.choice(elements)
         assert k.compose(k.perm(u), k.perm(v)) == k.perm(multiply(rs, u, v))
+
+
+@st.composite
+def low_rank_int_matrices(draw):
+    # a product (rows x k)(k x cols) has rank <= k, so zero columns, repeated
+    # rows and rank deficiency all come up, not only full rank
+    rows, cols, k = draw(st.integers(0, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    entries = st.integers(-3, 3)
+    a = draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    b = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=k, max_size=k))
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(low_rank_int_matrices())
+def test_integer_rank_equals_fraction_rank(rows):
+    # Fraction entries take the Gauss-Jordan path, int entries the
+    # fraction-free one
+    as_fractions = [[Fraction(x) for x in row] for row in rows]
+    assert rational_rank(rows) == rational_rank(as_fractions)
