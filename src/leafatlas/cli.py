@@ -255,14 +255,12 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         ml.tau_root_action(rf) == rfe.tau_star,
         "concrete conjugation induces the catalog involution",
     ))
-    fixed_dim = ml.fixed_triangular_dim(rf)
+    ann = ml.annihilator_check(rf)
     checks.append(_check_exact(
         "triangular_fixed_dim",
-        fixed_dim == rfe.dim_p0,
-        f"dim (a+n)^tau = {fixed_dim} vs dim_p0 = {rfe.dim_p0}",
+        ann.dim_fixed_points == rfe.dim_p0,
+        f"dim (a+n)^tau = {ann.dim_fixed_points} vs dim_p0 = {rfe.dim_p0}",
     ))
-
-    ann = ml.annihilator_check(rf)
     checks.append(_check("annihilator_distance", ann.distance, tol["annihilator"],
                          f"dims {ann.dim_annihilator}/{ann.dim_fixed_points}"))
     checks.append(_check_exact("annihilator_dims",
@@ -279,8 +277,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
     checks.append(_check("iwasawa_roundtrip", worst_iw, tol["iwasawa"]))
 
     worst_act = 0.0
-    for child in np.random.SeedSequence(seed + 1).spawn(max(samples // 2, 10)):
-        crng = np.random.default_rng(child)
+    for crng in ml.seeded_rngs(seed + 1, max(samples // 2, 10)):
         u = ml.sample_unitary(crng, rf.n)
         g = _sample_group(crng, rf.n)
         h = _sample_group(crng, rf.n)
@@ -317,8 +314,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
 
     worst_tang = 0.0
     tang_ok = True
-    for child in np.random.SeedSequence(seed + 6).spawn(5):
-        crng = np.random.default_rng(child)
+    for crng in ml.seeded_rngs(seed + 6, 5):
         u = ml.sample_unitary(crng, rf.n)
         res = ml.leaf_tangency_check(rf, u)
         tang_ok = tang_ok and res.dim_bivector_image == res.dim_orbit_projection
@@ -328,8 +324,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
 
     if rf.kind == "sl_real" and rf.n == 2:
         worst_f = 0.0
-        for child in np.random.SeedSequence(seed + 7).spawn(samples):
-            crng = np.random.default_rng(child)
+        for crng in ml.seeded_rngs(seed + 7, samples):
             w = _sample_chart_point(crng)
             u = ml.chart_su2_section(w)
             _, coeff = ml.su2_transported_coefficient(rf, u)

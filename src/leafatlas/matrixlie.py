@@ -18,9 +18,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +31,6 @@ TOL_UNITARY = 1e-10
 TOL_NORMALIZER = 1e-10
 COND_LIMIT = 1e12
 RANK_THRESHOLD = 1e-8
-NULLSPACE_THRESHOLD = 1e-8
 CHART_EPS = 1e-12
 
 #: Amplitude of the transported quotient bivector on the SU(2)/SO(2) disk
@@ -59,6 +58,47 @@ class ChartSingularityError(ValueError):
 
 class NotHermitianError(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# numerical rank: the one rule behind every rank and null-space decision
+
+def _floored_rank(s: np.ndarray, threshold: float) -> tuple[int, bool]:
+    """(rank, borderline) from singular values in descending order.
+
+    Values at or below the cutoff threshold * max(s_max, 1) count as zero;
+    a value within (0.999, 10) times the cutoff flags the rank as borderline.
+    """
+    if s.size == 0:
+        return 0, False
+    cutoff = threshold * max(s[0], 1.0)
+    rank = int(np.sum(s > cutoff))
+    borderline = bool(np.any((s > cutoff * 0.999) & (s < cutoff * 10)))
+    return rank, borderline
+
+
+def numerical_rank(m: np.ndarray, threshold: float = RANK_THRESHOLD) -> tuple[int, bool]:
+    """(rank, borderline) of m under the floored cutoff."""
+    return _floored_rank(np.linalg.svd(m, compute_uv=False), threshold)
+
+
+def nullspace(m: np.ndarray, threshold: float = RANK_THRESHOLD) -> np.ndarray:
+    """Orthonormal columns N spanning the numerical null space: m @ N ~ 0."""
+    _, s, vt = np.linalg.svd(m)
+    return vt[_floored_rank(s, threshold)[0]:].T
+
+
+def column_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the numerical column space of m."""
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, :_floored_rank(s, RANK_THRESHOLD)[0]]
+
+
+def seeded_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
+    """n generators, one per child of SeedSequence(seed), so that sample i
+    of a check can be replayed from child i alone."""
+    for child in np.random.SeedSequence(seed).spawn(n):
+        yield np.random.default_rng(child)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +226,26 @@ class MatrixRealForm:
         self.dim_ip0 = len(self.basis_ip0)
 
         self._an_basis = self._build_an_basis()
+        self._an_stack = np.stack([_vec(b) for b in self._an_basis], axis=1)
         self._t_basis = [
             np.diag(
                 [1j if i == j else (-1j if i == j + 1 else 0) for i in range(n)]
             )
             for j in range(n - 1)
         ]
-        full = np.stack([_vec(b) for b in self.basis_u + self._an_basis], axis=1)
-        self._full_pinv = np.linalg.pinv(full)
+        self._full_pinv = np.linalg.pinv(np.concatenate([self._B, self._an_stack], axis=1))
+
+    @cached_property
+    def fixed_triangular(self) -> np.ndarray:
+        """The conjugation-fixed part of the triangular factor, spanned by the
+        columns (vectorized matrices, see _vec)."""
+        tau_map = np.stack([_vec(self.tau(b) - b) for b in self._an_basis], axis=1)
+        return self._an_stack @ nullspace(tau_map)
+
+    @cached_property
+    def hermitian_frame(self) -> HermitianFrame:
+        """Seed-independent data of the Hermitian decomposition."""
+        return _hermitian_frame(self)
 
     # -- conjugations ------------------------------------------------------
 
@@ -246,7 +298,7 @@ class MatrixRealForm:
                 return
             if vecs:
                 stack = np.stack(vecs + [v], axis=1)
-                if np.linalg.matrix_rank(stack, tol=1e-9) == len(vecs):
+                if numerical_rank(stack, 1e-9)[0] == len(vecs):
                     return
             bucket.append(m)
             vecs.append(v)
@@ -330,15 +382,8 @@ class Bivector:
         return self.upper - self.upper.T
 
     def rank(self, threshold: float = RANK_THRESHOLD) -> tuple[int, bool]:
-        """(rank, borderline) with singular values below the floored cutoff
-        treated as zero; values within 10x of the cutoff flag the sample."""
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        if s.size == 0:
-            return 0, False
-        cutoff = threshold * max(s[0], 1.0)
-        rank = int(np.sum(s > cutoff))
-        borderline = bool(np.any((s > cutoff * 0.999) & (s < cutoff * 10)))
-        return rank, borderline
+        """(rank, borderline) under the floored cutoff; see numerical_rank."""
+        return numerical_rank(self.matrix, threshold)
 
 
 @dataclass
@@ -469,13 +514,8 @@ def su2_leaf_slice(zeta: complex) -> np.ndarray:
 
 def _chart_su2_differential(u: np.ndarray, xi: np.ndarray) -> complex:
     """Derivative of the chart along t -> exp(t xi) u at t = 0."""
-    du = xi @ u
-    a, b = u[0, 0], u[0, 1]
-    da, db = du[0, 0], du[0, 1]
-    num = -a.imag + 1j * b.imag
-    den = a.real + 1j * b.real
-    dnum = -da.imag + 1j * db.imag
-    dden = da.real + 1j * db.real
+    num, den = _su2_nd(u)
+    dnum, dden = _su2_nd(xi @ u)
     top, bot = num - 1j * den, den - 1j * num
     dtop, dbot = dnum - 1j * dden, dden - 1j * dnum
     if abs(bot) < CHART_EPS:
@@ -511,8 +551,7 @@ class TangencyResult:
     residual: float
 
 
-def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray,
-                        threshold: float = NULLSPACE_THRESHOLD) -> TangencyResult:
+def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray) -> TangencyResult:
     """Compare the image of the quotient bivector with the projected tangent
     space of the dressing orbit through u; returns dims and the largest
     principal angle between the two subspaces."""
@@ -529,15 +568,8 @@ def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray,
         cols.append((rf._Sinv @ coeff)[k:])
     orbit = np.stack(cols, axis=1)
 
-    def col_space(m: np.ndarray) -> np.ndarray:
-        if m.size == 0:
-            return np.zeros((m.shape[0], 0))
-        uu, s, _ = np.linalg.svd(m, full_matrices=False)
-        cutoff = threshold * max(s[0] if s.size else 1.0, 1.0)
-        return uu[:, s > cutoff]
-
-    img = col_space(c)
-    orb = col_space(orbit)
+    img = column_space(c)
+    orb = column_space(orbit)
     if img.shape[1] == 0 or orb.shape[1] == 0:
         residual = 0.0 if img.shape[1] == orb.shape[1] else float("inf")
     else:
@@ -556,26 +588,13 @@ class AnnihilatorResult:
 def annihilator_check(rf: MatrixRealForm) -> AnnihilatorResult:
     """Annihilator of k0 inside the triangular factor under Im kappa, compared
     with the conjugation-fixed subspace of that factor."""
-    n = rf.n
     an = rf._an_basis
-    an_stack = np.stack([_vec(b) for b in an], axis=1)
-
     pairing = np.zeros((len(rf.basis_k0), len(an)))
     for i, kb in enumerate(rf.basis_k0):
         for j, ab in enumerate(an):
-            pairing[i, j] = killing(n, kb, ab).imag
-
-    def nullspace(m: np.ndarray) -> np.ndarray:
-        _, s, vt = np.linalg.svd(m)
-        cutoff = NULLSPACE_THRESHOLD * max(s[0] if s.size else 1.0, 1.0)
-        return vt[np.sum(s > cutoff):].T
-
-    ann = an_stack @ nullspace(pairing)
-
-    tau_map = np.stack(
-        [_vec(rf.tau(b) - b) for b in an], axis=1
-    )
-    fixed = an_stack @ nullspace(tau_map)
+            pairing[i, j] = killing(rf.n, kb, ab).imag
+    ann = rf._an_stack @ nullspace(pairing)
+    fixed = rf.fixed_triangular
 
     def orth(m: np.ndarray) -> np.ndarray:
         if m.shape[1] == 0:
@@ -594,7 +613,7 @@ def annihilator_check(rf: MatrixRealForm) -> AnnihilatorResult:
 
 
 def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray, include_torus: bool = False,
-                   threshold: float = NULLSPACE_THRESHOLD) -> int:
+                   threshold: float = RANK_THRESHOLD) -> int:
     """dim { X in g0 : Ad_u X lies in the triangular factor }, the Lie algebra
     of the action stabilizer; include_torus adds the compact torus directions."""
     _check_unitary(u)
@@ -607,9 +626,7 @@ def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray, include_torus: bool = Fals
     cols = [_vec(u @ x @ u.conj().T) for x in rf.g0_basis()]
     m = np.stack(cols, axis=1)
     resid = m - q @ (q.T @ m)
-    s = np.linalg.svd(resid, compute_uv=False)
-    cutoff = threshold * max(s[0] if s.size else 1.0, 1.0)
-    return int(m.shape[1] - np.sum(s > cutoff))
+    return m.shape[1] - numerical_rank(resid, threshold)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -787,8 +804,7 @@ def jacobi_check(rf: MatrixRealForm, n_points: int = 10, h: float = 1e-4,
     """Max Jacobiator residual of the chart bivector over seeded points."""
     m = rf.dim_ip0
     residual = 0.0
-    for child in np.random.SeedSequence(seed).spawn(n_points):
-        rng = np.random.default_rng(child)
+    for rng in seeded_rngs(seed, n_points):
         x = rng.uniform(-radius, radius, size=m)
         residual = max(residual, jacobi_residual(lambda y: chart_bivector(rf, y), x, h))
     return residual
@@ -809,8 +825,7 @@ def multiplicativity_residual(rf: MatrixRealForm, n_pairs: int = 100,
                               seed: int = 0) -> float:
     """Residual of pi(uv) = Ad_u pi(v) Ad_u^T + pi(u) over seeded pairs."""
     worst = 0.0
-    for child in np.random.SeedSequence(seed).spawn(n_pairs):
-        rng = np.random.default_rng(child)
+    for rng in seeded_rngs(seed, n_pairs):
         u = sample_unitary(rng, rf.n)
         v = sample_unitary(rng, rf.n)
         a = rf.Ad_matrix(u)
@@ -824,8 +839,7 @@ def t_invariance_residual(rf: MatrixRealForm, n_samples: int = 50,
                           seed: int = 1) -> float:
     """Invariance of the group bivector under left and right torus shifts."""
     worst = 0.0
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
-        rng = np.random.default_rng(child)
+    for rng in seeded_rngs(seed, n_samples):
         u = sample_unitary(rng, rf.n)
         phases = rng.uniform(0, 2 * math.pi, size=rf.n)
         phases -= phases.mean()
@@ -842,8 +856,7 @@ def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0,
     """(largest quotient-bivector rank over seeded samples, number of
     samples whose rank was borderline)."""
     best, n_borderline = 0, 0
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
-        rng = np.random.default_rng(child)
+    for rng in seeded_rngs(seed, n_samples):
         u = sample_unitary(rng, rf.n)
         rank, borderline = pi_0_at(rf, u).rank(threshold)
         best = max(best, rank)
@@ -861,17 +874,25 @@ class HermitianFitResult:
     invariant_rank: int
 
 
-def _levi_indices(rf: MatrixRealForm) -> tuple[list[int], list[int]]:
-    """Indices of basis_u inside / across the (p, q) block Levi subalgebra."""
-    n, p = rf.n, rf.p
-    inside, across = [], []
-    for j in range(n - 1):
-        inside.append(j)  # diagonal torus directions
+@dataclass(frozen=True)
+class HermitianFrame:
+    """The seed-independent part of hermitian_fit, built once per realization."""
+
+    across: list[int]  # indices of basis_u across the (p, q) block Levi
+    u0: np.ndarray  # see _block_alignment
+    transfer_inv: np.ndarray  # inverse differential of u K -> u u0^{-1}
+    c_inv: np.ndarray  # see invariant_bivector
+    rank_inv: int
+
+
+def _levi_across(rf: MatrixRealForm) -> list[int]:
+    """Indices of basis_u across the (p, q) block Levi subalgebra."""
+    across = []
     for idx, (j, k) in enumerate(rf.root_pairs):
-        base = (n - 1) + 2 * idx
-        same_block = (j < p) == (k < p)
-        (inside if same_block else across).extend([base, base + 1])
-    return inside, across
+        if (j < rf.p) != (k < rf.p):
+            base = (rf.n - 1) + 2 * idx
+            across.extend([base, base + 1])
+    return across
 
 
 def _block_alignment(rf: MatrixRealForm) -> np.ndarray:
@@ -917,14 +938,12 @@ def invariant_bivector(rf: MatrixRealForm) -> np.ndarray:
                         val -= a[c, i]
                     row[t] = val
                 rows.append(row)
-    system = np.stack(rows, axis=0)
-    _, s, vt = np.linalg.svd(system)
-    null_dim = int(np.sum(s < 1e-9 * max(s[0], 1.0)))
-    if null_dim != 1:
+    null = nullspace(np.stack(rows, axis=0), 1e-9)
+    if null.shape[1] != 1:
         raise NotHermitianError(
-            f"invariant bivector space of {rf.label} has dimension {null_dim}"
+            f"invariant bivector space of {rf.label} has dimension {null.shape[1]}"
         )
-    coeffs = vt[-1]
+    coeffs = null[:, 0]
     c_inv = np.zeros((m, m))
     for t, (i, j) in enumerate(pairs):
         c_inv[i, j] = coeffs[t]
@@ -936,22 +955,33 @@ def invariant_bivector(rf: MatrixRealForm) -> np.ndarray:
     return c_inv
 
 
+def _hermitian_frame(rf: MatrixRealForm) -> HermitianFrame:
+    if rf.kind != "su_pq":
+        raise NotHermitianError(f"{rf.label} is not Hermitian symmetric here")
+    across = _levi_across(rf)
+    u0 = _block_alignment(rf)
+    # differential of the identification in left trivialization
+    ad_u0 = rf.Ad_matrix(u0)
+    transfer = np.stack([(ad_u0 @ rf.coeffs(b))[across] for b in rf.basis_ip0], axis=1)
+    c_inv = invariant_bivector(rf)
+    return HermitianFrame(across, u0, np.linalg.inv(transfer), c_inv,
+                          numerical_rank(c_inv, 1e-9)[0])
+
+
 def bruhat_projection_at(rf: MatrixRealForm, v: np.ndarray,
-                         inside: list[int], across: list[int]) -> np.ndarray:
+                         across: list[int]) -> np.ndarray:
     """Left-trivialized group bivector at v, projected off the Levi block."""
     a_inv = rf.Ad_matrix(v.conj().T)
     c_left = a_inv @ rf.lam @ a_inv.T - rf.lam
     return c_left[np.ix_(across, across)]
 
 
-def pi_infinity_at(rf: MatrixRealForm, u: np.ndarray, u0: np.ndarray,
-                   transfer_inv: np.ndarray,
-                   inside: list[int], across: list[int]) -> np.ndarray:
+def pi_infinity_at(rf: MatrixRealForm, u: np.ndarray) -> np.ndarray:
     """Flag-projected bivector pulled back to the symmetric space through the
     identification u K -> u u0^{-1} (parabolic coset)."""
-    v = u @ u0.conj().T
-    c = bruhat_projection_at(rf, v, inside, across)
-    return transfer_inv @ c @ transfer_inv.T
+    frame = rf.hermitian_frame
+    c = bruhat_projection_at(rf, u @ frame.u0.conj().T, frame.across)
+    return frame.transfer_inv @ c @ frame.transfer_inv.T
 
 
 def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
@@ -961,34 +991,17 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
     The fitted b depends on the documented normalization of the invariant
     bivector and is reported, not asserted against any external convention.
     """
-    if rf.kind != "su_pq":
-        raise NotHermitianError(f"{rf.label} is not Hermitian symmetric here")
-    inside, across = _levi_indices(rf)
-    u0 = _block_alignment(rf)
-
-    # differential of the identification in left trivialization
-    ad_u0 = rf.Ad_matrix(u0)
-    cols = []
-    for b in rf.basis_ip0:
-        cols.append((ad_u0 @ rf.coeffs(b))[across])
-    transfer = np.stack(cols, axis=1)
-    transfer_inv = np.linalg.inv(transfer)
-
-    c_inv = invariant_bivector(rf)
-    rank_inv = int(np.linalg.matrix_rank(c_inv, tol=1e-9))
-
+    frame = rf.hermitian_frame
+    c_inv = frame.c_inv
     diffs = []
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
-        rng = np.random.default_rng(child)
+    for rng in seeded_rngs(seed, n_samples):
         u = sample_unitary(rng, rf.n)
-        lhs = pi_0_at(rf, u).matrix
-        pinf = pi_infinity_at(rf, u, u0, transfer_inv, inside, across)
-        diffs.append(lhs - pinf)
+        diffs.append(pi_0_at(rf, u).matrix - pi_infinity_at(rf, u))
 
     denom = float(np.sum(c_inv * c_inv))
     b = float(sum(np.sum(d * c_inv) for d in diffs) / (denom * len(diffs)))
     max_residual = max(float(np.abs(d - b * c_inv).max()) for d in diffs)
-    return HermitianFitResult(b=b, max_residual=max_residual, invariant_rank=rank_inv)
+    return HermitianFitResult(b=b, max_residual=max_residual, invariant_rank=frame.rank_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -1021,8 +1034,7 @@ def tau_root_action(rf: MatrixRealForm) -> IntMatrix:
 def cartan_consistency(rf: MatrixRealForm, n_samples: int = 20, seed: int = 3) -> dict[str, float]:
     """Residuals of the defining identities of the realization."""
     res = {"tau_sq": 0.0, "theta_sq": 0.0, "commute": 0.0, "h_stable": 0.0}
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
-        rng = np.random.default_rng(child)
+    for rng in seeded_rngs(seed, n_samples):
         x = rng.normal(size=(rf.n, rf.n)) + 1j * rng.normal(size=(rf.n, rf.n))
         x -= np.trace(x) / rf.n * np.eye(rf.n)
         res["tau_sq"] = max(res["tau_sq"], float(np.abs(rf.tau(rf.tau(x)) - x).max()))
@@ -1039,14 +1051,8 @@ def cartan_consistency(rf: MatrixRealForm, n_samples: int = 20, seed: int = 3) -
 
     # the fixed subspace of the triangular factor must be upper triangular
     # with real diagonal (Iwasawa compatibility of the chosen Borel)
-    an = rf._an_basis
-    an_stack = np.stack([_vec(b) for b in an], axis=1)
-    tau_map = np.stack([_vec(rf.tau(b) - b) for b in an], axis=1)
-    _, s, vt = np.linalg.svd(tau_map)
-    cutoff = NULLSPACE_THRESHOLD * max(s[0] if s.size else 1.0, 1.0)
-    null = vt[np.sum(s > cutoff):].T
     worst = 0.0
-    for col in (an_stack @ null).T:
+    for col in rf.fixed_triangular.T:
         m = col[: rf.n * rf.n].reshape(rf.n, rf.n) + 1j * col[rf.n * rf.n:].reshape(rf.n, rf.n)
         lower = np.tril(m, k=-1)
         worst = max(worst, float(np.abs(lower).max()),
@@ -1054,11 +1060,3 @@ def cartan_consistency(rf: MatrixRealForm, n_samples: int = 20, seed: int = 3) -
     res["iwasawa_borel"] = worst
     return res
 
-
-def fixed_triangular_dim(rf: MatrixRealForm) -> int:
-    """Dimension of the conjugation-fixed part of the triangular factor."""
-    an = rf._an_basis
-    tau_map = np.stack([_vec(rf.tau(b) - b) for b in an], axis=1)
-    s = np.linalg.svd(tau_map, compute_uv=False)
-    cutoff = NULLSPACE_THRESHOLD * max(s[0] if s.size else 1.0, 1.0)
-    return int(len(an) - np.sum(s > cutoff))

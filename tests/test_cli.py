@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from leafatlas.cli import ENV_CATALOG, main
-from leafatlas.satake import builtin_catalog, render_catalog
+from leafatlas.cli import ENV_CATALOG, RunConfig, main, run_verify_battery
+from leafatlas.satake import builtin_catalog, catalog_by_label, render_catalog
 
 
 def run(capsys, *argv):
@@ -142,6 +142,34 @@ def test_verify_small_battery(capsys):
     assert {"jacobi", "annihilator_distance", "rank_vs_atlas",
             "example_formula", "multiplicativity"} <= names
     assert doc["seed"] == 42
+
+
+BATTERY = [
+    "cartan_tau_sq", "cartan_theta_sq", "cartan_commute", "cartan_h_stable",
+    "iwasawa_borel", "tau_root_compatibility", "triangular_fixed_dim",
+    "annihilator_distance", "annihilator_dims", "iwasawa_roundtrip",
+    "action_axiom", "multiplicativity", "t_invariance", "jacobi", "rank_vs_atlas",
+    "leaf_tangency",
+]
+
+
+@pytest.mark.parametrize("label", [
+    "sl(2,R)", "sl(3,R)", "sl(4,R)", "sl(5,R)",
+    "su(1,1)", "su(2,1)", "su(3,1)", "su(2,2)", "su(4,1)", "su(3,2)",
+])
+def test_verify_battery_passes_on_every_realized_form(label):
+    doc = run_verify_battery(catalog_by_label()[label],
+                             RunConfig(command="verify", seed=0, samples=20))
+    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+    assert failed == []
+    assert doc["passed"] is True
+    if label == "sl(2,R)":
+        extra = ["example_formula"]
+    elif label.startswith("su("):
+        extra = ["hermitian_fit_residual", "hermitian_fit_stability"]
+    else:
+        extra = []
+    assert [c["name"] for c in doc["checks"]] == BATTERY + extra + ["stabilizer_dims"]
 
 
 def test_verify_no_realization(capsys):

@@ -22,6 +22,65 @@ def sl3():
 
 
 # ---------------------------------------------------------------------------
+# the floored-SVD rank rule
+
+def _with_singular_values(s, rows=6, cols=5, seed=0):
+    rng = np.random.default_rng(seed)
+    qu, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
+    qv, _ = np.linalg.qr(rng.normal(size=(cols, cols)))
+    d = np.zeros((rows, cols))
+    d[np.arange(len(s)), np.arange(len(s))] = s
+    return qu @ d @ qv.T
+
+
+def test_numerical_rank_of_empty_matrix():
+    assert ml.numerical_rank(np.zeros((0, 4))) == (0, False)
+    assert ml.numerical_rank(np.zeros((3, 0))) == (0, False)
+    assert ml.nullspace(np.zeros((0, 4))).shape == (4, 4)
+    assert ml.column_space(np.zeros((3, 0))).shape == (3, 0)
+
+
+def test_numerical_rank_cutoff_is_floored_at_one():
+    # s_max < 1: the cutoff is the threshold itself, not threshold * s_max
+    small = _with_singular_values([1e-3, 5e-9])
+    assert ml.numerical_rank(small) == (1, False)
+    assert ml.numerical_rank(small, threshold=1e-10) == (2, False)
+    # s_max > 1 scales the cutoff
+    large = _with_singular_values([1e3, 5e-6])
+    assert ml.numerical_rank(large)[0] == 1
+    assert ml.numerical_rank(_with_singular_values([1e3, 5e-5]))[0] == 2
+
+
+@pytest.mark.parametrize("value,rank,borderline", [
+    (0.998e-8, 1, False),  # below the band
+    (0.9995e-8, 1, True),  # inside the band, below the cutoff
+    (5e-8, 2, True),  # inside the band, above the cutoff
+    (1.01e-7, 2, False),  # above the band
+])
+def test_numerical_rank_borderline_band(value, rank, borderline):
+    m = _with_singular_values([0.5, value])
+    assert ml.numerical_rank(m) == (rank, borderline)
+
+
+def test_nullspace_orthonormal_and_annihilated():
+    m = _with_singular_values([3.0, 1.0, 1e-12], rows=4, cols=6, seed=1)
+    null = ml.nullspace(m)
+    assert null.shape == (6, 4)
+    assert np.allclose(null.T @ null, np.eye(4), atol=1e-12)
+    assert np.abs(m @ null).max() < 1e-11
+    col = ml.column_space(m)
+    assert col.shape == (4, 2)
+    assert np.allclose(col.T @ col, np.eye(2), atol=1e-12)
+
+
+def test_seeded_rngs_follow_spawned_children():
+    got = [rng.normal() for rng in ml.seeded_rngs(5, 4)]
+    want = [np.random.default_rng(c).normal()
+            for c in np.random.SeedSequence(5).spawn(4)]
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
 # invariant form and root vectors
 
 def test_killing_diagonal_value():
@@ -313,7 +372,7 @@ def test_cartan_consistency(label):
 @pytest.mark.parametrize("label", ["sl(2,R)", "sl(3,R)", "su(2,1)", "su(3,1)"])
 def test_fixed_triangular_dimension(label):
     rfe = real_form_data(BY_LABEL[label])
-    assert ml.fixed_triangular_dim(ml.realization(label)) == rfe.dim_p0
+    assert ml.annihilator_check(ml.realization(label)).dim_fixed_points == rfe.dim_p0
 
 
 def test_leaf_tangency_identity_and_generic(sl2):
@@ -476,6 +535,22 @@ def test_hermitian_fit_su21_smoke():
     res = ml.hermitian_fit(ml.realization("su(2,1)"), n_samples=30, seed=21)
     assert res.max_residual < 1e-8
     assert res.invariant_rank == ml.realization("su(2,1)").dim_ip0
+
+
+def test_hermitian_frame_built_once_per_realization(monkeypatch):
+    built = []
+    original = ml.invariant_bivector
+
+    def counting(rf):
+        built.append(rf.label)
+        return original(rf)
+
+    monkeypatch.setattr(ml, "invariant_bivector", counting)
+    rf = ml.MatrixRealForm("su(2,1)", "su_pq", 3, 2, 1)
+    fit1 = ml.hermitian_fit(rf, n_samples=10, seed=8)
+    fit2 = ml.hermitian_fit(rf, n_samples=10, seed=9)
+    assert built == ["su(2,1)"]
+    assert fit1.max_residual < 1e-8 and abs(fit1.b - fit2.b) < 1e-8
 
 
 def test_hermitian_fit_rejects_split_form(sl3):
