@@ -19,8 +19,8 @@ from .rootsys import (
     WeylCapError,
     WeylElement,
     enumerate_weyl,  # noqa: F401  re-exported; bench/tests/test_tracer.py checks this binding
-    eigenspace_dim,
     identity_matrix,
+    length,
     longest_element,  # noqa: F401  re-exported; bench/tests/test_tracer.py checks this binding
     mat_mul,
     mat_trace,
@@ -35,53 +35,6 @@ class NotTwistedInvolutionError(ValueError):
 
 def twisted_matrix(rf: RealFormData, psi: WeylElement) -> IntMatrix:
     return mat_mul(psi.matrix, rf.tau_star)
-
-
-def twisted_involutions(
-    rf: RealFormData, rs: RootSystem, cap: int = DEFAULT_WEYL_CAP
-) -> Iterator[WeylElement]:
-    """All psi in W with (psi tau*)^2 = 1, each with its lexicographically
-    least reduced word.
-
-    With tau* = w_b sigma, psi is a twisted involution exactly when
-    v = psi w_b satisfies sigma v sigma = v^-1. Those v are the orbit of the
-    identity under the moves v -> s v sigma(s), or v -> s v when
-    s v sigma(s) = v (Richardson-Springer, Geom. Dedicata 35, 1990; Hultman,
-    Adv. Math. 195, 2005), and each v other than the identity is reached by
-    such a move along a simple s that is not a left descent, so the walk only
-    goes up. Raises WeylCapError once more than `cap` twisted involutions
-    have been visited.
-    """
-    k = rs.permutations
-    wb = k.perm(rf.w_b)
-    twisted = [(k.reflections[i], k.reflections[j], k.simple[j])
-               for i, j in enumerate(rf.sigma)]
-    seen = {k.identity}
-    level = [k.identity]
-    count = 0
-    while level:
-        nxt: list[Perm] = []
-        for v in level:
-            count += 1
-            if count > cap:
-                raise WeylCapError(
-                    f"{rf.diagram.label}: number of twisted involutions exceeds cap {cap}",
-                    partial_count=cap,
-                )
-            yield k.element(k.compose(v, wb))
-            for s, s_sigma, alpha_sigma in twisted:
-                # s_i is a left descent of v iff v^-1 = sigma v sigma sends
-                # alpha_i to a negative root, iff v does so to alpha_sigma(i)
-                if v[alpha_sigma] >= k.npos:
-                    continue
-                sv = k.compose(s, v)
-                u = k.compose(sv, s_sigma)
-                if u == v:
-                    u = sv
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        level = nxt
 
 
 @dataclass(frozen=True)
@@ -106,6 +59,34 @@ class OrbitClass:
     parity_ok: bool
     dims_in_range: bool
 
+    @classmethod
+    def build(cls, rf: RealFormData, rs: RootSystem, psi: WeylElement,
+              codim_y: int, a: int) -> OrbitClass:
+        """The class of psi from its codim_Y and a, the dimension of the +1
+        eigenspace of the involution psi tau*; every other field follows."""
+        rank = rs.rank
+        t = rank - a
+        m, tau = psi.matrix, rf.tau_star
+        # psi tau* is an involution, so a - t is its trace
+        assert a - t == sum(m[i][j] * tau[j][i] for i in range(rank) for j in range(rank))
+        dim_orbit = 2 * len(rs.positive_roots) - codim_y
+        leaf_dim = dim_orbit - rf.dim_k0 + t
+        leaf_codim = rf.dim_x - leaf_dim
+        assert leaf_codim == a + codim_y
+        return cls(
+            psi=psi,
+            codim_Y=codim_y,
+            t=t,
+            a=a,
+            leaf_dim=leaf_dim,
+            leaf_codim=leaf_codim,
+            family_dim=a,
+            is_open=(codim_y == 0 and a == 0),
+            is_closed_class=(not psi.word or m == identity_matrix(rank)),
+            parity_ok=(leaf_dim % 2 == 0),
+            dims_in_range=(0 <= leaf_dim <= rf.dim_x),
+        )
+
     @property
     def psi_word(self) -> tuple[int, ...]:
         return self.psi.word
@@ -116,38 +97,77 @@ class OrbitClass:
         return self.parity_ok and self.dims_in_range
 
 
+def twisted_involutions(
+    rf: RealFormData, rs: RootSystem, cap: int = DEFAULT_WEYL_CAP
+) -> Iterator[OrbitClass]:
+    """The class of every psi in W with (psi tau*)^2 = 1, with psi carrying
+    its lexicographically least reduced word.
+
+    With tau* = w_b sigma, psi is a twisted involution exactly when
+    v = psi w_b satisfies sigma v sigma = v^-1. Those v are the orbit of the
+    identity under the moves v -> s v sigma(s), or v -> s v when
+    s v sigma(s) = v (Richardson-Springer, Geom. Dedicata 35, 1990; Hultman,
+    Adv. Math. 195, 2005), and each v other than the identity is reached by
+    such a move along a simple s that is not a left descent, so the walk only
+    goes up: a conjugation move raises l(v) by 2, a multiplication move by 1.
+
+    The walk carries (l(v), a) for each v. Since psi w_b w_0 = v w_0,
+    codim_Y = N - l(v). a is the dimension of the +1 eigenspace of
+    psi tau* = v sigma: at the identity it is the number of sigma-orbits on
+    the nodes, a conjugation move keeps it, and a multiplication move turns
+    the eigenvalue of alpha_s from +1 to -1. Classes are visited in order of
+    l(v), so only the two layers above the current one are remembered.
+    Raises WeylCapError once more than `cap` twisted involutions have been
+    visited.
+    """
+    k = rs.permutations
+    npos = k.npos
+    wb = k.perm(rf.w_b)
+    twisted = [(k.reflections[i], k.reflections[j], k.simple[i], k.simple[j])
+               for i, j in enumerate(rf.sigma)]
+    # sigma is an involution: its orbits are its fixed points and 2-cycles
+    a_identity = sum(1 for i, j in enumerate(rf.sigma) if i <= j)
+    # layers[d] maps each v of length ell + d found so far to its a
+    layers: list[dict[Perm, int]] = [{k.identity: a_identity}, {}, {}]
+    ell = 0
+    count = 0
+    while any(layers):
+        current = layers.pop(0)
+        layers.append({})
+        for v, a in current.items():
+            count += 1
+            if count > cap:
+                raise WeylCapError(
+                    f"{rf.diagram.label}: number of twisted involutions exceeds cap {cap}",
+                    partial_count=cap,
+                )
+            yield OrbitClass.build(rf, rs, k.element(k.compose(v, wb)), npos - ell, a)
+            for s, s_sigma, alpha, alpha_sigma in twisted:
+                # s_i is a left descent of v iff v^-1 = sigma v sigma sends
+                # alpha_i to a negative root, iff v does so to alpha_sigma(i)
+                image = v[alpha_sigma]
+                if image >= npos:
+                    continue
+                sv = k.compose(s, v)
+                # s v sigma(s) = v iff v sigma(s) v^-1, the reflection in
+                # v(alpha_sigma(i)) > 0, is s_i, iff v(alpha_sigma(i)) = alpha_i
+                if image == alpha:
+                    layers[0].setdefault(sv, a - 1)
+                else:
+                    layers[1].setdefault(k.compose(sv, s_sigma), a)
+        ell += 1
+
+
 def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> OrbitClass:
-    """Compute all invariants of the class of a twisted involution."""
+    """The class of one twisted involution, computed from psi alone: the
+    reference for the invariants that `twisted_involutions` carries."""
     m = twisted_matrix(rf, psi)
     if mat_mul(m, m) != identity_matrix(rs.rank):
         raise NotTwistedInvolutionError(
             f"word {psi.word} is not a twisted involution for {rf.diagram.label}"
         )
-    a = eigenspace_dim(m, 1)
-    t = eigenspace_dim(m, -1)
-    assert t + a == rs.rank  # involutions split the root space exactly
-    assert a - t == mat_trace(m)
-
-    k = rs.permutations
-    codim_y = k.length(k.compose(k.perm(psi), rf.wb_w0))
-    dim_orbit = 2 * len(rs.positive_roots) - codim_y
-    leaf_dim = dim_orbit - rf.dim_k0 + t
-    leaf_codim = rf.dim_x - leaf_dim
-    assert leaf_codim == a + codim_y
-
-    return OrbitClass(
-        psi=psi,
-        codim_Y=codim_y,
-        t=t,
-        a=a,
-        leaf_dim=leaf_dim,
-        leaf_codim=leaf_codim,
-        family_dim=a,
-        is_open=(codim_y == 0 and a == 0),
-        is_closed_class=(len(psi.word) == 0 or psi.matrix == identity_matrix(rs.rank)),
-        parity_ok=(leaf_dim % 2 == 0),
-        dims_in_range=(0 <= leaf_dim <= rf.dim_x),
-    )
+    codim_y = length(rs, multiply(rs, psi, rf.w_b, rf.w0))
+    return OrbitClass.build(rf, rs, psi, codim_y, (rs.rank + mat_trace(m)) // 2)
 
 
 def open_class_element(rf: RealFormData, rs: RootSystem) -> WeylElement:
@@ -220,17 +240,15 @@ def atlas(
 
     rs = sd.root_system()
     rf = real_form_data(sd)
-    classes = [
-        orbit_class(rf, rs, psi) for psi in twisted_involutions(rf, rs, cap=weyl_cap)
-    ]
-    classes.sort(key=lambda c: (c.codim_Y, c.psi_word))
+    classes = sorted(twisted_involutions(rf, rs, cap=weyl_cap),
+                     key=lambda c: (c.codim_Y, c.psi_word))
+    assert sum(c.is_closed_class for c in classes) == 1
 
-    closed = [c for c in classes if c.is_closed_class]
-    assert len(closed) == 1
-
-    has_open = open_leaf_test(rf, rs)
+    # classes[0] is the unique class with codim_Y = 0, that of w_0 w_b
+    assert classes[0].codim_Y == 0
+    has_open = classes[0].is_open
     if has_open:
-        largest = next(i for i, c in enumerate(classes) if c.is_open)
+        largest = 0
     else:
         candidates = [
             (c.leaf_codim, i) for i, c in enumerate(classes) if c.realizable_candidate

@@ -174,6 +174,12 @@ def _vec(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m.real.ravel(), m.imag.ravel()])
 
 
+def _vec_columns(ms: np.ndarray) -> np.ndarray:
+    """_vec of each matrix of a stack, one column per matrix."""
+    flat = ms.reshape(len(ms), -1)
+    return np.concatenate([flat.real, flat.imag], axis=1).T
+
+
 def _check_unitary(u: np.ndarray, tol: float = TOL_UNITARY) -> None:
     n = u.shape[0]
     res = np.linalg.norm(u @ u.conj().T - np.eye(n))
@@ -243,6 +249,23 @@ class MatrixRealForm:
         return self._an_stack @ nullspace(tau_map)
 
     @cached_property
+    def triangular_frame(self) -> np.ndarray:
+        """Orthonormal columns spanning the triangular factor (vectorized)."""
+        return np.linalg.qr(self._an_stack)[0]
+
+    @cached_property
+    def triangular_torus_frame(self) -> np.ndarray:
+        """Orthonormal columns spanning the triangular factor plus the compact
+        torus (vectorized)."""
+        torus = np.stack([_vec(b) for b in self._t_basis], axis=1)
+        return np.linalg.qr(np.concatenate([self._an_stack, torus], axis=1))[0]
+
+    @cached_property
+    def g0_stack(self) -> np.ndarray:
+        """g0_basis() as one (dim g, n, n) stack."""
+        return np.stack(self.g0_basis())
+
+    @cached_property
     def hermitian_frame(self) -> HermitianFrame:
         """Seed-independent data of the Hermitian decomposition."""
         return _hermitian_frame(self)
@@ -277,8 +300,7 @@ class MatrixRealForm:
 
     def _stack_coeffs(self, ms: np.ndarray) -> np.ndarray:
         """Coefficients of a stack of matrices, one column per matrix."""
-        flat = ms.reshape(len(ms), -1)
-        return self._Bpinv @ np.concatenate([flat.real, flat.imag], axis=1).T
+        return self._Bpinv @ _vec_columns(ms)
 
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
         return self._stack_coeffs(x @ self._basis_stack - self._basis_stack @ x)
@@ -617,14 +639,8 @@ def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray, include_torus: bool = Fals
     """dim { X in g0 : Ad_u X lies in the triangular factor }, the Lie algebra
     of the action stabilizer; include_torus adds the compact torus directions."""
     _check_unitary(u)
-    target = list(rf._an_basis)
-    if include_torus:
-        target = target + rf._t_basis
-    t_stack = np.stack([_vec(b) for b in target], axis=1)
-    q, _ = np.linalg.qr(t_stack)
-
-    cols = [_vec(u @ x @ u.conj().T) for x in rf.g0_basis()]
-    m = np.stack(cols, axis=1)
+    q = rf.triangular_torus_frame if include_torus else rf.triangular_frame
+    m = _vec_columns(u @ rf.g0_stack @ u.conj().T)
     resid = m - q @ (q.T @ m)
     return m.shape[1] - numerical_rank(resid, threshold)[0]
 

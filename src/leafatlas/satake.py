@@ -11,21 +11,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .rootsys import (
     IntMatrix,
-    Perm,
     RootSystem,
     UnsupportedCartanTypeError,
     WeylElement,
     build_root_system,
-    eigenspace_dim,
     identity_matrix,
     length,
     longest_element,
     mat_mul,
+    mat_trace,
     mat_vec,
     multiply,
 )
@@ -98,12 +97,6 @@ class RealFormData:
 
     def positive_restricted(self) -> dict[FracVector, int]:
         return _positive_part(self.restricted)
-
-    @cached_property
-    def wb_w0(self) -> Perm:
-        """w_b w_0 as a root permutation, for codim_Y = l(psi w_b w_0)."""
-        k = self.diagram.root_system().permutations
-        return k.compose(k.perm(self.w_b), k.perm(self.w0))
 
 
 def _structural_check(sd: SatakeDiagram) -> None:
@@ -192,11 +185,13 @@ def project_restricted(tau_star: IntMatrix, alpha: Sequence[int]) -> FracVector:
     return tuple(Fraction(a + b, 2) for a, b in zip(alpha, img))
 
 
+@lru_cache(maxsize=None)
 def real_form_data(sd: SatakeDiagram) -> RealFormData:
     """The one construction of a diagram's involution data: w_b, sigma,
     tau* = w_b . sigma and w_0, then the restricted roots (both signs, with
     multiplicities), the real rank and the dimensions. Consumers read these
-    fields instead of rebuilding them.
+    fields instead of rebuilding them; the result is built once per diagram
+    and shared, so no caller may modify it.
     """
     _structural_check(sd)
     rs = sd.root_system()
@@ -211,7 +206,7 @@ def real_form_data(sd: SatakeDiagram) -> RealFormData:
             lam = project_restricted(tau, root)
             if any(x != 0 for x in lam):
                 mult[lam] = mult.get(lam, 0) + 1
-    real_rank = eigenspace_dim(tau, 1)
+    real_rank = (rs.rank + mat_trace(tau)) // 2  # tau* is an involution
 
     dim_g = rs.rank + 2 * len(rs.positive_roots)
     dim_p0 = real_rank + sum(_positive_part(mult).values())

@@ -6,7 +6,7 @@ import time
 import numpy as np
 
 from leafatlas import matrixlie as ml
-from leafatlas.atlas import atlas, orbit_class, twisted_involutions
+from leafatlas.atlas import atlas, twisted_involutions
 from leafatlas.rootsys import length, longest_element, mat_mul, multiply
 from leafatlas.satake import (
     builtin_catalog,
@@ -131,8 +131,7 @@ def test_criterion_06_catalog_structural_invariants():
             assert mat_mul(tau, w0.matrix) == mat_mul(w0.matrix, tau)
             assert mat_mul(tau, wb.matrix) == mat_mul(wb.matrix, tau)
             assert length(rs, multiply(rs, wb, w0)) == length(rs, w0) - length(rs, wb)
-            for psi in twisted_involutions(rfe, rs):
-                cls = orbit_class(rfe, rs, psi)
+            for cls in twisted_involutions(rfe, rs):
                 assert cls.t + cls.a == rs.rank
                 assert cls.leaf_codim == cls.a + cls.codim_Y
     verdict(6, f"structural invariants across {len(builtin_catalog())} catalog "
@@ -200,11 +199,10 @@ def test_criterion_09_stabilizer_dimensions():
             sd = BY_LABEL[label]
             rs = sd.root_system()
             rfe = real_form_data(sd)
-            for psi in twisted_involutions(rfe, rs):
-                u = ml.representative_for(rf, psi)
+            for cls in twisted_involutions(rfe, rs):
+                u = ml.representative_for(rf, cls.psi)
                 if u is None:
                     continue
-                cls = orbit_class(rfe, rs, psi)
                 assert ml.stabilizer_dim(rf, u, threshold=1e-8) == cls.a + cls.codim_Y
                 assert (
                     ml.stabilizer_dim(rf, u, include_torus=True, threshold=1e-8)

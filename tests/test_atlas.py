@@ -1,3 +1,4 @@
+import importlib
 import re
 from functools import lru_cache
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leafatlas import rootsys, satake
 from leafatlas.atlas import (
     NotTwistedInvolutionError,
     atlas,
@@ -32,7 +34,10 @@ from leafatlas.satake import (
     builtin_catalog,
     catalog_by_label,
     real_form_data,
+    validate,
 )
+
+from exact_rank import eigenspace_dim
 
 BY_LABEL = catalog_by_label()
 
@@ -47,13 +52,13 @@ def setup_form(label):
 
 def test_twisted_involutions_rank_one():
     rs, rf = setup_form("sl(2,R)")
-    words = sorted(w.word for w in twisted_involutions(rf, rs))
+    words = sorted(c.psi_word for c in twisted_involutions(rf, rs))
     assert words == [(), (1,)]
 
 
 def test_twisted_involutions_su21():
     rs, rf = setup_form("su(2,1)")
-    words = sorted(w.word for w in twisted_involutions(rf, rs))
+    words = sorted(c.psi_word for c in twisted_involutions(rf, rs))
     assert words == [(), (1, 2), (1, 2, 1), (2, 1)]
 
 
@@ -61,7 +66,7 @@ def test_twisted_involutions_sl3_are_ordinary_involutions():
     # independent oracle: with trivial involution these are the involutions
     # of the symmetric group on three letters
     rs, rf = setup_form("sl(3,R)")
-    got = {w.matrix for w in twisted_involutions(rf, rs)}
+    got = {c.psi.matrix for c in twisted_involutions(rf, rs)}
     expected = {
         w.matrix
         for w in enumerate_weyl(rs)
@@ -90,10 +95,19 @@ def _brute_force(rf, rs):
 
 def _walked(rf, rs):
     walked = {}
-    for psi in twisted_involutions(rf, rs):
-        assert psi.matrix not in walked
-        walked[psi.matrix] = psi.word
+    for cls in twisted_involutions(rf, rs):
+        assert cls.psi.matrix not in walked
+        walked[cls.psi.matrix] = cls.psi_word
     return walked
+
+
+def _assert_carried_invariants_match(rf, rs):
+    # every field of each walked class equals the single-psi orbit_class,
+    # and its a and t equal the exact ranks of the eigenspaces of psi tau*
+    for cls in twisted_involutions(rf, rs):
+        assert cls == orbit_class(rf, rs, cls.psi)
+        m = twisted_matrix(rf, cls.psi)
+        assert (cls.a, cls.t) == (eigenspace_dim(m, 1), eigenspace_dim(m, -1))
 
 
 def _plain(family, rank, arrows=()):
@@ -123,6 +137,30 @@ def test_walk_matches_brute_force(sd):
     assert _walked(rf, rs) == _brute_force(rf, rs)
 
 
+def _diagram(label, family, rank, black=(), arrows=()):
+    return SatakeDiagram(label=label, family=family, rank=rank,
+                         black=frozenset(black), arrows=frozenset(arrows))
+
+
+# split A5, B5, C5, D5, D6, G2, F4 and E6; quasi-split E6 (EII); and the
+# non-split EIII, EIV and FII (nodes numbered as in _cartan_matrix)
+CARRIED_INVARIANT_FORMS = (
+    [_plain(family, rank) for family, rank in
+     (("A", 5), ("B", 5), ("C", 5), ("D", 5), ("D", 6), ("G", 2), ("F", 4), ("E", 6))]
+    + [_diagram("EII", "E", 6, arrows=[(1, 6), (3, 5)]),
+       _diagram("EIII", "E", 6, black=[3, 4, 5], arrows=[(1, 6)]),
+       _diagram("EIV", "E", 6, black=[2, 3, 4, 5]),
+       _diagram("FII", "F", 4, black=[1, 2, 3])]
+)
+
+
+@pytest.mark.parametrize("sd", builtin_catalog() + tuple(CARRIED_INVARIANT_FORMS),
+                         ids=lambda s: s.label)
+def test_carried_invariants_match_the_references(sd):
+    assert validate(sd).passed
+    _assert_carried_invariants_match(real_form_data(sd), sd.root_system())
+
+
 TYPES_UP_TO_RANK_4 = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
                       ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("F", 4),
                       ("G", 2)]
@@ -147,11 +185,51 @@ def test_random_diagrams_rejected_or_consistent(sd):
         return
     rs = sd.root_system()
     assert _walked(rf, rs) == _brute_force(rf, rs)
-    for psi in twisted_involutions(rf, rs):
-        assert len(psi.word) == length(rs, psi)
+    for cls in twisted_involutions(rf, rs):
+        assert len(cls.psi_word) == length(rs, cls.psi)
+    _assert_carried_invariants_match(rf, rs)
     report = atlas(sd)
     assert sum(c.is_closed_class for c in report.classes) == 1
     assert sum(c.codim_Y == 0 for c in report.classes) == 1
+
+
+def test_atlas_builds_classes_without_matrix_products(monkeypatch):
+    # per-class work is index lookups on root permutations: no integer
+    # matrix product, and the only matrix-to-permutation conversion is w_b's
+    atlas_mod = importlib.import_module("leafatlas.atlas")  # leafatlas.atlas is the function
+    sd = BY_LABEL["so(5,2)"]
+    real_form_data(sd)
+    calls = {"mat_mul": 0, "perm": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (atlas_mod, rootsys):
+        monkeypatch.setattr(module, "mat_mul", counted("mat_mul", rootsys.mat_mul))
+    monkeypatch.setattr(rootsys.RootPermutations, "perm",
+                        counted("perm", rootsys.RootPermutations.perm))
+    report = atlas(sd)
+    assert len(report.classes) > 1
+    assert calls == {"mat_mul": 0, "perm": 1}
+
+
+def test_validate_then_atlas_builds_the_involution_data_once(monkeypatch):
+    built = []
+    original = satake.longest_element
+
+    def counting(rs, subset=None):
+        built.append(subset)
+        return original(rs, subset)
+
+    monkeypatch.setattr(satake, "longest_element", counting)
+    sd = SatakeDiagram(label="once(su(3,1))", family="A", rank=3,
+                       black=frozenset({2}), arrows=frozenset({(1, 3)}))
+    assert validate(sd).passed
+    atlas(sd)
+    assert len(built) == 2  # w_b and w_0, by the one real_form_data call
 
 
 def test_not_twisted_involution_rejected():
@@ -269,7 +347,7 @@ def test_unique_codim_zero_class_and_max_at_identity(label):
     sd = BY_LABEL[label]
     rs = sd.root_system()
     rf = real_form_data(sd)
-    classes = [orbit_class(rf, rs, psi) for psi in twisted_involutions(rf, rs)]
+    classes = list(twisted_involutions(rf, rs))
     zero = [c for c in classes if c.codim_Y == 0]
     assert len(zero) == 1
     assert zero[0].psi == open_class_element(rf, rs)
@@ -286,9 +364,8 @@ def test_trace_cross_check(label):
     sd = BY_LABEL[label]
     rs = sd.root_system()
     rf = real_form_data(sd)
-    for psi in twisted_involutions(rf, rs):
-        cls = orbit_class(rf, rs, psi)
-        assert cls.a - cls.t == mat_trace(twisted_matrix(rf, psi))
+    for cls in twisted_involutions(rf, rs):
+        assert cls.a - cls.t == mat_trace(twisted_matrix(rf, cls.psi))
         assert cls.a + cls.t == rs.rank
         assert cls.leaf_codim == cls.a + cls.codim_Y
 

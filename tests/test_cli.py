@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,6 +103,30 @@ def test_atlas_split_e6_document(capsys, monkeypatch):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "e222ec0926d7825e0d2bac2fedd633124b3f7bda8fef56ff9ef6851f65f6f750"
     )
+
+
+def test_atlas_split_e7_document(capsys, monkeypatch):
+    """Split E7 has 10,208 classes; its document is pinned by SHA-256 like
+    split E6's."""
+    monkeypatch.delenv(ENV_CATALOG, raising=False)
+    code, out, _ = run(capsys, "atlas", "--type", "E7", "--seed", "0")
+    assert code == 0
+    assert len(json.loads(out)["classes"]) == 10208
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "c5b626248d8efaf82f292d5228c64fc6f11d7b602de6d395deeaa064d4c8fe41"
+    )
+
+
+def test_python_dash_m_runs_from_the_source_tree(capsys, monkeypatch):
+    # `python -m leafatlas` needs only the package on the path, no install
+    monkeypatch.delenv(ENV_CATALOG, raising=False)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "leafatlas", "atlas", "--form", "sl(2,R)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run(capsys, "atlas", "--form", "sl(2,R)") == (0, proc.stdout, "")
 
 
 @pytest.mark.parametrize("cartan_type", ["E9", "A0"])

@@ -455,10 +455,9 @@ def test_su_pq_representatives_follow_the_clans(label, realized):
     rs = sd.root_system()
     rfe = real_form_data(sd)
     count = 0
-    for psi in twisted_involutions(rfe, rs):
-        cls = orbit_class(rfe, rs, psi)
-        u = ml.representative_for(rf, psi)
-        assert (u is not None) == _clan_realizable(rf, psi)
+    for cls in twisted_involutions(rfe, rs):
+        u = ml.representative_for(rf, cls.psi)
+        assert (u is not None) == _clan_realizable(rf, cls.psi)
         if u is None:
             continue
         count += 1
@@ -479,9 +478,8 @@ def test_stabilizer_dims_match_class_invariants(label):
     sd = BY_LABEL[label]
     rs = sd.root_system()
     rfe = real_form_data(sd)
-    for psi in twisted_involutions(rfe, rs):
-        cls = orbit_class(rfe, rs, psi)
-        u = ml.representative_for(rf, psi)
+    for cls in twisted_involutions(rfe, rs):
+        u = ml.representative_for(rf, cls.psi)
         assert u is not None
         assert ml.stabilizer_dim(rf, u) == cls.a + cls.codim_Y
         assert (
@@ -490,13 +488,51 @@ def test_stabilizer_dims_match_class_invariants(label):
         )
 
 
+def _stabilizer_dim_loop(rf, u, include_torus):
+    # reference: the frame and the Ad_u images built one matrix at a time
+    target = list(rf._an_basis) + (rf._t_basis if include_torus else [])
+    q, _ = np.linalg.qr(np.stack([ml._vec(b) for b in target], axis=1))
+    m = np.stack([ml._vec(u @ x @ u.conj().T) for x in rf.g0_basis()], axis=1)
+    return m.shape[1] - ml.numerical_rank(m - q @ (q.T @ m), ml.RANK_THRESHOLD)[0]
+
+
+@pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)", "su(2,2)"])
+def test_stabilizer_dim_matches_the_per_matrix_loop(label):
+    rf = ml.realization(label)
+    sd = BY_LABEL[label]
+    rs = sd.root_system()
+    points = [ml.representative_for(rf, c.psi)
+              for c in twisted_involutions(real_form_data(sd), rs)]
+    points = [u for u in points if u is not None]
+    points += [ml.sample_unitary(crng, rf.n) for crng in ml.seeded_rngs(31, 3)]
+    for u in points:
+        for include_torus in (False, True):
+            assert ml.stabilizer_dim(rf, u, include_torus=include_torus) == \
+                _stabilizer_dim_loop(rf, u, include_torus)
+
+
+def test_stabilizer_frames_built_once_per_realization(monkeypatch):
+    factored = []
+    original = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        factored.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    rf = ml.MatrixRealForm("sl(3,R)", "sl_real", 3)
+    u = ml.sample_unitary(np.random.default_rng(32), 3)
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    dims = [ml.stabilizer_dim(rf, u, include_torus=t) for t in (False, True, False, True)]
+    assert dims[:2] == dims[2:]
+    assert len(factored) == 2
+
+
 def test_orbit_dimension_count(sl2):
     # dim orbit = dim g0 - stabilizer dim; leaf dim = dim orbit - dim k0
     rs = build_root_system("A", 1)
     rfe = real_form_data(BY_LABEL["sl(2,R)"])
-    for psi in twisted_involutions(rfe, rs):
-        cls = orbit_class(rfe, rs, psi)
-        u = ml.representative_for(sl2, psi)
+    for cls in twisted_involutions(rfe, rs):
+        u = ml.representative_for(sl2, cls.psi)
         dim_orbit = rfe.dim_g - ml.stabilizer_dim(sl2, u)
         assert cls.leaf_dim == dim_orbit - rfe.dim_k0
 

@@ -20,9 +20,10 @@ from leafatlas.rootsys import (
     mat_transpose,
     multiply,
     preserves_form,
-    rational_rank,
     reflect,
 )
+
+from exact_rank import rational_rank
 
 # hand tables for the rank <= 2 systems (independent of reflection closure)
 A2_POSITIVE = {(1, 0), (0, 1), (1, 1)}
