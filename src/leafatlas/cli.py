@@ -11,9 +11,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .atlas import AtlasReport, atlas, catalog_text_hash
@@ -28,7 +26,11 @@ from .satake import (
     render_catalog,
     validate,
 )
-from . import matrixlie as ml
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .matrixlie import MatrixRealForm
 
 SCHEMA_VERSION = 1
 ENV_CATALOG = "LEAFATLAS_CATALOG"
@@ -36,6 +38,12 @@ ENV_CATALOG = "LEAFATLAS_CATALOG"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
+
+#: Thread-count variables of the BLAS and OpenMP runtimes.  `verify` sets
+#: each to 1 unless the caller has: its matrices are at most 6 x 6, where
+#: extra threads only contend for cores.
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 @dataclass
@@ -52,7 +60,7 @@ class RunConfig:
     out_path: str | None = None
 
 
-def default_tolerances(rf: ml.MatrixRealForm | None = None) -> dict[str, float]:
+def default_tolerances(rf: MatrixRealForm | None = None) -> dict[str, float]:
     tol = {
         "iwasawa": 1e-12,
         "action": 1e-10,
@@ -237,6 +245,10 @@ def _check_exact(name: str, ok: bool, info: str = "") -> dict:
 
 def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
     """The full numerical check battery for one realized form."""
+    import numpy as np
+
+    from . import matrixlie as ml
+
     rf = ml.realization(sd.label)
     tol = default_tolerances(rf)
     tol.update(cfg.tolerances)
@@ -279,8 +291,8 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
     worst_act = 0.0
     for crng in ml.seeded_rngs(seed + 1, max(samples // 2, 10)):
         u = ml.sample_unitary(crng, rf.n)
-        g = _sample_group(crng, rf.n)
-        h = _sample_group(crng, rf.n)
+        g = ml.sample_group(crng, rf.n)
+        h = ml.sample_group(crng, rf.n)
         lhs = ml.g_act(ml.g_act(u, g), h)
         rhs = ml.g_act(u, g @ h)
         worst_act = max(worst_act, float(np.abs(lhs - rhs).max()))
@@ -371,14 +383,6 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
     }
 
 
-def _sample_group(rng: np.random.Generator, n: int) -> np.ndarray:
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    x -= np.trace(x) / n * np.eye(n)
-    import scipy.linalg
-
-    return scipy.linalg.expm(0.4 * x)
-
-
 def _sample_chart_point(rng: np.random.Generator) -> complex:
     while True:
         w = rng.uniform(-1.4, 1.4) + 1j * rng.uniform(-1.4, 1.4)
@@ -413,6 +417,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         )
         return EXIT_USAGE
     sd = by_label[cfg.form]
+    for name in THREAD_VARS:  # read by the BLAS runtime when numpy loads
+        os.environ.setdefault(name, "1")
+    from . import matrixlie as ml
+
     try:
         ml.realization(sd.label)
     except ml.RealizationError as exc:

@@ -23,7 +23,6 @@ from itertools import combinations
 from typing import Callable, Iterator
 
 import numpy as np
-import scipy.linalg
 
 from .rootsys import IntMatrix, WeylElement
 
@@ -230,15 +229,11 @@ class MatrixRealForm:
         self._Sinv = np.linalg.inv(self._S)
         self.dim_k0 = len(self.basis_k0)
         self.dim_ip0 = len(self.basis_ip0)
+        self._ip0_stack = np.stack(self.basis_ip0)
 
         self._an_basis = self._build_an_basis()
         self._an_stack = np.stack([_vec(b) for b in self._an_basis], axis=1)
-        self._t_basis = [
-            np.diag(
-                [1j if i == j else (-1j if i == j + 1 else 0) for i in range(n)]
-            )
-            for j in range(n - 1)
-        ]
+        self._t_basis = [1j * h for h in self._an_basis[: n - 1]]
         self._full_pinv = np.linalg.pinv(np.concatenate([self._B, self._an_stack], axis=1))
 
     @cached_property
@@ -293,10 +288,7 @@ class MatrixRealForm:
         return self._Bpinv @ _vec(m)
 
     def from_coeffs(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for c, b in zip(v, self.basis_u):
-            out += c * b
-        return out
+        return np.tensordot(v, self._basis_stack, axes=1)
 
     def _stack_coeffs(self, ms: np.ndarray) -> np.ndarray:
         """Coefficients of a stack of matrices, one column per matrix."""
@@ -480,10 +472,9 @@ def iwasawa(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise IllConditionedError(f"condition estimate {cond:.2e} exceeds {COND_LIMIT:.0e}")
     flip = np.eye(n)[::-1]
     gram = m @ m.conj().T
-    low = scipy.linalg.cholesky(flip @ gram @ flip, lower=True)
+    low = np.linalg.cholesky(flip @ gram @ flip)
     b = flip @ low @ flip  # upper triangular, positive diagonal
-    u1 = scipy.linalg.solve_triangular(b, m, lower=False)
-    return b, u1
+    return b, np.linalg.solve(b, m)
 
 
 def g_act(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -592,12 +583,17 @@ def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray) -> TangencyResult:
 
     img = column_space(c)
     orb = column_space(orbit)
-    if img.shape[1] == 0 or orb.shape[1] == 0:
-        residual = 0.0 if img.shape[1] == orb.shape[1] else float("inf")
-    else:
-        angles = scipy.linalg.subspace_angles(img, orb)
-        residual = float(np.max(angles)) if img.shape[1] == orb.shape[1] else float("inf")
+    same = img.shape[1] == orb.shape[1]
+    residual = largest_principal_angle(img, orb) if same else float("inf")
     return TangencyResult(img.shape[1], orb.shape[1], residual)
+
+
+def largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest principal angle between the spans of the orthonormal columns of
+    a and b, as many in each: arcsin of sigma_max(b - a a^T b).  The arccos of
+    a cosine near 1 would read about 1.5e-8 for equal spans."""
+    s = np.linalg.svd(b - a @ (a.T @ b), compute_uv=False)
+    return float(np.arcsin(min(s[0], 1.0))) if s.size else 0.0
 
 
 @dataclass
@@ -762,33 +758,27 @@ def representative_for(rf: MatrixRealForm, psi: WeylElement) -> np.ndarray | Non
 # ---------------------------------------------------------------------------
 # Jacobi identity in an exponential chart
 
-def _phi_series(a: np.ndarray, tol: float = 1e-20, max_terms: int = 80) -> np.ndarray:
-    """(1 - exp(-A))/A as a convergent series, the differential of exp."""
-    d = a.shape[0]
-    term = np.eye(d)
-    total = np.eye(d)
-    for k in range(1, max_terms):
-        term = term @ (-a) / (k + 1)
-        total = total + term
-        if np.linalg.norm(term) < tol:
-            break
-    return total
+def exp_and_phi_ad(xi: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(xi) for a skew-Hermitian xi, and the differential of exp,
+    phi(ad xi)(Y) = ((1 - exp(-ad xi)) / ad xi)(Y), for each Y of the stack ys.
+
+    Both come from xi = V diag(i lam) V^dagger: in the basis V, ad xi scales
+    entry (a, b) by z = i(lam_a - lam_b), so phi(ad xi) scales it by
+    phi(z) = -expm1(-z)/z, with phi(0) = 1."""
+    lam, v = np.linalg.eigh(-1j * xi)
+    vh = v.conj().T
+    z = 1j * (lam[:, None] - lam[None, :])
+    zero = z == 0
+    phi = np.where(zero, 1.0, -np.expm1(-z) / np.where(zero, 1.0, z))
+    return (v * np.exp(1j * lam)) @ vh, v @ (phi * (vh @ ys @ v)) @ vh
 
 
 def chart_bivector(rf: MatrixRealForm, x: np.ndarray) -> np.ndarray:
     """Quotient bivector in exponential coordinates x over basis_ip0."""
-    xi = sum(c * b for c, b in zip(x, rf.basis_ip0))
-    u = scipy.linalg.expm(xi)
+    xi = np.tensordot(x, rf._ip0_stack, axes=1)
+    u, dexp = exp_and_phi_ad(xi, rf._ip0_stack)
     c = pi_0_at(rf, u).matrix
-
-    ad = rf.ad_matrix(xi)
-    phi = _phi_series(ad)
-    k = rf.dim_k0
-    cols = []
-    for i in range(rf.dim_ip0):
-        col_u = phi @ rf._S[:, k + i]
-        cols.append((rf._Sinv @ col_u)[k:])
-    jac = np.stack(cols, axis=1)
+    jac = (rf._Sinv @ rf._stack_coeffs(dexp))[rf.dim_k0:]
     if np.linalg.cond(jac) > 1e8:
         raise ChartSingularityError("exponential chart is singular here")
     jinv = np.linalg.inv(jac)
@@ -828,6 +818,14 @@ def jacobi_check(rf: MatrixRealForm, n_points: int = 10, h: float = 1e-4,
 
 # ---------------------------------------------------------------------------
 # multiplicativity and invariance checks
+
+def sample_group(rng: np.random.Generator, n: int) -> np.ndarray:
+    """exp(0.4 X) for a random traceless complex X: an element of SL(n, C)."""
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x -= np.trace(x) / n * np.eye(n)
+    lam, v = np.linalg.eig(0.4 * x)
+    return (v * np.exp(lam)) @ np.linalg.inv(v)
+
 
 def sample_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -150,20 +150,12 @@ def test_criterion_07_iwasawa_and_action():
             worst = max(worst, float(np.abs(b @ u1 - m).max()))
         assert worst <= 1e-12
 
-        import scipy.linalg
-
         worst_act = 0.0
         for child in np.random.SeedSequence(2007).spawn(200):
             crng = np.random.default_rng(child)
             n = int(crng.integers(2, 5))
             u = ml.sample_unitary(crng, n)
-
-            def grp():
-                x = crng.normal(size=(n, n)) + 1j * crng.normal(size=(n, n))
-                x -= np.trace(x) / n * np.eye(n)
-                return scipy.linalg.expm(0.4 * x)
-
-            g, h = grp(), grp()
+            g, h = ml.sample_group(crng, n), ml.sample_group(crng, n)
             worst_act = max(worst_act, float(np.abs(
                 ml.g_act(ml.g_act(u, g), h) - ml.g_act(u, g @ h)
             ).max()))

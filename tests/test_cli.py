@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from leafatlas.cli import ENV_CATALOG, RunConfig, main, run_verify_battery
+from leafatlas.cli import ENV_CATALOG, THREAD_VARS, RunConfig, main, run_verify_battery
 from leafatlas.satake import builtin_catalog, catalog_by_label, render_catalog
 
 
@@ -245,6 +245,72 @@ def test_verify_weyl_cap_exceeded(capsys):
     code, out, err = run(capsys, "verify", "--form", "sl(3,R)", "--weyl-cap", "2")
     assert code == 2 and out == ""
     assert "exceeds cap 2 (partial count 2)" in err
+
+
+# ---------------------------------------------------------------------------
+# the numerical engine loads on the verify path only
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _python(code, *args, env_vars=None):
+    """stdout of `python -c code args` on the source tree, with no catalog
+    variable and no thread-count variable but those in env_vars."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in THREAD_VARS and k != ENV_CATALOG}
+    env.update(env_vars or {}, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_atlas_and_catalog_import_no_numerics():
+    out = _python(
+        "import contextlib, io, sys\n"
+        "import leafatlas, leafatlas.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['atlas', '--form', 'sl(2,R)']), cli.main(['catalog'])]\n"
+        "print(codes, [m for m in ('numpy', 'scipy') if m in sys.modules])\n"
+    )
+    assert out.split("\n")[0] == "[0, 0] []"
+
+
+def test_verify_battery_imports_no_scipy():
+    out = _python(
+        "import sys\n"
+        "from leafatlas.cli import RunConfig, run_verify_battery\n"
+        "from leafatlas.satake import catalog_by_label\n"
+        "for label in ('sl(2,R)', 'su(2,1)'):\n"
+        "    doc = run_verify_battery(catalog_by_label()[label],\n"
+        "                             RunConfig(command='verify', samples=10))\n"
+        "    print(doc['passed'], 'numpy' in sys.modules, 'scipy' in sys.modules)\n"
+    )
+    assert out.split("\n")[:2] == ["True True False"] * 2
+
+
+PRINT_THREADS = (
+    "import contextlib, io, os, sys\n"
+    "import leafatlas.cli as cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(code, [os.environ.get(v) for v in cli.THREAD_VARS])\n"
+)
+VERIFY_SL2 = ("verify", "--form", "sl(2,R)", "--samples", "1")
+
+
+def test_verify_pins_blas_threads_when_unset():
+    assert _python(PRINT_THREADS, *VERIFY_SL2).strip() == f"0 {['1'] * 6}"
+
+
+def test_verify_keeps_a_preset_thread_count():
+    out = _python(PRINT_THREADS, *VERIFY_SL2, env_vars={"OPENBLAS_NUM_THREADS": "3"})
+    assert out.strip() == "0 ['1', '3', '1', '1', '1', '1']"
+
+
+def test_atlas_leaves_thread_counts_alone():
+    out = _python(PRINT_THREADS, "atlas", "--form", "sl(2,R)")
+    assert out.strip() == f"0 {[None] * 6}"
 
 
 # ---------------------------------------------------------------------------

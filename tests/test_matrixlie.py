@@ -314,6 +314,34 @@ def test_iwasawa_ill_conditioned():
         ml.iwasawa(np.diag([1e8, 1e-8]).astype(complex))
 
 
+def test_iwasawa_matches_the_scipy_triangular_factorization():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        flip = np.eye(n)[::-1]
+        low = linalg.cholesky(flip @ m @ m.conj().T @ flip, lower=True)
+        b_ref = flip @ low @ flip
+        u_ref = linalg.solve_triangular(b_ref, m, lower=False)
+        b, u1 = ml.iwasawa(m)
+        assert np.abs(b - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
+        assert np.abs(u1 - u_ref).max() <= 1e-12
+
+
+def test_sample_group_is_the_exponential():
+    linalg = pytest.importorskip("scipy.linalg")
+    for i, child in enumerate(np.random.SeedSequence(20).spawn(50)):
+        n = 2 + i % 5
+        rng, twin = np.random.default_rng(child), np.random.default_rng(child)
+        g = ml.sample_group(rng, n)
+        x = twin.normal(size=(n, n)) + 1j * twin.normal(size=(n, n))
+        x -= np.trace(x) / n * np.eye(n)
+        ref = linalg.expm(0.4 * x)
+        assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert abs(np.linalg.det(g) - 1) < 1e-12
+
+
 def test_g_act_identity_and_unitary(sl3):
     u = ml.sample_unitary(np.random.default_rng(11), 3)
     assert np.abs(ml.g_act(u, np.eye(3, dtype=complex)) - u).max() < 1e-12
@@ -322,20 +350,12 @@ def test_g_act_identity_and_unitary(sl3):
 
 
 def test_g_act_axiom_seeded():
-    import scipy.linalg
-
     worst = 0.0
     for child in np.random.SeedSequence(13).spawn(50):
         rng = np.random.default_rng(child)
         n = 3
         u = ml.sample_unitary(rng, n)
-
-        def grp():
-            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            x -= np.trace(x) / n * np.eye(n)
-            return scipy.linalg.expm(0.4 * x)
-
-        g, h = grp(), grp()
+        g, h = ml.sample_group(rng, n), ml.sample_group(rng, n)
         worst = max(worst, float(np.abs(
             ml.g_act(ml.g_act(u, g), h) - ml.g_act(u, g @ h)
         ).max()))
@@ -382,6 +402,38 @@ def test_leaf_tangency_identity_and_generic(sl2):
     res = ml.leaf_tangency_check(sl2, u)
     assert res.dim_bivector_image == res.dim_orbit_projection == 2
     assert res.residual < 1e-8
+
+
+def _orthonormal(rng, rows, cols):
+    return np.linalg.qr(rng.normal(size=(rows, rows)))[0][:, :cols]
+
+
+def test_largest_principal_angle_matches_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        rows = int(rng.integers(2, 9))
+        cols = int(rng.integers(1, rows + 1))
+        a, b = _orthonormal(rng, rows, cols), _orthonormal(rng, rows, cols)
+        ref = float(np.max(linalg.subspace_angles(a, b)))
+        assert abs(ml.largest_principal_angle(a, b) - ref) < 1e-12
+    assert ml.largest_principal_angle(np.zeros((4, 0)), np.zeros((4, 0))) == 0.0
+
+
+def test_largest_principal_angle_of_nearly_equal_subspaces():
+    linalg = pytest.importorskip("scipy.linalg")
+    # span(b) is span(a) turned by 1e-15, in another basis: the arccos of
+    # the cosines would read about 2e-8 here
+    rng = np.random.default_rng(22)
+    q = _orthonormal(rng, 8, 8)
+    a = q[:, :4]
+    b = a.copy()
+    b[:, 0] = math.cos(1e-15) * a[:, 0] + math.sin(1e-15) * q[:, 4]
+    b = b @ _orthonormal(rng, 4, 4)
+    ref = float(np.max(linalg.subspace_angles(a, b)))
+    got = ml.largest_principal_angle(a, b)
+    assert got < 1e-14 and abs(got - ref) < 1e-14
+    assert ml.largest_principal_angle(a, a) < 1e-14
 
 
 def test_leaf_tangency_su21_generic():
@@ -545,6 +597,58 @@ def test_jacobi_constant_field_is_flat():
     c = rng.normal(size=(5, 5))
     c = c - c.T
     assert ml.jacobi_residual(lambda x: c, np.zeros(5)) < 1e-12
+
+
+REALIZED = ["sl(2,R)", "sl(3,R)", "sl(4,R)", "sl(5,R)",
+            "su(1,1)", "su(2,1)", "su(3,1)", "su(2,2)", "su(4,1)", "su(3,2)"]
+
+
+def _phi_series(a, tol=1e-20, max_terms=80):
+    """(1 - exp(-A))/A as a convergent series, the differential of exp."""
+    d = a.shape[0]
+    term = np.eye(d)
+    total = np.eye(d)
+    for k in range(1, max_terms):
+        term = term @ (-a) / (k + 1)
+        total = total + term
+        if np.linalg.norm(term) < tol:
+            break
+    return total
+
+
+def _chart_bivector_series(rf, x):
+    """chart_bivector with phi(ad xi) summed term by term over basis_u;
+    returns the bivector and the image of basis_ip0 under phi(ad xi)."""
+    xi = sum(c * b for c, b in zip(x, rf.basis_ip0))
+    u, _ = ml.exp_and_phi_ad(xi, rf._ip0_stack[:0])
+    k = rf.dim_k0
+    dexp = _phi_series(rf.ad_matrix(xi)) @ rf._S[:, k:]
+    jinv = np.linalg.inv((rf._Sinv @ dexp)[k:])
+    return jinv @ ml.pi_0_at(rf, u).matrix @ jinv.T, dexp
+
+
+@pytest.mark.parametrize("label", REALIZED)
+def test_closed_form_phi_matches_the_series(label):
+    rf = ml.realization(label)
+    for rng in ml.seeded_rngs(23, 5):
+        x = rng.uniform(-0.4, 0.4, size=rf.dim_ip0)
+        ref, dexp_ref = _chart_bivector_series(rf, x)
+        xi = np.tensordot(x, rf._ip0_stack, axes=1)
+        dexp = rf._stack_coeffs(ml.exp_and_phi_ad(xi, rf._ip0_stack)[1])
+        assert np.linalg.norm(dexp - dexp_ref) <= 1e-12 * np.linalg.norm(dexp_ref)
+        got = ml.chart_bivector(rf, x)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_eigh_exponential_matches_scipy_expm():
+    linalg = pytest.importorskip("scipy.linalg")
+    for label in REALIZED:
+        rf = ml.realization(label)
+        for rng in ml.seeded_rngs(24, 5):
+            xi = np.tensordot(rng.uniform(-2, 2, size=rf.dim_ip0), rf._ip0_stack, axes=1)
+            u, _ = ml.exp_and_phi_ad(xi, rf._ip0_stack[:0])
+            assert np.abs(u - linalg.expm(xi)).max() < 1e-12
+            assert np.abs(u @ u.conj().T - np.eye(rf.n)).max() < 1e-13
 
 
 def test_jacobi_su2(sl2):
