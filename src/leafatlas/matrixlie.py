@@ -15,12 +15,11 @@ Conventions used throughout, fixed once:
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
-from typing import Callable, Iterator
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,6 +30,11 @@ TOL_NORMALIZER = 1e-10
 COND_LIMIT = 1e12
 RANK_THRESHOLD = 1e-8
 CHART_EPS = 1e-12
+
+#: Most samples that one stack of a sampled check holds: the check runs in
+#: bounded memory whatever its sample count, and pays numpy's per-call cost
+#: once per stack instead of once per sample.
+STACK = 16
 
 #: Amplitude of the transported quotient bivector on the SU(2)/SO(2) disk
 #: chart: pi_0 = SU2_AMPLITUDE * (1 - |w|^4) * i dw ^ dwbar.  The value 1/8
@@ -62,28 +66,30 @@ class NotHermitianError(ValueError):
 # ---------------------------------------------------------------------------
 # numerical rank: the one rule behind every rank and null-space decision
 
-def _floored_rank(s: np.ndarray, threshold: float) -> tuple[int, bool]:
-    """(rank, borderline) from singular values in descending order.
+def _floored_rank(s: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, borderline) from singular values in descending order along the
+    last axis, one pair per leading index.
 
     Values at or below the cutoff threshold * max(s_max, 1) count as zero;
     a value within (0.999, 10) times the cutoff flags the rank as borderline.
     """
-    if s.size == 0:
-        return 0, False
-    cutoff = threshold * max(s[0], 1.0)
-    rank = int(np.sum(s > cutoff))
-    borderline = bool(np.any((s > cutoff * 0.999) & (s < cutoff * 10)))
+    cutoff = threshold * np.maximum(s[..., :1], 1.0)
+    rank = np.sum(s > cutoff, axis=-1)
+    borderline = np.any((s > cutoff * 0.999) & (s < cutoff * 10), axis=-1)
     return rank, borderline
 
 
-def numerical_rank(m: np.ndarray, threshold: float = RANK_THRESHOLD) -> tuple[int, bool]:
-    """(rank, borderline) of m under the floored cutoff."""
+def numerical_rank(m: np.ndarray,
+                   threshold: float = RANK_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
+    """(rank, borderline) of m, or of each matrix of a stack m, under the
+    floored cutoff."""
     return _floored_rank(np.linalg.svd(m, compute_uv=False), threshold)
 
 
 def nullspace(m: np.ndarray, threshold: float = RANK_THRESHOLD) -> np.ndarray:
-    """Orthonormal columns N spanning the numerical null space: m @ N ~ 0."""
-    _, s, vt = np.linalg.svd(m)
+    """Orthonormal columns N spanning the numerical null space: m @ N ~ 0.
+    Only a wide m needs the full V; U is never formed."""
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     return vt[_floored_rank(s, threshold)[0]:].T
 
 
@@ -95,9 +101,24 @@ def column_space(m: np.ndarray) -> np.ndarray:
 
 def seeded_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
     """n generators, one per child of SeedSequence(seed), so that sample i
-    of a check can be replayed from child i alone."""
-    for child in np.random.SeedSequence(seed).spawn(n):
-        yield np.random.default_rng(child)
+    of a check can be replayed from child i alone.  Child i is made on its
+    own, as SeedSequence(seed).spawn(n)[i] would be, so none is held ahead."""
+    for i in range(n):
+        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+
+
+def seeded_stacks(seed: int, n: int) -> Iterator[list[np.random.Generator]]:
+    """seeded_rngs(seed, n) in consecutive lists of at most STACK."""
+    rngs = seeded_rngs(seed, n)
+    while stack := list(islice(rngs, STACK)):
+        yield stack
+
+
+def complex_normals(rngs: Sequence[np.random.Generator], *shapes) -> list[np.ndarray]:
+    """rng.normal(size=s) + 1j * rng.normal(size=s) for each shape s in turn,
+    from each generator; one stack per shape, whose row i came from rngs[i]."""
+    draws = [[rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes] for rng in rngs]
+    return [np.array(col) for col in zip(*draws)]
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +158,8 @@ def root_vectors(n: int) -> dict[tuple[int, int], dict[str, np.ndarray]]:
 
 def su_basis(n: int) -> tuple[list[np.ndarray], list[tuple[int, int]]]:
     """Ordered real basis of su(n): torus H_1..H_{n-1}, then X, Y per root."""
-    basis: list[np.ndarray] = []
-    for j in range(n - 1):
-        h = np.zeros((n, n), dtype=complex)
-        h[j, j] = 1j
-        h[j + 1, j + 1] = -1j
-        basis.append(h)
+    e = np.eye(n, dtype=complex)
+    basis = [1j * np.diag(e[j] - e[j + 1]) for j in range(n - 1)]
     pairs = []
     rv = root_vectors(n)
     for j in range(n):
@@ -159,14 +176,18 @@ def lambda_matrix(n: int) -> np.ndarray:
     The only nonzero entries are the value 1/4 on each (X_alpha, Y_alpha)
     plane; torus rows and columns vanish.
     """
-    d = n * n - 1
-    lam = np.zeros((d, d))
-    npairs = (n * (n - 1)) // 2
-    for p in range(npairs):
-        ix = (n - 1) + 2 * p
-        lam[ix, ix + 1] = 0.25
-        lam[ix + 1, ix] = -0.25
+    lam = np.zeros((n * n - 1, n * n - 1))
+    x = np.arange(n - 1, n * n - 1, 2)  # the X_alpha; Y_alpha follows each
+    lam[x, x + 1], lam[x + 1, x] = 0.25, -0.25
     return lam
+
+
+def _T(m: np.ndarray) -> np.ndarray:  # transpose of m, or of each matrix of a stack
+    return m.swapaxes(-1, -2)
+
+
+def _H(m: np.ndarray) -> np.ndarray:  # conjugate transpose, likewise
+    return _T(m.conj())
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -174,15 +195,20 @@ def _vec(m: np.ndarray) -> np.ndarray:
 
 
 def _vec_columns(ms: np.ndarray) -> np.ndarray:
-    """_vec of each matrix of a stack, one column per matrix."""
-    flat = ms.reshape(len(ms), -1)
-    return np.concatenate([flat.real, flat.imag], axis=1).T
+    """_vec of each matrix of a stack (..., k, n, n), one column per matrix."""
+    flat = ms.reshape(ms.shape[:-2] + (-1,))
+    return _T(np.concatenate([flat.real, flat.imag], axis=-1))
+
+
+def _traceless(x: np.ndarray) -> np.ndarray:
+    n = x.shape[-1]
+    return x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] / n * np.eye(n)
 
 
 def _check_unitary(u: np.ndarray, tol: float = TOL_UNITARY) -> None:
-    n = u.shape[0]
-    res = np.linalg.norm(u @ u.conj().T - np.eye(n))
-    if res > tol:
+    """Raise unless u, and every matrix of a stack u, is unitary (NaN is not)."""
+    res = np.max(np.linalg.norm(u @ _H(u) - np.eye(u.shape[-1]), axis=(-2, -1)))
+    if not res <= tol:
         raise NonUnitaryError(f"matrix is not unitary (residual {res:.2e})")
 
 
@@ -271,34 +297,34 @@ class MatrixRealForm:
         """Antilinear conjugation with fixed points the real form."""
         if self.kind == "sl_real":
             return x.conj()
-        return -self.J @ x.conj().T @ self.J
+        return -self.J @ _H(x) @ self.J
 
     def tau_group(self, g: np.ndarray) -> np.ndarray:
         if self.kind == "sl_real":
             return g.conj()
-        return self.J @ np.linalg.inv(g.conj().T) @ self.J
+        return self.J @ np.linalg.inv(_H(g)) @ self.J
 
     @staticmethod
     def theta(x: np.ndarray) -> np.ndarray:
-        return -x.conj().T
+        return -_H(x)
 
     # -- linear bookkeeping -------------------------------------------------
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         return self._Bpinv @ _vec(m)
 
-    def from_coeffs(self, v: np.ndarray) -> np.ndarray:
-        return np.tensordot(v, self._basis_stack, axes=1)
-
     def _stack_coeffs(self, ms: np.ndarray) -> np.ndarray:
-        """Coefficients of a stack of matrices, one column per matrix."""
+        """Coefficients of a stack of matrices (..., k, n, n), one column per
+        matrix."""
         return self._Bpinv @ _vec_columns(ms)
 
     def ad_matrix(self, x: np.ndarray) -> np.ndarray:
         return self._stack_coeffs(x @ self._basis_stack - self._basis_stack @ x)
 
     def Ad_matrix(self, u: np.ndarray) -> np.ndarray:
-        return self._stack_coeffs(u @ self._basis_stack @ u.conj().T)
+        """Matrix of Ad_u over basis_u, for u or for each matrix of a stack u."""
+        u = u[..., None, :, :]
+        return self._stack_coeffs(u @ self._basis_stack @ _H(u))
 
     def _split_tau(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
         k0: list[np.ndarray] = []
@@ -325,29 +351,14 @@ class MatrixRealForm:
         return k0, ip0
 
     def _build_an_basis(self) -> list[np.ndarray]:
-        n = self.n
-        out = []
-        for j in range(n - 1):  # real split torus directions
-            m = np.zeros((n, n), dtype=complex)
-            m[j, j] = 1.0
-            m[j + 1, j + 1] = -1.0
-            out.append(m)
-        for j in range(n):
-            for k in range(j + 1, n):
-                out.append(_elementary(n, j, k))
-                out.append(1j * _elementary(n, j, k))
-        return out
+        n, e = self.n, np.eye(self.n, dtype=complex)
+        torus = [np.diag(e[j] - e[j + 1]) for j in range(n - 1)]  # real split torus
+        return torus + [c * _elementary(n, j, k)
+                        for j in range(n) for k in range(j + 1, n) for c in (1, 1j)]
 
     def g0_basis(self) -> list[np.ndarray]:
         """Real basis of the noncompact real form: k0 plus -i * (i p0)."""
         return list(self.basis_k0) + [-1j * b for b in self.basis_ip0]
-
-    def iwasawa_split(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Split a traceless matrix into compact and triangular parts."""
-        alpha = self._full_pinv @ _vec(m)
-        cu = alpha[: self.dim_u]
-        u_part = self.from_coeffs(cu)
-        return u_part, m - u_part
 
 
 @lru_cache(maxsize=None)
@@ -393,10 +404,11 @@ class Bivector:
 
     @property
     def matrix(self) -> np.ndarray:
-        return self.upper - self.upper.T
+        return self.upper - _T(self.upper)
 
-    def rank(self, threshold: float = RANK_THRESHOLD) -> tuple[int, bool]:
-        """(rank, borderline) under the floored cutoff; see numerical_rank."""
+    def rank(self, threshold: float = RANK_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
+        """(rank, borderline) under the floored cutoff, one pair per point of
+        a stack; see numerical_rank."""
         return numerical_rank(self.matrix, threshold)
 
 
@@ -409,28 +421,28 @@ class PoissonSample:
 
 
 def pi_U_at(rf: MatrixRealForm, u: np.ndarray) -> Bivector:
-    """Right-trivialized multiplicative bivector at a unitary point."""
+    """Right-trivialized multiplicative bivector at a unitary point, or at
+    each point of a stack u."""
     _check_unitary(u)
     a = rf.Ad_matrix(u)
-    m = rf.lam - a @ rf.lam @ a.T
-    return Bivector.from_matrix(u, m, "u")
+    return Bivector.from_matrix(u, rf.lam - a @ rf.lam @ _T(a), "u")
 
 
 def _project_ip0(rf: MatrixRealForm, coeff_u: np.ndarray) -> np.ndarray:
-    t = rf._Sinv @ coeff_u @ rf._Sinv.T
     k = rf.dim_k0
-    return t[k:, k:]
+    return (rf._Sinv @ coeff_u @ rf._Sinv.T)[..., k:, k:]
 
 
 def pi_0_at(rf: MatrixRealForm, u: np.ndarray) -> Bivector:
-    """Quotient bivector at the coset of u, over basis_ip0.
+    """Quotient bivector at the coset of u, or of each point of a stack u,
+    over basis_ip0.
 
     The tangent space of the coset is identified with basis_ip0 by left
     translation by u^{-1}; the k0 components are killed by the projection.
     """
     _check_unitary(u)
-    a_inv = rf.Ad_matrix(u.conj().T)
-    c_left = a_inv @ rf.lam @ a_inv.T - rf.lam
+    a_inv = rf.Ad_matrix(_H(u))
+    c_left = a_inv @ rf.lam @ _T(a_inv) - rf.lam
     return Bivector.from_matrix(u, _project_ip0(rf, c_left), "ip0")
 
 
@@ -464,23 +476,49 @@ def poisson_sample(rf: MatrixRealForm, u: np.ndarray,
 # Iwasawa factorization and the right action
 
 def iwasawa(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor an invertible matrix as b u with b upper triangular, positive
-    real diagonal, and u unitary, via triangular factorization of M M†."""
-    n = m.shape[0]
+    """Factor an invertible matrix, or each matrix of a stack, as b u with b
+    upper triangular, positive real diagonal, and u unitary, via triangular
+    factorization of M M†.  Every matrix must pass the condition limit."""
     cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise IllConditionedError(f"condition estimate {cond:.2e} exceeds {COND_LIMIT:.0e}")
-    flip = np.eye(n)[::-1]
-    gram = m @ m.conj().T
-    low = np.linalg.cholesky(flip @ gram @ flip)
-    b = flip @ low @ flip  # upper triangular, positive diagonal
+    if not np.all(np.isfinite(cond) & (cond <= COND_LIMIT)):
+        raise IllConditionedError(
+            f"condition estimate {np.max(cond):.2e} exceeds {COND_LIMIT:.0e}")
+    # reversing rows and columns turns the lower Cholesky factor upper
+    low = np.linalg.cholesky((m @ _H(m))[..., ::-1, ::-1])
+    b = low[..., ::-1, ::-1]  # upper triangular, positive diagonal
     return b, np.linalg.solve(b, m)
 
 
 def g_act(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Right action of the complex group: the unitary factor of u g."""
+    """Right action of the complex group: the unitary factor of u g (of each
+    product, for stacks)."""
     _, u1 = iwasawa(u @ g)
     return u1
+
+
+def iwasawa_residual(rf: MatrixRealForm, n_samples: int = 100, seed: int = 0) -> float:
+    """Largest entry of b u - m over random m in SL(n, C), drawn in turn
+    from the one generator default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for start in range(0, n_samples, STACK):
+        (m,) = complex_normals([rng] * min(STACK, n_samples - start), (rf.n, rf.n))
+        m = m / (np.linalg.det(m) ** (1.0 / rf.n))[:, None, None]
+        b, u1 = iwasawa(m)
+        worst = max(worst, float(np.abs(b @ u1 - m).max()))
+    return worst
+
+
+def action_residual(rf: MatrixRealForm, n_samples: int = 50, seed: int = 1) -> float:
+    """Residual of the action axiom (u.g).h = u.(gh) over seeded samples
+    of u in SU(n) and g, h in SL(n, C)."""
+    worst = 0.0
+    for rngs in seeded_stacks(seed, n_samples):
+        z, x, y = complex_normals(rngs, *[(rf.n, rf.n)] * 3)
+        u = _unitary(z)
+        g, h = _sl_exp(np.array([x, y]))
+        worst = max(worst, float(np.abs(g_act(g_act(u, g), h) - g_act(u, g @ h)).max()))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +584,8 @@ def su2_transported_coefficient(rf: MatrixRealForm, u: np.ndarray) -> tuple[comp
         raise RealizationError("closed-form transport is specific to n = 2")
     w = chart_su2(u)
     c = pi_0_left_quotient(rf, u).matrix
-    dws = [_chart_su2_differential(u, xi) for xi in rf.basis_ip0]
-    cxy = 0.0
-    for i in range(len(dws)):
-        for j in range(len(dws)):
-            cxy += c[i, j] * dws[i].real * dws[j].imag
-    return w, -2.0 * cxy
+    dw = np.array([_chart_su2_differential(u, xi) for xi in rf.basis_ip0])
+    return w, -2.0 * float(dw.real @ c @ dw.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -571,15 +605,10 @@ def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray) -> TangencyResult:
     _check_unitary(u)
     c = pi_0_at(rf, u).matrix
     uinv = u.conj().T
-    ad_uinv = rf.Ad_matrix(uinv)
-    k = rf.dim_k0
-
-    cols = []
-    for x in rf.g0_basis():
-        u_part, _ = rf.iwasawa_split(u @ x @ uinv)
-        coeff = ad_uinv @ rf.coeffs(u_part)
-        cols.append((rf._Sinv @ coeff)[k:])
-    orbit = np.stack(cols, axis=1)
+    # compact part of the Iwasawa split of Ad_u x over basis_u, for every x of
+    # g0 at once, carried back by Ad_u^{-1} and projected onto ip0
+    compact = rf._full_pinv[:rf.dim_u] @ _vec_columns(u @ rf.g0_stack @ uinv)
+    orbit = (rf._Sinv @ rf.Ad_matrix(uinv) @ compact)[rf.dim_k0:]
 
     img = column_space(c)
     orb = column_space(orbit)
@@ -606,19 +635,14 @@ class AnnihilatorResult:
 def annihilator_check(rf: MatrixRealForm) -> AnnihilatorResult:
     """Annihilator of k0 inside the triangular factor under Im kappa, compared
     with the conjugation-fixed subspace of that factor."""
-    an = rf._an_basis
-    pairing = np.zeros((len(rf.basis_k0), len(an)))
-    for i, kb in enumerate(rf.basis_k0):
-        for j, ab in enumerate(an):
-            pairing[i, j] = killing(rf.n, kb, ab).imag
+    # Im kappa(X, Y) = Im 2n tr(XY) for X in basis_k0, Y in the triangular basis
+    pairing = 2 * rf.n * np.einsum("iab,jba->ij", np.stack(rf.basis_k0),
+                                   np.stack(rf._an_basis)).imag
     ann = rf._an_stack @ nullspace(pairing)
     fixed = rf.fixed_triangular
 
     def orth(m: np.ndarray) -> np.ndarray:
-        if m.shape[1] == 0:
-            return m
-        q, _ = np.linalg.qr(m)
-        return q
+        return np.linalg.qr(m)[0] if m.shape[1] else m
 
     qa, qf = orth(ann), orth(fixed)
     pa = qa @ qa.T
@@ -638,7 +662,7 @@ def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray, include_torus: bool = Fals
     q = rf.triangular_torus_frame if include_torus else rf.triangular_frame
     m = _vec_columns(u @ rf.g0_stack @ u.conj().T)
     resid = m - q @ (q.T @ m)
-    return m.shape[1] - numerical_rank(resid, threshold)[0]
+    return m.shape[1] - int(numerical_rank(resid, threshold)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -658,17 +682,11 @@ def induced_weyl_matrix(rf: MatrixRealForm, u: np.ndarray,
     if residual > tol or sorted(perm) != list(range(n)):
         return None, residual
 
-    # permutation action e_j -> e_{perm[j]} on the diagonal; convert the dual
-    # action on roots alpha_i = e_i - e_{i+1} to simple-root coordinates
-    rows = []
-    for i in range(n - 1):
-        evec = [0] * n
-        evec[perm[i]] += 1
-        evec[perm[i + 1]] -= 1
-        coords = [sum(evec[: k + 1]) for k in range(n - 1)]
-        rows.append(coords)
-    matrix = tuple(zip(*[tuple(r) for r in rows]))
-    return tuple(tuple(int(x) for x in row) for row in matrix), residual
+    # permutation action e_j -> e_{perm[j]} on the diagonal; column i is the
+    # image e_perm[i] - e_perm[i+1] of alpha_i = e_i - e_{i+1} in simple-root
+    # coordinates, whose k-th entry is the partial sum of its entries up to k
+    return tuple(tuple(int(perm[i] <= k) - int(perm[i + 1] <= k) for i in range(n - 1))
+                 for k in range(n - 1)), residual
 
 
 def _weyl_permutation(psi: WeylElement, n: int) -> list[int]:
@@ -760,49 +778,49 @@ def representative_for(rf: MatrixRealForm, psi: WeylElement) -> np.ndarray | Non
 
 def exp_and_phi_ad(xi: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """exp(xi) for a skew-Hermitian xi, and the differential of exp,
-    phi(ad xi)(Y) = ((1 - exp(-ad xi)) / ad xi)(Y), for each Y of the stack ys.
+    phi(ad xi)(Y) = ((1 - exp(-ad xi)) / ad xi)(Y), for each Y of the stack ys;
+    for a stack xi, one of each per xi.
 
     Both come from xi = V diag(i lam) V^dagger: in the basis V, ad xi scales
     entry (a, b) by z = i(lam_a - lam_b), so phi(ad xi) scales it by
     phi(z) = -expm1(-z)/z, with phi(0) = 1."""
     lam, v = np.linalg.eigh(-1j * xi)
-    vh = v.conj().T
-    z = 1j * (lam[:, None] - lam[None, :])
+    vh = _H(v)
+    z = 1j * (lam[..., :, None] - lam[..., None, :])
     zero = z == 0
     phi = np.where(zero, 1.0, -np.expm1(-z) / np.where(zero, 1.0, z))
-    return (v * np.exp(1j * lam)) @ vh, v @ (phi * (vh @ ys @ v)) @ vh
+    v1, vh1, phi1 = v[..., None, :, :], vh[..., None, :, :], phi[..., None, :, :]
+    return (v * np.exp(1j * lam)[..., None, :]) @ vh, v1 @ (phi1 * (vh1 @ ys @ v1)) @ vh1
 
 
 def chart_bivector(rf: MatrixRealForm, x: np.ndarray) -> np.ndarray:
-    """Quotient bivector in exponential coordinates x over basis_ip0."""
+    """Quotient bivector in exponential coordinates x over basis_ip0, or at
+    each point of a stack x.  Every point must pass the condition limit."""
     xi = np.tensordot(x, rf._ip0_stack, axes=1)
     u, dexp = exp_and_phi_ad(xi, rf._ip0_stack)
     c = pi_0_at(rf, u).matrix
-    jac = (rf._Sinv @ rf._stack_coeffs(dexp))[rf.dim_k0:]
-    if np.linalg.cond(jac) > 1e8:
+    jac = (rf._Sinv @ rf._stack_coeffs(dexp))[..., rf.dim_k0:, :]
+    if np.max(np.linalg.cond(jac)) > 1e8:
         raise ChartSingularityError("exponential chart is singular here")
     jinv = np.linalg.inv(jac)
-    return jinv @ c @ jinv.T
+    return jinv @ c @ _T(jinv)
 
 
 def jacobi_residual(pi_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                     h: float = 1e-4) -> float:
     """Max cyclic Jacobiator component of a coefficient field at one point,
-    with second-order central finite differences of step h."""
+    with second-order central finite differences of step h.  pi_fn maps a
+    stack of points to the stack of their coefficient matrices; it is called
+    once, on x and its 2m neighbours x + h e_l and x - h e_l."""
     m = len(x)
-    pi0 = pi_fn(x)
-    dpi = np.zeros((m, m, m))
-    for l in range(m):
-        e = np.zeros(m)
-        e[l] = h
-        dpi[l] = (pi_fn(x + e) - pi_fn(x - e)) / (2 * h)
-    residual = 0.0
-    for i, j, k in combinations(range(m), 3):
-        total = 0.0
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            total += float(pi0[a] @ dpi[:, b, c])
-        residual = max(residual, abs(total))
-    return residual
+    steps = h * np.eye(m)
+    pis = pi_fn(np.concatenate([x[None], x + steps, x - steps]))
+    dpi = (pis[1:m + 1] - pis[m + 1:]) / (2 * h)
+    # t[a, b, c] = sum_l pi[a, l] d_l pi[b, c]; the Jacobiator is its cyclic sum
+    t = np.einsum("al,lbc->abc", pis[0], dpi)
+    cyclic = t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
+    i, j, k = np.ogrid[:m, :m, :m]
+    return float(np.abs(cyclic[(i < j) & (j < k)]).max(initial=0.0))
 
 
 def jacobi_check(rf: MatrixRealForm, n_points: int = 10, h: float = 1e-4,
@@ -819,32 +837,41 @@ def jacobi_check(rf: MatrixRealForm, n_points: int = 10, h: float = 1e-4,
 # ---------------------------------------------------------------------------
 # multiplicativity and invariance checks
 
+def _sl_exp(x: np.ndarray) -> np.ndarray:
+    """exp(0.4 X) for X the traceless part of x, or of each matrix of a
+    stack x: an element of SL(n, C)."""
+    lam, v = np.linalg.eig(0.4 * _traceless(x))
+    return (v * np.exp(lam)[..., None, :]) @ np.linalg.inv(v)
+
+
+def _unitary(z: np.ndarray) -> np.ndarray:
+    """The element of SU(n) that a complex Gaussian z, or each matrix of a
+    stack z, stands for: the Q of its QR with the phases of R's diagonal
+    moved into Q and the determinant divided out."""
+    q, r = np.linalg.qr(z)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1).real + 1e-300)[..., None, :]
+    # q is unitary up to roundoff, so its determinant is a pure phase
+    return q * np.exp(-1j * (np.angle(np.linalg.det(q)) / z.shape[-1]))[..., None, None]
+
+
 def sample_group(rng: np.random.Generator, n: int) -> np.ndarray:
     """exp(0.4 X) for a random traceless complex X: an element of SL(n, C)."""
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    x -= np.trace(x) / n * np.eye(n)
-    lam, v = np.linalg.eig(0.4 * x)
-    return (v * np.exp(lam)) @ np.linalg.inv(v)
+    return _sl_exp(complex_normals([rng], (n, n))[0][0])
 
 
 def sample_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    q = q @ np.diag(np.sign(np.diag(r).real + 1e-300))
-    # q is unitary up to roundoff, so its determinant is a pure phase
-    return q * cmath.exp(-1j * cmath.phase(np.linalg.det(q)) / n)
+    return _unitary(complex_normals([rng], (n, n))[0][0])
 
 
 def multiplicativity_residual(rf: MatrixRealForm, n_pairs: int = 100,
                               seed: int = 0) -> float:
     """Residual of pi(uv) = Ad_u pi(v) Ad_u^T + pi(u) over seeded pairs."""
     worst = 0.0
-    for rng in seeded_rngs(seed, n_pairs):
-        u = sample_unitary(rng, rf.n)
-        v = sample_unitary(rng, rf.n)
+    for rngs in seeded_stacks(seed, n_pairs):
+        u, v = _unitary(np.array(complex_normals(rngs, (rf.n, rf.n), (rf.n, rf.n))))
         a = rf.Ad_matrix(u)
         lhs = pi_U_at(rf, u @ v).matrix
-        rhs = a @ pi_U_at(rf, v).matrix @ a.T + pi_U_at(rf, u).matrix
+        rhs = a @ pi_U_at(rf, v).matrix @ _T(a) + pi_U_at(rf, u).matrix
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -853,14 +880,15 @@ def t_invariance_residual(rf: MatrixRealForm, n_samples: int = 50,
                           seed: int = 1) -> float:
     """Invariance of the group bivector under left and right torus shifts."""
     worst = 0.0
-    for rng in seeded_rngs(seed, n_samples):
-        u = sample_unitary(rng, rf.n)
-        phases = rng.uniform(0, 2 * math.pi, size=rf.n)
-        phases -= phases.mean()
-        t = np.diag(np.exp(1j * phases))
+    for rngs in seeded_stacks(seed, n_samples):
+        u = _unitary(complex_normals(rngs, (rf.n, rf.n))[0])
+        phases = np.array([rng.uniform(0, 2 * math.pi, size=rf.n) for rng in rngs])
+        phases -= phases.mean(axis=-1, keepdims=True)
+        t = np.exp(1j * phases)[..., None] * np.eye(rf.n)
         at = rf.Ad_matrix(t)
-        right = pi_U_at(rf, u @ t).matrix - pi_U_at(rf, u).matrix
-        left = pi_U_at(rf, t @ u).matrix - at @ pi_U_at(rf, u).matrix @ at.T
+        pi_u = pi_U_at(rf, u).matrix
+        right = pi_U_at(rf, u @ t).matrix - pi_u
+        left = pi_U_at(rf, t @ u).matrix - at @ pi_u @ _T(at)
         worst = max(worst, float(np.abs(right).max()), float(np.abs(left).max()))
     return worst
 
@@ -870,11 +898,11 @@ def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0,
     """(largest quotient-bivector rank over seeded samples, number of
     samples whose rank was borderline)."""
     best, n_borderline = 0, 0
-    for rng in seeded_rngs(seed, n_samples):
-        u = sample_unitary(rng, rf.n)
+    for rngs in seeded_stacks(seed, n_samples):
+        u = _unitary(complex_normals(rngs, (rf.n, rf.n))[0])
         rank, borderline = pi_0_at(rf, u).rank(threshold)
-        best = max(best, rank)
-        n_borderline += borderline
+        best = max(best, int(rank.max()))
+        n_borderline += int(borderline.sum())
     return best, n_borderline
 
 
@@ -900,13 +928,10 @@ class HermitianFrame:
 
 
 def _levi_across(rf: MatrixRealForm) -> list[int]:
-    """Indices of basis_u across the (p, q) block Levi subalgebra."""
-    across = []
-    for idx, (j, k) in enumerate(rf.root_pairs):
-        if (j < rf.p) != (k < rf.p):
-            base = (rf.n - 1) + 2 * idx
-            across.extend([base, base + 1])
-    return across
+    """Indices of basis_u across the (p, q) block Levi subalgebra: X and Y
+    of each root pair (j, k) with exactly one of j, k below p."""
+    return [(rf.n - 1) + 2 * idx + xy for idx, (j, k) in enumerate(rf.root_pairs)
+            if (j < rf.p) != (k < rf.p) for xy in (0, 1)]
 
 
 def _block_alignment(rf: MatrixRealForm) -> np.ndarray:
@@ -925,44 +950,27 @@ def invariant_bivector(rf: MatrixRealForm) -> np.ndarray:
     if rf.kind != "su_pq":
         raise NotHermitianError(f"{rf.label} is not Hermitian symmetric here")
     m = rf.dim_ip0
-    k = rf.dim_k0
-    ads = []
-    for kb in rf.basis_k0:
-        full = np.stack(
-            [(rf._Sinv @ rf.coeffs(kb @ b - b @ kb)) for b in rf.basis_ip0], axis=1
-        )
-        ads.append(full[k:, :])
-
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    rows = []
-    for a in ads:
-        for r in range(m):
-            for c in range(r + 1, m):
-                row = np.zeros(len(pairs))
-                for t, (i, j) in enumerate(pairs):
-                    val = 0.0
-                    # (A C + C A^T)[r, c] with C = e_i ^ e_j
-                    if j == c:
-                        val += a[r, i]
-                    if i == c:
-                        val -= a[r, j]
-                    if i == r:
-                        val += a[c, j]
-                    if j == r:
-                        val -= a[c, i]
-                    row[t] = val
-                rows.append(row)
-    null = nullspace(np.stack(rows, axis=0), 1e-9)
+    # ad X on ip0, projected back onto ip0, for each X of basis_k0
+    k0 = np.stack(rf.basis_k0)[:, None]
+    comm = k0 @ rf._ip0_stack - rf._ip0_stack @ k0
+    ads = (rf._Sinv @ rf._stack_coeffs(comm))[:, rf.dim_k0:, :]
+    # unknowns: the coefficients of C on the e_i ^ e_j, i < j; equations:
+    # (A C + C A^T)[r, c] = 0 for every A of ads and r < c, in the same order
+    upper = np.triu_indices(m, 1)
+    wedges = np.zeros((len(upper[0]), m, m))
+    wedges[(np.arange(len(upper[0])),) + upper] = 1.0
+    wedges = wedges - _T(wedges)
+    images = ads[:, None] @ wedges + wedges @ _T(ads)[:, None]
+    system = images[(...,) + upper].transpose(0, 2, 1).reshape(-1, len(upper[0]))
+    null = nullspace(system, 1e-9)
     if null.shape[1] != 1:
         raise NotHermitianError(
             f"invariant bivector space of {rf.label} has dimension {null.shape[1]}"
         )
-    coeffs = null[:, 0]
     c_inv = np.zeros((m, m))
-    for t, (i, j) in enumerate(pairs):
-        c_inv[i, j] = coeffs[t]
-        c_inv[j, i] = -coeffs[t]
-    lead = next(x for x in c_inv[np.triu_indices(m, 1)] if abs(x) > 1e-9)
+    c_inv[upper] = null[:, 0]
+    c_inv = c_inv - c_inv.T
+    lead = next(x for x in c_inv[upper] if abs(x) > 1e-9)
     if lead < 0:
         c_inv = -c_inv
     c_inv *= math.sqrt(m) / np.linalg.norm(c_inv)
@@ -979,20 +987,21 @@ def _hermitian_frame(rf: MatrixRealForm) -> HermitianFrame:
     transfer = np.stack([(ad_u0 @ rf.coeffs(b))[across] for b in rf.basis_ip0], axis=1)
     c_inv = invariant_bivector(rf)
     return HermitianFrame(across, u0, np.linalg.inv(transfer), c_inv,
-                          numerical_rank(c_inv, 1e-9)[0])
+                          int(numerical_rank(c_inv, 1e-9)[0]))
 
 
 def bruhat_projection_at(rf: MatrixRealForm, v: np.ndarray,
                          across: list[int]) -> np.ndarray:
-    """Left-trivialized group bivector at v, projected off the Levi block."""
-    a_inv = rf.Ad_matrix(v.conj().T)
-    c_left = a_inv @ rf.lam @ a_inv.T - rf.lam
-    return c_left[np.ix_(across, across)]
+    """Left-trivialized group bivector at v (or each point of a stack v),
+    projected off the Levi block."""
+    a_inv = rf.Ad_matrix(_H(v))
+    c_left = a_inv @ rf.lam @ _T(a_inv) - rf.lam
+    return c_left[..., across, :][..., across]
 
 
 def pi_infinity_at(rf: MatrixRealForm, u: np.ndarray) -> np.ndarray:
     """Flag-projected bivector pulled back to the symmetric space through the
-    identification u K -> u u0^{-1} (parabolic coset)."""
+    identification u K -> u u0^{-1} (parabolic coset); u may be a stack."""
     frame = rf.hermitian_frame
     c = bruhat_projection_at(rf, u @ frame.u0.conj().T, frame.across)
     return frame.transfer_inv @ c @ frame.transfer_inv.T
@@ -1007,14 +1016,17 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
     """
     frame = rf.hermitian_frame
     c_inv = frame.c_inv
-    diffs = []
-    for rng in seeded_rngs(seed, n_samples):
-        u = sample_unitary(rng, rf.n)
-        diffs.append(pi_0_at(rf, u).matrix - pi_infinity_at(rf, u))
+    # the residual d - b c_inv peaks at an entrywise extreme of the
+    # differences d, so their running max and min replace the samples
+    total, hi, lo = 0.0, -np.inf, np.inf
+    for rngs in seeded_stacks(seed, n_samples):
+        u = _unitary(complex_normals(rngs, (rf.n, rf.n))[0])
+        d = pi_0_at(rf, u).matrix - pi_infinity_at(rf, u)
+        total += float(np.sum(d * c_inv))
+        hi, lo = np.maximum(hi, d.max(axis=0)), np.minimum(lo, d.min(axis=0))
 
-    denom = float(np.sum(c_inv * c_inv))
-    b = float(sum(np.sum(d * c_inv) for d in diffs) / (denom * len(diffs)))
-    max_residual = max(float(np.abs(d - b * c_inv).max()) for d in diffs)
+    b = total / (float(np.sum(c_inv * c_inv)) * n_samples)
+    max_residual = float(max(np.max(hi - b * c_inv), np.max(b * c_inv - lo)))
     return HermitianFitResult(b=b, max_residual=max_residual, invariant_rank=frame.rank_inv)
 
 
@@ -1025,21 +1037,13 @@ def tau_root_action(rf: MatrixRealForm) -> IntMatrix:
     """The involution induced on simple-root coordinates by the concrete
     conjugation, extracted from its action on the real split torus."""
     n = rf.n
-    tau_diag = []
-    for k in range(n):
-        img = rf.tau(np.diag([1.0 if i == k else 0.0 for i in range(n)]).astype(complex))
-        col = np.real(np.diag(img))
-        tau_diag.append(col)
-    t = np.stack(tau_diag, axis=1)  # action on diagonal coordinates
-
-    rows = []
-    for i in range(n - 1):
-        f = np.zeros(n)
-        f[i], f[i + 1] = 1.0, -1.0
-        g = t.T @ f  # functional x -> alpha_i(tau x)
-        coords = [float(np.sum(g[: k + 1])) for k in range(n - 1)]
-        rows.append(coords)
-    matrix = np.array(rows).T
+    # action on diagonal coordinates: column k is the diagonal of tau(E_kk)
+    units = np.eye(n)[:, None] * np.eye(n, dtype=complex)
+    t = np.diagonal(rf.tau(units), axis1=-2, axis2=-1).real.T
+    # row i: the functional x -> alpha_i(tau x), alpha_i = e_i - e_{i+1},
+    # whose partial sums are its simple-root coordinates
+    g = (np.eye(n - 1, n) - np.eye(n - 1, n, 1)) @ t
+    matrix = np.cumsum(g, axis=1)[:, : n - 1].T
     out = np.rint(matrix).astype(int)
     assert np.abs(matrix - out).max() < 1e-9
     return tuple(tuple(int(x) for x in row) for row in out)
@@ -1047,30 +1051,24 @@ def tau_root_action(rf: MatrixRealForm) -> IntMatrix:
 
 def cartan_consistency(rf: MatrixRealForm, n_samples: int = 20, seed: int = 3) -> dict[str, float]:
     """Residuals of the defining identities of the realization."""
-    res = {"tau_sq": 0.0, "theta_sq": 0.0, "commute": 0.0, "h_stable": 0.0}
-    for rng in seeded_rngs(seed, n_samples):
-        x = rng.normal(size=(rf.n, rf.n)) + 1j * rng.normal(size=(rf.n, rf.n))
-        x -= np.trace(x) / rf.n * np.eye(rf.n)
-        res["tau_sq"] = max(res["tau_sq"], float(np.abs(rf.tau(rf.tau(x)) - x).max()))
-        res["theta_sq"] = max(res["theta_sq"], float(np.abs(rf.theta(rf.theta(x)) - x).max()))
-        res["commute"] = max(
-            res["commute"],
-            float(np.abs(rf.tau(rf.theta(x)) - rf.theta(rf.tau(x))).max()),
-        )
-        h = np.diag(rng.normal(size=rf.n) + 1j * rng.normal(size=rf.n))
-        h -= np.trace(h) / rf.n * np.eye(rf.n)
-        img = rf.tau(h)
-        off = img - np.diag(np.diag(img))
-        res["h_stable"] = max(res["h_stable"], float(np.abs(off).max()))
+    n = rf.n
+    res = dict.fromkeys(("tau_sq", "theta_sq", "commute", "h_stable"), 0.0)
+    for rngs in seeded_stacks(seed, n_samples):
+        x, h = complex_normals(rngs, (n, n), (n,))
+        x = _traceless(x)
+        h = _traceless(h[..., None] * np.eye(n))
+        for key, err in (("tau_sq", rf.tau(rf.tau(x)) - x),
+                         ("theta_sq", rf.theta(rf.theta(x)) - x),
+                         ("commute", rf.tau(rf.theta(x)) - rf.theta(rf.tau(x))),
+                         ("h_stable", rf.tau(h) * (1 - np.eye(n)))):
+            res[key] = max(res[key], float(np.abs(err).max()))
 
     # the fixed subspace of the triangular factor must be upper triangular
     # with real diagonal (Iwasawa compatibility of the chosen Borel)
-    worst = 0.0
-    for col in rf.fixed_triangular.T:
-        m = col[: rf.n * rf.n].reshape(rf.n, rf.n) + 1j * col[rf.n * rf.n:].reshape(rf.n, rf.n)
-        lower = np.tril(m, k=-1)
-        worst = max(worst, float(np.abs(lower).max()),
-                    float(np.abs(np.diag(m).imag).max()))
-    res["iwasawa_borel"] = worst
+    cols = rf.fixed_triangular.T
+    ms = (cols[:, : n * n] + 1j * cols[:, n * n:]).reshape(-1, n, n)
+    res["iwasawa_borel"] = max(
+        float(np.abs(np.tril(ms, k=-1)).max(initial=0.0)),
+        float(np.abs(np.diagonal(ms, axis1=-2, axis2=-1).imag).max(initial=0.0)))
     return res
 

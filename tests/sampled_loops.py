@@ -1,0 +1,219 @@
+"""Per-sample loops: the differential reference for the sampled checks of
+`leafatlas.matrixlie`, which evaluate their samples as stacks.
+
+Each function draws sample i from child i of SeedSequence(seed) alone, with
+the same `rng.normal` and `rng.uniform` calls as the stacked check, and
+evaluates it on its own: the samplers are the per-matrix originals, the
+rest goes through the single-point kernels.
+
+Imported by the test modules; pytest does not collect it.
+"""
+from __future__ import annotations
+
+import cmath
+import math
+from itertools import combinations
+
+import numpy as np
+
+from leafatlas import matrixlie as ml
+
+
+def children(seed: int, n: int):
+    for child in np.random.SeedSequence(seed).spawn(n):
+        yield np.random.default_rng(child)
+
+
+def sample_group(rng, n):
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x -= np.trace(x) / n * np.eye(n)
+    lam, v = np.linalg.eig(0.4 * x)
+    return (v * np.exp(lam)) @ np.linalg.inv(v)
+
+
+def sample_unitary(rng, n):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    q = q @ np.diag(np.sign(np.diag(r).real + 1e-300))
+    return q * cmath.exp(-1j * cmath.phase(np.linalg.det(q)) / n)
+
+
+def multiplicativity_residual(rf, n_pairs, seed):
+    worst = 0.0
+    for rng in children(seed, n_pairs):
+        u = sample_unitary(rng, rf.n)
+        v = sample_unitary(rng, rf.n)
+        a = rf.Ad_matrix(u)
+        lhs = ml.pi_U_at(rf, u @ v).matrix
+        rhs = a @ ml.pi_U_at(rf, v).matrix @ a.T + ml.pi_U_at(rf, u).matrix
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def t_invariance_residual(rf, n_samples, seed):
+    worst = 0.0
+    for rng in children(seed, n_samples):
+        u = sample_unitary(rng, rf.n)
+        phases = rng.uniform(0, 2 * math.pi, size=rf.n)
+        phases -= phases.mean()
+        t = np.diag(np.exp(1j * phases))
+        at = rf.Ad_matrix(t)
+        right = ml.pi_U_at(rf, u @ t).matrix - ml.pi_U_at(rf, u).matrix
+        left = ml.pi_U_at(rf, t @ u).matrix - at @ ml.pi_U_at(rf, u).matrix @ at.T
+        worst = max(worst, float(np.abs(right).max()), float(np.abs(left).max()))
+    return worst
+
+
+def max_sampled_rank(rf, n_samples, seed, threshold=ml.RANK_THRESHOLD):
+    best, n_borderline = 0, 0
+    for rng in children(seed, n_samples):
+        u = sample_unitary(rng, rf.n)
+        rank, borderline = ml.pi_0_at(rf, u).rank(threshold)
+        best = max(best, int(rank))
+        n_borderline += bool(borderline)
+    return best, n_borderline
+
+
+def hermitian_fit(rf, n_samples, seed):
+    """(b, max_residual), keeping every difference."""
+    c_inv = rf.hermitian_frame.c_inv
+    diffs = []
+    for rng in children(seed, n_samples):
+        u = sample_unitary(rng, rf.n)
+        diffs.append(ml.pi_0_at(rf, u).matrix - ml.pi_infinity_at(rf, u))
+    denom = float(np.sum(c_inv * c_inv))
+    b = float(sum(np.sum(d * c_inv) for d in diffs) / (denom * len(diffs)))
+    return b, max(float(np.abs(d - b * c_inv).max()) for d in diffs)
+
+
+def jacobi_residual(pi_fn, x, h=1e-4):
+    """The Jacobiator over the combinations of three indices, with pi_fn
+    called on one point at a time."""
+    m = len(x)
+    pi0 = pi_fn(x)
+    dpi = np.zeros((m, m, m))
+    for l in range(m):
+        e = np.zeros(m)
+        e[l] = h
+        dpi[l] = (pi_fn(x + e) - pi_fn(x - e)) / (2 * h)
+    residual = 0.0
+    for i, j, k in combinations(range(m), 3):
+        total = 0.0
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            total += float(pi0[a] @ dpi[:, b, c])
+        residual = max(residual, abs(total))
+    return residual
+
+
+def jacobi_check(rf, n_points, seed, h=1e-4, radius=0.4):
+    residual = 0.0
+    for rng in children(seed, n_points):
+        x = rng.uniform(-radius, radius, size=rf.dim_ip0)
+        residual = max(residual, jacobi_residual(lambda y: ml.chart_bivector(rf, y), x, h))
+    return residual
+
+
+def cartan_consistency(rf, n_samples, seed):
+    res = {"tau_sq": 0.0, "theta_sq": 0.0, "commute": 0.0, "h_stable": 0.0}
+    for rng in children(seed, n_samples):
+        x = rng.normal(size=(rf.n, rf.n)) + 1j * rng.normal(size=(rf.n, rf.n))
+        x -= np.trace(x) / rf.n * np.eye(rf.n)
+        res["tau_sq"] = max(res["tau_sq"], float(np.abs(rf.tau(rf.tau(x)) - x).max()))
+        res["theta_sq"] = max(res["theta_sq"], float(np.abs(rf.theta(rf.theta(x)) - x).max()))
+        res["commute"] = max(
+            res["commute"],
+            float(np.abs(rf.tau(rf.theta(x)) - rf.theta(rf.tau(x))).max()),
+        )
+        h = np.diag(rng.normal(size=rf.n) + 1j * rng.normal(size=rf.n))
+        h -= np.trace(h) / rf.n * np.eye(rf.n)
+        img = rf.tau(h)
+        off = img - np.diag(np.diag(img))
+        res["h_stable"] = max(res["h_stable"], float(np.abs(off).max()))
+
+    worst = 0.0
+    for col in rf.fixed_triangular.T:
+        m = col[: rf.n * rf.n].reshape(rf.n, rf.n) + 1j * col[rf.n * rf.n:].reshape(rf.n, rf.n)
+        worst = max(worst, float(np.abs(np.tril(m, k=-1)).max()),
+                    float(np.abs(np.diag(m).imag).max()))
+    res["iwasawa_borel"] = worst
+    return res
+
+
+def orbit_projection(rf, u):
+    """The dressing-orbit columns of leaf_tangency_check, one element of g0
+    at a time: the compact part of the Iwasawa split of Ad_u x, rebuilt as
+    a matrix, carried back by Ad_u^{-1} and projected onto ip0."""
+    uinv = u.conj().T
+    ad_uinv = rf.Ad_matrix(uinv)
+    cols = []
+    for x in rf.g0_basis():
+        alpha = rf._full_pinv @ ml._vec(u @ x @ uinv)
+        u_part = np.tensordot(alpha[: rf.dim_u], rf._basis_stack, axes=1)
+        cols.append((rf._Sinv @ (ad_uinv @ rf.coeffs(u_part)))[rf.dim_k0:])
+    return np.stack(cols, axis=1)
+
+
+def iwasawa_residual(rf, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        m = rng.normal(size=(rf.n, rf.n)) + 1j * rng.normal(size=(rf.n, rf.n))
+        m = m / np.linalg.det(m) ** (1.0 / rf.n)
+        b, u1 = ml.iwasawa(m)
+        worst = max(worst, float(np.abs(b @ u1 - m).max()))
+    return worst
+
+
+def action_residual(rf, n_samples, seed):
+    worst = 0.0
+    for rng in children(seed, n_samples):
+        u = sample_unitary(rng, rf.n)
+        g = sample_group(rng, rf.n)
+        h = sample_group(rng, rf.n)
+        lhs = ml.g_act(ml.g_act(u, g), h)
+        rhs = ml.g_act(u, g @ h)
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+def invariant_bivector(rf):
+    """invariant_bivector with its linear system assembled entry by entry."""
+    m = rf.dim_ip0
+    k = rf.dim_k0
+    ads = []
+    for kb in rf.basis_k0:
+        full = np.stack(
+            [(rf._Sinv @ rf.coeffs(kb @ b - b @ kb)) for b in rf.basis_ip0], axis=1
+        )
+        ads.append(full[k:, :])
+
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    rows = []
+    for a in ads:
+        for r in range(m):
+            for c in range(r + 1, m):
+                row = np.zeros(len(pairs))
+                for t, (i, j) in enumerate(pairs):
+                    val = 0.0
+                    # (A C + C A^T)[r, c] with C = e_i ^ e_j
+                    if j == c:
+                        val += a[r, i]
+                    if i == c:
+                        val -= a[r, j]
+                    if i == r:
+                        val += a[c, j]
+                    if j == r:
+                        val -= a[c, i]
+                    row[t] = val
+                rows.append(row)
+    _, s, vt = np.linalg.svd(np.stack(rows, axis=0))  # full V, as the loop had
+    null = vt[ml._floored_rank(s, 1e-9)[0]:].T
+    assert null.shape[1] == 1
+    c_inv = np.zeros((m, m))
+    for t, (i, j) in enumerate(pairs):
+        c_inv[i, j] = null[t, 0]
+        c_inv[j, i] = -null[t, 0]
+    lead = next(x for x in c_inv[np.triu_indices(m, 1)] if abs(x) > 1e-9)
+    if lead < 0:
+        c_inv = -c_inv
+    return c_inv * (math.sqrt(m) / np.linalg.norm(c_inv))

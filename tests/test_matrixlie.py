@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sampled_loops as loops
 
 from leafatlas import matrixlie as ml
 from leafatlas.atlas import orbit_class, twisted_involutions
@@ -596,7 +597,11 @@ def test_jacobi_constant_field_is_flat():
     rng = np.random.default_rng(16)
     c = rng.normal(size=(5, 5))
     c = c - c.T
-    assert ml.jacobi_residual(lambda x: c, np.zeros(5)) < 1e-12
+
+    def field(xs):  # the same c at every point of the stack
+        return np.broadcast_to(c, (len(xs),) + c.shape)
+
+    assert ml.jacobi_residual(field, np.zeros(5)) < 1e-12
 
 
 REALIZED = ["sl(2,R)", "sl(3,R)", "sl(4,R)", "sl(5,R)",
@@ -714,3 +719,145 @@ def test_realization_errors():
         ml.realization("so(4,1)")
     with pytest.raises(ml.RealizationError):
         ml.realization("sp(2,R)")
+
+
+# ---------------------------------------------------------------------------
+# stacked sampled checks against the per-sample loops
+
+COUNTS = (1, ml.STACK, ml.STACK + 1, 37)  # one, a full stack, one over, several
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("label", REALIZED)
+def test_stacked_checks_match_the_per_sample_loops(label):
+    rf = ml.realization(label)
+    for count in COUNTS:
+        assert _close(ml.multiplicativity_residual(rf, count, seed=2),
+                      loops.multiplicativity_residual(rf, count, 2))
+        assert _close(ml.t_invariance_residual(rf, count, seed=3),
+                      loops.t_invariance_residual(rf, count, 3))
+        assert ml.max_sampled_rank(rf, count, seed=5) == loops.max_sampled_rank(rf, count, 5)
+        assert _close(ml.iwasawa_residual(rf, count, 0), loops.iwasawa_residual(rf, count, 0))
+        assert _close(ml.action_residual(rf, count, 1), loops.action_residual(rf, count, 1))
+        got = ml.cartan_consistency(rf, count, seed=3)
+        want = loops.cartan_consistency(rf, count, 3)
+        assert got.keys() == want.keys()
+        assert all(_close(got[key], want[key]) for key in want), (got, want)
+        # each Jacobi point is one stack, of its 2m + 1 chart points
+        assert _close(ml.jacobi_check(rf, count, seed=4), loops.jacobi_check(rf, count, 4))
+        if rf.kind == "su_pq":
+            fit = ml.hermitian_fit(rf, count, seed=8)
+            b, max_residual = loops.hermitian_fit(rf, count, 8)
+            assert _close(fit.b, b) and _close(fit.max_residual, max_residual)
+
+
+def test_hermitian_fit_extremes_match_the_loop_off_the_decomposition(monkeypatch):
+    # with a symmetric stand-in for the flag part the differences are far
+    # from b c_inv and not antisymmetric, so the residual can peak at the
+    # running max of one entry or at the running min of another
+    rf = ml.realization("su(2,1)")
+    s = np.random.default_rng(43).normal(size=(rf.dim_ip0, rf.dim_ip0))
+    for flag in (s + s.T, -(s + s.T)):
+        monkeypatch.setattr(ml, "pi_infinity_at",
+                            lambda rf, u: np.broadcast_to(flag, u.shape[:-2] + flag.shape))
+        fit = ml.hermitian_fit(rf, 37, seed=8)
+        b, max_residual = loops.hermitian_fit(rf, 37, 8)
+        assert max_residual > 0.1
+        assert _close(fit.b, b) and _close(fit.max_residual, max_residual)
+
+
+@pytest.mark.parametrize("label", REALIZED)
+def test_stacked_tangency_columns_match_the_loop(label):
+    rf = ml.realization(label)
+    for u in [np.eye(rf.n, dtype=complex)] + [ml.sample_unitary(rng, rf.n)
+                                              for rng in ml.seeded_rngs(6, 3)]:
+        res = ml.leaf_tangency_check(rf, u)
+        orbit = loops.orbit_projection(rf, u)
+        assert res.dim_orbit_projection == ml.column_space(orbit).shape[1]
+        assert res.dim_bivector_image == res.dim_orbit_projection
+        assert res.residual < 1e-12
+
+
+def test_stacked_rank_rule_matches_each_matrix():
+    values = [1e-3, 0.998e-8, 0.9995e-8, 5e-8, 1.01e-7]
+    stack = np.stack([_with_singular_values([0.5, v], seed=i) for i, v in enumerate(values)])
+    ranks, borderline = ml.numerical_rank(stack)
+    assert list(zip(ranks.tolist(), borderline.tolist())) == \
+        [tuple(ml.numerical_rank(m)) for m in stack]
+
+
+@pytest.mark.parametrize("label", ["su(1,1)", "su(2,1)", "su(3,1)", "su(2,2)",
+                                   "su(4,1)", "su(3,2)"])
+def test_invariant_bivector_matches_the_loop_system(label):
+    rf = ml.MatrixRealForm(label, "su_pq", *{
+        "su(1,1)": (2, 1, 1), "su(2,1)": (3, 2, 1), "su(3,1)": (4, 3, 1),
+        "su(2,2)": (4, 2, 2), "su(4,1)": (5, 4, 1), "su(3,2)": (5, 3, 2)}[label])
+    assert np.abs(ml.invariant_bivector(rf) - loops.invariant_bivector(rf)).max() <= 1e-12
+
+
+def test_stacked_draws_replay_each_child_alone():
+    n, count = 3, ml.STACK + 5
+    stacks = list(ml.seeded_stacks(40, count))
+    assert [len(s) for s in stacks] == [ml.STACK, 5]
+    rngs = [rng for s in stacks for rng in s]
+    z, h = ml.complex_normals(rngs, (n, n), (n,))
+    unitaries = ml._unitary(z)
+    groups = ml._sl_exp(z)
+    for i, child in enumerate(np.random.SeedSequence(40).spawn(count)):
+        alone = np.random.default_rng(child)
+        assert np.array_equal(z[i], alone.normal(size=(n, n)) + 1j * alone.normal(size=(n, n)))
+        assert np.array_equal(h[i], alone.normal(size=n) + 1j * alone.normal(size=n))
+        assert np.array_equal(unitaries[i], ml.sample_unitary(np.random.default_rng(child), n))
+        assert np.array_equal(groups[i], ml.sample_group(np.random.default_rng(child), n))
+        ref = loops.sample_unitary(np.random.default_rng(child), n)
+        assert np.abs(unitaries[i] - ref).max() <= 1e-15
+        ref = loops.sample_group(np.random.default_rng(child), n)
+        assert np.abs(groups[i] - ref).max() <= 1e-14
+
+
+def test_multiplicativity_factors_one_stack_at_a_time(monkeypatch):
+    factored = []
+    original = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        factored.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    ml.multiplicativity_residual(ml.realization("sl(3,R)"), 100, seed=0)
+    assert 0 < len(factored) <= math.ceil(200 / ml.STACK)
+    assert all(math.prod(shape[:-2]) <= 2 * ml.STACK for shape in factored)
+
+
+def test_one_bad_sample_fails_its_stack(sl3):
+    us = np.stack([ml.sample_unitary(rng, 3) for rng in ml.seeded_rngs(41, 5)])
+    bad = us.copy()
+    bad[3] *= 1.01
+    with pytest.raises(ml.NonUnitaryError):
+        ml.pi_U_at(sl3, bad)
+    with pytest.raises(ml.NonUnitaryError):
+        ml.pi_0_at(sl3, bad)
+    bad[3] = np.nan
+    with pytest.raises(ml.NonUnitaryError):
+        ml.pi_U_at(sl3, bad)
+    ms = us.copy()
+    ms[2] = np.diag([1e8, 1e-8, 1.0])
+    with pytest.raises(ml.IllConditionedError):
+        ml.iwasawa(ms)
+
+
+def test_one_singular_chart_point_fails_its_stack(sl3):
+    rng = np.random.default_rng(42)
+    xs = rng.uniform(-0.4, 0.4, size=(5, sl3.dim_ip0))
+    assert ml.chart_bivector(sl3, xs).shape == (5, sl3.dim_ip0, sl3.dim_ip0)
+    # scale a direction until two eigenvalues of xi differ by 2 pi: there
+    # phi(ad xi) has a zero eigenvalue and the chart is singular
+    lam = np.linalg.eigvalsh(-1j * np.tensordot(xs[0], sl3._ip0_stack, axes=1))
+    xs[1] = xs[0] * 2 * math.pi / (lam[-1] - lam[0])
+    with pytest.raises(ml.ChartSingularityError):
+        ml.chart_bivector(sl3, xs[1])
+    with pytest.raises(ml.ChartSingularityError):
+        ml.chart_bivector(sl3, xs)
