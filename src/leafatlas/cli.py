@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -197,20 +198,20 @@ def atlas_markdown(report: AtlasReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _catalog_form(entries: Sequence[SatakeDiagram], label: str | None) -> SatakeDiagram | None:
+    """The entry labelled label, or None after listing the labels there are."""
+    by_label = {e.label: e for e in entries}
+    if label not in by_label:
+        sys.stderr.write(f"unknown form {label!r}; available: "
+                         + ", ".join(sorted(by_label)) + "\n")
+    return by_label.get(label)
+
+
 def cmd_atlas(cfg: RunConfig) -> int:
     entries, cat_hash = _resolve_catalog(cfg)
-    if cfg.inline is not None:
-        sd = cfg.inline
-    else:
-        by_label = {e.label: e for e in entries}
-        if cfg.form not in by_label:
-            sys.stderr.write(
-                f"unknown form {cfg.form!r}; available: "
-                + ", ".join(sorted(by_label)) + "\n"
-            )
-            return EXIT_USAGE
-        sd = by_label[cfg.form]
-
+    sd = cfg.inline or _catalog_form(entries, cfg.form)
+    if sd is None:
+        return EXIT_USAGE
     report_v = validate(sd)
     if not report_v.passed:
         sys.stderr.write(f"form {sd.label} failed validation:\n")
@@ -344,9 +345,10 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         if u is None:
             continue
         found += 1
+        threshold = tol["rank_threshold"]
         ok = (
-            ml.stabilizer_dim(rf, u) == cls.a + cls.codim_Y
-            and ml.stabilizer_dim(rf, u, include_torus=True)
+            ml.stabilizer_dim(rf, u, threshold=threshold) == cls.a + cls.codim_Y
+            and ml.stabilizer_dim(rf, u, include_torus=True, threshold=threshold)
             == cls.t + cls.a + cls.codim_Y
         )
         matched += int(ok)
@@ -394,14 +396,9 @@ def verify_markdown(doc: dict) -> str:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    entries, _ = _resolve_catalog(cfg)
-    by_label = {e.label: e for e in entries}
-    if cfg.form not in by_label:
-        sys.stderr.write(
-            f"unknown form {cfg.form!r}; available: " + ", ".join(sorted(by_label)) + "\n"
-        )
+    sd = _catalog_form(_resolve_catalog(cfg)[0], cfg.form)
+    if sd is None:
         return EXIT_USAGE
-    sd = by_label[cfg.form]
     for name in THREAD_VARS:  # read by the BLAS runtime when numpy loads
         os.environ.setdefault(name, "1")
     from . import matrixlie as ml
@@ -430,17 +427,6 @@ def cmd_catalog(cfg: RunConfig) -> int:
         return EXIT_DOMAIN
     if not entries:
         sys.stderr.write("warning: catalog is empty\n")
-        _emit(cfg, _json_dumps({
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "command": "catalog",
-            "seed": cfg.seed,
-            "catalog_hash": cat_hash,
-            "entries": [],
-            "passed": True,
-        }))
-        return EXIT_OK
-
     rows = []
     for sd in entries:
         rep = validate(sd)
@@ -494,7 +480,14 @@ def _parse_tol(items: Sequence[str]) -> dict[str, float]:
             raise ValueError(
                 f"unknown tolerance {name!r}; known: {', '.join(sorted(known))}"
             )
-        out[name] = float(value)
+        try:
+            tol = float(value)
+        except ValueError:
+            tol = math.nan
+        if not tol >= 0:  # NaN fails this too
+            raise ValueError(
+                f"tolerance {name!r} must be a number at least 0, got {value.strip()!r}")
+        out[name] = tol
     return out
 
 
@@ -532,20 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _inline_diagram(args: argparse.Namespace) -> SatakeDiagram | None:
     if not args.cartan_type:
         return None
-    from .satake import _TYPE_RE, _parse_arrow_set, _parse_node_set
+    from .satake import _parse_arrow_set, _parse_node_set, _parse_type
 
-    m = _TYPE_RE.match(args.cartan_type)
-    if m is None:
-        raise CatalogParseError(f"bad type {args.cartan_type!r}")
-    family = m.group(1).upper()
-    if m.group(2):
-        rank = int(m.group(2))
-    elif args.rank:
-        rank = args.rank
-    else:
-        raise CatalogParseError("inline diagram needs a rank (type=A2 or --rank)")
-    black = _parse_node_set(args.black, 0)
-    arrows = _parse_arrow_set(args.arrows, 0)
+    family, rank = _parse_type(args.cartan_type, args.rank)
+    black = _parse_node_set(args.black)
+    arrows = _parse_arrow_set(args.arrows)
     label = args.label or f"custom({family}{rank})"
     return SatakeDiagram(label=label, family=family, rank=rank,
                          black=black, arrows=arrows)
@@ -597,17 +581,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return cmd_verify(cfg)
         if args.command == "catalog":
             return cmd_catalog(cfg)
-    except CatalogParseError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_DOMAIN
-    except SatakeError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_DOMAIN
-    except WeylCapError as exc:
-        sys.stderr.write(f"{exc} (partial count {exc.partial_count})\n")
-        return EXIT_DOMAIN
-    except OSError as exc:
-        sys.stderr.write(f"{exc}\n")
+    except (CatalogParseError, SatakeError, WeylCapError, OSError) as exc:
+        count = getattr(exc, "partial_count", None)
+        sys.stderr.write(f"{exc}\n" if count is None else f"{exc} (partial count {count})\n")
         return EXIT_DOMAIN
     return EXIT_USAGE
 

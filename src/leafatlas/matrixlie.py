@@ -256,6 +256,7 @@ class MatrixRealForm:
         self.dim_k0 = len(self.basis_k0)
         self.dim_ip0 = len(self.basis_ip0)
         self._ip0_stack = np.stack(self.basis_ip0)
+        self._ip0_reader = self._Sinv[self.dim_k0:]  # basis_u -> basis_ip0, k0 dropped
 
         self._an_basis = self._build_an_basis()
         self._an_stack = np.stack([_vec(b) for b in self._an_basis], axis=1)
@@ -384,92 +385,43 @@ def realization(label: str) -> MatrixRealForm:
 
 
 # ---------------------------------------------------------------------------
-# bivectors
+# bivectors: one kernel, read through the adjoint matrix of each point
 
-@dataclass
-class Bivector:
-    """Antisymmetric coefficient matrix at a base point.
+def _bivector(rf: MatrixRealForm, a: np.ndarray, reader: np.ndarray | None = None) -> np.ndarray:
+    """lam - a lam a^T for the adjoint matrix a of a point, or of each point
+    of a stack, carried by reader (to reader c reader^T) when given; exactly
+    antisymmetric, as the strict upper triangle minus its transpose.
 
-    Only the strictly upper triangle is stored, so antisymmetry is exact by
-    construction; `matrix` reassembles the full coefficient matrix.
+    For a = Ad_u this is the multiplicative bivector at u, right-trivialized
+    over basis_u; for a = Ad_u^{-1} it is minus the left-trivialized one.
     """
-
-    base_point: np.ndarray
-    upper: np.ndarray
-    basis: str  # "u" (right-trivialized) or "ip0" (quotient, left-trivialized)
-
-    @classmethod
-    def from_matrix(cls, base_point: np.ndarray, m: np.ndarray, basis: str) -> "Bivector":
-        return cls(base_point=base_point, upper=np.triu(m, k=1), basis=basis)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.upper - _T(self.upper)
-
-    def rank(self, threshold: float = RANK_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
-        """(rank, borderline) under the floored cutoff, one pair per point of
-        a stack; see numerical_rank."""
-        return numerical_rank(self.matrix, threshold)
+    c = rf.lam - a @ rf.lam @ _T(a)
+    if reader is not None:
+        c = reader @ c @ _T(reader)
+    upper = np.triu(c, k=1)
+    return upper - _T(upper)
 
 
-@dataclass
-class PoissonSample:
-    point: np.ndarray
-    bivector: Bivector
-    rank: int
-    residuals: dict[str, float]
-
-
-def pi_U_at(rf: MatrixRealForm, u: np.ndarray) -> Bivector:
+def pi_U_at(rf: MatrixRealForm, u: np.ndarray) -> np.ndarray:
     """Right-trivialized multiplicative bivector at a unitary point, or at
     each point of a stack u."""
     _check_unitary(u)
-    a = rf.Ad_matrix(u)
-    return Bivector.from_matrix(u, rf.lam - a @ rf.lam @ _T(a), "u")
+    return _bivector(rf, rf.Ad_matrix(u))
 
 
-def _project_ip0(rf: MatrixRealForm, coeff_u: np.ndarray) -> np.ndarray:
-    k = rf.dim_k0
-    return (rf._Sinv @ coeff_u @ rf._Sinv.T)[..., k:, k:]
-
-
-def pi_0_at(rf: MatrixRealForm, u: np.ndarray) -> Bivector:
+def pi_0_at(rf: MatrixRealForm, u: np.ndarray) -> np.ndarray:
     """Quotient bivector at the coset of u, or of each point of a stack u,
     over basis_ip0.
 
     The tangent space of the coset is identified with basis_ip0 by left
     translation by u^{-1}; the k0 components are killed by the projection.
+    The mirrored (left coset) presentation used by the disk chart is
+    -pi_0_at(u^{-1}).
     """
     _check_unitary(u)
-    a_inv = rf.Ad_matrix(_H(u))
-    c_left = a_inv @ rf.lam @ _T(a_inv) - rf.lam
-    return Bivector.from_matrix(u, _project_ip0(rf, c_left), "ip0")
-
-
-def pi_0_left_quotient(rf: MatrixRealForm, u: np.ndarray) -> Bivector:
-    """Quotient bivector in the mirrored (left coset) presentation.
-
-    Related to pi_0_at by the group inversion, which reverses the sign:
-    pi_0_left_quotient(u) == -pi_0_at(u^{-1}).  Used by the disk-chart
-    transport, whose chart function is invariant under left translations.
-    """
-    _check_unitary(u)
-    cr = pi_U_at(rf, u).matrix
-    return Bivector.from_matrix(u, _project_ip0(rf, cr), "ip0")
-
-
-def poisson_sample(rf: MatrixRealForm, u: np.ndarray,
-                   threshold: float = RANK_THRESHOLD) -> PoissonSample:
-    bv = pi_0_at(rf, u)
-    rank, borderline = bv.rank(threshold)
-    assert rank % 2 == 0
-    assert rank <= rf.dim_ip0
-    return PoissonSample(
-        point=u,
-        bivector=bv,
-        rank=rank,
-        residuals={"rank_borderline": 1.0 if borderline else 0.0},
-    )
+    # minus the kernel at Ad_u^{-1}, taken as its transpose: exact, and the
+    # zero diagonal stays +0.0
+    return _T(_bivector(rf, rf.Ad_matrix(_H(u)), rf._ip0_reader))
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +535,7 @@ def su2_transported_coefficient(rf: MatrixRealForm, u: np.ndarray) -> tuple[comp
     if rf.n != 2:
         raise RealizationError("closed-form transport is specific to n = 2")
     w = chart_su2(u)
-    c = pi_0_left_quotient(rf, u).matrix
+    c = -pi_0_at(rf, _H(u))
     dw = np.array([_chart_su2_differential(u, xi) for xi in rf.basis_ip0])
     return w, -2.0 * float(dw.real @ c @ dw.imag)
 
@@ -603,12 +555,13 @@ def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray) -> TangencyResult:
     space of the dressing orbit through u; returns dims and the largest
     principal angle between the two subspaces."""
     _check_unitary(u)
-    c = pi_0_at(rf, u).matrix
     uinv = u.conj().T
+    a_inv = rf.Ad_matrix(uinv)
+    c = _T(_bivector(rf, a_inv, rf._ip0_reader))  # pi_0_at(rf, u)
     # compact part of the Iwasawa split of Ad_u x over basis_u, for every x of
     # g0 at once, carried back by Ad_u^{-1} and projected onto ip0
     compact = rf._full_pinv[:rf.dim_u] @ _vec_columns(u @ rf.g0_stack @ uinv)
-    orbit = (rf._Sinv @ rf.Ad_matrix(uinv) @ compact)[rf.dim_k0:]
+    orbit = (rf._Sinv @ a_inv @ compact)[rf.dim_k0:]
 
     img = column_space(c)
     orb = column_space(orbit)
@@ -798,7 +751,7 @@ def chart_bivector(rf: MatrixRealForm, x: np.ndarray) -> np.ndarray:
     each point of a stack x.  Every point must pass the condition limit."""
     xi = np.tensordot(x, rf._ip0_stack, axes=1)
     u, dexp = exp_and_phi_ad(xi, rf._ip0_stack)
-    c = pi_0_at(rf, u).matrix
+    c = pi_0_at(rf, u)
     jac = (rf._Sinv @ rf._stack_coeffs(dexp))[..., rf.dim_k0:, :]
     if np.max(np.linalg.cond(jac)) > 1e8:
         raise ChartSingularityError("exponential chart is singular here")
@@ -869,9 +822,10 @@ def multiplicativity_residual(rf: MatrixRealForm, n_pairs: int = 100,
     worst = 0.0
     for rngs in seeded_stacks(seed, n_pairs):
         u, v = _unitary(np.array(complex_normals(rngs, (rf.n, rf.n), (rf.n, rf.n))))
+        _check_unitary(u)
         a = rf.Ad_matrix(u)
-        lhs = pi_U_at(rf, u @ v).matrix
-        rhs = a @ pi_U_at(rf, v).matrix @ _T(a) + pi_U_at(rf, u).matrix
+        lhs = pi_U_at(rf, u @ v)
+        rhs = a @ pi_U_at(rf, v) @ _T(a) + _bivector(rf, a)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -886,9 +840,9 @@ def t_invariance_residual(rf: MatrixRealForm, n_samples: int = 50,
         phases -= phases.mean(axis=-1, keepdims=True)
         t = np.exp(1j * phases)[..., None] * np.eye(rf.n)
         at = rf.Ad_matrix(t)
-        pi_u = pi_U_at(rf, u).matrix
-        right = pi_U_at(rf, u @ t).matrix - pi_u
-        left = pi_U_at(rf, t @ u).matrix - at @ pi_u @ _T(at)
+        pi_u = pi_U_at(rf, u)
+        right = pi_U_at(rf, u @ t) - pi_u
+        left = pi_U_at(rf, t @ u) - at @ pi_u @ _T(at)
         worst = max(worst, float(np.abs(right).max()), float(np.abs(left).max()))
     return worst
 
@@ -900,7 +854,7 @@ def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0,
     best, n_borderline = 0, 0
     for rngs in seeded_stacks(seed, n_samples):
         u = _unitary(complex_normals(rngs, (rf.n, rf.n))[0])
-        rank, borderline = pi_0_at(rf, u).rank(threshold)
+        rank, borderline = numerical_rank(pi_0_at(rf, u), threshold)
         best = max(best, int(rank.max()))
         n_borderline += int(borderline.sum())
     return best, n_borderline
@@ -920,9 +874,8 @@ class HermitianFitResult:
 class HermitianFrame:
     """The seed-independent part of hermitian_fit, built once per realization."""
 
-    across: list[int]  # indices of basis_u across the (p, q) block Levi
-    u0: np.ndarray  # see _block_alignment
-    transfer_inv: np.ndarray  # inverse differential of u K -> u u0^{-1}
+    ad_u0: np.ndarray  # Ad(u0) over basis_u, u0 from _block_alignment
+    flag_reader: np.ndarray  # basis_u -> basis_ip0 for the flag part
     c_inv: np.ndarray  # see invariant_bivector
     rank_inv: int
 
@@ -981,35 +934,22 @@ def _hermitian_frame(rf: MatrixRealForm) -> HermitianFrame:
     if rf.kind != "su_pq":
         raise NotHermitianError(f"{rf.label} is not Hermitian symmetric here")
     across = _levi_across(rf)
-    u0 = _block_alignment(rf)
-    # differential of the identification in left trivialization
-    ad_u0 = rf.Ad_matrix(u0)
-    transfer = np.stack([(ad_u0 @ rf.coeffs(b))[across] for b in rf.basis_ip0], axis=1)
+    ad_u0 = rf.Ad_matrix(_block_alignment(rf))
+    # the flag part keeps the entries across the Levi block and carries them
+    # back by the inverse differential of u K -> u u0^{-1} (left-trivialized)
+    reader = np.zeros((rf.dim_ip0, rf.dim_u))
+    reader[:, across] = np.linalg.inv((ad_u0 @ rf._S[:, rf.dim_k0:])[across])
     c_inv = invariant_bivector(rf)
-    return HermitianFrame(across, u0, np.linalg.inv(transfer), c_inv,
-                          int(numerical_rank(c_inv, 1e-9)[0]))
-
-
-def bruhat_projection_at(rf: MatrixRealForm, v: np.ndarray,
-                         across: list[int]) -> np.ndarray:
-    """Left-trivialized group bivector at v (or each point of a stack v),
-    projected off the Levi block."""
-    a_inv = rf.Ad_matrix(_H(v))
-    c_left = a_inv @ rf.lam @ _T(a_inv) - rf.lam
-    return c_left[..., across, :][..., across]
-
-
-def pi_infinity_at(rf: MatrixRealForm, u: np.ndarray) -> np.ndarray:
-    """Flag-projected bivector pulled back to the symmetric space through the
-    identification u K -> u u0^{-1} (parabolic coset); u may be a stack."""
-    frame = rf.hermitian_frame
-    c = bruhat_projection_at(rf, u @ frame.u0.conj().T, frame.across)
-    return frame.transfer_inv @ c @ frame.transfer_inv.T
+    return HermitianFrame(ad_u0, reader, c_inv, int(numerical_rank(c_inv, 1e-9)[0]))
 
 
 def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
                   seed: int = 11) -> HermitianFitResult:
     """Least-squares scalar b in: quotient bivector = flag part + b * invariant.
+
+    The flag part is the left-trivialized group bivector at u u0^{-1},
+    projected off the Levi block and pulled back to the symmetric space
+    through the identification u K -> u u0^{-1} (parabolic coset).
 
     The fitted b depends on the documented normalization of the invariant
     bivector and is reported, not asserted against any external convention.
@@ -1021,7 +961,12 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
     total, hi, lo = 0.0, -np.inf, np.inf
     for rngs in seeded_stacks(seed, n_samples):
         u = _unitary(complex_normals(rngs, (rf.n, rf.n))[0])
-        d = pi_0_at(rf, u).matrix - pi_infinity_at(rf, u)
+        _check_unitary(u)
+        a_inv = rf.Ad_matrix(_H(u))
+        # each part is minus the kernel at its point's inverse: u^{-1} for the
+        # quotient bivector, u0 u^{-1} for the flag part
+        d = (_bivector(rf, frame.ad_u0 @ a_inv, frame.flag_reader)
+             - _bivector(rf, a_inv, rf._ip0_reader))
         total += float(np.sum(d * c_inv))
         hi, lo = np.maximum(hi, d.max(axis=0)), np.minimum(lo, d.min(axis=0))
 

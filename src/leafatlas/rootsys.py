@@ -60,10 +60,6 @@ def mat_transpose(a: IntMatrix) -> IntMatrix:
     return tuple(zip(*a))
 
 
-def mat_neg(a: IntMatrix) -> IntMatrix:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def mat_trace(a: IntMatrix) -> int:
     return sum(a[i][i] for i in range(len(a)))
 
@@ -161,10 +157,6 @@ class RootSystem:
 
     def is_negative(self, v: Sequence[int]) -> bool:
         return any(x != 0 for x in v) and all(x <= 0 for x in v)
-
-    def is_root(self, v: Sequence[int]) -> bool:
-        t = tuple(v)
-        return t in self.positive_roots or tuple(-x for x in t) in self.positive_roots
 
     @cached_property
     def permutations(self) -> RootPermutations:
@@ -342,10 +334,6 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> Iterator[Weyl
                     seen.add(prod.matrix)
                     nxt.append(prod)
         queue = nxt
-
-
-def weyl_order(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> int:
-    return sum(1 for _ in enumerate_weyl(rs, cap=cap))
 
 
 def preserves_form(rs: RootSystem, w: WeylElement) -> bool:

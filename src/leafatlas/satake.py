@@ -415,7 +415,28 @@ _SET_RE = re.compile(r"^\{(.*)\}$")
 _PAIR_RE = re.compile(r"^\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
 
-def _parse_node_set(text: str, line: int) -> frozenset[int]:
+def _parse_type(text: str, rank: int | str | None,
+                line: int | None = None) -> tuple[str, int]:
+    """(family, rank) from a Cartan type such as A2, or a bare family such as
+    A with the rank given apart; a rank given in both places must agree."""
+    tm = _TYPE_RE.match(text)
+    if tm is None:
+        raise CatalogParseError(f"bad type {text!r}", line)
+    if rank is not None:
+        try:
+            rank = int(rank)
+        except ValueError:
+            raise CatalogParseError(f"bad rank {rank!r}", line) from None
+    if tm.group(2):
+        if rank is not None and rank != int(tm.group(2)):
+            raise CatalogParseError("rank= disagrees with type=", line)
+        rank = int(tm.group(2))
+    elif rank is None:
+        raise CatalogParseError("missing rank (use type=A2 or rank=2)", line)
+    return tm.group(1).upper(), rank
+
+
+def _parse_node_set(text: str, line: int | None = None) -> frozenset[int]:
     m = _SET_RE.match(text.strip())
     if m is None:
         raise CatalogParseError(f"expected a set literal, got {text!r}", line)
@@ -428,7 +449,7 @@ def _parse_node_set(text: str, line: int) -> frozenset[int]:
         raise CatalogParseError(f"bad node set {text!r}", line) from None
 
 
-def _parse_arrow_set(text: str, line: int) -> frozenset[tuple[int, int]]:
+def _parse_arrow_set(text: str, line: int | None = None) -> frozenset[tuple[int, int]]:
     m = _SET_RE.match(text.strip())
     if m is None:
         raise CatalogParseError(f"expected a set literal, got {text!r}", line)
@@ -490,18 +511,7 @@ def load_catalog(source: str) -> tuple[SatakeDiagram, ...]:
         if label in seen_labels:
             raise CatalogParseError(f"duplicate label {label!r}", line)
         seen_labels.add(label)
-        tm = _TYPE_RE.match(fields["type"])
-        if tm is None:
-            raise CatalogParseError(f"bad type {fields['type']!r}", line)
-        family = tm.group(1).upper()
-        if tm.group(2):
-            rank = int(tm.group(2))
-            if "rank" in fields and int(fields["rank"]) != rank:
-                raise CatalogParseError("rank= disagrees with type=", line)
-        elif "rank" in fields:
-            rank = int(fields["rank"])
-        else:
-            raise CatalogParseError("missing rank (use type=A2 or rank=2)", line)
+        family, rank = _parse_type(fields["type"], fields.get("rank"), line)
         black = _parse_node_set(fields.get("black", "{}"), line)
         arrows = _parse_arrow_set(fields.get("arrows", "{}"), line)
         diagrams.append(

@@ -44,8 +44,8 @@ def multiplicativity_residual(rf, n_pairs, seed):
         u = sample_unitary(rng, rf.n)
         v = sample_unitary(rng, rf.n)
         a = rf.Ad_matrix(u)
-        lhs = ml.pi_U_at(rf, u @ v).matrix
-        rhs = a @ ml.pi_U_at(rf, v).matrix @ a.T + ml.pi_U_at(rf, u).matrix
+        lhs = ml.pi_U_at(rf, u @ v)
+        rhs = a @ ml.pi_U_at(rf, v) @ a.T + ml.pi_U_at(rf, u)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -58,8 +58,8 @@ def t_invariance_residual(rf, n_samples, seed):
         phases -= phases.mean()
         t = np.diag(np.exp(1j * phases))
         at = rf.Ad_matrix(t)
-        right = ml.pi_U_at(rf, u @ t).matrix - ml.pi_U_at(rf, u).matrix
-        left = ml.pi_U_at(rf, t @ u).matrix - at @ ml.pi_U_at(rf, u).matrix @ at.T
+        right = ml.pi_U_at(rf, u @ t) - ml.pi_U_at(rf, u)
+        left = ml.pi_U_at(rf, t @ u) - at @ ml.pi_U_at(rf, u) @ at.T
         worst = max(worst, float(np.abs(right).max()), float(np.abs(left).max()))
     return worst
 
@@ -68,10 +68,32 @@ def max_sampled_rank(rf, n_samples, seed, threshold=ml.RANK_THRESHOLD):
     best, n_borderline = 0, 0
     for rng in children(seed, n_samples):
         u = sample_unitary(rng, rf.n)
-        rank, borderline = ml.pi_0_at(rf, u).rank(threshold)
+        rank, borderline = ml.numerical_rank(ml.pi_0_at(rf, u), threshold)
         best = max(best, int(rank))
         n_borderline += bool(borderline)
     return best, n_borderline
+
+
+def pi_0_left_quotient(rf, u):
+    """The quotient bivector in the mirrored (left coset) presentation:
+    pi_U_at(u) projected onto basis_ip0.  Equal to -pi_0_at(u^{-1})."""
+    k = rf.dim_k0
+    upper = np.triu((rf._Sinv @ ml.pi_U_at(rf, u) @ rf._Sinv.T)[k:, k:], k=1)
+    return upper - upper.T
+
+
+def flag_part(rf, u):
+    """The flag part of hermitian_fit from Ad(u0 u^{-1}) as one adjoint
+    matrix: the left-trivialized group bivector at u u0^{-1}, across the
+    Levi block, carried back by a transfer matrix built column by column."""
+    u0 = ml._block_alignment(rf)
+    across = ml._levi_across(rf)
+    ad_u0 = rf.Ad_matrix(u0)
+    transfer = np.stack([(ad_u0 @ rf.coeffs(b))[across] for b in rf.basis_ip0], axis=1)
+    a = rf.Ad_matrix(u0 @ u.conj().T)
+    c = (a @ rf.lam @ a.T - rf.lam)[np.ix_(across, across)]
+    tinv = np.linalg.inv(transfer)
+    return tinv @ c @ tinv.T
 
 
 def hermitian_fit(rf, n_samples, seed):
@@ -80,7 +102,7 @@ def hermitian_fit(rf, n_samples, seed):
     diffs = []
     for rng in children(seed, n_samples):
         u = sample_unitary(rng, rf.n)
-        diffs.append(ml.pi_0_at(rf, u).matrix - ml.pi_infinity_at(rf, u))
+        diffs.append(ml.pi_0_at(rf, u) - flag_part(rf, u))
     denom = float(np.sum(c_inv * c_inv))
     b = float(sum(np.sum(d * c_inv) for d in diffs) / (denom * len(diffs)))
     return b, max(float(np.abs(d - b * c_inv).max()) for d in diffs)

@@ -68,13 +68,13 @@ def test_criterion_02_su2_closed_form_and_ranks():
             assert abs(got_w - w) < 1e-10
             expected = ml.SU2_AMPLITUDE * (1 - abs(w) ** 4)
             worst = max(worst, abs(coeff - expected) / abs(expected))
-            rank, _ = ml.pi_0_left_quotient(rf, u).rank(threshold=1e-8)
+            rank, _ = ml.numerical_rank(ml.pi_0_at(rf, u.conj().T), threshold=1e-8)
             assert rank == 2, f"rank 2 expected off the unit circle at {w}"
         assert count == 100
         assert worst <= 1e-8
         for theta in np.linspace(0.0, 2 * math.pi, 17):
             u = ml.chart_su2_section(np.exp(1j * theta))
-            rank, _ = ml.pi_0_left_quotient(rf, u).rank(threshold=1e-8)
+            rank, _ = ml.numerical_rank(ml.pi_0_at(rf, u.conj().T), threshold=1e-8)
             assert rank == 0, "equator points must be zero-rank"
     verdict(2, f"closed form matches to {worst:.2e} (amplitude 1/8, see notes); "
                f"ranks 2/0 as required, {t.elapsed:.2f}s")

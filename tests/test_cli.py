@@ -65,6 +65,24 @@ def test_atlas_inline_needs_rank(capsys):
     assert code == 1
 
 
+def test_atlas_inline_rank_must_agree_with_type(capsys):
+    code, out, err = run(capsys, "atlas", "--type", "A2", "--rank", "5")
+    assert code == 1 and out == ""
+    assert "disagrees" in err
+    assert run(capsys, "atlas", "--type", "A2", "--rank", "2")[0] == 0
+    assert run(capsys, "atlas", "--type", "A", "--rank", "2")[0] == 0
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--black", "{x}", "bad node set '{x}'"),
+    ("--arrows", "{(1,)}", "bad arrow pair '(1,)'"),
+])
+def test_atlas_inline_parse_error_has_no_line_prefix(capsys, flag, value, message):
+    code, out, err = run(capsys, "atlas", "--type", "A3", flag, value)
+    assert code == 1 and out == ""
+    assert err == message + "\n"
+
+
 def test_atlas_byte_identical_reruns(capsys):
     _, first, _ = run(capsys, "atlas", "--form", "su(2,1)", "--seed", "5")
     _, second, _ = run(capsys, "atlas", "--form", "su(2,1)", "--seed", "5")
@@ -234,6 +252,20 @@ def test_verify_unknown_tolerance_name(capsys):
     assert "jacobi" in err.split("known:")[1]
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "abc"])
+def test_verify_rejects_bad_tolerance_values(capsys, value):
+    code, out, err = run(capsys, "verify", "--form", "sl(2,R)", "--tol", f"jacobi={value}")
+    assert code == 1 and out == ""
+    assert f"tolerance 'jacobi' must be a number at least 0, got '{value}'" in err
+
+
+def test_rank_threshold_override_reaches_both_rank_checks():
+    doc = run_verify_battery(catalog_by_label()["su(2,1)"], RunConfig(
+        command="verify", samples=10, tolerances={"rank_threshold": 1.0}))
+    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+    assert failed == ["rank_vs_atlas", "stabilizer_dims"]
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_rejects_nonpositive_samples(capsys, samples):
     code, out, err = run(capsys, "verify", "--form", "su(2,1)", "--samples", samples)
@@ -377,6 +409,10 @@ def test_catalog_empty_file(tmp_path, capsys):
     assert code == 0
     assert "empty" in err
     assert json.loads(out)["entries"] == []
+    code, out, err = run(capsys, "catalog", "--catalog", str(path), "--format", "md")
+    assert code == 0
+    assert "empty" in err
+    assert out == "| label | type | result | failures |\n|---|---|---|---|\n"
 
 
 def test_catalog_markdown(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -140,7 +141,7 @@ def test_lambda_torus_rows_vanish():
 # group bivector
 
 def test_pi_u_vanishes_at_identity(sl2):
-    assert np.abs(ml.pi_U_at(sl2, np.eye(2, dtype=complex)).matrix).max() < 1e-14
+    assert np.abs(ml.pi_U_at(sl2, np.eye(2, dtype=complex))).max() < 1e-14
 
 
 def test_pi_u_rejects_non_unitary(sl2):
@@ -150,7 +151,7 @@ def test_pi_u_rejects_non_unitary(sl2):
 
 def test_pi_u_vanishes_on_torus(sl3):
     t = np.diag(np.exp(1j * np.array([0.3, 0.5, -0.8])))
-    assert np.abs(ml.pi_U_at(sl3, t).matrix).max() < 1e-14
+    assert np.abs(ml.pi_U_at(sl3, t)).max() < 1e-14
 
 
 def test_pi_u_torus_invariance(sl3):
@@ -161,32 +162,34 @@ def test_pi_u_multiplicativity(sl3):
     assert ml.multiplicativity_residual(sl3, n_pairs=40, seed=6) < 1e-8
 
 
-def test_bivector_antisymmetric_by_storage(sl3):
-    u = ml.sample_unitary(np.random.default_rng(1), 3)
-    bv = ml.pi_U_at(sl3, u)
-    assert np.array_equal(np.tril(bv.upper), np.zeros_like(bv.upper))
-    assert np.abs(bv.matrix + bv.matrix.T).max() == 0
+@pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)"])
+def test_bivectors_antisymmetric_bit_for_bit(label):
+    rf = ml.realization(label)
+    us = np.stack([ml.sample_unitary(rng, rf.n) for rng in ml.seeded_rngs(1, 5)])
+    for kernel in (ml.pi_U_at, ml.pi_0_at):
+        for m in (kernel(rf, us[0]), kernel(rf, us)):
+            assert np.array_equal(m, -ml._T(m))
 
 
 def test_pi_0_zero_at_identity_coset(sl2, sl3):
     for rf in (sl2, sl3):
-        assert np.abs(ml.pi_0_at(rf, np.eye(rf.n, dtype=complex)).matrix).max() < 1e-14
+        assert np.abs(ml.pi_0_at(rf, np.eye(rf.n, dtype=complex))).max() < 1e-14
 
 
 def test_pi_0_rank_even_and_bounded(sl3):
     for child in np.random.SeedSequence(7).spawn(20):
         u = ml.sample_unitary(np.random.default_rng(child), 3)
-        s = ml.poisson_sample(sl3, u)
-        assert s.rank % 2 == 0
-        assert s.rank <= sl3.dim_ip0
+        rank, _ = ml.numerical_rank(ml.pi_0_at(sl3, u))
+        assert rank % 2 == 0
+        assert rank <= sl3.dim_ip0
 
 
 def test_quotient_presentations_mirror(sl2, sl3):
     # group inversion swaps the two coset presentations and flips the sign
     for rf in (sl2, sl3):
         u = ml.sample_unitary(np.random.default_rng(2), rf.n)
-        lhs = ml.pi_0_at(rf, u.conj().T).matrix
-        rhs = -ml.pi_0_left_quotient(rf, u).matrix
+        lhs = ml.pi_0_at(rf, u.conj().T)
+        rhs = -loops.pi_0_left_quotient(rf, u)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -273,10 +276,10 @@ def test_su2_closed_form_literal_unit_amplitude(sl2):
 def test_su2_rank_pattern(sl2):
     for th in np.linspace(0, 2 * math.pi, 9):
         u = ml.chart_su2_section(np.exp(1j * th))
-        rank, _ = ml.pi_0_left_quotient(sl2, u).rank()
+        rank, _ = ml.numerical_rank(ml.pi_0_at(sl2, u.conj().T))
         assert rank == 0
     for w in (0.2 + 0.1j, 1.5 - 0.4j, 0.9j):
-        rank, _ = ml.pi_0_left_quotient(sl2, ml.chart_su2_section(w)).rank()
+        rank, _ = ml.numerical_rank(ml.pi_0_at(sl2, ml.chart_su2_section(w).conj().T))
         assert rank == 2
 
 
@@ -629,7 +632,7 @@ def _chart_bivector_series(rf, x):
     k = rf.dim_k0
     dexp = _phi_series(rf.ad_matrix(xi)) @ rf._S[:, k:]
     jinv = np.linalg.inv((rf._Sinv @ dexp)[k:])
-    return jinv @ ml.pi_0_at(rf, u).matrix @ jinv.T, dexp
+    return jinv @ ml.pi_0_at(rf, u) @ jinv.T, dexp
 
 
 @pytest.mark.parametrize("label", REALIZED)
@@ -755,14 +758,16 @@ def test_stacked_checks_match_the_per_sample_loops(label):
 
 
 def test_hermitian_fit_extremes_match_the_loop_off_the_decomposition(monkeypatch):
-    # with a symmetric stand-in for the flag part the differences are far
-    # from b c_inv and not antisymmetric, so the residual can peak at the
-    # running max of one entry or at the running min of another
-    rf = ml.realization("su(2,1)")
+    # with a symmetric part added to the invariant bivector the differences
+    # are far from b c_inv, and (i, j) and (j, i) miss it by different
+    # amounts, so the residual can peak at the running max of one entry or
+    # at the running min of another
+    rf = ml.MatrixRealForm("su(2,1)", "su_pq", 3, 2, 1)
+    frame = rf.hermitian_frame
     s = np.random.default_rng(43).normal(size=(rf.dim_ip0, rf.dim_ip0))
-    for flag in (s + s.T, -(s + s.T)):
-        monkeypatch.setattr(ml, "pi_infinity_at",
-                            lambda rf, u: np.broadcast_to(flag, u.shape[:-2] + flag.shape))
+    for sym in (s + s.T, -(s + s.T)):
+        monkeypatch.setattr(rf, "hermitian_frame",
+                            dataclasses.replace(frame, c_inv=frame.c_inv + sym))
         fit = ml.hermitian_fit(rf, 37, seed=8)
         b, max_residual = loops.hermitian_fit(rf, 37, 8)
         assert max_residual > 0.1
@@ -830,6 +835,27 @@ def test_multiplicativity_factors_one_stack_at_a_time(monkeypatch):
     ml.multiplicativity_residual(ml.realization("sl(3,R)"), 100, seed=0)
     assert 0 < len(factored) <= math.ceil(200 / ml.STACK)
     assert all(math.prod(shape[:-2]) <= 2 * ml.STACK for shape in factored)
+
+
+def test_each_point_forms_its_adjoint_matrix_once(monkeypatch):
+    calls = []
+    original = ml.MatrixRealForm.Ad_matrix
+
+    def counting(self, u):
+        calls.append(u.shape)
+        return original(self, u)
+
+    rf = ml.MatrixRealForm("su(2,1)", "su_pq", 3, 2, 1)
+    assert rf.hermitian_frame.ad_u0.shape == (rf.dim_u, rf.dim_u)  # built uncounted
+    monkeypatch.setattr(ml.MatrixRealForm, "Ad_matrix", counting)
+    stacks = 3
+    for check, per_stack in ((ml.multiplicativity_residual, 3), (ml.hermitian_fit, 1)):
+        calls.clear()
+        check(rf, (stacks - 1) * ml.STACK + 1, seed=0)
+        assert len(calls) == stacks * per_stack, check.__name__
+    calls.clear()
+    ml.leaf_tangency_check(rf, ml.sample_unitary(np.random.default_rng(0), rf.n))
+    assert calls == [(rf.n, rf.n)]
 
 
 def test_one_bad_sample_fails_its_stack(sl3):

@@ -60,6 +60,17 @@ def test_parse_rank_mismatch():
         load_catalog("name=x; type=A2; rank=3")
 
 
+@pytest.mark.parametrize("stanza,message", [
+    ("name=x; type=A", "line 3: missing rank (use type=A2 or rank=2)"),
+    ("name=x; type=Q2", "line 3: bad type 'Q2'"),
+    ("name=x; type=A; rank=two", "line 3: bad rank 'two'"),
+])
+def test_parse_type_and_rank_messages(stanza, message):
+    with pytest.raises(CatalogParseError) as err:
+        load_catalog("\n\n" + stanza)
+    assert str(err.value) == message
+
+
 def test_parse_bad_arrows():
     with pytest.raises(CatalogParseError):
         load_catalog("name=x; type=A3; arrows={(1,2,3)}")
