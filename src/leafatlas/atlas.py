@@ -11,35 +11,14 @@ import hashlib
 from dataclasses import dataclass
 from typing import Iterator
 
-from .rootsys import (
-    DEFAULT_WEYL_CAP,
-    IntMatrix,
-    Perm,
-    RootSystem,
-    WeylCapError,
-    WeylElement,
-    enumerate_weyl,  # noqa: F401  re-exported; bench/tests/test_tracer.py checks this binding
-    identity_matrix,
-    length,
-    longest_element,  # noqa: F401  re-exported; bench/tests/test_tracer.py checks this binding
-    mat_mul,
-    mat_trace,
-    multiply,
-)
+from .rootsys import DEFAULT_WEYL_CAP, Perm, RootSystem, WeylCapError
 from .satake import RealFormData, SatakeDiagram, real_form_data
-
-
-class NotTwistedInvolutionError(ValueError):
-    """Raised when a Weyl element w does not satisfy (w tau*)^2 = 1."""
-
-
-def twisted_matrix(rf: RealFormData, psi: WeylElement) -> IntMatrix:
-    return mat_mul(psi.matrix, rf.tau_star)
 
 
 @dataclass(frozen=True)
 class OrbitClass:
-    """Leaf invariants attached to one twisted involution psi.
+    """Leaf invariants attached to one twisted involution psi, which is kept
+    as its lexicographically least reduced word.
 
     codim_Y is the codimension of the corresponding orbit class on the flag
     variety; t and a are the toral and vector dimensions of the attached
@@ -47,7 +26,7 @@ class OrbitClass:
     and family_dim the dimension of the torus parameterizing the family.
     """
 
-    psi: WeylElement
+    psi_word: tuple[int, ...]
     codim_Y: int
     t: int
     a: int
@@ -60,21 +39,22 @@ class OrbitClass:
     dims_in_range: bool
 
     @classmethod
-    def build(cls, rf: RealFormData, rs: RootSystem, psi: WeylElement,
+    def build(cls, rf: RealFormData, rs: RootSystem, psi: Perm,
               codim_y: int, a: int) -> OrbitClass:
-        """The class of psi from its codim_Y and a, the dimension of the +1
-        eigenspace of the involution psi tau*; every other field follows."""
-        rank = rs.rank
-        t = rank - a
-        m, tau = psi.matrix, rf.tau_star
+        """The class of the permutation psi from its codim_Y and a, the
+        dimension of the +1 eigenspace of the involution psi tau*; every
+        other field follows."""
+        k = rs.permutations
+        t = rs.rank - a
         # psi tau* is an involution, so a - t is its trace
-        assert a - t == sum(m[i][j] * tau[j][i] for i in range(rank) for j in range(rank))
+        assert a - t == k.trace(k.compose(psi, rf.tau_star))
+        word = k.reduced_word(psi)
         dim_orbit = 2 * len(rs.positive_roots) - codim_y
         leaf_dim = dim_orbit - rf.dim_k0 + t
         leaf_codim = rf.dim_x - leaf_dim
         assert leaf_codim == a + codim_y
         return cls(
-            psi=psi,
+            psi_word=word,
             codim_Y=codim_y,
             t=t,
             a=a,
@@ -82,14 +62,10 @@ class OrbitClass:
             leaf_codim=leaf_codim,
             family_dim=a,
             is_open=(codim_y == 0 and a == 0),
-            is_closed_class=(not psi.word or m == identity_matrix(rank)),
+            is_closed_class=not word,
             parity_ok=(leaf_dim % 2 == 0),
             dims_in_range=(0 <= leaf_dim <= rf.dim_x),
         )
-
-    @property
-    def psi_word(self) -> tuple[int, ...]:
-        return self.psi.word
 
     @property
     def realizable_candidate(self) -> bool:
@@ -122,7 +98,7 @@ def twisted_involutions(
     """
     k = rs.permutations
     npos = k.npos
-    wb = k.perm(rf.w_b)
+    wb = rf.w_b.perm
     twisted = [(k.reflections[i], k.reflections[j], k.simple[i], k.simple[j])
                for i, j in enumerate(rf.sigma)]
     # sigma is an involution: its orbits are its fixed points and 2-cycles
@@ -141,7 +117,7 @@ def twisted_involutions(
                     f"{rf.diagram.label}: number of twisted involutions exceeds cap {cap}",
                     partial_count=cap,
                 )
-            yield OrbitClass.build(rf, rs, k.element(k.compose(v, wb)), npos - ell, a)
+            yield OrbitClass.build(rf, rs, k.compose(v, wb), npos - ell, a)
             for s, s_sigma, alpha, alpha_sigma in twisted:
                 # s_i is a left descent of v iff v^-1 = sigma v sigma sends
                 # alpha_i to a negative root, iff v does so to alpha_sigma(i)
@@ -156,29 +132,6 @@ def twisted_involutions(
                 else:
                     layers[1].setdefault(k.compose(sv, s_sigma), a)
         ell += 1
-
-
-def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> OrbitClass:
-    """The class of one twisted involution, computed from psi alone: the
-    reference for the invariants that `twisted_involutions` carries."""
-    m = twisted_matrix(rf, psi)
-    if mat_mul(m, m) != identity_matrix(rs.rank):
-        raise NotTwistedInvolutionError(
-            f"word {psi.word} is not a twisted involution for {rf.diagram.label}"
-        )
-    codim_y = length(rs, multiply(rs, psi, rf.w_b, rf.w0))
-    return OrbitClass.build(rf, rs, psi, codim_y, (rs.rank + mat_trace(m)) // 2)
-
-
-def open_class_element(rf: RealFormData, rs: RootSystem) -> WeylElement:
-    """The unique psi with codim_Y = 0, namely w_0 w_b."""
-    return multiply(rs, rf.w0, rf.w_b)
-
-
-def open_leaf_test(rf: RealFormData, rs: RootSystem) -> bool:
-    """True iff open leaves exist: the codimension-zero class has a = 0."""
-    cls = orbit_class(rf, rs, open_class_element(rf, rs))
-    return cls.is_open
 
 
 NOTE_CONTRACTIBLE = "every symplectic leaf is contractible"
@@ -216,13 +169,6 @@ class AtlasReport:
     @property
     def label(self) -> str:
         return self.form.diagram.label
-
-    def open_classes(self) -> list[OrbitClass]:
-        return [c for c in self.classes if c.is_open]
-
-    def closed_class(self) -> OrbitClass:
-        (cls,) = [c for c in self.classes if c.is_closed_class]
-        return cls
 
     def min_leaf_codim(self) -> int:
         """Smallest leaf codimension over classes that can carry leaves."""

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
 from .atlas import AtlasReport, atlas, catalog_text_hash
-from .atlas import orbit_class  # noqa: F401  re-exported; bench/tests/test_tracer.py checks this binding
 from .rootsys import DEFAULT_WEYL_CAP, WeylCapError
 from .satake import (
     CatalogParseError,
@@ -263,7 +262,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
     checks.append(_check("iwasawa_borel", cart["iwasawa_borel"], tol["borel"]))
     checks.append(_check_exact(
         "tau_root_compatibility",
-        ml.tau_root_action(rf) == rfe.tau_star,
+        ml.tau_root_action(rf) == sd.root_system().permutations.images(rfe.tau_star),
         "concrete conjugation induces the catalog involution",
     ))
     ann = ml.annihilator_check(rf)
@@ -341,7 +340,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
 
     found, matched, total = 0, 0, len(report.classes)
     for cls in report.classes:
-        u = ml.representative_for(rf, cls.psi)
+        u = ml.representative_for(rf, cls.psi_word)
         if u is None:
             continue
         found += 1
@@ -508,9 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--form", help="catalog label, e.g. sl(2,R)")
     pa.add_argument("--type", dest="cartan_type", help="inline diagram type, e.g. A2")
     pa.add_argument("--rank", type=int)
-    pa.add_argument("--black", default="{}")
-    pa.add_argument("--arrows", default="{}")
-    pa.add_argument("--label", default=None, help="label for an inline diagram")
+    pa.add_argument("--black")
+    pa.add_argument("--arrows")
+    pa.add_argument("--label", help="label for an inline diagram")
 
     pv = sub.add_parser("verify", parents=[common], help="numerical verification")
     pv.add_argument("--form", required=True)
@@ -523,13 +522,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _inline_diagram(args: argparse.Namespace) -> SatakeDiagram | None:
+    """The diagram given by --type and its companion flags, or None without
+    --type. Raises ValueError for flags that cannot be combined."""
+    given = [f"--{n}" for n in ("rank", "black", "arrows", "label") if getattr(args, n) is not None]
     if not args.cartan_type:
+        if given:
+            raise ValueError(f"{', '.join(given)} only describe an inline --type diagram")
         return None
+    if args.form is not None:
+        raise ValueError("give either --form or an inline --type diagram, not both")
     from .satake import _parse_arrow_set, _parse_node_set, _parse_type
 
     family, rank = _parse_type(args.cartan_type, args.rank)
-    black = _parse_node_set(args.black)
-    arrows = _parse_arrow_set(args.arrows)
+    black = _parse_node_set("{}" if args.black is None else args.black)
+    arrows = _parse_arrow_set("{}" if args.arrows is None else args.arrows)
     label = args.label or f"custom({family}{rank})"
     return SatakeDiagram(label=label, family=family, rank=rank,
                          black=black, arrows=arrows)
@@ -553,6 +559,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.weyl_cap < 1:
         sys.stderr.write(f"--weyl-cap must be at least 1, got {args.weyl_cap}\n")
         return EXIT_USAGE
+    if args.command == "verify" and args.seed < 0:  # numpy seeds are non-negative
+        sys.stderr.write(f"--seed must be at least 0 for verify, got {args.seed}\n")
+        return EXIT_USAGE
 
     cfg = RunConfig(
         command=args.command,
@@ -570,7 +579,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "atlas":
             try:
                 cfg.inline = _inline_diagram(args)
-            except CatalogParseError as exc:
+            except ValueError as exc:  # CatalogParseError included
                 sys.stderr.write(f"{exc}\n")
                 return EXIT_USAGE
             if cfg.inline is None and not cfg.form:

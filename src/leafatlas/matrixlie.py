@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .rootsys import IntMatrix, WeylElement
+from .rootsys import IntVector
 
 TOL_UNITARY = 1e-10
 TOL_NORMALIZER = 1e-10
@@ -622,9 +622,10 @@ def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray, include_torus: bool = Fals
 # representatives of twisted involutions
 
 def induced_weyl_matrix(rf: MatrixRealForm, u: np.ndarray,
-                        tol: float = TOL_NORMALIZER) -> tuple[IntMatrix | None, float]:
-    """Extract the Weyl-group class of u tau(u)^{-1} as an integer matrix on
-    simple-root coordinates; returns (None, residual) off the normalizer."""
+                        tol: float = TOL_NORMALIZER) -> tuple[list[int] | None, float]:
+    """Extract the Weyl-group class of u tau(u)^{-1} as the permutation
+    e_j -> e_{perm[j]} of the diagonal; returns (None, residual) off the
+    normalizer."""
     m = u @ np.linalg.inv(rf.tau_group(u))
     n = rf.n
     perm = [int(np.argmax(np.abs(m[:, j]))) for j in range(n)]
@@ -634,18 +635,14 @@ def induced_weyl_matrix(rf: MatrixRealForm, u: np.ndarray,
     residual = float(np.linalg.norm(m - approx))
     if residual > tol or sorted(perm) != list(range(n)):
         return None, residual
-
-    # permutation action e_j -> e_{perm[j]} on the diagonal; column i is the
-    # image e_perm[i] - e_perm[i+1] of alpha_i = e_i - e_{i+1} in simple-root
-    # coordinates, whose k-th entry is the partial sum of its entries up to k
-    return tuple(tuple(int(perm[i] <= k) - int(perm[i + 1] <= k) for i in range(n - 1))
-                 for k in range(n - 1)), residual
+    return perm, residual
 
 
-def _weyl_permutation(psi: WeylElement, n: int) -> list[int]:
-    """psi as the permutation e_j -> e_{perm[j]} of the diagonal."""
+def _weyl_permutation(word: Sequence[int], n: int) -> list[int]:
+    """The Weyl element of a word as the permutation e_j -> e_{perm[j]} of
+    the diagonal."""
     perm = list(range(n))
-    for i in psi.word:
+    for i in word:
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     return perm
 
@@ -698,19 +695,20 @@ def _su_pq_representative(rf: MatrixRealForm, perm: list[int]) -> np.ndarray | N
     return (qh @ qj.T).astype(complex)
 
 
-def representative_for(rf: MatrixRealForm, psi: WeylElement) -> np.ndarray | None:
+def representative_for(rf: MatrixRealForm, word: Sequence[int]) -> np.ndarray | None:
     """A unitary u of determinant 1 whose normalizer-valued invariant
-    u tau(u)^{-1} induces exactly psi, or None when no orbit realizes psi
-    (possible for su(p, q) only).
+    u tau(u)^{-1} induces exactly the Weyl element psi of `word`, or None
+    when no orbit realizes psi (possible for su(p, q) only).
 
     The constructed u is self-verified: the off-normalizer residual must be
-    below tolerance and the induced integer matrix must equal psi's matrix;
-    a failure is a bug and raises RuntimeError.
+    below tolerance and the induced permutation of the diagonal must be
+    psi's, on which S_n acts faithfully; a failure is a bug and raises
+    RuntimeError.
     """
-    if len(psi.word) == 0:
+    if len(word) == 0:
         return np.eye(rf.n, dtype=complex)
 
-    perm = _weyl_permutation(psi, rf.n)
+    perm = _weyl_permutation(word, rf.n)
     if rf.kind == "sl_real":
         u = _sl_real_representative(perm)
     else:
@@ -718,9 +716,9 @@ def representative_for(rf: MatrixRealForm, psi: WeylElement) -> np.ndarray | Non
         if u is None:
             return None
     got, residual = induced_weyl_matrix(rf, u)
-    if got != psi.matrix or residual > TOL_NORMALIZER:
+    if got != perm or residual > TOL_NORMALIZER:
         raise RuntimeError(
-            f"{rf.label}: constructed representative of word {psi.word} fails "
+            f"{rf.label}: constructed representative of word {tuple(word)} fails "
             f"the self-check (residual {residual:.2e})"
         )
     return u
@@ -978,9 +976,10 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
 # ---------------------------------------------------------------------------
 # consistency with the exact engine
 
-def tau_root_action(rf: MatrixRealForm) -> IntMatrix:
-    """The involution induced on simple-root coordinates by the concrete
-    conjugation, extracted from its action on the real split torus."""
+def tau_root_action(rf: MatrixRealForm) -> tuple[IntVector, ...]:
+    """The involution induced on the roots by the concrete conjugation, as
+    the images of the simple roots in simple-root coordinates, extracted from
+    its action on the real split torus."""
     n = rf.n
     # action on diagonal coordinates: column k is the diagonal of tau(E_kk)
     units = np.eye(n)[:, None] * np.eye(n, dtype=complex)
@@ -988,9 +987,9 @@ def tau_root_action(rf: MatrixRealForm) -> IntMatrix:
     # row i: the functional x -> alpha_i(tau x), alpha_i = e_i - e_{i+1},
     # whose partial sums are its simple-root coordinates
     g = (np.eye(n - 1, n) - np.eye(n - 1, n, 1)) @ t
-    matrix = np.cumsum(g, axis=1)[:, : n - 1].T
-    out = np.rint(matrix).astype(int)
-    assert np.abs(matrix - out).max() < 1e-9
+    images = np.cumsum(g, axis=1)[:, : n - 1]
+    out = np.rint(images).astype(int)
+    assert np.abs(images - out).max() < 1e-9
     return tuple(tuple(int(x) for x in row) for row in out)
 
 

@@ -15,18 +15,12 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .rootsys import (
-    IntMatrix,
+    Perm,
     RootSystem,
     UnsupportedCartanTypeError,
     WeylElement,
     build_root_system,
-    identity_matrix,
-    length,
     longest_element,
-    mat_mul,
-    mat_trace,
-    mat_vec,
-    multiply,
 )
 
 FracVector = tuple[Fraction, ...]
@@ -66,6 +60,7 @@ class SatakeDiagram:
         return _root_system(self.family, self.rank)
 
     def describe(self) -> str:
+        """The diagram in the catalog's key=value format, without its name."""
         black = "{" + ",".join(str(i) for i in sorted(self.black)) + "}"
         arrows = "{" + ",".join(f"({a},{b})" for a, b in sorted(self.arrows)) + "}"
         return f"type={self.family}{self.rank}; black={black}; arrows={arrows}"
@@ -81,7 +76,7 @@ class RealFormData:
     """Derived data of a real form: involution, restricted roots, dimensions."""
 
     diagram: SatakeDiagram
-    tau_star: IntMatrix
+    tau_star: Perm  # w_b . sigma, a permutation of the roots
     sigma: tuple[int, ...]  # node permutation, 0-based images
     w_b: WeylElement
     w0: WeylElement
@@ -127,14 +122,14 @@ def node_permutation(sd: SatakeDiagram, wb: WeylElement) -> tuple[int, ...]:
     of the black subdiagram (read off from its longest element w_b) on black
     nodes. It must be an automorphism of the Dynkin diagram, or the twisted
     involutions are not the ones the atlas walk finds."""
-    simple = sd.root_system().simple_roots
+    k = sd.root_system().permutations
     perm = list(range(sd.rank))
     for a, b in sd.arrows:
         perm[a - 1] = b - 1
         perm[b - 1] = a - 1
     for j in sorted(sd.black):
-        neg = tuple(-x for x in wb.apply(simple[j - 1]))
-        target = next((k for k in sd.black if simple[k - 1] == neg), None)
+        neg = wb.perm[k.simple[j - 1]] - k.npos  # the index of -w_b(alpha_j)
+        target = next((i for i in sd.black if k.simple[i - 1] == neg), None)
         if target is None:
             raise InconsistentSatakeError(
                 f"{sd.label}: black subsystem does not permute its simple roots"
@@ -149,40 +144,24 @@ def node_permutation(sd: SatakeDiagram, wb: WeylElement) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _sigma_matrix(perm: Sequence[int]) -> IntMatrix:
-    n = len(perm)
-    return tuple(
-        tuple(1 if r == perm[c] else 0 for c in range(n)) for r in range(n)
-    )
-
-
-def _check_involution(sd: SatakeDiagram, rs: RootSystem, tau: IntMatrix) -> None:
+def _check_involution(sd: SatakeDiagram, rs: RootSystem, tau: Perm) -> None:
     """Postconditions of tau*: tau*^2 = 1; tau* negates exactly the black
     simple roots; every positive root is sent to a positive root or to its
     own negative."""
-    if mat_mul(tau, tau) != identity_matrix(rs.rank):
+    k = rs.permutations
+    npos = k.npos
+    if k.compose(tau, tau) != k.identity:
         raise InconsistentSatakeError(f"{sd.label}: tau* is not an involution")
-    for i in range(1, rs.rank + 1):
-        img = mat_vec(tau, rs.simple_roots[i - 1])
-        negated = img == tuple(-x for x in rs.simple_roots[i - 1])
-        if negated != (i in sd.black):
+    for i, a in enumerate(k.simple, start=1):
+        if (tau[a] == a + npos) != (i in sd.black):
             raise InconsistentSatakeError(
                 f"{sd.label}: tau* negates simple root {i} iff black fails"
             )
-    for alpha in rs.positive_roots:
-        img = mat_vec(tau, alpha)
-        if img == tuple(-x for x in alpha):
-            continue
-        if not rs.is_positive(img):
+    for j in range(npos):
+        if tau[j] != j + npos and tau[j] >= npos:
             raise InconsistentSatakeError(
-                f"{sd.label}: tau* sends positive root {alpha} to {img}"
+                f"{sd.label}: tau* sends positive root {k.roots[j]} to {k.roots[tau[j]]}"
             )
-
-
-def project_restricted(tau_star: IntMatrix, alpha: Sequence[int]) -> FracVector:
-    """Projection (1 + tau*)/2 of a root onto the +1 eigenspace, exact."""
-    img = mat_vec(tau_star, alpha)
-    return tuple(Fraction(a + b, 2) for a, b in zip(alpha, img))
 
 
 @lru_cache(maxsize=None)
@@ -195,18 +174,21 @@ def real_form_data(sd: SatakeDiagram) -> RealFormData:
     """
     _structural_check(sd)
     rs = sd.root_system()
+    k = rs.permutations
     wb = longest_element(rs, sd.black)
     perm = node_permutation(sd, wb)
-    tau = mat_mul(wb.matrix, _sigma_matrix(perm))
+    tau = k.compose(wb.perm, k.automorphism(perm))
     _check_involution(sd, rs, tau)
 
+    # each root alpha restricts to its projection (alpha + tau* alpha)/2
+    # onto the +1 eigenspace
     mult: dict[FracVector, int] = {}
-    for alpha in rs.positive_roots:
-        for root in (alpha, tuple(-x for x in alpha)):
-            lam = project_restricted(tau, root)
+    for j in range(k.npos):
+        for root in (j, j + k.npos):
+            lam = tuple(Fraction(a + b, 2) for a, b in zip(k.roots[root], k.roots[tau[root]]))
             if any(x != 0 for x in lam):
                 mult[lam] = mult.get(lam, 0) + 1
-    real_rank = (rs.rank + mat_trace(tau)) // 2  # tau* is an involution
+    real_rank = (rs.rank + k.trace(tau)) // 2  # tau* is an involution
 
     dim_g = rs.rank + 2 * len(rs.positive_roots)
     dim_p0 = real_rank + sum(_positive_part(mult).values())
@@ -282,22 +264,14 @@ def validate(sd: SatakeDiagram) -> ValidationReport:
         return ValidationReport(sd.label, tuple(checks))
 
     rs = sd.root_system()
-    tau, wb, w0 = rf.tau_star, rf.w_b, rf.w0
-    record(
-        "tau_w0_commute",
-        mat_mul(tau, w0.matrix) == mat_mul(w0.matrix, tau),
-    )
-    record(
-        "tau_wb_commute",
-        mat_mul(tau, wb.matrix) == mat_mul(wb.matrix, tau),
-    )
-    record(
-        "w0_wb_commute",
-        mat_mul(w0.matrix, wb.matrix) == mat_mul(wb.matrix, w0.matrix),
-    )
+    k = rs.permutations
+    tau, wb, w0 = rf.tau_star, rf.w_b.perm, rf.w0.perm
+    record("tau_w0_commute", k.compose(tau, w0) == k.compose(w0, tau))
+    record("tau_wb_commute", k.compose(tau, wb) == k.compose(wb, tau))
+    record("w0_wb_commute", k.compose(w0, wb) == k.compose(wb, w0))
     record(
         "length_identity",
-        length(rs, multiply(rs, wb, w0)) == length(rs, w0) - length(rs, wb),
+        k.length(k.compose(wb, w0)) == k.length(w0) - k.length(wb),
         "l(w_b w_0) vs l(w_0)-l(w_b)",
     )
 
@@ -525,11 +499,4 @@ def load_catalog(source: str) -> tuple[SatakeDiagram, ...]:
 
 def render_catalog(diagrams: Sequence[SatakeDiagram]) -> str:
     """Render diagrams in the stanza format accepted by load_catalog."""
-    blocks = []
-    for sd in diagrams:
-        black = "{" + ",".join(str(i) for i in sorted(sd.black)) + "}"
-        arrows = "{" + ",".join(f"({a},{b})" for a, b in sorted(sd.arrows)) + "}"
-        blocks.append(
-            f"name={sd.label}; type={sd.family}{sd.rank}; black={black}; arrows={arrows}"
-        )
-    return "\n\n".join(blocks) + "\n"
+    return "\n\n".join(f"name={sd.label}; {sd.describe()}" for sd in diagrams) + "\n"

@@ -1,36 +1,20 @@
-import importlib
+import ast
 import re
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafatlas import rootsys, satake
-from leafatlas.atlas import (
-    NotTwistedInvolutionError,
-    atlas,
-    open_class_element,
-    open_leaf_test,
-    orbit_class,
-    twisted_involutions,
-    twisted_matrix,
-)
-from leafatlas.rootsys import (
-    build_root_system,
-    enumerate_weyl,
-    from_word,
-    identity_matrix,
-    length,
-    longest_element,
-    mat_mul,
-    mat_trace,
-    multiply,
-    reflect,
-)
+import leafatlas
+from leafatlas import satake
+from leafatlas.atlas import atlas, twisted_involutions
+from leafatlas.rootsys import build_root_system
 from leafatlas.satake import (
     SatakeDiagram,
     SatakeError,
+    _diagram,
     builtin_catalog,
     catalog_by_label,
     real_form_data,
@@ -38,6 +22,7 @@ from leafatlas.satake import (
 )
 
 from exact_rank import eigenspace_dim
+import weyl_matrices as wm
 
 BY_LABEL = catalog_by_label()
 
@@ -45,6 +30,11 @@ BY_LABEL = catalog_by_label()
 def setup_form(label):
     sd = BY_LABEL[label]
     return sd.root_system(), real_form_data(sd)
+
+
+def psi_of(rs, cls):
+    """The matrix element of a class's psi, from its word."""
+    return wm.from_word(rs, cls.psi_word)
 
 
 # ---------------------------------------------------------------------------
@@ -66,11 +56,11 @@ def test_twisted_involutions_sl3_are_ordinary_involutions():
     # independent oracle: with trivial involution these are the involutions
     # of the symmetric group on three letters
     rs, rf = setup_form("sl(3,R)")
-    got = {c.psi.matrix for c in twisted_involutions(rf, rs)}
+    got = {psi_of(rs, c).matrix for c in twisted_involutions(rf, rs)}
     expected = {
         w.matrix
-        for w in enumerate_weyl(rs)
-        if multiply(rs, w, w).matrix == from_word(rs, ()).matrix
+        for w in wm.enumerate_weyl(rs)
+        if wm.multiply(rs, w, w).matrix == wm.from_word(rs, ()).matrix
     }
     assert got == expected
     assert len(got) == 4
@@ -78,17 +68,17 @@ def test_twisted_involutions_sl3_are_ordinary_involutions():
 
 @lru_cache(maxsize=None)
 def _weyl_group(family, rank):
-    return tuple(enumerate_weyl(build_root_system(family, rank)))
+    return tuple(wm.enumerate_weyl(build_root_system(family, rank)))
 
 
 def _brute_force(rf, rs):
     """Reference: every w in W with (w tau*)^2 = 1, with the breadth-first
     word of enumerate_weyl, keyed by matrix."""
-    one = identity_matrix(rs.rank)
+    one = wm.identity_matrix(rs.rank)
     found = {}
     for w in _weyl_group(rs.family, rs.rank):
-        m = twisted_matrix(rf, w)
-        if mat_mul(m, m) == one:
+        m = wm.twisted_matrix(rf, w)
+        if wm.mat_mul(m, m) == one:
             found[w.matrix] = w.word
     return found
 
@@ -96,23 +86,31 @@ def _brute_force(rf, rs):
 def _walked(rf, rs):
     walked = {}
     for cls in twisted_involutions(rf, rs):
-        assert cls.psi.matrix not in walked
-        walked[cls.psi.matrix] = cls.psi_word
+        matrix = psi_of(rs, cls).matrix
+        assert matrix not in walked
+        walked[matrix] = cls.psi_word
     return walked
 
 
 def _assert_carried_invariants_match(rf, rs):
-    # every field of each walked class equals the single-psi orbit_class,
-    # and its a and t equal the exact ranks of the eigenspaces of psi tau*
+    # tau*, w_b, w_0, the restricted roots and the real rank equal those of
+    # the matrix construction w_b . sigma; every field of each walked class
+    # equals the single-psi orbit_class, and its a and t equal the exact
+    # ranks of the eigenspaces of psi tau*
+    mf = wm.matrix_form(rf.diagram)
+    assert wm.matrix_of(rs, rf.tau_star) == mf.tau_star
+    for w, ref in ((rf.w_b, mf.w_b), (rf.w0, mf.w0)):
+        assert (w.word, wm.matrix_of(rs, w.perm)) == (ref.word, ref.matrix)
+    assert (rf.restricted, rf.real_rank) == (mf.restricted, mf.real_rank)
     for cls in twisted_involutions(rf, rs):
-        assert cls == orbit_class(rf, rs, cls.psi)
-        m = twisted_matrix(rf, cls.psi)
+        psi = psi_of(rs, cls)
+        assert cls == wm.orbit_class(rf, rs, psi)
+        m = wm.twisted_matrix(rf, psi)
         assert (cls.a, cls.t) == (eigenspace_dim(m, 1), eigenspace_dim(m, -1))
 
 
 def _plain(family, rank, arrows=()):
-    return SatakeDiagram(label=f"{family}{rank} {sorted(arrows)}", family=family,
-                         rank=rank, black=frozenset(), arrows=frozenset(arrows))
+    return _diagram(f"{family}{rank} {sorted(arrows)}", family, rank, arrows=arrows)
 
 
 SPLIT_AND_QUASI_SPLIT = (
@@ -135,11 +133,6 @@ def test_walk_matches_brute_force(sd):
     rs = sd.root_system()
     rf = real_form_data(sd)
     assert _walked(rf, rs) == _brute_force(rf, rs)
-
-
-def _diagram(label, family, rank, black=(), arrows=()):
-    return SatakeDiagram(label=label, family=family, rank=rank,
-                         black=frozenset(black), arrows=frozenset(arrows))
 
 
 # split A5, B5, C5, D5, D6, G2, F4 and E6; quasi-split E6 (EII); and the
@@ -186,34 +179,28 @@ def test_random_diagrams_rejected_or_consistent(sd):
     rs = sd.root_system()
     assert _walked(rf, rs) == _brute_force(rf, rs)
     for cls in twisted_involutions(rf, rs):
-        assert len(cls.psi_word) == length(rs, cls.psi)
+        assert len(cls.psi_word) == wm.length(rs, psi_of(rs, cls))
     _assert_carried_invariants_match(rf, rs)
     report = atlas(sd)
     assert sum(c.is_closed_class for c in report.classes) == 1
     assert sum(c.codim_Y == 0 for c in report.classes) == 1
 
 
-def test_atlas_builds_classes_without_matrix_products(monkeypatch):
-    # per-class work is index lookups on root permutations: no integer
-    # matrix product, and the only matrix-to-permutation conversion is w_b's
-    atlas_mod = importlib.import_module("leafatlas.atlas")  # leafatlas.atlas is the function
-    sd = BY_LABEL["so(5,2)"]
-    real_form_data(sd)
-    calls = {"mat_mul": 0, "perm": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for module in (atlas_mod, rootsys):
-        monkeypatch.setattr(module, "mat_mul", counted("mat_mul", rootsys.mat_mul))
-    monkeypatch.setattr(rootsys.RootPermutations, "perm",
-                        counted("perm", rootsys.RootPermutations.perm))
-    report = atlas(sd)
-    assert len(report.classes) > 1
-    assert calls == {"mat_mul": 0, "perm": 1}
+def test_atlas_builds_classes_without_matrix_products():
+    # the Weyl group has one model in the package, root permutations, so no
+    # module defines or imports the integer-matrix model, which lives on in
+    # tests/weyl_matrices.py as the reference
+    banned = {"mat_mul", "multiply", "enumerate_weyl", "reflect"}
+    for path in sorted(Path(leafatlas.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name not in banned, f"{path.name} defines {node.name}"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+                assert not names & banned, f"{path.name} imports {names & banned}"
+            if isinstance(node, ast.ClassDef) and node.name == "WeylElement":
+                fields = {t.target.id for t in node.body if isinstance(t, ast.AnnAssign)}
+                assert "matrix" not in fields, f"{path.name}: WeylElement.matrix"
 
 
 def test_validate_then_atlas_builds_the_involution_data_once(monkeypatch):
@@ -234,8 +221,8 @@ def test_validate_then_atlas_builds_the_involution_data_once(monkeypatch):
 
 def test_not_twisted_involution_rejected():
     rs, rf = setup_form("su(2,1)")
-    with pytest.raises(NotTwistedInvolutionError):
-        orbit_class(rf, rs, reflect(rs, 1))
+    with pytest.raises(wm.NotTwistedInvolutionError):
+        wm.orbit_class(rf, rs, wm.reflect(rs, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -243,28 +230,28 @@ def test_not_twisted_involution_rejected():
 
 def test_orbit_class_sl2_open():
     rs, rf = setup_form("sl(2,R)")
-    cls = orbit_class(rf, rs, reflect(rs, 1))
+    cls = wm.orbit_class(rf, rs, wm.reflect(rs, 1))
     assert (cls.codim_Y, cls.a, cls.t) == (0, 0, 1)
     assert cls.leaf_dim == 2 and cls.is_open and cls.family_dim == 0
 
 
 def test_orbit_class_sl2_closed():
     rs, rf = setup_form("sl(2,R)")
-    cls = orbit_class(rf, rs, from_word(rs, ()))
+    cls = wm.orbit_class(rf, rs, wm.from_word(rs, ()))
     assert (cls.codim_Y, cls.a, cls.t) == (1, 1, 0)
     assert cls.leaf_dim == 0 and cls.family_dim == 1 and cls.is_closed_class
 
 
 def test_orbit_class_su21_middle():
     rs, rf = setup_form("su(2,1)")
-    cls = orbit_class(rf, rs, from_word(rs, (1, 2)))
+    cls = wm.orbit_class(rf, rs, wm.from_word(rs, (1, 2)))
     assert (cls.codim_Y, cls.a, cls.t) == (1, 1, 1)
     assert cls.leaf_dim == 2 and cls.leaf_codim == 2
 
 
 def test_orbit_class_sl3_longest():
     rs, rf = setup_form("sl(3,R)")
-    cls = orbit_class(rf, rs, longest_element(rs))
+    cls = wm.orbit_class(rf, rs, wm.longest_element(rs))
     assert cls.codim_Y == 0 and cls.a == 1
     assert cls.leaf_codim == 1 and not cls.is_open
 
@@ -300,7 +287,7 @@ def test_open_leaf_criterion_against_rank_oracle(sd):
     rs = sd.root_system()
     rf = real_form_data(sd)
     expected = _compact_rank(sd.label) == rs.rank
-    assert open_leaf_test(rf, rs) == expected
+    assert wm.open_leaf_test(rf, rs) == expected
 
 
 def test_open_leaf_named_examples():
@@ -308,7 +295,7 @@ def test_open_leaf_named_examples():
         ("sl(2,R)", True), ("su(2,1)", True), ("su(1,1)", True), ("sl(3,R)", False),
     ]:
         rs, rf = setup_form(label)
-        assert open_leaf_test(rf, rs) == expected
+        assert wm.open_leaf_test(rf, rs) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +319,8 @@ def test_atlas_sl3():
     assert len(report.classes) == 4 and not report.has_open_leaves
     assert report.min_leaf_codim() == 1
     top = report.classes[report.largest_leaf_class]
-    assert top.psi.matrix == longest_element(BY_LABEL["sl(3,R)"].root_system()).matrix
+    rs = BY_LABEL["sl(3,R)"].root_system()
+    assert psi_of(rs, top) == wm.longest_element(rs)
 
 
 def test_atlas_sorted_and_unique_closed():
@@ -344,16 +332,14 @@ def test_atlas_sorted_and_unique_closed():
 
 @pytest.mark.parametrize("label", ["sl(2,R)", "su(2,1)", "sl(3,R)", "so(4,1)", "so*(8)"])
 def test_unique_codim_zero_class_and_max_at_identity(label):
-    sd = BY_LABEL[label]
-    rs = sd.root_system()
-    rf = real_form_data(sd)
+    rs, rf = setup_form(label)
     classes = list(twisted_involutions(rf, rs))
     zero = [c for c in classes if c.codim_Y == 0]
     assert len(zero) == 1
-    assert zero[0].psi == open_class_element(rf, rs)
+    assert psi_of(rs, zero[0]) == wm.open_class_element(rf, rs)
     # the identity class attains the maximal codimension among classes that
     # can carry leaves (flagged classes may formally exceed it)
-    wmax = length(rs, longest_element(rs)) - length(rs, rf.w_b)
+    wmax = wm.length(rs, wm.longest_element(rs)) - wm.length(rs, wm.from_word(rs, rf.w_b.word))
     closed = [c for c in classes if c.is_closed_class]
     assert closed[0].codim_Y == wmax
     assert wmax == max(c.codim_Y for c in classes if c.realizable_candidate)
@@ -361,11 +347,9 @@ def test_unique_codim_zero_class_and_max_at_identity(label):
 
 @pytest.mark.parametrize("label", ["su(2,1)", "sl(3,R)", "sp(1,1)", "su*(4)"])
 def test_trace_cross_check(label):
-    sd = BY_LABEL[label]
-    rs = sd.root_system()
-    rf = real_form_data(sd)
+    rs, rf = setup_form(label)
     for cls in twisted_involutions(rf, rs):
-        assert cls.a - cls.t == mat_trace(twisted_matrix(rf, cls.psi))
+        assert cls.a - cls.t == wm.mat_trace(wm.twisted_matrix(rf, psi_of(rs, cls)))
         assert cls.a + cls.t == rs.rank
         assert cls.leaf_codim == cls.a + cls.codim_Y
 

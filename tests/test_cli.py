@@ -83,6 +83,19 @@ def test_atlas_inline_parse_error_has_no_line_prefix(capsys, flag, value, messag
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--form", "sl(3,R)", "--type", "A1"], "not both"),
+    (["--form", "sl(2,R)", "--rank", "5", "--black", "{1}"], "--rank, --black only describe"),
+    (["--form", "sl(2,R)", "--arrows", "{}"], "--arrows only describe"),
+    (["--form", "sl(2,R)", "--label", "x"], "--label only describe"),
+    (["--black", "{}"], "--black only describe"),
+])
+def test_atlas_inline_flags_need_type_and_no_form(capsys, argv, message):
+    code, out, err = run(capsys, "atlas", *argv)
+    assert code == 1 and out == ""
+    assert message in err
+
+
 def test_atlas_byte_identical_reruns(capsys):
     _, first, _ = run(capsys, "atlas", "--form", "su(2,1)", "--seed", "5")
     _, second, _ = run(capsys, "atlas", "--form", "su(2,1)", "--seed", "5")
@@ -271,6 +284,13 @@ def test_verify_rejects_nonpositive_samples(capsys, samples):
     code, out, err = run(capsys, "verify", "--form", "su(2,1)", "--samples", samples)
     assert code == 1 and out == ""
     assert "--samples" in err
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, "verify", "--form", "sl(2,R)", "--seed", "-1")
+    assert code == 1 and out == ""
+    assert err == "--seed must be at least 0 for verify, got -1\n"
+    assert run(capsys, "atlas", "--form", "sl(2,R)", "--seed", "-1")[0] == 0
 
 
 def test_verify_weyl_cap_exceeded(capsys):

@@ -6,11 +6,18 @@ import pytest
 import sampled_loops as loops
 
 from leafatlas import matrixlie as ml
-from leafatlas.atlas import orbit_class, twisted_involutions
-from leafatlas.rootsys import build_root_system, from_word, reflect
+from leafatlas.atlas import twisted_involutions
+from leafatlas.rootsys import build_root_system
 from leafatlas.satake import catalog_by_label, real_form_data
 
+import weyl_matrices as wm
+
 BY_LABEL = catalog_by_label()
+
+
+def walked_classes(label):
+    sd = BY_LABEL[label]
+    return twisted_involutions(real_form_data(sd), sd.root_system())
 
 
 @pytest.fixture(scope="module")
@@ -382,7 +389,8 @@ def test_annihilator_identity(label):
 def test_tau_root_action_matches_catalog(label):
     rf = ml.realization(label)
     rfe = real_form_data(BY_LABEL[label])
-    assert ml.tau_root_action(rf) == rfe.tau_star
+    images = BY_LABEL[label].root_system().permutations.images(rfe.tau_star)
+    assert ml.tau_root_action(rf) == images
 
 
 @pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)"])
@@ -452,16 +460,34 @@ def test_leaf_tangency_su21_generic():
 # representatives and stabilizers
 
 def test_representative_identity(sl3):
-    u = ml.representative_for(sl3, from_word(build_root_system("A", 2), ()))
+    u = ml.representative_for(sl3, ())
     assert np.array_equal(u, np.eye(3, dtype=complex))
 
 
 def test_representative_cayley_self_verifies(sl2):
-    rs = build_root_system("A", 1)
-    psi = reflect(rs, 1)
-    u = ml.representative_for(sl2, psi)
+    u = ml.representative_for(sl2, (1,))
     got, residual = ml.induced_weyl_matrix(sl2, u)
-    assert got == psi.matrix and residual < 1e-10
+    assert got == [1, 0] and residual < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_diagonal_permutation_of_a_word_has_the_words_matrix(n):
+    # the self-check of representative_for compares permutations of the
+    # diagonal; column i of the matrix of e_j -> e_perm[j] is the image
+    # e_perm[i] - e_perm[i+1] of alpha_i, whose k-th simple-root coordinate
+    # is the partial sum of its entries up to k
+    for w in wm.enumerate_weyl(build_root_system("A", n - 1)):
+        perm = ml._weyl_permutation(w.word, n)
+        assert w.matrix == tuple(tuple(int(perm[i] <= k) - int(perm[i + 1] <= k)
+                                       for i in range(n - 1)) for k in range(n - 1))
+
+
+def test_representative_of_the_wrong_element_fails_the_self_check(sl3, monkeypatch):
+    # a Cayley block for the transposition of e_2, e_3 where s_1 swaps e_1, e_2
+    original = ml._sl_real_representative
+    monkeypatch.setattr(ml, "_sl_real_representative", lambda perm: original([0, 2, 1]))
+    with pytest.raises(RuntimeError, match=r"word \(1,\) fails the self-check"):
+        ml.representative_for(sl3, (1,))
 
 
 def test_representative_none_for_flagged_class():
@@ -469,30 +495,30 @@ def test_representative_none_for_flagged_class():
     # realizes it and there is no representative to construct
     rf = ml.realization("su(3,1)")
     rs = build_root_system("A", 3)
-    psi = reflect(rs, 2)
+    psi = wm.reflect(rs, 2)
     rfe = real_form_data(BY_LABEL["su(3,1)"])
-    cls = orbit_class(rfe, rs, psi)
+    cls = wm.orbit_class(rfe, rs, psi)
     assert not cls.dims_in_range
-    assert ml.representative_for(rf, psi) is None
+    assert ml.representative_for(rf, psi.word) is None
 
 
 def test_representative_su21_longest_element_self_verifies():
     rf = ml.realization("su(2,1)")
     w0 = real_form_data(BY_LABEL["su(2,1)"]).w0
-    u = ml.representative_for(rf, w0)
+    u = ml.representative_for(rf, w0.word)
     assert u is not None
     assert np.abs(u @ u.conj().T - np.eye(3)).max() < 1e-12
     assert abs(np.linalg.det(u) - 1) < 1e-12
     got, residual = ml.induced_weyl_matrix(rf, u)
-    assert got == w0.matrix and residual < 1e-10
+    assert got == [2, 1, 0] and residual < 1e-10
 
 
-def _clan_realizable(rf, psi) -> bool:
+def _clan_realizable(rf, word) -> bool:
     # the (p, q)-clan criterion, stated on permutations: psi acts on the
     # diagonal by e_j -> e_perm[j], J by e_j -> e_jp[j]; psi is realized iff
     # j -> perm[jp[j]] is an involution with at most q two-cycles
     perm = list(range(rf.n))
-    for i in psi.word:
+    for i in word:
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     jp = [int(np.argmax(rf.J[:, j])) for j in range(rf.n)]
     h = [perm[jp[j]] for j in range(rf.n)]
@@ -507,13 +533,10 @@ def _clan_realizable(rf, psi) -> bool:
 ])
 def test_su_pq_representatives_follow_the_clans(label, realized):
     rf = ml.realization(label)
-    sd = BY_LABEL[label]
-    rs = sd.root_system()
-    rfe = real_form_data(sd)
     count = 0
-    for cls in twisted_involutions(rfe, rs):
-        u = ml.representative_for(rf, cls.psi)
-        assert (u is not None) == _clan_realizable(rf, cls.psi)
+    for cls in walked_classes(label):
+        u = ml.representative_for(rf, cls.psi_word)
+        assert (u is not None) == _clan_realizable(rf, cls.psi_word)
         if u is None:
             continue
         count += 1
@@ -531,11 +554,8 @@ def test_su_pq_representatives_follow_the_clans(label, realized):
 @pytest.mark.parametrize("label", ["sl(2,R)", "sl(3,R)"])
 def test_stabilizer_dims_match_class_invariants(label):
     rf = ml.realization(label)
-    sd = BY_LABEL[label]
-    rs = sd.root_system()
-    rfe = real_form_data(sd)
-    for cls in twisted_involutions(rfe, rs):
-        u = ml.representative_for(rf, cls.psi)
+    for cls in walked_classes(label):
+        u = ml.representative_for(rf, cls.psi_word)
         assert u is not None
         assert ml.stabilizer_dim(rf, u) == cls.a + cls.codim_Y
         assert (
@@ -555,10 +575,7 @@ def _stabilizer_dim_loop(rf, u, include_torus):
 @pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)", "su(2,2)"])
 def test_stabilizer_dim_matches_the_per_matrix_loop(label):
     rf = ml.realization(label)
-    sd = BY_LABEL[label]
-    rs = sd.root_system()
-    points = [ml.representative_for(rf, c.psi)
-              for c in twisted_involutions(real_form_data(sd), rs)]
+    points = [ml.representative_for(rf, c.psi_word) for c in walked_classes(label)]
     points = [u for u in points if u is not None]
     points += [ml.sample_unitary(crng, rf.n) for crng in ml.seeded_rngs(31, 3)]
     for u in points:
@@ -585,10 +602,9 @@ def test_stabilizer_frames_built_once_per_realization(monkeypatch):
 
 def test_orbit_dimension_count(sl2):
     # dim orbit = dim g0 - stabilizer dim; leaf dim = dim orbit - dim k0
-    rs = build_root_system("A", 1)
     rfe = real_form_data(BY_LABEL["sl(2,R)"])
-    for cls in twisted_involutions(rfe, rs):
-        u = ml.representative_for(sl2, cls.psi)
+    for cls in walked_classes("sl(2,R)"):
+        u = ml.representative_for(sl2, cls.psi_word)
         dim_orbit = rfe.dim_g - ml.stabilizer_dim(sl2, u)
         assert cls.leaf_dim == dim_orbit - rfe.dim_k0
 

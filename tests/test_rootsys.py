@@ -5,25 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leafatlas.rootsys import (
-    UnsupportedCartanTypeError,
-    WeylCapError,
-    build_root_system,
-    enumerate_weyl,
-    from_word,
-    identity_element,
-    identity_matrix,
-    inverse,
-    length,
-    longest_element,
-    mat_mul,
-    mat_transpose,
-    multiply,
-    preserves_form,
-    reflect,
-)
+from leafatlas import rootsys
+from leafatlas.rootsys import UnsupportedCartanTypeError, WeylCapError, build_root_system
+
+from leafatlas.satake import builtin_catalog
 
 from exact_rank import rational_rank
+import weyl_matrices as wm
 
 # hand tables for the rank <= 2 systems (independent of reflection closure)
 A2_POSITIVE = {(1, 0), (0, 1), (1, 1)}
@@ -80,12 +68,12 @@ def test_rank_cap():
 
 def test_reflect_rank_one_is_minus_one():
     rs = build_root_system("A", 1)
-    assert reflect(rs, 1).matrix == ((-1,),)
+    assert wm.reflect(rs, 1).matrix == ((-1,),)
 
 
 def test_reflect_a2_simple_on_other_root():
     rs = build_root_system("A", 2)
-    s1 = reflect(rs, 1)
+    s1 = wm.reflect(rs, 1)
     assert s1.apply((0, 1)) == (1, 1)
     assert s1.apply((1, 0)) == (-1, 0)
 
@@ -94,14 +82,14 @@ def test_reflect_a2_simple_on_other_root():
 def test_simple_reflections_are_involutions(family, rank):
     rs = build_root_system(family, rank)
     for i in range(1, rank + 1):
-        s = reflect(rs, i)
-        assert mat_mul(s.matrix, s.matrix) == identity_matrix(rank)
-        assert length(rs, s) == 1
+        s = wm.reflect(rs, i)
+        assert wm.mat_mul(s.matrix, s.matrix) == wm.identity_matrix(rank)
+        assert wm.length(rs, s) == 1
 
 
 def test_length_identity_element():
     rs = build_root_system("B", 2)
-    assert length(rs, identity_element(rs)) == 0
+    assert wm.length(rs, wm.identity_element(rs)) == 0
 
 
 def _perm_of_word(n, word):
@@ -124,54 +112,52 @@ def test_length_matches_permutation_inversions_a3():
     # independent oracle: type A length equals inversion count of the permutation
     rs = build_root_system("A", 3)
     for word in itertools.product([1, 2, 3], repeat=4):
-        w = from_word(rs, word)
-        assert length(rs, w) == _perm_inversions(_perm_of_word(4, word))
+        w = wm.from_word(rs, word)
+        assert wm.length(rs, w) == _perm_inversions(_perm_of_word(4, word))
 
 
 def test_longest_element_empty_subset():
     rs = build_root_system("B", 3)
-    assert longest_element(rs, ()) == identity_element(rs)
+    assert wm.longest_element(rs, ()) == wm.identity_element(rs)
 
 
 def test_longest_element_a1():
     rs = build_root_system("A", 1)
-    assert longest_element(rs) == reflect(rs, 1)
+    assert wm.longest_element(rs) == wm.reflect(rs, 1)
 
 
 def test_longest_element_a2_by_exhaustion():
     # independent oracle: brute-force closure of W(A2) under generators
     rs = build_root_system("A", 2)
-    gens = [reflect(rs, 1).matrix, reflect(rs, 2).matrix]
-    group = {identity_matrix(2)}
+    gens = [wm.reflect(rs, 1).matrix, wm.reflect(rs, 2).matrix]
+    group = {wm.identity_matrix(2)}
     frontier = list(group)
     while frontier:
         new = []
         for m in frontier:
             for g in gens:
-                p = mat_mul(m, g)
+                p = wm.mat_mul(m, g)
                 if p not in group:
                     group.add(p)
                     new.append(p)
         frontier = new
     assert len(group) == 6
 
-    w0 = longest_element(rs)
-    assert length(rs, w0) == 3
+    w0 = wm.longest_element(rs)
+    assert wm.length(rs, w0) == 3
     assert len(w0.word) == 3  # reduced word
     # matrix is minus the diagram flip
     assert w0.matrix == ((0, -1), (-1, 0))
     # w0 is the unique length maximizer over the whole group
-    from leafatlas.rootsys import WeylElement
-
-    all_lengths = {m: length(rs, WeylElement(word=(), matrix=m)) for m in group}
+    all_lengths = {m: wm.length(rs, wm.WeylElement(word=(), matrix=m)) for m in group}
     assert max(all_lengths.values()) == 3
     assert [m for m, l in all_lengths.items() if l == 3] == [w0.matrix]
 
 
 def test_longest_element_parabolic_subset():
     rs = build_root_system("A", 3)
-    wb = longest_element(rs, {1, 3})
-    assert length(rs, wb) == 2
+    wb = wm.longest_element(rs, {1, 3})
+    assert wm.length(rs, wb) == 2
     assert wb.apply((1, 0, 0)) == (-1, 0, 0)
     assert wb.apply((0, 0, 1)) == (0, 0, -1)
 
@@ -183,67 +169,67 @@ def test_longest_element_parabolic_subset():
 )
 def test_weyl_group_orders(family, rank, order):
     rs = build_root_system(family, rank)
-    elements = list(enumerate_weyl(rs))
+    elements = list(wm.enumerate_weyl(rs))
     assert len(elements) == order
     assert len({w.matrix for w in elements}) == order
 
 
 def test_enumeration_deterministic():
     rs = build_root_system("B", 2)
-    first = [w.word for w in enumerate_weyl(rs)]
-    second = [w.word for w in enumerate_weyl(rs)]
+    first = [w.word for w in wm.enumerate_weyl(rs)]
+    second = [w.word for w in wm.enumerate_weyl(rs)]
     assert first == second
 
 
 def test_enumeration_cap():
     rs = build_root_system("A", 3)
     with pytest.raises(WeylCapError) as err:
-        list(enumerate_weyl(rs, cap=10))
+        list(wm.enumerate_weyl(rs, cap=10))
     assert err.value.partial_count == 10
 
 
 def test_bfs_words_are_reduced():
     rs = build_root_system("B", 2)
-    for w in enumerate_weyl(rs):
-        assert len(w.word) == length(rs, w)
+    for w in wm.enumerate_weyl(rs):
+        assert len(w.word) == wm.length(rs, w)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2)])
 def test_length_bounded_by_longest(family, rank):
     rs = build_root_system(family, rank)
-    w0 = longest_element(rs)
-    lmax = length(rs, w0)
-    for w in enumerate_weyl(rs):
-        l = length(rs, w)
+    w0 = wm.longest_element(rs)
+    lmax = wm.length(rs, w0)
+    for w in wm.enumerate_weyl(rs):
+        l = wm.length(rs, w)
         assert l <= lmax
         assert (l == lmax) == (w == w0)
 
 
 def test_length_subadditive_and_inverse_invariant():
     rs = build_root_system("A", 3)
-    elements = list(enumerate_weyl(rs))
+    elements = list(wm.enumerate_weyl(rs))
     import random
 
     rnd = random.Random(20240)
     for _ in range(200):
         u, v = rnd.choice(elements), rnd.choice(elements)
-        assert length(rs, multiply(rs, u, v)) <= length(rs, u) + length(rs, v)
-        assert length(rs, inverse(rs, u)) == length(rs, u)
+        assert wm.length(rs, wm.multiply(rs, u, v)) <= wm.length(rs, u) + wm.length(rs, v)
+        assert wm.length(rs, wm.inverse(rs, u)) == wm.length(rs, u)
 
 
 @pytest.mark.parametrize("family,rank", [("B", 2), ("G", 2), ("C", 3)])
 def test_matrices_preserve_form(family, rank):
     rs = build_root_system(family, rank)
-    assert rs.form == mat_transpose(rs.form)
-    for w in enumerate_weyl(rs):
-        assert preserves_form(rs, w)
+    assert rs.form == wm.mat_transpose(rs.form)
+    for w in wm.enumerate_weyl(rs):
+        assert wm.preserves_form(rs, w)
 
 
 def test_reflection_closure_permutes_root_set():
     rs = build_root_system("C", 3)
     full = set(rs.positive_roots) | {tuple(-x for x in r) for r in rs.positive_roots}
     for i in range(1, 4):
-        s = reflect(rs, i)
+        s = wm.reflect(rs, i)
         assert {s.apply(r) for r in full} == full
 
 
@@ -258,12 +244,13 @@ def test_dimension_count_matches_su_n():
 def test_root_permutations_agree_with_matrices(family, rank):
     rs = build_root_system(family, rank)
     k = rs.permutations
-    assert list(k.reflections) == [k.perm(reflect(rs, i)) for i in range(1, rank + 1)]
-    elements = list(enumerate_weyl(rs))
+    assert list(k.reflections) == [wm.perm_of(rs, wm.reflect(rs, i)) for i in range(1, rank + 1)]
+    elements = list(wm.enumerate_weyl(rs))
     for w in elements:
-        p = k.perm(w)
-        assert k.length(p) == length(rs, w)
-        back = k.element(p)
+        p = wm.perm_of(rs, w)
+        assert k.length(p) == wm.length(rs, w)
+        assert k.trace(p) == sum(w.matrix[i][i] for i in range(rank))
+        back = wm.element(rs, p)
         # the lexicographically least reduced word is the breadth-first word
         assert back == w and back.word == w.word
     import random
@@ -271,7 +258,24 @@ def test_root_permutations_agree_with_matrices(family, rank):
     rnd = random.Random(7)
     for _ in range(100):
         u, v = rnd.choice(elements), rnd.choice(elements)
-        assert k.compose(k.perm(u), k.perm(v)) == k.perm(multiply(rs, u, v))
+        product = wm.perm_of(rs, wm.multiply(rs, u, v))
+        assert k.compose(wm.perm_of(rs, u), wm.perm_of(rs, v)) == product
+
+
+IRREDUCIBLE_TYPES = [(f, r) for f in "ABCD" for r in range(1, 9)
+                     if rootsys._VALID_RANKS[f](r)] + [("E", 6), ("E", 7), ("E", 8),
+                                                       ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("family,rank", IRREDUCIBLE_TYPES)
+def test_longest_element_matches_the_matrix_greedy(family, rank):
+    # every irreducible type of rank <= 8, and each black set of the catalog
+    rs = build_root_system(family, rank)
+    blacks = {sd.black for sd in builtin_catalog() if (sd.family, sd.rank) == (family, rank)}
+    for subset in [None] + sorted(blacks, key=sorted):
+        got, ref = rootsys.longest_element(rs, subset), wm.longest_element(rs, subset)
+        assert got.word == ref.word
+        assert rs.permutations.images(got.perm) == wm.mat_transpose(ref.matrix)
 
 
 @st.composite

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from leafatlas.rootsys import identity_matrix, length, mat_mul, multiply, longest_element
+from leafatlas import rootsys
 from leafatlas.satake import (
     CatalogParseError,
     CompactFormError,
@@ -15,6 +15,8 @@ from leafatlas.satake import (
     render_catalog,
     validate,
 )
+
+import weyl_matrices as wm
 
 BY_LABEL = catalog_by_label()
 
@@ -97,34 +99,37 @@ def test_shipped_data_file_matches_builtin():
 # ---------------------------------------------------------------------------
 # the induced involution
 
+def tau_matrix(sd):
+    """The matrix view of the tau* that real_form_data builds."""
+    return wm.matrix_of(sd.root_system(), real_form_data(sd).tau_star)
+
+
 def test_tau_star_split_form_is_identity():
     sd = diagram("sl(2,R)")
-    assert real_form_data(sd).tau_star == identity_matrix(1)
+    assert tau_matrix(sd) == wm.identity_matrix(1)
 
 
 def test_tau_star_su21_is_node_swap():
-    assert real_form_data(diagram("su(2,1)")).tau_star == ((0, 1), (1, 0))
+    assert tau_matrix(diagram("su(2,1)")) == ((0, 1), (1, 0))
 
 
 def test_tau_star_su31_values():
-    tau = real_form_data(diagram("su(3,1)")).tau_star
-    from leafatlas.rootsys import mat_vec
-
-    assert mat_vec(tau, (0, 1, 0)) == (0, -1, 0)
-    assert mat_vec(tau, (1, 0, 0)) == (0, 1, 1)
+    tau = tau_matrix(diagram("su(3,1)"))
+    assert wm.mat_vec(tau, (0, 1, 0)) == (0, -1, 0)
+    assert wm.mat_vec(tau, (1, 0, 0)) == (0, 1, 1)
 
 
 def test_wb_empty_black_is_identity():
     sd = diagram("su(2,1)")
-    assert real_form_data(sd).w_b.matrix == identity_matrix(2)
+    assert wm.matrix_of(sd.root_system(), real_form_data(sd).w_b.perm) == wm.identity_matrix(2)
 
 
 def test_wb_single_black_node():
     sd = diagram("su(3,1)")
     rs = sd.root_system()
     wb = real_form_data(sd).w_b
-    assert length(rs, wb) == 1
-    assert wb.apply((0, 1, 0)) == (0, -1, 0)
+    assert rs.permutations.length(wb.perm) == 1
+    assert wm.mat_vec(wm.matrix_of(rs, wb.perm), (0, 1, 0)) == (0, -1, 0)
 
 
 def test_wb_full_black_equals_longest():
@@ -132,7 +137,7 @@ def test_wb_full_black_equals_longest():
     # the way it builds it: the longest element over the black nodes
     sd = SatakeDiagram("t", "A", 2, frozenset({1, 2}), frozenset())
     rs = sd.root_system()
-    assert longest_element(rs, sd.black) == longest_element(rs)
+    assert rootsys.longest_element(rs, sd.black) == rootsys.longest_element(rs)
 
 
 def test_compact_form_rejected():
@@ -156,8 +161,8 @@ def test_inadmissible_black_set_fails():
     # construction goes through (the induced involution even maps positive
     # roots to positive roots), but the commutation identities expose it
     sd = SatakeDiagram("bad", "A", 2, frozenset({1}), frozenset())
-    tau = real_form_data(sd).tau_star
-    assert mat_mul(tau, tau) == identity_matrix(2)
+    tau = tau_matrix(sd)
+    assert wm.mat_mul(tau, tau) == wm.identity_matrix(2)
     report = validate(sd)
     assert not report.passed
     assert {c.name for c in report.failures()} >= {"tau_w0_commute"}
@@ -184,14 +189,12 @@ def test_restricted_su21_multiplicities():
 
 def test_restricted_su31_black_root_projects_to_zero():
     sd = diagram("su(3,1)")
-    tau = real_form_data(sd).tau_star
-    from leafatlas.satake import project_restricted
-
-    assert all(x == 0 for x in project_restricted(tau, (0, 1, 0)))
+    tau = tau_matrix(sd)
+    assert all(x == 0 for x in wm.project_restricted(tau, (0, 1, 0)))
     for alpha in sd.root_system().positive_roots:
         if alpha == (0, 1, 0):
             continue
-        assert any(x != 0 for x in project_restricted(tau, alpha))
+        assert any(x != 0 for x in wm.project_restricted(tau, alpha))
 
 
 def test_restricted_sl3():
@@ -269,27 +272,25 @@ def test_catalog_entry_validates(sd):
 def test_catalog_commutation_and_length_identities(sd):
     rs = sd.root_system()
     rf = real_form_data(sd)
-    tau, wb, w0 = rf.tau_star, rf.w_b, rf.w0
-    assert w0 == longest_element(rs)
-    assert mat_mul(tau, tau) == identity_matrix(rs.rank)
-    assert mat_mul(tau, w0.matrix) == mat_mul(w0.matrix, tau)
-    assert mat_mul(tau, wb.matrix) == mat_mul(wb.matrix, tau)
-    assert mat_mul(w0.matrix, wb.matrix) == mat_mul(wb.matrix, w0.matrix)
-    assert length(rs, multiply(rs, wb, w0)) == length(rs, w0) - length(rs, wb)
+    tau, wb, w0 = tau_matrix(sd), wm.element(rs, rf.w_b.perm), wm.element(rs, rf.w0.perm)
+    assert w0 == wm.longest_element(rs)
+    assert wm.mat_mul(tau, tau) == wm.identity_matrix(rs.rank)
+    assert wm.mat_mul(tau, w0.matrix) == wm.mat_mul(w0.matrix, tau)
+    assert wm.mat_mul(tau, wb.matrix) == wm.mat_mul(wb.matrix, tau)
+    assert wm.mat_mul(w0.matrix, wb.matrix) == wm.mat_mul(wb.matrix, w0.matrix)
+    assert wm.length(rs, wm.multiply(rs, wb, w0)) == wm.length(rs, w0) - wm.length(rs, wb)
 
 
 @pytest.mark.parametrize("sd", builtin_catalog(), ids=lambda s: s.label)
 def test_catalog_positivity_conditions(sd):
     rs = sd.root_system()
-    tau = real_form_data(sd).tau_star
-    from leafatlas.rootsys import mat_vec
-
+    tau = tau_matrix(sd)
     for i, alpha in enumerate(rs.simple_roots, start=1):
-        negated = mat_vec(tau, alpha) == tuple(-x for x in alpha)
+        negated = wm.mat_vec(tau, alpha) == tuple(-x for x in alpha)
         assert negated == (i in sd.black)
     for alpha in rs.positive_roots:
-        img = mat_vec(tau, alpha)
-        assert img == tuple(-x for x in alpha) or rs.is_positive(img)
+        img = wm.mat_vec(tau, alpha)
+        assert img == tuple(-x for x in alpha) or wm.is_positive(img)
 
 
 def test_split_forms_have_full_restricted_system():
