@@ -311,8 +311,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
 
     worst_tang = 0.0
     tang_ok = True
-    for crng in ml.seeded_rngs(seed + 6, 5):
-        u = ml.sample_unitary(crng, rf.n)
+    for u in ml.sample_unitaries(ml.gaussian_stream(seed + 6), 5, rf.n):
         res = ml.leaf_tangency_check(rf, u)
         tang_ok = tang_ok and res.dim_bivector_image == res.dim_orbit_projection
         worst_tang = max(worst_tang, res.residual)
@@ -321,8 +320,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
 
     if rf.kind == "sl_real" and rf.n == 2:
         worst_f = 0.0
-        for crng in ml.seeded_rngs(seed + 7, samples):
-            w = _sample_chart_point(crng)
+        for w in _chart_points(ml.uniform_stream(seed + 7), samples):
             u = ml.chart_su2_section(w)
             _, coeff = ml.su2_transported_coefficient(rf, u)
             expected = ml.SU2_AMPLITUDE * (1 - abs(w) ** 4)
@@ -369,11 +367,16 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
     }
 
 
-def _sample_chart_point(rng: np.random.Generator) -> complex:
-    while True:
-        w = rng.uniform(-1.4, 1.4) + 1j * rng.uniform(-1.4, 1.4)
-        if 0.15 < abs(abs(w) - 1.0) and abs(w) > 0.05:
-            return w
+def _chart_points(rng: np.random.Generator, count: int) -> list[complex]:
+    """The first count accepted points of a rejection sampler on rng: w from
+    uniform (real, imaginary) pairs on the square of side 2.8, kept off the
+    origin and away from the zero circle |w| = 1."""
+    points: list[complex] = []
+    while len(points) < count:
+        xy = rng.uniform(-1.4, 1.4, size=(count, 2))
+        w = xy[:, 0] + 1j * xy[:, 1]
+        points += w[(abs(abs(w) - 1.0) > 0.15) & (abs(w) > 0.05)].tolist()
+    return points[:count]
 
 
 def verify_markdown(doc: dict) -> str:
@@ -533,7 +536,7 @@ def _inline_diagram(args: argparse.Namespace) -> SatakeDiagram | None:
         raise ValueError("give either --form or an inline --type diagram, not both")
     from .satake import _parse_arrow_set, _parse_node_set, _parse_type
 
-    family, rank = _parse_type(args.cartan_type, args.rank)
+    family, rank = _parse_type(args.cartan_type, args.rank, keys=("--type ", "--rank "))
     black = _parse_node_set("{}" if args.black is None else args.black)
     arrows = _parse_arrow_set("{}" if args.arrows is None else args.arrows)
     label = args.label or f"custom({family}{rank})"

@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -99,26 +98,38 @@ def column_space(m: np.ndarray) -> np.ndarray:
     return u[:, :_floored_rank(s, RANK_THRESHOLD)[0]]
 
 
-def seeded_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
-    """n generators, one per child of SeedSequence(seed), so that sample i
-    of a check can be replayed from child i alone.  Child i is made on its
-    own, as SeedSequence(seed).spawn(n)[i] would be, so none is held ahead."""
-    for i in range(n):
-        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
+def gaussian_stream(seed: int) -> np.random.Generator:
+    """The stream of a sampled check's Gaussian draws: SeedSequence(seed)."""
+    return np.random.default_rng(seed)
 
 
-def seeded_stacks(seed: int, n: int) -> Iterator[list[np.random.Generator]]:
-    """seeded_rngs(seed, n) in consecutive lists of at most STACK."""
-    rngs = seeded_rngs(seed, n)
-    while stack := list(islice(rngs, STACK)):
-        yield stack
+def uniform_stream(seed: int) -> np.random.Generator:
+    """The stream of a sampled check's uniform draws (phases, points): the
+    first child of SeedSequence(seed), independent of its Gaussian stream."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
-def complex_normals(rngs: Sequence[np.random.Generator], *shapes) -> list[np.ndarray]:
-    """rng.normal(size=s) + 1j * rng.normal(size=s) for each shape s in turn,
-    from each generator; one stack per shape, whose row i came from rngs[i]."""
-    draws = [[rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes] for rng in rngs]
-    return [np.array(col) for col in zip(*draws)]
+def _stacks(n: int) -> list[int]:
+    """Sizes of the consecutive stacks of n samples: STACK each, then the rest."""
+    return [min(STACK, n - start) for start in range(0, n, STACK)]
+
+
+def complex_normals(rng: np.random.Generator, k: int, *shapes) -> list[np.ndarray]:
+    """The next k samples of complex Gaussians from rng, one stack per shape.
+
+    One standard_normal((k, D)) call: row i holds sample i's real then
+    imaginary parts, shape by shape, in the order that per-sample
+    rng.normal(size=s) calls would give them.  So sample i of a check is
+    block i of its stream whatever the stack sizes, and is replayed by
+    drawing blocks 0..i from a fresh stream of the same seed."""
+    sizes = [math.prod(s) for s in shapes]
+    rows = rng.standard_normal((k, 2 * sum(sizes)))
+    out, at = [], 0
+    for shape, size in zip(shapes, sizes):
+        re, im = rows[:, at:at + size], rows[:, at + size:at + 2 * size]
+        out.append((re + 1j * im).reshape(k, *shape))
+        at += 2 * size
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +460,11 @@ def g_act(u: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def iwasawa_residual(rf: MatrixRealForm, n_samples: int = 100, seed: int = 0) -> float:
-    """Largest entry of b u - m over random m in SL(n, C), drawn in turn
-    from the one generator default_rng(seed)."""
-    rng = np.random.default_rng(seed)
+    """Largest entry of b u - m over seeded random m in SL(n, C)."""
+    rng = gaussian_stream(seed)
     worst = 0.0
-    for start in range(0, n_samples, STACK):
-        (m,) = complex_normals([rng] * min(STACK, n_samples - start), (rf.n, rf.n))
+    for k in _stacks(n_samples):
+        (m,) = complex_normals(rng, k, (rf.n, rf.n))
         m = m / (np.linalg.det(m) ** (1.0 / rf.n))[:, None, None]
         b, u1 = iwasawa(m)
         worst = max(worst, float(np.abs(b @ u1 - m).max()))
@@ -464,9 +474,10 @@ def iwasawa_residual(rf: MatrixRealForm, n_samples: int = 100, seed: int = 0) ->
 def action_residual(rf: MatrixRealForm, n_samples: int = 50, seed: int = 1) -> float:
     """Residual of the action axiom (u.g).h = u.(gh) over seeded samples
     of u in SU(n) and g, h in SL(n, C)."""
+    rng = gaussian_stream(seed)
     worst = 0.0
-    for rngs in seeded_stacks(seed, n_samples):
-        z, x, y = complex_normals(rngs, *[(rf.n, rf.n)] * 3)
+    for k in _stacks(n_samples):
+        z, x, y = complex_normals(rng, k, *[(rf.n, rf.n)] * 3)
         u = _unitary(z)
         g, h = _sl_exp(np.array([x, y]))
         worst = max(worst, float(np.abs(g_act(g_act(u, g), h) - g_act(u, g @ h)).max()))
@@ -777,10 +788,9 @@ def jacobi_residual(pi_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 def jacobi_check(rf: MatrixRealForm, n_points: int = 10, h: float = 1e-4,
                  seed: int = 0, radius: float = 0.4) -> float:
     """Max Jacobiator residual of the chart bivector over seeded points."""
-    m = rf.dim_ip0
+    points = uniform_stream(seed).uniform(-radius, radius, size=(n_points, rf.dim_ip0))
     residual = 0.0
-    for rng in seeded_rngs(seed, n_points):
-        x = rng.uniform(-radius, radius, size=m)
+    for x in points:
         residual = max(residual, jacobi_residual(lambda y: chart_bivector(rf, y), x, h))
     return residual
 
@@ -805,21 +815,18 @@ def _unitary(z: np.ndarray) -> np.ndarray:
     return q * np.exp(-1j * (np.angle(np.linalg.det(q)) / z.shape[-1]))[..., None, None]
 
 
-def sample_group(rng: np.random.Generator, n: int) -> np.ndarray:
-    """exp(0.4 X) for a random traceless complex X: an element of SL(n, C)."""
-    return _sl_exp(complex_normals([rng], (n, n))[0][0])
-
-
-def sample_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _unitary(complex_normals([rng], (n, n))[0][0])
+def sample_unitaries(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+    """The stack of the next k samples of SU(n) from the Gaussian stream rng."""
+    return _unitary(complex_normals(rng, k, (n, n))[0])
 
 
 def multiplicativity_residual(rf: MatrixRealForm, n_pairs: int = 100,
                               seed: int = 0) -> float:
     """Residual of pi(uv) = Ad_u pi(v) Ad_u^T + pi(u) over seeded pairs."""
+    rng = gaussian_stream(seed)
     worst = 0.0
-    for rngs in seeded_stacks(seed, n_pairs):
-        u, v = _unitary(np.array(complex_normals(rngs, (rf.n, rf.n), (rf.n, rf.n))))
+    for k in _stacks(n_pairs):
+        u, v = _unitary(np.array(complex_normals(rng, k, (rf.n, rf.n), (rf.n, rf.n))))
         _check_unitary(u)
         a = rf.Ad_matrix(u)
         lhs = pi_U_at(rf, u @ v)
@@ -831,10 +838,11 @@ def multiplicativity_residual(rf: MatrixRealForm, n_pairs: int = 100,
 def t_invariance_residual(rf: MatrixRealForm, n_samples: int = 50,
                           seed: int = 1) -> float:
     """Invariance of the group bivector under left and right torus shifts."""
+    rng, phase_rng = gaussian_stream(seed), uniform_stream(seed)
     worst = 0.0
-    for rngs in seeded_stacks(seed, n_samples):
-        u = _unitary(complex_normals(rngs, (rf.n, rf.n))[0])
-        phases = np.array([rng.uniform(0, 2 * math.pi, size=rf.n) for rng in rngs])
+    for k in _stacks(n_samples):
+        u = sample_unitaries(rng, k, rf.n)
+        phases = phase_rng.uniform(0, 2 * math.pi, size=(k, rf.n))
         phases -= phases.mean(axis=-1, keepdims=True)
         t = np.exp(1j * phases)[..., None] * np.eye(rf.n)
         at = rf.Ad_matrix(t)
@@ -849,9 +857,10 @@ def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0,
                      threshold: float = RANK_THRESHOLD) -> tuple[int, int]:
     """(largest quotient-bivector rank over seeded samples, number of
     samples whose rank was borderline)."""
+    rng = gaussian_stream(seed)
     best, n_borderline = 0, 0
-    for rngs in seeded_stacks(seed, n_samples):
-        u = _unitary(complex_normals(rngs, (rf.n, rf.n))[0])
+    for k in _stacks(n_samples):
+        u = sample_unitaries(rng, k, rf.n)
         rank, borderline = numerical_rank(pi_0_at(rf, u), threshold)
         best = max(best, int(rank.max()))
         n_borderline += int(borderline.sum())
@@ -956,9 +965,10 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
     c_inv = frame.c_inv
     # the residual d - b c_inv peaks at an entrywise extreme of the
     # differences d, so their running max and min replace the samples
+    rng = gaussian_stream(seed)
     total, hi, lo = 0.0, -np.inf, np.inf
-    for rngs in seeded_stacks(seed, n_samples):
-        u = _unitary(complex_normals(rngs, (rf.n, rf.n))[0])
+    for k in _stacks(n_samples):
+        u = sample_unitaries(rng, k, rf.n)
         _check_unitary(u)
         a_inv = rf.Ad_matrix(_H(u))
         # each part is minus the kernel at its point's inverse: u^{-1} for the
@@ -996,9 +1006,10 @@ def tau_root_action(rf: MatrixRealForm) -> tuple[IntVector, ...]:
 def cartan_consistency(rf: MatrixRealForm, n_samples: int = 20, seed: int = 3) -> dict[str, float]:
     """Residuals of the defining identities of the realization."""
     n = rf.n
+    rng = gaussian_stream(seed)
     res = dict.fromkeys(("tau_sq", "theta_sq", "commute", "h_stable"), 0.0)
-    for rngs in seeded_stacks(seed, n_samples):
-        x, h = complex_normals(rngs, (n, n), (n,))
+    for k in _stacks(n_samples):
+        x, h = complex_normals(rng, k, (n, n), (n,))
         x = _traceless(x)
         h = _traceless(h[..., None] * np.eye(n))
         for key, err in (("tau_sq", rf.tau(rf.tau(x)) - x),

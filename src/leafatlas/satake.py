@@ -389,10 +389,12 @@ _SET_RE = re.compile(r"^\{(.*)\}$")
 _PAIR_RE = re.compile(r"^\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
 
 
-def _parse_type(text: str, rank: int | str | None,
-                line: int | None = None) -> tuple[str, int]:
+def _parse_type(text: str, rank: int | str | None, line: int | None = None,
+                keys: tuple[str, str] = ("type=", "rank=")) -> tuple[str, int]:
     """(family, rank) from a Cartan type such as A2, or a bare family such as
-    A with the rank given apart; a rank given in both places must agree."""
+    A with the rank given apart; a rank given in both places must agree.
+    Messages name the type and the rank by keys, as their source spells them."""
+    type_key, rank_key = keys
     tm = _TYPE_RE.match(text)
     if tm is None:
         raise CatalogParseError(f"bad type {text!r}", line)
@@ -403,10 +405,10 @@ def _parse_type(text: str, rank: int | str | None,
             raise CatalogParseError(f"bad rank {rank!r}", line) from None
     if tm.group(2):
         if rank is not None and rank != int(tm.group(2)):
-            raise CatalogParseError("rank= disagrees with type=", line)
+            raise CatalogParseError(f"{rank_key}{rank} disagrees with {type_key}{text}", line)
         rank = int(tm.group(2))
     elif rank is None:
-        raise CatalogParseError("missing rank (use type=A2 or rank=2)", line)
+        raise CatalogParseError(f"missing rank (use {type_key}A2 or {rank_key}2)", line)
     return tm.group(1).upper(), rank
 
 

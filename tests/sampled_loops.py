@@ -1,10 +1,12 @@
 """Per-sample loops: the differential reference for the sampled checks of
 `leafatlas.matrixlie`, which evaluate their samples as stacks.
 
-Each function draws sample i from child i of SeedSequence(seed) alone, with
-the same `rng.normal` and `rng.uniform` calls as the stacked check, and
-evaluates it on its own: the samplers are the per-matrix originals, the
-rest goes through the single-point kernels.
+Each function draws its samples one after another from the streams of its
+seed, with one `rng.normal` or `rng.uniform` call per sample and shape, and
+evaluates each sample on its own: the samplers are the per-matrix
+originals, the rest goes through the single-point kernels.  The streams are
+built here from SeedSequence(seed) itself: Gaussian draws come from its own
+generator and uniform draws from its first spawned child.
 
 Imported by the test modules; pytest does not collect it.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import combinations
+from itertools import combinations, repeat
 
 import numpy as np
 
@@ -20,8 +22,13 @@ from leafatlas import matrixlie as ml
 
 
 def children(seed: int, n: int):
-    for child in np.random.SeedSequence(seed).spawn(n):
-        yield np.random.default_rng(child)
+    """The Gaussian stream of seed once per sample: sample i reads the block
+    that follows sample i - 1's."""
+    return repeat(np.random.default_rng(np.random.SeedSequence(seed)), n)
+
+
+def uniform_stream(seed: int):
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def sample_group(rng, n):
@@ -52,9 +59,10 @@ def multiplicativity_residual(rf, n_pairs, seed):
 
 def t_invariance_residual(rf, n_samples, seed):
     worst = 0.0
+    phase_rng = uniform_stream(seed)
     for rng in children(seed, n_samples):
         u = sample_unitary(rng, rf.n)
-        phases = rng.uniform(0, 2 * math.pi, size=rf.n)
+        phases = phase_rng.uniform(0, 2 * math.pi, size=rf.n)
         phases -= phases.mean()
         t = np.diag(np.exp(1j * phases))
         at = rf.Ad_matrix(t)
@@ -129,7 +137,8 @@ def jacobi_residual(pi_fn, x, h=1e-4):
 
 def jacobi_check(rf, n_points, seed, h=1e-4, radius=0.4):
     residual = 0.0
-    for rng in children(seed, n_points):
+    rng = uniform_stream(seed)
+    for _ in range(n_points):
         x = rng.uniform(-radius, radius, size=rf.dim_ip0)
         residual = max(residual, jacobi_residual(lambda y: ml.chart_bivector(rf, y), x, h))
     return residual
@@ -176,9 +185,8 @@ def orbit_projection(rf, u):
 
 
 def iwasawa_residual(rf, n_samples, seed):
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_samples):
+    for rng in children(seed, n_samples):
         m = rng.normal(size=(rf.n, rf.n)) + 1j * rng.normal(size=(rf.n, rf.n))
         m = m / np.linalg.det(m) ** (1.0 / rf.n)
         b, u1 = ml.iwasawa(m)

@@ -61,16 +61,29 @@ def test_atlas_inline_invalid_diagram(capsys):
 
 
 def test_atlas_inline_needs_rank(capsys):
-    code, _, err = run(capsys, "atlas", "--type", "A")
-    assert code == 1
+    code, out, err = run(capsys, "atlas", "--type", "A")
+    assert code == 1 and out == ""
+    assert err == "missing rank (use --type A2 or --rank 2)\n"
 
 
 def test_atlas_inline_rank_must_agree_with_type(capsys):
     code, out, err = run(capsys, "atlas", "--type", "A2", "--rank", "5")
     assert code == 1 and out == ""
-    assert "disagrees" in err
+    assert err == "--rank 5 disagrees with --type A2\n"
     assert run(capsys, "atlas", "--type", "A2", "--rank", "2")[0] == 0
     assert run(capsys, "atlas", "--type", "A", "--rank", "2")[0] == 0
+
+
+@pytest.mark.parametrize("stanza,message", [
+    ("name=x; type=A", "line 1: missing rank (use type=A2 or rank=2)"),
+    ("name=x; type=A2; rank=3", "line 1: rank=3 disagrees with type=A2"),
+])
+def test_catalog_file_type_errors_keep_the_key_wording(tmp_path, capsys, stanza, message):
+    path = tmp_path / "catalog.txt"
+    path.write_text(stanza + "\n")
+    code, out, err = run(capsys, "catalog", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert err == message + "\n"
 
 
 @pytest.mark.parametrize("flag,value,message", [
@@ -216,18 +229,62 @@ BATTERY = [
     "su(1,1)", "su(2,1)", "su(3,1)", "su(2,2)", "su(4,1)", "su(3,2)",
 ])
 def test_verify_battery_passes_on_every_realized_form(label):
-    doc = run_verify_battery(catalog_by_label()[label],
-                             RunConfig(command="verify", seed=0, samples=20))
-    failed = [c["name"] for c in doc["checks"] if not c["passed"]]
-    assert failed == []
-    assert doc["passed"] is True
     if label == "sl(2,R)":
         extra = ["example_formula"]
     elif label.startswith("su("):
         extra = ["hermitian_fit_residual", "hermitian_fit_stability"]
     else:
         extra = []
-    assert [c["name"] for c in doc["checks"]] == BATTERY + extra + ["stabilizer_dims"]
+    # seeds 0 and 1 at the default sample count, as `verify` runs by default
+    for seed in (0, 1):
+        doc = run_verify_battery(catalog_by_label()[label], RunConfig(command="verify", seed=seed))
+        assert doc["samples"] == 100
+        failed = [c["name"] for c in doc["checks"] if not c["passed"]]
+        assert failed == [], seed
+        assert doc["passed"] is True
+        assert [c["name"] for c in doc["checks"]] == BATTERY + extra + ["stabilizer_dims"]
+
+
+def test_chart_points_are_the_accepted_draws_in_order():
+    from leafatlas import matrixlie as ml
+    from leafatlas.cli import _chart_points
+
+    def one_at_a_time(rng, count):  # one scalar pair per try, as a loop draws them
+        points = []
+        while len(points) < count:
+            w = rng.uniform(-1.4, 1.4) + 1j * rng.uniform(-1.4, 1.4)
+            if 0.15 < abs(abs(w) - 1.0) and abs(w) > 0.05:
+                points.append(w)
+        return points
+
+    want = one_at_a_time(ml.uniform_stream(7), 37)
+    for count in (1, 5, 37):
+        assert _chart_points(ml.uniform_stream(7), count) == want[:count]
+
+
+def test_verify_battery_builds_a_fixed_number_of_generators(monkeypatch):
+    # each sampled check builds its streams once, not once per sample
+    import numpy as np
+
+    built = []
+    for name in ("default_rng", "SeedSequence"):
+        original = getattr(np.random, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            built.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counting)
+    counts = {}
+    for samples in (100, 200):
+        built.clear()
+        doc = run_verify_battery(catalog_by_label()["su(2,1)"],
+                                 RunConfig(command="verify", samples=samples))
+        assert doc["passed"] is True
+        counts[samples] = len(built)
+    # ten sampled checks: cartan, iwasawa, action, multiplicativity,
+    # t-invariance, jacobi, rank, tangency and two Hermitian fits
+    assert 0 < counts[100] == counts[200] <= 3 * 10
 
 
 def test_verify_no_realization(capsys):

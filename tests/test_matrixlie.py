@@ -82,11 +82,14 @@ def test_nullspace_orthonormal_and_annihilated():
     assert np.allclose(col.T @ col, np.eye(2), atol=1e-12)
 
 
-def test_seeded_rngs_follow_spawned_children():
-    got = [rng.normal() for rng in ml.seeded_rngs(5, 4)]
-    want = [np.random.default_rng(c).normal()
-            for c in np.random.SeedSequence(5).spawn(4)]
-    assert got == want
+def test_sample_streams_follow_the_seed_sequence():
+    # a check with seed s draws its Gaussians from SeedSequence(s) itself and
+    # its uniforms from that sequence's first spawned child
+    root = np.random.SeedSequence(5)
+    assert np.array_equal(ml.gaussian_stream(5).random(8), np.random.default_rng(root).random(8))
+    assert np.array_equal(ml.uniform_stream(5).random(8),
+                          np.random.default_rng(root.spawn(1)[0]).random(8))
+    assert not np.array_equal(ml.uniform_stream(5).random(8), ml.gaussian_stream(5).random(8))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +175,7 @@ def test_pi_u_multiplicativity(sl3):
 @pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)"])
 def test_bivectors_antisymmetric_bit_for_bit(label):
     rf = ml.realization(label)
-    us = np.stack([ml.sample_unitary(rng, rf.n) for rng in ml.seeded_rngs(1, 5)])
+    us = ml.sample_unitaries(np.random.default_rng(1), 5, rf.n)
     for kernel in (ml.pi_U_at, ml.pi_0_at):
         for m in (kernel(rf, us[0]), kernel(rf, us)):
             assert np.array_equal(m, -ml._T(m))
@@ -185,7 +188,7 @@ def test_pi_0_zero_at_identity_coset(sl2, sl3):
 
 def test_pi_0_rank_even_and_bounded(sl3):
     for child in np.random.SeedSequence(7).spawn(20):
-        u = ml.sample_unitary(np.random.default_rng(child), 3)
+        u = loops.sample_unitary(np.random.default_rng(child), 3)
         rank, _ = ml.numerical_rank(ml.pi_0_at(sl3, u))
         assert rank % 2 == 0
         assert rank <= sl3.dim_ip0
@@ -194,7 +197,7 @@ def test_pi_0_rank_even_and_bounded(sl3):
 def test_quotient_presentations_mirror(sl2, sl3):
     # group inversion swaps the two coset presentations and flips the sign
     for rf in (sl2, sl3):
-        u = ml.sample_unitary(np.random.default_rng(2), rf.n)
+        u = loops.sample_unitary(np.random.default_rng(2), rf.n)
         lhs = ml.pi_0_at(rf, u.conj().T)
         rhs = -loops.pi_0_left_quotient(rf, u)
         assert np.abs(lhs - rhs).max() < 1e-12
@@ -205,7 +208,7 @@ def test_stacked_adjoint_matches_basis_loop(label):
     rf = ml.realization(label)
     for child in np.random.SeedSequence(24).spawn(5):
         rng = np.random.default_rng(child)
-        u = ml.sample_unitary(rng, rf.n)
+        u = loops.sample_unitary(rng, rf.n)
         x = rng.normal(size=(rf.n, rf.n)) + 1j * rng.normal(size=(rf.n, rf.n))
         big = np.stack([rf.coeffs(u @ b @ u.conj().T) for b in rf.basis_u], axis=1)
         small = np.stack([rf.coeffs(x @ b - b @ x) for b in rf.basis_u], axis=1)
@@ -225,7 +228,7 @@ def test_chart_identity_lies_on_zero_circle(sl2):
 def test_chart_left_invariance(sl2):
     rng = np.random.default_rng(3)
     for _ in range(10):
-        u = ml.sample_unitary(rng, 2)
+        u = loops.sample_unitary(rng, 2)
         th = rng.uniform(0, 2 * math.pi)
         k = np.array([[math.cos(th), math.sin(th)], [-math.sin(th), math.cos(th)]],
                      dtype=complex)
@@ -294,7 +297,7 @@ def test_su2_rank_pattern(sl2):
 # Iwasawa factorization and the action
 
 def test_iwasawa_of_unitary_is_trivial():
-    u = ml.sample_unitary(np.random.default_rng(9), 3)
+    u = loops.sample_unitary(np.random.default_rng(9), 3)
     b, u1 = ml.iwasawa(u)
     assert np.abs(b - np.eye(3)).max() < 1e-12
     assert np.abs(u1 - u).max() < 1e-12
@@ -342,21 +345,20 @@ def test_iwasawa_matches_the_scipy_triangular_factorization():
 
 def test_sample_group_is_the_exponential():
     linalg = pytest.importorskip("scipy.linalg")
-    for i, child in enumerate(np.random.SeedSequence(20).spawn(50)):
+    rng = np.random.default_rng(20)
+    for i in range(50):
         n = 2 + i % 5
-        rng, twin = np.random.default_rng(child), np.random.default_rng(child)
-        g = ml.sample_group(rng, n)
-        x = twin.normal(size=(n, n)) + 1j * twin.normal(size=(n, n))
-        x -= np.trace(x) / n * np.eye(n)
-        ref = linalg.expm(0.4 * x)
+        (x,) = ml.complex_normals(rng, 1, (n, n))
+        g = ml._sl_exp(x)[0]
+        ref = linalg.expm(0.4 * (x[0] - np.trace(x[0]) / n * np.eye(n)))
         assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
         assert abs(np.linalg.det(g) - 1) < 1e-12
 
 
 def test_g_act_identity_and_unitary(sl3):
-    u = ml.sample_unitary(np.random.default_rng(11), 3)
+    u = loops.sample_unitary(np.random.default_rng(11), 3)
     assert np.abs(ml.g_act(u, np.eye(3, dtype=complex)) - u).max() < 1e-12
-    g = ml.sample_unitary(np.random.default_rng(12), 3)
+    g = loops.sample_unitary(np.random.default_rng(12), 3)
     assert np.abs(ml.g_act(u, g) - u @ g).max() < 1e-12
 
 
@@ -365,8 +367,8 @@ def test_g_act_axiom_seeded():
     for child in np.random.SeedSequence(13).spawn(50):
         rng = np.random.default_rng(child)
         n = 3
-        u = ml.sample_unitary(rng, n)
-        g, h = ml.sample_group(rng, n), ml.sample_group(rng, n)
+        u = loops.sample_unitary(rng, n)
+        g, h = loops.sample_group(rng, n), loops.sample_group(rng, n)
         worst = max(worst, float(np.abs(
             ml.g_act(ml.g_act(u, g), h) - ml.g_act(u, g @ h)
         ).max()))
@@ -410,7 +412,7 @@ def test_fixed_triangular_dimension(label):
 def test_leaf_tangency_identity_and_generic(sl2):
     res = ml.leaf_tangency_check(sl2, np.eye(2, dtype=complex))
     assert res.dim_bivector_image == res.dim_orbit_projection == 0
-    u = ml.sample_unitary(np.random.default_rng(14), 2)
+    u = loops.sample_unitary(np.random.default_rng(14), 2)
     res = ml.leaf_tangency_check(sl2, u)
     assert res.dim_bivector_image == res.dim_orbit_projection == 2
     assert res.residual < 1e-8
@@ -450,7 +452,7 @@ def test_largest_principal_angle_of_nearly_equal_subspaces():
 
 def test_leaf_tangency_su21_generic():
     rf = ml.realization("su(2,1)")
-    u = ml.sample_unitary(np.random.default_rng(15), 3)
+    u = loops.sample_unitary(np.random.default_rng(15), 3)
     res = ml.leaf_tangency_check(rf, u)
     assert res.dim_bivector_image == res.dim_orbit_projection == 4
     assert res.residual < 1e-8
@@ -577,7 +579,7 @@ def test_stabilizer_dim_matches_the_per_matrix_loop(label):
     rf = ml.realization(label)
     points = [ml.representative_for(rf, c.psi_word) for c in walked_classes(label)]
     points = [u for u in points if u is not None]
-    points += [ml.sample_unitary(crng, rf.n) for crng in ml.seeded_rngs(31, 3)]
+    points += list(ml.sample_unitaries(np.random.default_rng(31), 3, rf.n))
     for u in points:
         for include_torus in (False, True):
             assert ml.stabilizer_dim(rf, u, include_torus=include_torus) == \
@@ -593,7 +595,7 @@ def test_stabilizer_frames_built_once_per_realization(monkeypatch):
         return original(a, *args, **kwargs)
 
     rf = ml.MatrixRealForm("sl(3,R)", "sl_real", 3)
-    u = ml.sample_unitary(np.random.default_rng(32), 3)
+    u = loops.sample_unitary(np.random.default_rng(32), 3)
     monkeypatch.setattr(np.linalg, "qr", counting)
     dims = [ml.stabilizer_dim(rf, u, include_torus=t) for t in (False, True, False, True)]
     assert dims[:2] == dims[2:]
@@ -654,8 +656,7 @@ def _chart_bivector_series(rf, x):
 @pytest.mark.parametrize("label", REALIZED)
 def test_closed_form_phi_matches_the_series(label):
     rf = ml.realization(label)
-    for rng in ml.seeded_rngs(23, 5):
-        x = rng.uniform(-0.4, 0.4, size=rf.dim_ip0)
+    for x in np.random.default_rng(23).uniform(-0.4, 0.4, size=(5, rf.dim_ip0)):
         ref, dexp_ref = _chart_bivector_series(rf, x)
         xi = np.tensordot(x, rf._ip0_stack, axes=1)
         dexp = rf._stack_coeffs(ml.exp_and_phi_ad(xi, rf._ip0_stack)[1])
@@ -668,8 +669,8 @@ def test_eigh_exponential_matches_scipy_expm():
     linalg = pytest.importorskip("scipy.linalg")
     for label in REALIZED:
         rf = ml.realization(label)
-        for rng in ml.seeded_rngs(24, 5):
-            xi = np.tensordot(rng.uniform(-2, 2, size=rf.dim_ip0), rf._ip0_stack, axes=1)
+        for x in np.random.default_rng(24).uniform(-2, 2, size=(5, rf.dim_ip0)):
+            xi = np.tensordot(x, rf._ip0_stack, axes=1)
             u, _ = ml.exp_and_phi_ad(xi, rf._ip0_stack[:0])
             assert np.abs(u - linalg.expm(xi)).max() < 1e-12
             assert np.abs(u @ u.conj().T - np.eye(rf.n)).max() < 1e-13
@@ -793,8 +794,8 @@ def test_hermitian_fit_extremes_match_the_loop_off_the_decomposition(monkeypatch
 @pytest.mark.parametrize("label", REALIZED)
 def test_stacked_tangency_columns_match_the_loop(label):
     rf = ml.realization(label)
-    for u in [np.eye(rf.n, dtype=complex)] + [ml.sample_unitary(rng, rf.n)
-                                              for rng in ml.seeded_rngs(6, 3)]:
+    for u in [np.eye(rf.n, dtype=complex)] + list(
+            ml.sample_unitaries(np.random.default_rng(6), 3, rf.n)):
         res = ml.leaf_tangency_check(rf, u)
         orbit = loops.orbit_projection(rf, u)
         assert res.dim_orbit_projection == ml.column_space(orbit).shape[1]
@@ -819,24 +820,74 @@ def test_invariant_bivector_matches_the_loop_system(label):
     assert np.abs(ml.invariant_bivector(rf) - loops.invariant_bivector(rf)).max() <= 1e-12
 
 
-def test_stacked_draws_replay_each_child_alone():
-    n, count = 3, ml.STACK + 5
-    stacks = list(ml.seeded_stacks(40, count))
-    assert [len(s) for s in stacks] == [ml.STACK, 5]
-    rngs = [rng for s in stacks for rng in s]
-    z, h = ml.complex_normals(rngs, (n, n), (n,))
-    unitaries = ml._unitary(z)
-    groups = ml._sl_exp(z)
-    for i, child in enumerate(np.random.SeedSequence(40).spawn(count)):
-        alone = np.random.default_rng(child)
-        assert np.array_equal(z[i], alone.normal(size=(n, n)) + 1j * alone.normal(size=(n, n)))
-        assert np.array_equal(h[i], alone.normal(size=n) + 1j * alone.normal(size=n))
-        assert np.array_equal(unitaries[i], ml.sample_unitary(np.random.default_rng(child), n))
-        assert np.array_equal(groups[i], ml.sample_group(np.random.default_rng(child), n))
-        ref = loops.sample_unitary(np.random.default_rng(child), n)
+def _parts(rng, n):
+    """One sample's (n, n) and (n,) complex Gaussians, one rng.normal call per
+    real or imaginary part, as a per-sample loop draws them."""
+    return [rng.normal(size=s) + 1j * rng.normal(size=s) for s in ((n, n), (n,))]
+
+
+def _at_block(seed, i, n):
+    """A fresh Gaussian stream of seed, after blocks 0..i-1 are drawn alone."""
+    rng = np.random.default_rng(seed)
+    for _ in range(i):
+        _parts(rng, n)
+    return rng
+
+
+def test_stacked_draws_replay_each_block_alone():
+    n, count, seed = 3, ml.STACK + 5, 40
+    assert ml._stacks(count) == [ml.STACK, 5]
+    rng, phase_rng = ml.gaussian_stream(seed), ml.uniform_stream(seed)
+    stacks = [ml.complex_normals(rng, k, (n, n), (n,)) for k in ml._stacks(count)]
+    z, h = (np.concatenate(part) for part in zip(*stacks))
+    unitaries = np.concatenate([ml._unitary(zk) for zk, _ in stacks])
+    groups = np.concatenate([ml._sl_exp(zk) for zk, _ in stacks])
+    phases = np.concatenate([phase_rng.uniform(0, 2 * math.pi, size=(k, n))
+                             for k in ml._stacks(count)])
+    phase_alone = loops.uniform_stream(seed)
+    for i in range(count):
+        z_i, h_i = _parts(_at_block(seed, i, n), n)
+        assert np.array_equal(z[i], z_i) and np.array_equal(h[i], h_i)
+        assert np.array_equal(unitaries[i], ml.sample_unitaries(_at_block(seed, i, n), 1, n)[0])
+        assert np.array_equal(groups[i], ml._sl_exp(z_i[None])[0])
+        ref = loops.sample_unitary(_at_block(seed, i, n), n)
         assert np.abs(unitaries[i] - ref).max() <= 1e-15
-        ref = loops.sample_group(np.random.default_rng(child), n)
+        ref = loops.sample_group(_at_block(seed, i, n), n)
         assert np.abs(groups[i] - ref).max() <= 1e-14
+        assert np.array_equal(phases[i], phase_alone.uniform(0, 2 * math.pi, size=n))
+
+
+class _LoggedStream:
+    """A generator that logs the name of each method a check calls on it."""
+
+    def __init__(self, rng, kind, log):
+        self._rng, self._kind, self._log = rng, kind, log
+
+    def __getattr__(self, name):
+        self._log.append((self._kind, name))
+        return getattr(self._rng, name)
+
+
+def test_each_check_draws_once_per_stack_from_the_stream_of_its_distribution(monkeypatch):
+    rf = ml.realization("su(2,1)")
+    log = []
+    for kind in ("gaussian", "uniform"):
+        make = getattr(ml, f"{kind}_stream")
+        monkeypatch.setattr(ml, f"{kind}_stream",
+                            lambda seed, make=make, kind=kind: _LoggedStream(make(seed), kind, log))
+    normal, uniform = ("gaussian", "standard_normal"), ("uniform", "uniform")
+    count = ml.STACK + 1  # two stacks
+    for check, draws in ((ml.iwasawa_residual, [normal] * 2),
+                         (ml.action_residual, [normal] * 2),
+                         (ml.multiplicativity_residual, [normal] * 2),
+                         (ml.t_invariance_residual, [normal, uniform] * 2),
+                         (ml.max_sampled_rank, [normal] * 2),
+                         (ml.hermitian_fit, [normal] * 2),
+                         (ml.cartan_consistency, [normal] * 2),
+                         (ml.jacobi_check, [uniform])):
+        log.clear()
+        check(rf, count, seed=3)
+        assert log == draws, check.__name__
 
 
 def test_multiplicativity_factors_one_stack_at_a_time(monkeypatch):
@@ -870,12 +921,12 @@ def test_each_point_forms_its_adjoint_matrix_once(monkeypatch):
         check(rf, (stacks - 1) * ml.STACK + 1, seed=0)
         assert len(calls) == stacks * per_stack, check.__name__
     calls.clear()
-    ml.leaf_tangency_check(rf, ml.sample_unitary(np.random.default_rng(0), rf.n))
+    ml.leaf_tangency_check(rf, loops.sample_unitary(np.random.default_rng(0), rf.n))
     assert calls == [(rf.n, rf.n)]
 
 
 def test_one_bad_sample_fails_its_stack(sl3):
-    us = np.stack([ml.sample_unitary(rng, 3) for rng in ml.seeded_rngs(41, 5)])
+    us = ml.sample_unitaries(np.random.default_rng(41), 5, 3)
     bad = us.copy()
     bad[3] *= 1.01
     with pytest.raises(ml.NonUnitaryError):

@@ -58,8 +58,9 @@ def test_parse_duplicate_label():
 
 
 def test_parse_rank_mismatch():
-    with pytest.raises(CatalogParseError, match="disagrees"):
+    with pytest.raises(CatalogParseError) as err:
         load_catalog("name=x; type=A2; rank=3")
+    assert str(err.value) == "line 1: rank=3 disagrees with type=A2"
 
 
 @pytest.mark.parametrize("stanza,message", [
