@@ -28,8 +28,6 @@ from .satake import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .matrixlie import MatrixRealForm
 
 SCHEMA_VERSION = 1
@@ -309,24 +307,12 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         f"{n_borderline} borderline samples",
     ))
 
-    worst_tang = 0.0
-    tang_ok = True
-    for u in ml.sample_unitaries(ml.gaussian_stream(seed + 6), 5, rf.n):
-        res = ml.leaf_tangency_check(rf, u)
-        tang_ok = tang_ok and res.dim_bivector_image == res.dim_orbit_projection
-        worst_tang = max(worst_tang, res.residual)
-    checks.append(_check("leaf_tangency", worst_tang if tang_ok else float("inf"),
+    checks.append(_check("leaf_tangency", ml.leaf_tangency_residual(rf, 5, seed + 6),
                          tol["tangency"]))
 
     if rf.kind == "sl_real" and rf.n == 2:
-        worst_f = 0.0
-        for w in _chart_points(ml.uniform_stream(seed + 7), samples):
-            u = ml.chart_su2_section(w)
-            _, coeff = ml.su2_transported_coefficient(rf, u)
-            expected = ml.SU2_AMPLITUDE * (1 - abs(w) ** 4)
-            worst_f = max(worst_f, abs(coeff - expected) / abs(expected))
-        checks.append(_check("example_formula", worst_f, tol["formula"],
-                             "relative to the derived 1/8 amplitude"))
+        checks.append(_check("example_formula", ml.formula_residual(rf, samples, seed + 7),
+                             tol["formula"], "relative to the derived 1/8 amplitude"))
 
     if rf.kind == "su_pq":
         fit1 = ml.hermitian_fit(rf, n_samples=samples, seed=seed + 8)
@@ -365,18 +351,6 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
-
-
-def _chart_points(rng: np.random.Generator, count: int) -> list[complex]:
-    """The first count accepted points of a rejection sampler on rng: w from
-    uniform (real, imaginary) pairs on the square of side 2.8, kept off the
-    origin and away from the zero circle |w| = 1."""
-    points: list[complex] = []
-    while len(points) < count:
-        xy = rng.uniform(-1.4, 1.4, size=(count, 2))
-        w = xy[:, 0] + 1j * xy[:, 1]
-        points += w[(abs(abs(w) - 1.0) > 0.15) & (abs(w) > 0.05)].tolist()
-    return points[:count]
 
 
 def verify_markdown(doc: dict) -> str:

@@ -17,7 +17,7 @@ IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 Perm = tuple[int, ...]  # images of root indices, see RootPermutations
 
-DEFAULT_RANK_CAP = 8
+RANK_CAP = 8
 DEFAULT_WEYL_CAP = 10**6
 
 
@@ -77,19 +77,6 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return a
 
 
-def _root_lengths(family: str, rank: int) -> tuple[int, ...]:
-    """Half squared lengths (alpha_i, alpha_i)/2, short roots normalized to 2."""
-    if family == "B":
-        return tuple([2] * (rank - 1) + [1])
-    if family == "C":
-        return tuple([1] * (rank - 1) + [2])
-    if family == "F":
-        return (2, 2, 1, 1)
-    if family == "G":
-        return (1, 3)
-    return tuple([1] * rank)
-
-
 _VALID_RANKS = {
     "A": lambda r: r >= 1,
     "B": lambda r: r >= 2,
@@ -109,7 +96,6 @@ class RootSystem:
     rank: int
     cartan_matrix: IntMatrix
     positive_roots: tuple[IntVector, ...]
-    form: IntMatrix  # symmetrized Cartan pairing, short roots of squared length 2
 
     @property
     def cartan_type(self) -> str:
@@ -142,7 +128,7 @@ class WeylElement:
     perm: Perm
 
 
-def build_root_system(family: str, rank: int, rank_cap: int = DEFAULT_RANK_CAP) -> RootSystem:
+def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct a root system with positive roots from reflection closure.
 
     Positive roots are generated by repeatedly applying simple reflections to
@@ -152,16 +138,12 @@ def build_root_system(family: str, rank: int, rank_cap: int = DEFAULT_RANK_CAP) 
     family = family.upper()
     if family not in _VALID_RANKS or not isinstance(rank, int) or not _VALID_RANKS[family](rank):
         raise UnsupportedCartanTypeError(f"unsupported Cartan type {family}{rank}")
-    if rank > rank_cap:
+    if rank > RANK_CAP:
         raise UnsupportedCartanTypeError(
-            f"unsupported Cartan type {family}{rank}: rank exceeds cap {rank_cap}"
+            f"unsupported Cartan type {family}{rank}: rank exceeds cap {RANK_CAP}"
         )
 
     cartan = _cartan_matrix(family, rank)
-    lengths = _root_lengths(family, rank)
-    form = tuple(
-        tuple(cartan[i][j] * lengths[j] for j in range(rank)) for i in range(rank)
-    )
 
     simple = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
     positive = set(simple)
@@ -181,7 +163,6 @@ def build_root_system(family: str, rank: int, rank_cap: int = DEFAULT_RANK_CAP) 
         rank=rank,
         cartan_matrix=tuple(tuple(row) for row in cartan),
         positive_roots=tuple(sorted(positive)),
-        form=form,
     )
 
 

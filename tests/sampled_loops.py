@@ -16,6 +16,7 @@ import cmath
 import math
 from itertools import combinations, repeat
 
+import basis_lists as bl
 import numpy as np
 
 from leafatlas import matrixlie as ml
@@ -85,8 +86,8 @@ def max_sampled_rank(rf, n_samples, seed, threshold=ml.RANK_THRESHOLD):
 def pi_0_left_quotient(rf, u):
     """The quotient bivector in the mirrored (left coset) presentation:
     pi_U_at(u) projected onto basis_ip0.  Equal to -pi_0_at(u^{-1})."""
-    k = rf.dim_k0
-    upper = np.triu((rf._Sinv @ ml.pi_U_at(rf, u) @ rf._Sinv.T)[k:, k:], k=1)
+    reader = rf._ip0_reader
+    upper = np.triu(reader @ ml.pi_U_at(rf, u) @ reader.T, k=1)
     return upper - upper.T
 
 
@@ -97,7 +98,7 @@ def flag_part(rf, u):
     u0 = ml._block_alignment(rf)
     across = ml._levi_across(rf)
     ad_u0 = rf.Ad_matrix(u0)
-    transfer = np.stack([(ad_u0 @ rf.coeffs(b))[across] for b in rf.basis_ip0], axis=1)
+    transfer = np.stack([(ad_u0 @ bl.coeffs(rf, b))[across] for b in rf.basis_ip0], axis=1)
     a = rf.Ad_matrix(u0 @ u.conj().T)
     c = (a @ rf.lam @ a.T - rf.lam)[np.ix_(across, across)]
     tinv = np.linalg.inv(transfer)
@@ -162,8 +163,7 @@ def cartan_consistency(rf, n_samples, seed):
         res["h_stable"] = max(res["h_stable"], float(np.abs(off).max()))
 
     worst = 0.0
-    for col in rf.fixed_triangular.T:
-        m = col[: rf.n * rf.n].reshape(rf.n, rf.n) + 1j * col[rf.n * rf.n:].reshape(rf.n, rf.n)
+    for m in rf.fixed_triangular:
         worst = max(worst, float(np.abs(np.tril(m, k=-1)).max()),
                     float(np.abs(np.diag(m).imag).max()))
     res["iwasawa_borel"] = worst
@@ -177,11 +177,31 @@ def orbit_projection(rf, u):
     uinv = u.conj().T
     ad_uinv = rf.Ad_matrix(uinv)
     cols = []
-    for x in rf.g0_basis():
-        alpha = rf._full_pinv @ ml._vec(u @ x @ uinv)
-        u_part = np.tensordot(alpha[: rf.dim_u], rf._basis_stack, axes=1)
-        cols.append((rf._Sinv @ (ad_uinv @ rf.coeffs(u_part)))[rf.dim_k0:])
+    for x in rf.basis_g0:
+        alpha = rf._full_pinv @ bl.vec(u @ x @ uinv)
+        u_part = np.tensordot(alpha[: rf.dim_u], rf.basis_u, axes=1)
+        cols.append(rf._ip0_reader @ (ad_uinv @ bl.coeffs(rf, u_part)))
     return np.stack(cols, axis=1)
+
+
+def leaf_tangency_residual(rf, n_samples, seed):
+    """The verify battery's former loop: one draw of every unitary."""
+    worst, same = 0.0, True
+    for u in ml.sample_unitaries(np.random.default_rng(seed), n_samples, rf.n):
+        res = ml.leaf_tangency_check(rf, u)
+        same = same and res.dim_bivector_image == res.dim_orbit_projection
+        worst = max(worst, res.residual)
+    return worst if same else float("inf")
+
+
+def formula_residual(rf, n_samples, seed):
+    """The verify battery's former example_formula loop."""
+    worst = 0.0
+    for w in ml._chart_points(uniform_stream(seed), n_samples):
+        _, coeff = ml.su2_transported_coefficient(rf, ml.chart_su2_section(w))
+        expected = ml.SU2_AMPLITUDE * (1 - abs(w) ** 4)
+        worst = max(worst, abs(coeff - expected) / abs(expected))
+    return worst
 
 
 def iwasawa_residual(rf, n_samples, seed):
@@ -209,13 +229,11 @@ def action_residual(rf, n_samples, seed):
 def invariant_bivector(rf):
     """invariant_bivector with its linear system assembled entry by entry."""
     m = rf.dim_ip0
-    k = rf.dim_k0
     ads = []
     for kb in rf.basis_k0:
-        full = np.stack(
-            [(rf._Sinv @ rf.coeffs(kb @ b - b @ kb)) for b in rf.basis_ip0], axis=1
-        )
-        ads.append(full[k:, :])
+        ads.append(np.stack(
+            [rf._ip0_reader @ bl.coeffs(rf, kb @ b - b @ kb) for b in rf.basis_ip0], axis=1
+        ))
 
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     rows = []

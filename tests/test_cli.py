@@ -247,7 +247,7 @@ def test_verify_battery_passes_on_every_realized_form(label):
 
 def test_chart_points_are_the_accepted_draws_in_order():
     from leafatlas import matrixlie as ml
-    from leafatlas.cli import _chart_points
+    from leafatlas.matrixlie import _chart_points
 
     def one_at_a_time(rng, count):  # one scalar pair per try, as a loop draws them
         points = []

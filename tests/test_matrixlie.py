@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import basis_lists as bl
 import numpy as np
 import pytest
 import sampled_loops as loops
@@ -95,9 +96,22 @@ def test_sample_streams_follow_the_seed_sequence():
 # ---------------------------------------------------------------------------
 # invariant form and root vectors
 
+def killing(n, x, y):
+    """Invariant bilinear form 2n tr(XY) on traceless n x n matrices."""
+    return 2 * n * np.trace(x @ y)
+
+
+def _root_vectors(n):
+    """(E, X, Y) per positive root of su_basis(n): E = (X - iY)/2, since
+    X = E - F and Y = i(E + F)."""
+    basis = ml.su_basis(n)
+    x, y = basis[n - 1::2], basis[n::2]
+    return zip((x - 1j * y) / 2, x, y)
+
+
 def test_killing_diagonal_value():
     x = np.diag([1.0, -1.0]).astype(complex)
-    assert ml.killing(2, x, x) == pytest.approx(8.0)
+    assert killing(2, x, x) == pytest.approx(8.0)
 
 
 def test_killing_orthogonal_elementaries():
@@ -105,7 +119,7 @@ def test_killing_orthogonal_elementaries():
     e12[0, 1] = 1
     e13 = np.zeros((3, 3), complex)
     e13[0, 2] = 1
-    assert ml.killing(3, e12, e13) == 0
+    assert killing(3, e12, e13) == 0
 
 
 def test_killing_symmetric_on_samples():
@@ -113,25 +127,38 @@ def test_killing_symmetric_on_samples():
     for _ in range(10):
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert ml.killing(3, x, y) == pytest.approx(ml.killing(3, y, x))
+        assert killing(3, x, y) == pytest.approx(killing(3, y, x))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_root_vector_normalization(n):
-    rv = ml.root_vectors(n)
-    for data in rv.values():
-        e = data["E"]
-        val = ml.killing(n, e, ml.MatrixRealForm.theta(e))
+    for e, x, y in _root_vectors(n):
+        val = killing(n, e, ml.MatrixRealForm.theta(e))
         assert val == pytest.approx(-1.0)
-        for key in ("X", "Y"):
-            m = data[key]
+        for m in (x, y):
             assert np.abs(m + m.conj().T).max() < 1e-14
             assert abs(np.trace(m)) < 1e-14
 
 
 def test_root_vector_scale_n2():
-    rv = ml.root_vectors(2)
-    assert rv[(0, 1)]["E"][0, 1] == pytest.approx(0.5)
+    (e, _, _), = _root_vectors(2)
+    assert e[0, 1] == pytest.approx(0.5)
+
+
+BASIS_LABELS = ["sl(2,R)", "sl(3,R)", "sl(4,R)", "sl(5,R)", "sl(6,R)", "su(1,1)", "su(2,1)",
+                "su(3,1)", "su(2,2)", "su(4,1)", "su(3,2)", "su(3,3)", "su(5,1)"]
+
+
+@pytest.mark.parametrize("label", BASIS_LABELS)
+def test_basis_stacks_equal_the_per_matrix_lists(label):
+    rf = ml.realization(label)
+    basis_u, _ = bl.su_basis(rf.n)
+    k0, ip0 = bl.split_tau(rf, basis_u)
+    for got, want in ((rf.basis_u, basis_u), (rf.basis_k0, k0), (rf.basis_ip0, ip0),
+                      (rf.basis_an, bl.an_basis(rf.n)), (rf.basis_g0, bl.g0_basis(k0, ip0))):
+        assert got.shape == (len(want), rf.n, rf.n)
+        assert np.array_equal(got, np.stack(want))
+    assert np.array_equal(rf.lam, bl.lambda_matrix(rf.n))
 
 
 def test_lambda_n2_single_wedge():
@@ -203,6 +230,11 @@ def test_quotient_presentations_mirror(sl2, sl3):
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
+def ad_matrix(rf, x):
+    """Matrix of ad_x over basis_u, from one stacked commutator."""
+    return rf.coeffs(x @ rf.basis_u - rf.basis_u @ x)
+
+
 @pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)", "su(3,2)"])
 def test_stacked_adjoint_matches_basis_loop(label):
     rf = ml.realization(label)
@@ -210,10 +242,10 @@ def test_stacked_adjoint_matches_basis_loop(label):
         rng = np.random.default_rng(child)
         u = loops.sample_unitary(rng, rf.n)
         x = rng.normal(size=(rf.n, rf.n)) + 1j * rng.normal(size=(rf.n, rf.n))
-        big = np.stack([rf.coeffs(u @ b @ u.conj().T) for b in rf.basis_u], axis=1)
-        small = np.stack([rf.coeffs(x @ b - b @ x) for b in rf.basis_u], axis=1)
+        big = np.stack([bl.coeffs(rf, u @ b @ u.conj().T) for b in rf.basis_u], axis=1)
+        small = np.stack([bl.coeffs(rf, x @ b - b @ x) for b in rf.basis_u], axis=1)
         assert np.abs(rf.Ad_matrix(u) - big).max() < 1e-12
-        assert np.abs(rf.ad_matrix(x) - small).max() < 1e-12
+        assert np.abs(ad_matrix(rf, x) - small).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +280,20 @@ def test_chart_section_roundtrip():
         assert abs(ml.chart_su2(ml.chart_su2_section(w)) - w) < 1e-12
 
 
+def su2_leaf_slice(zeta):
+    """The two-parameter unitary slice whose quotient image is the two open
+    leaves plus a single point of the zero circle (hit along real zeta)."""
+    d = 1.0 / math.sqrt(1 + abs(zeta) ** 2)
+    return d * np.array([[zeta, 1.0], [-1.0, np.conj(zeta)]])
+
+
 def test_leaf_slice_collapses_real_parameters(sl2):
     # the real-parameter part of the slice is a single zero-circle point
-    base = ml.chart_su2(ml.su2_leaf_slice(0.0))
+    base = ml.chart_su2(su2_leaf_slice(0.0))
     for x in (-2.0, -0.3, 0.7, 5.0):
-        assert abs(ml.chart_su2(ml.su2_leaf_slice(x)) - base) < 1e-12
+        assert abs(ml.chart_su2(su2_leaf_slice(x)) - base) < 1e-12
     assert abs(abs(base) - 1.0) < 1e-12
-    off = ml.chart_su2(ml.su2_leaf_slice(0.5 + 0.5j))
+    off = ml.chart_su2(su2_leaf_slice(0.5 + 0.5j))
     assert abs(abs(off) - 1.0) > 0.05
 
 
@@ -567,10 +606,11 @@ def test_stabilizer_dims_match_class_invariants(label):
 
 
 def _stabilizer_dim_loop(rf, u, include_torus):
-    # reference: the frame and the Ad_u images built one matrix at a time
-    target = list(rf._an_basis) + (rf._t_basis if include_torus else [])
-    q, _ = np.linalg.qr(np.stack([ml._vec(b) for b in target], axis=1))
-    m = np.stack([ml._vec(u @ x @ u.conj().T) for x in rf.g0_basis()], axis=1)
+    # reference: the frame and the Ad_u images built one matrix at a time;
+    # the compact torus is the first n - 1 elements of basis_u
+    target = list(rf.basis_an) + (list(rf.basis_u[:rf.n - 1]) if include_torus else [])
+    q, _ = np.linalg.qr(np.stack([bl.vec(b) for b in target], axis=1))
+    m = np.stack([bl.vec(u @ x @ u.conj().T) for x in rf.basis_g0], axis=1)
     return m.shape[1] - ml.numerical_rank(m - q @ (q.T @ m), ml.RANK_THRESHOLD)[0]
 
 
@@ -646,10 +686,9 @@ def _chart_bivector_series(rf, x):
     """chart_bivector with phi(ad xi) summed term by term over basis_u;
     returns the bivector and the image of basis_ip0 under phi(ad xi)."""
     xi = sum(c * b for c, b in zip(x, rf.basis_ip0))
-    u, _ = ml.exp_and_phi_ad(xi, rf._ip0_stack[:0])
-    k = rf.dim_k0
-    dexp = _phi_series(rf.ad_matrix(xi)) @ rf._S[:, k:]
-    jinv = np.linalg.inv((rf._Sinv @ dexp)[k:])
+    u, _ = ml.exp_and_phi_ad(xi, rf.basis_ip0[:0])
+    dexp = _phi_series(ad_matrix(rf, xi)) @ np.stack([bl.coeffs(rf, b) for b in rf.basis_ip0], axis=1)
+    jinv = np.linalg.inv(rf._ip0_reader @ dexp)
     return jinv @ ml.pi_0_at(rf, u) @ jinv.T, dexp
 
 
@@ -658,8 +697,8 @@ def test_closed_form_phi_matches_the_series(label):
     rf = ml.realization(label)
     for x in np.random.default_rng(23).uniform(-0.4, 0.4, size=(5, rf.dim_ip0)):
         ref, dexp_ref = _chart_bivector_series(rf, x)
-        xi = np.tensordot(x, rf._ip0_stack, axes=1)
-        dexp = rf._stack_coeffs(ml.exp_and_phi_ad(xi, rf._ip0_stack)[1])
+        xi = np.tensordot(x, rf.basis_ip0, axes=1)
+        dexp = rf.coeffs(ml.exp_and_phi_ad(xi, rf.basis_ip0)[1])
         assert np.linalg.norm(dexp - dexp_ref) <= 1e-12 * np.linalg.norm(dexp_ref)
         got = ml.chart_bivector(rf, x)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -670,8 +709,8 @@ def test_eigh_exponential_matches_scipy_expm():
     for label in REALIZED:
         rf = ml.realization(label)
         for x in np.random.default_rng(24).uniform(-2, 2, size=(5, rf.dim_ip0)):
-            xi = np.tensordot(x, rf._ip0_stack, axes=1)
-            u, _ = ml.exp_and_phi_ad(xi, rf._ip0_stack[:0])
+            xi = np.tensordot(x, rf.basis_ip0, axes=1)
+            u, _ = ml.exp_and_phi_ad(xi, rf.basis_ip0[:0])
             assert np.abs(u - linalg.expm(xi)).max() < 1e-12
             assert np.abs(u @ u.conj().T - np.eye(rf.n)).max() < 1e-13
 
@@ -768,6 +807,10 @@ def test_stacked_checks_match_the_per_sample_loops(label):
         assert all(_close(got[key], want[key]) for key in want), (got, want)
         # each Jacobi point is one stack, of its 2m + 1 chart points
         assert _close(ml.jacobi_check(rf, count, seed=4), loops.jacobi_check(rf, count, 4))
+        # the loops moved from the verify battery: same draws, same values
+        assert ml.leaf_tangency_residual(rf, count, 6) == loops.leaf_tangency_residual(rf, count, 6)
+        if rf.kind == "sl_real" and rf.n == 2:
+            assert ml.formula_residual(rf, count, 7) == loops.formula_residual(rf, count, 7)
         if rf.kind == "su_pq":
             fit = ml.hermitian_fit(rf, count, seed=8)
             b, max_residual = loops.hermitian_fit(rf, count, 8)
@@ -884,6 +927,7 @@ def test_each_check_draws_once_per_stack_from_the_stream_of_its_distribution(mon
                          (ml.max_sampled_rank, [normal] * 2),
                          (ml.hermitian_fit, [normal] * 2),
                          (ml.cartan_consistency, [normal] * 2),
+                         (ml.leaf_tangency_residual, [normal] * 2),
                          (ml.jacobi_check, [uniform])):
         log.clear()
         check(rf, count, seed=3)
@@ -948,7 +992,7 @@ def test_one_singular_chart_point_fails_its_stack(sl3):
     assert ml.chart_bivector(sl3, xs).shape == (5, sl3.dim_ip0, sl3.dim_ip0)
     # scale a direction until two eigenvalues of xi differ by 2 pi: there
     # phi(ad xi) has a zero eigenvalue and the chart is singular
-    lam = np.linalg.eigvalsh(-1j * np.tensordot(xs[0], sl3._ip0_stack, axes=1))
+    lam = np.linalg.eigvalsh(-1j * np.tensordot(xs[0], sl3.basis_ip0, axes=1))
     xs[1] = xs[0] * 2 * math.pi / (lam[-1] - lam[0])
     with pytest.raises(ml.ChartSingularityError):
         ml.chart_bivector(sl3, xs[1])

@@ -220,7 +220,7 @@ def test_length_subadditive_and_inverse_invariant():
 @pytest.mark.parametrize("family,rank", [("B", 2), ("G", 2), ("C", 3)])
 def test_matrices_preserve_form(family, rank):
     rs = build_root_system(family, rank)
-    assert rs.form == wm.mat_transpose(rs.form)
+    assert wm.form(rs) == wm.mat_transpose(wm.form(rs))
     for w in wm.enumerate_weyl(rs):
         assert wm.preserves_form(rs, w)
 

@@ -160,10 +160,29 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> Iterator[Weyl
         queue = nxt
 
 
+def root_lengths(family: str, rank: int) -> tuple[int, ...]:
+    """Half squared lengths (alpha_i, alpha_i)/2, short roots normalized to 2."""
+    if family == "B":
+        return tuple([2] * (rank - 1) + [1])
+    if family == "C":
+        return tuple([1] * (rank - 1) + [2])
+    if family == "F":
+        return (2, 2, 1, 1)
+    if family == "G":
+        return (1, 3)
+    return tuple([1] * rank)
+
+
+def form(rs: RootSystem) -> IntMatrix:
+    """The symmetrized Cartan pairing, short roots of squared length 2."""
+    lengths = root_lengths(rs.family, rs.rank)
+    return tuple(tuple(a * lengths[j] for j, a in enumerate(row)) for row in rs.cartan_matrix)
+
+
 def preserves_form(rs: RootSystem, w: WeylElement) -> bool:
     """Check w^T * form * w == form (Weyl invariance of the pairing)."""
-    m = mat_mul(mat_transpose(w.matrix), mat_mul(rs.form, w.matrix))
-    return m == rs.form
+    m = mat_mul(mat_transpose(w.matrix), mat_mul(form(rs), w.matrix))
+    return m == form(rs)
 
 
 # ---------------------------------------------------------------------------
