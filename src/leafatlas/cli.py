@@ -109,8 +109,49 @@ def _emit(cfg: RunConfig, text: str) -> None:
             sys.stdout.write("\n")
 
 
+#: The fields of an atlas class record (`atlas_document`) and their types,
+#: in sorted order.
+_CLASS_FIELDS = dict(sorted({
+    **dict.fromkeys(("a", "codim_Y", "t", "leaf_dim", "leaf_codim", "family_dim"), int),
+    **dict.fromkeys(("is_open", "is_closed_class", "parity_ok", "dims_in_range"), bool),
+    "psi_word": list,
+}.items()))
+
+
+def _class_record(rec: object) -> str | None:
+    """One class record as `json.dumps(sort_keys=True, indent=2)` renders it
+    in an atlas document's "classes" list, or None for a record outside the
+    fixed schema: ints, bools and an int list."""
+    if type(rec) is not dict or rec.keys() != _CLASS_FIELDS.keys():
+        return None
+    lines = []
+    for key, kind in _CLASS_FIELDS.items():
+        value = rec[key]
+        if type(value) is not kind:
+            return None
+        if kind is bool:
+            value = "true" if value else "false"
+        elif kind is list and value:  # an empty list is written as []
+            if any(type(x) is not int for x in value):
+                return None
+            value = "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
+        lines.append(f'      "{key}": {value}')
+    return "    {\n" + ",\n".join(lines) + "\n    }"
+
+
 def _json_dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(doc, sort_keys=True, indent=2)` plus a newline, in strict
+    JSON. The class records of an atlas document are rendered from a fixed
+    template and spliced in; a document with any other record takes the
+    generic path whole."""
+    classes = doc.get("classes")
+    records = list(map(_class_record, classes)) if type(classes) is list and classes else None
+    if records is None or None in records:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # a line break followed by two spaces starts a key of the outermost object
+    head, tail = json.dumps({**doc, "classes": []}, sort_keys=True, indent=2,
+                            allow_nan=False).split('\n  "classes": []', 1)
+    return f'{head}\n  "classes": [\n' + ",\n".join(records) + f"\n  ]{tail}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +501,7 @@ def _parse_tol(items: Sequence[str]) -> dict[str, float]:
             tol = float(value)
         except ValueError:
             tol = math.nan
-        if not tol >= 0:  # NaN fails this too
+        if not 0 <= tol < math.inf:  # NaN fails this too
             raise ValueError(
                 f"tolerance {name!r} must be a number at least 0, got {value.strip()!r}")
         out[name] = tol

@@ -527,7 +527,9 @@ class TangencyResult:
 def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray) -> TangencyResult:
     """Compare the image of the quotient bivector with the projected tangent
     space of the dressing orbit through u; returns dims and the largest
-    principal angle between the two subspaces."""
+    principal angle between the two subspaces. When their dimensions differ,
+    a vector of the larger span is orthogonal to the smaller one, so that
+    angle is pi/2."""
     _check_unitary(u)
     uinv = u.conj().T
     a_inv = rf.Ad_matrix(uinv)
@@ -540,12 +542,12 @@ def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray) -> TangencyResult:
     img = column_space(c)
     orb = column_space(orbit)
     same = img.shape[1] == orb.shape[1]
-    residual = largest_principal_angle(img, orb) if same else float("inf")
+    residual = largest_principal_angle(img, orb) if same else math.pi / 2
     return TangencyResult(img.shape[1], orb.shape[1], residual)
 
 
 def leaf_tangency_residual(rf: MatrixRealForm, n_samples: int, seed: int) -> float:
-    """Largest tangency residual over seeded unitaries: inf when the image
+    """Largest tangency residual over seeded unitaries: pi/2 when the image
     and orbit dimensions differ at some sample."""
     rng = gaussian_stream(seed)
     return max(leaf_tangency_check(rf, u).residual

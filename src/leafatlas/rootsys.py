@@ -213,6 +213,12 @@ class RootPermutations:
             tuple(self.index[_reflect_vector(a, k, r)] for r in self.roots)
             for k in range(rs.rank)
         )
+        self._heights = tuple(sum(r) for r in self.roots)
+        # (j, a_ji) for each Cartan neighbour j of each node i
+        self._neighbours = tuple(
+            tuple((j, a[j][i]) for j in range(rs.rank) if j != i and a[j][i])
+            for i in range(rs.rank)
+        )
 
     def compose(self, p: Perm, q: Perm) -> Perm:
         """The product p·q: q acts first."""
@@ -226,17 +232,25 @@ class RootPermutations:
     def reduced_word(self, p: Perm) -> tuple[int, ...]:
         """The lexicographically least reduced word of p (1-based indices),
         built greedily: the least left descent s_i of p (p^-1 sends alpha_i to
-        a negative root) comes first, then the word of s_i·p."""
-        inv = [0] * len(p)
-        for j, x in enumerate(p):
-            inv[x] = j
+        a negative root) comes first, then the word of s_i·p.
+
+        Only the heights h_j of the roots p^-1(alpha_j) are kept, in one list
+        updated in place: a root is negative iff its height is. Since
+        (s_i·p)^-1(alpha_j) = p^-1(alpha_j - a_ji alpha_i) and the height is
+        linear, a step by s_i negates h_i and subtracts a_ji·h_i from each
+        Cartan neighbour h_j."""
+        heights = [self._heights[p.index(a)] for a in self.simple]
         word: list[int] = []
         while True:
-            i = next((i for i, a in enumerate(self.simple) if inv[a] >= self.npos), None)
-            if i is None:
+            for i, h in enumerate(heights):
+                if h < 0:
+                    break
+            else:
                 return tuple(word)
             word.append(i + 1)
-            inv = self.compose(inv, self.reflections[i])  # (s_i·p)^-1 = p^-1·s_i
+            for j, a_ji in self._neighbours[i]:
+                heights[j] -= a_ji * h
+            heights[i] = -h
 
     def images(self, p: Perm) -> tuple[IntVector, ...]:
         """p(alpha_i) for each simple root alpha_i: the columns of the matrix

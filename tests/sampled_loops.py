@@ -191,7 +191,7 @@ def leaf_tangency_residual(rf, n_samples, seed):
         res = ml.leaf_tangency_check(rf, u)
         same = same and res.dim_bivector_image == res.dim_orbit_projection
         worst = max(worst, res.residual)
-    return worst if same else float("inf")
+    return worst if same else math.pi / 2
 
 
 def formula_residual(rf, n_samples, seed):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,8 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from leafatlas.cli import ENV_CATALOG, THREAD_VARS, RunConfig, main, run_verify_battery
-from leafatlas.satake import builtin_catalog, catalog_by_label, render_catalog
+from leafatlas.atlas import atlas
+from leafatlas.cli import (
+    ENV_CATALOG,
+    THREAD_VARS,
+    RunConfig,
+    _class_record,
+    _json_dumps,
+    atlas_document,
+    main,
+    run_verify_battery,
+)
+from leafatlas.satake import _diagram, builtin_catalog, catalog_by_label, render_catalog
 
 
 def run(capsys, *argv):
@@ -199,6 +210,59 @@ def test_atlas_golden_documents(tmp_path):
     assert mismatched == []
 
 
+def _generic(doc):
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_class_writer_matches_json_dumps_on_every_atlas_document():
+    # every catalog form and split E6; every record takes the template
+    forms = builtin_catalog() + (_diagram("custom(E6)", "E", 6),)
+    words = set()
+    for sd in forms:
+        doc = atlas_document(atlas(sd, catalog_hash="0123abcd"), 0)
+        assert all(_class_record(c) is not None for c in doc["classes"]), sd.label
+        assert _json_dumps(doc) == _generic(doc), sd.label
+        words |= {len(c["psi_word"]) for c in doc["classes"]}
+    assert {0, 1} <= words  # a closed class and a one-letter word
+
+
+def test_off_schema_records_take_the_generic_path():
+    doc = atlas_document(atlas(catalog_by_label()["su(2,1)"]), 0)
+    record = doc["classes"][1]
+    for changed in ({**record, "a": True}, {**record, "t": 1.0}, {**record, "extra": 0},
+                    {k: v for k, v in record.items() if k != "t"},
+                    {**record, "psi_word": (1, 2)}, {**record, "psi_word": [1, "2"]},
+                    {**record, "is_open": 0}):
+        assert _class_record(changed) is None
+        other = {**doc, "classes": doc["classes"][:1] + [changed]}
+        assert _json_dumps(other) == _generic(other)
+    for classes in ([], "classes", [record, []]):
+        assert _json_dumps({**doc, "classes": classes}) == _generic({**doc, "classes": classes})
+
+
+def test_verify_and_catalog_documents_take_the_generic_path(capsys, monkeypatch):
+    monkeypatch.delenv(ENV_CATALOG, raising=False)
+    doc = run_verify_battery(catalog_by_label()["sl(2,R)"], RunConfig(command="verify",
+                                                                      samples=10))
+    assert _json_dumps(doc) == _generic(doc)
+    code, out, _ = run(capsys, "catalog")
+    assert code == 0
+    assert _json_dumps(_strict_loads(out)) == _generic(json.loads(out)) == out
+
+
+def test_writer_refuses_non_finite_numbers():
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            _json_dumps({"value": value})
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -322,11 +386,32 @@ def test_verify_unknown_tolerance_name(capsys):
     assert "jacobi" in err.split("known:")[1]
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "abc"])
+# an infinite tolerance would reach the document as a bare Infinity
+@pytest.mark.parametrize("value", ["nan", "-1", "abc", "inf", "Infinity", "1e999"])
 def test_verify_rejects_bad_tolerance_values(capsys, value):
     code, out, err = run(capsys, "verify", "--form", "sl(2,R)", "--tol", f"jacobi={value}")
     assert code == 1 and out == ""
     assert f"tolerance 'jacobi' must be a number at least 0, got '{value}'" in err
+
+
+def test_verify_document_is_strict_json_when_tangency_dimensions_differ(capsys, monkeypatch):
+    from leafatlas import matrixlie as ml
+
+    original, calls = ml.column_space, []
+
+    def dropping(m):  # every orbit span loses its last vector
+        calls.append(m)
+        q = original(m)
+        return q[:, :-1] if len(calls) % 2 == 0 else q
+
+    monkeypatch.setattr(ml, "column_space", dropping)
+    code, out, _ = run(capsys, "verify", "--form", "sl(2,R)", "--samples", "10")
+    assert code == 2
+    doc = _strict_loads(out)
+    tangency = [c for c in doc["checks"] if c["name"] == "leaf_tangency"]
+    assert tangency == [{"name": "leaf_tangency", "value": math.pi / 2,
+                         "tolerance": 1e-8, "passed": False, "info": ""}]
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["leaf_tangency"]
 
 
 def test_rank_threshold_override_reaches_both_rank_checks():

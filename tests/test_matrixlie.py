@@ -497,6 +497,25 @@ def test_leaf_tangency_su21_generic():
     assert res.residual < 1e-8
 
 
+def test_leaf_tangency_dimension_mismatch_reads_a_right_angle(monkeypatch):
+    # a vector of the larger span is orthogonal to the smaller one, so the
+    # largest principal angle is pi/2, a finite value that still fails
+    rf = ml.realization("su(2,1)")
+    u = loops.sample_unitary(np.random.default_rng(15), 3)
+    original, calls = ml.column_space, []
+
+    def dropping(m):  # every orbit span loses its last vector
+        calls.append(m)
+        q = original(m)
+        return q[:, :-1] if len(calls) % 2 == 0 else q
+
+    monkeypatch.setattr(ml, "column_space", dropping)
+    res = ml.leaf_tangency_check(rf, u)
+    assert (res.dim_bivector_image, res.dim_orbit_projection) == (4, 3)
+    assert res.residual == math.pi / 2
+    assert ml.leaf_tangency_residual(rf, 3, 6) == math.pi / 2
+
+
 # ---------------------------------------------------------------------------
 # representatives and stabilizers
 

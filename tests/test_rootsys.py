@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from leafatlas import rootsys
 from leafatlas.rootsys import UnsupportedCartanTypeError, WeylCapError, build_root_system
 
-from leafatlas.satake import builtin_catalog
+from leafatlas.atlas import twisted_involutions
+from leafatlas.satake import _diagram, builtin_catalog, real_form_data
 
 from exact_rank import rational_rank
 import weyl_matrices as wm
@@ -260,6 +261,51 @@ def test_root_permutations_agree_with_matrices(family, rank):
         u, v = rnd.choice(elements), rnd.choice(elements)
         product = wm.perm_of(rs, wm.multiply(rs, u, v))
         assert k.compose(wm.perm_of(rs, u), wm.perm_of(rs, v)) == product
+
+
+# every catalog form; split A5, B5, C5, D6, G2, F4 and E6; quasi-split E6 (EII)
+WORD_FORMS = builtin_catalog() + tuple(
+    [_diagram(f"{family}{rank}", family, rank) for family, rank in
+     (("A", 5), ("B", 5), ("C", 5), ("D", 6), ("G", 2), ("F", 4), ("E", 6))]
+    + [_diagram("EII", "E", 6, arrows=[(1, 6), (3, 5)])])
+
+
+@pytest.mark.parametrize("sd", WORD_FORMS, ids=lambda s: s.label)
+def test_reduced_words_of_every_class_match_the_permutation_greedy(sd, monkeypatch):
+    # the walk asks for the word of each class's psi once; each answer equals
+    # the greedy on whole permutations
+    seen = []
+    original = rootsys.RootPermutations.reduced_word
+
+    def recording(self, p):
+        word = original(self, p)
+        seen.append((p, word))
+        return word
+
+    monkeypatch.setattr(rootsys.RootPermutations, "reduced_word", recording)
+    rs = sd.root_system()
+    classes = list(twisted_involutions(real_form_data(sd), rs))
+    assert [word for _, word in seen] == [c.psi_word for c in classes]
+    for p, word in seen:
+        assert word == wm.reduced_word(rs, p)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from([7, 8]), st.data())
+def test_reduced_word_of_random_e7_e8_elements(rank, data):
+    rs = build_root_system("E", rank)
+    k = rs.permutations
+    letters = data.draw(st.lists(st.integers(1, rank), max_size=80))
+    p = k.identity
+    for i in letters:
+        p = k.compose(p, k.reflections[i - 1])
+    word = k.reduced_word(p)
+    assert word == wm.reduced_word(rs, p)
+    assert len(word) == k.length(p)
+    back = k.identity
+    for i in word:
+        back = k.compose(back, k.reflections[i - 1])
+    assert back == p
 
 
 IRREDUCIBLE_TYPES = [(f, r) for f in "ABCD" for r in range(1, 9)

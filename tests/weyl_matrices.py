@@ -200,6 +200,24 @@ def perm_of(rs: RootSystem, w: WeylElement) -> Perm:
     return tuple(k.index[w.apply(r)] for r in k.roots)
 
 
+def reduced_word(rs: RootSystem, p: Perm) -> tuple[int, ...]:
+    """The lexicographically least reduced word of p, by the greedy on whole
+    permutations: the reference for `RootPermutations.reduced_word`. The least
+    left descent s_i of p (p^-1 sends alpha_i to a negative root) comes first,
+    then the word of s_i·p, whose inverse is p^-1·s_i."""
+    k = rs.permutations
+    inv = [0] * len(p)
+    for j, x in enumerate(p):
+        inv[x] = j
+    word: list[int] = []
+    while True:
+        i = next((i for i, a in enumerate(k.simple) if inv[a] >= k.npos), None)
+        if i is None:
+            return tuple(word)
+        word.append(i + 1)
+        inv = k.compose(inv, k.reflections[i])
+
+
 def element(rs: RootSystem, p: Perm) -> WeylElement:
     """p as a matrix element carrying its lexicographically least reduced word."""
     return WeylElement(word=rs.permutations.reduced_word(p), matrix=matrix_of(rs, p))
