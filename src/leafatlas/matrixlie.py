@@ -70,8 +70,7 @@ def _floored_rank(s: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarr
     last axis, one pair per leading index.
 
     Values at or below the cutoff threshold * max(s_max, 1) count as zero;
-    a value within (0.999, 10) times the cutoff flags the rank as borderline.
-    """
+    a value within (0.999, 10) times the cutoff flags the rank as borderline."""
     cutoff = threshold * np.maximum(s[..., :1], 1.0)
     rank = np.sum(s > cutoff, axis=-1)
     borderline = np.any((s > cutoff * 0.999) & (s < cutoff * 10), axis=-1)
@@ -153,8 +152,7 @@ def su_basis(n: int) -> np.ndarray:
 
     The root vector E = E_jk / sqrt(2n) is scaled so that kappa(E, theta(E))
     = -1 with theta(X) = -X^dagger; with F = -theta(E) = E_kj / sqrt(2n),
-    X = E - F and Y = i(E + F) lie in su(n).
-    """
+    X = E - F and Y = i(E + F) lie in su(n)."""
     an = _triangular_basis(n)
     e = (1.0 / math.sqrt(2 * n)) * an[n - 1::2]
     f = _T(e)
@@ -166,8 +164,7 @@ def lambda_matrix(n: int) -> np.ndarray:
     """Coefficient matrix of the bivector seed over su_basis(n).
 
     The only nonzero entries are the value 1/4 on each (X_alpha, Y_alpha)
-    plane; torus rows and columns vanish.
-    """
+    plane; torus rows and columns vanish."""
     lam = np.zeros((n * n - 1, n * n - 1))
     x = np.arange(n - 1, n * n - 1, 2)  # the X_alpha; Y_alpha follows each
     lam[x, x + 1], lam[x + 1, x] = 0.25, -0.25
@@ -182,11 +179,20 @@ def _H(m: np.ndarray) -> np.ndarray:  # conjugate transpose, likewise
     return _T(m.conj())
 
 
-def _vec_columns(ms: np.ndarray) -> np.ndarray:
-    """Each matrix of a stack (..., k, n, n) as one real column: its real
-    then its imaginary entries, row by row."""
-    flat = ms.reshape(ms.shape[:-2] + (-1,))
-    return _T(np.concatenate([flat.real, flat.imag], axis=-1))
+def _columns(ms: np.ndarray) -> np.ndarray:  # (..., k, n, n) as (..., n^2, k) columns: a view
+    return _T(ms.reshape(ms.shape[:-2] + (-1,)))
+
+
+def _re_im(z: np.ndarray) -> np.ndarray:  # (..., r, k) as 2r real rows: real, then imaginary
+    return np.concatenate([z.real, z.imag], axis=-2)
+
+
+def _conjugator(u: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Rows (i, j) of K(u) = u (x) conj(u), K vec(X) = vec(u X u^dagger), for
+    u or for each matrix of a stack u: one broadcast product."""
+    i, j = rows
+    k = u[..., i, :, None] * u.conj()[..., j, None, :]
+    return k.reshape(k.shape[:-2] + (-1,))
 
 
 def _traceless(x: np.ndarray) -> np.ndarray:
@@ -209,8 +215,7 @@ def _signature_involution(n: int, p: int, q: int) -> np.ndarray:
 
     The permutation swaps i and n-1-i for the first q and last q indices and
     fixes the middle block, so the stabilized real diagonal sits inside the
-    upper-triangular Borel (the realization is Iwasawa compatible).
-    """
+    upper-triangular Borel (the realization is Iwasawa compatible)."""
     perm = [n - 1 - i if i < q or i >= p else i for i in range(n)]
     return np.eye(n)[perm]
 
@@ -219,7 +224,7 @@ def _independent(candidates: np.ndarray) -> np.ndarray:
     """The candidates (k, n, n) that the greedy rule keeps, in order: each
     one that is nonzero and independent, at rank threshold 1e-9, of those
     kept before it."""
-    vecs = _vec_columns(candidates)
+    vecs = _re_im(_columns(candidates))
     kept: list[int] = []
     for i in range(len(candidates)):
         if np.linalg.norm(vecs[:, i]) < 1e-12:
@@ -247,8 +252,16 @@ class MatrixRealForm:
 
         self.basis_u = su_basis(n)
         self.dim_u = len(self.basis_u)
-        self._Bpinv = np.linalg.pinv(_vec_columns(self.basis_u))
+        self._rows = np.divmod(np.arange(n * n), n)  # every entry, row by row
+        self._upper = np.triu_indices(n)
+        # the reader: basis_u coordinates of a skew-Hermitian matrix from its
+        # upper triangle, the pinv folded by (j, i) = -conj (i, j)
+        fold = np.linalg.pinv(_re_im(_columns(self.basis_u))).reshape(-1, 2, n, n)
+        fold = fold + np.array([-1.0, 1.0])[:, None, None] * _T(fold)
+        fold[:, 1, range(n), range(n)] /= 2  # a diagonal entry counts once
+        self._reader = fold[..., self._upper[0], self._upper[1]].reshape(self.dim_u, -1)
         self.lam = lambda_matrix(n)
+        self._seed = np.nonzero(np.triu(self.lam, 1))  # lam = sum lam[x, y] e_x ^ e_y
 
         tb = self.tau(self.basis_u)
         self.basis_k0 = _independent((self.basis_u + tb) / 2)
@@ -260,30 +273,27 @@ class MatrixRealForm:
         # change of basis, which drop the k0 components
         change = self.coeffs(np.concatenate([self.basis_k0, self.basis_ip0]))
         self._ip0_reader = np.linalg.inv(change)[self.dim_k0:]
+        self._ip0_lam = _read_seed(self, self._ip0_reader)
         self.basis_g0 = np.concatenate([self.basis_k0, -1j * self.basis_ip0])
 
         self.basis_an = _triangular_basis(n)
         self._full_pinv = np.linalg.pinv(
-            _vec_columns(np.concatenate([self.basis_u, self.basis_an])))
+            _re_im(_columns(np.concatenate([self.basis_u, self.basis_an]))))
 
     @cached_property
     def fixed_triangular(self) -> np.ndarray:
         """A basis of the conjugation-fixed part of the triangular factor, as
         one stack."""
-        tau_map = _vec_columns(self.tau(self.basis_an) - self.basis_an)
+        tau_map = _re_im(_columns(self.tau(self.basis_an) - self.basis_an))
         return np.tensordot(nullspace(tau_map).T, self.basis_an, axes=1)
 
     @cached_property
-    def triangular_frame(self) -> np.ndarray:
-        """Orthonormal columns spanning the triangular factor (vectorized)."""
-        return np.linalg.qr(_vec_columns(self.basis_an))[0]
-
-    @cached_property
-    def triangular_torus_frame(self) -> np.ndarray:
-        """Orthonormal columns spanning the triangular factor plus the compact
-        torus, the first n - 1 elements of basis_u (vectorized)."""
-        torus = self.basis_u[: self.n - 1]
-        return np.linalg.qr(_vec_columns(np.concatenate([self.basis_an, torus])))[0]
+    def triangular_frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """Orthonormal columns (vectorized) spanning the triangular factor, and
+        spanning it plus the compact torus, the first n - 1 elements of basis_u."""
+        an = _re_im(_columns(self.basis_an))
+        with_torus = _re_im(_columns(np.concatenate([self.basis_an, self.basis_u[: self.n - 1]])))
+        return np.linalg.qr(an)[0], np.linalg.qr(with_torus)[0]
 
     @cached_property
     def hermitian_frame(self) -> HermitianFrame:
@@ -311,13 +321,18 @@ class MatrixRealForm:
 
     def coeffs(self, ms: np.ndarray) -> np.ndarray:
         """Coordinates over basis_u of each matrix of a stack (..., k, n, n),
-        one column per matrix."""
-        return self._Bpinv @ _vec_columns(ms)
+        one column per matrix: the reader on its skew-Hermitian part."""
+        i, j = self._upper
+        skew = (ms[..., i, j] - ms[..., j, i].conj()) / 2
+        return self._reader @ _re_im(_T(skew))
 
     def Ad_matrix(self, u: np.ndarray) -> np.ndarray:
         """Matrix of Ad_u over basis_u, for u or for each matrix of a stack u."""
-        u = u[..., None, :, :]
-        return self.coeffs(u @ self.basis_u @ _H(u))
+        return self._reader @ _re_im(_conjugator(u, self._upper) @ _columns(self.basis_u))
+
+    def Ad_g0(self, u: np.ndarray) -> np.ndarray:
+        """u X u^dagger for each X of basis_g0, as real columns."""
+        return _re_im(_conjugator(u, self._rows) @ _columns(self.basis_g0))
 
 
 @lru_cache(maxsize=None)
@@ -345,26 +360,29 @@ def realization(label: str) -> MatrixRealForm:
 # ---------------------------------------------------------------------------
 # bivectors: one kernel, read through the adjoint matrix of each point
 
-def _bivector(rf: MatrixRealForm, a: np.ndarray, reader: np.ndarray | None = None) -> np.ndarray:
-    """lam - a lam a^T for the adjoint matrix a of a point, or of each point
-    of a stack, carried by reader (to reader c reader^T) when given; exactly
-    antisymmetric, as the strict upper triangle minus its transpose.
+def _read_seed(rf: MatrixRealForm, reader: np.ndarray) -> np.ndarray:
+    """reader lam reader^T, exactly antisymmetric: the transposed kernel at
+    a = reader on a zero seed."""
+    return _T(_bivector(rf, reader, 0.0))
 
-    For a = Ad_u this is the multiplicative bivector at u, right-trivialized
-    over basis_u; for a = Ad_u^{-1} it is minus the left-trivialized one.
-    """
-    c = rf.lam - a @ rf.lam @ _T(a)
-    if reader is not None:
-        c = reader @ c @ _T(reader)
-    upper = np.triu(c, k=1)
-    return upper - _T(upper)
+
+def _bivector(rf: MatrixRealForm, a: np.ndarray, lam: np.ndarray | float) -> np.ndarray:
+    """lam - a lam a^T for the adjoint matrix a of a point, or of each point
+    of a stack, as lam - (M - M^T), M = sum lam[x, y] a_x a_y^T over the
+    seed's pairs: exactly antisymmetric, with a +0.0 diagonal.  For a = Ad_u
+    (lam = rf.lam) this is the multiplicative bivector at u, right-trivialized
+    over basis_u; for a = Ad_u^{-1}, minus the left-trivialized one.  Read
+    by R, it takes R a and _read_seed(rf, R)."""
+    x, y = rf._seed
+    m = (a[..., x] * rf.lam[x, y]) @ _T(a[..., y])
+    return lam - (m - _T(m))
 
 
 def pi_U_at(rf: MatrixRealForm, u: np.ndarray) -> np.ndarray:
     """Right-trivialized multiplicative bivector at a unitary point, or at
     each point of a stack u."""
     _check_unitary(u)
-    return _bivector(rf, rf.Ad_matrix(u))
+    return _bivector(rf, rf.Ad_matrix(u), rf.lam)
 
 
 def pi_0_at(rf: MatrixRealForm, u: np.ndarray) -> np.ndarray:
@@ -374,12 +392,10 @@ def pi_0_at(rf: MatrixRealForm, u: np.ndarray) -> np.ndarray:
     The tangent space of the coset is identified with basis_ip0 by left
     translation by u^{-1}; the k0 components are killed by the projection.
     The mirrored (left coset) presentation used by the disk chart is
-    -pi_0_at(u^{-1}).
-    """
+    -pi_0_at(u^{-1})."""
     _check_unitary(u)
-    # minus the kernel at Ad_u^{-1}, taken as its transpose: exact, and the
-    # zero diagonal stays +0.0
-    return _T(_bivector(rf, rf.Ad_matrix(_H(u)), rf._ip0_reader))
+    # minus the kernel at Ad_u^{-1}, taken as its transpose: exact, diagonal +0.0
+    return _T(_bivector(rf, rf._ip0_reader @ rf.Ad_matrix(_H(u)), rf._ip0_lam))
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +450,9 @@ def action_residual(rf: MatrixRealForm, n_samples: int = 50, seed: int = 1) -> f
 # ---------------------------------------------------------------------------
 # SU(2) disk chart and the closed-form comparison
 
-def _su2_nd(u: np.ndarray) -> tuple[complex, complex]:
-    a, b = u[0, 0], u[0, 1]
-    num = -a.imag + 1j * b.imag
-    den = a.real + 1j * b.real
-    return num, den
+def _su2_nd(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # of u, or of each of a stack
+    a, b = u[..., 0, 0], u[..., 0, 1]
+    return -a.imag + 1j * b.imag, a.real + 1j * b.real
 
 
 def chart_su2(u: np.ndarray) -> complex:
@@ -446,8 +460,7 @@ def chart_su2(u: np.ndarray) -> complex:
 
     Invariant under left translation by the real orthogonal subgroup; the
     circle |w| = 1 is exactly the zero locus of the quotient bivector (the
-    circle of point leaves), and |w| < 1, |w| > 1 are the two open leaves.
-    """
+    circle of point leaves), and |w| < 1, |w| > 1 are the two open leaves."""
     if u.shape != (2, 2):
         raise ValueError("chart is specific to SU(2)")
     _check_unitary(u)
@@ -466,28 +479,19 @@ def chart_su2_section(w: complex) -> np.ndarray:
     return d * np.array([[1 - 1j * x, 1j * y], [1j * y, 1 + 1j * x]])
 
 
-def _chart_su2_differential(u: np.ndarray, xi: np.ndarray) -> complex:
-    """Derivative of the chart along t -> exp(t xi) u at t = 0."""
-    num, den = _su2_nd(u)
-    dnum, dden = _su2_nd(xi @ u)
-    top, bot = num - 1j * den, den - 1j * num
-    dtop, dbot = dnum - 1j * dden, dden - 1j * dnum
-    if abs(bot) < CHART_EPS:
-        raise ChartSingularityError("chart singularity")
-    return (dtop * bot - top * dbot) / bot**2
-
-
 def su2_transported_coefficient(rf: MatrixRealForm, u: np.ndarray) -> tuple[complex, float]:
     """(w, F) with the transported quotient bivector F * i dw ^ dwbar at u.
 
     Uses the left-coset presentation matching the chart invariance; the
-    closed form is F = SU2_AMPLITUDE * (1 - |w|^4).
-    """
+    closed form is F = SU2_AMPLITUDE * (1 - |w|^4)."""
     if rf.n != 2:
         raise RealizationError("closed-form transport is specific to n = 2")
-    w = chart_su2(u)
+    w = chart_su2(u)  # raises off the chart
     c = -pi_0_at(rf, _H(u))
-    dw = np.array([_chart_su2_differential(u, xi) for xi in rf.basis_ip0])
+    # the derivative of the chart along t -> exp(t xi) u at t = 0, each xi of basis_ip0
+    (num, den), (dnum, dden) = _su2_nd(u), _su2_nd(rf.basis_ip0 @ u)
+    top, bot = num - 1j * den, den - 1j * num
+    dw = ((dnum - 1j * dden) * bot - top * (dden - 1j * dnum)) / bot**2
     return w, -2.0 * float(dw.real @ c @ dw.imag)
 
 
@@ -531,13 +535,11 @@ def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray) -> TangencyResult:
     a vector of the larger span is orthogonal to the smaller one, so that
     angle is pi/2."""
     _check_unitary(u)
-    uinv = u.conj().T
-    a_inv = rf.Ad_matrix(uinv)
-    c = _T(_bivector(rf, a_inv, rf._ip0_reader))  # pi_0_at(rf, u)
+    a_inv = rf._ip0_reader @ rf.Ad_matrix(_H(u))
+    c = _T(_bivector(rf, a_inv, rf._ip0_lam))  # pi_0_at(rf, u)
     # compact part of the Iwasawa split of Ad_u x over basis_u, for every x of
     # g0 at once, carried back by Ad_u^{-1} and projected onto ip0
-    compact = rf._full_pinv[:rf.dim_u] @ _vec_columns(u @ rf.basis_g0 @ uinv)
-    orbit = rf._ip0_reader @ a_inv @ compact
+    orbit = a_inv @ (rf._full_pinv[:rf.dim_u] @ rf.Ad_g0(u))
 
     img = column_space(c)
     orb = column_space(orbit)
@@ -574,8 +576,8 @@ def annihilator_check(rf: MatrixRealForm) -> AnnihilatorResult:
     with the conjugation-fixed subspace of that factor."""
     # Im kappa(X, Y) = Im 2n tr(XY) for X in basis_k0, Y in the triangular basis
     pairing = 2 * rf.n * np.einsum("iab,jba->ij", rf.basis_k0, rf.basis_an).imag
-    ann = _vec_columns(rf.basis_an) @ nullspace(pairing)
-    fixed = _vec_columns(rf.fixed_triangular)
+    ann = _re_im(_columns(rf.basis_an)) @ nullspace(pairing)
+    fixed = _re_im(_columns(rf.fixed_triangular))
 
     def orth(m: np.ndarray) -> np.ndarray:
         return np.linalg.qr(m)[0] if m.shape[1] else m
@@ -595,8 +597,8 @@ def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray, include_torus: bool = Fals
     """dim { X in g0 : Ad_u X lies in the triangular factor }, the Lie algebra
     of the action stabilizer; include_torus adds the compact torus directions."""
     _check_unitary(u)
-    q = rf.triangular_torus_frame if include_torus else rf.triangular_frame
-    m = _vec_columns(u @ rf.basis_g0 @ u.conj().T)
+    q = rf.triangular_frames[include_torus]
+    m = rf.Ad_g0(u)
     resid = m - q @ (q.T @ m)
     return m.shape[1] - int(numerical_rank(resid, threshold)[0])
 
@@ -657,8 +659,7 @@ def _su_pq_representative(rf: MatrixRealForm, perm: list[int]) -> np.ndarray | N
     k <= q two-cycles.  Each two-cycle carries one +1 and one -1 eigenvalue;
     the first p - k fixed points get +1 and the rest -1.  u then maps the
     eigenbasis of J onto that of H, eigenvalues in the same order, so that
-    u J u^dagger = H.
-    """
+    u J u^dagger = H."""
     n = rf.n
     h = np.eye(n)[:, perm] @ rf.J
     if not np.array_equal(h, h.T):
@@ -684,8 +685,7 @@ def representative_for(rf: MatrixRealForm, word: Sequence[int]) -> np.ndarray | 
     The constructed u is self-verified: the off-normalizer residual must be
     below tolerance and the induced permutation of the diagonal must be
     psi's, on which S_n acts faithfully; a failure is a bug and raises
-    RuntimeError.
-    """
+    RuntimeError."""
     if len(word) == 0:
         return np.eye(rf.n, dtype=complex)
 
@@ -708,30 +708,30 @@ def representative_for(rf: MatrixRealForm, word: Sequence[int]) -> np.ndarray | 
 # ---------------------------------------------------------------------------
 # Jacobi identity in an exponential chart
 
-def exp_and_phi_ad(xi: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """exp(xi) for a skew-Hermitian xi, and the differential of exp,
-    phi(ad xi)(Y) = ((1 - exp(-ad xi)) / ad xi)(Y), for each Y of the stack ys;
-    for a stack xi, one of each per xi.
+def _exp_chart(rf: MatrixRealForm, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp xi, J) at exponential coordinates x over basis_ip0, or at each
+    point of a stack x: J holds the ip0 coordinates of the differential of
+    exp, phi(ad xi)(Y) = ((1 - exp(-ad xi)) / ad xi)(Y), at each Y of basis_ip0.
 
-    Both come from xi = V diag(i lam) V^dagger: in the basis V, ad xi scales
-    entry (a, b) by z = i(lam_a - lam_b), so phi(ad xi) scales it by
-    phi(z) = -expm1(-z)/z, with phi(0) = 1."""
-    lam, v = np.linalg.eigh(-1j * xi)
-    vh = _H(v)
+    Both come from one eigh, xi = V diag(i lam) V^dagger: phi(ad xi) is
+    diagonal in the basis V (x) conj(V), scaling entry (a, b) of V^dagger Y V
+    by phi(z) = -expm1(-z)/z at z = i(lam_a - lam_b), with phi(0) = 1."""
+    lam, v = np.linalg.eigh(-1j * np.tensordot(x, rf.basis_ip0, axes=1))
     z = 1j * (lam[..., :, None] - lam[..., None, :])
     zero = z == 0
     phi = np.where(zero, 1.0, -np.expm1(-z) / np.where(zero, 1.0, z))
-    v1, vh1, phi1 = v[..., None, :, :], vh[..., None, :, :], phi[..., None, :, :]
-    return (v * np.exp(1j * lam)[..., None, :]) @ vh, v1 @ (phi1 * (vh1 @ ys @ v1)) @ vh1
+    # vec(V^dagger Y V) = K(V)^dagger vec(Y): conjugate only the small factors
+    w = _T(_conjugator(v, rf._rows)) @ _columns(rf.basis_ip0).conj()
+    w = w.conj() * phi.reshape(phi.shape[:-2] + (-1, 1))
+    dexp = _re_im(_conjugator(v, rf._upper) @ w)
+    return (v * np.exp(1j * lam)[..., None, :]) @ _H(v), rf._ip0_reader @ rf._reader @ dexp
 
 
 def chart_bivector(rf: MatrixRealForm, x: np.ndarray) -> np.ndarray:
     """Quotient bivector in exponential coordinates x over basis_ip0, or at
     each point of a stack x.  Every point must pass the condition limit."""
-    xi = np.tensordot(x, rf.basis_ip0, axes=1)
-    u, dexp = exp_and_phi_ad(xi, rf.basis_ip0)
+    u, jac = _exp_chart(rf, x)
     c = pi_0_at(rf, u)
-    jac = rf._ip0_reader @ rf.coeffs(dexp)
     if np.max(np.linalg.cond(jac)) > 1e8:
         raise ChartSingularityError("exponential chart is singular here")
     jinv = np.linalg.inv(jac)
@@ -800,7 +800,7 @@ def multiplicativity_residual(rf: MatrixRealForm, n_pairs: int = 100,
         _check_unitary(u)
         a = rf.Ad_matrix(u)
         lhs = pi_U_at(rf, u @ v)
-        rhs = a @ pi_U_at(rf, v) @ _T(a) + _bivector(rf, a)
+        rhs = a @ pi_U_at(rf, v) @ _T(a) + _bivector(rf, a, rf.lam)
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -853,6 +853,7 @@ class HermitianFrame:
 
     ad_u0: np.ndarray  # Ad(u0) over basis_u, u0 from _block_alignment
     flag_reader: np.ndarray  # basis_u -> basis_ip0 for the flag part
+    flag_lam: np.ndarray  # the seed read by flag_reader (_read_seed)
     c_inv: np.ndarray  # see invariant_bivector
     rank_inv: int
 
@@ -896,8 +897,7 @@ def invariant_bivector(rf: MatrixRealForm) -> np.ndarray:
     null = nullspace(system, 1e-9)
     if null.shape[1] != 1:
         raise NotHermitianError(
-            f"invariant bivector space of {rf.label} has dimension {null.shape[1]}"
-        )
+            f"invariant bivector space of {rf.label} has dimension {null.shape[1]}")
     c_inv = np.zeros((m, m))
     c_inv[upper] = null[:, 0]
     c_inv = c_inv - c_inv.T
@@ -916,7 +916,8 @@ def _hermitian_frame(rf: MatrixRealForm) -> HermitianFrame:
     # back by the inverse differential of u K -> u u0^{-1} (left-trivialized)
     reader = np.zeros((rf.dim_ip0, rf.dim_u))
     reader[:, across] = np.linalg.inv((ad_u0 @ rf.coeffs(rf.basis_ip0))[across])
-    return HermitianFrame(ad_u0, reader, c_inv, int(numerical_rank(c_inv, 1e-9)[0]))
+    return HermitianFrame(ad_u0, reader, _read_seed(rf, reader), c_inv,
+                          int(numerical_rank(c_inv, 1e-9)[0]))
 
 
 def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
@@ -928,8 +929,7 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
     through the identification u K -> u u0^{-1} (parabolic coset).
 
     The fitted b depends on the documented normalization of the invariant
-    bivector and is reported, not asserted against any external convention.
-    """
+    bivector and is reported, not asserted against any external convention."""
     frame = rf.hermitian_frame
     c_inv = frame.c_inv
     # the residual d - b c_inv peaks at an entrywise extreme of the
@@ -942,8 +942,8 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
         a_inv = rf.Ad_matrix(_H(u))
         # each part is minus the kernel at its point's inverse: u^{-1} for the
         # quotient bivector, u0 u^{-1} for the flag part
-        d = (_bivector(rf, frame.ad_u0 @ a_inv, frame.flag_reader)
-             - _bivector(rf, a_inv, rf._ip0_reader))
+        d = (_bivector(rf, frame.flag_reader @ frame.ad_u0 @ a_inv, frame.flag_lam)
+             - _bivector(rf, rf._ip0_reader @ a_inv, rf._ip0_lam))
         total += float(np.sum(d * c_inv))
         hi, lo = np.maximum(hi, d.max(axis=0)), np.minimum(lo, d.min(axis=0))
 

@@ -5,13 +5,15 @@ Each basis is built one matrix at a time, as a Python list, in the order and
 with the arithmetic the stacks must reproduce bit for bit: the normalized
 root vectors, su(n), the tau split by a greedy that restacks its growing
 list for each candidate, the triangular factor and g0.  `vec` and `coeffs`
-are the single-matrix vectorization and coordinates.
+are the single-matrix vectorization and coordinates, the latter by the
+pseudo-inverse that `MatrixRealForm` folds into its upper-triangle reader.
 
 Imported by the test modules; pytest does not collect it.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,9 +70,15 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.concatenate([m.real.ravel(), m.imag.ravel()])
 
 
+@lru_cache(maxsize=None)
+def _su_pinv(n: int) -> np.ndarray:
+    return np.linalg.pinv(np.stack([vec(b) for b in su_basis(n)[0]], axis=1))
+
+
 def coeffs(rf, m: np.ndarray) -> np.ndarray:
-    """Coordinates of one matrix over basis_u."""
-    return rf._Bpinv @ vec(m)
+    """Coordinates of one matrix over basis_u: the pseudo-inverse of the
+    vectorized su(n) basis, the least-squares fit over all n^2 entries."""
+    return _su_pinv(rf.n) @ vec(m)
 
 
 def split_tau(rf, basis_u: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray]]:

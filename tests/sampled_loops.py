@@ -6,7 +6,8 @@ seed, with one `rng.normal` or `rng.uniform` call per sample and shape, and
 evaluates each sample on its own: the samplers are the per-matrix
 originals, the rest goes through the single-point kernels.  The streams are
 built here from SeedSequence(seed) itself: Gaussian draws come from its own
-generator and uniform draws from its first spawned child.
+generator and uniform draws from its first spawned child.  `exp_and_phi_ad`
+is the chart's exponential and its differential as stacked n x n products.
 
 Imported by the test modules; pytest does not collect it.
 """
@@ -115,6 +116,24 @@ def hermitian_fit(rf, n_samples, seed):
     denom = float(np.sum(c_inv * c_inv))
     b = float(sum(np.sum(d * c_inv) for d in diffs) / (denom * len(diffs)))
     return b, max(float(np.abs(d - b * c_inv).max()) for d in diffs)
+
+
+def exp_and_phi_ad(xi, ys):
+    """exp(xi) for a skew-Hermitian xi, and the differential of exp,
+    phi(ad xi)(Y) = ((1 - exp(-ad xi)) / ad xi)(Y), for each Y of the stack ys;
+    for a stack xi, one of each per xi.  The reference for the chart's
+    Jacobian, as stacked n x n products.
+
+    Both come from xi = V diag(i lam) V^dagger: in the basis V, ad xi scales
+    entry (a, b) by z = i(lam_a - lam_b), so phi(ad xi) scales it by
+    phi(z) = -expm1(-z)/z, with phi(0) = 1."""
+    lam, v = np.linalg.eigh(-1j * xi)
+    vh = ml._H(v)
+    z = 1j * (lam[..., :, None] - lam[..., None, :])
+    zero = z == 0
+    phi = np.where(zero, 1.0, -np.expm1(-z) / np.where(zero, 1.0, z))
+    v1, vh1, phi1 = v[..., None, :, :], vh[..., None, :, :], phi[..., None, :, :]
+    return (v * np.exp(1j * lam)[..., None, :]) @ vh, v1 @ (phi1 * (vh1 @ ys @ v1)) @ vh1
 
 
 def jacobi_residual(pi_fn, x, h=1e-4):

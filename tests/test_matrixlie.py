@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import basis_lists as bl
 import numpy as np
@@ -705,7 +706,7 @@ def _chart_bivector_series(rf, x):
     """chart_bivector with phi(ad xi) summed term by term over basis_u;
     returns the bivector and the image of basis_ip0 under phi(ad xi)."""
     xi = sum(c * b for c, b in zip(x, rf.basis_ip0))
-    u, _ = ml.exp_and_phi_ad(xi, rf.basis_ip0[:0])
+    u, _ = loops.exp_and_phi_ad(xi, rf.basis_ip0[:0])
     dexp = _phi_series(ad_matrix(rf, xi)) @ np.stack([bl.coeffs(rf, b) for b in rf.basis_ip0], axis=1)
     jinv = np.linalg.inv(rf._ip0_reader @ dexp)
     return jinv @ ml.pi_0_at(rf, u) @ jinv.T, dexp
@@ -717,7 +718,7 @@ def test_closed_form_phi_matches_the_series(label):
     for x in np.random.default_rng(23).uniform(-0.4, 0.4, size=(5, rf.dim_ip0)):
         ref, dexp_ref = _chart_bivector_series(rf, x)
         xi = np.tensordot(x, rf.basis_ip0, axes=1)
-        dexp = rf.coeffs(ml.exp_and_phi_ad(xi, rf.basis_ip0)[1])
+        dexp = rf.coeffs(loops.exp_and_phi_ad(xi, rf.basis_ip0)[1])
         assert np.linalg.norm(dexp - dexp_ref) <= 1e-12 * np.linalg.norm(dexp_ref)
         got = ml.chart_bivector(rf, x)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -729,9 +730,104 @@ def test_eigh_exponential_matches_scipy_expm():
         rf = ml.realization(label)
         for x in np.random.default_rng(24).uniform(-2, 2, size=(5, rf.dim_ip0)):
             xi = np.tensordot(x, rf.basis_ip0, axes=1)
-            u, _ = ml.exp_and_phi_ad(xi, rf.basis_ip0[:0])
+            u, _ = ml._exp_chart(rf, x)
             assert np.abs(u - linalg.expm(xi)).max() < 1e-12
             assert np.abs(u @ u.conj().T - np.eye(rf.n)).max() < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the conjugation kernel against the per-matrix references
+
+KERNEL_FORMS = REALIZED + ["sl(6,R)", "su(3,3)", "su(5,1)"]
+STACK_SIZES = [None, 1, ml.STACK, ml.STACK + 1]  # None: a single point
+
+
+def _points(rf, size, seed):
+    """A single unitary (size None) or a stack of them."""
+    us = ml.sample_unitaries(np.random.default_rng(seed), size or 1, rf.n)
+    return us[0] if size is None else us
+
+
+def _each(a):
+    return [a] if a.ndim == 2 else list(a)
+
+
+@pytest.mark.parametrize("label", KERNEL_FORMS)
+def test_conjugation_kernel_matches_the_per_matrix_reference(label):
+    rf = ml.realization(label)
+    basis = bl.su_basis(rf.n)[0]
+    rng = np.random.default_rng(25)
+    for size in STACK_SIZES:
+        us = _points(rf, size, 26)
+        ads = rf.Ad_matrix(us)
+        assert ads.shape == us.shape[:-2] + (rf.dim_u, rf.dim_u)
+        for u, ad in zip(_each(us), _each(ads)):
+            ref = np.stack([bl.coeffs(rf, u @ b @ u.conj().T) for b in basis], axis=1)
+            assert np.abs(ad - ref).max() <= 1e-12
+        # coeffs: skew-Hermitian stacks, and any matrix by its projection
+        z = rng.normal(size=us.shape) + 1j * rng.normal(size=us.shape)
+        for ms in (us @ rf.basis_u[5 % rf.dim_u] @ ml._H(us), z):
+            got = rf.coeffs(ms[..., None, :, :])[..., 0]
+            ref = np.array([bl.coeffs(rf, m) for m in ms.reshape(-1, rf.n, rf.n)])
+            assert np.abs(got - ref.reshape(got.shape)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label", KERNEL_FORMS)
+def test_chart_jacobian_matches_the_references(label):
+    rf = ml.realization(label)
+    rng = np.random.default_rng(27)
+    for size in STACK_SIZES:
+        xs = rng.uniform(-0.4, 0.4, size=(size or 1, rf.dim_ip0))
+        xs = xs[0] if size is None else xs
+        us, jacs = ml._exp_chart(rf, xs)
+        assert jacs.shape == xs.shape[:-1] + (rf.dim_ip0, rf.dim_ip0)
+        for x, u, jac in zip(xs.reshape(-1, rf.dim_ip0), _each(us), _each(jacs)):
+            xi = np.tensordot(x, rf.basis_ip0, axes=1)
+            u_ref, dexp = loops.exp_and_phi_ad(xi, rf.basis_ip0)
+            ref = rf._ip0_reader @ np.stack([bl.coeffs(rf, d) for d in dexp], axis=1)
+            series = rf._ip0_reader @ _chart_bivector_series(rf, x)[1]
+            assert np.abs(u - u_ref).max() <= 1e-12
+            assert np.abs(jac - ref).max() <= 1e-12
+            assert np.abs(jac - series).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label", KERNEL_FORMS)
+def test_bivector_kernel_is_exactly_antisymmetric(label):
+    rf = ml.realization(label)
+    readers = [(None, rf.lam), (rf._ip0_reader, rf._ip0_lam)]
+    if rf.kind == "su_pq":
+        frame = rf.hermitian_frame
+        readers.append((frame.flag_reader @ frame.ad_u0, frame.flag_lam))
+    for size in STACK_SIZES:
+        a = rf.Ad_matrix(_points(rf, size, 28))
+        for reader, lam in readers:
+            c = ml._bivector(rf, a if reader is None else reader @ a, lam)
+            diag = np.diagonal(c, axis1=-2, axis2=-1)
+            assert np.array_equal(c, -ml._T(c))
+            assert np.all(diag == 0) and not np.any(np.signbit(diag))
+
+
+def _peak_kib(call):
+    """Peak traced allocation of one call, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def test_conjugation_kernel_peak_memory():
+    # the peaks of the (P, dim u, n, n) products that the kernel replaced
+    rf = ml.realization("sl(5,R)")
+    us = ml.sample_unitaries(np.random.default_rng(29), ml.STACK, rf.n)
+    assert _peak_kib(lambda: rf.Ad_matrix(us)) <= 373
+    # one Jacobi point with its 2m neighbours, as jacobi_residual stacks them
+    x = np.random.default_rng(30).uniform(-0.4, 0.4, size=rf.dim_ip0)
+    steps = 1e-4 * np.eye(rf.dim_ip0)
+    xs = np.concatenate([x[None], x + steps, x - steps])
+    assert _peak_kib(lambda: ml.chart_bivector(rf, xs)) <= 868
 
 
 def test_jacobi_su2(sl2):
