@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .rootsys import RootSystem, WeylElement, build_root_system
 from .satake import SatakeDiagram, RealFormData, real_form_data, builtin_catalog
-from .atlas import OrbitClass, AtlasReport, atlas
+from .atlas import AtlasReport, atlas
 
 __all__ = [
     "RootSystem",
@@ -16,7 +16,6 @@ __all__ = [
     "RealFormData",
     "real_form_data",
     "builtin_catalog",
-    "OrbitClass",
     "AtlasReport",
     "atlas",
     "__version__",

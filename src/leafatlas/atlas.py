@@ -15,69 +15,51 @@ from .rootsys import DEFAULT_WEYL_CAP, Perm, RootSystem, WeylCapError
 from .satake import RealFormData, SatakeDiagram, real_form_data
 
 
-@dataclass(frozen=True)
-class OrbitClass:
-    """Leaf invariants attached to one twisted involution psi, which is kept
-    as its lexicographically least reduced word.
+def class_record(rf: RealFormData, rs: RootSystem, psi: Perm,
+                 codim_y: int, a: int) -> dict:
+    """The record of the twisted involution psi, as the atlas JSON writes it,
+    from its codim_Y and a, the dimension of the +1 eigenspace of the
+    involution psi tau*; every other field follows.
 
-    codim_Y is the codimension of the corresponding orbit class on the flag
-    variety; t and a are the toral and vector dimensions of the attached
-    Cartan subalgebra; leaf_dim is the dimension of each leaf in the family
-    and family_dim the dimension of the torus parameterizing the family.
+    psi is kept as its lexicographically least reduced word. codim_Y is the
+    codimension of the corresponding orbit class on the flag variety; t and a
+    are the toral and vector dimensions of the attached Cartan subalgebra;
+    leaf_dim is the dimension of each leaf in the family and family_dim the
+    dimension of the torus parameterizing the family.
     """
+    k = rs.permutations
+    t = rs.rank - a
+    # psi tau* is an involution, so a - t is its trace
+    assert a - t == k.trace(k.compose(psi, rf.tau_star))
+    word = k.reduced_word(psi)
+    dim_orbit = 2 * len(rs.positive_roots) - codim_y
+    leaf_dim = dim_orbit - rf.dim_k0 + t
+    leaf_codim = rf.dim_x - leaf_dim
+    assert leaf_codim == a + codim_y
+    return {
+        "a": a,
+        "codim_Y": codim_y,
+        "dims_in_range": 0 <= leaf_dim <= rf.dim_x,
+        "family_dim": a,
+        "is_closed_class": not word,
+        "is_open": codim_y == 0 and a == 0,
+        "leaf_codim": leaf_codim,
+        "leaf_dim": leaf_dim,
+        "parity_ok": leaf_dim % 2 == 0,
+        "psi_word": word,
+        "t": t,
+    }
 
-    psi_word: tuple[int, ...]
-    codim_Y: int
-    t: int
-    a: int
-    leaf_dim: int
-    leaf_codim: int
-    family_dim: int
-    is_open: bool
-    is_closed_class: bool
-    parity_ok: bool
-    dims_in_range: bool
 
-    @classmethod
-    def build(cls, rf: RealFormData, rs: RootSystem, psi: Perm,
-              codim_y: int, a: int) -> OrbitClass:
-        """The class of the permutation psi from its codim_Y and a, the
-        dimension of the +1 eigenspace of the involution psi tau*; every
-        other field follows."""
-        k = rs.permutations
-        t = rs.rank - a
-        # psi tau* is an involution, so a - t is its trace
-        assert a - t == k.trace(k.compose(psi, rf.tau_star))
-        word = k.reduced_word(psi)
-        dim_orbit = 2 * len(rs.positive_roots) - codim_y
-        leaf_dim = dim_orbit - rf.dim_k0 + t
-        leaf_codim = rf.dim_x - leaf_dim
-        assert leaf_codim == a + codim_y
-        return cls(
-            psi_word=word,
-            codim_Y=codim_y,
-            t=t,
-            a=a,
-            leaf_dim=leaf_dim,
-            leaf_codim=leaf_codim,
-            family_dim=a,
-            is_open=(codim_y == 0 and a == 0),
-            is_closed_class=not word,
-            parity_ok=(leaf_dim % 2 == 0),
-            dims_in_range=(0 <= leaf_dim <= rf.dim_x),
-        )
-
-    @property
-    def realizable_candidate(self) -> bool:
-        # necessary conditions for a class to carry actual leaves
-        return self.parity_ok and self.dims_in_range
+def realizable_candidate(record: dict) -> bool:
+    """The necessary conditions for a class to carry actual leaves."""
+    return record["parity_ok"] and record["dims_in_range"]
 
 
 def twisted_involutions(
     rf: RealFormData, rs: RootSystem, cap: int = DEFAULT_WEYL_CAP
-) -> Iterator[OrbitClass]:
-    """The class of every psi in W with (psi tau*)^2 = 1, with psi carrying
-    its lexicographically least reduced word.
+) -> Iterator[dict]:
+    """The record (`class_record`) of every psi in W with (psi tau*)^2 = 1.
 
     With tau* = w_b sigma, psi is a twisted involution exactly when
     v = psi w_b satisfies sigma v sigma = v^-1. Those v are the orbit of the
@@ -117,7 +99,7 @@ def twisted_involutions(
                     f"{rf.diagram.label}: number of twisted involutions exceeds cap {cap}",
                     partial_count=cap,
                 )
-            yield OrbitClass.build(rf, rs, k.compose(v, wb), npos - ell, a)
+            yield class_record(rf, rs, k.compose(v, wb), npos - ell, a)
             for s, s_sigma, alpha, alpha_sigma in twisted:
                 # s_i is a left descent of v iff v^-1 = sigma v sigma sends
                 # alpha_i to a negative root, iff v does so to alpha_sigma(i)
@@ -149,6 +131,10 @@ NOTE_CLASS_CAVEAT = (
     "several orbits, and flagged classes (parity or dimension range) are "
     "retained but cannot be realized by leaves"
 )
+NOTE_OPEN_COUNT = (
+    "open-leaf count equals the open-orbit count on the flag variety; "
+    "per-class orbit multiplicities are not computed"
+)
 
 
 @dataclass(frozen=True)
@@ -156,24 +142,24 @@ class AtlasReport:
     """The complete stratification data for one real form."""
 
     form: RealFormData
-    w0_word: tuple[int, ...]
-    wb_word: tuple[int, ...]
-    classes: tuple[OrbitClass, ...]
-    has_open_leaves: bool
-    open_class_count_note: str
+    classes: tuple[dict, ...]  # class records in (codim_Y, psi_word) order
     largest_leaf_class: int  # index into classes
-    notes: tuple[str, ...]
     catalog_hash: str
-    tool_version: str
 
     @property
     def label(self) -> str:
         return self.form.diagram.label
 
-    def min_leaf_codim(self) -> int:
-        """Smallest leaf codimension over classes that can carry leaves."""
-        candidates = [c for c in self.classes if c.realizable_candidate]
-        return min(c.leaf_codim for c in candidates)
+    @property
+    def has_open_leaves(self) -> bool:
+        # classes[0] is the unique class with codim_Y = 0, that of w_0 w_b
+        return self.classes[0]["is_open"]
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        if self.has_open_leaves:
+            return NOTE_CONTRACTIBLE, NOTE_OPEN_LEAVES, NOTE_CLASS_CAVEAT, NOTE_LARGEST
+        return NOTE_CONTRACTIBLE, NOTE_CLASS_CAVEAT, NOTE_LARGEST
 
 
 def atlas(
@@ -182,44 +168,17 @@ def atlas(
     catalog_hash: str = "",
 ) -> AtlasReport:
     """Run the full pipeline for one diagram and assemble the report."""
-    from . import __version__
-
     rs = sd.root_system()
     rf = real_form_data(sd)
     classes = sorted(twisted_involutions(rf, rs, cap=weyl_cap),
-                     key=lambda c: (c.codim_Y, c.psi_word))
-    assert sum(c.is_closed_class for c in classes) == 1
-
-    # classes[0] is the unique class with codim_Y = 0, that of w_0 w_b
-    assert classes[0].codim_Y == 0
-    has_open = classes[0].is_open
-    if has_open:
-        largest = 0
-    else:
-        candidates = [
-            (c.leaf_codim, i) for i, c in enumerate(classes) if c.realizable_candidate
-        ]
-        largest = min(candidates)[1]
-
-    notes = [NOTE_CONTRACTIBLE, NOTE_CLASS_CAVEAT, NOTE_LARGEST]
-    if has_open:
-        notes.insert(1, NOTE_OPEN_LEAVES)
-
-    return AtlasReport(
-        form=rf,
-        w0_word=rf.w0.word,
-        wb_word=rf.w_b.word,
-        classes=tuple(classes),
-        has_open_leaves=has_open,
-        open_class_count_note=(
-            "open-leaf count equals the open-orbit count on the flag variety; "
-            "per-class orbit multiplicities are not computed"
-        ),
-        largest_leaf_class=largest,
-        notes=tuple(notes),
-        catalog_hash=catalog_hash,
-        tool_version=__version__,
-    )
+                     key=lambda c: (c["codim_Y"], c["psi_word"]))
+    assert sum(c["is_closed_class"] for c in classes) == 1
+    assert classes[0]["codim_Y"] == 0
+    # the open class, when there is one, has leaf_codim 0 and comes first
+    largest = min((c["leaf_codim"], i) for i, c in enumerate(classes)
+                  if realizable_candidate(c))[1]
+    return AtlasReport(form=rf, classes=tuple(classes),
+                       largest_leaf_class=largest, catalog_hash=catalog_hash)
 
 
 def catalog_text_hash(text: str) -> str:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__
-from .atlas import AtlasReport, atlas, catalog_text_hash
+from .atlas import (NOTE_OPEN_COUNT, AtlasReport, atlas, catalog_text_hash,
+                    realizable_candidate)
 from .rootsys import DEFAULT_WEYL_CAP, WeylCapError
 from .satake import (
     CatalogParseError,
@@ -84,8 +85,12 @@ def default_tolerances(rf: MatrixRealForm | None = None) -> dict[str, float]:
 def _resolve_catalog(cfg: RunConfig) -> tuple[tuple[SatakeDiagram, ...], str]:
     path = cfg.catalog_path or os.environ.get(ENV_CATALOG)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CatalogParseError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
         return load_catalog(text), catalog_text_hash(text)
     entries = builtin_catalog()
     return entries, catalog_text_hash(render_catalog(entries))
@@ -94,7 +99,10 @@ def _resolve_catalog(cfg: RunConfig) -> tuple[tuple[SatakeDiagram, ...], str]:
 def _emit(cfg: RunConfig, text: str) -> None:
     if cfg.out_path:
         directory = os.path.dirname(os.path.abspath(cfg.out_path))
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        except OSError as exc:  # name the requested path, not the temporary one
+            raise OSError(exc.errno, exc.strerror, cfg.out_path) from None
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -109,32 +117,18 @@ def _emit(cfg: RunConfig, text: str) -> None:
             sys.stdout.write("\n")
 
 
-#: The fields of an atlas class record (`atlas_document`) and their types,
-#: in sorted order.
-_CLASS_FIELDS = dict(sorted({
-    **dict.fromkeys(("a", "codim_Y", "t", "leaf_dim", "leaf_codim", "family_dim"), int),
-    **dict.fromkeys(("is_open", "is_closed_class", "parity_ok", "dims_in_range"), bool),
-    "psi_word": list,
-}.items()))
-
-
-def _class_record(rec: object) -> str | None:
-    """One class record as `json.dumps(sort_keys=True, indent=2)` renders it
-    in an atlas document's "classes" list, or None for a record outside the
-    fixed schema: ints, bools and an int list."""
-    if type(rec) is not dict or rec.keys() != _CLASS_FIELDS.keys():
-        return None
+def _class_record(rec: dict, keys: list[str]) -> str:
+    """One class record (`atlas.class_record`: ints, bools and a tuple of
+    ints) as `json.dumps(sort_keys=True, indent=2)` renders it in an atlas
+    document's "classes" list; keys are the record's keys, sorted."""
     lines = []
-    for key, kind in _CLASS_FIELDS.items():
+    for key in keys:
         value = rec[key]
-        if type(value) is not kind:
-            return None
-        if kind is bool:
+        if type(value) is bool:
             value = "true" if value else "false"
-        elif kind is list and value:  # an empty list is written as []
-            if any(type(x) is not int for x in value):
-                return None
-            value = "[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
+        elif type(value) is tuple:
+            value = ("[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
+                     if value else "[]")
         lines.append(f'      "{key}": {value}')
     return "    {\n" + ",\n".join(lines) + "\n    }"
 
@@ -142,16 +136,16 @@ def _class_record(rec: object) -> str | None:
 def _json_dumps(doc: dict) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)` plus a newline, in strict
     JSON. The class records of an atlas document are rendered from a fixed
-    template and spliced in; a document with any other record takes the
-    generic path whole."""
-    classes = doc.get("classes")
-    records = list(map(_class_record, classes)) if type(classes) is list and classes else None
-    if records is None or None in records:
+    template and spliced in."""
+    if doc.get("command") != "atlas":
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    classes = doc["classes"]
+    keys = sorted(classes[0])
     # a line break followed by two spaces starts a key of the outermost object
     head, tail = json.dumps({**doc, "classes": []}, sort_keys=True, indent=2,
                             allow_nan=False).split('\n  "classes": []', 1)
-    return f'{head}\n  "classes": [\n' + ",\n".join(records) + f"\n  ]{tail}\n"
+    records = ",\n".join(_class_record(rec, keys) for rec in classes)
+    return f'{head}\n  "classes": [\n{records}\n  ]{tail}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -178,32 +172,17 @@ def _form_doc(report: AtlasReport) -> dict:
 def atlas_document(report: AtlasReport, seed: int) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "tool_version": report.tool_version,
+        "tool_version": __version__,
         "command": "atlas",
         "seed": seed,
         "catalog_hash": report.catalog_hash,
         "form": _form_doc(report),
-        "w0_word": list(report.w0_word),
-        "wb_word": list(report.wb_word),
-        "classes": [
-            {
-                "psi_word": list(c.psi_word),
-                "codim_Y": c.codim_Y,
-                "a": c.a,
-                "t": c.t,
-                "leaf_dim": c.leaf_dim,
-                "leaf_codim": c.leaf_codim,
-                "family_dim": c.family_dim,
-                "is_open": c.is_open,
-                "is_closed_class": c.is_closed_class,
-                "parity_ok": c.parity_ok,
-                "dims_in_range": c.dims_in_range,
-            }
-            for c in report.classes
-        ],
+        "w0_word": list(report.form.w0.word),
+        "wb_word": list(report.form.w_b.word),
+        "classes": report.classes,
         "flags": {"has_open_leaves": report.has_open_leaves},
         "largest_leaf_class": report.largest_leaf_class,
-        "open_class_count_note": report.open_class_count_note,
+        "open_class_count_note": NOTE_OPEN_COUNT,
         "notes": list(report.notes),
     }
 
@@ -223,12 +202,12 @@ def atlas_markdown(report: AtlasReport) -> str:
         "|---|---|---|---|---|---|---|---|---|---|",
     ]
     for c in report.classes:
-        word = "s" + " s".join(str(i) for i in c.psi_word) if c.psi_word else "e"
-        ok = "yes" if c.realizable_candidate else "FLAGGED"
+        word = "s" + " s".join(map(str, c["psi_word"])) if c["psi_word"] else "e"
+        ok = "yes" if realizable_candidate(c) else "FLAGGED"
         lines.append(
-            f"| {word} | {c.codim_Y} | {c.a} | {c.t} | {c.leaf_dim} | {c.leaf_codim} "
-            f"| {c.family_dim} | {'*' if c.is_open else ''} | "
-            f"{'*' if c.is_closed_class else ''} | {ok} |"
+            f"| {word} | {c['codim_Y']} | {c['a']} | {c['t']} | {c['leaf_dim']} "
+            f"| {c['leaf_codim']} | {c['family_dim']} | {'*' if c['is_open'] else ''} | "
+            f"{'*' if c['is_closed_class'] else ''} | {ok} |"
         )
     lines.append("")
     for note in report.notes:
@@ -341,7 +320,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
 
     max_rank, n_borderline = ml.max_sampled_rank(
         rf, n_samples=max(samples, 50), seed=seed + 5, threshold=tol["rank_threshold"])
-    expected_rank = rfe.dim_p0 - report.min_leaf_codim()
+    expected_rank = rfe.dim_p0 - report.classes[report.largest_leaf_class]["leaf_codim"]
     checks.append(_check_exact(
         "rank_vs_atlas", max_rank == expected_rank,
         f"max sampled rank {max_rank}, atlas ceiling {expected_rank}, "
@@ -365,15 +344,15 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
 
     found, matched, total = 0, 0, len(report.classes)
     for cls in report.classes:
-        u = ml.representative_for(rf, cls.psi_word)
+        u = ml.representative_for(rf, cls["psi_word"])
         if u is None:
             continue
         found += 1
         threshold = tol["rank_threshold"]
         ok = (
-            ml.stabilizer_dim(rf, u, threshold=threshold) == cls.a + cls.codim_Y
+            ml.stabilizer_dim(rf, u, threshold=threshold) == cls["a"] + cls["codim_Y"]
             and ml.stabilizer_dim(rf, u, include_torus=True, threshold=threshold)
-            == cls.t + cls.a + cls.codim_Y
+            == cls["t"] + cls["a"] + cls["codim_Y"]
         )
         matched += int(ok)
     checks.append(_check_exact(
@@ -437,11 +416,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 # catalog command
 
 def cmd_catalog(cfg: RunConfig) -> int:
-    try:
-        entries, cat_hash = _resolve_catalog(cfg)
-    except (OSError, CatalogParseError) as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_DOMAIN
+    entries, cat_hash = _resolve_catalog(cfg)
     if not entries:
         sys.stderr.write("warning: catalog is empty\n")
     rows = []

@@ -41,13 +41,13 @@ def test_criterion_01_rank_one_atlas_exact():
     with timer(1.0) as t:
         report = atlas(BY_LABEL["sl(2,R)"])
         assert len(report.classes) == 2
-        by_word = {c.psi_word: c for c in report.classes}
+        by_word = {c["psi_word"]: c for c in report.classes}
         open_cls = by_word[(1,)]
-        assert (open_cls.codim_Y, open_cls.a, open_cls.t) == (0, 0, 1)
-        assert open_cls.leaf_dim == 2 and open_cls.is_open
+        assert (open_cls["codim_Y"], open_cls["a"], open_cls["t"]) == (0, 0, 1)
+        assert open_cls["leaf_dim"] == 2 and open_cls["is_open"]
         closed_cls = by_word[()]
-        assert (closed_cls.codim_Y, closed_cls.a, closed_cls.t) == (1, 1, 0)
-        assert closed_cls.leaf_dim == 0 and closed_cls.family_dim == 1
+        assert (closed_cls["codim_Y"], closed_cls["a"], closed_cls["t"]) == (1, 1, 0)
+        assert closed_cls["leaf_dim"] == 0 and closed_cls["family_dim"] == 1
         assert report.has_open_leaves
     verdict(1, f"rank-one atlas exact in {t.elapsed:.3f}s")
 
@@ -101,7 +101,7 @@ def test_criterion_03_open_leaf_criterion():
 def test_criterion_04_sl3_rank_ceiling():
     with timer(30.0) as t:
         report = atlas(BY_LABEL["sl(3,R)"])
-        assert report.min_leaf_codim() == 1
+        assert report.classes[report.largest_leaf_class]["leaf_codim"] == 1
         rf = ml.realization("sl(3,R)")
         got, _ = ml.max_sampled_rank(rf, n_samples=200, seed=1004, threshold=1e-8)
         assert got == report.form.dim_x - 1 == 4
@@ -112,8 +112,8 @@ def test_criterion_05_su21_full_rank():
     with timer(30.0) as t:
         report = atlas(BY_LABEL["su(2,1)"])
         top = report.classes[report.largest_leaf_class]
-        assert top.is_open and top.leaf_dim == report.form.dim_x == 4
-        assert top.family_dim == 0
+        assert top["is_open"] and top["leaf_dim"] == report.form.dim_x == 4
+        assert top["family_dim"] == 0
         rf = ml.realization("su(2,1)")
         got, _ = ml.max_sampled_rank(rf, n_samples=200, seed=1005, threshold=1e-8)
         assert got == 4
@@ -133,8 +133,8 @@ def test_criterion_06_catalog_structural_invariants():
             assert wm.mat_mul(tau, wb.matrix) == wm.mat_mul(wb.matrix, tau)
             assert wm.length(rs, wm.multiply(rs, wb, w0)) == wm.length(rs, w0) - wm.length(rs, wb)
             for cls in twisted_involutions(rfe, rs):
-                assert cls.t + cls.a == rs.rank
-                assert cls.leaf_codim == cls.a + cls.codim_Y
+                assert cls["t"] + cls["a"] == rs.rank
+                assert cls["leaf_codim"] == cls["a"] + cls["codim_Y"]
     verdict(6, f"structural invariants across {len(builtin_catalog())} catalog "
                f"entries, {t.elapsed:.2f}s")
 
@@ -193,13 +193,13 @@ def test_criterion_09_stabilizer_dimensions():
             rs = sd.root_system()
             rfe = real_form_data(sd)
             for cls in twisted_involutions(rfe, rs):
-                u = ml.representative_for(rf, cls.psi_word)
+                u = ml.representative_for(rf, cls["psi_word"])
                 if u is None:
                     continue
-                assert ml.stabilizer_dim(rf, u, threshold=1e-8) == cls.a + cls.codim_Y
+                assert ml.stabilizer_dim(rf, u, threshold=1e-8) == cls["a"] + cls["codim_Y"]
                 assert (
                     ml.stabilizer_dim(rf, u, include_torus=True, threshold=1e-8)
-                    == cls.t + cls.a + cls.codim_Y
+                    == cls["t"] + cls["a"] + cls["codim_Y"]
                 )
                 checked += 1
         assert checked == 6  # every class of both split forms has a witness

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import leafatlas
 from leafatlas import satake
-from leafatlas.atlas import atlas, twisted_involutions
+from leafatlas.atlas import atlas, realizable_candidate, twisted_involutions
 from leafatlas.rootsys import build_root_system
 from leafatlas.satake import (
     SatakeDiagram,
@@ -22,6 +22,7 @@ from leafatlas.satake import (
 )
 
 from exact_rank import eigenspace_dim
+from test_rootsys import WORD_FORMS
 import weyl_matrices as wm
 
 BY_LABEL = catalog_by_label()
@@ -34,7 +35,7 @@ def setup_form(label):
 
 def psi_of(rs, cls):
     """The matrix element of a class's psi, from its word."""
-    return wm.from_word(rs, cls.psi_word)
+    return wm.from_word(rs, cls["psi_word"])
 
 
 # ---------------------------------------------------------------------------
@@ -42,13 +43,13 @@ def psi_of(rs, cls):
 
 def test_twisted_involutions_rank_one():
     rs, rf = setup_form("sl(2,R)")
-    words = sorted(c.psi_word for c in twisted_involutions(rf, rs))
+    words = sorted(c["psi_word"] for c in twisted_involutions(rf, rs))
     assert words == [(), (1,)]
 
 
 def test_twisted_involutions_su21():
     rs, rf = setup_form("su(2,1)")
-    words = sorted(c.psi_word for c in twisted_involutions(rf, rs))
+    words = sorted(c["psi_word"] for c in twisted_involutions(rf, rs))
     assert words == [(), (1, 2), (1, 2, 1), (2, 1)]
 
 
@@ -88,7 +89,7 @@ def _walked(rf, rs):
     for cls in twisted_involutions(rf, rs):
         matrix = psi_of(rs, cls).matrix
         assert matrix not in walked
-        walked[matrix] = cls.psi_word
+        walked[matrix] = cls["psi_word"]
     return walked
 
 
@@ -106,7 +107,7 @@ def _assert_carried_invariants_match(rf, rs):
         psi = psi_of(rs, cls)
         assert cls == wm.orbit_class(rf, rs, psi)
         m = wm.twisted_matrix(rf, psi)
-        assert (cls.a, cls.t) == (eigenspace_dim(m, 1), eigenspace_dim(m, -1))
+        assert (cls["a"], cls["t"]) == (eigenspace_dim(m, 1), eigenspace_dim(m, -1))
 
 
 def _plain(family, rank, arrows=()):
@@ -179,11 +180,11 @@ def test_random_diagrams_rejected_or_consistent(sd):
     rs = sd.root_system()
     assert _walked(rf, rs) == _brute_force(rf, rs)
     for cls in twisted_involutions(rf, rs):
-        assert len(cls.psi_word) == wm.length(rs, psi_of(rs, cls))
+        assert len(cls["psi_word"]) == wm.length(rs, psi_of(rs, cls))
     _assert_carried_invariants_match(rf, rs)
     report = atlas(sd)
-    assert sum(c.is_closed_class for c in report.classes) == 1
-    assert sum(c.codim_Y == 0 for c in report.classes) == 1
+    assert sum(c["is_closed_class"] for c in report.classes) == 1
+    assert sum(c["codim_Y"] == 0 for c in report.classes) == 1
 
 
 def test_atlas_builds_classes_without_matrix_products():
@@ -231,29 +232,29 @@ def test_not_twisted_involution_rejected():
 def test_orbit_class_sl2_open():
     rs, rf = setup_form("sl(2,R)")
     cls = wm.orbit_class(rf, rs, wm.reflect(rs, 1))
-    assert (cls.codim_Y, cls.a, cls.t) == (0, 0, 1)
-    assert cls.leaf_dim == 2 and cls.is_open and cls.family_dim == 0
+    assert (cls["codim_Y"], cls["a"], cls["t"]) == (0, 0, 1)
+    assert cls["leaf_dim"] == 2 and cls["is_open"] and cls["family_dim"] == 0
 
 
 def test_orbit_class_sl2_closed():
     rs, rf = setup_form("sl(2,R)")
     cls = wm.orbit_class(rf, rs, wm.from_word(rs, ()))
-    assert (cls.codim_Y, cls.a, cls.t) == (1, 1, 0)
-    assert cls.leaf_dim == 0 and cls.family_dim == 1 and cls.is_closed_class
+    assert (cls["codim_Y"], cls["a"], cls["t"]) == (1, 1, 0)
+    assert cls["leaf_dim"] == 0 and cls["family_dim"] == 1 and cls["is_closed_class"]
 
 
 def test_orbit_class_su21_middle():
     rs, rf = setup_form("su(2,1)")
     cls = wm.orbit_class(rf, rs, wm.from_word(rs, (1, 2)))
-    assert (cls.codim_Y, cls.a, cls.t) == (1, 1, 1)
-    assert cls.leaf_dim == 2 and cls.leaf_codim == 2
+    assert (cls["codim_Y"], cls["a"], cls["t"]) == (1, 1, 1)
+    assert cls["leaf_dim"] == 2 and cls["leaf_codim"] == 2
 
 
 def test_orbit_class_sl3_longest():
     rs, rf = setup_form("sl(3,R)")
     cls = wm.orbit_class(rf, rs, wm.longest_element(rs))
-    assert cls.codim_Y == 0 and cls.a == 1
-    assert cls.leaf_codim == 1 and not cls.is_open
+    assert cls["codim_Y"] == 0 and cls["a"] == 1
+    assert cls["leaf_codim"] == 1 and not cls["is_open"]
 
 
 # ---------------------------------------------------------------------------
@@ -304,60 +305,70 @@ def test_open_leaf_named_examples():
 def test_atlas_sl2():
     report = atlas(BY_LABEL["sl(2,R)"])
     assert len(report.classes) == 2 and report.has_open_leaves
-    assert report.classes[report.largest_leaf_class].is_open
+    assert report.classes[report.largest_leaf_class]["is_open"]
 
 
 def test_atlas_su21():
     report = atlas(BY_LABEL["su(2,1)"])
     assert len(report.classes) == 4 and report.has_open_leaves
     top = report.classes[report.largest_leaf_class]
-    assert top.leaf_dim == 4 == report.form.dim_x and top.family_dim == 0
+    assert top["leaf_dim"] == 4 == report.form.dim_x and top["family_dim"] == 0
 
 
 def test_atlas_sl3():
     report = atlas(BY_LABEL["sl(3,R)"])
     assert len(report.classes) == 4 and not report.has_open_leaves
-    assert report.min_leaf_codim() == 1
     top = report.classes[report.largest_leaf_class]
+    assert top["leaf_codim"] == 1
     rs = BY_LABEL["sl(3,R)"].root_system()
     assert psi_of(rs, top) == wm.longest_element(rs)
 
 
+@pytest.mark.parametrize("sd", WORD_FORMS, ids=lambda s: s.label)
+def test_largest_leaf_class_is_the_least_leaf_codim_that_can_carry_leaves(sd):
+    report = atlas(sd)
+    classes = report.classes
+    if classes[0]["is_open"]:
+        assert realizable_candidate(classes[0]) and report.largest_leaf_class == 0
+    candidates = [i for i, c in enumerate(classes) if realizable_candidate(c)]
+    assert report.largest_leaf_class == min(candidates, key=lambda i: classes[i]["leaf_codim"])
+
+
 def test_atlas_sorted_and_unique_closed():
     report = atlas(BY_LABEL["su(2,1)"])
-    keys = [(c.codim_Y, c.psi_word) for c in report.classes]
+    keys = [(c["codim_Y"], c["psi_word"]) for c in report.classes]
     assert keys == sorted(keys)
-    assert sum(c.is_closed_class for c in report.classes) == 1
+    assert sum(c["is_closed_class"] for c in report.classes) == 1
 
 
 @pytest.mark.parametrize("label", ["sl(2,R)", "su(2,1)", "sl(3,R)", "so(4,1)", "so*(8)"])
 def test_unique_codim_zero_class_and_max_at_identity(label):
     rs, rf = setup_form(label)
     classes = list(twisted_involutions(rf, rs))
-    zero = [c for c in classes if c.codim_Y == 0]
+    zero = [c for c in classes if c["codim_Y"] == 0]
     assert len(zero) == 1
     assert psi_of(rs, zero[0]) == wm.open_class_element(rf, rs)
     # the identity class attains the maximal codimension among classes that
     # can carry leaves (flagged classes may formally exceed it)
     wmax = wm.length(rs, wm.longest_element(rs)) - wm.length(rs, wm.from_word(rs, rf.w_b.word))
-    closed = [c for c in classes if c.is_closed_class]
-    assert closed[0].codim_Y == wmax
-    assert wmax == max(c.codim_Y for c in classes if c.realizable_candidate)
+    closed = [c for c in classes if c["is_closed_class"]]
+    assert closed[0]["codim_Y"] == wmax
+    assert wmax == max(c["codim_Y"] for c in classes if realizable_candidate(c))
 
 
 @pytest.mark.parametrize("label", ["su(2,1)", "sl(3,R)", "sp(1,1)", "su*(4)"])
 def test_trace_cross_check(label):
     rs, rf = setup_form(label)
     for cls in twisted_involutions(rf, rs):
-        assert cls.a - cls.t == wm.mat_trace(wm.twisted_matrix(rf, psi_of(rs, cls)))
-        assert cls.a + cls.t == rs.rank
-        assert cls.leaf_codim == cls.a + cls.codim_Y
+        assert cls["a"] - cls["t"] == wm.mat_trace(wm.twisted_matrix(rf, psi_of(rs, cls)))
+        assert cls["a"] + cls["t"] == rs.rank
+        assert cls["leaf_codim"] == cls["a"] + cls["codim_Y"]
 
 
 def test_flagged_classes_are_retained():
     report = atlas(BY_LABEL["su(3,1)"])
-    flagged = [c for c in report.classes if not c.realizable_candidate]
-    assert any(c.psi_word == (2,) and c.leaf_dim == -2 for c in flagged)
+    flagged = [c for c in report.classes if not realizable_candidate(c)]
+    assert any(c["psi_word"] == (2,) and c["leaf_dim"] == -2 for c in flagged)
     assert not report.classes[report.largest_leaf_class] in flagged
 
 
@@ -365,5 +376,5 @@ def test_open_implies_full_dimension():
     for sd in builtin_catalog():
         report = atlas(sd)
         for c in report.classes:
-            if c.is_open:
-                assert c.leaf_dim == report.form.dim_x and c.family_dim == 0
+            if c["is_open"]:
+                assert c["leaf_dim"] == report.form.dim_x and c["family_dim"] == 0

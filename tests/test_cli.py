@@ -14,7 +14,6 @@ from leafatlas.cli import (
     ENV_CATALOG,
     THREAD_VARS,
     RunConfig,
-    _class_record,
     _json_dumps,
     atlas_document,
     main,
@@ -134,6 +133,14 @@ def test_atlas_out_file(tmp_path, capsys):
     assert doc["form"]["label"] == "sl(2,R)"
 
 
+def test_out_into_a_missing_directory_names_the_out_path(tmp_path, capsys):
+    target = tmp_path / "nodir" / "report.json"
+    code, out, err = run(capsys, "atlas", "--form", "sl(2,R)", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"[Errno 2] No such file or directory: {str(target)!r}\n"
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_atlas_weyl_cap_exceeded(capsys):
     code, _, err = run(capsys, "atlas", "--form", "so(8,1)", "--weyl-cap", "10")
     assert code == 2
@@ -222,29 +229,14 @@ def _strict_loads(text):
 
 
 def test_class_writer_matches_json_dumps_on_every_atlas_document():
-    # every catalog form and split E6; every record takes the template
+    # every catalog form and split E6
     forms = builtin_catalog() + (_diagram("custom(E6)", "E", 6),)
     words = set()
     for sd in forms:
         doc = atlas_document(atlas(sd, catalog_hash="0123abcd"), 0)
-        assert all(_class_record(c) is not None for c in doc["classes"]), sd.label
         assert _json_dumps(doc) == _generic(doc), sd.label
         words |= {len(c["psi_word"]) for c in doc["classes"]}
     assert {0, 1} <= words  # a closed class and a one-letter word
-
-
-def test_off_schema_records_take_the_generic_path():
-    doc = atlas_document(atlas(catalog_by_label()["su(2,1)"]), 0)
-    record = doc["classes"][1]
-    for changed in ({**record, "a": True}, {**record, "t": 1.0}, {**record, "extra": 0},
-                    {k: v for k, v in record.items() if k != "t"},
-                    {**record, "psi_word": (1, 2)}, {**record, "psi_word": [1, "2"]},
-                    {**record, "is_open": 0}):
-        assert _class_record(changed) is None
-        other = {**doc, "classes": doc["classes"][:1] + [changed]}
-        assert _json_dumps(other) == _generic(other)
-    for classes in ([], "classes", [record, []]):
-        assert _json_dumps({**doc, "classes": classes}) == _generic({**doc, "classes": classes})
 
 
 def test_verify_and_catalog_documents_take_the_generic_path(capsys, monkeypatch):
@@ -562,6 +554,28 @@ def test_catalog_parse_error_reports_line(tmp_path, capsys):
     code, _, err = run(capsys, "catalog", "--catalog", str(path))
     assert code == 2
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["atlas", "--form", "sl(2,R)"],
+    ["atlas", "--type", "A2"],
+    ["verify", "--form", "sl(2,R)"],
+])
+def test_catalog_file_that_is_not_utf8(tmp_path, capsys, argv):
+    path = tmp_path / "cat.txt"
+    data = b"name=sl(2,R); type=A1; black={}; arrows={}\n\xff\n"
+    path.write_bytes(data)
+    code, out, err = run(capsys, *argv, "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert err == f"{path}: not UTF-8 text (invalid start byte at byte {data.index(0xff)})\n"
+
+
+def test_catalog_file_that_does_not_exist(tmp_path, capsys):
+    path = tmp_path / "nosuch.txt"
+    code, out, err = run(capsys, "catalog", "--catalog", str(path))
+    assert code == 2 and out == ""
+    assert err == f"[Errno 2] No such file or directory: {str(path)!r}\n"
 
 
 def test_catalog_empty_file(tmp_path, capsys):

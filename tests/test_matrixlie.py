@@ -559,7 +559,7 @@ def test_representative_none_for_flagged_class():
     psi = wm.reflect(rs, 2)
     rfe = real_form_data(BY_LABEL["su(3,1)"])
     cls = wm.orbit_class(rfe, rs, psi)
-    assert not cls.dims_in_range
+    assert not cls["dims_in_range"]
     assert ml.representative_for(rf, psi.word) is None
 
 
@@ -596,18 +596,18 @@ def test_su_pq_representatives_follow_the_clans(label, realized):
     rf = ml.realization(label)
     count = 0
     for cls in walked_classes(label):
-        u = ml.representative_for(rf, cls.psi_word)
-        assert (u is not None) == _clan_realizable(rf, cls.psi_word)
+        u = ml.representative_for(rf, cls["psi_word"])
+        assert (u is not None) == _clan_realizable(rf, cls["psi_word"])
         if u is None:
             continue
         count += 1
         # every flagged class is unrealizable
-        assert cls.dims_in_range and cls.parity_ok
+        assert cls["dims_in_range"] and cls["parity_ok"]
         assert abs(np.linalg.det(u) - 1) < 1e-12
-        assert ml.stabilizer_dim(rf, u) == cls.a + cls.codim_Y
+        assert ml.stabilizer_dim(rf, u) == cls["a"] + cls["codim_Y"]
         assert (
             ml.stabilizer_dim(rf, u, include_torus=True)
-            == cls.t + cls.a + cls.codim_Y
+            == cls["t"] + cls["a"] + cls["codim_Y"]
         )
     assert count == realized
 
@@ -616,12 +616,12 @@ def test_su_pq_representatives_follow_the_clans(label, realized):
 def test_stabilizer_dims_match_class_invariants(label):
     rf = ml.realization(label)
     for cls in walked_classes(label):
-        u = ml.representative_for(rf, cls.psi_word)
+        u = ml.representative_for(rf, cls["psi_word"])
         assert u is not None
-        assert ml.stabilizer_dim(rf, u) == cls.a + cls.codim_Y
+        assert ml.stabilizer_dim(rf, u) == cls["a"] + cls["codim_Y"]
         assert (
             ml.stabilizer_dim(rf, u, include_torus=True)
-            == cls.t + cls.a + cls.codim_Y
+            == cls["t"] + cls["a"] + cls["codim_Y"]
         )
 
 
@@ -637,7 +637,7 @@ def _stabilizer_dim_loop(rf, u, include_torus):
 @pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)", "su(2,2)"])
 def test_stabilizer_dim_matches_the_per_matrix_loop(label):
     rf = ml.realization(label)
-    points = [ml.representative_for(rf, c.psi_word) for c in walked_classes(label)]
+    points = [ml.representative_for(rf, c["psi_word"]) for c in walked_classes(label)]
     points = [u for u in points if u is not None]
     points += list(ml.sample_unitaries(np.random.default_rng(31), 3, rf.n))
     for u in points:
@@ -666,9 +666,9 @@ def test_orbit_dimension_count(sl2):
     # dim orbit = dim g0 - stabilizer dim; leaf dim = dim orbit - dim k0
     rfe = real_form_data(BY_LABEL["sl(2,R)"])
     for cls in walked_classes("sl(2,R)"):
-        u = ml.representative_for(sl2, cls.psi_word)
+        u = ml.representative_for(sl2, cls["psi_word"])
         dim_orbit = rfe.dim_g - ml.stabilizer_dim(sl2, u)
-        assert cls.leaf_dim == dim_orbit - rfe.dim_k0
+        assert cls["leaf_dim"] == dim_orbit - rfe.dim_k0
 
 
 # ---------------------------------------------------------------------------

@@ -285,7 +285,7 @@ def test_reduced_words_of_every_class_match_the_permutation_greedy(sd, monkeypat
     monkeypatch.setattr(rootsys.RootPermutations, "reduced_word", recording)
     rs = sd.root_system()
     classes = list(twisted_involutions(real_form_data(sd), rs))
-    assert [word for _, word in seen] == [c.psi_word for c in classes]
+    assert [word for _, word in seen] == [c["psi_word"] for c in classes]
     for p, word in seen:
         assert word == wm.reduced_word(rs, p)
 

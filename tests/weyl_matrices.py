@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from leafatlas.atlas import OrbitClass
+from leafatlas.atlas import class_record
 from leafatlas.rootsys import DEFAULT_WEYL_CAP, IntMatrix, IntVector, Perm, RootSystem, WeylCapError
 from leafatlas.satake import RealFormData, SatakeDiagram, real_form_data
 
@@ -270,7 +270,7 @@ def twisted_matrix(rf: RealFormData, psi: WeylElement) -> IntMatrix:
     return mat_mul(psi.matrix, matrix_form(rf.diagram).tau_star)
 
 
-def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> OrbitClass:
+def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> dict:
     """The class of one twisted involution, computed from psi alone: the
     reference for the invariants that `twisted_involutions` carries."""
     m = twisted_matrix(rf, psi)
@@ -280,7 +280,7 @@ def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> OrbitClas
         )
     mf = matrix_form(rf.diagram)
     codim_y = length(rs, multiply(rs, psi, mf.w_b, mf.w0))
-    return OrbitClass.build(rf, rs, perm_of(rs, psi), codim_y, (rs.rank + mat_trace(m)) // 2)
+    return class_record(rf, rs, perm_of(rs, psi), codim_y, (rs.rank + mat_trace(m)) // 2)
 
 
 def open_class_element(rf: RealFormData, rs: RootSystem) -> WeylElement:
@@ -292,4 +292,4 @@ def open_class_element(rf: RealFormData, rs: RootSystem) -> WeylElement:
 def open_leaf_test(rf: RealFormData, rs: RootSystem) -> bool:
     """True iff open leaves exist: the codimension-zero class has a = 0."""
     cls = orbit_class(rf, rs, open_class_element(rf, rs))
-    return cls.is_open
+    return cls["is_open"]
