@@ -15,23 +15,25 @@ from .rootsys import DEFAULT_WEYL_CAP, Perm, RootSystem, WeylCapError
 from .satake import RealFormData, SatakeDiagram, real_form_data
 
 
-def class_record(rf: RealFormData, rs: RootSystem, psi: Perm,
+def class_record(rf: RealFormData, rs: RootSystem, v: Perm,
                  codim_y: int, a: int) -> dict:
-    """The record of the twisted involution psi, as the atlas JSON writes it,
-    from its codim_Y and a, the dimension of the +1 eigenspace of the
-    involution psi tau*; every other field follows.
+    """The record of the twisted involution psi = v w_b, as the atlas JSON
+    writes it, from its codim_Y and a, the dimension of the +1 eigenspace of
+    the involution psi tau*; every other field follows.
 
-    psi is kept as its lexicographically least reduced word. codim_Y is the
-    codimension of the corresponding orbit class on the flag variety; t and a
-    are the toral and vector dimensions of the attached Cartan subalgebra;
-    leaf_dim is the dimension of each leaf in the family and family_dim the
-    dimension of the torus parameterizing the family.
+    psi is kept as its lexicographically least reduced word, read with the
+    trace off v(alpha_sigma(i)). codim_Y is the codimension of the orbit
+    class on the flag variety; t and a are the toral and vector dimensions of
+    the attached Cartan subalgebra; leaf_dim is the dimension of each leaf in
+    the family and family_dim that of the torus parameterizing the family.
     """
     k = rs.permutations
     t = rs.rank - a
-    # psi tau* is an involution, so a - t is its trace
-    assert a - t == k.trace(k.compose(psi, rf.tau_star))
-    word = k.reduced_word(psi)
+    images = [v[k.simple[j]] for j in rf.sigma]  # v(alpha_sigma(i))
+    # psi tau* = v w_b w_b sigma = v sigma is an involution, so a - t is its trace
+    assert a - t == sum(k.roots[x][i] for i, x in enumerate(images))
+    # psi^-1(alpha_j) = w_b sigma v sigma(alpha_j) = tau*(v(alpha_sigma(j)))
+    word = k.word_from_heights([k.heights[rf.tau_star[x]] for x in images])
     dim_orbit = 2 * len(rs.positive_roots) - codim_y
     leaf_dim = dim_orbit - rf.dim_k0 + t
     leaf_codim = rf.dim_x - leaf_dim
@@ -65,55 +67,56 @@ def twisted_involutions(
     v = psi w_b satisfies sigma v sigma = v^-1. Those v are the orbit of the
     identity under the moves v -> s v sigma(s), or v -> s v when
     s v sigma(s) = v (Richardson-Springer, Geom. Dedicata 35, 1990; Hultman,
-    Adv. Math. 195, 2005), and each v other than the identity is reached by
-    such a move along a simple s that is not a left descent, so the walk only
-    goes up: a conjugation move raises l(v) by 2, a multiplication move by 1.
+    Adv. Math. 195, 2005). The move along a simple s_i that is not a left
+    descent of v gives a child c with s_i as a left descent, and leads back
+    from c to v. So each v but e has one canonical parent, the move down
+    along its least left descent: the walk keeps the child along s_i only if
+    c(alpha_sigma(t)) > 0 for all t < i (c^-1 = sigma c sigma), a lookup,
+    s_i[v[alpha_sigma(t)]] for c = s_i v, s_i[v[s_sigma(i)[alpha_sigma(t)]]]
+    for c = s_i v sigma(s_i). Each class costs one product of permutations.
 
     The walk carries (l(v), a) for each v. Since psi w_b w_0 = v w_0,
     codim_Y = N - l(v). a is the dimension of the +1 eigenspace of
     psi tau* = v sigma: at the identity it is the number of sigma-orbits on
     the nodes, a conjugation move keeps it, and a multiplication move turns
-    the eigenvalue of alpha_s from +1 to -1. Classes are visited in order of
-    l(v), so only the two layers above the current one are remembered.
-    Raises WeylCapError once more than `cap` twisted involutions have been
-    visited.
+    the eigenvalue of alpha_s from +1 to -1. Classes come in no set order.
+    Raises WeylCapError once more than `cap` classes have been visited.
     """
     k = rs.permutations
     npos = k.npos
-    wb = rf.w_b.perm
-    twisted = [(k.reflections[i], k.reflections[j], k.simple[i], k.simple[j])
-               for i, j in enumerate(rf.sigma)]
+    alpha_sigma = [k.simple[j] for j in rf.sigma]
+    # per node i: s_i, s_sigma(i), alpha_i, alpha_sigma(i), and for t < i the
+    # roots that s_i v sends to c(alpha_sigma(t)), for c = s_i v and for
+    # c = s_i v sigma(s_i)
+    moves = [(k.reflections[i], k.reflections[j], k.simple[i], alpha_sigma[i], alpha_sigma[:i],
+              [k.reflections[j][b] for b in alpha_sigma[:i]]) for i, j in enumerate(rf.sigma)]
     # sigma is an involution: its orbits are its fixed points and 2-cycles
     a_identity = sum(1 for i, j in enumerate(rf.sigma) if i <= j)
-    # layers[d] maps each v of length ell + d found so far to its a
-    layers: list[dict[Perm, int]] = [{k.identity: a_identity}, {}, {}]
-    ell = 0
+    todo: list[tuple[Perm, int, int]] = [(k.identity, 0, a_identity)]  # (v, l(v), a)
     count = 0
-    while any(layers):
-        current = layers.pop(0)
-        layers.append({})
-        for v, a in current.items():
-            count += 1
-            if count > cap:
-                raise WeylCapError(
-                    f"{rf.diagram.label}: number of twisted involutions exceeds cap {cap}",
-                    partial_count=cap,
-                )
-            yield class_record(rf, rs, k.compose(v, wb), npos - ell, a)
-            for s, s_sigma, alpha, alpha_sigma in twisted:
-                # s_i is a left descent of v iff v^-1 = sigma v sigma sends
-                # alpha_i to a negative root, iff v does so to alpha_sigma(i)
-                image = v[alpha_sigma]
-                if image >= npos:
-                    continue
-                sv = k.compose(s, v)
-                # s v sigma(s) = v iff v sigma(s) v^-1, the reflection in
-                # v(alpha_sigma(i)) > 0, is s_i, iff v(alpha_sigma(i)) = alpha_i
-                if image == alpha:
-                    layers[0].setdefault(sv, a - 1)
-                else:
-                    layers[1].setdefault(k.compose(sv, s_sigma), a)
-        ell += 1
+    while todo:
+        v, ell, a = todo.pop()
+        count += 1
+        if count > cap:
+            raise WeylCapError(
+                f"{rf.diagram.label}: number of twisted involutions exceeds cap {cap}",
+                partial_count=cap,
+            )
+        yield class_record(rf, rs, v, npos - ell, a)
+        for s, s_sigma, alpha, alpha_sigma_i, earlier, earlier_conj in moves:
+            # s_i is a left descent of v iff v^-1 = sigma v sigma sends
+            # alpha_i to a negative root, iff v does so to alpha_sigma(i)
+            image = v[alpha_sigma_i]
+            if image >= npos:
+                continue
+            # s v sigma(s) = v iff v sigma(s) v^-1, the reflection in
+            # v(alpha_sigma(i)) > 0, is s_i, iff v(alpha_sigma(i)) = alpha_i
+            if image == alpha:
+                if all(s[v[b]] < npos for b in earlier):
+                    todo.append((tuple(map(s.__getitem__, v)), ell + 1, a - 1))
+            elif all(s[v[b]] < npos for b in earlier_conj):
+                todo.append((tuple(map(s.__getitem__, map(v.__getitem__, s_sigma))),
+                             ell + 2, a))
 
 
 NOTE_CONTRACTIBLE = "every symplectic leaf is contractible"

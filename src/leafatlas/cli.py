@@ -88,10 +88,13 @@ def _resolve_catalog(cfg: RunConfig) -> tuple[tuple[SatakeDiagram, ...], str]:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
+            entries = load_catalog(text)
         except UnicodeDecodeError as exc:
             raise CatalogParseError(
                 f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-        return load_catalog(text), catalog_text_hash(text)
+        except CatalogParseError as exc:
+            raise CatalogParseError(f"{path}: {exc}") from None
+        return entries, catalog_text_hash(text)
     entries = builtin_catalog()
     return entries, catalog_text_hash(render_catalog(entries))
 
@@ -101,16 +104,16 @@ def _emit(cfg: RunConfig, text: str) -> None:
         directory = os.path.dirname(os.path.abspath(cfg.out_path))
         try:
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                os.replace(tmp, cfg.out_path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
         except OSError as exc:  # name the requested path, not the temporary one
             raise OSError(exc.errno, exc.strerror, cfg.out_path) from None
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, cfg.out_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

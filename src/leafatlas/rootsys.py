@@ -213,7 +213,7 @@ class RootPermutations:
             tuple(self.index[_reflect_vector(a, k, r)] for r in self.roots)
             for k in range(rs.rank)
         )
-        self._heights = tuple(sum(r) for r in self.roots)
+        self.heights = tuple(sum(r) for r in self.roots)
         # (j, a_ji) for each Cartan neighbour j of each node i
         self._neighbours = tuple(
             tuple((j, a[j][i]) for j in range(rs.rank) if j != i and a[j][i])
@@ -230,27 +230,32 @@ class RootPermutations:
         return sum(1 for x in p[:npos] if x >= npos)
 
     def reduced_word(self, p: Perm) -> tuple[int, ...]:
-        """The lexicographically least reduced word of p (1-based indices),
-        built greedily: the least left descent s_i of p (p^-1 sends alpha_i to
-        a negative root) comes first, then the word of s_i·p.
+        """The lexicographically least reduced word of p (1-based indices)."""
+        return self.word_from_heights([self.heights[p.index(a)] for a in self.simple])
 
-        Only the heights h_j of the roots p^-1(alpha_j) are kept, in one list
-        updated in place: a root is negative iff its height is. Since
-        (s_i·p)^-1(alpha_j) = p^-1(alpha_j - a_ji alpha_i) and the height is
-        linear, a step by s_i negates h_i and subtracts a_ji·h_i from each
-        Cartan neighbour h_j."""
-        heights = [self._heights[p.index(a)] for a in self.simple]
-        word: list[int] = []
-        while True:
-            for i, h in enumerate(heights):
-                if h < 0:
-                    break
-            else:
-                return tuple(word)
+    def word_from_heights(self, heights: list[int]) -> tuple[int, ...]:
+        """The lexicographically least reduced word of the p with heights[j]
+        the height of p^-1(alpha_j), built greedily: the least left descent
+        s_i of p (a negative h_i) first, then the word of s_i·p. Since
+        (s_i·p)^-1(alpha_j) = p^-1(alpha_j - a_ji alpha_i), a step negates h_i
+        and subtracts a_ji·h_i from each Cartan neighbour h_j, in place; below
+        i only those can turn negative, so the search resumes at the least of
+        them."""
+        word, i = [], 0
+        while i < len(heights):
+            h = heights[i]
+            if h >= 0:
+                i += 1
+                continue
             word.append(i + 1)
+            heights[i] = -h
+            after = i + 1
             for j, a_ji in self._neighbours[i]:
                 heights[j] -= a_ji * h
-            heights[i] = -h
+                if j < after and heights[j] < 0:
+                    after = j
+            i = after
+        return tuple(word)
 
     def images(self, p: Perm) -> tuple[IntVector, ...]:
         """p(alpha_i) for each simple root alpha_i: the columns of the matrix

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import leafatlas
 from leafatlas import satake
 from leafatlas.atlas import atlas, realizable_candidate, twisted_involutions
-from leafatlas.rootsys import build_root_system
+from leafatlas.rootsys import WeylCapError, build_root_system
 from leafatlas.satake import (
     SatakeDiagram,
     SatakeError,
@@ -134,6 +134,61 @@ def test_walk_matches_brute_force(sd):
     rs = sd.root_system()
     rf = real_form_data(sd)
     assert _walked(rf, rs) == _brute_force(rf, rs)
+
+
+@pytest.mark.parametrize("sd", WORD_FORMS + (_plain("E", 7),), ids=lambda s: s.label)
+def test_walk_matches_the_upward_walk(sd):
+    # the canonical-parent walk gives the same records as the walk that
+    # keeps every child and drops the v it has already seen
+    rs, rf = sd.root_system(), real_form_data(sd)
+    got = sorted(twisted_involutions(rf, rs), key=lambda c: (c["codim_Y"], c["psi_word"]))
+    assert got == wm.upward_walk_records(rf, rs)
+
+
+def _telephone(n):
+    """The number of involutions of the symmetric group on n letters."""
+    t = [1, 1]
+    for m in range(2, n + 1):
+        t.append(t[-1] + (m - 1) * t[-2])
+    return t[n]
+
+
+def _hyperoctahedral(n):
+    """The number of involutions of the signed permutations of n letters."""
+    b = [1, 2]
+    for m in range(2, n + 1):
+        b.append(2 * b[-1] + 2 * (m - 1) * b[-2])
+    return b[n]
+
+
+INVOLUTION_COUNTS = (
+    [(("A", n), _telephone(n + 1)) for n in range(1, 9)]
+    + [(("B", n), _hyperoctahedral(n)) for n in range(2, 9)]
+    + [(("G", 2), 8), (("F", 4), 140), (("E", 6), 892), (("E", 7), 10_208)]
+)
+
+
+def test_involution_count_oracles():
+    # two spot values of the recurrences
+    assert (_telephone(9), _hyperoctahedral(5), _hyperoctahedral(8)) == (2_620, 312, 32_400)
+
+
+@pytest.mark.parametrize("cartan_type,count", INVOLUTION_COUNTS,
+                         ids=lambda x: "".join(map(str, x)) if isinstance(x, tuple) else None)
+def test_split_form_class_count_is_the_number_of_involutions(cartan_type, count):
+    # for a split form sigma and w_b are trivial, so the classes are the
+    # involutions of W
+    sd = _plain(*cartan_type)
+    assert sum(1 for _ in twisted_involutions(real_form_data(sd), sd.root_system())) == count
+
+
+def test_weyl_cap_counts_the_classes_visited():
+    sd = _plain("F", 4)
+    rs, rf = sd.root_system(), real_form_data(sd)
+    with pytest.raises(WeylCapError) as exc:
+        list(twisted_involutions(rf, rs, cap=139))
+    assert exc.value.partial_count == 139
+    assert len(list(twisted_involutions(rf, rs, cap=140))) == 140
 
 
 # split A5, B5, C5, D5, D6, G2, F4 and E6; quasi-split E6 (EII); and the

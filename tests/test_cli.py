@@ -93,7 +93,7 @@ def test_catalog_file_type_errors_keep_the_key_wording(tmp_path, capsys, stanza,
     path.write_text(stanza + "\n")
     code, out, err = run(capsys, "catalog", "--catalog", str(path))
     assert code == 2 and out == ""
-    assert err == message + "\n"
+    assert err == f"{path}: {message}\n"
 
 
 @pytest.mark.parametrize("flag,value,message", [
@@ -139,6 +139,15 @@ def test_out_into_a_missing_directory_names_the_out_path(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == f"[Errno 2] No such file or directory: {str(target)!r}\n"
     assert not (tmp_path / "nodir").exists()
+
+
+def test_out_onto_an_existing_directory_names_the_out_path(tmp_path, capsys):
+    target = tmp_path / "outdir"
+    target.mkdir()
+    code, out, err = run(capsys, "catalog", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err == f"[Errno 21] Is a directory: {str(target)!r}\n"
+    assert list(tmp_path.iterdir()) == [target] and not list(target.iterdir())
 
 
 def test_atlas_weyl_cap_exceeded(capsys):

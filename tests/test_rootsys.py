@@ -271,23 +271,16 @@ WORD_FORMS = builtin_catalog() + tuple(
 
 
 @pytest.mark.parametrize("sd", WORD_FORMS, ids=lambda s: s.label)
-def test_reduced_words_of_every_class_match_the_permutation_greedy(sd, monkeypatch):
-    # the walk asks for the word of each class's psi once; each answer equals
-    # the greedy on whole permutations
-    seen = []
-    original = rootsys.RootPermutations.reduced_word
-
-    def recording(self, p):
-        word = original(self, p)
-        seen.append((p, word))
-        return word
-
-    monkeypatch.setattr(rootsys.RootPermutations, "reduced_word", recording)
-    rs = sd.root_system()
-    classes = list(twisted_involutions(real_form_data(sd), rs))
-    assert [word for _, word in seen] == [c["psi_word"] for c in classes]
-    for p, word in seen:
-        assert word == wm.reduced_word(rs, p)
+def test_reduced_words_of_every_class_match_the_permutation_greedy(sd):
+    # the walk reads each class's word off the heights of psi^-1(alpha_j);
+    # each equals the greedy on the whole permutation psi = v w_b, with v
+    # taken from the reference walk
+    rs, rf = sd.root_system(), real_form_data(sd)
+    k = rs.permutations
+    expected = sorted((codim_y, wm.reduced_word(rs, k.compose(v, rf.w_b.perm)))
+                      for v, codim_y, _ in wm.upward_walk(rf, rs))
+    got = sorted((c["codim_Y"], c["psi_word"]) for c in twisted_involutions(rf, rs))
+    assert got == expected
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -1,7 +1,7 @@
 """The Weyl group as integer matrices on simple-root coordinates: the
 differential reference for the root permutations of `leafatlas.rootsys`, for
-the involution data of `leafatlas.satake` and for the classes that the
-twisted-involution walk of `leafatlas.atlas` carries.
+the involution data of `leafatlas.satake`, and for the twisted-involution
+walk of `leafatlas.atlas` and the classes it carries.
 
 Every matrix is a tuple of tuples of Python ints, so every computation here
 is exact. Imported by the test modules; pytest does not collect it.
@@ -280,7 +280,53 @@ def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> dict:
         )
     mf = matrix_form(rf.diagram)
     codim_y = length(rs, multiply(rs, psi, mf.w_b, mf.w0))
-    return class_record(rf, rs, perm_of(rs, psi), codim_y, (rs.rank + mat_trace(m)) // 2)
+    v = perm_of(rs, multiply(rs, psi, mf.w_b))
+    return class_record(rf, rs, v, codim_y, (rs.rank + mat_trace(m)) // 2)
+
+
+def upward_walk(rf: RealFormData, rs: RootSystem) -> Iterator[tuple[Perm, int, int]]:
+    """(v, codim_Y, a) for every twisted involution psi = v w_b, by the walk
+    that keeps every child: the reference for the canonical-parent walk of
+    `twisted_involutions`.
+
+    It walks v = psi w_b up from the identity by v -> s v sigma(s), or
+    v -> s v when s v sigma(s) = v, along every simple s that is not a left
+    descent of v, and drops a v reached before. Classes are visited in order
+    of l(v), so only the two layers above the current one are remembered.
+    """
+    k = rs.permutations
+    npos = k.npos
+    twisted = [(k.reflections[i], k.reflections[j], k.simple[i], k.simple[j])
+               for i, j in enumerate(rf.sigma)]
+    a_identity = sum(1 for i, j in enumerate(rf.sigma) if i <= j)
+    # layers[d] maps each v of length ell + d found so far to its a
+    layers: list[dict[Perm, int]] = [{k.identity: a_identity}, {}, {}]
+    ell = 0
+    while any(layers):
+        current = layers.pop(0)
+        layers.append({})
+        for v, a in current.items():
+            yield v, npos - ell, a
+            for s, s_sigma, alpha, alpha_sigma in twisted:
+                # s_i is a left descent of v iff v^-1 = sigma v sigma sends
+                # alpha_i to a negative root, iff v does so to alpha_sigma(i)
+                image = v[alpha_sigma]
+                if image >= npos:
+                    continue
+                sv = k.compose(s, v)
+                # s v sigma(s) = v iff v sigma(s) v^-1, the reflection in
+                # v(alpha_sigma(i)) > 0, is s_i, iff v(alpha_sigma(i)) = alpha_i
+                if image == alpha:
+                    layers[0].setdefault(sv, a - 1)
+                else:
+                    layers[1].setdefault(k.compose(sv, s_sigma), a)
+        ell += 1
+
+
+def upward_walk_records(rf: RealFormData, rs: RootSystem) -> list[dict]:
+    """The class records of `upward_walk`, sorted as `atlas` sorts them."""
+    records = (class_record(rf, rs, v, codim_y, a) for v, codim_y, a in upward_walk(rf, rs))
+    return sorted(records, key=lambda c: (c["codim_Y"], c["psi_word"]))
 
 
 def open_class_element(rf: RealFormData, rs: RootSystem) -> WeylElement:
