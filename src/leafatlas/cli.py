@@ -403,9 +403,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     from . import matrixlie as ml
 
     try:
-        ml.realization(sd.label)
+        realized = ml.realization(sd.label).diagram
     except ml.RealizationError as exc:
         sys.stderr.write(f"{exc}\n")
+        return EXIT_DOMAIN
+    if sd.describe() != realized.describe():
+        sys.stderr.write(f"{sd.label}: the catalog gives {sd.describe()}, but the realized "
+                         f"{sd.label} has {realized.describe()}\n")
         return EXIT_DOMAIN
     doc = run_verify_battery(sd, cfg)
     if cfg.output_format == "md":

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .rootsys import IntVector
+from .satake import SatakeDiagram, sl_real_diagram, su_pq_diagram
 
 TOL_UNITARY = 1e-10
 TOL_NORMALIZER = 1e-10
@@ -279,6 +280,13 @@ class MatrixRealForm:
         self.basis_an = _triangular_basis(n)
         self._full_pinv = np.linalg.pinv(
             _re_im(_columns(np.concatenate([self.basis_u, self.basis_an]))))
+
+    @property
+    def diagram(self) -> SatakeDiagram:
+        """The Satake diagram of the realized form."""
+        if self.kind == "sl_real":
+            return sl_real_diagram(self.n)
+        return su_pq_diagram(self.p, self.q)
 
     @cached_property
     def fixed_triangular(self) -> np.ndarray:

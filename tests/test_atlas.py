@@ -23,6 +23,8 @@ from leafatlas.satake import (
 
 from exact_rank import eigenspace_dim
 from test_rootsys import WORD_FORMS
+from test_satake import DOMAIN_TYPES
+from test_satake import decorated_diagrams as domain_diagrams
 import weyl_matrices as wm
 
 BY_LABEL = catalog_by_label()
@@ -210,19 +212,15 @@ def test_carried_invariants_match_the_references(sd):
     _assert_carried_invariants_match(real_form_data(sd), sd.root_system())
 
 
-TYPES_UP_TO_RANK_4 = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
-                      ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("F", 4),
-                      ("G", 2)]
+# the decorated diagrams of rank at most 4, and the Satake diagrams among them
+SMALL_DOMAIN = [sd for family, rank in DOMAIN_TYPES if rank <= 4
+                for sd in domain_diagrams(family, rank)]
+SMALL_SATAKE = [sd for sd in SMALL_DOMAIN if validate(sd).passed]
 
 
-@st.composite
-def decorated_diagrams(draw):
-    family, rank = draw(st.sampled_from(TYPES_UP_TO_RANK_4))
-    black = draw(st.frozensets(st.integers(1, rank)))
-    pairs = [(i, j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
-    arrows = draw(st.frozensets(st.sampled_from(pairs), max_size=2)) if pairs else frozenset()
-    return SatakeDiagram(label=f"random({family}{rank})", family=family, rank=rank,
-                         black=black, arrows=arrows)
+def decorated_diagrams():
+    """Half the draws are Satake diagrams, the rest any diagram of the domain."""
+    return st.one_of(st.sampled_from(SMALL_SATAKE), st.sampled_from(SMALL_DOMAIN))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

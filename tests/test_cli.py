@@ -65,9 +65,12 @@ def test_atlas_inline_diagram_markdown(capsys):
 
 
 def test_atlas_inline_invalid_diagram(capsys):
-    code, _, err = run(capsys, "atlas", "--type", "A2", "--black", "{1}")
-    assert code == 2
-    assert "tau_w0_commute" in err
+    # black node 1 alone is not a Satake diagram of A2 or G2: white node 2
+    # pairs to a half-integer with rho_X^v
+    for cartan_type in ("A2", "G2"):
+        code, out, err = run(capsys, "atlas", "--type", cartan_type, "--black", "{1}")
+        assert code == 2 and out == ""
+        assert f"involution: custom({cartan_type}): white node 2 has no arrow" in err
 
 
 def test_atlas_inline_needs_rank(capsys):
@@ -358,6 +361,23 @@ def test_verify_no_realization(capsys):
     assert "no matrix realization" in err
 
 
+@pytest.mark.parametrize("label,given,realized", [
+    # the diagram of su(2,1) under the label of sl(3,R): its classes are not
+    # involutions, and the representative search raised a traceback
+    ("sl(3,R)", "type=A2; black={}; arrows={(1,2)}", "type=A2; black={}; arrows={}"),
+    # the split B2 under the label of su(2,1): the battery ran against B2's
+    # atlas, and five checks failed
+    ("su(2,1)", "type=B2; black={}; arrows={}", "type=A2; black={}; arrows={(1,2)}"),
+])
+def test_verify_refuses_a_diagram_that_is_not_the_realized_forms(
+        tmp_path, capsys, label, given, realized):
+    path = tmp_path / "cat.txt"
+    path.write_text(f"name={label}; {given}\n")
+    code, out, err = run(capsys, "verify", "--catalog", str(path), "--form", label)
+    assert code == 2 and out == ""
+    assert err == f"{label}: the catalog gives {given}, but the realized {label} has {realized}\n"
+
+
 def test_verify_unknown_form(capsys):
     code, _, err = run(capsys, "verify", "--form", "bogus")
     assert code == 1
@@ -543,7 +563,7 @@ def test_catalog_invalid_entry_flagged(tmp_path, capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["entries"][0]["passed"] is False
-    assert "tau_w0_commute" in doc["entries"][0]["failed_checks"]
+    assert doc["entries"][0]["failed_checks"] == ["involution"]
 
 
 def test_catalog_unsupported_cartan_type_flagged(tmp_path, capsys):

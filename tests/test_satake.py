@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from leafatlas.satake import (
     CompactFormError,
     InconsistentSatakeError,
     SatakeDiagram,
+    SatakeError,
     builtin_catalog,
     catalog_by_label,
     load_catalog,
@@ -158,15 +160,16 @@ def test_arrows_must_give_a_diagram_automorphism(family, rank):
 
 
 def test_inadmissible_black_set_fails():
-    # a single black end node on A2 is not an admissible diagram; the local
-    # construction goes through (the induced involution even maps positive
-    # roots to positive roots), but the commutation identities expose it
+    # a single black end node on A2 is not a Satake diagram; the induced
+    # involution would even map positive roots to positive roots, but white
+    # node 2 pairs to -1/2 with rho_X^v, half the coroot of alpha_1
     sd = SatakeDiagram("bad", "A", 2, frozenset({1}), frozenset())
-    tau = tau_matrix(sd)
-    assert wm.mat_mul(tau, tau) == wm.identity_matrix(2)
+    with pytest.raises(InconsistentSatakeError, match="white node 2 has no arrow"):
+        real_form_data(sd)
     report = validate(sd)
-    assert not report.passed
-    assert {c.name for c in report.failures()} >= {"tau_w0_commute"}
+    assert [c.name for c in report.checks] == ["structure", "involution"]
+    assert [c.name for c in report.failures()] == ["involution"]
+    assert "<rho_X^v, alpha_2> = -1/2" in report.failures()[0].detail
 
 
 # ---------------------------------------------------------------------------
@@ -303,3 +306,155 @@ def test_split_forms_have_full_restricted_system():
         assert rf.real_rank == rs.rank
         assert all(m == 1 for m in rf.restricted.values())
         assert len(rf.restricted) == 2 * len(rs.positive_roots)
+
+
+# ---------------------------------------------------------------------------
+# the whole input domain: every decorated diagram of every type up to the
+# rank cap
+
+DOMAIN_TYPES = ([("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+                + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+                + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+def involutive_automorphisms(family, rank):
+    """Every sigma with sigma^2 = 1 that preserves the Cartan matrix, as
+    0-based node images, found by extending partial maps node by node."""
+    a = rootsys.build_root_system(family, rank).cartan_matrix
+
+    def extend(images):
+        i = len(images)
+        if i == rank:
+            yield tuple(images)
+            return
+        for j in range(rank):
+            if j not in images and all(a[j][images[m]] == a[i][m] and a[images[m]][j] == a[m][i]
+                                       for m in range(i)):
+                yield from extend(images + [j])
+
+    return [s for s in extend([]) if all(s[s[i]] == i for i in range(rank))]
+
+
+def decorated_diagrams(family, rank):
+    """Every black set, each with the arrows that every involutive diagram
+    automorphism draws between white nodes, without repeats."""
+    seen = {}
+    autos = involutive_automorphisms(family, rank)
+    for size in range(rank + 1):
+        for black in map(frozenset, itertools.combinations(range(1, rank + 1), size)):
+            for s in autos:
+                arrows = frozenset((i + 1, j + 1) for i, j in enumerate(s)
+                                   if i < j and {i + 1, j + 1}.isdisjoint(black))
+                key = (black, arrows)
+                seen.setdefault(key, SatakeDiagram(
+                    f"{family}{rank} black={sorted(black)} arrows={sorted(arrows)}",
+                    family, rank, black, arrows))
+    return list(seen.values())
+
+
+def real_form_diagram_count(family, rank):
+    """The number of Satake diagrams of the non-compact real forms, from
+    Araki's classification (S. Araki, J. Math. Osaka City Univ. 13, 1962;
+    Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces,
+    Ch. X, Table VI), counted as numbered diagrams."""
+    if family == "A":  # sl(n,R), su(p,q) with p >= q >= 1, su*(n) for even n
+        n = rank + 1
+        return 1 if n == 2 else 1 + n // 2 + (n % 2 == 0)
+    if family == "B":  # so(2n+1-q, q), 1 <= q <= n
+        return rank
+    if family == "C":  # sp(n,R), sp(p,q) with p >= q >= 1
+        return 1 + rank // 2
+    if family == "D":
+        if rank == 4:  # so(8-q, q), 1 <= q <= 4, numbered up to triality: 3+3+3+1
+            return 10
+        # so(2n-q, q), 1 <= q <= n, and so*(2n), whose two fork labellings
+        # differ for even n
+        return rank + 1 + (rank % 2 == 0)
+    return {("E", 6): 4, ("E", 7): 3, ("E", 8): 2, ("F", 4): 2, ("G", 2): 1}[family, rank]
+
+
+def test_real_form_diagram_counts():
+    # spot values: so(2,1) = sl(2,R) and su*(2) = su(2) leave A1 one form;
+    # sp(2,R) = so(3,2) and sp(1,1) = so(4,1) are the two of C2
+    counts = [real_form_diagram_count(*t) for t in DOMAIN_TYPES]
+    assert counts[:8] == [1, 2, 4, 3, 5, 4, 6, 5]
+    assert counts[15:22] == [2, 2, 3, 3, 4, 4, 5]
+    assert counts[22:27] == [10, 6, 8, 8, 10]
+    assert len(involutive_automorphisms("D", 4)) == 4
+    assert len(involutive_automorphisms("E", 6)) == len(involutive_automorphisms("A", 8)) == 2
+
+
+def _rho_pairings(sd):
+    """<rho_X^v, alpha_j> for each node j (1-based keys), rho_X^v = sum c_i
+    alpha_i^v solved over the rationals from <rho_X^v, alpha_k> = 1 for k in
+    X, where <alpha_i^v, alpha_k> = a[k][i]."""
+    a = sd.root_system().cartan_matrix
+    x = sorted(sd.black)
+    rows = [[Fraction(a[k - 1][i - 1]) for i in x] + [Fraction(1)] for k in x]
+    for col in range(len(x)):  # Gauss-Jordan; the Cartan matrix of X is invertible
+        pivot = next(r for r in range(col, len(x)) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(len(x)):
+            if r != col and rows[r][col]:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    c = [row[-1] for row in rows]
+    return {j: sum(ci * a[j - 1][i - 1] for ci, i in zip(c, x)) for j in range(1, sd.rank + 1)}
+
+
+def _assert_deleted_identities(sd):
+    """The checks that `validate` ran after the construction until they were
+    found to hold by construction, on the integer-matrix model."""
+    rs = sd.root_system()
+    rf = real_form_data(sd)
+    mf = wm.matrix_form(sd)
+    tau, wb, w0 = mf.tau_star, mf.w_b.matrix, mf.w0.matrix
+    # tau* is an involution that negates exactly the black simple roots and
+    # sends each positive root to a positive root or to its own negative
+    assert wm.mat_mul(tau, tau) == wm.identity_matrix(rs.rank)
+    for i, alpha in enumerate(rs.simple_roots, start=1):
+        assert (wm.mat_vec(tau, alpha) == tuple(-x for x in alpha)) == (i in sd.black)
+    for alpha in rs.positive_roots:
+        img = wm.mat_vec(tau, alpha)
+        assert img == tuple(-x for x in alpha) or wm.is_positive(img)
+    # tau*, w_b and w_0 commute, and l(w_b w_0) = l(w_0) - l(w_b)
+    for p, q in ((tau, w0), (tau, wb), (w0, wb)):
+        assert wm.mat_mul(p, q) == wm.mat_mul(q, p)
+    assert (wm.length(rs, wm.multiply(rs, mf.w_b, mf.w0))
+            == wm.length(rs, mf.w0) - wm.length(rs, mf.w_b))
+    # dimensions: g = rank + 2N, k0 = (rank - real rank) + N + N_X, and p0
+    # the real rank plus the positive restricted multiplicities
+    n = len(rs.positive_roots)
+    n_x = sum(1 for r in rs.positive_roots if all(r[i - 1] == 0 for i in range(1, rs.rank + 1)
+                                                  if i not in sd.black))
+    restricted = sum(m for lam, m in mf.restricted.items() if wm.is_positive(lam))
+    assert rf.real_rank == mf.real_rank > 0
+    assert (rf.dim_g, rf.dim_p0) == (rs.rank + 2 * n, mf.real_rank + restricted)
+    assert rf.dim_k0 == rs.rank - mf.real_rank + n + n_x == rf.dim_g - rf.dim_p0
+    if not sd.black and not sd.arrows:
+        assert mf.real_rank == rs.rank and set(mf.restricted.values()) == {1}
+
+
+@pytest.mark.parametrize("family,rank", DOMAIN_TYPES)
+def test_accepted_diagrams_are_the_real_forms(family, rank):
+    # the construction accepts exactly Araki's diagrams: their number is the
+    # count of real forms, the parity rule agrees with the rational pairing
+    # <rho_X^v, alpha_j>, and each checked identity holds on the matrices
+    accepted = []
+    for sd in decorated_diagrams(family, rank):
+        try:
+            real_form_data(sd)
+        except SatakeError as exc:
+            if "has no arrow" in str(exc):
+                j = int(str(exc).split("white node ")[1].split()[0])
+                assert _rho_pairings(sd)[j].denominator == 2
+            continue
+        pairings = _rho_pairings(sd)
+        fixed = [j for j in range(1, rank + 1) if j not in sd.black
+                 and not any(j in pair for pair in sd.arrows)]
+        assert all(pairings[j].denominator == 1 for j in fixed)
+        assert validate(sd).passed
+        accepted.append(sd)
+    assert len(accepted) == real_form_diagram_count(family, rank)
+    for sd in accepted:
+        _assert_deleted_identities(sd)
