@@ -168,7 +168,7 @@ def _form_doc(report: AtlasReport) -> dict:
         "dim_p0": rf.dim_p0,
         "dim_x": rf.dim_x,
         "real_rank": rf.real_rank,
-        "positive_restricted_count": sum(rf.positive_restricted().values()),
+        "positive_restricted_count": rf.dim_p0 - rf.real_rank,
     }
 
 

@@ -1,6 +1,11 @@
 """Satake diagrams, the induced root-space involution, restricted roots and
 dimension bookkeeping for the real forms they encode.
 
+The dimensions are integers, dim p0 = real rank + N - l(w_b) (see
+`real_form_data`). The restricted roots, as `Fraction` vectors, are built
+only on request (`RealFormData.restricted`), so the atlas and catalog paths
+never import `fractions`.
+
 The involution is never stored in a catalog: it is always reconstructed as
 w_b composed with the node permutation sigma (arrows on white nodes, the
 opposition involution of the black subdiagram on black nodes). Building
@@ -15,9 +20,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .rootsys import (
     Perm,
@@ -28,7 +32,10 @@ from .rootsys import (
     longest_element,
 )
 
-FracVector = tuple[Fraction, ...]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    FracVector = tuple[Fraction, ...]
 
 
 class SatakeError(ValueError):
@@ -78,14 +85,14 @@ def _root_system(family: str, rank: int) -> RootSystem:
 
 @dataclass(frozen=True)
 class RealFormData:
-    """Derived data of a real form: involution, restricted roots, dimensions."""
+    """Derived data of a real form: the involution and the dimensions, all
+    integers; the restricted roots are built the first time they are read."""
 
     diagram: SatakeDiagram
     tau_star: Perm  # w_b . sigma, a permutation of the roots
     sigma: tuple[int, ...]  # node permutation, 0-based images
     w_b: WeylElement
     w0: WeylElement
-    restricted: dict[FracVector, int]  # both signs, multiplicities
     real_rank: int
     dim_g: int
     dim_k0: int
@@ -95,8 +102,25 @@ class RealFormData:
     def dim_x(self) -> int:
         return self.dim_p0
 
+    @cached_property
+    def restricted(self) -> dict[FracVector, int]:
+        """The restricted roots, both signs, with multiplicities: each root
+        alpha restricts to its projection (alpha + tau* alpha)/2 onto the +1
+        eigenspace of tau*."""
+        from fractions import Fraction
+
+        k = self.diagram.root_system().permutations
+        mult: dict[FracVector, int] = {}
+        for j in range(k.npos):
+            for root in (j, j + k.npos):
+                lam = tuple(Fraction(a + b, 2)
+                            for a, b in zip(k.roots[root], k.roots[self.tau_star[root]]))
+                if any(x != 0 for x in lam):
+                    mult[lam] = mult.get(lam, 0) + 1
+        return mult
+
     def positive_restricted(self) -> dict[FracVector, int]:
-        return _positive_part(self.restricted)
+        return {lam: m for lam, m in self.restricted.items() if all(x >= 0 for x in lam)}
 
 
 def _structural_check(sd: SatakeDiagram) -> None:
@@ -164,10 +188,13 @@ def node_permutation(sd: SatakeDiagram, wb: WeylElement) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def real_form_data(sd: SatakeDiagram) -> RealFormData:
     """The one construction of a diagram's involution data: w_b, sigma,
-    tau* = w_b . sigma and w_0, then the restricted roots (both signs, with
-    multiplicities), the real rank and the dimensions. Consumers read these
-    fields instead of rebuilding them; the result is built once per diagram
-    and shared, so no caller may modify it.
+    tau* = w_b . sigma and w_0, then the real rank and the dimensions, from
+    integers alone. tau* negates the l(w_b) positive roots of the black
+    subsystem and keeps every other positive root positive, so the positive
+    restricted roots number N - l(w_b) with multiplicity and
+    dim p0 = real rank + N - l(w_b). Consumers read these fields instead of
+    rebuilding them; the result is built once per diagram and shared, so no
+    caller may modify it.
     """
     _structural_check(sd)
     rs = sd.root_system()
@@ -176,19 +203,9 @@ def real_form_data(sd: SatakeDiagram) -> RealFormData:
     perm = node_permutation(sd, wb)
     tau = k.compose(wb.perm, k.automorphism(perm))
 
-    # each root alpha restricts to its projection (alpha + tau* alpha)/2
-    # onto the +1 eigenspace
-    mult: dict[FracVector, int] = {}
-    for j in range(k.npos):
-        for root in (j, j + k.npos):
-            lam = tuple(Fraction(a + b, 2) for a, b in zip(k.roots[root], k.roots[tau[root]]))
-            if any(x != 0 for x in lam):
-                mult[lam] = mult.get(lam, 0) + 1
     real_rank = (rs.rank + k.trace(tau)) // 2  # tau* is an involution
-
-    dim_g = rs.rank + 2 * len(rs.positive_roots)
-    dim_p0 = real_rank + sum(_positive_part(mult).values())
-    dim_k0 = dim_g - dim_p0
+    dim_g = rs.rank + 2 * k.npos
+    dim_p0 = real_rank + k.npos - len(wb.word)
 
     return RealFormData(
         diagram=sd,
@@ -196,19 +213,11 @@ def real_form_data(sd: SatakeDiagram) -> RealFormData:
         sigma=perm,
         w_b=wb,
         w0=longest_element(rs),
-        restricted=mult,
         real_rank=real_rank,
         dim_g=dim_g,
-        dim_k0=dim_k0,
+        dim_k0=dim_g - dim_p0,
         dim_p0=dim_p0,
     )
-
-
-def _positive_part(mult: dict[FracVector, int]) -> dict[FracVector, int]:
-    return {
-        lam: m for lam, m in mult.items()
-        if any(x != 0 for x in lam) and all(x >= 0 for x in lam)
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +463,8 @@ def load_catalog(source: str) -> tuple[SatakeDiagram, ...]:
         if "name" not in fields or "type" not in fields:
             raise CatalogParseError("stanza needs at least name= and type=", line)
         label = fields["name"]
+        if not label:  # an empty label could never be selected with --form
+            raise CatalogParseError("empty name", line)
         if label in seen_labels:
             raise CatalogParseError(f"duplicate label {label!r}", line)
         seen_labels.add(label)

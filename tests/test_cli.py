@@ -90,6 +90,7 @@ def test_atlas_inline_rank_must_agree_with_type(capsys):
 @pytest.mark.parametrize("stanza,message", [
     ("name=x; type=A", "line 1: missing rank (use type=A2 or rank=2)"),
     ("name=x; type=A2; rank=3", "line 1: rank=3 disagrees with type=A2"),
+    ("name=; type=A2; black={}; arrows={}", "line 1: empty name"),
 ])
 def test_catalog_file_type_errors_keep_the_key_wording(tmp_path, capsys, stanza, message):
     path = tmp_path / "catalog.txt"
@@ -486,7 +487,8 @@ def test_atlas_and_catalog_import_no_numerics():
         "import leafatlas, leafatlas.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['atlas', '--form', 'sl(2,R)']), cli.main(['catalog'])]\n"
-        "print(codes, [m for m in ('numpy', 'scipy') if m in sys.modules])\n"
+        "print(codes, [m for m in ('numpy', 'scipy', 'fractions', 'decimal')\n"
+        "              if m in sys.modules])\n"
     )
     assert out.split("\n")[0] == "[0, 0] []"
 

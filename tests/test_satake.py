@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from leafatlas import rootsys
+from leafatlas.atlas import atlas
 from leafatlas.satake import (
     CatalogParseError,
     CompactFormError,
@@ -69,6 +70,7 @@ def test_parse_rank_mismatch():
     ("name=x; type=A", "line 3: missing rank (use type=A2 or rank=2)"),
     ("name=x; type=Q2", "line 3: bad type 'Q2'"),
     ("name=x; type=A; rank=two", "line 3: bad rank 'two'"),
+    ("name= ; type=A2; black={}; arrows={}", "line 3: empty name"),
 ])
 def test_parse_type_and_rank_messages(stanza, message):
     with pytest.raises(CatalogParseError) as err:
@@ -458,3 +460,28 @@ def test_accepted_diagrams_are_the_real_forms(family, rank):
     assert len(accepted) == real_form_diagram_count(family, rank)
     for sd in accepted:
         _assert_deleted_identities(sd)
+
+
+@pytest.mark.parametrize("family,rank", DOMAIN_TYPES)
+def test_dim_p0_from_the_length_of_w_b(family, rank):
+    # dim p0 - real rank, read from N - l(w_b), is the count of positive
+    # restricted roots with multiplicity, both from the lazy Fraction roots
+    # and from the matrix projections; an atlas never builds those roots
+    rs = rootsys.build_root_system(family, rank)
+    n = len(rs.positive_roots)
+    real_form_data.cache_clear()  # other tests read the roots of these diagrams
+    for sd in decorated_diagrams(family, rank):
+        try:
+            rf = real_form_data(sd)
+        except SatakeError:
+            continue
+        if rank <= 4:
+            atlas(sd)
+            assert "restricted" not in vars(real_form_data(sd))
+        n_x = sum(1 for r in rs.positive_roots
+                  if all(r[i - 1] == 0 for i in range(1, rank + 1) if i not in sd.black))
+        reference = sum(m for lam, m in wm.matrix_form(sd).restricted.items()
+                        if wm.is_positive(lam))
+        assert len(rf.w_b.word) == n_x
+        assert (rf.dim_p0 - rf.real_rank == n - len(rf.w_b.word)
+                == sum(rf.positive_restricted().values()) == reference)
