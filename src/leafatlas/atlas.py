@@ -8,8 +8,7 @@ Unrealizable classes are kept in the report and flagged, never dropped.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .rootsys import DEFAULT_WEYL_CAP, Perm, RootSystem, WeylCapError
 from .satake import RealFormData, SatakeDiagram, real_form_data
@@ -140,8 +139,7 @@ NOTE_OPEN_COUNT = (
 )
 
 
-@dataclass(frozen=True)
-class AtlasReport:
+class AtlasReport(NamedTuple):
     """The complete stratification data for one real form."""
 
     form: RealFormData

@@ -11,8 +11,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .atlas import (NOTE_OPEN_COUNT, AtlasReport, atlas, catalog_text_hash,
@@ -45,13 +45,12 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     form: str | None = None
     inline: SatakeDiagram | None = None
     output_format: str = "json"
-    tolerances: dict[str, float] = field(default_factory=dict)
+    tolerances: Mapping[str, float] = MappingProxyType({})  # overrides, read-only
     samples: int = 100
     seed: int = 0
     weyl_cap: int = DEFAULT_WEYL_CAP
@@ -563,9 +562,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"--seed must be at least 0 for verify, got {args.seed}\n")
         return EXIT_USAGE
 
+    inline = None
+    if args.command == "atlas":
+        try:
+            inline = _inline_diagram(args)
+        except ValueError as exc:  # CatalogParseError included
+            sys.stderr.write(f"{exc}\n")
+            return EXIT_USAGE
+        if inline is None and args.form is None:
+            sys.stderr.write("atlas needs --form or an inline --type diagram\n")
+            return EXIT_USAGE
+
     cfg = RunConfig(
         command=args.command,
         form=getattr(args, "form", None),
+        inline=inline,
         output_format=args.format,
         tolerances=tolerances,
         samples=getattr(args, "samples", 100),
@@ -577,14 +588,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         if args.command == "atlas":
-            try:
-                cfg.inline = _inline_diagram(args)
-            except ValueError as exc:  # CatalogParseError included
-                sys.stderr.write(f"{exc}\n")
-                return EXIT_USAGE
-            if cfg.inline is None and not cfg.form:
-                sys.stderr.write("atlas needs --form or an inline --type diagram\n")
-                return EXIT_USAGE
             return cmd_atlas(cfg)
         if args.command == "verify":
             return cmd_verify(cfg)

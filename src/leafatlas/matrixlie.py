@@ -16,9 +16,8 @@ Conventions used throughout, fixed once:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -463,32 +462,36 @@ def _su2_nd(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:  # of u, or of each
     return -a.imag + 1j * b.imag, a.real + 1j * b.real
 
 
-def chart_su2(u: np.ndarray) -> complex:
-    """Disk chart on the SU(2) symmetric-space quotient.
+def chart_su2(u: np.ndarray) -> complex | np.ndarray:
+    """Disk chart on the SU(2) symmetric-space quotient, at u or at each
+    matrix of a stack u.
 
     Invariant under left translation by the real orthogonal subgroup; the
     circle |w| = 1 is exactly the zero locus of the quotient bivector (the
     circle of point leaves), and |w| < 1, |w| > 1 are the two open leaves."""
-    if u.shape != (2, 2):
+    if u.shape[-2:] != (2, 2):
         raise ValueError("chart is specific to SU(2)")
     _check_unitary(u)
     num, den = _su2_nd(u)
     w_den = den - 1j * num
-    if abs(w_den) < CHART_EPS:
+    if np.any(np.abs(w_den) < CHART_EPS):
         raise ChartSingularityError("chart singularity")
     return (num - 1j * den) / w_den
 
 
-def chart_su2_section(w: complex) -> np.ndarray:
-    """A unitary representative of the coset with chart value w."""
+def chart_su2_section(w: complex | np.ndarray) -> np.ndarray:
+    """A unitary representative of the coset with chart value w, or the
+    stack of those of each value of an array w."""
     z = (w + 1j) / (1 + 1j * w)
-    x, y = z.real, z.imag
-    d = 1.0 / math.sqrt(1 + x * x + y * y)
-    return d * np.array([[1 - 1j * x, 1j * y], [1j * y, 1 + 1j * x]])
+    x, y = np.real(z), np.imag(z)
+    d = 1.0 / np.sqrt(1 + x * x + y * y)
+    u = np.stack([1 - 1j * x, 1j * y, 1j * y, 1 + 1j * x], axis=-1)
+    return (d[..., None] * u).reshape(np.shape(w) + (2, 2))
 
 
 def su2_transported_coefficient(rf: MatrixRealForm, u: np.ndarray) -> tuple[complex, float]:
-    """(w, F) with the transported quotient bivector F * i dw ^ dwbar at u.
+    """(w, F) with the transported quotient bivector F * i dw ^ dwbar at u,
+    or the arrays of both over a stack u.
 
     Uses the left-coset presentation matching the chart invariance; the
     closed form is F = SU2_AMPLITUDE * (1 - |w|^4)."""
@@ -497,10 +500,11 @@ def su2_transported_coefficient(rf: MatrixRealForm, u: np.ndarray) -> tuple[comp
     w = chart_su2(u)  # raises off the chart
     c = -pi_0_at(rf, _H(u))
     # the derivative of the chart along t -> exp(t xi) u at t = 0, each xi of basis_ip0
+    u = u[..., None, :, :]
     (num, den), (dnum, dden) = _su2_nd(u), _su2_nd(rf.basis_ip0 @ u)
     top, bot = num - 1j * den, den - 1j * num
     dw = ((dnum - 1j * dden) * bot - top * (dden - 1j * dnum)) / bot**2
-    return w, -2.0 * float(dw.real @ c @ dw.imag)
+    return w, -2.0 * (dw.real[..., None, :] @ c @ dw.imag[..., None])[..., 0, 0]
 
 
 def _chart_points(rng: np.random.Generator, count: int) -> list[complex]:
@@ -518,19 +522,20 @@ def _chart_points(rng: np.random.Generator, count: int) -> list[complex]:
 def formula_residual(rf: MatrixRealForm, n_samples: int, seed: int) -> float:
     """Largest deviation of the transported coefficient from the closed form
     SU2_AMPLITUDE * (1 - |w|^4), relative to it, over seeded chart points."""
+    points = np.array(_chart_points(uniform_stream(seed), n_samples))
     worst = 0.0
-    for w in _chart_points(uniform_stream(seed), n_samples):
+    for start in range(0, n_samples, STACK):
+        w = points[start:start + STACK]
         _, coeff = su2_transported_coefficient(rf, chart_su2_section(w))
-        expected = SU2_AMPLITUDE * (1 - abs(w) ** 4)
-        worst = max(worst, abs(coeff - expected) / abs(expected))
+        expected = SU2_AMPLITUDE * (1 - np.abs(w) ** 4)
+        worst = max(worst, float(np.max(np.abs(coeff - expected) / np.abs(expected))))
     return worst
 
 
 # ---------------------------------------------------------------------------
 # orbit geometry checks
 
-@dataclass
-class TangencyResult:
+class TangencyResult(NamedTuple):
     dim_bivector_image: int
     dim_orbit_projection: int
     residual: float
@@ -572,8 +577,7 @@ def largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arcsin(min(s[0], 1.0))) if s.size else 0.0
 
 
-@dataclass
-class AnnihilatorResult:
+class AnnihilatorResult(NamedTuple):
     distance: float
     dim_annihilator: int
     dim_fixed_points: int
@@ -740,9 +744,14 @@ def chart_bivector(rf: MatrixRealForm, x: np.ndarray) -> np.ndarray:
     each point of a stack x.  Every point must pass the condition limit."""
     u, jac = _exp_chart(rf, x)
     c = pi_0_at(rf, u)
-    if np.max(np.linalg.cond(jac)) > 1e8:
+    try:
+        jinv = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        raise ChartSingularityError("exponential chart is singular here") from None
+    # ||J||_F ||J^-1||_F bounds the condition number of J from above
+    bound = np.linalg.norm(jac, axis=(-2, -1)) * np.linalg.norm(jinv, axis=(-2, -1))
+    if not np.all(bound <= 1e8):
         raise ChartSingularityError("exponential chart is singular here")
-    jinv = np.linalg.inv(jac)
     return jinv @ c @ _T(jinv)
 
 
@@ -848,15 +857,13 @@ def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0,
 # ---------------------------------------------------------------------------
 # Hermitian decomposition
 
-@dataclass
-class HermitianFitResult:
+class HermitianFitResult(NamedTuple):
     b: float
     max_residual: float
     invariant_rank: int
 
 
-@dataclass(frozen=True)
-class HermitianFrame:
+class HermitianFrame(NamedTuple):
     """The seed-independent part of hermitian_fit, built once per realization."""
 
     ad_u0: np.ndarray  # Ad(u0) over basis_u, u0 from _block_alignment
@@ -895,14 +902,23 @@ def invariant_bivector(rf: MatrixRealForm) -> np.ndarray:
     comm = k0 @ rf.basis_ip0 - rf.basis_ip0 @ k0
     ads = rf._ip0_reader @ rf.coeffs(comm)
     # unknowns: the coefficients of C on the e_i ^ e_j, i < j; equations:
-    # (A C + C A^T)[r, c] = 0 for every A of ads and r < c, in the same order
+    # (A C + C A^T)[r, c] = 0 for every A of ads and r < c, in the same order.
+    # For C = e_i ^ e_j, (A C + C A^T)[r, c] is A[r, i] [c = j] - A[r, j] [c = i]
+    # + A[c, j] [r = i] - A[c, i] [r = j]: the entries on the equations that
+    # pair r with j, then those that pair r with i, added in place
     upper = np.triu_indices(m, 1)
-    wedges = np.zeros((len(upper[0]), m, m))
-    wedges[(np.arange(len(upper[0])),) + upper] = 1.0
-    wedges = wedges - _T(wedges)
-    images = ads[:, None] @ wedges + wedges @ _T(ads)[:, None]
-    system = images[(...,) + upper].transpose(0, 2, 1).reshape(-1, len(upper[0]))
-    null = nullspace(system, 1e-9)
+    n_wedges = len(upper[0])
+    pairing = np.zeros((m, m), dtype=int)
+    pairing[upper] = np.arange(n_wedges)
+    pairing += pairing.T  # the equation of the pair {r, c}, r != c
+    i, j = (side[:, None] for side in upper)
+    r = np.arange(m)
+    wedge = np.broadcast_to(np.arange(n_wedges)[:, None], (n_wedges, m))
+    system = np.zeros((len(ads), n_wedges, n_wedges))
+    for fixed, other, sign in ((j, i, np.sign(j - r)), (i, j, np.sign(r - i))):
+        hit = sign != 0
+        system[:, pairing[r, fixed][hit], wedge[hit]] += (sign * ads[:, r, other])[:, hit]
+    null = nullspace(system.reshape(-1, n_wedges), 1e-9)
     if null.shape[1] != 1:
         raise NotHermitianError(
             f"invariant bivector space of {rf.label} has dimension {null.shape[1]}")

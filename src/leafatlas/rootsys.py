@@ -9,9 +9,7 @@ simple-root coordinates, are read off the permutation as a view.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -88,8 +86,7 @@ _VALID_RANKS = {
 }
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """A finite irreducible root system in simple-root coordinates."""
 
     family: str
@@ -108,24 +105,37 @@ class RootSystem:
             for i in range(self.rank)
         )
 
-    @cached_property
+    @property
     def permutations(self) -> RootPermutations:
-        """The root-permutation tables, built on first use."""
-        return RootPermutations(self)
+        """The root-permutation tables, built on first use and shared by
+        every RootSystem of the same type, which determines its roots."""
+        key = self.family, self.rank
+        k = _PERMUTATIONS.get(key)
+        if k is None:
+            k = _PERMUTATIONS[key] = RootPermutations(self)
+        return k
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """A Weyl-group element: its permutation of the roots (`RootPermutations`)
     with a word as witness.
 
     Identity of elements is equality of permutations; the word is one
     expression in simple reflections (1-based indices) and is not itself
-    canonical.
+    canonical, so equality and the hash read `perm` alone.
     """
 
-    word: tuple[int, ...] = field(compare=False)
+    word: tuple[int, ...]
     perm: Perm
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is WeylElement and self.perm == other.perm
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self.perm)
 
 
 def build_root_system(family: str, rank: int) -> RootSystem:
@@ -190,6 +200,9 @@ def longest_element(rs: RootSystem, subset: Iterable[int] | None = None) -> Weyl
 
 # ---------------------------------------------------------------------------
 # Weyl elements as permutations of the roots
+
+_PERMUTATIONS: dict[tuple[str, int], RootPermutations] = {}  # by (family, rank)
+
 
 class RootPermutations:
     """Weyl elements of one root system as permutations of its roots.

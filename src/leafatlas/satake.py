@@ -19,9 +19,8 @@ not checked again.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .rootsys import (
     Perm,
@@ -58,8 +57,7 @@ class CatalogParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class SatakeDiagram:
+class SatakeDiagram(NamedTuple):
     """A Dynkin diagram decorated with black nodes and an arrow involution."""
 
     label: str
@@ -83,8 +81,7 @@ def _root_system(family: str, rank: int) -> RootSystem:
     return build_root_system(family, rank)
 
 
-@dataclass(frozen=True)
-class RealFormData:
+class RealFormData(NamedTuple):
     """Derived data of a real form: the involution and the dimensions, all
     integers; the restricted roots are built the first time they are read."""
 
@@ -102,25 +99,31 @@ class RealFormData:
     def dim_x(self) -> int:
         return self.dim_p0
 
-    @cached_property
+    @property
     def restricted(self) -> dict[FracVector, int]:
         """The restricted roots, both signs, with multiplicities: each root
         alpha restricts to its projection (alpha + tau* alpha)/2 onto the +1
         eigenspace of tau*."""
-        from fractions import Fraction
-
-        k = self.diagram.root_system().permutations
-        mult: dict[FracVector, int] = {}
-        for j in range(k.npos):
-            for root in (j, j + k.npos):
-                lam = tuple(Fraction(a + b, 2)
-                            for a, b in zip(k.roots[root], k.roots[self.tau_star[root]]))
-                if any(x != 0 for x in lam):
-                    mult[lam] = mult.get(lam, 0) + 1
-        return mult
+        return _restricted_roots(self)
 
     def positive_restricted(self) -> dict[FracVector, int]:
         return {lam: m for lam, m in self.restricted.items() if all(x >= 0 for x in lam)}
+
+
+@lru_cache(maxsize=None)
+def _restricted_roots(rf: RealFormData) -> dict[FracVector, int]:
+    """RealFormData.restricted, built once per real form."""
+    from fractions import Fraction
+
+    k = rf.diagram.root_system().permutations
+    mult: dict[FracVector, int] = {}
+    for j in range(k.npos):
+        for root in (j, j + k.npos):
+            lam = tuple(Fraction(a + b, 2)
+                        for a, b in zip(k.roots[root], k.roots[rf.tau_star[root]]))
+            if any(x != 0 for x in lam):
+                mult[lam] = mult.get(lam, 0) + 1
+    return mult
 
 
 def _structural_check(sd: SatakeDiagram) -> None:
@@ -223,15 +226,13 @@ def real_form_data(sd: SatakeDiagram) -> RealFormData:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     label: str
     checks: tuple[CheckResult, ...]
 

@@ -213,11 +213,31 @@ def leaf_tangency_residual(rf, n_samples, seed):
     return worst if same else math.pi / 2
 
 
+def chart_su2_section(w):
+    """The former single-point section: a unitary of chart value w."""
+    z = (w + 1j) / (1 + 1j * w)
+    x, y = z.real, z.imag
+    d = 1.0 / math.sqrt(1 + x * x + y * y)
+    return d * np.array([[1 - 1j * x, 1j * y], [1j * y, 1 + 1j * x]])
+
+
+def su2_transported_coefficient(rf, u):
+    """The former single-point transport: (w, F) at one unitary u, with the
+    chart derivative contracted as vectors."""
+    w = ml.chart_su2(u)
+    c = -ml.pi_0_at(rf, u.conj().T)
+    (num, den), (dnum, dden) = ml._su2_nd(u), ml._su2_nd(rf.basis_ip0 @ u)
+    top, bot = num - 1j * den, den - 1j * num
+    dw = ((dnum - 1j * dden) * bot - top * (dden - 1j * dnum)) / bot**2
+    return w, -2.0 * float(dw.real @ c @ dw.imag)
+
+
 def formula_residual(rf, n_samples, seed):
-    """The verify battery's former example_formula loop."""
+    """The verify battery's former example_formula loop, one chart point
+    after another."""
     worst = 0.0
     for w in ml._chart_points(uniform_stream(seed), n_samples):
-        _, coeff = ml.su2_transported_coefficient(rf, ml.chart_su2_section(w))
+        _, coeff = su2_transported_coefficient(rf, chart_su2_section(w))
         expected = ml.SU2_AMPLITUDE * (1 - abs(w) ** 4)
         worst = max(worst, abs(coeff - expected) / abs(expected))
     return worst
@@ -281,6 +301,29 @@ def invariant_bivector(rf):
         c_inv[i, j] = null[t, 0]
         c_inv[j, i] = -null[t, 0]
     lead = next(x for x in c_inv[np.triu_indices(m, 1)] if abs(x) > 1e-9)
+    if lead < 0:
+        c_inv = -c_inv
+    return c_inv * (math.sqrt(m) / np.linalg.norm(c_inv))
+
+
+def invariant_bivector_by_images(rf):
+    """invariant_bivector with its linear system read off the (dim k0, w,
+    m, m) stack of the images A C + C A^T of the w wedges C = e_i ^ e_j."""
+    m = rf.dim_ip0
+    k0 = rf.basis_k0[:, None]
+    ads = rf._ip0_reader @ rf.coeffs(k0 @ rf.basis_ip0 - rf.basis_ip0 @ k0)
+    upper = np.triu_indices(m, 1)
+    wedges = np.zeros((len(upper[0]), m, m))
+    wedges[(np.arange(len(upper[0])),) + upper] = 1.0
+    wedges = wedges - ml._T(wedges)
+    images = ads[:, None] @ wedges + wedges @ ml._T(ads)[:, None]
+    system = images[(...,) + upper].transpose(0, 2, 1).reshape(-1, len(upper[0]))
+    null = ml.nullspace(system, 1e-9)
+    assert null.shape[1] == 1
+    c_inv = np.zeros((m, m))
+    c_inv[upper] = null[:, 0]
+    c_inv = c_inv - c_inv.T
+    lead = next(x for x in c_inv[upper] if abs(x) > 1e-9)
     if lead < 0:
         c_inv = -c_inv
     return c_inv * (math.sqrt(m) / np.linalg.norm(c_inv))

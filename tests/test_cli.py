@@ -55,6 +55,16 @@ def test_atlas_unknown_form_lists_labels(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv,message", [
+    ([], "atlas needs --form or an inline --type diagram\n"),
+    (["--form", ""], "unknown form ''; available: "),
+])
+def test_atlas_without_a_form(capsys, argv, message):
+    code, out, err = run(capsys, "atlas", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(message) and (argv == [] or "sl(2,R)" in err)
+
+
 def test_atlas_inline_diagram_markdown(capsys):
     code, out, _ = run(
         capsys, "atlas", "--type", "A2", "--arrows", "{(1,2)}", "--format", "md"
@@ -487,7 +497,8 @@ def test_atlas_and_catalog_import_no_numerics():
         "import leafatlas, leafatlas.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [cli.main(['atlas', '--form', 'sl(2,R)']), cli.main(['catalog'])]\n"
-        "print(codes, [m for m in ('numpy', 'scipy', 'fractions', 'decimal')\n"
+        "print(codes, [m for m in ('numpy', 'scipy', 'fractions', 'decimal',\n"
+        "                          'dataclasses', 'inspect')\n"
         "              if m in sys.modules])\n"
     )
     assert out.split("\n")[0] == "[0, 0] []"
