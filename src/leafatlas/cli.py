@@ -344,19 +344,18 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         checks.append(_check("hermitian_fit_stability", abs(fit1.b - fit2.b),
                              tol["hermitian"]))
 
-    found, matched, total = 0, 0, len(report.classes)
+    realized, reps = [], []
     for cls in report.classes:
         u = ml.representative_for(rf, cls["psi_word"])
-        if u is None:
-            continue
-        found += 1
-        threshold = tol["rank_threshold"]
-        ok = (
-            ml.stabilizer_dim(rf, u, threshold=threshold) == cls["a"] + cls["codim_Y"]
-            and ml.stabilizer_dim(rf, u, include_torus=True, threshold=threshold)
-            == cls["t"] + cls["a"] + cls["codim_Y"]
-        )
-        matched += int(ok)
+        if u is not None:
+            realized.append(cls)
+            reps.append(u)
+    threshold = tol["rank_threshold"]
+    dims = ml.stabilizer_dim(rf, reps, threshold=threshold)
+    dims_torus = ml.stabilizer_dim(rf, reps, include_torus=True, threshold=threshold)
+    found, total = len(realized), len(report.classes)
+    matched = sum(d == cls["a"] + cls["codim_Y"] and dt == cls["t"] + cls["a"] + cls["codim_Y"]
+                  for cls, d, dt in zip(realized, dims, dims_torus))
     checks.append(_check_exact(
         "stabilizer_dims", matched == found,
         f"{matched}/{found} matched of {total} classes ({total - found} unrealizable)",

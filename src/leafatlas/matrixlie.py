@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,10 +30,12 @@ COND_LIMIT = 1e12
 RANK_THRESHOLD = 1e-8
 CHART_EPS = 1e-12
 
-#: Most samples that one stack of a sampled check holds: the check runs in
-#: bounded memory whatever its sample count, and pays numpy's per-call cost
-#: once per stack instead of once per sample.
-STACK = 16
+#: The data that one stack of a sampled check may hold, in samples of an
+#: n = 5 form.  A sample's arrays grow like (dim su(n))^2 ~ n^4, so a stack of
+#: an n x n form holds STACK_BUDGET // n^4 samples, and never fewer than 16:
+#: a check runs in bounded memory whatever its sample count, and pays numpy's
+#: per-call cost once per stack instead of once per sample.
+STACK_BUDGET = 16 * 5**4
 
 #: Amplitude of the transported quotient bivector on the SU(2)/SO(2) disk
 #: chart: pi_0 = SU2_AMPLITUDE * (1 - |w|^4) * i dw ^ dwbar.  The value 1/8
@@ -108,9 +110,16 @@ def uniform_stream(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
-def _stacks(n: int) -> list[int]:
-    """Sizes of the consecutive stacks of n samples: STACK each, then the rest."""
-    return [min(STACK, n - start) for start in range(0, n, STACK)]
+def stack_size(n: int) -> int:
+    """Most samples that one stack of a sampled check on an n x n form holds."""
+    return max(16, STACK_BUDGET // n**4)
+
+
+def _stacks(count: int, n: int) -> list[int]:
+    """Sizes of the consecutive stacks of count samples of an n x n form:
+    stack_size(n) each, then the rest."""
+    size = stack_size(n)
+    return [min(size, count - start) for start in range(0, count, size)]
 
 
 def complex_normals(rng: np.random.Generator, k: int, *shapes) -> list[np.ndarray]:
@@ -433,7 +442,7 @@ def iwasawa_residual(rf: MatrixRealForm, n_samples: int = 100, seed: int = 0) ->
     """Largest entry of b u - m over seeded random m in SL(n, C)."""
     rng = gaussian_stream(seed)
     worst = 0.0
-    for k in _stacks(n_samples):
+    for k in _stacks(n_samples, rf.n):
         (m,) = complex_normals(rng, k, (rf.n, rf.n))
         m = m / (np.linalg.det(m) ** (1.0 / rf.n))[:, None, None]
         b, u1 = iwasawa(m)
@@ -446,7 +455,7 @@ def action_residual(rf: MatrixRealForm, n_samples: int = 50, seed: int = 1) -> f
     of u in SU(n) and g, h in SL(n, C)."""
     rng = gaussian_stream(seed)
     worst = 0.0
-    for k in _stacks(n_samples):
+    for k in _stacks(n_samples, rf.n):
         z, x, y = complex_normals(rng, k, *[(rf.n, rf.n)] * 3)
         u = _unitary(z)
         g, h = _sl_exp(np.array([x, y]))
@@ -507,25 +516,30 @@ def su2_transported_coefficient(rf: MatrixRealForm, u: np.ndarray) -> tuple[comp
     return w, -2.0 * (dw.real[..., None, :] @ c @ dw.imag[..., None])[..., 0, 0]
 
 
-def _chart_points(rng: np.random.Generator, count: int) -> list[complex]:
-    """The first count accepted points of a rejection sampler on rng: w from
-    uniform (real, imaginary) pairs on the square of side 2.8, kept off the
-    origin and away from the zero circle |w| = 1."""
-    points: list[complex] = []
-    while len(points) < count:
-        xy = rng.uniform(-1.4, 1.4, size=(count, 2))
-        w = xy[:, 0] + 1j * xy[:, 1]
-        points += w[(abs(abs(w) - 1.0) > 0.15) & (abs(w) > 0.05)].tolist()
-    return points[:count]
+def _chart_points(rng: np.random.Generator, count: int, size: int) -> Iterator[np.ndarray]:
+    """The first count accepted points of a rejection sampler on rng, in
+    stacks of size: w from uniform (real, imaginary) pairs on the square of
+    side 2.8, kept off the origin and away from the zero circle |w| = 1.
+
+    Pairs are drawn size at a time, which reads the stream as one call would,
+    so point i is the i-th accepted pair whatever size is, and at most
+    2 size points are held."""
+    kept = np.empty(0, dtype=complex)
+    for start in range(0, count, size):
+        k = min(size, count - start)
+        while len(kept) < k:
+            xy = rng.uniform(-1.4, 1.4, size=(size, 2))
+            w = xy[:, 0] + 1j * xy[:, 1]
+            kept = np.concatenate([kept, w[(abs(abs(w) - 1.0) > 0.15) & (abs(w) > 0.05)]])
+        yield kept[:k]
+        kept = kept[k:]
 
 
 def formula_residual(rf: MatrixRealForm, n_samples: int, seed: int) -> float:
     """Largest deviation of the transported coefficient from the closed form
     SU2_AMPLITUDE * (1 - |w|^4), relative to it, over seeded chart points."""
-    points = np.array(_chart_points(uniform_stream(seed), n_samples))
     worst = 0.0
-    for start in range(0, n_samples, STACK):
-        w = points[start:start + STACK]
+    for w in _chart_points(uniform_stream(seed), n_samples, stack_size(rf.n)):
         _, coeff = su2_transported_coefficient(rf, chart_su2_section(w))
         expected = SU2_AMPLITUDE * (1 - np.abs(w) ** 4)
         worst = max(worst, float(np.max(np.abs(coeff - expected) / np.abs(expected))))
@@ -566,7 +580,7 @@ def leaf_tangency_residual(rf: MatrixRealForm, n_samples: int, seed: int) -> flo
     and orbit dimensions differ at some sample."""
     rng = gaussian_stream(seed)
     return max(leaf_tangency_check(rf, u).residual
-               for k in _stacks(n_samples) for u in sample_unitaries(rng, k, rf.n))
+               for k in _stacks(n_samples, rf.n) for u in sample_unitaries(rng, k, rf.n))
 
 
 def largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -604,15 +618,24 @@ def annihilator_check(rf: MatrixRealForm) -> AnnihilatorResult:
     )
 
 
-def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray, include_torus: bool = False,
-                   threshold: float = RANK_THRESHOLD) -> int:
+def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray | Sequence[np.ndarray],
+                   include_torus: bool = False,
+                   threshold: float = RANK_THRESHOLD) -> int | list[int]:
     """dim { X in g0 : Ad_u X lies in the triangular factor }, the Lie algebra
-    of the action stabilizer; include_torus adds the compact torus directions."""
-    _check_unitary(u)
+    of the action stabilizer; include_torus adds the compact torus directions.
+    For a stack or a list of unitaries, one dimension per matrix, computed in
+    stacks of stack_size(n)."""
+    us = np.asarray(u)
     q = rf.triangular_frames[include_torus]
-    m = rf.Ad_g0(u)
-    resid = m - q @ (q.T @ m)
-    return m.shape[1] - int(numerical_rank(resid, threshold)[0])
+    flat, size = us.reshape(-1, rf.n, rf.n), stack_size(rf.n)
+    dims: list[int] = []
+    for start in range(0, len(flat), size):
+        stack = flat[start:start + size]
+        _check_unitary(stack)
+        m = rf.Ad_g0(stack)
+        resid = m - q @ (q.T @ m)
+        dims += (m.shape[-1] - numerical_rank(resid, threshold)[0]).tolist()
+    return dims[0] if us.ndim == 2 else dims
 
 
 # ---------------------------------------------------------------------------
@@ -757,28 +780,35 @@ def chart_bivector(rf: MatrixRealForm, x: np.ndarray) -> np.ndarray:
 
 def jacobi_residual(pi_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                     h: float = 1e-4) -> float:
-    """Max cyclic Jacobiator component of a coefficient field at one point,
-    with second-order central finite differences of step h.  pi_fn maps a
-    stack of points to the stack of their coefficient matrices; it is called
-    once, on x and its 2m neighbours x + h e_l and x - h e_l."""
-    m = len(x)
+    """Max cyclic Jacobiator component of a coefficient field at one point x,
+    or over the points of a stack x, with second-order central finite
+    differences of step h.  pi_fn maps a stack of points to the stack of
+    their coefficient matrices; it is called once, on each point followed by
+    its 2m neighbours x + h e_l and x - h e_l."""
+    x = x.reshape(-1, 1, x.shape[-1])  # each point on an axis of its own
+    p, m = len(x), x.shape[-1]
     steps = h * np.eye(m)
-    pis = pi_fn(np.concatenate([x[None], x + steps, x - steps]))
-    dpi = (pis[1:m + 1] - pis[m + 1:]) / (2 * h)
+    pis = pi_fn(np.concatenate([x, x + steps, x - steps], axis=1).reshape(-1, m))
+    pis = pis.reshape(p, 2 * m + 1, m, m)
+    dpi = (pis[:, 1:m + 1] - pis[:, m + 1:]) / (2 * h)
     # t[a, b, c] = sum_l pi[a, l] d_l pi[b, c]; the Jacobiator is its cyclic sum
-    t = np.einsum("al,lbc->abc", pis[0], dpi)
-    cyclic = t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
+    t = np.einsum("pal,plbc->pabc", pis[:, 0], dpi)
+    cyclic = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
     i, j, k = np.ogrid[:m, :m, :m]
-    return float(np.abs(cyclic[(i < j) & (j < k)]).max(initial=0.0))
+    return float(np.abs(cyclic[:, (i < j) & (j < k)]).max(initial=0.0))
 
 
 def jacobi_check(rf: MatrixRealForm, n_points: int = 10, h: float = 1e-4,
                  seed: int = 0, radius: float = 0.4) -> float:
-    """Max Jacobiator residual of the chart bivector over seeded points."""
+    """Max Jacobiator residual of the chart bivector over seeded points, as
+    many points per chart_bivector call as fit in the form's stack with their
+    2m neighbours each (at least one)."""
     points = uniform_stream(seed).uniform(-radius, radius, size=(n_points, rf.dim_ip0))
+    per_call = max(1, stack_size(rf.n) // (2 * rf.dim_ip0 + 1))
     residual = 0.0
-    for x in points:
-        residual = max(residual, jacobi_residual(lambda y: chart_bivector(rf, y), x, h))
+    for start in range(0, n_points, per_call):
+        residual = max(residual, jacobi_residual(lambda y: chart_bivector(rf, y),
+                                                 points[start:start + per_call], h))
     return residual
 
 
@@ -812,7 +842,7 @@ def multiplicativity_residual(rf: MatrixRealForm, n_pairs: int = 100,
     """Residual of pi(uv) = Ad_u pi(v) Ad_u^T + pi(u) over seeded pairs."""
     rng = gaussian_stream(seed)
     worst = 0.0
-    for k in _stacks(n_pairs):
+    for k in _stacks(n_pairs, rf.n):
         u, v = _unitary(np.array(complex_normals(rng, k, (rf.n, rf.n), (rf.n, rf.n))))
         _check_unitary(u)
         a = rf.Ad_matrix(u)
@@ -827,7 +857,7 @@ def t_invariance_residual(rf: MatrixRealForm, n_samples: int = 50,
     """Invariance of the group bivector under left and right torus shifts."""
     rng, phase_rng = gaussian_stream(seed), uniform_stream(seed)
     worst = 0.0
-    for k in _stacks(n_samples):
+    for k in _stacks(n_samples, rf.n):
         u = sample_unitaries(rng, k, rf.n)
         phases = phase_rng.uniform(0, 2 * math.pi, size=(k, rf.n))
         phases -= phases.mean(axis=-1, keepdims=True)
@@ -846,7 +876,7 @@ def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0,
     samples whose rank was borderline)."""
     rng = gaussian_stream(seed)
     best, n_borderline = 0, 0
-    for k in _stacks(n_samples):
+    for k in _stacks(n_samples, rf.n):
         u = sample_unitaries(rng, k, rf.n)
         rank, borderline = numerical_rank(pi_0_at(rf, u), threshold)
         best = max(best, int(rank.max()))
@@ -960,7 +990,7 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
     # differences d, so their running max and min replace the samples
     rng = gaussian_stream(seed)
     total, hi, lo = 0.0, -np.inf, np.inf
-    for k in _stacks(n_samples):
+    for k in _stacks(n_samples, rf.n):
         u = sample_unitaries(rng, k, rf.n)
         _check_unitary(u)
         a_inv = rf.Ad_matrix(_H(u))
@@ -1001,7 +1031,7 @@ def cartan_consistency(rf: MatrixRealForm, n_samples: int = 20, seed: int = 3) -
     n = rf.n
     rng = gaussian_stream(seed)
     res = dict.fromkeys(("tau_sq", "theta_sq", "commute", "h_stable"), 0.0)
-    for k in _stacks(n_samples):
+    for k in _stacks(n_samples, rf.n):
         x, h = complex_normals(rng, k, (n, n), (n,))
         x = _traceless(x)
         h = _traceless(h[..., None] * np.eye(n))

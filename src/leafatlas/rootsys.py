@@ -95,10 +95,6 @@ class RootSystem(NamedTuple):
     positive_roots: tuple[IntVector, ...]
 
     @property
-    def cartan_type(self) -> str:
-        return f"{self.family}{self.rank}"
-
-    @property
     def simple_roots(self) -> tuple[IntVector, ...]:
         return tuple(
             tuple(1 if i == j else 0 for j in range(self.rank))

@@ -232,11 +232,22 @@ def su2_transported_coefficient(rf, u):
     return w, -2.0 * float(dw.real @ c @ dw.imag)
 
 
+def chart_points(rng, count):
+    """The first count accepted points of the chart's rejection sampler,
+    count pairs drawn per call and every point kept in one list."""
+    points = []
+    while len(points) < count:
+        xy = rng.uniform(-1.4, 1.4, size=(count, 2))
+        w = xy[:, 0] + 1j * xy[:, 1]
+        points += w[(abs(abs(w) - 1.0) > 0.15) & (abs(w) > 0.05)].tolist()
+    return points[:count]
+
+
 def formula_residual(rf, n_samples, seed):
     """The verify battery's former example_formula loop, one chart point
     after another."""
     worst = 0.0
-    for w in ml._chart_points(uniform_stream(seed), n_samples):
+    for w in chart_points(uniform_stream(seed), n_samples):
         _, coeff = su2_transported_coefficient(rf, chart_su2_section(w))
         expected = ml.SU2_AMPLITUDE * (1 - abs(w) ** 4)
         worst = max(worst, abs(coeff - expected) / abs(expected))

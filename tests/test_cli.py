@@ -294,6 +294,10 @@ def test_verify_small_battery(capsys):
     assert doc["seed"] == 42
 
 
+# every check's (name, tolerance, info) at seeds 0 and 1 and the default
+# sample count, for the ten realized forms
+VERIFY_INFO = json.loads((Path(__file__).parent / "verify_info.json").read_text(encoding="utf-8"))
+
 BATTERY = [
     "cartan_tau_sq", "cartan_theta_sq", "cartan_commute", "cartan_h_stable",
     "iwasawa_borel", "tau_root_compatibility", "triangular_fixed_dim",
@@ -322,6 +326,17 @@ def test_verify_battery_passes_on_every_realized_form(label):
         assert failed == [], seed
         assert doc["passed"] is True
         assert [c["name"] for c in doc["checks"]] == BATTERY + extra + ["stabilizer_dims"]
+        got = [[c["name"], c["tolerance"], _pinned_info(c)] for c in doc["checks"]]
+        assert got == VERIFY_INFO[f"{label} seed {seed}"], seed
+
+
+def _pinned_info(check):
+    """A check's info string as the table pins it: the fitted b of the
+    Hermitian fit moves at roundoff, so only its prefix is pinned."""
+    if check["name"] == "hermitian_fit_residual":
+        assert check["info"].startswith("b = ")
+        return "b = …"
+    return check["info"]
 
 
 def test_chart_points_are_the_accepted_draws_in_order():
@@ -338,7 +353,8 @@ def test_chart_points_are_the_accepted_draws_in_order():
 
     want = one_at_a_time(ml.uniform_stream(7), 37)
     for count in (1, 5, 37):
-        assert _chart_points(ml.uniform_stream(7), count) == want[:count]
+        stacks = list(_chart_points(ml.uniform_stream(7), count, 4))
+        assert [w for stack in stacks for w in stack.tolist()] == want[:count]
 
 
 def test_verify_battery_builds_a_fixed_number_of_generators(monkeypatch):

@@ -311,7 +311,7 @@ def test_su2_closed_form_against_derived_amplitude(sl2):
 
 
 def test_su2_stacked_transport_matches_each_point(sl2):
-    ws = np.array(ml._chart_points(np.random.default_rng(9), 37))
+    ws = np.array(loops.chart_points(np.random.default_rng(9), 37))
     us = ml.chart_su2_section(ws)
     got_w, got = ml.su2_transported_coefficient(sl2, us)
     assert us.shape == (37, 2, 2) and got_w.shape == got.shape == (37,)
@@ -756,7 +756,12 @@ def test_eigh_exponential_matches_scipy_expm():
 # the conjugation kernel against the per-matrix references
 
 KERNEL_FORMS = REALIZED + ["sl(6,R)", "su(3,3)", "su(5,1)"]
-STACK_SIZES = [None, 1, ml.STACK, ml.STACK + 1]  # None: a single point
+
+
+def _stack_sizes(rf):
+    """A single point (None), one, a full stack of the form and one over."""
+    size = ml.stack_size(rf.n)
+    return [None, 1, size, size + 1]
 
 
 def _points(rf, size, seed):
@@ -774,7 +779,7 @@ def test_conjugation_kernel_matches_the_per_matrix_reference(label):
     rf = ml.realization(label)
     basis = bl.su_basis(rf.n)[0]
     rng = np.random.default_rng(25)
-    for size in STACK_SIZES:
+    for size in _stack_sizes(rf):
         us = _points(rf, size, 26)
         ads = rf.Ad_matrix(us)
         assert ads.shape == us.shape[:-2] + (rf.dim_u, rf.dim_u)
@@ -793,7 +798,7 @@ def test_conjugation_kernel_matches_the_per_matrix_reference(label):
 def test_chart_jacobian_matches_the_references(label):
     rf = ml.realization(label)
     rng = np.random.default_rng(27)
-    for size in STACK_SIZES:
+    for size in _stack_sizes(rf):
         xs = rng.uniform(-0.4, 0.4, size=(size or 1, rf.dim_ip0))
         xs = xs[0] if size is None else xs
         us, jacs = ml._exp_chart(rf, xs)
@@ -815,7 +820,7 @@ def test_bivector_kernel_is_exactly_antisymmetric(label):
     if rf.kind == "su_pq":
         frame = rf.hermitian_frame
         readers.append((frame.flag_reader @ frame.ad_u0, frame.flag_lam))
-    for size in STACK_SIZES:
+    for size in _stack_sizes(rf):
         a = rf.Ad_matrix(_points(rf, size, 28))
         for reader, lam in readers:
             c = ml._bivector(rf, a if reader is None else reader @ a, lam)
@@ -838,7 +843,8 @@ def _peak_kib(call):
 def test_conjugation_kernel_peak_memory():
     # the peaks of the (P, dim u, n, n) products that the kernel replaced
     rf = ml.realization("sl(5,R)")
-    us = ml.sample_unitaries(np.random.default_rng(29), ml.STACK, rf.n)
+    us = ml.sample_unitaries(np.random.default_rng(29), ml.stack_size(rf.n), rf.n)
+    assert len(us) == 16
     assert _peak_kib(lambda: rf.Ad_matrix(us)) <= 373
     # one Jacobi point with its 2m neighbours, as jacobi_residual stacks them
     x = np.random.default_rng(30).uniform(-0.4, 0.4, size=rf.dim_ip0)
@@ -915,7 +921,10 @@ def test_realization_errors():
 # ---------------------------------------------------------------------------
 # stacked sampled checks against the per-sample loops
 
-COUNTS = (1, ml.STACK, ml.STACK + 1, 37)  # one, a full stack, one over, several
+def _counts(rf):
+    """One sample, a full stack of the form, one over, and several stacks."""
+    size = ml.stack_size(rf.n)
+    return 1, size, size + 1, 2 * size + 5
 
 
 def _close(got, want):
@@ -925,7 +934,7 @@ def _close(got, want):
 @pytest.mark.parametrize("label", REALIZED)
 def test_stacked_checks_match_the_per_sample_loops(label):
     rf = ml.realization(label)
-    for count in COUNTS:
+    for count in _counts(rf):
         assert _close(ml.multiplicativity_residual(rf, count, seed=2),
                       loops.multiplicativity_residual(rf, count, 2))
         assert _close(ml.t_invariance_residual(rf, count, seed=3),
@@ -937,7 +946,7 @@ def test_stacked_checks_match_the_per_sample_loops(label):
         want = loops.cartan_consistency(rf, count, 3)
         assert got.keys() == want.keys()
         assert all(_close(got[key], want[key]) for key in want), (got, want)
-        # each Jacobi point is one stack, of its 2m + 1 chart points
+        # the Jacobi points go in groups that fit in the form's stack
         assert _close(ml.jacobi_check(rf, count, seed=4), loops.jacobi_check(rf, count, 4))
         # the loops moved from the verify battery: same draws, same values
         assert ml.leaf_tangency_residual(rf, count, 6) == loops.leaf_tangency_residual(rf, count, 6)
@@ -1018,15 +1027,16 @@ def _at_block(seed, i, n):
 
 
 def test_stacked_draws_replay_each_block_alone():
-    n, count, seed = 3, ml.STACK + 5, 40
-    assert ml._stacks(count) == [ml.STACK, 5]
+    n, seed = 3, 40
+    count = ml.stack_size(n) + 5
+    assert ml._stacks(count, n) == [ml.stack_size(n), 5]
     rng, phase_rng = ml.gaussian_stream(seed), ml.uniform_stream(seed)
-    stacks = [ml.complex_normals(rng, k, (n, n), (n,)) for k in ml._stacks(count)]
+    stacks = [ml.complex_normals(rng, k, (n, n), (n,)) for k in ml._stacks(count, n)]
     z, h = (np.concatenate(part) for part in zip(*stacks))
     unitaries = np.concatenate([ml._unitary(zk) for zk, _ in stacks])
     groups = np.concatenate([ml._sl_exp(zk) for zk, _ in stacks])
     phases = np.concatenate([phase_rng.uniform(0, 2 * math.pi, size=(k, n))
-                             for k in ml._stacks(count)])
+                             for k in ml._stacks(count, n)])
     phase_alone = loops.uniform_stream(seed)
     for i in range(count):
         z_i, h_i = _parts(_at_block(seed, i, n), n)
@@ -1059,7 +1069,7 @@ def test_each_check_draws_once_per_stack_from_the_stream_of_its_distribution(mon
         monkeypatch.setattr(ml, f"{kind}_stream",
                             lambda seed, make=make, kind=kind: _LoggedStream(make(seed), kind, log))
     normal, uniform = ("gaussian", "standard_normal"), ("uniform", "uniform")
-    count = ml.STACK + 1  # two stacks
+    count = ml.stack_size(rf.n) + 1  # two stacks
     for check, draws in ((ml.iwasawa_residual, [normal] * 2),
                          (ml.action_residual, [normal] * 2),
                          (ml.multiplicativity_residual, [normal] * 2),
@@ -1083,9 +1093,11 @@ def test_multiplicativity_factors_one_stack_at_a_time(monkeypatch):
         return original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", counting)
-    ml.multiplicativity_residual(ml.realization("sl(3,R)"), 100, seed=0)
-    assert 0 < len(factored) <= math.ceil(200 / ml.STACK)
-    assert all(math.prod(shape[:-2]) <= 2 * ml.STACK for shape in factored)
+    size = ml.stack_size(3)
+    count = 2 * size + 5  # three stacks
+    ml.multiplicativity_residual(ml.realization("sl(3,R)"), count, seed=0)
+    assert 0 < len(factored) <= math.ceil(2 * count / size)
+    assert all(math.prod(shape[:-2]) <= 2 * size for shape in factored)
 
 
 def test_each_point_forms_its_adjoint_matrix_once(monkeypatch):
@@ -1102,11 +1114,88 @@ def test_each_point_forms_its_adjoint_matrix_once(monkeypatch):
     stacks = 3
     for check, per_stack in ((ml.multiplicativity_residual, 3), (ml.hermitian_fit, 1)):
         calls.clear()
-        check(rf, (stacks - 1) * ml.STACK + 1, seed=0)
+        check(rf, (stacks - 1) * ml.stack_size(rf.n) + 1, seed=0)
         assert len(calls) == stacks * per_stack, check.__name__
     calls.clear()
     ml.leaf_tangency_check(rf, loops.sample_unitary(np.random.default_rng(0), rf.n))
     assert calls == [(rf.n, rf.n)]
+
+
+@pytest.mark.parametrize("n,size", [(2, 625), (3, 123), (4, 39), (5, 16)])
+def test_stack_size_bounds_the_data_of_a_stack(n, size):
+    # a sample's arrays grow like n^4: no stack of a realized form holds more
+    # than 16 samples of an n = 5 form
+    assert ml.stack_size(n) == size
+    assert ml.stack_size(n) * n**4 <= 16 * 5**4
+
+
+@pytest.mark.parametrize("label", REALIZED)
+def test_stacked_jacobi_check_matches_the_per_point_loop(label):
+    rf = ml.realization(label)
+    per_call = max(1, ml.stack_size(rf.n) // (2 * rf.dim_ip0 + 1))
+    battery_points = 20 if rf.dim_ip0 <= 2 else 10
+    for count in (battery_points, per_call + 1):
+        assert _close(ml.jacobi_check(rf, count, seed=4), loops.jacobi_check(rf, count, 4))
+
+
+@pytest.mark.parametrize("label", REALIZED)
+def test_each_jacobi_call_fits_in_the_form_stack(monkeypatch, label):
+    rf = ml.realization(label)
+    calls = []
+    original = ml.chart_bivector
+
+    def counting(rf, x):
+        calls.append(len(x))
+        return original(rf, x)
+
+    monkeypatch.setattr(ml, "chart_bivector", counting)
+    n_points, per_point = 20, 2 * rf.dim_ip0 + 1
+    ml.jacobi_check(rf, n_points, seed=4)
+    # as many whole points per call as fit in the stack, at least one
+    per_call = max(1, ml.stack_size(rf.n) // per_point)
+    assert calls == [per_point * min(per_call, n_points - start)
+                     for start in range(0, n_points, per_call)]
+    assert max(calls) <= max(ml.stack_size(rf.n), per_point)
+    if rf.n == 5:  # one point per call, as its 2m + 1 chart points exceed a stack
+        assert calls == [per_point] * n_points
+
+
+@pytest.mark.parametrize("label", REALIZED)
+def test_stacked_stabilizer_dim_matches_the_per_matrix_call(monkeypatch, label):
+    rf = ml.realization(label)
+    reps = [ml.representative_for(rf, c["psi_word"]) for c in walked_classes(label)]
+    reps = [u for u in reps if u is not None]
+    stacks = []
+    original = ml.MatrixRealForm.Ad_g0
+
+    def counting(self, u):
+        stacks.append(len(u))
+        return original(self, u)
+
+    for include_torus in (False, True):
+        want = [ml.stabilizer_dim(rf, u, include_torus=include_torus) for u in reps]
+        assert all(type(d) is int for d in want)
+        monkeypatch.setattr(ml.MatrixRealForm, "Ad_g0", counting)
+        stacks.clear()
+        assert ml.stabilizer_dim(rf, reps, include_torus=include_torus) == want
+        assert stacks == ml._stacks(len(reps), rf.n)
+        assert ml.stabilizer_dim(rf, np.stack(reps), include_torus=include_torus) == want
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("count", [624, 625, 626, 1251])
+def test_chart_point_stacks_are_the_one_call_sampler_points(count):
+    size = ml.stack_size(2)  # 625: the counts fall on both sides of a boundary
+    stacks = list(ml._chart_points(ml.uniform_stream(7), count, size))
+    assert [len(w) for w in stacks] == ml._stacks(count, 2)
+    want = loops.chart_points(ml.uniform_stream(7), count)
+    assert np.concatenate(stacks).tolist() == want
+
+
+def test_formula_residual_memory_does_not_grow_with_the_samples(sl2):
+    # the points are drawn and accepted stack by stack: 20,000 samples held
+    # 2 MiB of points before, and about 0.65 MiB in all now
+    assert _peak_kib(lambda: ml.formula_residual(sl2, 20_000, 7)) <= 1024
 
 
 def test_one_bad_sample_fails_its_stack(sl3):

@@ -149,7 +149,7 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_WEYL_CAP) -> Iterator[Weyl
             count += 1
             if count > cap:
                 raise WeylCapError(
-                    f"Weyl group of {rs.cartan_type} exceeds cap {cap}", partial_count=cap
+                    f"Weyl group of {rs.family}{rs.rank} exceeds cap {cap}", partial_count=cap
                 )
             yield w
             for g in gens:
