@@ -8,7 +8,7 @@ Unrealizable classes are kept in the report and flagged, never dropped.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .rootsys import DEFAULT_WEYL_CAP, Perm, RootSystem, WeylCapError
 from .satake import RealFormData, SatakeDiagram, real_form_data
@@ -26,30 +26,42 @@ def class_record(rf: RealFormData, rs: RootSystem, v: Perm,
     the attached Cartan subalgebra; leaf_dim is the dimension of each leaf in
     the family and family_dim that of the torus parameterizing the family.
     """
+    return _recorder(rf, rs)(v, codim_y, a)
+
+
+def _recorder(rf: RealFormData, rs: RootSystem) -> Callable[[Perm, int, int], dict]:
+    """`class_record` for one form, with the form's constants bound once."""
     k = rs.permutations
-    t = rs.rank - a
-    images = [v[k.simple[j]] for j in rf.sigma]  # v(alpha_sigma(i))
-    # psi tau* = v w_b w_b sigma = v sigma is an involution, so a - t is its trace
-    assert a - t == sum(k.roots[x][i] for i, x in enumerate(images))
-    # psi^-1(alpha_j) = w_b sigma v sigma(alpha_j) = tau*(v(alpha_sigma(j)))
-    word = k.word_from_heights([k.heights[rf.tau_star[x]] for x in images])
-    dim_orbit = 2 * len(rs.positive_roots) - codim_y
-    leaf_dim = dim_orbit - rf.dim_k0 + t
-    leaf_codim = rf.dim_x - leaf_dim
-    assert leaf_codim == a + codim_y
-    return {
-        "a": a,
-        "codim_Y": codim_y,
-        "dims_in_range": 0 <= leaf_dim <= rf.dim_x,
-        "family_dim": a,
-        "is_closed_class": not word,
-        "is_open": codim_y == 0 and a == 0,
-        "leaf_codim": leaf_codim,
-        "leaf_dim": leaf_dim,
-        "parity_ok": leaf_dim % 2 == 0,
-        "psi_word": word,
-        "t": t,
-    }
+    rank, roots, heights, tau_star, dim_x = rs.rank, k.roots, k.heights, rf.tau_star, rf.dim_x
+    alpha_sigma = [k.simple[j] for j in rf.sigma]
+    # an orbit has dimension 2N - codim_Y, and each of its leaves dim k0 - t less
+    leaf_dim_at_codim_0 = 2 * k.npos - rf.dim_k0
+
+    def record(v: Perm, codim_y: int, a: int) -> dict:
+        t = rank - a
+        images = [v[x] for x in alpha_sigma]  # v(alpha_sigma(i))
+        # psi tau* = v w_b w_b sigma = v sigma is an involution, so a - t is its trace
+        assert a - t == sum(roots[x][i] for i, x in enumerate(images))
+        # psi^-1(alpha_j) = w_b sigma v sigma(alpha_j) = tau*(v(alpha_sigma(j)))
+        word = k.word_from_heights([heights[tau_star[x]] for x in images])
+        leaf_dim = leaf_dim_at_codim_0 - codim_y + t
+        leaf_codim = dim_x - leaf_dim
+        assert leaf_codim == a + codim_y
+        return {
+            "a": a,
+            "codim_Y": codim_y,
+            "dims_in_range": 0 <= leaf_dim <= dim_x,
+            "family_dim": a,
+            "is_closed_class": not word,
+            "is_open": codim_y == 0 and a == 0,
+            "leaf_codim": leaf_codim,
+            "leaf_dim": leaf_dim,
+            "parity_ok": leaf_dim % 2 == 0,
+            "psi_word": word,
+            "t": t,
+        }
+
+    return record
 
 
 def realizable_candidate(record: dict) -> bool:
@@ -92,6 +104,7 @@ def twisted_involutions(
     # sigma is an involution: its orbits are its fixed points and 2-cycles
     a_identity = sum(1 for i, j in enumerate(rf.sigma) if i <= j)
     todo: list[tuple[Perm, int, int]] = [(k.identity, 0, a_identity)]  # (v, l(v), a)
+    record = _recorder(rf, rs)
     count = 0
     while todo:
         v, ell, a = todo.pop()
@@ -101,7 +114,7 @@ def twisted_involutions(
                 f"{rf.diagram.label}: number of twisted involutions exceeds cap {cap}",
                 partial_count=cap,
             )
-        yield class_record(rf, rs, v, npos - ell, a)
+        yield record(v, npos - ell, a)
         for s, s_sigma, alpha, alpha_sigma_i, earlier, earlier_conj in moves:
             # s_i is a left descent of v iff v^-1 = sigma v sigma sends
             # alpha_i to a negative root, iff v does so to alpha_sigma(i)
@@ -110,12 +123,16 @@ def twisted_involutions(
                 continue
             # s v sigma(s) = v iff v sigma(s) v^-1, the reflection in
             # v(alpha_sigma(i)) > 0, is s_i, iff v(alpha_sigma(i)) = alpha_i
-            if image == alpha:
-                if all(s[v[b]] < npos for b in earlier):
+            multiplication = image == alpha
+            for b in earlier if multiplication else earlier_conj:
+                if s[v[b]] >= npos:
+                    break
+            else:  # s_i is the least left descent of the child
+                if multiplication:
                     todo.append((tuple(map(s.__getitem__, v)), ell + 1, a - 1))
-            elif all(s[v[b]] < npos for b in earlier_conj):
-                todo.append((tuple(map(s.__getitem__, map(v.__getitem__, s_sigma))),
-                             ell + 2, a))
+                else:
+                    todo.append((tuple(map(s.__getitem__, map(v.__getitem__, s_sigma))),
+                                 ell + 2, a))
 
 
 NOTE_CONTRACTIBLE = "every symplectic leaf is contractible"

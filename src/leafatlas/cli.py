@@ -12,7 +12,7 @@ import os
 import sys
 import tempfile
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .atlas import (NOTE_OPEN_COUNT, AtlasReport, atlas, catalog_text_hash,
@@ -98,14 +98,15 @@ def _resolve_catalog(cfg: RunConfig) -> tuple[tuple[SatakeDiagram, ...], str]:
     return entries, catalog_text_hash(render_catalog(entries))
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: RunConfig, pieces: Iterable[str]) -> None:
+    """Write a report's pieces in turn to stdout, or atomically to --out."""
     if cfg.out_path:
         directory = os.path.dirname(os.path.abspath(cfg.out_path))
         try:
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    fh.writelines(pieces)
                 os.replace(tmp, cfg.out_path)
             except BaseException:
                 if os.path.exists(tmp):
@@ -114,40 +115,63 @@ def _emit(cfg: RunConfig, text: str) -> None:
         except OSError as exc:  # name the requested path, not the temporary one
             raise OSError(exc.errno, exc.strerror, cfg.out_path) from None
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(pieces)
 
 
-def _class_record(rec: dict, keys: list[str]) -> str:
-    """One class record (`atlas.class_record`: ints, bools and a tuple of
-    ints) as `json.dumps(sort_keys=True, indent=2)` renders it in an atlas
-    document's "classes" list; keys are the record's keys, sorted."""
-    lines = []
-    for key in keys:
-        value = rec[key]
-        if type(value) is bool:
-            value = "true" if value else "false"
-        elif type(value) is tuple:
-            value = ("[\n        " + ",\n        ".join(map(str, value)) + "\n      ]"
-                     if value else "[]")
-        lines.append(f'      "{key}": {value}')
-    return "    {\n" + ",\n".join(lines) + "\n    }"
+_BOOL = ("false", "true")
+#: a class record (`atlas.class_record`), after the comma that ends the one before
+_ATLAS_RECORD = (',\n    {\n      "a": %d,\n      "codim_Y": %d,\n      "dims_in_range": %s,\n'
+                 '      "family_dim": %d,\n      "is_closed_class": %s,\n      "is_open": %s,\n'
+                 '      "leaf_codim": %d,\n      "leaf_dim": %d,\n      "parity_ok": %s,\n'
+                 '      "psi_word": %s,\n      "t": %d\n    }')
+_ATLAS_TAIL = ('\n  ],\n  "command": %s,\n  "flags": {\n    "has_open_leaves": %s\n  },\n'
+               '  "form": {\n    "arrows": %s,\n    "black": %s,\n    "dim_g": %d,\n'
+               '    "dim_k0": %d,\n    "dim_p0": %d,\n    "dim_x": %d,\n    "family": %s,\n'
+               '    "label": %s,\n    "positive_restricted_count": %d,\n    "rank": %d,\n'
+               '    "real_rank": %d\n  },\n  "largest_leaf_class": %d,\n  "notes": %s,\n'
+               '  "open_class_count_note": %s,\n  "schema_version": %d,\n  "seed": %d,\n'
+               '  "tool_version": %s,\n  "w0_word": %s,\n  "wb_word": %s\n}\n')
+
+
+def _array(values: Sequence, indent: str) -> str:
+    """Ints, or rendered values, as `json.dumps(indent=2)` lists them at indent."""
+    if not values:
+        return "[]"
+    sep = ",\n  " + indent
+    return "[" + sep[1:] + sep.join(map(str, values)) + "\n" + indent + "]"
+
+
+def _atlas_json(doc: dict) -> Iterator[str]:
+    """An atlas document as `json.dumps(doc, sort_keys=True, indent=2)` plus
+    a newline writes it, in pieces: the head, each class record, the tail.
+    Every string goes through `json.dumps`, so its escaping is the encoder's."""
+    yield '{\n  "catalog_hash": %s,\n  "classes": [' % json.dumps(doc["catalog_hash"])
+    template = _ATLAS_RECORD[1:]
+    for c in doc["classes"]:
+        yield template % (c["a"], c["codim_Y"], _BOOL[c["dims_in_range"]], c["family_dim"],
+                          _BOOL[c["is_closed_class"]], _BOOL[c["is_open"]], c["leaf_codim"],
+                          c["leaf_dim"], _BOOL[c["parity_ok"]], _array(c["psi_word"], "      "),
+                          c["t"])
+        template = _ATLAS_RECORD
+    form = doc["form"]
+    yield _ATLAS_TAIL % (
+        json.dumps(doc["command"]), _BOOL[doc["flags"]["has_open_leaves"]],
+        _array([_array(pair, "      ") for pair in form["arrows"]], "    "),
+        _array(form["black"], "    "), form["dim_g"], form["dim_k0"], form["dim_p0"],
+        form["dim_x"], json.dumps(form["family"]), json.dumps(form["label"]),
+        form["positive_restricted_count"], form["rank"], form["real_rank"],
+        doc["largest_leaf_class"], _array([json.dumps(note) for note in doc["notes"]], "  "),
+        json.dumps(doc["open_class_count_note"]), doc["schema_version"], doc["seed"],
+        json.dumps(doc["tool_version"]), _array(doc["w0_word"], "  "),
+        _array(doc["wb_word"], "  "))
 
 
 def _json_dumps(doc: dict) -> str:
     """`json.dumps(doc, sort_keys=True, indent=2)` plus a newline, in strict
-    JSON. The class records of an atlas document are rendered from a fixed
-    template and spliced in."""
-    if doc.get("command") != "atlas":
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    classes = doc["classes"]
-    keys = sorted(classes[0])
-    # a line break followed by two spaces starts a key of the outermost object
-    head, tail = json.dumps({**doc, "classes": []}, sort_keys=True, indent=2,
-                            allow_nan=False).split('\n  "classes": []', 1)
-    records = ",\n".join(_class_record(rec, keys) for rec in classes)
-    return f'{head}\n  "classes": [\n{records}\n  ]{tail}\n'
+    JSON. An atlas document is rendered from its templates (`_atlas_json`)."""
+    if doc.get("command") == "atlas":
+        return "".join(_atlas_json(doc))
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +227,13 @@ def atlas_markdown(report: AtlasReport) -> str:
         "| psi word | codim_Y | a | t | leaf dim | leaf codim | family dim | open | closed | ok |",
         "|---|---|---|---|---|---|---|---|---|---|",
     ]
+    row = "| %s | %d | %d | %d | %d | %d | %d | %s | %s | %s |"
     for c in report.classes:
-        word = "s" + " s".join(map(str, c["psi_word"])) if c["psi_word"] else "e"
-        ok = "yes" if realizable_candidate(c) else "FLAGGED"
-        lines.append(
-            f"| {word} | {c['codim_Y']} | {c['a']} | {c['t']} | {c['leaf_dim']} "
-            f"| {c['leaf_codim']} | {c['family_dim']} | {'*' if c['is_open'] else ''} | "
-            f"{'*' if c['is_closed_class'] else ''} | {ok} |"
-        )
+        word = c["psi_word"]
+        lines.append(row % ("s" + " s".join(map(str, word)) if word else "e", c["codim_Y"],
+                            c["a"], c["t"], c["leaf_dim"], c["leaf_codim"], c["family_dim"],
+                            "*" if c["is_open"] else "", "*" if c["is_closed_class"] else "",
+                            "yes" if realizable_candidate(c) else "FLAGGED"))
     lines.append("")
     for note in report.notes:
         lines.append(f"> {note}")
@@ -239,9 +262,9 @@ def cmd_atlas(cfg: RunConfig) -> int:
         return EXIT_DOMAIN
     report = atlas(sd, weyl_cap=cfg.weyl_cap, catalog_hash=cat_hash)
     if cfg.output_format == "md":
-        _emit(cfg, atlas_markdown(report))
+        _emit(cfg, [atlas_markdown(report)])
     else:
-        _emit(cfg, _json_dumps(atlas_document(report, cfg.seed)))
+        _emit(cfg, _atlas_json(atlas_document(report, cfg.seed)))
     return EXIT_OK
 
 
@@ -411,9 +434,9 @@ def cmd_verify(cfg: RunConfig) -> int:
         return EXIT_DOMAIN
     doc = run_verify_battery(sd, cfg)
     if cfg.output_format == "md":
-        _emit(cfg, verify_markdown(doc))
+        _emit(cfg, [verify_markdown(doc)])
     else:
-        _emit(cfg, _json_dumps(doc))
+        _emit(cfg, [_json_dumps(doc)])
     return EXIT_OK if doc["passed"] else EXIT_DOMAIN
 
 
@@ -441,9 +464,9 @@ def cmd_catalog(cfg: RunConfig) -> int:
                 f"| {r['label']} | {r['type']} | {'pass' if r['passed'] else 'FAIL'} | "
                 f"{', '.join(r['failed_checks'])} |"
             )
-        _emit(cfg, "\n".join(lines) + "\n")
+        _emit(cfg, ["\n".join(lines) + "\n"])
     else:
-        _emit(cfg, _json_dumps({
+        _emit(cfg, [_json_dumps({
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
             "command": "catalog",
@@ -451,7 +474,7 @@ def cmd_catalog(cfg: RunConfig) -> int:
             "catalog_hash": cat_hash,
             "entries": rows,
             "passed": all_ok,
-        }))
+        })])
     return EXIT_OK if all_ok else EXIT_DOMAIN
 
 

@@ -88,7 +88,10 @@ def numerical_rank(m: np.ndarray,
 
 def nullspace(m: np.ndarray, threshold: float = RANK_THRESHOLD) -> np.ndarray:
     """Orthonormal columns N spanning the numerical null space: m @ N ~ 0.
-    Only a wide m needs the full V; U is never formed."""
+    Only a wide m needs the full V. A tall m gives way to the R of m = QR,
+    which has its singular values and V, so no U of m's height is formed."""
+    if m.shape[0] > m.shape[1]:
+        m = np.linalg.qr(m, mode="r")
     _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     return vt[_floored_rank(s, threshold)[0]:].T
 
@@ -989,7 +992,7 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
     # the residual d - b c_inv peaks at an entrywise extreme of the
     # differences d, so their running max and min replace the samples
     rng = gaussian_stream(seed)
-    total, hi, lo = 0.0, -np.inf, np.inf
+    terms, hi, lo = [], -np.inf, np.inf
     for k in _stacks(n_samples, rf.n):
         u = sample_unitaries(rng, k, rf.n)
         _check_unitary(u)
@@ -998,10 +1001,10 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
         # quotient bivector, u0 u^{-1} for the flag part
         d = (_bivector(rf, frame.flag_reader @ frame.ad_u0 @ a_inv, frame.flag_lam)
              - _bivector(rf, rf._ip0_reader @ a_inv, rf._ip0_lam))
-        total += float(np.sum(d * c_inv))
+        terms.extend(np.sum(d * c_inv, axis=(1, 2)).tolist())  # b is free of the stacks
         hi, lo = np.maximum(hi, d.max(axis=0)), np.minimum(lo, d.min(axis=0))
 
-    b = total / (float(np.sum(c_inv * c_inv)) * n_samples)
+    b = math.fsum(terms) / (float(np.sum(c_inv * c_inv)) * n_samples)
     max_residual = float(max(np.max(hi - b * c_inv), np.max(b * c_inv - lo)))
     return HermitianFitResult(b=b, max_residual=max_residual, invariant_rank=frame.rank_inv)
 

@@ -159,7 +159,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
         for v in frontier:
             for i in range(rank):
                 w = _reflect_vector(cartan, i, v)
-                if all(x >= 0 for x in w) and w not in positive:
+                if min(w) >= 0 and w not in positive:
                     positive.add(w)
                     new.append(w)
         frontier = new
@@ -284,6 +284,9 @@ class RootPermutations:
 
 def _reflect_vector(a: Sequence[Sequence[int]], k: int, v: IntVector) -> IntVector:
     """s_k(v) in simple-root coordinates."""
-    pairing = sum(v[c] * a[c][k] for c in range(len(v)))
-    return tuple(x - pairing if t == k else x for t, x in enumerate(v))
+    pairing = 0
+    for c, x in enumerate(v):
+        if x:
+            pairing += x * a[c][k]
+    return v[:k] + (v[k] - pairing,) + v[k + 1:]
 

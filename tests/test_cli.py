@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -9,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from leafatlas.atlas import atlas
+from leafatlas.atlas import atlas, realizable_candidate
 from leafatlas.cli import (
     ENV_CATALOG,
     THREAD_VARS,
     RunConfig,
     _json_dumps,
     atlas_document,
+    atlas_markdown,
     main,
     run_verify_battery,
 )
@@ -260,6 +262,100 @@ def test_class_writer_matches_json_dumps_on_every_atlas_document():
         assert _json_dumps(doc) == _generic(doc), sd.label
         words |= {len(c["psi_word"]) for c in doc["classes"]}
     assert {0, 1} <= words  # a closed class and a one-letter word
+
+
+#: a quote, a backslash, non-ASCII letters (one outside the BMP) and a control character
+ESCAPED_LABEL = 'a"b\\cé\x01𝔤'
+
+
+def test_labels_that_need_escaping_match_json_dumps(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENV_CATALOG, raising=False)
+    code, inline, _ = run(capsys, "atlas", "--type", "A2", "--label", ESCAPED_LABEL)
+    assert code == 0
+    catalog = tmp_path / "catalog.txt"
+    catalog.write_text(f"name={ESCAPED_LABEL}; type=A2; arrows={{(1,2)}}\n", encoding="utf-8")
+    code, listed, _ = run(capsys, "atlas", "--catalog", str(catalog), "--form", ESCAPED_LABEL)
+    assert code == 0
+    for out in (inline, listed):
+        doc = json.loads(out)
+        assert doc["form"]["label"] == ESCAPED_LABEL
+        assert out == _generic(doc)
+        assert _json_dumps(doc) == out
+
+
+def _reference_markdown(report):
+    """The markdown as a per-row f-string renders it: the reference for the
+    row template of `atlas_markdown`."""
+    rf = report.form
+    lines = [
+        f"# Leaf atlas: {report.label}",
+        "",
+        f"- type: {rf.diagram.family}{rf.diagram.rank}, black={sorted(rf.diagram.black)}, "
+        f"arrows={sorted(rf.diagram.arrows)}",
+        f"- dim g = {rf.dim_g}, dim k0 = {rf.dim_k0}, dim X = {rf.dim_x}, "
+        f"real rank = {rf.real_rank}",
+        f"- open leaves: {'yes' if report.has_open_leaves else 'no'}",
+        "",
+        "| psi word | codim_Y | a | t | leaf dim | leaf codim | family dim | open | closed | ok |",
+        "|---|---|---|---|---|---|---|---|---|---|",
+    ]
+    for c in report.classes:
+        word = "s" + " s".join(map(str, c["psi_word"])) if c["psi_word"] else "e"
+        ok = "yes" if realizable_candidate(c) else "FLAGGED"
+        lines.append(
+            f"| {word} | {c['codim_Y']} | {c['a']} | {c['t']} | {c['leaf_dim']} "
+            f"| {c['leaf_codim']} | {c['family_dim']} | {'*' if c['is_open'] else ''} | "
+            f"{'*' if c['is_closed_class'] else ''} | {ok} |"
+        )
+    lines.append("")
+    for note in report.notes:
+        lines.append(f"> {note}")
+    return "\n".join(lines) + "\n"
+
+
+def test_markdown_matches_the_reference_renderer():
+    flagged = 0
+    for sd in builtin_catalog() + (_diagram("custom(E6)", "E", 6),):
+        report = atlas(sd)
+        assert atlas_markdown(report) == _reference_markdown(report), sd.label
+        flagged += sum(not realizable_candidate(c) for c in report.classes)
+    assert flagged  # the FLAGGED cell is covered
+
+
+def test_atlas_writers_leave_no_cyclic_garbage():
+    reports = [atlas(sd, catalog_hash="0123abcd") for sd in builtin_catalog()]
+    docs = [atlas_document(report, 0) for report in reports]
+    gc.collect()
+    gc.disable()
+    try:
+        for report, doc in zip(reports, docs):
+            _json_dumps(doc)
+            atlas_markdown(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.slow
+def test_split_e8_document_sha256(tmp_path):
+    """Split E8 has 199,952 classes and a 177 MiB document, written piece by
+    piece to --out; run with `-m slow`."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop(ENV_CATALOG, None)
+    out = tmp_path / "e8.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "leafatlas", "atlas", "--type", "E8", "--seed", "0",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256()
+    with open(out, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    assert digest.hexdigest() == (
+        "8a896be5055c286b15f95ca2c2d3eb6851f500c28765e44a3b977c0e846b3b1b"
+    )
 
 
 def test_verify_and_catalog_documents_take_the_generic_path(capsys, monkeypatch):

@@ -895,6 +895,47 @@ def test_hermitian_frame_built_once_per_realization(monkeypatch):
     assert fit1.max_residual < 1e-8 and abs(fit1.b - fit2.b) < 1e-8
 
 
+@pytest.mark.parametrize("label", ["su(1,1)", "su(2,1)", "su(3,1)", "su(2,2)", "su(4,1)",
+                                   "su(3,2)"])
+def test_hermitian_fit_does_not_depend_on_the_stack_size(monkeypatch, label):
+    # a budget of 0 gives stacks of 16 samples, 100 * 5^4 one stack of 100
+    rf = ml.realization(label)
+    fits = []
+    for budget in (0, 100 * 5**4):
+        monkeypatch.setattr(ml, "STACK_BUDGET", budget)
+        fits.append(ml.hermitian_fit(rf, n_samples=100, seed=8))
+    assert ml._stacks(100, rf.n) == [100]
+    assert fits[0].b == fits[1].b
+
+
+def test_nullspace_of_a_tall_matrix_spans_the_full_svds(monkeypatch):
+    """Every tall system that a realization hands to nullspace, which reduces
+    it to the R of its QR factorization, has the null space of its full SVD,
+    of the same dimension under the floored cutoff."""
+    original, seen = ml.nullspace, []
+
+    def recording(m, threshold=ml.RANK_THRESHOLD):
+        seen.append((label, m, threshold))
+        return original(m, threshold)
+
+    monkeypatch.setattr(ml, "nullspace", recording)
+    for label in REALIZED:
+        rf = ml.realization.__wrapped__(label)  # a fresh form builds its subspaces again
+        ml.annihilator_check(rf)
+        if rf.kind == "su_pq":
+            ml.invariant_bivector(rf)
+    tall = [(label, m, threshold) for label, m, threshold in seen if m.shape[0] > m.shape[1]]
+    assert {label for label, _, _ in tall} == set(REALIZED)
+    assert max(m.shape for label, m, _ in tall if label == "su(3,2)") == (792, 66)
+    for label, m, threshold in tall:
+        _, s, vt = np.linalg.svd(m, full_matrices=False)
+        full = vt[ml._floored_rank(s, threshold)[0]:].T
+        null = original(m, threshold)
+        assert null.shape == full.shape, label
+        if full.shape[1]:
+            assert ml.largest_principal_angle(null, full) < 1e-12, label
+
+
 def test_hermitian_fit_rejects_split_form(sl3):
     with pytest.raises(ml.NotHermitianError):
         ml.hermitian_fit(sl3)
