@@ -286,6 +286,7 @@ class MatrixRealForm:
         change = self.coeffs(np.concatenate([self.basis_k0, self.basis_ip0]))
         self._ip0_reader = np.linalg.inv(change)[self.dim_k0:]
         self._ip0_lam = _read_seed(self, self._ip0_reader)
+        self._ip0_upper = self._ip0_reader @ self._reader  # basis_ip0 from the upper triangle
         self.basis_g0 = np.concatenate([self.basis_k0, -1j * self.basis_ip0])
 
         self.basis_an = _triangular_basis(n)
@@ -744,7 +745,17 @@ def representative_for(rf: MatrixRealForm, word: Sequence[int]) -> np.ndarray | 
 
 
 # ---------------------------------------------------------------------------
-# Jacobi identity in an exponential chart
+# Jacobi identity in exponential charts
+
+def _eigh_ip0(rf: MatrixRealForm, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, V) with xi = V diag(i lam) V^dagger at coordinates x over
+    basis_ip0, or at each point of a stack x."""
+    return np.linalg.eigh(-1j * np.tensordot(x, rf.basis_ip0, axes=1))
+
+
+def _exp(lam: np.ndarray, v: np.ndarray) -> np.ndarray:  # exp xi from (lam, V)
+    return (v * np.exp(1j * lam)[..., None, :]) @ _H(v)
+
 
 def _exp_chart(rf: MatrixRealForm, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(exp xi, J) at exponential coordinates x over basis_ip0, or at each
@@ -754,7 +765,7 @@ def _exp_chart(rf: MatrixRealForm, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Both come from one eigh, xi = V diag(i lam) V^dagger: phi(ad xi) is
     diagonal in the basis V (x) conj(V), scaling entry (a, b) of V^dagger Y V
     by phi(z) = -expm1(-z)/z at z = i(lam_a - lam_b), with phi(0) = 1."""
-    lam, v = np.linalg.eigh(-1j * np.tensordot(x, rf.basis_ip0, axes=1))
+    lam, v = _eigh_ip0(rf, x)
     z = 1j * (lam[..., :, None] - lam[..., None, :])
     zero = z == 0
     phi = np.where(zero, 1.0, -np.expm1(-z) / np.where(zero, 1.0, z))
@@ -762,14 +773,12 @@ def _exp_chart(rf: MatrixRealForm, x: np.ndarray) -> tuple[np.ndarray, np.ndarra
     w = _T(_conjugator(v, rf._rows)) @ _columns(rf.basis_ip0).conj()
     w = w.conj() * phi.reshape(phi.shape[:-2] + (-1, 1))
     dexp = _re_im(_conjugator(v, rf._upper) @ w)
-    return (v * np.exp(1j * lam)[..., None, :]) @ _H(v), rf._ip0_reader @ rf._reader @ dexp
+    return _exp(lam, v), rf._ip0_upper @ dexp
 
 
-def chart_bivector(rf: MatrixRealForm, x: np.ndarray) -> np.ndarray:
-    """Quotient bivector in exponential coordinates x over basis_ip0, or at
-    each point of a stack x.  Every point must pass the condition limit."""
-    u, jac = _exp_chart(rf, x)
-    c = pi_0_at(rf, u)
+def _chart_inverse(jac: np.ndarray) -> np.ndarray:
+    """J^-1 of a chart Jacobian, or of each of a stack; raises unless every
+    J passes the condition limit."""
     try:
         jinv = np.linalg.inv(jac)
     except np.linalg.LinAlgError:
@@ -778,7 +787,32 @@ def chart_bivector(rf: MatrixRealForm, x: np.ndarray) -> np.ndarray:
     bound = np.linalg.norm(jac, axis=(-2, -1)) * np.linalg.norm(jinv, axis=(-2, -1))
     if not np.all(bound <= 1e8):
         raise ChartSingularityError("exponential chart is singular here")
+    return jinv
+
+
+def chart_bivector(rf: MatrixRealForm, x: np.ndarray) -> np.ndarray:
+    """Quotient bivector in exponential coordinates x over basis_ip0, or at
+    each point of a stack x.  Every point must pass the condition limit."""
+    u, jac = _exp_chart(rf, x)
+    c = pi_0_at(rf, u)
+    jinv = _chart_inverse(jac)
     return jinv @ c @ _T(jinv)
+
+
+def _offsets(m: int, h: float) -> np.ndarray:  # the stencil: 0, each h e_l, each -h e_l
+    return h * np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])
+
+
+def _jacobiator(pis: np.ndarray, h: float) -> float:
+    """Max cyclic Jacobiator component over i < j < k, by central differences
+    of step h, from the (p, 2m + 1, m, m) coefficients of p stencils."""
+    p, m = len(pis), pis.shape[-1]
+    dpi = (pis[:, 1:m + 1] - pis[:, m + 1:]) / (2 * h)
+    # t[a, b, c] = sum_l pi[a, l] d_l pi[b, c]; the Jacobiator is its cyclic sum
+    t = (pis[:, 0] @ dpi.reshape(p, m, m * m)).reshape(p, m, m, m)
+    a, b, c = np.ogrid[:m, :m, :m]
+    i, j, k = np.nonzero((a < b) & (b < c))
+    return float(np.abs(t[:, i, j, k] + t[:, k, i, j] + t[:, j, k, i]).max(initial=0.0))
 
 
 def jacobi_residual(pi_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -787,31 +821,53 @@ def jacobi_residual(pi_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     or over the points of a stack x, with second-order central finite
     differences of step h.  pi_fn maps a stack of points to the stack of
     their coefficient matrices; it is called once, on each point followed by
-    its 2m neighbours x + h e_l and x - h e_l."""
-    x = x.reshape(-1, 1, x.shape[-1])  # each point on an axis of its own
-    p, m = len(x), x.shape[-1]
-    steps = h * np.eye(m)
-    pis = pi_fn(np.concatenate([x, x + steps, x - steps], axis=1).reshape(-1, m))
-    pis = pis.reshape(p, 2 * m + 1, m, m)
-    dpi = (pis[:, 1:m + 1] - pis[:, m + 1:]) / (2 * h)
-    # t[a, b, c] = sum_l pi[a, l] d_l pi[b, c]; the Jacobiator is its cyclic sum
-    t = np.einsum("pal,plbc->pabc", pis[:, 0], dpi)
-    cyclic = t + t.transpose(0, 2, 3, 1) + t.transpose(0, 3, 1, 2)
-    i, j, k = np.ogrid[:m, :m, :m]
-    return float(np.abs(cyclic[:, (i < j) & (j < k)]).max(initial=0.0))
+    its 2m neighbours x + h e_l and x - h e_l, and not at all for m < 3,
+    where no index triple exists and the residual is 0.0."""
+    m = x.shape[-1]
+    if m < 3:
+        return 0.0
+    x = x.reshape(-1, 1, m)  # each point on an axis of its own
+    pis = pi_fn((x + _offsets(m, h)).reshape(-1, m))
+    return _jacobiator(pis.reshape(len(x), 2 * m + 1, m, m), h)
+
+
+def _stencil(rf: MatrixRealForm, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(R, J^-1) on the stencil of step h of the charts y -> u0 exp xi(y) K
+    centred at any u0.  With E_s = exp xi(s) at the 2m + 1 offsets s,
+    Ad((u0 E_s)^{-1}) = Ad(E_s^{-1}) Ad(u0^{-1}): R stacks the ip0 rows of
+    Ad(E_s^{-1}) as one matrix, and J^-1 holds the inverse Jacobians."""
+    e, jac = _exp_chart(rf, _offsets(rf.dim_ip0, h))
+    _check_unitary(e)
+    return (rf._ip0_reader @ rf.Ad_matrix(_H(e))).reshape(-1, rf.dim_u), _chart_inverse(jac)
+
+
+def _centred_bivectors(rf: MatrixRealForm, u0: np.ndarray,
+                       stencil: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The (p, 2m + 1, m, m) quotient bivectors on the stencil of the charts
+    centred at the p unitaries u0: one adjoint matrix and one product each."""
+    rows, jinv = stencil
+    _check_unitary(u0)
+    a = (rows @ rf.Ad_matrix(_H(u0))).reshape(len(u0), len(jinv), rf.dim_ip0, rf.dim_u)
+    return jinv @ _T(_bivector(rf, a, rf._ip0_lam)) @ _T(jinv)  # pi_0_at, read by J^-1
 
 
 def jacobi_check(rf: MatrixRealForm, n_points: int = 10, h: float = 1e-4,
                  seed: int = 0, radius: float = 0.4) -> float:
-    """Max Jacobiator residual of the chart bivector over seeded points, as
-    many points per chart_bivector call as fit in the form's stack with their
-    2m neighbours each (at least one)."""
-    points = uniform_stream(seed).uniform(-radius, radius, size=(n_points, rf.dim_ip0))
-    per_call = max(1, stack_size(rf.n) // (2 * rf.dim_ip0 + 1))
+    """Max Jacobiator residual of the quotient bivector over seeded points
+    u0 = exp xi(x), each in the chart centred at it, as many points per stack
+    as fit in the form's stack with their 2m neighbours each (at least one);
+    0.0 for dim ip0 < 3.  The stencil is built once per call and not kept:
+    held by the realization, it would stay in memory after the check."""
+    m = rf.dim_ip0
+    if m < 3:
+        return 0.0
+    points = uniform_stream(seed).uniform(-radius, radius, size=(n_points, m))
+    per_call = max(1, stack_size(rf.n) // (2 * m + 1))
+    stencil = _stencil(rf, h)
     residual = 0.0
     for start in range(0, n_points, per_call):
-        residual = max(residual, jacobi_residual(lambda y: chart_bivector(rf, y),
-                                                 points[start:start + per_call], h))
+        u0 = _exp(*_eigh_ip0(rf, points[start:start + per_call]))
+        residual = max(residual, _jacobiator(_centred_bivectors(rf, u0, stencil), h))
     return residual
 
 
@@ -899,9 +955,8 @@ class HermitianFitResult(NamedTuple):
 class HermitianFrame(NamedTuple):
     """The seed-independent part of hermitian_fit, built once per realization."""
 
-    ad_u0: np.ndarray  # Ad(u0) over basis_u, u0 from _block_alignment
-    flag_reader: np.ndarray  # basis_u -> basis_ip0 for the flag part
-    flag_lam: np.ndarray  # the seed read by flag_reader (_read_seed)
+    flag_ad: np.ndarray  # the flag reader (basis_u -> basis_ip0) times Ad(u0)
+    flag_lam: np.ndarray  # the seed read by the flag reader (_read_seed)
     c_inv: np.ndarray  # see invariant_bivector
     rank_inv: int
 
@@ -973,7 +1028,7 @@ def _hermitian_frame(rf: MatrixRealForm) -> HermitianFrame:
     # back by the inverse differential of u K -> u u0^{-1} (left-trivialized)
     reader = np.zeros((rf.dim_ip0, rf.dim_u))
     reader[:, across] = np.linalg.inv((ad_u0 @ rf.coeffs(rf.basis_ip0))[across])
-    return HermitianFrame(ad_u0, reader, _read_seed(rf, reader), c_inv,
+    return HermitianFrame(reader @ ad_u0, _read_seed(rf, reader), c_inv,
                           int(numerical_rank(c_inv, 1e-9)[0]))
 
 
@@ -999,7 +1054,7 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
         a_inv = rf.Ad_matrix(_H(u))
         # each part is minus the kernel at its point's inverse: u^{-1} for the
         # quotient bivector, u0 u^{-1} for the flag part
-        d = (_bivector(rf, frame.flag_reader @ frame.ad_u0 @ a_inv, frame.flag_lam)
+        d = (_bivector(rf, frame.flag_ad @ a_inv, frame.flag_lam)
              - _bivector(rf, rf._ip0_reader @ a_inv, rf._ip0_lam))
         terms.extend(np.sum(d * c_inv, axis=(1, 2)).tolist())  # b is free of the stacks
         hi, lo = np.maximum(hi, d.max(axis=0)), np.minimum(lo, d.min(axis=0))

@@ -8,6 +8,8 @@ originals, the rest goes through the single-point kernels.  The streams are
 built here from SeedSequence(seed) itself: Gaussian draws come from its own
 generator and uniform draws from its first spawned child.  `exp_and_phi_ad`
 is the chart's exponential and its differential as stacked n x n products.
+`jacobi_check` evaluates the Jacobiator in the chart centred at each point,
+and `jacobi_check_identity_chart` in the one chart at the identity coset.
 
 Imported by the test modules; pytest does not collect it.
 """
@@ -138,8 +140,10 @@ def exp_and_phi_ad(xi, ys):
 
 def jacobi_residual(pi_fn, x, h=1e-4):
     """The Jacobiator over the combinations of three indices, with pi_fn
-    called on one point at a time."""
+    called on one point at a time; 0.0, with no call, when there are none."""
     m = len(x)
+    if m < 3:
+        return 0.0
     pi0 = pi_fn(x)
     dpi = np.zeros((m, m, m))
     for l in range(m):
@@ -155,7 +159,29 @@ def jacobi_residual(pi_fn, x, h=1e-4):
     return residual
 
 
+def centred_bivector(rf, u0, y):
+    """The quotient bivector at offset y of the chart y -> u0 exp xi(y) K
+    centred at u0: pi_0_at of u0 exp xi(y), read by the inverse Jacobian."""
+    e, jac = ml._exp_chart(rf, y)
+    jinv = np.linalg.inv(jac)
+    return jinv @ ml.pi_0_at(rf, u0 @ e) @ jinv.T
+
+
 def jacobi_check(rf, n_points, seed, h=1e-4, radius=0.4):
+    """The Jacobi check in the chart centred at each point u0 = exp xi(x),
+    one point and one neighbour at a time, with no cached stencil."""
+    residual = 0.0
+    rng = uniform_stream(seed)
+    for _ in range(n_points):
+        u0, _ = ml._exp_chart(rf, rng.uniform(-radius, radius, size=rf.dim_ip0))
+        residual = max(residual, jacobi_residual(lambda y: centred_bivector(rf, u0, y),
+                                                 np.zeros(rf.dim_ip0), h))
+    return residual
+
+
+def jacobi_check_identity_chart(rf, n_points, seed, h=1e-4, radius=0.4):
+    """The Jacobi check in the one chart x -> exp xi(x) K at every point,
+    one point and one neighbour at a time."""
     residual = 0.0
     rng = uniform_stream(seed)
     for _ in range(n_points):

@@ -819,7 +819,7 @@ def test_bivector_kernel_is_exactly_antisymmetric(label):
     readers = [(None, rf.lam), (rf._ip0_reader, rf._ip0_lam)]
     if rf.kind == "su_pq":
         frame = rf.hermitian_frame
-        readers.append((frame.flag_reader @ frame.ad_u0, frame.flag_lam))
+        readers.append((frame.flag_ad, frame.flag_lam))
     for size in _stack_sizes(rf):
         a = rf.Ad_matrix(_points(rf, size, 28))
         for reader, lam in readers:
@@ -859,6 +859,109 @@ def test_jacobi_su2(sl2):
 
 def test_jacobi_su3(sl3):
     assert ml.jacobi_check(sl3, n_points=10, seed=18) < 1e-5
+
+
+@pytest.mark.parametrize("label", ["sl(2,R)", "su(1,1)"])
+def test_jacobi_is_empty_without_an_index_triple(monkeypatch, label):
+    # dim ip0 = 2: no i < j < k, so nothing is evaluated and the value is +0.0
+    rf = ml.realization(label)
+    assert rf.dim_ip0 == 2
+
+    def never(*args):
+        raise AssertionError("evaluated")
+
+    assert ml.jacobi_residual(never, np.zeros(2)) == 0.0
+    assert loops.jacobi_residual(never, np.zeros(2)) == 0.0
+    monkeypatch.setattr(ml, "_eigh_ip0", never)
+    monkeypatch.setattr(ml, "_exp_chart", never)
+    value = ml.jacobi_check(rf, 20, seed=4)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def _jacobiator_tensor(pi_fn, x, h=1e-4):
+    """The full cyclic Jacobiator trivector at x, pi_fn called on one point
+    at a time."""
+    m = len(x)
+    steps = h * np.eye(m)
+    dpi = np.array([(pi_fn(x + e) - pi_fn(x - e)) / (2 * h) for e in steps])
+    t = np.einsum("al,lbc->abc", pi_fn(x), dpi)
+    return t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)", "su(2,2)", "sl(5,R)"])
+def test_centred_chart_at_the_origin_is_the_identity_chart(label):
+    rf = ml.realization(label)
+    m, h = rf.dim_ip0, 1e-4
+    offsets = ml._offsets(m, h)
+    u0, _ = ml._exp_chart(rf, np.zeros(m))
+    assert np.array_equal(u0, np.eye(rf.n))
+    # the direct centred evaluation, pi_0_at of u0 E_s, is bit for bit the
+    # identity chart's on the stencil, and so is its Jacobiator
+    want = [ml.chart_bivector(rf, y) for y in offsets]
+    assert all(np.array_equal(loops.centred_bivector(rf, u0, y), w)
+               for y, w in zip(offsets, want))
+    assert (loops.jacobi_residual(lambda y: loops.centred_bivector(rf, u0, y), np.zeros(m))
+            == loops.jacobi_residual(lambda y: ml.chart_bivector(rf, y), np.zeros(m)))
+    # the factored one, R_s Ad(u0^{-1}), differs by Ad_matrix(1) - 1, which the
+    # pinv reader leaves at roundoff (up to 1.7e-15 on su(2,2)); the bivector
+    # is the difference of two terms of the size of the seed, 1/4
+    got = ml._centred_bivectors(rf, u0[None], ml._stencil(rf, h))[0]
+    assert np.abs(got - np.array(want)).max() <= 1e-15
+
+
+def test_planted_non_poisson_seed_fails_in_both_charts():
+    # twice the seed on one (X_alpha, Y_alpha) plane: the quotient is still
+    # well defined (X_alpha in k0, Y_alpha in ip0), but not Poisson
+    rf = ml.MatrixRealForm("sl(3,R)", "sl_real", 3)
+    x = rf.n - 1  # X of the first root; Y follows it
+    rf.lam = rf.lam.copy()
+    rf.lam[x, x + 1], rf.lam[x + 1, x] = 2 * rf.lam[x, x + 1], 2 * rf.lam[x + 1, x]
+    rf._ip0_lam = ml._read_seed(rf, rf._ip0_reader)
+    tol = 1e-5
+    centred = ml.jacobi_check(rf, 5, seed=0)
+    assert centred > 100 * tol
+    assert abs(centred - loops.jacobi_check(rf, 5, 0)) <= 1e-9 * centred
+    assert loops.jacobi_check_identity_chart(rf, 5, 0) > 100 * tol
+    # the two Jacobiators are one trivector: the identity chart's is the
+    # centred one's carried by J(x)^{-1} on each index
+    m = rf.dim_ip0
+    for point in ml.uniform_stream(0).uniform(-0.4, 0.4, size=(5, m)):
+        u0, jac = ml._exp_chart(rf, point)
+        t_c = _jacobiator_tensor(lambda y: loops.centred_bivector(rf, u0, y), np.zeros(m))
+        t_id = _jacobiator_tensor(lambda y: ml.chart_bivector(rf, y), point)
+        jinv = np.linalg.inv(jac)
+        carried = np.einsum("ai,bj,ck,ijk->abc", jinv, jinv, jinv, t_c)
+        assert np.abs(t_id).max() > 10 * tol
+        assert np.abs(t_id - carried).max() <= 1e-8 * np.abs(t_id).max()
+
+
+def test_jacobi_stencil_is_built_once_per_check(monkeypatch):
+    calls = []
+    original = ml._exp_chart
+
+    def counting(rf, x):
+        calls.append(x.shape)
+        return original(rf, x)
+
+    monkeypatch.setattr(ml, "_exp_chart", counting)
+    rf = ml.realization("su(2,1)")
+    stencil = (2 * rf.dim_ip0 + 1, rf.dim_ip0)
+    count = 2 * ml.stack_size(rf.n) + 5  # several groups of points
+    ml.jacobi_check(rf, count, seed=0)
+    assert calls == [stencil]  # the centres take their exponential alone
+    ml.jacobi_check(rf, count, seed=1, h=2e-4)
+    assert calls == [stencil] * 2
+
+
+def test_jacobi_group_peak_memory():
+    # one sl(5,R) point per group, as its 2m + 1 = 29 stencil points exceed
+    # the stack of 16: about 256 KiB traced, against 690 KiB for the 29
+    # chart points that one chart_bivector call took before
+    rf = ml.realization("sl(5,R)")
+    assert max(1, ml.stack_size(rf.n) // (2 * rf.dim_ip0 + 1)) == 1
+    stencil = ml._stencil(rf, 1e-4)
+    u0 = ml._exp(*ml._eigh_ip0(rf, ml.uniform_stream(4).uniform(-0.4, 0.4, (1, rf.dim_ip0))))
+    assert _peak_kib(lambda: ml._jacobiator(ml._centred_bivectors(rf, u0, stencil), 1e-4)) <= 690
 
 
 # ---------------------------------------------------------------------------
@@ -1150,7 +1253,7 @@ def test_each_point_forms_its_adjoint_matrix_once(monkeypatch):
         return original(self, u)
 
     rf = ml.MatrixRealForm("su(2,1)", "su_pq", 3, 2, 1)
-    assert rf.hermitian_frame.ad_u0.shape == (rf.dim_u, rf.dim_u)  # built uncounted
+    assert rf.hermitian_frame.flag_ad.shape == (rf.dim_ip0, rf.dim_u)  # built uncounted
     monkeypatch.setattr(ml.MatrixRealForm, "Ad_matrix", counting)
     stacks = 3
     for check, per_stack in ((ml.multiplicativity_residual, 3), (ml.hermitian_fit, 1)):
@@ -1183,22 +1286,28 @@ def test_stacked_jacobi_check_matches_the_per_point_loop(label):
 def test_each_jacobi_call_fits_in_the_form_stack(monkeypatch, label):
     rf = ml.realization(label)
     calls = []
-    original = ml.chart_bivector
+    original = ml.MatrixRealForm.Ad_matrix
 
-    def counting(rf, x):
-        calls.append(len(x))
-        return original(rf, x)
+    def counting(self, u):
+        calls.append(u.shape)
+        return original(self, u)
 
-    monkeypatch.setattr(ml, "chart_bivector", counting)
+    monkeypatch.setattr(ml.MatrixRealForm, "Ad_matrix", counting)
     n_points, per_point = 20, 2 * rf.dim_ip0 + 1
     ml.jacobi_check(rf, n_points, seed=4)
-    # as many whole points per call as fit in the stack, at least one
+    if rf.dim_ip0 < 3:  # no index triple: nothing is evaluated
+        assert calls == []
+        return
+    # the stencil's 2m + 1 points, then one adjoint matrix per point, in
+    # groups of as many whole points as fit in the stack with their 2m
+    # neighbours, at least one
+    assert calls[0] == (per_point, rf.n, rf.n)
+    groups = [size for size, _, _ in calls[1:]]
     per_call = max(1, ml.stack_size(rf.n) // per_point)
-    assert calls == [per_point * min(per_call, n_points - start)
-                     for start in range(0, n_points, per_call)]
-    assert max(calls) <= max(ml.stack_size(rf.n), per_point)
-    if rf.n == 5:  # one point per call, as its 2m + 1 chart points exceed a stack
-        assert calls == [per_point] * n_points
+    assert groups == [min(per_call, n_points - start) for start in range(0, n_points, per_call)]
+    assert per_point * max(groups) <= max(ml.stack_size(rf.n), per_point)
+    if rf.n == 5:  # one point per group, as its 2m + 1 stencil points exceed a stack
+        assert groups == [1] * n_points
 
 
 @pytest.mark.parametrize("label", REALIZED)

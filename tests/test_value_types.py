@@ -28,7 +28,7 @@ FIELDS = {
     ml.TangencyResult: ("dim_bivector_image", "dim_orbit_projection", "residual"),
     ml.AnnihilatorResult: ("distance", "dim_annihilator", "dim_fixed_points"),
     ml.HermitianFitResult: ("b", "max_residual", "invariant_rank"),
-    ml.HermitianFrame: ("ad_u0", "flag_reader", "flag_lam", "c_inv", "rank_inv"),
+    ml.HermitianFrame: ("flag_ad", "flag_lam", "c_inv", "rank_inv"),
 }
 
 
