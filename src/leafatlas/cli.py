@@ -374,8 +374,8 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
             realized.append(cls)
             reps.append(u)
     threshold = tol["rank_threshold"]
-    dims = ml.stabilizer_dim(rf, reps, threshold=threshold)
-    dims_torus = ml.stabilizer_dim(rf, reps, include_torus=True, threshold=threshold)
+    dims, dims_torus = ml.stabilizer_dim(rf, reps, include_torus=(False, True),
+                                         threshold=threshold)
     found, total = len(realized), len(report.classes)
     matched = sum(d == cls["a"] + cls["codim_Y"] and dt == cls["t"] + cls["a"] + cls["codim_Y"]
                   for cls, d, dt in zip(realized, dims, dims_torus))

@@ -232,19 +232,27 @@ def _signature_involution(n: int, p: int, q: int) -> np.ndarray:
     return np.eye(n)[perm]
 
 
-def _independent(candidates: np.ndarray) -> np.ndarray:
-    """The candidates (k, n, n) that the greedy rule keeps, in order: each
-    one that is nonzero and independent, at rank threshold 1e-9, of those
-    kept before it."""
-    vecs = _re_im(_columns(candidates))
-    kept: list[int] = []
-    for i in range(len(candidates)):
-        if np.linalg.norm(vecs[:, i]) < 1e-12:
-            continue
-        if kept and numerical_rank(vecs[:, kept + [i]], 1e-9)[0] == len(kept):
-            continue
-        kept.append(i)
-    return candidates[kept]
+def _tau_split(tau: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the candidates (B + tau B)/2 and (B - tau B)/2, B in basis_u,
+    that a greedy over basis_u keeps as nonzero and independent of those kept
+    before, from tau's integer matrix on basis_u.  On the roots tau is a signed
+    permutation: a 2-cycle keeps both candidates of its first member, a fixed
+    root vector the one on the side of its sign.  Torus candidate j is kept
+    when it raises the rank of candidates 0..j, read on their integer columns."""
+    torus, roots = tau[:n - 1, :n - 1], tau[n - 1:, n - 1:]
+    assert not tau[:n - 1, n - 1:].any() and not tau[n - 1:, :n - 1].any()
+    assert np.array_equal(np.abs(roots).sum(axis=0), np.ones(len(roots)))
+    cols = np.arange(len(roots))
+    image = np.abs(roots).argmax(axis=0)
+    first, fixed, sign = image > cols, image == cols, roots[image, cols]
+    prefixes = np.tril(np.ones((n - 1, n - 1)))[:, None, :]  # columns 0..j of each j
+    split = []
+    for side in (1, -1):
+        ranks = numerical_rank((np.eye(n - 1) + side * torus) * prefixes)[0]
+        keep = first | fixed & (sign == side)
+        split.append(np.concatenate([np.flatnonzero(np.diff(ranks, prepend=0)),
+                                     n - 1 + np.flatnonzero(keep)]))
+    return split[0], split[1]
 
 
 class MatrixRealForm:
@@ -276,8 +284,11 @@ class MatrixRealForm:
         self._seed = np.nonzero(np.triu(self.lam, 1))  # lam = sum lam[x, y] e_x ^ e_y
 
         tb = self.tau(self.basis_u)
-        self.basis_k0 = _independent((self.basis_u + tb) / 2)
-        self.basis_ip0 = _independent((self.basis_u - tb) / 2)
+        tau = self.coeffs(tb)  # tau's matrix on basis_u, integral in every realization
+        assert np.abs(tau - np.rint(tau)).max() < 1e-9
+        k0, ip0 = _tau_split(np.rint(tau), n)
+        self.basis_k0 = ((self.basis_u + tb) / 2)[k0]
+        self.basis_ip0 = ((self.basis_u - tb) / 2)[ip0]
         self.dim_k0 = len(self.basis_k0)
         self.dim_ip0 = len(self.basis_ip0)
         assert self.dim_k0 + self.dim_ip0 == self.dim_u
@@ -314,6 +325,12 @@ class MatrixRealForm:
         an = _re_im(_columns(self.basis_an))
         with_torus = _re_im(_columns(np.concatenate([self.basis_an, self.basis_u[: self.n - 1]])))
         return np.linalg.qr(an)[0], np.linalg.qr(with_torus)[0]
+
+    @cached_property
+    def _j_eigenbasis(self) -> tuple[np.ndarray, float]:
+        """eigh(J)'s eigenvectors, an n x n matrix, and their determinant."""
+        _, qj = np.linalg.eigh(self.J)
+        return qj, np.linalg.det(qj)
 
     @cached_property
     def hermitian_frame(self) -> HermitianFrame:
@@ -421,18 +438,41 @@ def pi_0_at(rf: MatrixRealForm, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Iwasawa factorization and the right action
 
+def _iwasawa_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(b, u, bound) of the Iwasawa factorization m = b u of an invertible
+    matrix, or of each matrix of a stack, with bound >= cond_2(m); a failed
+    factorization raises.  One solve against [m | 1] gives u and b^-1.
+
+    cond_2(m) <= cond_2(b) cond_2(u), with cond_2(b) <= ||b||_F ||b^-1||_F and,
+    for r = ||u u^dagger - 1||_F < 1, cond_2(u) <= sqrt((1 + r) / (1 - r)).
+    The factor is 1 + O(eps cond^2) while b is accurate; past cond ~ 1e8 the
+    computed b understates cond_2(m), and r, of order 1 there, makes up for it
+    (r >= 1 gives an infinite bound)."""
+    n = m.shape[-1]
+    try:
+        # reversing rows and columns turns the lower Cholesky factor upper
+        low = np.linalg.cholesky((m @ _H(m))[..., ::-1, ::-1])
+        b = low[..., ::-1, ::-1]  # upper triangular, positive diagonal
+        x = np.linalg.solve(b, np.concatenate([m, np.broadcast_to(np.eye(n), m.shape)], axis=-1))
+    except np.linalg.LinAlgError:
+        raise IllConditionedError("matrix is singular to working precision") from None
+    u, b_inv = x[..., :n], x[..., n:]
+    r = np.linalg.norm(u @ _H(u) - np.eye(n), axis=(-2, -1))
+    stretch = np.divide(1 + r, 1 - r, out=np.full_like(r, np.inf), where=r < 1)
+    bound = np.linalg.norm(b, axis=(-2, -1)) * np.linalg.norm(b_inv, axis=(-2, -1))
+    return b, u, bound * np.sqrt(stretch)
+
+
 def iwasawa(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor an invertible matrix, or each matrix of a stack, as b u with b
     upper triangular, positive real diagonal, and u unitary, via triangular
-    factorization of M M†.  Every matrix must pass the condition limit."""
-    cond = np.linalg.cond(m)
-    if not np.all(np.isfinite(cond) & (cond <= COND_LIMIT)):
+    factorization of M M†.  Every matrix must pass the condition limit, read
+    from an upper bound of its condition number (_iwasawa_parts)."""
+    b, u, bound = _iwasawa_parts(m)
+    if not np.all(bound <= COND_LIMIT):
         raise IllConditionedError(
-            f"condition estimate {np.max(cond):.2e} exceeds {COND_LIMIT:.0e}")
-    # reversing rows and columns turns the lower Cholesky factor upper
-    low = np.linalg.cholesky((m @ _H(m))[..., ::-1, ::-1])
-    b = low[..., ::-1, ::-1]  # upper triangular, positive diagonal
-    return b, np.linalg.solve(b, m)
+            f"condition bound {np.max(bound):.2e} exceeds {COND_LIMIT:.0e}")
+    return b, u
 
 
 def g_act(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -623,23 +663,28 @@ def annihilator_check(rf: MatrixRealForm) -> AnnihilatorResult:
 
 
 def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray | Sequence[np.ndarray],
-                   include_torus: bool = False,
-                   threshold: float = RANK_THRESHOLD) -> int | list[int]:
+                   include_torus: bool | tuple[bool, ...] = False,
+                   threshold: float = RANK_THRESHOLD) -> int | list[int] | tuple:
     """dim { X in g0 : Ad_u X lies in the triangular factor }, the Lie algebra
     of the action stabilizer; include_torus adds the compact torus directions.
     For a stack or a list of unitaries, one dimension per matrix, computed in
-    stacks of stack_size(n)."""
+    stacks of stack_size(n).  A tuple of include_torus flags gives a tuple of
+    such results, one per flag, from one pass: each stack is checked and
+    conjugated once, and read in each frame."""
+    flags = include_torus if isinstance(include_torus, tuple) else (include_torus,)
     us = np.asarray(u)
-    q = rf.triangular_frames[include_torus]
+    frames = [rf.triangular_frames[t] for t in flags]
     flat, size = us.reshape(-1, rf.n, rf.n), stack_size(rf.n)
-    dims: list[int] = []
+    dims: list[list[int]] = [[] for _ in flags]
     for start in range(0, len(flat), size):
         stack = flat[start:start + size]
         _check_unitary(stack)
         m = rf.Ad_g0(stack)
-        resid = m - q @ (q.T @ m)
-        dims += (m.shape[-1] - numerical_rank(resid, threshold)[0]).tolist()
-    return dims[0] if us.ndim == 2 else dims
+        for q, out in zip(frames, dims):
+            resid = m - q @ (q.T @ m)
+            out += (m.shape[-1] - numerical_rank(resid, threshold)[0]).tolist()
+    found = tuple(d[0] if us.ndim == 2 else d for d in dims)
+    return found if isinstance(include_torus, tuple) else found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +755,8 @@ def _su_pq_representative(rf: MatrixRealForm, perm: list[int]) -> np.ndarray | N
     minus = fixed[rf.p - pairs:]
     h[minus, minus] = -1.0
     _, qh = np.linalg.eigh(h)
-    _, qj = np.linalg.eigh(rf.J)
-    if np.linalg.det(qh) * np.linalg.det(qj) < 0:
+    qj, det_qj = rf._j_eigenbasis
+    if np.linalg.det(qh) * det_qj < 0:
         qh[:, 0] = -qh[:, 0]
     return (qh @ qj.T).astype(complex)
 
@@ -876,9 +921,25 @@ def jacobi_check(rf: MatrixRealForm, n_points: int = 10, h: float = 1e-4,
 
 def _sl_exp(x: np.ndarray) -> np.ndarray:
     """exp(0.4 X) for X the traceless part of x, or of each matrix of a
-    stack x: an element of SL(n, C)."""
-    lam, v = np.linalg.eig(0.4 * _traceless(x))
-    return (v * np.exp(lam)[..., None, :]) @ np.linalg.inv(v)
+    stack x: an element of SL(n, C).
+
+    Scaling and squaring, per matrix, so that a matrix takes the same steps
+    alone as in a stack: A = 0.4 X is halved s times, to Frobenius norm at
+    most 1/2, its Taylor series of degree 15 (remainder < 2^-16 / 16!) is
+    summed in powers of A^4 (Paterson-Stockmeyer), and squared s times."""
+    a = 0.4 * _traceless(x)
+    s = np.maximum(np.frexp(2 * np.linalg.norm(a, axis=(-2, -1)))[1], 0)
+    a = a * np.exp2(-s)[..., None, None]  # exact: a power of two
+    a2 = a @ a
+    powers = (np.eye(a.shape[-1]), a, a2, a @ a2)
+    blocks = [sum(p / math.factorial(4 * j + i) for i, p in enumerate(powers))
+              for j in range(4)]
+    a4, g = a2 @ a2, blocks[3]
+    for block in blocks[2::-1]:
+        g = block + a4 @ g
+    for step in range(int(s.max(initial=0))):
+        g = np.where((s > step)[..., None, None], g @ g, g)
+    return g
 
 
 def _unitary(z: np.ndarray) -> np.ndarray:
@@ -979,44 +1040,32 @@ def _block_alignment(rf: MatrixRealForm) -> np.ndarray:
 
 
 def invariant_bivector(rf: MatrixRealForm) -> np.ndarray:
-    """The isotropy-invariant bivector over basis_ip0, unique up to scale for
-    the shipped Hermitian realizations; normalized to Frobenius norm
-    sqrt(dim_ip0) with positive leading entry."""
+    """The isotropy-invariant bivector over basis_ip0, normalized to Frobenius
+    norm sqrt(dim_ip0) with positive leading entry.
+
+    k0 = s(u(p) + u(q)) has the centre spanned by Z = i(J - tr J / n), so
+    ad Z commutes with ad k0 on i p0.  With D the matrix of ad Z there and G
+    the Gram matrix of basis_ip0, for which each A of ad k0 has A^T G + G A
+    = 0, C = D G^-1 is antisymmetric and A C + C A^T = [A, D] G^-1 = 0.  The
+    construction is checked: a residual of A C + C A^T over ad k0 raises."""
     if rf.kind != "su_pq":
         raise NotHermitianError(f"{rf.label} is not Hermitian symmetric here")
-    m = rf.dim_ip0
-    # ad X on ip0, projected back onto ip0, for each X of basis_k0
-    k0 = rf.basis_k0[:, None]
-    comm = k0 @ rf.basis_ip0 - rf.basis_ip0 @ k0
-    ads = rf._ip0_reader @ rf.coeffs(comm)
-    # unknowns: the coefficients of C on the e_i ^ e_j, i < j; equations:
-    # (A C + C A^T)[r, c] = 0 for every A of ads and r < c, in the same order.
-    # For C = e_i ^ e_j, (A C + C A^T)[r, c] is A[r, i] [c = j] - A[r, j] [c = i]
-    # + A[c, j] [r = i] - A[c, i] [r = j]: the entries on the equations that
-    # pair r with j, then those that pair r with i, added in place
-    upper = np.triu_indices(m, 1)
-    n_wedges = len(upper[0])
-    pairing = np.zeros((m, m), dtype=int)
-    pairing[upper] = np.arange(n_wedges)
-    pairing += pairing.T  # the equation of the pair {r, c}, r != c
-    i, j = (side[:, None] for side in upper)
-    r = np.arange(m)
-    wedge = np.broadcast_to(np.arange(n_wedges)[:, None], (n_wedges, m))
-    system = np.zeros((len(ads), n_wedges, n_wedges))
-    for fixed, other, sign in ((j, i, np.sign(j - r)), (i, j, np.sign(r - i))):
-        hit = sign != 0
-        system[:, pairing[r, fixed][hit], wedge[hit]] += (sign * ads[:, r, other])[:, hit]
-    null = nullspace(system.reshape(-1, n_wedges), 1e-9)
-    if null.shape[1] != 1:
-        raise NotHermitianError(
-            f"invariant bivector space of {rf.label} has dimension {null.shape[1]}")
-    c_inv = np.zeros((m, m))
-    c_inv[upper] = null[:, 0]
-    c_inv = c_inv - c_inv.T
-    lead = next(x for x in c_inv[upper] if abs(x) > 1e-9)
-    if lead < 0:
-        c_inv = -c_inv
+    n, m = rf.n, rf.dim_ip0
+    z = 1j * (rf.J - np.trace(rf.J) / n * np.eye(n))
+    # ad X on ip0, projected back onto ip0, for Z and each X of basis_k0
+    k0 = np.concatenate([z[None], rf.basis_k0])[:, None]
+    ads = rf._ip0_reader @ rf.coeffs(k0 @ rf.basis_ip0 - rf.basis_ip0 @ k0)
+    ip0 = _re_im(_columns(rf.basis_ip0))
+    c_inv = ads[0] @ np.linalg.inv(ip0.T @ ip0)
+    c_inv = (c_inv - c_inv.T) / 2
     c_inv *= math.sqrt(m) / np.linalg.norm(c_inv)
+    if next(x for x in c_inv[np.triu_indices(m, 1)] if abs(x) > 1e-9) < 0:
+        c_inv = -c_inv
+    residual = np.abs(ads[1:] @ c_inv + c_inv @ _T(ads[1:])).max(initial=0.0)
+    if not residual <= 1e-9:
+        raise NotHermitianError(
+            f"{rf.label}: ad of the centre of k0 gives no invariant bivector "
+            f"(residual {residual:.2e})")
     return c_inv
 
 

@@ -10,6 +10,9 @@ generator and uniform draws from its first spawned child.  `exp_and_phi_ad`
 is the chart's exponential and its differential as stacked n x n products.
 `jacobi_check` evaluates the Jacobiator in the chart centred at each point,
 and `jacobi_check_identity_chart` in the one chart at the identity coset.
+The invariant bivector has three null-space references: its linear system
+entry by entry, assembled in place (`invariant_system`), and read off a
+stack of images; the package builds it from the centre of k0 instead.
 
 Imported by the test modules; pytest does not collect it.
 """
@@ -364,3 +367,47 @@ def invariant_bivector_by_images(rf):
     if lead < 0:
         c_inv = -c_inv
     return c_inv * (math.sqrt(m) / np.linalg.norm(c_inv))
+
+
+def invariant_system(rf):
+    """The linear system of the isotropy-invariant bivectors, (dim k0 * w, w)
+    for the w wedges e_i ^ e_j, i < j, assembled in place."""
+    m = rf.dim_ip0
+    # ad X on ip0, projected back onto ip0, for each X of basis_k0
+    k0 = rf.basis_k0[:, None]
+    comm = k0 @ rf.basis_ip0 - rf.basis_ip0 @ k0
+    ads = rf._ip0_reader @ rf.coeffs(comm)
+    # unknowns: the coefficients of C on the e_i ^ e_j, i < j; equations:
+    # (A C + C A^T)[r, c] = 0 for every A of ads and r < c, in the same order.
+    # For C = e_i ^ e_j, (A C + C A^T)[r, c] is A[r, i] [c = j] - A[r, j] [c = i]
+    # + A[c, j] [r = i] - A[c, i] [r = j]: the entries on the equations that
+    # pair r with j, then those that pair r with i, added in place
+    upper = np.triu_indices(m, 1)
+    n_wedges = len(upper[0])
+    pairing = np.zeros((m, m), dtype=int)
+    pairing[upper] = np.arange(n_wedges)
+    pairing += pairing.T  # the equation of the pair {r, c}, r != c
+    i, j = (side[:, None] for side in upper)
+    r = np.arange(m)
+    wedge = np.broadcast_to(np.arange(n_wedges)[:, None], (n_wedges, m))
+    system = np.zeros((len(ads), n_wedges, n_wedges))
+    for fixed, other, sign in ((j, i, np.sign(j - r)), (i, j, np.sign(r - i))):
+        hit = sign != 0
+        system[:, pairing[r, fixed][hit], wedge[hit]] += (sign * ads[:, r, other])[:, hit]
+    return system.reshape(-1, n_wedges)
+
+
+def invariant_bivector_in_place(rf):
+    """invariant_bivector as the normalized null vector of invariant_system."""
+    m = rf.dim_ip0
+    null = ml.nullspace(invariant_system(rf), 1e-9)
+    assert null.shape[1] == 1
+    upper = np.triu_indices(m, 1)
+    c_inv = np.zeros((m, m))
+    c_inv[upper] = null[:, 0]
+    c_inv = c_inv - c_inv.T
+    lead = next(x for x in c_inv[upper] if abs(x) > 1e-9)
+    if lead < 0:
+        c_inv = -c_inv
+    c_inv *= math.sqrt(m) / np.linalg.norm(c_inv)
+    return c_inv

@@ -161,6 +161,36 @@ def test_basis_stacks_equal_the_per_matrix_lists(label):
     assert np.array_equal(rf.lam, bl.lambda_matrix(rf.n))
 
 
+@pytest.mark.parametrize("label", BASIS_LABELS)
+def test_tau_is_a_signed_permutation_of_the_roots(monkeypatch, label):
+    rf = ml.realization(label)
+    n, torus = rf.n, slice(None, rf.n - 1)
+    tau = rf.coeffs(rf.tau(rf.basis_u))
+    integral = np.rint(tau)
+    assert np.abs(tau - integral).max() < 1e-9
+    # block-diagonal between the torus and the roots
+    assert not integral[torus, n - 1:].any() and not integral[n - 1:, torus].any()
+    roots = integral[n - 1:, n - 1:]
+    assert set(np.unique(roots)) <= {-1.0, 0.0, 1.0}
+    assert np.array_equal(np.abs(roots).sum(axis=0), np.ones(len(roots)))
+    assert np.array_equal(np.abs(roots).sum(axis=1), np.ones(len(roots)))
+    assert np.array_equal(roots @ roots, np.eye(len(roots)))  # tau is an involution
+    # the split makes no rank search over the roots: at most one rank call per
+    # torus candidate
+    calls = []
+    original = ml.numerical_rank
+
+    def counting(m, threshold=ml.RANK_THRESHOLD):
+        calls.append(np.shape(m))
+        return original(m, threshold)
+
+    monkeypatch.setattr(ml, "numerical_rank", counting)
+    fresh = ml.MatrixRealForm(rf.label, rf.kind, n, rf.p, rf.q)
+    assert len(calls) <= 2 * (n - 1)
+    for got, want in ((fresh.basis_k0, rf.basis_k0), (fresh.basis_ip0, rf.basis_ip0)):
+        assert np.array_equal(got, want)
+
+
 def test_lambda_n2_single_wedge():
     lam = ml.lambda_matrix(2)
     expected = np.zeros((3, 3))
@@ -398,6 +428,69 @@ def test_iwasawa_matches_the_scipy_triangular_factorization():
         b, u1 = ml.iwasawa(m)
         assert np.abs(b - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
         assert np.abs(u1 - u_ref).max() <= 1e-12
+
+
+def _with_condition(rng, k, n, decades):
+    """k random n x n complex matrices with singular values from 1 down to
+    10^-decades[i], one count of decades per matrix."""
+    def unitaries():
+        return ml._unitary(rng.normal(size=(k, n, n)) + 1j * rng.normal(size=(k, n, n)))
+    s = 10.0 ** -(np.linspace(0, 1, n) * np.asarray(decades, dtype=float)[:, None])
+    return (unitaries() * s[:, None, :]) @ unitaries()
+
+
+def _factored(m):
+    """(m, b, u, bound) of the stack m, or, when a matrix fails the triangular
+    factorization and with it the stack, of each other matrix alone."""
+    try:
+        return [(m, *ml._iwasawa_parts(m))]
+    except ml.IllConditionedError:
+        pass
+    out = []
+    for one in m[:, None]:
+        try:
+            out.append((one, *ml._iwasawa_parts(one)))
+        except ml.IllConditionedError:
+            # m m^dagger is numerically positive definite up to cond ~ 1e8
+            assert not np.linalg.cond(one[0]) <= 1e7
+    return out
+
+
+def test_iwasawa_bound_is_never_below_the_condition_number():
+    rng = np.random.default_rng(46)
+    for n in range(2, 7):
+        for k in (1, 5, 40):
+            decades = rng.uniform(0, 16, size=k)
+            for m, b, u, bound in _factored(_with_condition(rng, k, n, decades)):
+                assert np.all(bound >= np.linalg.cond(m))
+                # u and b^-1 come from one solve; u is the solve against m alone
+                assert np.array_equal(u, np.linalg.solve(b, m))
+                if np.all(bound <= ml.COND_LIMIT):
+                    assert np.array_equal(ml.iwasawa(m)[1], u)
+                else:
+                    with pytest.raises(ml.IllConditionedError):
+                        ml.iwasawa(m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_iwasawa_refuses_singular_nan_and_ill_conditioned_matrices(n):
+    rng = np.random.default_rng(47)
+    good = _with_condition(rng, 4, n, [2, 4, 6, 3])
+    assert ml.iwasawa(good)[1].shape == good.shape
+    singular = good[0].copy()
+    singular[-1] = 0.0
+    rank_one = np.outer(good[1][0], good[2][0])
+    nan = good[0].copy()
+    nan[0, 0] = np.nan
+    for bad in (singular, rank_one, nan, *_with_condition(rng, 3, n, [13, 13, 13])):
+        if not np.isnan(bad).any():
+            assert not np.linalg.cond(bad) <= ml.COND_LIMIT
+        with pytest.raises(ml.IllConditionedError):
+            ml.iwasawa(bad)
+        stack = good.copy()
+        stack[2] = bad  # one bad matrix fails its stack
+        with pytest.raises(ml.IllConditionedError):
+            ml.iwasawa(stack)
 
 
 def test_sample_group_is_the_exponential():
@@ -1026,7 +1119,7 @@ def test_nullspace_of_a_tall_matrix_spans_the_full_svds(monkeypatch):
         rf = ml.realization.__wrapped__(label)  # a fresh form builds its subspaces again
         ml.annihilator_check(rf)
         if rf.kind == "su_pq":
-            ml.invariant_bivector(rf)
+            loops.invariant_bivector_in_place(rf)
     tall = [(label, m, threshold) for label, m, threshold in seen if m.shape[0] > m.shape[1]]
     assert {label for label, _, _ in tall} == set(REALIZED)
     assert max(m.shape for label, m, _ in tall if label == "su(3,2)") == (792, 66)
@@ -1140,20 +1233,33 @@ def test_stacked_rank_rule_matches_each_matrix():
 
 
 @pytest.mark.parametrize("label", ["su(1,1)", "su(2,1)", "su(3,1)", "su(2,2)",
-                                   "su(4,1)", "su(3,2)"])
+                                   "su(4,1)", "su(3,2)", "su(3,3)", "su(5,1)"])
 def test_invariant_bivector_matches_the_loop_system(label):
-    rf = ml.MatrixRealForm(label, "su_pq", *{
-        "su(1,1)": (2, 1, 1), "su(2,1)": (3, 2, 1), "su(3,1)": (4, 3, 1),
-        "su(2,2)": (4, 2, 2), "su(4,1)": (5, 4, 1), "su(3,2)": (5, 3, 2)}[label])
-    assert np.abs(ml.invariant_bivector(rf) - loops.invariant_bivector(rf)).max() <= 1e-12
+    rf = ml.realization(label)
+    # the null space of the invariance system is the construction's line
+    assert ml.nullspace(loops.invariant_system(rf), 1e-9).shape[1] == 1
+    reference = loops.invariant_bivector_in_place(rf)
+    assert np.abs(ml.invariant_bivector(rf) - reference).max() <= 1e-12
+    assert np.abs(loops.invariant_bivector(rf) - reference).max() <= 1e-12
     # the system is built in place, entry for entry that of the image stack
-    assert np.array_equal(ml.invariant_bivector(rf), loops.invariant_bivector_by_images(rf))
+    assert np.array_equal(reference, loops.invariant_bivector_by_images(rf))
+
+
+def test_invariant_bivector_refuses_a_centre_that_is_not_invariant(monkeypatch):
+    # Z = i(J - tr J / n) from another involution J' is not central in k0
+    rf = ml.MatrixRealForm("su(2,1)", "su_pq", 3, 2, 1)
+    assert ml.invariant_bivector(rf).shape == (rf.dim_ip0, rf.dim_ip0)
+    monkeypatch.setattr(rf, "J", np.eye(3)[[1, 0, 2]])
+    with pytest.raises(ml.NotHermitianError, match="no invariant bivector"):
+        ml.invariant_bivector(rf)
 
 
 def test_invariant_bivector_peak_memory():
-    # the (dim k0, w, m, m) image stack of su(3,2) alone held 0.9 MiB
+    # the in-place null-space build of su(3,2) peaked at 0.9 MiB, and its
+    # (dim k0, w, m, m) image stack alone held as much; the construction
+    # from the centre of k0 peaks at about 190 KiB
     rf = ml.MatrixRealForm("su(3,2)", "su_pq", 5, 3, 2)
-    assert _peak_kib(lambda: ml.invariant_bivector(rf)) <= 1024
+    assert _peak_kib(lambda: ml.invariant_bivector(rf)) <= 256
 
 
 def _parts(rng, n):
@@ -1331,6 +1437,27 @@ def test_stacked_stabilizer_dim_matches_the_per_matrix_call(monkeypatch, label):
         assert stacks == ml._stacks(len(reps), rf.n)
         assert ml.stabilizer_dim(rf, np.stack(reps), include_torus=include_torus) == want
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("label", REALIZED)
+def test_two_frame_stabilizer_pass_equals_the_single_frame_calls(monkeypatch, label):
+    rf = ml.realization(label)
+    reps = [ml.representative_for(rf, c["psi_word"]) for c in walked_classes(label)]
+    reps = [u for u in reps if u is not None]
+    want = tuple(ml.stabilizer_dim(rf, reps, include_torus=t) for t in (False, True))
+    calls = []
+    for owner, attr in ((ml, "_check_unitary"), (ml.MatrixRealForm, "Ad_g0")):
+        def counting(*args, _original=getattr(owner, attr), _attr=attr):
+            calls.append((_attr, len(args[-1])))  # the stack is the last argument
+            return _original(*args)
+
+        monkeypatch.setattr(owner, attr, counting)
+    assert ml.stabilizer_dim(rf, reps, include_torus=(False, True)) == want
+    assert calls == [(attr, k) for k in ml._stacks(len(reps), rf.n)
+                     for attr in ("_check_unitary", "Ad_g0")]
+    # one matrix alone gives one dimension per frame, as each single call does
+    assert ml.stabilizer_dim(rf, reps[-1], include_torus=(True, False)) == (
+        want[1][-1], want[0][-1])
 
 
 @pytest.mark.parametrize("count", [624, 625, 626, 1251])
