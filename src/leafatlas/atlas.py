@@ -14,11 +14,12 @@ from .rootsys import DEFAULT_WEYL_CAP, Perm, RootSystem, WeylCapError
 from .satake import RealFormData, SatakeDiagram, real_form_data
 
 
-def class_record(rf: RealFormData, rs: RootSystem, v: Perm,
-                 codim_y: int, a: int) -> dict:
-    """The record of the twisted involution psi = v w_b, as the atlas JSON
-    writes it, from its codim_Y and a, the dimension of the +1 eigenspace of
-    the involution psi tau*; every other field follows.
+def _recorder(rf: RealFormData, rs: RootSystem) -> Callable[[Perm, int, int], dict]:
+    """The class record builder of one form, with the form's constants bound
+    once: record(v, codim_y, a) is the record of the twisted involution
+    psi = v w_b, as the atlas JSON writes it, from its codim_Y and a, the
+    dimension of the +1 eigenspace of the involution psi tau*; every other
+    field follows.
 
     psi is kept as its lexicographically least reduced word, read with the
     trace off v(alpha_sigma(i)). codim_Y is the codimension of the orbit
@@ -26,11 +27,6 @@ def class_record(rf: RealFormData, rs: RootSystem, v: Perm,
     the attached Cartan subalgebra; leaf_dim is the dimension of each leaf in
     the family and family_dim that of the torus parameterizing the family.
     """
-    return _recorder(rf, rs)(v, codim_y, a)
-
-
-def _recorder(rf: RealFormData, rs: RootSystem) -> Callable[[Perm, int, int], dict]:
-    """`class_record` for one form, with the form's constants bound once."""
     k = rs.permutations
     rank, roots, heights, tau_star, dim_x = rs.rank, k.roots, k.heights, rf.tau_star, rf.dim_x
     alpha_sigma = [k.simple[j] for j in rf.sigma]
@@ -72,7 +68,7 @@ def realizable_candidate(record: dict) -> bool:
 def twisted_involutions(
     rf: RealFormData, rs: RootSystem, cap: int = DEFAULT_WEYL_CAP
 ) -> Iterator[dict]:
-    """The record (`class_record`) of every psi in W with (psi tau*)^2 = 1.
+    """The record (`_recorder`) of every psi in W with (psi tau*)^2 = 1.
 
     With tau* = w_b sigma, psi is a twisted involution exactly when
     v = psi w_b satisfies sigma v sigma = v^-1. Those v are the orbit of the

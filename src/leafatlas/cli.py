@@ -19,12 +19,11 @@ from .atlas import (NOTE_OPEN_COUNT, AtlasReport, atlas, catalog_text_hash,
                     realizable_candidate)
 from .rootsys import DEFAULT_WEYL_CAP, WeylCapError
 from .satake import (
+    BUILTIN_CATALOG,
     CatalogParseError,
     SatakeDiagram,
     SatakeError,
-    builtin_catalog,
     load_catalog,
-    render_catalog,
     validate,
 )
 
@@ -82,20 +81,19 @@ def default_tolerances(rf: MatrixRealForm | None = None) -> dict[str, float]:
 # catalog resolution
 
 def _resolve_catalog(cfg: RunConfig) -> tuple[tuple[SatakeDiagram, ...], str]:
-    path = cfg.catalog_path or os.environ.get(ENV_CATALOG)
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            entries = load_catalog(text)
-        except UnicodeDecodeError as exc:
-            raise CatalogParseError(
-                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-        except CatalogParseError as exc:
-            raise CatalogParseError(f"{path}: {exc}") from None
-        return entries, catalog_text_hash(text)
-    entries = builtin_catalog()
-    return entries, catalog_text_hash(render_catalog(entries))
+    """The entries of --catalog, else of $LEAFATLAS_CATALOG, else of the
+    shipped file, and the hash of that file's text."""
+    path = cfg.catalog_path or os.environ.get(ENV_CATALOG) or BUILTIN_CATALOG
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        entries = load_catalog(text)
+    except UnicodeDecodeError as exc:
+        raise CatalogParseError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except CatalogParseError as exc:
+        raise CatalogParseError(f"{path}: {exc}") from None
+    return entries, catalog_text_hash(text)
 
 
 def _emit(cfg: RunConfig, pieces: Iterable[str]) -> None:
@@ -119,7 +117,7 @@ def _emit(cfg: RunConfig, pieces: Iterable[str]) -> None:
 
 
 _BOOL = ("false", "true")
-#: a class record (`atlas.class_record`), after the comma that ends the one before
+#: a class record (`atlas._recorder`), after the comma that ends the one before
 _ATLAS_RECORD = (',\n    {\n      "a": %d,\n      "codim_Y": %d,\n      "dims_in_range": %s,\n'
                  '      "family_dim": %d,\n      "is_closed_class": %s,\n      "is_open": %s,\n'
                  '      "leaf_codim": %d,\n      "leaf_dim": %d,\n      "parity_ok": %s,\n'

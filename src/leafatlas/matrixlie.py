@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -858,22 +858,6 @@ def _jacobiator(pis: np.ndarray, h: float) -> float:
     a, b, c = np.ogrid[:m, :m, :m]
     i, j, k = np.nonzero((a < b) & (b < c))
     return float(np.abs(t[:, i, j, k] + t[:, k, i, j] + t[:, j, k, i]).max(initial=0.0))
-
-
-def jacobi_residual(pi_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                    h: float = 1e-4) -> float:
-    """Max cyclic Jacobiator component of a coefficient field at one point x,
-    or over the points of a stack x, with second-order central finite
-    differences of step h.  pi_fn maps a stack of points to the stack of
-    their coefficient matrices; it is called once, on each point followed by
-    its 2m neighbours x + h e_l and x - h e_l, and not at all for m < 3,
-    where no index triple exists and the residual is 0.0."""
-    m = x.shape[-1]
-    if m < 3:
-        return 0.0
-    x = x.reshape(-1, 1, m)  # each point on an axis of its own
-    pis = pi_fn((x + _offsets(m, h)).reshape(-1, m))
-    return _jacobiator(pis.reshape(len(x), 2 * m + 1, m, m), h)
 
 
 def _stencil(rf: MatrixRealForm, h: float) -> tuple[np.ndarray, np.ndarray]:

@@ -3,9 +3,10 @@
 Roots are stored as integer coordinate vectors in the simple-root basis, so
 every computation in this module is exact; no floating point enters the
 combinatorics. A Weyl element is a permutation of the root list
-(`RootPermutations`): products are index lookups, the length is a count, and
-the images of the simple roots, which are the columns of its matrix on
-simple-root coordinates, are read off the permutation as a view.
+(`RootPermutations`): products are index lookups, reduced words come from
+root heights, and the images of the simple roots, which are the columns of
+its matrix on simple-root coordinates, are read off the permutation as a
+view.
 """
 from __future__ import annotations
 
@@ -206,8 +207,8 @@ class RootPermutations:
     `roots` lists the positive roots in the order of `RootSystem.positive_roots`
     and then their negatives in the same order, so index j is a positive root
     iff j < npos, and -roots[j] is roots[j + npos] or roots[j - npos]. A
-    permutation p sends roots[j] to roots[p[j]]. Products are index lookups
-    and the length is a count: no matrix arithmetic runs on this path.
+    permutation p sends roots[j] to roots[p[j]]. Products are index lookups:
+    no matrix arithmetic runs on this path.
     """
 
     def __init__(self, rs: RootSystem):
@@ -232,15 +233,6 @@ class RootPermutations:
     def compose(self, p: Perm, q: Perm) -> Perm:
         """The product p·q: q acts first."""
         return tuple(map(p.__getitem__, q))
-
-    def length(self, p: Perm) -> int:
-        """The number of positive roots that p sends to negative ones."""
-        npos = self.npos
-        return sum(1 for x in p[:npos] if x >= npos)
-
-    def reduced_word(self, p: Perm) -> tuple[int, ...]:
-        """The lexicographically least reduced word of p (1-based indices)."""
-        return self.word_from_heights([self.heights[p.index(a)] for a in self.simple])
 
     def word_from_heights(self, heights: list[int]) -> tuple[int, ...]:
         """The lexicographically least reduced word of the p with heights[j]

@@ -1,10 +1,8 @@
-"""Satake diagrams, the induced root-space involution, restricted roots and
-dimension bookkeeping for the real forms they encode.
+"""Satake diagrams, the induced root-space involution, dimension bookkeeping
+for the real forms they encode, and the catalog of diagrams.
 
 The dimensions are integers, dim p0 = real rank + N - l(w_b) (see
-`real_form_data`). The restricted roots, as `Fraction` vectors, are built
-only on request (`RealFormData.restricted`), so the atlas and catalog paths
-never import `fractions`.
+`real_form_data`), so no restricted root is ever built.
 
 The involution is never stored in a catalog: it is always reconstructed as
 w_b composed with the node permutation sigma (arrows on white nodes, the
@@ -18,9 +16,10 @@ not checked again.
 """
 from __future__ import annotations
 
+import os
 import re
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .rootsys import (
     Perm,
@@ -30,11 +29,6 @@ from .rootsys import (
     build_root_system,
     longest_element,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-    FracVector = tuple[Fraction, ...]
 
 
 class SatakeError(ValueError):
@@ -83,7 +77,7 @@ def _root_system(family: str, rank: int) -> RootSystem:
 
 class RealFormData(NamedTuple):
     """Derived data of a real form: the involution and the dimensions, all
-    integers; the restricted roots are built the first time they are read."""
+    integers."""
 
     diagram: SatakeDiagram
     tau_star: Perm  # w_b . sigma, a permutation of the roots
@@ -98,32 +92,6 @@ class RealFormData(NamedTuple):
     @property
     def dim_x(self) -> int:
         return self.dim_p0
-
-    @property
-    def restricted(self) -> dict[FracVector, int]:
-        """The restricted roots, both signs, with multiplicities: each root
-        alpha restricts to its projection (alpha + tau* alpha)/2 onto the +1
-        eigenspace of tau*."""
-        return _restricted_roots(self)
-
-    def positive_restricted(self) -> dict[FracVector, int]:
-        return {lam: m for lam, m in self.restricted.items() if all(x >= 0 for x in lam)}
-
-
-@lru_cache(maxsize=None)
-def _restricted_roots(rf: RealFormData) -> dict[FracVector, int]:
-    """RealFormData.restricted, built once per real form."""
-    from fractions import Fraction
-
-    k = rf.diagram.root_system().permutations
-    mult: dict[FracVector, int] = {}
-    for j in range(k.npos):
-        for root in (j, j + k.npos):
-            lam = tuple(Fraction(a + b, 2)
-                        for a, b in zip(k.roots[root], k.roots[rf.tau_star[root]]))
-            if any(x != 0 for x in lam):
-                mult[lam] = mult.get(lam, 0) + 1
-    return mult
 
 
 def _structural_check(sd: SatakeDiagram) -> None:
@@ -265,99 +233,19 @@ def validate(sd: SatakeDiagram) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# built-in catalog of classical real forms, instantiated up to rank 4
-
-CATALOG_MAX_RANK = 4
-
-
-def _diagram(label: str, family: str, rank: int,
-             black: Iterable[int] = (), arrows: Iterable[tuple[int, int]] = ()) -> SatakeDiagram:
-    pairs = frozenset(tuple(sorted(p)) for p in arrows)
-    return SatakeDiagram(
-        label=label, family=family, rank=rank,
-        black=frozenset(black), arrows=pairs,
-    )
-
+# diagrams of the realized families
 
 def sl_real_diagram(n: int) -> SatakeDiagram:
     """sl(n,R): type A(n-1), plain."""
-    return _diagram(f"sl({n},R)", "A", n - 1)
+    return SatakeDiagram(f"sl({n},R)", "A", n - 1, frozenset(), frozenset())
 
 
 def su_pq_diagram(p: int, q: int) -> SatakeDiagram:
     """su(p,q), p >= q: type A(p+q-1), arrows (i, p+q-i) for i <= q, middle
     nodes black."""
     n = p + q
-    arrows = [(i, n - i) for i in range(1, q + 1) if i != n - i]
-    return _diagram(f"su({p},{q})", "A", n - 1, black=range(q + 1, n - q), arrows=arrows)
-
-
-def builtin_catalog() -> tuple[SatakeDiagram, ...]:
-    """Classical families generated parametrically, up to rank CATALOG_MAX_RANK.
-
-    sl(n,R), su(p,q): `sl_real_diagram`, `su_pq_diagram`.
-    su*(2n): type A(2n-1), odd nodes black.
-    so(p,q), p+q odd: type B, nodes beyond q black.
-    so(p,q), p+q even: type D; split, fork arrow, or black tail.
-    sp(n,R): type C, plain.
-    sp(p,q): type C(p+q), alternating black from node 1, black tail if p > q.
-    so*(2n): type D(n), odd chain nodes black (n even).
-    """
-    max_rank = CATALOG_MAX_RANK
-    out: list[SatakeDiagram] = [sl_real_diagram(n) for n in range(2, max_rank + 2)]
-
-    # su*(2n), rank 2n-1
-    for n in range(2, max_rank // 2 + 2):
-        r = 2 * n - 1
-        if r <= max_rank:
-            out.append(_diagram(f"su*({2 * n})", "A", r, black=range(1, r + 1, 2)))
-
-    # su(p,q), rank p+q-1
-    for total in range(2, max_rank + 2):
-        out += [su_pq_diagram(total - q, q) for q in range(1, total // 2 + 1)]
-
-    # so(p,q) with p+q = 2n+1, rank n
-    for n in range(2, max_rank + 1):
-        for q in range(1, n + 1):
-            p = 2 * n + 1 - q
-            out.append(_diagram(f"so({p},{q})", "B", n, black=range(q + 1, n + 1)))
-
-    # sp(n,R), rank n
-    for n in range(2, max_rank + 1):
-        out.append(_diagram(f"sp({n},R)", "C", n))
-
-    # sp(p,q), rank p+q
-    for total in range(2, max_rank + 1):
-        for q in range(1, total // 2 + 1):
-            p = total - q
-            black = set(range(1, 2 * q, 2)) | set(range(2 * q + 1, total + 1))
-            out.append(_diagram(f"sp({p},{q})", "C", total, black=black))
-
-    # so(p,q) with p+q = 2n, rank n
-    for n in range(4, max_rank + 1):
-        for q in range(1, n + 1):
-            p = 2 * n - q
-            if q == n:
-                out.append(_diagram(f"so({p},{q})", "D", n))
-            elif q == n - 1:
-                out.append(_diagram(f"so({p},{q})", "D", n, arrows=[(n - 1, n)]))
-            else:
-                out.append(_diagram(f"so({p},{q})", "D", n, black=range(q + 1, n + 1)))
-
-    # so*(2n), rank n, n even here
-    for n in range(4, max_rank + 1, 2):
-        out.append(_diagram(f"so*({2 * n})", "D", n, black=range(1, n, 2)))
-
-    labels = [sd.label for sd in out]
-    assert len(labels) == len(set(labels))
-    return tuple(out)
-
-
-def catalog_by_label(
-    catalog: Sequence[SatakeDiagram] | None = None,
-) -> dict[str, SatakeDiagram]:
-    entries = builtin_catalog() if catalog is None else catalog
-    return {sd.label: sd for sd in entries}
+    arrows = frozenset((i, n - i) for i in range(1, q + 1) if i != n - i)
+    return SatakeDiagram(f"su({p},{q})", "A", n - 1, frozenset(range(q + 1, n - q)), arrows)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +255,8 @@ _KNOWN_KEYS = {"name", "type", "rank", "black", "arrows"}
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d*)$")
 _SET_RE = re.compile(r"^\{(.*)\}$")
 _PAIR_RE = re.compile(r"^\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
+_PAREN_RE = re.compile(r"^\([^()]*\)$")
+_COMMA_RE = re.compile(r",(?![^()]*\))")  # a comma outside parentheses
 
 
 def _parse_type(text: str, rank: int | str | None, line: int | None = None,
@@ -392,35 +282,38 @@ def _parse_type(text: str, rank: int | str | None, line: int | None = None,
     return tm.group(1).upper(), rank
 
 
-def _parse_node_set(text: str, line: int | None = None) -> frozenset[int]:
+def _set_items(text: str, kind: str, line: int | None) -> list[str]:
+    """The items of a set literal: single commas between them, and none
+    inside parentheses. Every set of the catalog format is read this way."""
     m = _SET_RE.match(text.strip())
     if m is None:
         raise CatalogParseError(f"expected a set literal, got {text!r}", line)
     body = m.group(1).strip()
     if not body:
-        return frozenset()
+        return []
+    items = [item.strip() for item in _COMMA_RE.split(body)]
+    if not all(items):
+        raise CatalogParseError(f"bad {kind} set {text!r}", line)
+    return items
+
+
+def _parse_node_set(text: str, line: int | None = None) -> frozenset[int]:
+    items = _set_items(text, "node", line)
     try:
-        return frozenset(int(tok) for tok in body.split(","))
+        return frozenset(map(int, items))
     except ValueError:
         raise CatalogParseError(f"bad node set {text!r}", line) from None
 
 
 def _parse_arrow_set(text: str, line: int | None = None) -> frozenset[tuple[int, int]]:
-    m = _SET_RE.match(text.strip())
-    if m is None:
-        raise CatalogParseError(f"expected a set literal, got {text!r}", line)
-    body = m.group(1).strip()
-    if not body:
-        return frozenset()
-    pairs = re.findall(r"\([^()]*\)", body)
-    rest = re.sub(r"\([^()]*\)", "", body).replace(",", "").strip()
-    if not pairs or rest:
+    items = _set_items(text, "arrow", line)
+    if not all(map(_PAREN_RE.match, items)):
         raise CatalogParseError(f"bad arrow set {text!r}", line)
     out = set()
-    for pair in pairs:
-        pm = _PAIR_RE.match(pair)
+    for item in items:
+        pm = _PAIR_RE.match(item)
         if pm is None:
-            raise CatalogParseError(f"bad arrow pair {pair!r}", line)
+            raise CatalogParseError(f"bad arrow pair {item!r}", line)
         a, b = int(pm.group(1)), int(pm.group(2))
         out.add((min(a, b), max(a, b)))
     return frozenset(out)
@@ -481,6 +374,12 @@ def load_catalog(source: str) -> tuple[SatakeDiagram, ...]:
     return tuple(diagrams)
 
 
-def render_catalog(diagrams: Sequence[SatakeDiagram]) -> str:
-    """Render diagrams in the stanza format accepted by load_catalog."""
-    return "\n\n".join(f"name={sd.label}; {sd.describe()}" for sd in diagrams) + "\n"
+#: The shipped catalog: the classical real forms up to rank 4. Its
+#: `catalog_hash` is the hash of its text, so the file carries no comments.
+BUILTIN_CATALOG = os.path.join(os.path.dirname(__file__), "data", "catalog.txt")
+
+
+def builtin_catalog() -> tuple[SatakeDiagram, ...]:
+    """The diagrams of the shipped catalog file, `BUILTIN_CATALOG`."""
+    with open(BUILTIN_CATALOG, encoding="utf-8") as fh:
+        return load_catalog(fh.read())

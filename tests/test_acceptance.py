@@ -8,15 +8,12 @@ import sampled_loops as loops
 
 from leafatlas import matrixlie as ml
 from leafatlas.atlas import atlas, twisted_involutions
-from leafatlas.satake import (
-    builtin_catalog,
-    catalog_by_label,
-    real_form_data,
-)
+from leafatlas.satake import builtin_catalog, real_form_data
 
+import catalog_reference as cr
 import weyl_matrices as wm
 
-BY_LABEL = catalog_by_label()
+BY_LABEL = cr.by_label()
 
 
 class timer:

@@ -6,10 +6,11 @@ the package, apart from a known list of stale targets."""
 import hashlib
 import importlib
 import json
-import runpy
 from pathlib import Path
 
 import pytest
+
+from tracer_targets import tracer_targets
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 GOLDEN = json.loads((BENCH / "golden.json").read_text(encoding="utf-8"))
@@ -51,10 +52,8 @@ STALE_TARGETS = {
 
 
 def test_every_tracer_target_resolves_in_the_package():
-    # run from its source, so nothing is installed and no bytecode is written
-    targets = runpy.run_path(str(BENCH / "tracer.py"))["TARGETS"]
     stale = set()
-    for mod_name, path in targets:
+    for mod_name, path in tracer_targets():
         owner = importlib.import_module(f"leafatlas.{mod_name}")
         for part in path.split("."):
             owner = getattr(owner, part, None)

@@ -21,7 +21,9 @@ from leafatlas.cli import (
     main,
     run_verify_battery,
 )
-from leafatlas.satake import _diagram, builtin_catalog, catalog_by_label, render_catalog
+from leafatlas.satake import builtin_catalog
+
+import catalog_reference as cr
 
 
 def run(capsys, *argv):
@@ -115,6 +117,10 @@ def test_catalog_file_type_errors_keep_the_key_wording(tmp_path, capsys, stanza,
 @pytest.mark.parametrize("flag,value,message", [
     ("--black", "{x}", "bad node set '{x}'"),
     ("--arrows", "{(1,)}", "bad arrow pair '(1,)'"),
+    ("--arrows", "{(1,2)(3,4)}", "bad arrow set '{(1,2)(3,4)}'"),
+    ("--arrows", "{(1,2),,(3,4)}", "bad arrow set '{(1,2),,(3,4)}'"),
+    ("--arrows", "{,(1,2)}", "bad arrow set '{,(1,2)}'"),
+    ("--arrows", "{(1,2),}", "bad arrow set '{(1,2),}'"),
 ])
 def test_atlas_inline_parse_error_has_no_line_prefix(capsys, flag, value, message):
     code, out, err = run(capsys, "atlas", "--type", "A3", flag, value)
@@ -255,7 +261,7 @@ def _strict_loads(text):
 
 def test_class_writer_matches_json_dumps_on_every_atlas_document():
     # every catalog form and split E6
-    forms = builtin_catalog() + (_diagram("custom(E6)", "E", 6),)
+    forms = builtin_catalog() + (cr.diagram("custom(E6)", "E", 6),)
     words = set()
     for sd in forms:
         doc = atlas_document(atlas(sd, catalog_hash="0123abcd"), 0)
@@ -315,7 +321,7 @@ def _reference_markdown(report):
 
 def test_markdown_matches_the_reference_renderer():
     flagged = 0
-    for sd in builtin_catalog() + (_diagram("custom(E6)", "E", 6),):
+    for sd in builtin_catalog() + (cr.diagram("custom(E6)", "E", 6),):
         report = atlas(sd)
         assert atlas_markdown(report) == _reference_markdown(report), sd.label
         flagged += sum(not realizable_candidate(c) for c in report.classes)
@@ -360,7 +366,7 @@ def test_split_e8_document_sha256(tmp_path):
 
 def test_verify_and_catalog_documents_take_the_generic_path(capsys, monkeypatch):
     monkeypatch.delenv(ENV_CATALOG, raising=False)
-    doc = run_verify_battery(catalog_by_label()["sl(2,R)"], RunConfig(command="verify",
+    doc = run_verify_battery(cr.by_label()["sl(2,R)"], RunConfig(command="verify",
                                                                       samples=10))
     assert _json_dumps(doc) == _generic(doc)
     code, out, _ = run(capsys, "catalog")
@@ -416,7 +422,7 @@ def test_verify_battery_passes_on_every_realized_form(label):
         extra = []
     # seeds 0 and 1 at the default sample count, as `verify` runs by default
     for seed in (0, 1):
-        doc = run_verify_battery(catalog_by_label()[label], RunConfig(command="verify", seed=seed))
+        doc = run_verify_battery(cr.by_label()[label], RunConfig(command="verify", seed=seed))
         assert doc["samples"] == 100
         failed = [c["name"] for c in doc["checks"] if not c["passed"]]
         assert failed == [], seed
@@ -469,7 +475,7 @@ def test_verify_battery_builds_a_fixed_number_of_generators(monkeypatch):
     counts = {}
     for samples in (100, 200):
         built.clear()
-        doc = run_verify_battery(catalog_by_label()["su(2,1)"],
+        doc = run_verify_battery(cr.by_label()["su(2,1)"],
                                  RunConfig(command="verify", samples=samples))
         assert doc["passed"] is True
         counts[samples] = len(built)
@@ -559,7 +565,7 @@ def test_verify_document_is_strict_json_when_tangency_dimensions_differ(capsys, 
 
 
 def test_rank_threshold_override_reaches_both_rank_checks():
-    doc = run_verify_battery(catalog_by_label()["su(2,1)"], RunConfig(
+    doc = run_verify_battery(cr.by_label()["su(2,1)"], RunConfig(
         command="verify", samples=10, tolerances={"rank_threshold": 1.0}))
     failed = [c["name"] for c in doc["checks"] if not c["passed"]]
     assert failed == ["rank_vs_atlas", "stabilizer_dims"]
@@ -620,13 +626,15 @@ def test_verify_battery_imports_no_scipy():
     out = _python(
         "import sys\n"
         "from leafatlas.cli import RunConfig, run_verify_battery\n"
-        "from leafatlas.satake import catalog_by_label\n"
+        "from leafatlas.satake import builtin_catalog\n"
+        "by_label = {sd.label: sd for sd in builtin_catalog()}\n"
         "for label in ('sl(2,R)', 'su(2,1)'):\n"
-        "    doc = run_verify_battery(catalog_by_label()[label],\n"
+        "    doc = run_verify_battery(by_label[label],\n"
         "                             RunConfig(command='verify', samples=10))\n"
-        "    print(doc['passed'], 'numpy' in sys.modules, 'scipy' in sys.modules)\n"
+        "    print(doc['passed'], 'numpy' in sys.modules,\n"
+        "          [m for m in ('scipy', 'fractions', 'decimal') if m in sys.modules])\n"
     )
-    assert out.split("\n")[:2] == ["True True False"] * 2
+    assert out.split("\n")[:2] == ["True True []"] * 2
 
 
 PRINT_THREADS = (
@@ -666,7 +674,7 @@ def test_catalog_builtin_all_pass(capsys):
 
 def test_catalog_from_file(tmp_path, capsys):
     path = tmp_path / "cat.txt"
-    path.write_text(render_catalog(builtin_catalog()[:3]))
+    path.write_text(cr.render_catalog(builtin_catalog()[:3]))
     code, out, _ = run(capsys, "catalog", "--catalog", str(path))
     assert code == 0
     assert len(json.loads(out)["entries"]) == 3
@@ -749,6 +757,18 @@ def test_catalog_markdown(capsys):
     code, out, _ = run(capsys, "catalog", "--format", "md")
     assert code == 0
     assert out.startswith("| label |")
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("json", "dfb521d448edf4154474aa772a9a8f1990d2fe564b8b68f88f644a6d176a3858"),
+    ("md", "725cac39d75610dc6571fe415fc9a15a25773537ed45bcea51c9ebbc36a2410b"),
+])
+def test_catalog_builtin_document_sha256(capsys, monkeypatch, fmt, digest):
+    # the rows, their order and the built-in catalog_hash 870aeab17c8e7a22
+    monkeypatch.delenv(ENV_CATALOG, raising=False)
+    code, out, _ = run(capsys, "catalog", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import basis_lists as bl
+import catalog_reference as cr
 import numpy as np
 import pytest
 import sampled_loops as loops
@@ -9,11 +10,11 @@ import sampled_loops as loops
 from leafatlas import matrixlie as ml
 from leafatlas.atlas import twisted_involutions
 from leafatlas.rootsys import build_root_system
-from leafatlas.satake import catalog_by_label, real_form_data
+from leafatlas.satake import real_form_data
 
 import weyl_matrices as wm
 
-BY_LABEL = catalog_by_label()
+BY_LABEL = cr.by_label()
 
 
 def walked_classes(label):
@@ -789,10 +790,9 @@ def test_jacobi_constant_field_is_flat():
     c = rng.normal(size=(5, 5))
     c = c - c.T
 
-    def field(xs):  # the same c at every point of the stack
-        return np.broadcast_to(c, (len(xs),) + c.shape)
-
-    assert ml.jacobi_residual(field, np.zeros(5)) < 1e-12
+    # the same c on every point of a stencil, and at every point
+    assert ml._jacobiator(np.broadcast_to(c, (1, 11, 5, 5)), 1e-4) < 1e-12
+    assert loops.jacobi_residual(lambda x: c, np.zeros(5)) < 1e-12
 
 
 REALIZED = ["sl(2,R)", "sl(3,R)", "sl(4,R)", "sl(5,R)",
@@ -939,7 +939,7 @@ def test_conjugation_kernel_peak_memory():
     us = ml.sample_unitaries(np.random.default_rng(29), ml.stack_size(rf.n), rf.n)
     assert len(us) == 16
     assert _peak_kib(lambda: rf.Ad_matrix(us)) <= 373
-    # one Jacobi point with its 2m neighbours, as jacobi_residual stacks them
+    # one Jacobi point with its 2m neighbours, as one stencil stacks them
     x = np.random.default_rng(30).uniform(-0.4, 0.4, size=rf.dim_ip0)
     steps = 1e-4 * np.eye(rf.dim_ip0)
     xs = np.concatenate([x[None], x + steps, x - steps])
@@ -963,7 +963,6 @@ def test_jacobi_is_empty_without_an_index_triple(monkeypatch, label):
     def never(*args):
         raise AssertionError("evaluated")
 
-    assert ml.jacobi_residual(never, np.zeros(2)) == 0.0
     assert loops.jacobi_residual(never, np.zeros(2)) == 0.0
     monkeypatch.setattr(ml, "_eigh_ip0", never)
     monkeypatch.setattr(ml, "_exp_chart", never)

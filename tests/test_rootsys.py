@@ -9,8 +9,9 @@ from leafatlas import rootsys
 from leafatlas.rootsys import UnsupportedCartanTypeError, WeylCapError, build_root_system
 
 from leafatlas.atlas import twisted_involutions
-from leafatlas.satake import _diagram, builtin_catalog, real_form_data
+from leafatlas.satake import builtin_catalog, real_form_data
 
+import catalog_reference as cr
 from exact_rank import rational_rank
 import weyl_matrices as wm
 
@@ -249,11 +250,13 @@ def test_root_permutations_agree_with_matrices(family, rank):
     elements = list(wm.enumerate_weyl(rs))
     for w in elements:
         p = wm.perm_of(rs, w)
-        assert k.length(p) == wm.length(rs, w)
+        assert sum(x >= k.npos for x in p[:k.npos]) == wm.length(rs, w)
         assert k.trace(p) == sum(w.matrix[i][i] for i in range(rank))
         back = wm.element(rs, p)
         # the lexicographically least reduced word is the breadth-first word
         assert back == w and back.word == w.word
+        # and the walk over the heights of p^-1(alpha_j) reads the same word
+        assert k.word_from_heights([k.heights[p.index(a)] for a in k.simple]) == w.word
     import random
 
     rnd = random.Random(7)
@@ -265,9 +268,9 @@ def test_root_permutations_agree_with_matrices(family, rank):
 
 # every catalog form; split A5, B5, C5, D6, G2, F4 and E6; quasi-split E6 (EII)
 WORD_FORMS = builtin_catalog() + tuple(
-    [_diagram(f"{family}{rank}", family, rank) for family, rank in
+    [cr.diagram(f"{family}{rank}", family, rank) for family, rank in
      (("A", 5), ("B", 5), ("C", 5), ("D", 6), ("G", 2), ("F", 4), ("E", 6))]
-    + [_diagram("EII", "E", 6, arrows=[(1, 6), (3, 5)])])
+    + [cr.diagram("EII", "E", 6, arrows=[(1, 6), (3, 5)])])
 
 
 @pytest.mark.parametrize("sd", WORD_FORMS, ids=lambda s: s.label)
@@ -292,9 +295,10 @@ def test_reduced_word_of_random_e7_e8_elements(rank, data):
     p = k.identity
     for i in letters:
         p = k.compose(p, k.reflections[i - 1])
-    word = k.reduced_word(p)
+    # the word the walk reads off the heights of the roots p^-1(alpha_j)
+    word = k.word_from_heights([k.heights[p.index(a)] for a in k.simple])
     assert word == wm.reduced_word(rs, p)
-    assert len(word) == k.length(p)
+    assert len(word) == sum(x >= k.npos for x in p[:k.npos])
     back = k.identity
     for i in word:
         back = k.compose(back, k.reflections[i - 1])

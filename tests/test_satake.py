@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from leafatlas import rootsys, satake
-from leafatlas.atlas import atlas
 from leafatlas.satake import (
     CatalogParseError,
     CompactFormError,
@@ -12,16 +11,15 @@ from leafatlas.satake import (
     SatakeDiagram,
     SatakeError,
     builtin_catalog,
-    catalog_by_label,
     load_catalog,
     real_form_data,
-    render_catalog,
     validate,
 )
 
+import catalog_reference as cr
 import weyl_matrices as wm
 
-BY_LABEL = catalog_by_label()
+BY_LABEL = cr.by_label()
 
 
 def diagram(label):
@@ -79,8 +77,17 @@ def test_parse_type_and_rank_messages(stanza, message):
 
 
 def test_parse_bad_arrows():
-    with pytest.raises(CatalogParseError):
+    with pytest.raises(CatalogParseError, match="line 1: bad arrow pair"):
         load_catalog("name=x; type=A3; arrows={(1,2,3)}")
+    # items are separated by single commas, as in a node set
+    for arrows in ("{(1,2)(3,4)}", "{(1,2),,(3,4)}", "{,(1,2)}", "{(1,2),}"):
+        with pytest.raises(CatalogParseError) as err:
+            load_catalog(f"\n\nname=x; type=A4; arrows={arrows}")
+        assert str(err.value) == f"line 3: bad arrow set {arrows!r}"
+    for black in ("{1,,2}", "{1,}", "{,1}"):
+        with pytest.raises(CatalogParseError) as err:
+            load_catalog(f"name=x; type=A4; black={black}")
+        assert str(err.value) == f"line 1: bad node set {black!r}"
 
 
 def test_parse_empty_source():
@@ -89,16 +96,16 @@ def test_parse_empty_source():
 
 def test_render_parse_roundtrip():
     entries = builtin_catalog()
-    assert load_catalog(render_catalog(entries)) == entries
+    assert load_catalog(cr.render_catalog(entries)) == entries
 
 
-def test_shipped_data_file_matches_builtin():
-    import importlib.resources
-
-    text = (
-        importlib.resources.files("leafatlas").joinpath("data/catalog.txt").read_text()
-    )
-    assert load_catalog(text) == builtin_catalog()
+def test_shipped_file_is_the_rendered_generator():
+    # byte for byte, so a comment line, which would change the built-in
+    # catalog_hash of every document, fails here
+    with open(satake.BUILTIN_CATALOG, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == cr.render_catalog(cr.generated_catalog())
+    assert builtin_catalog() == cr.generated_catalog()
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +140,7 @@ def test_wb_single_black_node():
     sd = diagram("su(3,1)")
     rs = sd.root_system()
     wb = real_form_data(sd).w_b
-    assert rs.permutations.length(wb.perm) == 1
+    assert wm.length(rs, wm.element(rs, wb.perm)) == 1
     assert wm.mat_vec(wm.matrix_of(rs, wb.perm), (0, 1, 0)) == (0, -1, 0)
 
 
@@ -177,15 +184,22 @@ def test_inadmissible_black_set_fails():
 # ---------------------------------------------------------------------------
 # restricted roots and dimensions
 
+def positive_restricted(sd):
+    """The positive restricted roots of the matrix construction, with their
+    multiplicities."""
+    return {lam: m for lam, m in wm.matrix_form(sd).restricted.items() if wm.is_positive(lam)}
+
+
 def test_restricted_split_rank_one():
-    rf = real_form_data(diagram("sl(2,R)"))
-    assert rf.real_rank == 1
-    assert rf.restricted == {(Fraction(1),): 1, (Fraction(-1),): 1}
+    sd = diagram("sl(2,R)")
+    assert real_form_data(sd).real_rank == 1
+    assert wm.matrix_form(sd).restricted == {(Fraction(1),): 1, (Fraction(-1),): 1}
 
 
 def test_restricted_su21_multiplicities():
-    rf = real_form_data(diagram("su(2,1)"))
-    pos = rf.positive_restricted()
+    sd = diagram("su(2,1)")
+    rf = real_form_data(sd)
+    pos = positive_restricted(sd)
     assert rf.real_rank == 1
     assert sorted(pos.values()) == [1, 2]
     (short,) = [lam for lam, m in pos.items() if m == 2]
@@ -204,15 +218,15 @@ def test_restricted_su31_black_root_projects_to_zero():
 
 
 def test_restricted_sl3():
-    rf = real_form_data(diagram("sl(3,R)"))
-    assert rf.real_rank == 2
-    assert sorted(rf.positive_restricted().values()) == [1, 1, 1]
+    sd = diagram("sl(3,R)")
+    assert real_form_data(sd).real_rank == 2
+    assert sorted(positive_restricted(sd).values()) == [1, 1, 1]
 
 
 def test_restricted_so41_single_line_multiplicity_three():
-    rf = real_form_data(diagram("so(4,1)"))
-    assert rf.real_rank == 1
-    assert list(rf.positive_restricted().values()) == [3]
+    sd = diagram("so(4,1)")
+    assert real_form_data(sd).real_rank == 1
+    assert list(positive_restricted(sd).values()) == [3]
 
 
 @pytest.mark.parametrize(
@@ -306,8 +320,9 @@ def test_split_forms_have_full_restricted_system():
         rf = real_form_data(sd)
         rs = sd.root_system()
         assert rf.real_rank == rs.rank
-        assert all(m == 1 for m in rf.restricted.values())
-        assert len(rf.restricted) == 2 * len(rs.positive_roots)
+        restricted = wm.matrix_form(sd).restricted
+        assert all(m == 1 for m in restricted.values())
+        assert len(restricted) == 2 * len(rs.positive_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -465,25 +480,16 @@ def test_accepted_diagrams_are_the_real_forms(family, rank):
 @pytest.mark.parametrize("family,rank", DOMAIN_TYPES)
 def test_dim_p0_from_the_length_of_w_b(family, rank):
     # dim p0 - real rank, read from N - l(w_b), is the count of positive
-    # restricted roots with multiplicity, both from the lazy Fraction roots
-    # and from the matrix projections; an atlas never builds those roots
+    # restricted roots with multiplicity, from the matrix projections
     rs = rootsys.build_root_system(family, rank)
     n = len(rs.positive_roots)
-    built = satake._restricted_roots.cache_info
-    satake._restricted_roots.cache_clear()  # other tests read the roots of these diagrams
     for sd in decorated_diagrams(family, rank):
         try:
             rf = real_form_data(sd)
         except SatakeError:
             continue
-        if rank <= 4:
-            size = built().currsize
-            atlas(sd)
-            assert built().currsize == size
         n_x = sum(1 for r in rs.positive_roots
                   if all(r[i - 1] == 0 for i in range(1, rank + 1) if i not in sd.black))
-        reference = sum(m for lam, m in wm.matrix_form(sd).restricted.items()
-                        if wm.is_positive(lam))
         assert len(rf.w_b.word) == n_x
         assert (rf.dim_p0 - rf.real_rank == n - len(rf.w_b.word)
-                == sum(rf.positive_restricted().values()) == reference)
+                == sum(positive_restricted(sd).values()))

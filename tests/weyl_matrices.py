@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from leafatlas.atlas import class_record
+from leafatlas.atlas import _recorder
 from leafatlas.rootsys import DEFAULT_WEYL_CAP, IntMatrix, IntVector, Perm, RootSystem, WeylCapError
 from leafatlas.satake import RealFormData, SatakeDiagram, real_form_data
 
@@ -202,7 +202,7 @@ def perm_of(rs: RootSystem, w: WeylElement) -> Perm:
 
 def reduced_word(rs: RootSystem, p: Perm) -> tuple[int, ...]:
     """The lexicographically least reduced word of p, by the greedy on whole
-    permutations: the reference for `RootPermutations.reduced_word`. The least
+    permutations: the reference for `RootPermutations.word_from_heights`. The least
     left descent s_i of p (p^-1 sends alpha_i to a negative root) comes first,
     then the word of s_i·p, whose inverse is p^-1·s_i."""
     k = rs.permutations
@@ -220,7 +220,7 @@ def reduced_word(rs: RootSystem, p: Perm) -> tuple[int, ...]:
 
 def element(rs: RootSystem, p: Perm) -> WeylElement:
     """p as a matrix element carrying its lexicographically least reduced word."""
-    return WeylElement(word=rs.permutations.reduced_word(p), matrix=matrix_of(rs, p))
+    return WeylElement(word=reduced_word(rs, p), matrix=matrix_of(rs, p))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> dict:
     mf = matrix_form(rf.diagram)
     codim_y = length(rs, multiply(rs, psi, mf.w_b, mf.w0))
     v = perm_of(rs, multiply(rs, psi, mf.w_b))
-    return class_record(rf, rs, v, codim_y, (rs.rank + mat_trace(m)) // 2)
+    return _recorder(rf, rs)(v, codim_y, (rs.rank + mat_trace(m)) // 2)
 
 
 def upward_walk(rf: RealFormData, rs: RootSystem) -> Iterator[tuple[Perm, int, int]]:
@@ -325,7 +325,8 @@ def upward_walk(rf: RealFormData, rs: RootSystem) -> Iterator[tuple[Perm, int, i
 
 def upward_walk_records(rf: RealFormData, rs: RootSystem) -> list[dict]:
     """The class records of `upward_walk`, sorted as `atlas` sorts them."""
-    records = (class_record(rf, rs, v, codim_y, a) for v, codim_y, a in upward_walk(rf, rs))
+    record = _recorder(rf, rs)
+    records = (record(v, codim_y, a) for v, codim_y, a in upward_walk(rf, rs))
     return sorted(records, key=lambda c: (c["codim_Y"], c["psi_word"]))
 
 
