@@ -12,7 +12,7 @@ import os
 import sys
 import tempfile
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import __version__
 from .atlas import (NOTE_OPEN_COUNT, AtlasReport, atlas, catalog_text_hash,
@@ -26,9 +26,6 @@ from .satake import (
     load_catalog,
     validate,
 )
-
-if TYPE_CHECKING:
-    from .matrixlie import MatrixRealForm
 
 SCHEMA_VERSION = 1
 ENV_CATALOG = "LEAFATLAS_CATALOG"
@@ -57,13 +54,12 @@ class RunConfig(NamedTuple):
     out_path: str | None = None
 
 
-def default_tolerances(rf: MatrixRealForm | None = None) -> dict[str, float]:
-    tol = {
+def default_tolerances() -> dict[str, float]:
+    return {
         "iwasawa": 1e-12,
         "action": 1e-10,
         "multiplicativity": 1e-8,
         "t_invariance": 1e-10,
-        "jacobi": 1e-5,
         "annihilator": 1e-12,
         "cartan": 1e-12,
         "borel": 1e-10,
@@ -72,9 +68,6 @@ def default_tolerances(rf: MatrixRealForm | None = None) -> dict[str, float]:
         "tangency": 1e-8,
         "rank_threshold": 1e-8,
     }
-    if rf is not None and rf.dim_ip0 <= 2:
-        tol["jacobi"] = 1e-6
-    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +282,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
     from . import matrixlie as ml
 
     rf = ml.realization(sd.label)
-    tol = default_tolerances(rf)
+    tol = default_tolerances()
     tol.update(cfg.tolerances)
     report = atlas(sd, weyl_cap=cfg.weyl_cap)
     rfe = report.form
@@ -335,11 +328,15 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         tol["t_invariance"],
     ))
 
-    jac_points = 20 if rf.dim_ip0 <= 2 else 10
+    mcybe, coisotropic = ml.poisson_identities(rf)
     checks.append(_check(
-        "jacobi", ml.jacobi_check(rf, n_points=jac_points, seed=seed + 4),
-        tol["jacobi"],
-    ))
+        "mcybe", mcybe, 0.0,
+        f"[lam, lam] is ad-invariant under X and Y of the {rf.n - 1} simple roots, "
+        "in integers"))
+    checks.append(_check(
+        "k0_coisotropic", coisotropic, 0.0,
+        f"ad_X lam lies in k0 ^ u for every X of basis_k0 (dim k0 = {rf.dim_k0}), "
+        "in integers"))
 
     max_rank, n_borderline = ml.max_sampled_rank(
         rf, n_samples=max(samples, 50), seed=seed + 5, threshold=tol["rank_threshold"])
@@ -525,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("atlas", parents=[common], help="leaf stratification report")
     pa.add_argument("--form", help="catalog label, e.g. sl(2,R)")
     pa.add_argument("--type", dest="cartan_type", help="inline diagram type, e.g. A2")
-    pa.add_argument("--rank", type=int)
+    pa.add_argument("--rank")
     pa.add_argument("--black")
     pa.add_argument("--arrows")
     pa.add_argument("--label", help="label for an inline diagram")

@@ -3,7 +3,7 @@
 Builds the multiplicative bivector on SU(n) from normalized root vectors,
 pushes it to the symmetric-space quotient, implements the triangular-times-
 unitary right action, and runs the independent checks (closed-form example,
-Jacobi identity, annihilator identity, stabilizer dimensions, Hermitian
+Poisson identities, annihilator identity, stabilizer dimensions, Hermitian
 decomposition) against the exact combinatorial engine.
 
 Conventions used throughout, fixed once:
@@ -212,6 +212,12 @@ def _traceless(x: np.ndarray) -> np.ndarray:
     return x - np.trace(x, axis1=-2, axis2=-1)[..., None, None] / n * np.eye(n)
 
 
+def _integral(x: np.ndarray) -> np.ndarray:  # x rounded to the integers it holds up to roundoff
+    out = np.rint(x)
+    assert np.abs(x - out).max(initial=0.0) < 1e-9
+    return out
+
+
 def _check_unitary(u: np.ndarray, tol: float = TOL_UNITARY) -> None:
     """Raise unless u, and every matrix of a stack u, is unitary (NaN is not)."""
     res = np.max(np.linalg.norm(u @ _H(u) - np.eye(u.shape[-1]), axis=(-2, -1)))
@@ -284,10 +290,10 @@ class MatrixRealForm:
         self._seed = np.nonzero(np.triu(self.lam, 1))  # lam = sum lam[x, y] e_x ^ e_y
 
         tb = self.tau(self.basis_u)
-        tau = self.coeffs(tb)  # tau's matrix on basis_u, integral in every realization
-        assert np.abs(tau - np.rint(tau)).max() < 1e-9
-        k0, ip0 = _tau_split(np.rint(tau), n)
-        self.basis_k0 = ((self.basis_u + tb) / 2)[k0]
+        # tau's matrix on basis_u, integral in every realization
+        self._tau = _integral(self.coeffs(tb))
+        self._k0, ip0 = _tau_split(self._tau, n)
+        self.basis_k0 = ((self.basis_u + tb) / 2)[self._k0]
         self.basis_ip0 = ((self.basis_u - tb) / 2)[ip0]
         self.dim_k0 = len(self.basis_k0)
         self.dim_ip0 = len(self.basis_ip0)
@@ -297,7 +303,6 @@ class MatrixRealForm:
         change = self.coeffs(np.concatenate([self.basis_k0, self.basis_ip0]))
         self._ip0_reader = np.linalg.inv(change)[self.dim_k0:]
         self._ip0_lam = _read_seed(self, self._ip0_reader)
-        self._ip0_upper = self._ip0_reader @ self._reader  # basis_ip0 from the upper triangle
         self.basis_g0 = np.concatenate([self.basis_k0, -1j * self.basis_ip0])
 
         self.basis_an = _triangular_basis(n)
@@ -438,8 +443,8 @@ def pi_0_at(rf: MatrixRealForm, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Iwasawa factorization and the right action
 
-def _iwasawa_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(b, u, bound) of the Iwasawa factorization m = b u of an invertible
+def _iwasawa_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(b, u, bound, r) of the Iwasawa factorization m = b u of an invertible
     matrix, or of each matrix of a stack, with bound >= cond_2(m); a failed
     factorization raises.  One solve against [m | 1] gives u and b^-1.
 
@@ -460,18 +465,35 @@ def _iwasawa_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r = np.linalg.norm(u @ _H(u) - np.eye(n), axis=(-2, -1))
     stretch = np.divide(1 + r, 1 - r, out=np.full_like(r, np.inf), where=r < 1)
     bound = np.linalg.norm(b, axis=(-2, -1)) * np.linalg.norm(b_inv, axis=(-2, -1))
-    return b, u, bound * np.sqrt(stretch)
+    return b, u, bound * np.sqrt(stretch), r
+
+
+def _householder(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b, u) of m = b u, for each matrix of a stack m, by Householder QR of
+    J m^dagger J = q r (J reverses the order): b = J r^dagger J and
+    u = J q^dagger J, once r's diagonal phases are moved into q.  u is unitary
+    to roundoff at any condition."""
+    q, r = np.linalg.qr(_H(m)[..., ::-1, ::-1])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    phase = d / np.abs(d)
+    q, r = q * phase[..., None, :], r * phase.conj()[..., :, None]
+    return _H(r)[..., ::-1, ::-1], _H(q)[..., ::-1, ::-1]
 
 
 def iwasawa(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Factor an invertible matrix, or each matrix of a stack, as b u with b
     upper triangular, positive real diagonal, and u unitary, via triangular
     factorization of M M†.  Every matrix must pass the condition limit, read
-    from an upper bound of its condition number (_iwasawa_parts)."""
-    b, u, bound = _iwasawa_parts(m)
+    from an upper bound of its condition number (_iwasawa_parts).  The u of
+    that factorization drifts off unitary like eps cond^2; a matrix whose u is
+    off by more than TOL_UNITARY is factored again by Householder QR."""
+    b, u, bound, r = _iwasawa_parts(m)
     if not np.all(bound <= COND_LIMIT):
         raise IllConditionedError(
             f"condition bound {np.max(bound):.2e} exceeds {COND_LIMIT:.0e}")
+    drift = r > TOL_UNITARY
+    if np.any(drift):
+        b[drift], u[drift] = _householder(m[drift])
     return b, u
 
 
@@ -790,114 +812,40 @@ def representative_for(rf: MatrixRealForm, word: Sequence[int]) -> np.ndarray | 
 
 
 # ---------------------------------------------------------------------------
-# Jacobi identity in exponential charts
+# the Poisson property: two identities in the Lie algebra (see README)
 
-def _eigh_ip0(rf: MatrixRealForm, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, V) with xi = V diag(i lam) V^dagger at coordinates x over
-    basis_ip0, or at each point of a stack x."""
-    return np.linalg.eigh(-1j * np.tensordot(x, rf.basis_ip0, axes=1))
-
-
-def _exp(lam: np.ndarray, v: np.ndarray) -> np.ndarray:  # exp xi from (lam, V)
-    return (v * np.exp(1j * lam)[..., None, :]) @ _H(v)
+def _cyclic(t: np.ndarray) -> np.ndarray:  # t[i, j, k] + t[j, k, i] + t[k, i, j]
+    out = t + t.transpose(1, 2, 0)
+    out += t.transpose(2, 0, 1)
+    return out
 
 
-def _exp_chart(rf: MatrixRealForm, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(exp xi, J) at exponential coordinates x over basis_ip0, or at each
-    point of a stack x: J holds the ip0 coordinates of the differential of
-    exp, phi(ad xi)(Y) = ((1 - exp(-ad xi)) / ad xi)(Y), at each Y of basis_ip0.
-
-    Both come from one eigh, xi = V diag(i lam) V^dagger: phi(ad xi) is
-    diagonal in the basis V (x) conj(V), scaling entry (a, b) of V^dagger Y V
-    by phi(z) = -expm1(-z)/z at z = i(lam_a - lam_b), with phi(0) = 1."""
-    lam, v = _eigh_ip0(rf, x)
-    z = 1j * (lam[..., :, None] - lam[..., None, :])
-    zero = z == 0
-    phi = np.where(zero, 1.0, -np.expm1(-z) / np.where(zero, 1.0, z))
-    # vec(V^dagger Y V) = K(V)^dagger vec(Y): conjugate only the small factors
-    w = _T(_conjugator(v, rf._rows)) @ _columns(rf.basis_ip0).conj()
-    w = w.conj() * phi.reshape(phi.shape[:-2] + (-1, 1))
-    dexp = _re_im(_conjugator(v, rf._upper) @ w)
-    return _exp(lam, v), rf._ip0_upper @ dexp
-
-
-def _chart_inverse(jac: np.ndarray) -> np.ndarray:
-    """J^-1 of a chart Jacobian, or of each of a stack; raises unless every
-    J passes the condition limit."""
-    try:
-        jinv = np.linalg.inv(jac)
-    except np.linalg.LinAlgError:
-        raise ChartSingularityError("exponential chart is singular here") from None
-    # ||J||_F ||J^-1||_F bounds the condition number of J from above
-    bound = np.linalg.norm(jac, axis=(-2, -1)) * np.linalg.norm(jinv, axis=(-2, -1))
-    if not np.all(bound <= 1e8):
-        raise ChartSingularityError("exponential chart is singular here")
-    return jinv
-
-
-def chart_bivector(rf: MatrixRealForm, x: np.ndarray) -> np.ndarray:
-    """Quotient bivector in exponential coordinates x over basis_ip0, or at
-    each point of a stack x.  Every point must pass the condition limit."""
-    u, jac = _exp_chart(rf, x)
-    c = pi_0_at(rf, u)
-    jinv = _chart_inverse(jac)
-    return jinv @ c @ _T(jinv)
-
-
-def _offsets(m: int, h: float) -> np.ndarray:  # the stencil: 0, each h e_l, each -h e_l
-    return h * np.concatenate([np.zeros((1, m)), np.eye(m), -np.eye(m)])
-
-
-def _jacobiator(pis: np.ndarray, h: float) -> float:
-    """Max cyclic Jacobiator component over i < j < k, by central differences
-    of step h, from the (p, 2m + 1, m, m) coefficients of p stencils."""
-    p, m = len(pis), pis.shape[-1]
-    dpi = (pis[:, 1:m + 1] - pis[:, m + 1:]) / (2 * h)
-    # t[a, b, c] = sum_l pi[a, l] d_l pi[b, c]; the Jacobiator is its cyclic sum
-    t = (pis[:, 0] @ dpi.reshape(p, m, m * m)).reshape(p, m, m, m)
-    a, b, c = np.ogrid[:m, :m, :m]
-    i, j, k = np.nonzero((a < b) & (b < c))
-    return float(np.abs(t[:, i, j, k] + t[:, k, i, j] + t[:, j, k, i]).max(initial=0.0))
-
-
-def _stencil(rf: MatrixRealForm, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(R, J^-1) on the stencil of step h of the charts y -> u0 exp xi(y) K
-    centred at any u0.  With E_s = exp xi(s) at the 2m + 1 offsets s,
-    Ad((u0 E_s)^{-1}) = Ad(E_s^{-1}) Ad(u0^{-1}): R stacks the ip0 rows of
-    Ad(E_s^{-1}) as one matrix, and J^-1 holds the inverse Jacobians."""
-    e, jac = _exp_chart(rf, _offsets(rf.dim_ip0, h))
-    _check_unitary(e)
-    return (rf._ip0_reader @ rf.Ad_matrix(_H(e))).reshape(-1, rf.dim_u), _chart_inverse(jac)
-
-
-def _centred_bivectors(rf: MatrixRealForm, u0: np.ndarray,
-                       stencil: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The (p, 2m + 1, m, m) quotient bivectors on the stencil of the charts
-    centred at the p unitaries u0: one adjoint matrix and one product each."""
-    rows, jinv = stencil
-    _check_unitary(u0)
-    a = (rows @ rf.Ad_matrix(_H(u0))).reshape(len(u0), len(jinv), rf.dim_ip0, rf.dim_u)
-    return jinv @ _T(_bivector(rf, a, rf._ip0_lam)) @ _T(jinv)  # pi_0_at, read by J^-1
-
-
-def jacobi_check(rf: MatrixRealForm, n_points: int = 10, h: float = 1e-4,
-                 seed: int = 0, radius: float = 0.4) -> float:
-    """Max Jacobiator residual of the quotient bivector over seeded points
-    u0 = exp xi(x), each in the chart centred at it, as many points per stack
-    as fit in the form's stack with their 2m neighbours each (at least one);
-    0.0 for dim ip0 < 3.  The stencil is built once per call and not kept:
-    held by the realization, it would stay in memory after the check."""
-    m = rf.dim_ip0
-    if m < 3:
-        return 0.0
-    points = uniform_stream(seed).uniform(-radius, radius, size=(n_points, m))
-    per_call = max(1, stack_size(rf.n) // (2 * m + 1))
-    stencil = _stencil(rf, h)
-    residual = 0.0
-    for start in range(0, n_points, per_call):
-        u0 = _exp(*_eigh_ip0(rf, points[start:start + per_call]))
-        residual = max(residual, _jacobiator(_centred_bivectors(rf, u0, stencil), h))
-    return residual
+def poisson_identities(rf: MatrixRealForm) -> tuple[float, float]:
+    """(mcybe, k0_coisotropic): the largest entries of ad_X [lam, lam] over X
+    and Y of the simple roots, which generate u, and of the i p0 ^ i p0 part of
+    ad_X lam over X of basis_k0.  Both are integers: over basis_u without the
+    1/sqrt(2n) root scale, ad[a] (the matrix of ad B_a), 8n lam and tau are
+    integral, and both identities are homogeneous in lam (see README)."""
+    n, d = rf.n, rf.dim_u
+    scale = np.where(np.arange(d) < n - 1, 1.0, 1.0 / math.sqrt(2 * n))
+    basis = rf.basis_u / scale[:, None, None]
+    ad = np.empty((d, d, d))
+    for rows in np.split(np.arange(d), n + 1):  # all at once would take 0.9 MiB on n = 5
+        b = basis[rows, None]
+        ad[rows] = _integral(scale[:, None] * rf.coeffs(b @ basis - basis @ b))
+    lam = _integral(8 * n * scale[:, None] * rf.lam * scale)
+    # 1 - tau = 2 (projection onto i p0 along k0); A lam + lam A^T projects to w - w^T
+    ip0, k0 = np.eye(d) - rf._tau, (np.eye(d) + rf._tau)[:, rf._k0].T
+    coisotropic = max(np.abs(w - w.T).max()
+                      for w in ip0 @ np.tensordot(k0, ad, 1) @ lam @ ip0.T)
+    t = _cyclic(np.tensordot(lam, ad @ lam, (0, 0)))  # -[lam, lam], alternating
+    j, k = np.triu_indices(n, 1)
+    x = n - 1 + 2 * np.flatnonzero(k == j + 1)  # X of each simple root; Y follows it
+    gens = ad[np.concatenate([x, x + 1])]
+    del ad  # the peak would hold it beside t and two products of t
+    # ad_X of an alternating t is the cyclic sum of ad_X on t's first index
+    mcybe = max(np.abs(_cyclic((a @ t.reshape(d, -1)).reshape(t.shape))).max() for a in gens)
+    return float(mcybe), float(coisotropic)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,20 +1049,14 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
 # consistency with the exact engine
 
 def tau_root_action(rf: MatrixRealForm) -> tuple[IntVector, ...]:
-    """The involution induced on the roots by the concrete conjugation, as
-    the images of the simple roots in simple-root coordinates, extracted from
-    its action on the real split torus."""
-    n = rf.n
-    # action on diagonal coordinates: column k is the diagonal of tau(E_kk)
-    units = np.eye(n)[:, None] * np.eye(n, dtype=complex)
-    t = np.diagonal(rf.tau(units), axis1=-2, axis2=-1).real.T
-    # row i: the functional x -> alpha_i(tau x), alpha_i = e_i - e_{i+1},
-    # whose partial sums are its simple-root coordinates
-    g = (np.eye(n - 1, n) - np.eye(n - 1, n, 1)) @ t
-    images = np.cumsum(g, axis=1)[:, : n - 1]
-    out = np.rint(images).astype(int)
-    assert np.abs(images - out).max() < 1e-9
-    return tuple(tuple(int(x) for x in row) for row in out)
+    """The involution induced on the roots by the concrete conjugation, as the
+    images of the simple roots in simple-root coordinates: tau's block t on the
+    torus iH_1..iH_{n-1} of basis_u is -tau on the real torus, so row i of
+    -c t c^-1, c the Cartan matrix (alpha_i(H_k) = c[i, k]), is alpha_i o tau."""
+    m = rf.n - 1
+    c = 2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)
+    images = _integral(-c @ rf._tau[:m, :m] @ np.linalg.inv(c))
+    return tuple(tuple(int(x) for x in row) for row in images)
 
 
 def cartan_consistency(rf: MatrixRealForm, n_samples: int = 20, seed: int = 3) -> dict[str, float]:

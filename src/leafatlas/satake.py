@@ -252,14 +252,16 @@ def su_pq_diagram(p: int, q: int) -> SatakeDiagram:
 # catalog text format: stanzas of `key=value;` entries separated by blank lines
 
 _KNOWN_KEYS = {"name", "type", "rank", "black", "arrows"}
-_TYPE_RE = re.compile(r"^([A-Ga-g])\s*(\d*)$")
+# every number of the format (a rank, a node, an arrow's ends) is ASCII digits
+_NUMBER_RE = re.compile(r"[0-9]+")
+_TYPE_RE = re.compile(r"^([A-Ga-g])\s*([0-9]*)$")
 _SET_RE = re.compile(r"^\{(.*)\}$")
-_PAIR_RE = re.compile(r"^\(\s*(\d+)\s*,\s*(\d+)\s*\)$")
+_PAIR_RE = re.compile(r"^\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)$")
 _PAREN_RE = re.compile(r"^\([^()]*\)$")
 _COMMA_RE = re.compile(r",(?![^()]*\))")  # a comma outside parentheses
 
 
-def _parse_type(text: str, rank: int | str | None, line: int | None = None,
+def _parse_type(text: str, rank: str | None, line: int | None = None,
                 keys: tuple[str, str] = ("type=", "rank=")) -> tuple[str, int]:
     """(family, rank) from a Cartan type such as A2, or a bare family such as
     A with the rank given apart; a rank given in both places must agree.
@@ -269,10 +271,9 @@ def _parse_type(text: str, rank: int | str | None, line: int | None = None,
     if tm is None:
         raise CatalogParseError(f"bad type {text!r}", line)
     if rank is not None:
-        try:
-            rank = int(rank)
-        except ValueError:
-            raise CatalogParseError(f"bad rank {rank!r}", line) from None
+        if not _NUMBER_RE.fullmatch(rank):
+            raise CatalogParseError(f"bad rank {rank!r}", line)
+        rank = int(rank)
     if tm.group(2):
         if rank is not None and rank != int(tm.group(2)):
             raise CatalogParseError(f"{rank_key}{rank} disagrees with {type_key}{text}", line)
@@ -299,10 +300,9 @@ def _set_items(text: str, kind: str, line: int | None) -> list[str]:
 
 def _parse_node_set(text: str, line: int | None = None) -> frozenset[int]:
     items = _set_items(text, "node", line)
-    try:
-        return frozenset(map(int, items))
-    except ValueError:
-        raise CatalogParseError(f"bad node set {text!r}", line) from None
+    if not all(map(_NUMBER_RE.fullmatch, items)):
+        raise CatalogParseError(f"bad node set {text!r}", line)
+    return frozenset(map(int, items))
 
 
 def _parse_arrow_set(text: str, line: int | None = None) -> frozenset[tuple[int, int]]:

@@ -48,6 +48,7 @@ STALE_TARGETS = {
     ("rootsys", "enumerate_weyl"), ("rootsys", "multiply"), ("rootsys", "length"),
     ("satake", "tau_star_matrix"), ("satake", "w_b_element"),
     ("atlas", "orbit_class"), ("atlas", "open_leaf_test"),
+    ("matrixlie", "jacobi_check"), ("matrixlie", "chart_bivector"),
 }
 
 

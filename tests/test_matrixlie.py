@@ -441,8 +441,9 @@ def _with_condition(rng, k, n, decades):
 
 
 def _factored(m):
-    """(m, b, u, bound) of the stack m, or, when a matrix fails the triangular
-    factorization and with it the stack, of each other matrix alone."""
+    """(m, b, u, bound, r) of the stack m, or, when a matrix fails the
+    triangular factorization and with it the stack, of each other matrix
+    alone."""
     try:
         return [(m, *ml._iwasawa_parts(m))]
     except ml.IllConditionedError:
@@ -462,12 +463,18 @@ def test_iwasawa_bound_is_never_below_the_condition_number():
     for n in range(2, 7):
         for k in (1, 5, 40):
             decades = rng.uniform(0, 16, size=k)
-            for m, b, u, bound in _factored(_with_condition(rng, k, n, decades)):
+            for m, b, u, bound, r in _factored(_with_condition(rng, k, n, decades)):
                 assert np.all(bound >= np.linalg.cond(m))
                 # u and b^-1 come from one solve; u is the solve against m alone
                 assert np.array_equal(u, np.linalg.solve(b, m))
+                assert np.array_equal(r, np.linalg.norm(u @ ml._H(u) - np.eye(n), axis=(-2, -1)))
                 if np.all(bound <= ml.COND_LIMIT):
-                    assert np.array_equal(ml.iwasawa(m)[1], u)
+                    b1, u1 = ml.iwasawa(m)
+                    keep = r <= ml.TOL_UNITARY  # the rest are factored again
+                    assert np.array_equal(b1[keep], b[keep]) and np.array_equal(u1[keep], u[keep])
+                    assert np.all(np.linalg.norm(u1 @ ml._H(u1) - np.eye(n), axis=(-2, -1))
+                                  <= ml.TOL_UNITARY)
+                    assert np.abs(b1 @ u1 - m).max() <= 1e-12
                 else:
                     with pytest.raises(ml.IllConditionedError):
                         ml.iwasawa(m)
@@ -492,6 +499,42 @@ def test_iwasawa_refuses_singular_nan_and_ill_conditioned_matrices(n):
         stack[2] = bad  # one bad matrix fails its stack
         with pytest.raises(ml.IllConditionedError):
             ml.iwasawa(stack)
+
+
+def _unitarity(u):
+    return np.linalg.norm(u @ ml._H(u) - np.eye(u.shape[-1]), axis=(-2, -1))
+
+
+def test_iwasawa_returns_only_unitary_factors():
+    # the triangular factorization loses orthogonality like cond^2: at
+    # condition 1e7 its u is off unitary by about 1e-3, far inside the
+    # condition limit, and iwasawa factors those matrices by Householder QR
+    rng = np.random.default_rng(48)
+    ill = _with_condition(rng, 20, 4, [7] * 20)
+    _, _, bound, r = ml._iwasawa_parts(ill)
+    assert np.all(bound <= ml.COND_LIMIT) and np.all(r > 1e3 * ml.TOL_UNITARY)
+    b, u = ml.iwasawa(ill)
+    assert np.all(_unitarity(u) <= ml.TOL_UNITARY)
+    assert np.abs(b @ u - ill).max() <= 1e-14
+    d = np.diagonal(b, axis1=-2, axis2=-1)
+    assert np.all(np.tril(b, -1) == 0) and np.all(d.imag == 0) and np.all(d.real > 0)
+    for i, m in enumerate(ill):  # each alone as in the stack
+        b1, u1 = ml.iwasawa(m)
+        assert np.array_equal(b1, b[i]) and np.array_equal(u1, u[i])
+    # well-conditioned matrices keep their triangular factors bit for bit,
+    # alone, stacked, and stacked beside ill-conditioned ones
+    good = _with_condition(rng, 20, 4, rng.uniform(0, 2, size=20))
+    b, u, _, r = ml._iwasawa_parts(good)
+    assert np.all(r <= ml.TOL_UNITARY)
+    got = ml.iwasawa(good)
+    assert np.array_equal(got[0], b) and np.array_equal(got[1], u)
+    for i, m in enumerate(good):
+        b1, u1 = ml.iwasawa(m)
+        assert np.array_equal(b1, ml._iwasawa_parts(m)[0]) and np.array_equal(u1, u[i])
+    mixed = np.concatenate([good[:10], ill[:10]])
+    b2, u2 = ml.iwasawa(mixed)
+    assert np.array_equal(b2[:10], b[:10]) and np.array_equal(u2[:10], u[:10])
+    assert np.all(_unitarity(u2) <= ml.TOL_UNITARY)
 
 
 def test_sample_group_is_the_exponential():
@@ -783,15 +826,12 @@ def test_orbit_dimension_count(sl2):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi identity
+# the exponential chart of the finite-difference reference
 
 def test_jacobi_constant_field_is_flat():
     rng = np.random.default_rng(16)
     c = rng.normal(size=(5, 5))
     c = c - c.T
-
-    # the same c on every point of a stencil, and at every point
-    assert ml._jacobiator(np.broadcast_to(c, (1, 11, 5, 5)), 1e-4) < 1e-12
     assert loops.jacobi_residual(lambda x: c, np.zeros(5)) < 1e-12
 
 
@@ -812,26 +852,22 @@ def _phi_series(a, tol=1e-20, max_terms=80):
     return total
 
 
-def _chart_bivector_series(rf, x):
-    """chart_bivector with phi(ad xi) summed term by term over basis_u;
-    returns the bivector and the image of basis_ip0 under phi(ad xi)."""
+def _dexp_series(rf, x):
+    """The image of basis_ip0 under phi(ad xi), summed term by term over
+    basis_u."""
     xi = sum(c * b for c, b in zip(x, rf.basis_ip0))
-    u, _ = loops.exp_and_phi_ad(xi, rf.basis_ip0[:0])
-    dexp = _phi_series(ad_matrix(rf, xi)) @ np.stack([bl.coeffs(rf, b) for b in rf.basis_ip0], axis=1)
-    jinv = np.linalg.inv(rf._ip0_reader @ dexp)
-    return jinv @ ml.pi_0_at(rf, u) @ jinv.T, dexp
+    return _phi_series(ad_matrix(rf, xi)) @ np.stack([bl.coeffs(rf, b) for b in rf.basis_ip0],
+                                                     axis=1)
 
 
 @pytest.mark.parametrize("label", REALIZED)
 def test_closed_form_phi_matches_the_series(label):
     rf = ml.realization(label)
     for x in np.random.default_rng(23).uniform(-0.4, 0.4, size=(5, rf.dim_ip0)):
-        ref, dexp_ref = _chart_bivector_series(rf, x)
+        dexp_ref = _dexp_series(rf, x)
         xi = np.tensordot(x, rf.basis_ip0, axes=1)
         dexp = rf.coeffs(loops.exp_and_phi_ad(xi, rf.basis_ip0)[1])
         assert np.linalg.norm(dexp - dexp_ref) <= 1e-12 * np.linalg.norm(dexp_ref)
-        got = ml.chart_bivector(rf, x)
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_eigh_exponential_matches_scipy_expm():
@@ -840,7 +876,7 @@ def test_eigh_exponential_matches_scipy_expm():
         rf = ml.realization(label)
         for x in np.random.default_rng(24).uniform(-2, 2, size=(5, rf.dim_ip0)):
             xi = np.tensordot(x, rf.basis_ip0, axes=1)
-            u, _ = ml._exp_chart(rf, x)
+            u, _ = loops.chart(rf, x)
             assert np.abs(u - linalg.expm(xi)).max() < 1e-12
             assert np.abs(u @ u.conj().T - np.eye(rf.n)).max() < 1e-13
 
@@ -889,18 +925,19 @@ def test_conjugation_kernel_matches_the_per_matrix_reference(label):
 
 @pytest.mark.parametrize("label", KERNEL_FORMS)
 def test_chart_jacobian_matches_the_references(label):
+    # the reference chart, on a stack of points as on each point alone
     rf = ml.realization(label)
     rng = np.random.default_rng(27)
     for size in _stack_sizes(rf):
         xs = rng.uniform(-0.4, 0.4, size=(size or 1, rf.dim_ip0))
         xs = xs[0] if size is None else xs
-        us, jacs = ml._exp_chart(rf, xs)
+        us, jacs = loops.chart(rf, xs)
         assert jacs.shape == xs.shape[:-1] + (rf.dim_ip0, rf.dim_ip0)
         for x, u, jac in zip(xs.reshape(-1, rf.dim_ip0), _each(us), _each(jacs)):
             xi = np.tensordot(x, rf.basis_ip0, axes=1)
             u_ref, dexp = loops.exp_and_phi_ad(xi, rf.basis_ip0)
             ref = rf._ip0_reader @ np.stack([bl.coeffs(rf, d) for d in dexp], axis=1)
-            series = rf._ip0_reader @ _chart_bivector_series(rf, x)[1]
+            series = rf._ip0_reader @ _dexp_series(rf, x)
             assert np.abs(u - u_ref).max() <= 1e-12
             assert np.abs(jac - ref).max() <= 1e-12
             assert np.abs(jac - series).max() <= 1e-12
@@ -939,24 +976,22 @@ def test_conjugation_kernel_peak_memory():
     us = ml.sample_unitaries(np.random.default_rng(29), ml.stack_size(rf.n), rf.n)
     assert len(us) == 16
     assert _peak_kib(lambda: rf.Ad_matrix(us)) <= 373
-    # one Jacobi point with its 2m neighbours, as one stencil stacks them
-    x = np.random.default_rng(30).uniform(-0.4, 0.4, size=rf.dim_ip0)
-    steps = 1e-4 * np.eye(rf.dim_ip0)
-    xs = np.concatenate([x[None], x + steps, x - steps])
-    assert _peak_kib(lambda: ml.chart_bivector(rf, xs)) <= 868
 
 
 def test_jacobi_su2(sl2):
-    assert ml.jacobi_check(sl2, n_points=20, seed=17) < 1e-6
+    assert ml.poisson_identities(sl2) == (0.0, 0.0)
+    assert loops.jacobi_check(sl2, n_points=20, seed=17) < 1e-6
 
 
 def test_jacobi_su3(sl3):
-    assert ml.jacobi_check(sl3, n_points=10, seed=18) < 1e-5
+    assert ml.poisson_identities(sl3) == (0.0, 0.0)
+    assert loops.jacobi_check(sl3, n_points=10, seed=18) < 1e-5
 
 
 @pytest.mark.parametrize("label", ["sl(2,R)", "su(1,1)"])
 def test_jacobi_is_empty_without_an_index_triple(monkeypatch, label):
-    # dim ip0 = 2: no i < j < k, so nothing is evaluated and the value is +0.0
+    # dim ip0 = 2: no i < j < k, so the reference evaluates no bivector and
+    # reads +0.0, while the exact identities still hold
     rf = ml.realization(label)
     assert rf.dim_ip0 == 2
 
@@ -964,96 +999,99 @@ def test_jacobi_is_empty_without_an_index_triple(monkeypatch, label):
         raise AssertionError("evaluated")
 
     assert loops.jacobi_residual(never, np.zeros(2)) == 0.0
-    monkeypatch.setattr(ml, "_eigh_ip0", never)
-    monkeypatch.setattr(ml, "_exp_chart", never)
-    value = ml.jacobi_check(rf, 20, seed=4)
+    monkeypatch.setattr(loops, "centred_bivector", never)
+    value = loops.jacobi_check(rf, 20, seed=4)
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert ml.poisson_identities(rf) == (0.0, 0.0)
 
 
-def _jacobiator_tensor(pi_fn, x, h=1e-4):
-    """The full cyclic Jacobiator trivector at x, pi_fn called on one point
-    at a time."""
-    m = len(x)
-    steps = h * np.eye(m)
-    dpi = np.array([(pi_fn(x + e) - pi_fn(x - e)) / (2 * h) for e in steps])
-    t = np.einsum("al,lbc->abc", pi_fn(x), dpi)
-    return t + t.transpose(1, 2, 0) + t.transpose(2, 0, 1)
+# ---------------------------------------------------------------------------
+# the Poisson property: two exact identities, with the finite-difference
+# Jacobiator of the reference chart beside them
 
-
-@pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)", "su(2,2)", "sl(5,R)"])
-def test_centred_chart_at_the_origin_is_the_identity_chart(label):
+def _reseeded(label, lam_of):
+    """A fresh realization of label with the seed lam replaced by lam_of(rf)."""
     rf = ml.realization(label)
-    m, h = rf.dim_ip0, 1e-4
-    offsets = ml._offsets(m, h)
-    u0, _ = ml._exp_chart(rf, np.zeros(m))
-    assert np.array_equal(u0, np.eye(rf.n))
-    # the direct centred evaluation, pi_0_at of u0 E_s, is bit for bit the
-    # identity chart's on the stencil, and so is its Jacobiator
-    want = [ml.chart_bivector(rf, y) for y in offsets]
-    assert all(np.array_equal(loops.centred_bivector(rf, u0, y), w)
-               for y, w in zip(offsets, want))
-    assert (loops.jacobi_residual(lambda y: loops.centred_bivector(rf, u0, y), np.zeros(m))
-            == loops.jacobi_residual(lambda y: ml.chart_bivector(rf, y), np.zeros(m)))
-    # the factored one, R_s Ad(u0^{-1}), differs by Ad_matrix(1) - 1, which the
-    # pinv reader leaves at roundoff (up to 1.7e-15 on su(2,2)); the bivector
-    # is the difference of two terms of the size of the seed, 1/4
-    got = ml._centred_bivectors(rf, u0[None], ml._stencil(rf, h))[0]
-    assert np.abs(got - np.array(want)).max() <= 1e-15
-
-
-def test_planted_non_poisson_seed_fails_in_both_charts():
-    # twice the seed on one (X_alpha, Y_alpha) plane: the quotient is still
-    # well defined (X_alpha in k0, Y_alpha in ip0), but not Poisson
-    rf = ml.MatrixRealForm("sl(3,R)", "sl_real", 3)
-    x = rf.n - 1  # X of the first root; Y follows it
-    rf.lam = rf.lam.copy()
-    rf.lam[x, x + 1], rf.lam[x + 1, x] = 2 * rf.lam[x, x + 1], 2 * rf.lam[x + 1, x]
+    rf = ml.MatrixRealForm(label, rf.kind, rf.n, rf.p, rf.q)
+    rf.lam = lam_of(rf)
     rf._ip0_lam = ml._read_seed(rf, rf._ip0_reader)
-    tol = 1e-5
-    centred = ml.jacobi_check(rf, 5, seed=0)
-    assert centred > 100 * tol
-    assert abs(centred - loops.jacobi_check(rf, 5, 0)) <= 1e-9 * centred
-    assert loops.jacobi_check_identity_chart(rf, 5, 0) > 100 * tol
-    # the two Jacobiators are one trivector: the identity chart's is the
-    # centred one's carried by J(x)^{-1} on each index
-    m = rf.dim_ip0
-    for point in ml.uniform_stream(0).uniform(-0.4, 0.4, size=(5, m)):
-        u0, jac = ml._exp_chart(rf, point)
-        t_c = _jacobiator_tensor(lambda y: loops.centred_bivector(rf, u0, y), np.zeros(m))
-        t_id = _jacobiator_tensor(lambda y: ml.chart_bivector(rf, y), point)
-        jinv = np.linalg.inv(jac)
-        carried = np.einsum("ai,bj,ck,ijk->abc", jinv, jinv, jinv, t_c)
-        assert np.abs(t_id).max() > 10 * tol
-        assert np.abs(t_id - carried).max() <= 1e-8 * np.abs(t_id).max()
+    return rf
 
 
-def test_jacobi_stencil_is_built_once_per_check(monkeypatch):
-    calls = []
-    original = ml._exp_chart
-
-    def counting(rf, x):
-        calls.append(x.shape)
-        return original(rf, x)
-
-    monkeypatch.setattr(ml, "_exp_chart", counting)
-    rf = ml.realization("su(2,1)")
-    stencil = (2 * rf.dim_ip0 + 1, rf.dim_ip0)
-    count = 2 * ml.stack_size(rf.n) + 5  # several groups of points
-    ml.jacobi_check(rf, count, seed=0)
-    assert calls == [stencil]  # the centres take their exponential alone
-    ml.jacobi_check(rf, count, seed=1, h=2e-4)
-    assert calls == [stencil] * 2
+def _doubled_plane(rf, plane=0):  # twice the seed on one (X_alpha, Y_alpha) plane
+    lam, x = rf.lam.copy(), rf.n - 1 + 2 * plane
+    lam[x, x + 1], lam[x + 1, x] = 2 * lam[x, x + 1], 2 * lam[x + 1, x]
+    return lam
 
 
-def test_jacobi_group_peak_memory():
-    # one sl(5,R) point per group, as its 2m + 1 = 29 stencil points exceed
-    # the stack of 16: about 256 KiB traced, against 690 KiB for the 29
-    # chart points that one chart_bivector call took before
-    rf = ml.realization("sl(5,R)")
-    assert max(1, ml.stack_size(rf.n) // (2 * rf.dim_ip0 + 1)) == 1
-    stencil = ml._stencil(rf, 1e-4)
-    u0 = ml._exp(*ml._eigh_ip0(rf, ml.uniform_stream(4).uniform(-0.4, 0.4, (1, rf.dim_ip0))))
-    assert _peak_kib(lambda: ml._jacobiator(ml._centred_bivectors(rf, u0, stencil), 1e-4)) <= 690
+@pytest.mark.parametrize("label", REALIZED)
+def test_exact_identities_and_the_sampled_jacobiator_agree(label):
+    rf = ml.realization(label)
+    assert ml.poisson_identities(rf) == (0.0, 0.0)
+    assert loops.jacobi_check(rf, 3, seed=4) <= (1e-6 if rf.dim_ip0 <= 2 else 1e-5)
+
+
+@pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)", "su(3,2)"])
+def test_planted_non_poisson_seed_fails_mcybe_and_the_sampled_jacobiator(label):
+    # the residual is an integer: 6 for any doubled plane of a rank >= 2 form
+    rf = _reseeded(label, _doubled_plane)
+    mcybe, coisotropic = ml.poisson_identities(rf)
+    assert mcybe == 6.0
+    assert 5e-3 <= loops.jacobi_check(rf, 3, seed=0) <= 5e-2
+    if rf.kind == "sl_real":  # X_alpha in k0, Y_alpha in i p0: lam in k0 ^ u, kept by ad k0
+        assert coisotropic == 0.0
+
+
+def test_doubled_plane_breaks_coisotropy_on_su21():
+    # doubling the plane of the first root moves ad_X lam off k0 ^ u for
+    # some X in k0; doubling that of the second does not
+    assert ml.poisson_identities(_reseeded("su(2,1)", _doubled_plane)) == (6.0, 2.0)
+    second = _reseeded("su(2,1)", lambda rf: _doubled_plane(rf, 1))
+    assert ml.poisson_identities(second) == (6.0, 0.0)
+
+
+def _weyl_conjugate(perm):
+    """The seed carried by Ad of the permutation matrix of perm: a signed
+    permutation of its planes, for which the mCYBE still holds."""
+    def lam_of(rf):
+        a = rf.Ad_matrix(np.eye(rf.n, dtype=complex)[list(perm)])
+        return a @ rf.lam @ a.T
+    return lam_of
+
+
+@pytest.mark.parametrize("label,perm", [("su(2,1)", (1, 0, 2)), ("su(3,2)", (1, 0, 2, 3, 4))])
+def test_weyl_conjugate_seed_fails_only_coisotropy(label, perm):
+    # pi_U stays Poisson, but its push-forward to U/K is not: the reference
+    # Jacobiator reads about 7e-3 on su(2,1)
+    rf = _reseeded(label, _weyl_conjugate(perm))
+    assert ml.poisson_identities(rf) == (0.0, 4.0)
+    if label == "su(2,1)":
+        assert loops.jacobi_check(rf, 2, seed=0) > 1e-3
+    # on the split form every Weyl conjugate keeps both
+    assert ml.poisson_identities(_reseeded("sl(3,R)", _weyl_conjugate(perm[:3]))) == (0.0, 0.0)
+
+
+def test_planted_seed_fails_the_verify_rows(monkeypatch):
+    from leafatlas import cli
+
+    planted = {"sl(3,R)": _reseeded("sl(3,R)", _doubled_plane),
+               "su(2,1)": _reseeded("su(2,1)", _weyl_conjugate((1, 0, 2)))}
+    monkeypatch.setattr(ml, "realization", planted.get)
+    rows = {}
+    for label in planted:
+        doc = cli.run_verify_battery(BY_LABEL[label], cli.RunConfig("verify", samples=10))
+        rows[label] = {c["name"]: (c["value"], c["passed"]) for c in doc["checks"]
+                       if c["name"] in ("mcybe", "k0_coisotropic")}
+    # a failing row reports its integer residual
+    assert rows == {"sl(3,R)": {"mcybe": (6.0, False), "k0_coisotropic": (0.0, True)},
+                    "su(2,1)": {"mcybe": (0.0, True), "k0_coisotropic": (4.0, False)}}
+
+
+@pytest.mark.parametrize("label,cap", [("sl(5,R)", 694), ("su(3,2)", 633)])
+def test_poisson_identities_peak_memory(label, cap):
+    # the caps are the traced peaks of the sampled Jacobi check that the
+    # identities replaced, at the verify battery's 10 points
+    assert _peak_kib(lambda: ml.poisson_identities(ml.realization(label))) <= cap
 
 
 # ---------------------------------------------------------------------------
@@ -1182,8 +1220,6 @@ def test_stacked_checks_match_the_per_sample_loops(label):
         want = loops.cartan_consistency(rf, count, 3)
         assert got.keys() == want.keys()
         assert all(_close(got[key], want[key]) for key in want), (got, want)
-        # the Jacobi points go in groups that fit in the form's stack
-        assert _close(ml.jacobi_check(rf, count, seed=4), loops.jacobi_check(rf, count, 4))
         # the loops moved from the verify battery: same draws, same values
         assert ml.leaf_tangency_residual(rf, count, 6) == loops.leaf_tangency_residual(rf, count, 6)
         if rf.kind == "sl_real" and rf.n == 2:  # stacked, it moves at roundoff
@@ -1326,8 +1362,7 @@ def test_each_check_draws_once_per_stack_from_the_stream_of_its_distribution(mon
                          (ml.max_sampled_rank, [normal] * 2),
                          (ml.hermitian_fit, [normal] * 2),
                          (ml.cartan_consistency, [normal] * 2),
-                         (ml.leaf_tangency_residual, [normal] * 2),
-                         (ml.jacobi_check, [uniform])):
+                         (ml.leaf_tangency_residual, [normal] * 2)):
         log.clear()
         check(rf, count, seed=3)
         assert log == draws, check.__name__
@@ -1376,43 +1411,6 @@ def test_stack_size_bounds_the_data_of_a_stack(n, size):
     # than 16 samples of an n = 5 form
     assert ml.stack_size(n) == size
     assert ml.stack_size(n) * n**4 <= 16 * 5**4
-
-
-@pytest.mark.parametrize("label", REALIZED)
-def test_stacked_jacobi_check_matches_the_per_point_loop(label):
-    rf = ml.realization(label)
-    per_call = max(1, ml.stack_size(rf.n) // (2 * rf.dim_ip0 + 1))
-    battery_points = 20 if rf.dim_ip0 <= 2 else 10
-    for count in (battery_points, per_call + 1):
-        assert _close(ml.jacobi_check(rf, count, seed=4), loops.jacobi_check(rf, count, 4))
-
-
-@pytest.mark.parametrize("label", REALIZED)
-def test_each_jacobi_call_fits_in_the_form_stack(monkeypatch, label):
-    rf = ml.realization(label)
-    calls = []
-    original = ml.MatrixRealForm.Ad_matrix
-
-    def counting(self, u):
-        calls.append(u.shape)
-        return original(self, u)
-
-    monkeypatch.setattr(ml.MatrixRealForm, "Ad_matrix", counting)
-    n_points, per_point = 20, 2 * rf.dim_ip0 + 1
-    ml.jacobi_check(rf, n_points, seed=4)
-    if rf.dim_ip0 < 3:  # no index triple: nothing is evaluated
-        assert calls == []
-        return
-    # the stencil's 2m + 1 points, then one adjoint matrix per point, in
-    # groups of as many whole points as fit in the stack with their 2m
-    # neighbours, at least one
-    assert calls[0] == (per_point, rf.n, rf.n)
-    groups = [size for size, _, _ in calls[1:]]
-    per_call = max(1, ml.stack_size(rf.n) // per_point)
-    assert groups == [min(per_call, n_points - start) for start in range(0, n_points, per_call)]
-    assert per_point * max(groups) <= max(ml.stack_size(rf.n), per_point)
-    if rf.n == 5:  # one point per group, as its 2m + 1 stencil points exceed a stack
-        assert groups == [1] * n_points
 
 
 @pytest.mark.parametrize("label", REALIZED)
@@ -1489,33 +1487,3 @@ def test_one_bad_sample_fails_its_stack(sl3):
     ms[2] = np.diag([1e8, 1e-8, 1.0])
     with pytest.raises(ml.IllConditionedError):
         ml.iwasawa(ms)
-
-
-def test_one_singular_chart_point_fails_its_stack(sl3):
-    rng = np.random.default_rng(42)
-    xs = rng.uniform(-0.4, 0.4, size=(5, sl3.dim_ip0))
-    assert ml.chart_bivector(sl3, xs).shape == (5, sl3.dim_ip0, sl3.dim_ip0)
-    # scale a direction until two eigenvalues of xi differ by 2 pi: there
-    # phi(ad xi) has a zero eigenvalue and the chart is singular
-    lam = np.linalg.eigvalsh(-1j * np.tensordot(xs[0], sl3.basis_ip0, axes=1))
-    xs[1] = xs[0] * 2 * math.pi / (lam[-1] - lam[0])
-    with pytest.raises(ml.ChartSingularityError):
-        ml.chart_bivector(sl3, xs[1])
-    with pytest.raises(ml.ChartSingularityError):
-        ml.chart_bivector(sl3, xs)
-
-
-@pytest.mark.parametrize("smallest,refused", [(0.0, True), (1e-9, True), (1e-7, False)])
-def test_chart_guard_refuses_singular_and_ill_conditioned_jacobians(
-        sl3, monkeypatch, smallest, refused):
-    # a zero Jacobian fails the inverse itself; otherwise the guard bounds the
-    # condition number by ||J||_F ||J^-1||_F, here about 2 / smallest
-    xs = np.random.default_rng(44).uniform(-0.4, 0.4, size=(3, sl3.dim_ip0))
-    u, jac = ml._exp_chart(sl3, xs)
-    jac[1] = np.diag([1.0] * (sl3.dim_ip0 - 1) + [smallest])
-    monkeypatch.setattr(ml, "_exp_chart", lambda rf, x: (u, jac))
-    if refused:
-        with pytest.raises(ml.ChartSingularityError):
-            ml.chart_bivector(sl3, xs)
-    else:
-        assert ml.chart_bivector(sl3, xs).shape == (3, sl3.dim_ip0, sl3.dim_ip0)

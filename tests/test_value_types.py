@@ -82,9 +82,9 @@ def test_assignment_raises(index):
 def test_run_configs_share_no_mutable_default():
     first, second = RunConfig(command="atlas"), RunConfig(command="catalog")
     with pytest.raises(TypeError):
-        first.tolerances["jacobi"] = 1.0
+        first.tolerances["tangency"] = 1.0
     assert dict(second.tolerances) == {}
-    given = {"jacobi": 1e-4}
+    given = {"tangency": 1e-4}
     assert RunConfig(command="verify", tolerances=given).tolerances is given
 
 
