@@ -28,7 +28,8 @@ def _recorder(rf: RealFormData, rs: RootSystem) -> Callable[[Perm, int, int], di
     the family and family_dim that of the torus parameterizing the family.
     """
     k = rs.permutations
-    rank, roots, heights, tau_star, dim_x = rs.rank, k.roots, k.heights, rf.tau_star, rf.dim_x
+    rank, roots, dim_x = rs.rank, k.roots, rf.dim_x
+    tau_heights = [k.heights[t] for t in rf.tau_star]  # the height of tau*(root j)
     alpha_sigma = [k.simple[j] for j in rf.sigma]
     # an orbit has dimension 2N - codim_Y, and each of its leaves dim k0 - t less
     leaf_dim_at_codim_0 = 2 * k.npos - rf.dim_k0
@@ -39,7 +40,7 @@ def _recorder(rf: RealFormData, rs: RootSystem) -> Callable[[Perm, int, int], di
         # psi tau* = v w_b w_b sigma = v sigma is an involution, so a - t is its trace
         assert a - t == sum(roots[x][i] for i, x in enumerate(images))
         # psi^-1(alpha_j) = w_b sigma v sigma(alpha_j) = tau*(v(alpha_sigma(j)))
-        word = k.word_from_heights([heights[tau_star[x]] for x in images])
+        word = k.word_from_heights([tau_heights[x] for x in images])
         leaf_dim = leaf_dim_at_codim_0 - codim_y + t
         leaf_codim = dim_x - leaf_dim
         assert leaf_codim == a + codim_y
@@ -80,7 +81,9 @@ def twisted_involutions(
     along its least left descent: the walk keeps the child along s_i only if
     c(alpha_sigma(t)) > 0 for all t < i (c^-1 = sigma c sigma), a lookup,
     s_i[v[alpha_sigma(t)]] for c = s_i v, s_i[v[s_sigma(i)[alpha_sigma(t)]]]
-    for c = s_i v sigma(s_i). Each class costs one product of permutations.
+    for c = s_i v sigma(s_i). Each class costs one product of permutations,
+    one `bytes.translate` (two for a conjugation), with s_i padded to a
+    translation table once per form as `RootPermutations.compose` pads p.
 
     The walk carries (l(v), a) for each v. Since psi w_b w_0 = v w_0,
     codim_Y = N - l(v). a is the dimension of the +1 eigenspace of
@@ -90,13 +93,14 @@ def twisted_involutions(
     Raises WeylCapError once more than `cap` classes have been visited.
     """
     k = rs.permutations
-    npos = k.npos
+    npos, pad = k.npos, k.pad
     alpha_sigma = [k.simple[j] for j in rf.sigma]
-    # per node i: s_i, s_sigma(i), alpha_i, alpha_sigma(i), and for t < i the
-    # roots that s_i v sends to c(alpha_sigma(t)), for c = s_i v and for
-    # c = s_i v sigma(s_i)
-    moves = [(k.reflections[i], k.reflections[j], k.simple[i], alpha_sigma[i], alpha_sigma[:i],
-              [k.reflections[j][b] for b in alpha_sigma[:i]]) for i, j in enumerate(rf.sigma)]
+    # per node i: s_i padded to a translation table, s_sigma(i), alpha_i,
+    # alpha_sigma(i), and for t < i the roots that s_i v sends to
+    # c(alpha_sigma(t)), for c = s_i v and for c = s_i v sigma(s_i)
+    moves = [(k.reflections[i] + pad, k.reflections[j], k.simple[i], alpha_sigma[i],
+              alpha_sigma[:i], [k.reflections[j][b] for b in alpha_sigma[:i]])
+             for i, j in enumerate(rf.sigma)]
     # sigma is an involution: its orbits are its fixed points and 2-cycles
     a_identity = sum(1 for i, j in enumerate(rf.sigma) if i <= j)
     todo: list[tuple[Perm, int, int]] = [(k.identity, 0, a_identity)]  # (v, l(v), a)
@@ -125,10 +129,9 @@ def twisted_involutions(
                     break
             else:  # s_i is the least left descent of the child
                 if multiplication:
-                    todo.append((tuple(map(s.__getitem__, v)), ell + 1, a - 1))
+                    todo.append((v.translate(s), ell + 1, a - 1))
                 else:
-                    todo.append((tuple(map(s.__getitem__, map(v.__getitem__, s_sigma))),
-                                 ell + 2, a))
+                    todo.append((s_sigma.translate(v + pad).translate(s), ell + 2, a))
 
 
 NOTE_CONTRACTIBLE = "every symplectic leaf is contractible"

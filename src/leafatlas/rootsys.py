@@ -3,10 +3,10 @@
 Roots are stored as integer coordinate vectors in the simple-root basis, so
 every computation in this module is exact; no floating point enters the
 combinatorics. A Weyl element is a permutation of the root list
-(`RootPermutations`): products are index lookups, reduced words come from
-root heights, and the images of the simple roots, which are the columns of
-its matrix on simple-root coordinates, are read off the permutation as a
-view.
+(`RootPermutations`), held as a `bytes` table: a product is one
+`bytes.translate`, reduced words come from root heights, and the images of
+the simple roots, which are the columns of its matrix on simple-root
+coordinates, are read off the permutation as a view.
 """
 from __future__ import annotations
 
@@ -14,8 +14,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
-Perm = tuple[int, ...]  # images of root indices, see RootPermutations
+Perm = bytes  # images of root indices, see RootPermutations
 
+# E8, with 240 roots, is the largest system of rank <= RANK_CAP, so every
+# permutation of the roots is a table of at most 256 bytes
 RANK_CAP = 8
 DEFAULT_WEYL_CAP = 10**6
 
@@ -207,20 +209,26 @@ class RootPermutations:
     `roots` lists the positive roots in the order of `RootSystem.positive_roots`
     and then their negatives in the same order, so index j is a positive root
     iff j < npos, and -roots[j] is roots[j + npos] or roots[j - npos]. A
-    permutation p sends roots[j] to roots[p[j]]. Products are index lookups:
-    no matrix arithmetic runs on this path.
+    permutation p is a `bytes` table that sends roots[j] to roots[p[j]].
+    Padded with the bytes 2N..255 (`pad`), p is a translation table, so the
+    product p·q is `q.translate(p + pad)`: no matrix arithmetic, and no
+    Python loop over the roots, runs on this path.
     """
 
     def __init__(self, rs: RootSystem):
         a = rs.cartan_matrix
         positive = rs.positive_roots
+        if 2 * len(positive) > 256:
+            raise ValueError(f"{rs.family}{rs.rank} has {2 * len(positive)} roots; a root "
+                             "permutation is a bytes table of at most 256 entries")
         self.npos = len(positive)
         self.roots = positive + tuple(tuple(-x for x in r) for r in positive)
         self.index = {r: j for j, r in enumerate(self.roots)}
         self.simple = tuple(self.index[r] for r in rs.simple_roots)
-        self.identity: Perm = tuple(range(len(self.roots)))
+        self.identity: Perm = bytes(range(len(self.roots)))
+        self.pad = bytes(range(len(self.roots), 256))
         self.reflections: tuple[Perm, ...] = tuple(
-            tuple(self.index[_reflect_vector(a, k, r)] for r in self.roots)
+            bytes(self.index[_reflect_vector(a, k, r)] for r in self.roots)
             for k in range(rs.rank)
         )
         self.heights = tuple(sum(r) for r in self.roots)
@@ -232,7 +240,7 @@ class RootPermutations:
 
     def compose(self, p: Perm, q: Perm) -> Perm:
         """The product p·q: q acts first."""
-        return tuple(map(p.__getitem__, q))
+        return q.translate(p + self.pad)
 
     def word_from_heights(self, heights: list[int]) -> tuple[int, ...]:
         """The lexicographically least reduced word of the p with heights[j]
@@ -271,7 +279,7 @@ class RootPermutations:
         """The permutation of the diagram automorphism sigma, which sends
         alpha_i to alpha_sigma(i) (0-based node indices)."""
         inv = sorted(range(len(sigma)), key=sigma.__getitem__)
-        return tuple(self.index[tuple(r[i] for i in inv)] for r in self.roots)
+        return bytes(self.index[tuple(r[i] for i in inv)] for r in self.roots)
 
 
 def _reflect_vector(a: Sequence[Sequence[int]], k: int, v: IntVector) -> IntVector:

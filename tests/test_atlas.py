@@ -239,6 +239,22 @@ def test_random_diagrams_rejected_or_consistent(sd):
     assert sum(c["codim_Y"] == 0 for c in report.classes) == 1
 
 
+# the Satake diagrams of every type of rank at most 6: up to 4,152 classes
+# (split B6 and C6), so that each example stays under a tenth of a second
+SATAKE_UP_TO_6 = [sd for family, rank in DOMAIN_TYPES if rank <= 6
+                  for sd in domain_diagrams(family, rank) if validate(sd).passed]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.sampled_from(SATAKE_UP_TO_6))
+def test_random_satake_diagrams_walk_as_the_tuple_reference(sd):
+    # the translate products of the canonical-parent walk give the records
+    # of the reference walk, whose products are tuples
+    rs, rf = sd.root_system(), real_form_data(sd)
+    got = sorted(twisted_involutions(rf, rs), key=lambda c: (c["codim_Y"], c["psi_word"]))
+    assert got == wm.upward_walk_records(rf, rs)
+
+
 def test_atlas_builds_classes_without_matrix_products():
     # the Weyl group has one model in the package, root permutations, so no
     # module defines or imports the integer-matrix model, which lives on in

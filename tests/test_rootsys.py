@@ -246,7 +246,8 @@ def test_dimension_count_matches_su_n():
 def test_root_permutations_agree_with_matrices(family, rank):
     rs = build_root_system(family, rank)
     k = rs.permutations
-    assert list(k.reflections) == [wm.perm_of(rs, wm.reflect(rs, i)) for i in range(1, rank + 1)]
+    assert [tuple(s) for s in k.reflections] == [wm.perm_of(rs, wm.reflect(rs, i))
+                                                  for i in range(1, rank + 1)]
     elements = list(wm.enumerate_weyl(rs))
     for w in elements:
         p = wm.perm_of(rs, w)
@@ -263,7 +264,8 @@ def test_root_permutations_agree_with_matrices(family, rank):
     for _ in range(100):
         u, v = rnd.choice(elements), rnd.choice(elements)
         product = wm.perm_of(rs, wm.multiply(rs, u, v))
-        assert k.compose(wm.perm_of(rs, u), wm.perm_of(rs, v)) == product
+        got = k.compose(bytes(wm.perm_of(rs, u)), bytes(wm.perm_of(rs, v)))
+        assert tuple(got) == product
 
 
 # every catalog form; split A5, B5, C5, D6, G2, F4 and E6; quasi-split E6 (EII)
@@ -279,8 +281,7 @@ def test_reduced_words_of_every_class_match_the_permutation_greedy(sd):
     # each equals the greedy on the whole permutation psi = v w_b, with v
     # taken from the reference walk
     rs, rf = sd.root_system(), real_form_data(sd)
-    k = rs.permutations
-    expected = sorted((codim_y, wm.reduced_word(rs, k.compose(v, rf.w_b.perm)))
+    expected = sorted((codim_y, wm.reduced_word(rs, wm.product(v, rf.w_b.perm)))
                       for v, codim_y, _ in wm.upward_walk(rf, rs))
     got = sorted((c["codim_Y"], c["psi_word"]) for c in twisted_involutions(rf, rs))
     assert got == expected
@@ -319,6 +320,49 @@ def test_longest_element_matches_the_matrix_greedy(family, rank):
         got, ref = rootsys.longest_element(rs, subset), wm.longest_element(rs, subset)
         assert got.word == ref.word
         assert rs.permutations.images(got.perm) == wm.mat_transpose(ref.matrix)
+
+
+# every type up to RANK_CAP, with C2 = B2 once
+CAPACITY_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
+                  + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 9)]
+                  + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+
+@pytest.mark.parametrize("family,rank", CAPACITY_TYPES)
+def test_root_permutations_are_byte_tables(family, rank):
+    # every table is bytes of length 2N (240 on E8, the largest), and the
+    # translate product equals the tuple product index by index on seeded
+    # random pairs of elements
+    import random
+
+    rs = build_root_system(family, rank)
+    k = rootsys.RootPermutations(rs)
+    size = 2 * len(rs.positive_roots)
+    assert size == 240 if family == "E" and rank == 8 else size < 240
+    tables = [k.identity, *k.reflections, k.automorphism(range(rank))]
+    assert all(type(p) is bytes and len(p) == size for p in tables)
+    assert k.automorphism(range(rank)) == k.identity
+    assert len(k.identity + k.pad) == 256
+    rnd = random.Random(rank)
+
+    def element():
+        p = tuple(k.identity)
+        for i in rnd.choices(range(rank), k=rnd.randrange(3 * rank)):
+            p = wm.product(p, tuple(k.reflections[i]))
+        return p
+
+    for _ in range(20):
+        p, q = element(), element()
+        got = k.compose(bytes(p), bytes(q))
+        assert type(got) is bytes and tuple(got) == tuple(p[i] for i in q)
+
+
+def test_more_than_256_roots_are_refused(monkeypatch):
+    # A15 has 240 roots and A16 272, which no bytes table can index
+    monkeypatch.setattr(rootsys, "RANK_CAP", 16)
+    assert len(rootsys.RootPermutations(build_root_system("A", 15)).identity) == 240
+    with pytest.raises(ValueError, match="272 roots"):
+        rootsys.RootPermutations(build_root_system("A", 16))
 
 
 @st.composite

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from leafatlas.atlas import _recorder
-from leafatlas.rootsys import DEFAULT_WEYL_CAP, IntMatrix, IntVector, Perm, RootSystem, WeylCapError
+from leafatlas.rootsys import DEFAULT_WEYL_CAP, IntMatrix, IntVector, RootSystem, WeylCapError
 from leafatlas.satake import RealFormData, SatakeDiagram, real_form_data
 
 FracVector = tuple[Fraction, ...]
@@ -188,19 +188,26 @@ def preserves_form(rs: RootSystem, w: WeylElement) -> bool:
 # ---------------------------------------------------------------------------
 # between the two models
 
-def matrix_of(rs: RootSystem, p: Perm) -> IntMatrix:
+def matrix_of(rs: RootSystem, p: Sequence[int]) -> IntMatrix:
     """The matrix of a root permutation: its columns are the images of the
     simple roots."""
     return mat_transpose(rs.permutations.images(p))
 
 
-def perm_of(rs: RootSystem, w: WeylElement) -> Perm:
-    """The root permutation of w, root by root."""
+def perm_of(rs: RootSystem, w: WeylElement) -> tuple[int, ...]:
+    """The root permutation of w, root by root, as a tuple."""
     k = rs.permutations
     return tuple(k.index[w.apply(r)] for r in k.roots)
 
 
-def reduced_word(rs: RootSystem, p: Perm) -> tuple[int, ...]:
+def product(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The product p·q (q acts first) as a tuple, index by index: the
+    reference for `RootPermutations.compose`, independent of its bytes
+    tables."""
+    return tuple(p[i] for i in q)
+
+
+def reduced_word(rs: RootSystem, p: Sequence[int]) -> tuple[int, ...]:
     """The lexicographically least reduced word of p, by the greedy on whole
     permutations: the reference for `RootPermutations.word_from_heights`. The least
     left descent s_i of p (p^-1 sends alpha_i to a negative root) comes first,
@@ -215,10 +222,10 @@ def reduced_word(rs: RootSystem, p: Perm) -> tuple[int, ...]:
         if i is None:
             return tuple(word)
         word.append(i + 1)
-        inv = k.compose(inv, k.reflections[i])
+        inv = product(inv, k.reflections[i])
 
 
-def element(rs: RootSystem, p: Perm) -> WeylElement:
+def element(rs: RootSystem, p: Sequence[int]) -> WeylElement:
     """p as a matrix element carrying its lexicographically least reduced word."""
     return WeylElement(word=reduced_word(rs, p), matrix=matrix_of(rs, p))
 
@@ -284,7 +291,7 @@ def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> dict:
     return _recorder(rf, rs)(v, codim_y, (rs.rank + mat_trace(m)) // 2)
 
 
-def upward_walk(rf: RealFormData, rs: RootSystem) -> Iterator[tuple[Perm, int, int]]:
+def upward_walk(rf: RealFormData, rs: RootSystem) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(v, codim_Y, a) for every twisted involution psi = v w_b, by the walk
     that keeps every child: the reference for the canonical-parent walk of
     `twisted_involutions`.
@@ -293,14 +300,15 @@ def upward_walk(rf: RealFormData, rs: RootSystem) -> Iterator[tuple[Perm, int, i
     v -> s v when s v sigma(s) = v, along every simple s that is not a left
     descent of v, and drops a v reached before. Classes are visited in order
     of l(v), so only the two layers above the current one are remembered.
+    Permutations are tuples, multiplied by `product`.
     """
     k = rs.permutations
     npos = k.npos
-    twisted = [(k.reflections[i], k.reflections[j], k.simple[i], k.simple[j])
+    twisted = [(tuple(k.reflections[i]), tuple(k.reflections[j]), k.simple[i], k.simple[j])
                for i, j in enumerate(rf.sigma)]
     a_identity = sum(1 for i, j in enumerate(rf.sigma) if i <= j)
     # layers[d] maps each v of length ell + d found so far to its a
-    layers: list[dict[Perm, int]] = [{k.identity: a_identity}, {}, {}]
+    layers: list[dict[tuple[int, ...], int]] = [{tuple(k.identity): a_identity}, {}, {}]
     ell = 0
     while any(layers):
         current = layers.pop(0)
@@ -313,13 +321,13 @@ def upward_walk(rf: RealFormData, rs: RootSystem) -> Iterator[tuple[Perm, int, i
                 image = v[alpha_sigma]
                 if image >= npos:
                     continue
-                sv = k.compose(s, v)
+                sv = product(s, v)
                 # s v sigma(s) = v iff v sigma(s) v^-1, the reflection in
                 # v(alpha_sigma(i)) > 0, is s_i, iff v(alpha_sigma(i)) = alpha_i
                 if image == alpha:
                     layers[0].setdefault(sv, a - 1)
                 else:
-                    layers[1].setdefault(k.compose(sv, s_sigma), a)
+                    layers[1].setdefault(product(sv, s_sigma), a)
         ell += 1
 
 
