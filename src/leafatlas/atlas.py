@@ -21,11 +21,13 @@ def _recorder(rf: RealFormData, rs: RootSystem) -> Callable[[Perm, int, int], di
     dimension of the +1 eigenspace of the involution psi tau*; every other
     field follows.
 
-    psi is kept as its lexicographically least reduced word, read with the
-    trace off v(alpha_sigma(i)). codim_Y is the codimension of the orbit
-    class on the flag variety; t and a are the toral and vector dimensions of
-    the attached Cartan subalgebra; leaf_dim is the dimension of each leaf in
-    the family and family_dim that of the torus parameterizing the family.
+    psi is kept as its lexicographically least reduced word, a `bytes` word
+    (`rootsys.Word`) read with the trace off v(alpha_sigma(i)); every field is
+    then an int, a bool or `bytes`, so the cyclic collector never tracks a
+    record. codim_Y is the codimension of the orbit class on the flag
+    variety; t and a are the toral and vector dimensions of the attached
+    Cartan subalgebra; leaf_dim is the dimension of each leaf in the family
+    and family_dim that of the torus parameterizing the family.
     """
     k = rs.permutations
     rank, roots, dim_x = rs.rank, k.roots, rf.dim_x
@@ -187,6 +189,7 @@ def atlas(
     """Run the full pipeline for one diagram and assemble the report."""
     rs = sd.root_system()
     rf = real_form_data(sd)
+    # a bytes word sorts as the tuple of its letters would
     classes = sorted(twisted_involutions(rf, rs, cap=weyl_cap),
                      key=lambda c: (c["codim_Y"], c["psi_word"]))
     assert sum(c["is_closed_class"] for c in classes) == 1

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from . import __version__
 from .atlas import (NOTE_OPEN_COUNT, AtlasReport, atlas, catalog_text_hash,
                     realizable_candidate)
-from .rootsys import DEFAULT_WEYL_CAP, WeylCapError
+from .rootsys import DEFAULT_WEYL_CAP, RANK_CAP, WeylCapError
 from .satake import (
     BUILTIN_CATALOG,
     CatalogParseError,
@@ -110,6 +110,9 @@ def _emit(cfg: RunConfig, pieces: Iterable[str]) -> None:
 
 
 _BOOL = ("false", "true")
+#: the letter i of a Weyl word (`rootsys.Word`) to the ASCII digit i
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+assert RANK_CAP <= 9, "a word letter renders as one digit"
 #: a class record (`atlas._recorder`), after the comma that ends the one before
 _ATLAS_RECORD = (',\n    {\n      "a": %d,\n      "codim_Y": %d,\n      "dims_in_range": %s,\n'
                  '      "family_dim": %d,\n      "is_closed_class": %s,\n      "is_open": %s,\n'
@@ -124,12 +127,19 @@ _ATLAS_TAIL = ('\n  ],\n  "command": %s,\n  "flags": {\n    "has_open_leaves": %
                '  "tool_version": %s,\n  "w0_word": %s,\n  "wb_word": %s\n}\n')
 
 
+def _letters(word: Sequence[int]) -> str:
+    """A Weyl word, or any sequence of its letters, one digit a letter."""
+    return bytes(word).translate(_DIGITS).decode()
+
+
 def _array(values: Sequence, indent: str) -> str:
-    """Ints, or rendered values, as `json.dumps(indent=2)` lists them at indent."""
+    """Ints, or rendered values, as `json.dumps(indent=2)` lists them at indent;
+    a str lists its characters (`_letters`)."""
     if not values:
         return "[]"
     sep = ",\n  " + indent
-    return "[" + sep[1:] + sep.join(map(str, values)) + "\n" + indent + "]"
+    items = values if isinstance(values, str) else map(str, values)
+    return "[" + sep[1:] + sep.join(items) + "\n" + indent + "]"
 
 
 def _atlas_json(doc: dict) -> Iterator[str]:
@@ -141,8 +151,8 @@ def _atlas_json(doc: dict) -> Iterator[str]:
     for c in doc["classes"]:
         yield template % (c["a"], c["codim_Y"], _BOOL[c["dims_in_range"]], c["family_dim"],
                           _BOOL[c["is_closed_class"]], _BOOL[c["is_open"]], c["leaf_codim"],
-                          c["leaf_dim"], _BOOL[c["parity_ok"]], _array(c["psi_word"], "      "),
-                          c["t"])
+                          c["leaf_dim"], _BOOL[c["parity_ok"]],
+                          _array(_letters(c["psi_word"]), "      "), c["t"])
         template = _ATLAS_RECORD
     form = doc["form"]
     yield _ATLAS_TAIL % (
@@ -153,8 +163,8 @@ def _atlas_json(doc: dict) -> Iterator[str]:
         form["positive_restricted_count"], form["rank"], form["real_rank"],
         doc["largest_leaf_class"], _array([json.dumps(note) for note in doc["notes"]], "  "),
         json.dumps(doc["open_class_count_note"]), doc["schema_version"], doc["seed"],
-        json.dumps(doc["tool_version"]), _array(doc["w0_word"], "  "),
-        _array(doc["wb_word"], "  "))
+        json.dumps(doc["tool_version"]), _array(_letters(doc["w0_word"]), "  "),
+        _array(_letters(doc["wb_word"]), "  "))
 
 
 def _json_dumps(doc: dict) -> str:
@@ -194,8 +204,8 @@ def atlas_document(report: AtlasReport, seed: int) -> dict:
         "seed": seed,
         "catalog_hash": report.catalog_hash,
         "form": _form_doc(report),
-        "w0_word": list(report.form.w0.word),
-        "wb_word": list(report.form.w_b.word),
+        "w0_word": report.form.w0.word,
+        "wb_word": report.form.w_b.word,
         "classes": report.classes,
         "flags": {"has_open_leaves": report.has_open_leaves},
         "largest_leaf_class": report.largest_leaf_class,
@@ -221,7 +231,7 @@ def atlas_markdown(report: AtlasReport) -> str:
     row = "| %s | %d | %d | %d | %d | %d | %d | %s | %s | %s |"
     for c in report.classes:
         word = c["psi_word"]
-        lines.append(row % ("s" + " s".join(map(str, word)) if word else "e", c["codim_Y"],
+        lines.append(row % ("s" + " s".join(_letters(word)) if word else "e", c["codim_Y"],
                             c["a"], c["t"], c["leaf_dim"], c["leaf_codim"], c["family_dim"],
                             "*" if c["is_open"] else "", "*" if c["is_closed_class"] else "",
                             "yes" if realizable_candidate(c) else "FLAGGED"))

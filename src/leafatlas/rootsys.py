@@ -4,9 +4,10 @@ Roots are stored as integer coordinate vectors in the simple-root basis, so
 every computation in this module is exact; no floating point enters the
 combinatorics. A Weyl element is a permutation of the root list
 (`RootPermutations`), held as a `bytes` table: a product is one
-`bytes.translate`, reduced words come from root heights, and the images of
-the simple roots, which are the columns of its matrix on simple-root
-coordinates, are read off the permutation as a view.
+`bytes.translate`, reduced words come from root heights as `bytes` too
+(letter i is the byte i), and the images of the simple roots, which are the
+columns of its matrix on simple-root coordinates, are read off the
+permutation as a view.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 Perm = bytes  # images of root indices, see RootPermutations
+Word = bytes  # 1-based simple indices, one byte a letter
 
 # E8, with 240 roots, is the largest system of rank <= RANK_CAP, so every
 # permutation of the roots is a table of at most 256 bytes
@@ -120,11 +122,11 @@ class WeylElement(NamedTuple):
     with a word as witness.
 
     Identity of elements is equality of permutations; the word is one
-    expression in simple reflections (1-based indices) and is not itself
+    expression in simple reflections (a `Word`) and is not itself
     canonical, so equality and the hash read `perm` alone.
     """
 
-    word: tuple[int, ...]
+    word: Word
     perm: Perm
 
     def __eq__(self, other: object) -> bool:
@@ -188,11 +190,11 @@ def longest_element(rs: RootSystem, subset: Iterable[int] | None = None) -> Weyl
         if not 1 <= i <= rs.rank:
             raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
     k = rs.permutations
-    w, word = k.identity, []
+    w, word = k.identity, bytearray()
     while True:
         i = next((j for j in indices if w[k.simple[j - 1]] < k.npos), None)
         if i is None:
-            return WeylElement(word=tuple(word), perm=w)
+            return WeylElement(word=bytes(word), perm=w)
         word.append(i)
         w = k.compose(w, k.reflections[i - 1])
 
@@ -242,7 +244,7 @@ class RootPermutations:
         """The product p·q: q acts first."""
         return q.translate(p + self.pad)
 
-    def word_from_heights(self, heights: list[int]) -> tuple[int, ...]:
+    def word_from_heights(self, heights: list[int]) -> Word:
         """The lexicographically least reduced word of the p with heights[j]
         the height of p^-1(alpha_j), built greedily: the least left descent
         s_i of p (a negative h_i) first, then the word of s_i·p. Since
@@ -250,7 +252,7 @@ class RootPermutations:
         and subtracts a_ji·h_i from each Cartan neighbour h_j, in place; below
         i only those can turn negative, so the search resumes at the least of
         them."""
-        word, i = [], 0
+        word, i = bytearray(), 0
         while i < len(heights):
             h = heights[i]
             if h >= 0:
@@ -264,7 +266,7 @@ class RootPermutations:
                 if j < after and heights[j] < 0:
                     after = j
             i = after
-        return tuple(word)
+        return bytes(word)
 
     def images(self, p: Perm) -> tuple[IntVector, ...]:
         """p(alpha_i) for each simple root alpha_i: the columns of the matrix

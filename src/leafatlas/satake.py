@@ -75,6 +75,12 @@ def _root_system(family: str, rank: int) -> RootSystem:
     return build_root_system(family, rank)
 
 
+@lru_cache(maxsize=None)
+def _longest_element(family: str, rank: int) -> WeylElement:
+    """w_0, shared by every diagram of the type."""
+    return longest_element(_root_system(family, rank))
+
+
 class RealFormData(NamedTuple):
     """Derived data of a real form: the involution and the dimensions, all
     integers."""
@@ -183,7 +189,7 @@ def real_form_data(sd: SatakeDiagram) -> RealFormData:
         tau_star=tau,
         sigma=perm,
         w_b=wb,
-        w0=longest_element(rs),
+        w0=_longest_element(sd.family, sd.rank),
         real_rank=real_rank,
         dim_g=dim_g,
         dim_k0=dim_g - dim_p0,

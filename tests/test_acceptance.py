@@ -38,7 +38,7 @@ def test_criterion_01_rank_one_atlas_exact():
     with timer(1.0) as t:
         report = atlas(BY_LABEL["sl(2,R)"])
         assert len(report.classes) == 2
-        by_word = {c["psi_word"]: c for c in report.classes}
+        by_word = {tuple(c["psi_word"]): c for c in report.classes}
         open_cls = by_word[(1,)]
         assert (open_cls["codim_Y"], open_cls["a"], open_cls["t"]) == (0, 0, 1)
         assert open_cls["leaf_dim"] == 2 and open_cls["is_open"]

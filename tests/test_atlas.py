@@ -1,5 +1,6 @@
 import ast
 import re
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -44,13 +45,13 @@ def psi_of(rs, cls):
 
 def test_twisted_involutions_rank_one():
     rs, rf = setup_form("sl(2,R)")
-    words = sorted(c["psi_word"] for c in twisted_involutions(rf, rs))
+    words = sorted(tuple(c["psi_word"]) for c in twisted_involutions(rf, rs))
     assert words == [(), (1,)]
 
 
 def test_twisted_involutions_su21():
     rs, rf = setup_form("su(2,1)")
-    words = sorted(c["psi_word"] for c in twisted_involutions(rf, rs))
+    words = sorted(tuple(c["psi_word"]) for c in twisted_involutions(rf, rs))
     assert words == [(), (1, 2), (1, 2, 1), (2, 1)]
 
 
@@ -90,7 +91,7 @@ def _walked(rf, rs):
     for cls in twisted_involutions(rf, rs):
         matrix = psi_of(rs, cls).matrix
         assert matrix not in walked
-        walked[matrix] = cls["psi_word"]
+        walked[matrix] = tuple(cls["psi_word"])
     return walked
 
 
@@ -102,7 +103,7 @@ def _assert_carried_invariants_match(rf, rs):
     mf = wm.matrix_form(rf.diagram)
     assert wm.matrix_of(rs, rf.tau_star) == mf.tau_star
     for w, ref in ((rf.w_b, mf.w_b), (rf.w0, mf.w0)):
-        assert (w.word, wm.matrix_of(rs, w.perm)) == (ref.word, ref.matrix)
+        assert (tuple(w.word), wm.matrix_of(rs, w.perm)) == (ref.word, ref.matrix)
     assert rf.real_rank == mf.real_rank
     for cls in twisted_involutions(rf, rs):
         psi = psi_of(rs, cls)
@@ -181,6 +182,20 @@ def test_split_form_class_count_is_the_number_of_involutions(cartan_type, count)
     # involutions of W
     sd = _plain(*cartan_type)
     assert sum(1 for _ in twisted_involutions(real_form_data(sd), sd.root_system())) == count
+
+
+def test_split_e7_atlas_peak_memory():
+    # 10,208 class records with bytes words: the traced peak was 7,963 KiB
+    # when each word was a tuple of ints
+    sd = _plain("E", 7)
+    atlas(sd)  # warm the root-system and real-form caches
+    tracemalloc.start()
+    try:
+        atlas(sd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1024 <= 6500
 
 
 def test_weyl_cap_counts_the_classes_visited():
@@ -281,11 +296,18 @@ def test_validate_then_atlas_builds_the_involution_data_once(monkeypatch):
         return original(rs, subset)
 
     monkeypatch.setattr(satake, "longest_element", counting)
+    satake._longest_element.cache_clear()
     sd = SatakeDiagram(label="once(su(3,1))", family="A", rank=3,
                        black=frozenset({2}), arrows=frozenset({(1, 3)}))
     assert validate(sd).passed
     atlas(sd)
-    assert len(built) == 2  # w_b and w_0, by the one real_form_data call
+    assert built == [frozenset({2}), None]  # w_b and w_0, by the one real_form_data call
+    # w_0 is built once per root system: another A3 diagram builds only its w_b
+    split = SatakeDiagram(label="once(sl(4,R))", family="A", rank=3,
+                          black=frozenset(), arrows=frozenset())
+    atlas(split)
+    assert built == [frozenset({2}), None, frozenset()]
+    assert real_form_data(split).w0 is real_form_data(sd).w0
 
 
 def test_not_twisted_involution_rejected():
@@ -436,7 +458,7 @@ def test_trace_cross_check(label):
 def test_flagged_classes_are_retained():
     report = atlas(BY_LABEL["su(3,1)"])
     flagged = [c for c in report.classes if not realizable_candidate(c)]
-    assert any(c["psi_word"] == (2,) and c["leaf_dim"] == -2 for c in flagged)
+    assert any(tuple(c["psi_word"]) == (2,) and c["leaf_dim"] == -2 for c in flagged)
     assert not report.classes[report.largest_leaf_class] in flagged
 
 

@@ -16,11 +16,13 @@ from leafatlas.cli import (
     THREAD_VARS,
     RunConfig,
     _json_dumps,
+    _letters,
     atlas_document,
     atlas_markdown,
     main,
     run_verify_battery,
 )
+from leafatlas.rootsys import RANK_CAP
 from leafatlas.satake import builtin_catalog
 
 import catalog_reference as cr
@@ -268,7 +270,7 @@ def test_atlas_golden_documents(tmp_path):
 
 
 def _generic(doc):
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, default=list) + "\n"
 
 
 def _strict_loads(text):
@@ -361,19 +363,44 @@ def test_atlas_writers_leave_no_cyclic_garbage():
         gc.enable()
 
 
+def test_words_are_bytes_and_class_records_are_untracked():
+    # every field of a class record is an int, a bool or bytes, so the
+    # cyclic collector never tracks one; a letter renders as one digit
+    assert RANK_CAP <= 9
+    assert _letters(range(1, RANK_CAP + 1)) == "".join(map(str, range(1, RANK_CAP + 1)))
+    for sd in builtin_catalog() + (cr.diagram("custom(E6)", "E", 6),):
+        report = atlas(sd)
+        words = [report.form.w0.word, report.form.w_b.word]
+        words += [c["psi_word"] for c in report.classes]
+        assert all(type(word) is bytes for word in words), sd.label
+        assert not any(gc.is_tracked(c) for c in report.classes), sd.label
+        for word in words:
+            assert [int(letter) for letter in _letters(word)] == list(word)
+
+
 @pytest.mark.slow
 def test_split_e8_document_sha256(tmp_path):
     """Split E8 has 199,952 classes and a 177 MiB document, written piece by
-    piece to --out; run with `-m slow`."""
+    piece to --out in under 150 MiB of peak RSS; run with `-m slow`."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop(ENV_CATALOG, None)
     out = tmp_path / "e8.json"
+    # the command line of `python -m leafatlas`, then the child's peak RSS as
+    # VmHWM, the high-water mark of its own memory: ru_maxrss would also
+    # count the resident pages of the process that spawned it
+    script = ("import sys\n"
+              "from leafatlas.cli import main\n"
+              "code = main(sys.argv[1:])\n"
+              "with open('/proc/self/status') as fh:\n"
+              "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')))\n"
+              "raise SystemExit(code)\n")
     proc = subprocess.run(
-        [sys.executable, "-m", "leafatlas", "atlas", "--type", "E8", "--seed", "0",
+        [sys.executable, "-c", script, "atlas", "--type", "E8", "--seed", "0",
          "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < 150  # VmHWM is in kB
     digest = hashlib.sha256()
     with open(out, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
