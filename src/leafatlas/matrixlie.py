@@ -278,14 +278,23 @@ class MatrixRealForm:
 
         self.basis_u = su_basis(n)
         self.dim_u = len(self.basis_u)
-        self._rows = np.divmod(np.arange(n * n), n)  # every entry, row by row
         self._upper = np.triu_indices(n)
+        self._lower = self._upper[::-1]
         # the reader: basis_u coordinates of a skew-Hermitian matrix from its
         # upper triangle, the pinv folded by (j, i) = -conj (i, j)
         fold = np.linalg.pinv(_re_im(_columns(self.basis_u))).reshape(-1, 2, n, n)
         fold = fold + np.array([-1.0, 1.0])[:, None, None] * _T(fold)
         fold[:, 1, range(n), range(n)] /= 2  # a diagonal entry counts once
         self._reader = fold[..., self._upper[0], self._upper[1]].reshape(self.dim_u, -1)
+        # a traceless M is K + B, K in su(n) and B in a + n: K_ij = -conj M_ji
+        # for i < j and K_ii = i Im M_ii.  So K is the reader on M's lower
+        # triangle (Re rows, then Im) with the signs below, and M lies in
+        # a + n (a + n + t) when its rows off a + n (a + n + t) vanish: all
+        # but the Re diagonal (all but the diagonal)
+        strict = self._upper[0] != self._upper[1]
+        signs = np.concatenate([np.where(strict, -1.0, 0.0), np.ones(len(strict))])
+        self._compact_reader = self._reader * signs
+        self._off_triangular = (signs != 0, np.tile(strict, 2))
         self.lam = lambda_matrix(n)
         self._seed = np.nonzero(np.triu(self.lam, 1))  # lam = sum lam[x, y] e_x ^ e_y
 
@@ -306,8 +315,6 @@ class MatrixRealForm:
         self.basis_g0 = np.concatenate([self.basis_k0, -1j * self.basis_ip0])
 
         self.basis_an = _triangular_basis(n)
-        self._full_pinv = np.linalg.pinv(
-            _re_im(_columns(np.concatenate([self.basis_u, self.basis_an]))))
 
     @property
     def diagram(self) -> SatakeDiagram:
@@ -322,14 +329,6 @@ class MatrixRealForm:
         one stack."""
         tau_map = _re_im(_columns(self.tau(self.basis_an) - self.basis_an))
         return np.tensordot(nullspace(tau_map).T, self.basis_an, axes=1)
-
-    @cached_property
-    def triangular_frames(self) -> tuple[np.ndarray, np.ndarray]:
-        """Orthonormal columns (vectorized) spanning the triangular factor, and
-        spanning it plus the compact torus, the first n - 1 elements of basis_u."""
-        an = _re_im(_columns(self.basis_an))
-        with_torus = _re_im(_columns(np.concatenate([self.basis_an, self.basis_u[: self.n - 1]])))
-        return np.linalg.qr(an)[0], np.linalg.qr(with_torus)[0]
 
     @cached_property
     def _j_eigenbasis(self) -> tuple[np.ndarray, float]:
@@ -350,11 +349,6 @@ class MatrixRealForm:
             return x.conj()
         return -self.J @ _H(x) @ self.J
 
-    def tau_group(self, g: np.ndarray) -> np.ndarray:
-        if self.kind == "sl_real":
-            return g.conj()
-        return self.J @ np.linalg.inv(_H(g)) @ self.J
-
     @staticmethod
     def theta(x: np.ndarray) -> np.ndarray:
         return -_H(x)
@@ -373,8 +367,9 @@ class MatrixRealForm:
         return self._reader @ _re_im(_conjugator(u, self._upper) @ _columns(self.basis_u))
 
     def Ad_g0(self, u: np.ndarray) -> np.ndarray:
-        """u X u^dagger for each X of basis_g0, as real columns."""
-        return _re_im(_conjugator(u, self._rows) @ _columns(self.basis_g0))
+        """The lower triangle of u X u^dagger for each X of basis_g0, as real
+        columns: all that the split into su(n) and a + n reads."""
+        return _re_im(_conjugator(u, self._lower) @ _columns(self.basis_g0))
 
 
 @lru_cache(maxsize=None)
@@ -382,13 +377,13 @@ def realization(label: str) -> MatrixRealForm:
     """Matrix realization for a catalog label; sl(n,R) and su(p,q) only."""
     import re
 
-    m = re.fullmatch(r"sl\((\d+),R\)", label)
+    m = re.fullmatch(r"sl\(([0-9]+),R\)", label)
     if m:
         n = int(m.group(1))
         if n < 2:
             raise RealizationError(f"no matrix realization for {label}")
         return MatrixRealForm(label, "sl_real", n)
-    m = re.fullmatch(r"su\((\d+),(\d+)\)", label)
+    m = re.fullmatch(r"su\(([0-9]+),([0-9]+)\)", label)
     if m:
         p, q = int(m.group(1)), int(m.group(2))
         if p < q:
@@ -443,58 +438,26 @@ def pi_0_at(rf: MatrixRealForm, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Iwasawa factorization and the right action
 
-def _iwasawa_parts(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(b, u, bound, r) of the Iwasawa factorization m = b u of an invertible
-    matrix, or of each matrix of a stack, with bound >= cond_2(m); a failed
-    factorization raises.  One solve against [m | 1] gives u and b^-1.
-
-    cond_2(m) <= cond_2(b) cond_2(u), with cond_2(b) <= ||b||_F ||b^-1||_F and,
-    for r = ||u u^dagger - 1||_F < 1, cond_2(u) <= sqrt((1 + r) / (1 - r)).
-    The factor is 1 + O(eps cond^2) while b is accurate; past cond ~ 1e8 the
-    computed b understates cond_2(m), and r, of order 1 there, makes up for it
-    (r >= 1 gives an infinite bound)."""
-    n = m.shape[-1]
+def iwasawa(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factor an invertible matrix, or each matrix of a stack, as b u with b
+    upper triangular, positive real diagonal, and u unitary: Householder QR
+    of J m^dagger J = q r (J reverses the order), b = J r^dagger J and
+    u = J q^dagger J once r's diagonal phases are moved into q.  u is unitary
+    to roundoff, so cond_2(m) = cond_2(r) <= ||r||_F ||r^-1||_F, and every
+    matrix must pass the condition limit on that bound; a singular or NaN
+    matrix fails it."""
+    q, r = np.linalg.qr(_H(m)[..., ::-1, ::-1])
     try:
-        # reversing rows and columns turns the lower Cholesky factor upper
-        low = np.linalg.cholesky((m @ _H(m))[..., ::-1, ::-1])
-        b = low[..., ::-1, ::-1]  # upper triangular, positive diagonal
-        x = np.linalg.solve(b, np.concatenate([m, np.broadcast_to(np.eye(n), m.shape)], axis=-1))
+        bound = np.linalg.norm(r, axis=(-2, -1)) * np.linalg.norm(np.linalg.inv(r), axis=(-2, -1))
     except np.linalg.LinAlgError:
         raise IllConditionedError("matrix is singular to working precision") from None
-    u, b_inv = x[..., :n], x[..., n:]
-    r = np.linalg.norm(u @ _H(u) - np.eye(n), axis=(-2, -1))
-    stretch = np.divide(1 + r, 1 - r, out=np.full_like(r, np.inf), where=r < 1)
-    bound = np.linalg.norm(b, axis=(-2, -1)) * np.linalg.norm(b_inv, axis=(-2, -1))
-    return b, u, bound * np.sqrt(stretch), r
-
-
-def _householder(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(b, u) of m = b u, for each matrix of a stack m, by Householder QR of
-    J m^dagger J = q r (J reverses the order): b = J r^dagger J and
-    u = J q^dagger J, once r's diagonal phases are moved into q.  u is unitary
-    to roundoff at any condition."""
-    q, r = np.linalg.qr(_H(m)[..., ::-1, ::-1])
+    if not np.all(bound <= COND_LIMIT):
+        raise IllConditionedError(
+            f"condition bound {np.max(bound):.2e} exceeds {COND_LIMIT:.0e}")
     d = np.diagonal(r, axis1=-2, axis2=-1)
     phase = d / np.abs(d)
     q, r = q * phase[..., None, :], r * phase.conj()[..., :, None]
     return _H(r)[..., ::-1, ::-1], _H(q)[..., ::-1, ::-1]
-
-
-def iwasawa(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor an invertible matrix, or each matrix of a stack, as b u with b
-    upper triangular, positive real diagonal, and u unitary, via triangular
-    factorization of M M†.  Every matrix must pass the condition limit, read
-    from an upper bound of its condition number (_iwasawa_parts).  The u of
-    that factorization drifts off unitary like eps cond^2; a matrix whose u is
-    off by more than TOL_UNITARY is factored again by Householder QR."""
-    b, u, bound, r = _iwasawa_parts(m)
-    if not np.all(bound <= COND_LIMIT):
-        raise IllConditionedError(
-            f"condition bound {np.max(bound):.2e} exceeds {COND_LIMIT:.0e}")
-    drift = r > TOL_UNITARY
-    if np.any(drift):
-        b[drift], u[drift] = _householder(m[drift])
-    return b, u
 
 
 def g_act(u: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -632,7 +595,7 @@ def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray) -> TangencyResult:
     c = _T(_bivector(rf, a_inv, rf._ip0_lam))  # pi_0_at(rf, u)
     # compact part of the Iwasawa split of Ad_u x over basis_u, for every x of
     # g0 at once, carried back by Ad_u^{-1} and projected onto ip0
-    orbit = a_inv @ (rf._full_pinv[:rf.dim_u] @ rf.Ad_g0(u))
+    orbit = a_inv @ (rf._compact_reader @ rf.Ad_g0(u))
 
     img = column_space(c)
     orb = column_space(orbit)
@@ -692,19 +655,20 @@ def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray | Sequence[np.ndarray],
     For a stack or a list of unitaries, one dimension per matrix, computed in
     stacks of stack_size(n).  A tuple of include_torus flags gives a tuple of
     such results, one per flag, from one pass: each stack is checked and
-    conjugated once, and read in each frame."""
+    conjugated once.  Ad_u X lies in a + n (a + n + t) exactly when its lower
+    triangle rows off a + n (a + n + t) vanish, so the dimension is the
+    nullity of those rows."""
     flags = include_torus if isinstance(include_torus, tuple) else (include_torus,)
     us = np.asarray(u)
-    frames = [rf.triangular_frames[t] for t in flags]
     flat, size = us.reshape(-1, rf.n, rf.n), stack_size(rf.n)
     dims: list[list[int]] = [[] for _ in flags]
     for start in range(0, len(flat), size):
         stack = flat[start:start + size]
         _check_unitary(stack)
         m = rf.Ad_g0(stack)
-        for q, out in zip(frames, dims):
-            resid = m - q @ (q.T @ m)
-            out += (m.shape[-1] - numerical_rank(resid, threshold)[0]).tolist()
+        for t, out in zip(flags, dims):
+            rows = m[..., rf._off_triangular[t], :]
+            out += (m.shape[-1] - numerical_rank(rows, threshold)[0]).tolist()
     found = tuple(d[0] if us.ndim == 2 else d for d in dims)
     return found if isinstance(include_torus, tuple) else found[0]
 
@@ -715,8 +679,9 @@ def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray | Sequence[np.ndarray],
 def induced_weyl_matrix(rf: MatrixRealForm, u: np.ndarray) -> tuple[list[int] | None, float]:
     """Extract the Weyl-group class of u tau(u)^{-1} as the permutation
     e_j -> e_{perm[j]} of the diagonal; returns (None, residual) off the
-    normalizer."""
-    m = u @ np.linalg.inv(rf.tau_group(u))
+    normalizer.  For unitary u, u tau(u)^{-1} is u u^T on sl(n, R) and
+    u J u^dagger J on su(p, q)."""
+    m = u @ _T(u) if rf.kind == "sl_real" else u @ rf.J @ _H(u) @ rf.J
     n = rf.n
     perm = [int(np.argmax(np.abs(m[:, j]))) for j in range(n)]
     off = m.copy()

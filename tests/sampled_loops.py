@@ -15,6 +15,11 @@ Jacobiator in the chart centred at each of a few seeded points.
 The invariant bivector has three null-space references: its linear system
 entry by entry, assembled in place (`invariant_system`), and read off a
 stack of images; the package builds it from the centre of k0 instead.
+The split of sl(n, C) into su(n) and a + n, which the package reads off a
+lower triangle, has its projection reference here: orthonormal frames of
+a + n and of a + n + t (`triangular_frames`), projected off all n^2 entries
+(`stabilizer_dim`), and a pseudo-inverse over basis_u and basis_an
+(`orbit_projection`).
 
 Imported by the test modules; pytest does not collect it.
 """
@@ -218,15 +223,34 @@ def cartan_consistency(rf, n_samples, seed):
     return res
 
 
+def triangular_frames(rf):
+    """Orthonormal columns (vectorized) spanning a + n, and spanning it plus
+    the compact torus t, the first n - 1 elements of basis_u."""
+    torus = list(rf.basis_u[:rf.n - 1])
+    return tuple(np.linalg.qr(np.stack([bl.vec(b) for b in [*rf.basis_an, *extra]], axis=1))[0]
+                 for extra in ([], torus))
+
+
+def stabilizer_dim(rf, u, include_torus):
+    """stabilizer_dim of one unitary by projection: the nullity of the part
+    of Ad_u basis_g0, vectorized over all n^2 entries, off the frame of
+    a + n (a + n + t), the images built one matrix at a time."""
+    q = triangular_frames(rf)[include_torus]
+    m = np.stack([bl.vec(u @ x @ u.conj().T) for x in rf.basis_g0], axis=1)
+    return m.shape[1] - int(ml.numerical_rank(m - q @ (q.T @ m), ml.RANK_THRESHOLD)[0])
+
+
 def orbit_projection(rf, u):
     """The dressing-orbit columns of leaf_tangency_check, one element of g0
-    at a time: the compact part of the Iwasawa split of Ad_u x, rebuilt as
-    a matrix, carried back by Ad_u^{-1} and projected onto ip0."""
+    at a time: the compact part of the Iwasawa split of Ad_u x, by the
+    pseudo-inverse over basis_u and basis_an, rebuilt as a matrix, carried
+    back by Ad_u^{-1} and projected onto ip0."""
     uinv = u.conj().T
     ad_uinv = rf.Ad_matrix(uinv)
+    split = np.linalg.pinv(np.stack([bl.vec(b) for b in [*rf.basis_u, *rf.basis_an]], axis=1))
     cols = []
     for x in rf.basis_g0:
-        alpha = rf._full_pinv @ bl.vec(u @ x @ uinv)
+        alpha = split @ bl.vec(u @ x @ uinv)
         u_part = np.tensordot(alpha[: rf.dim_u], rf.basis_u, axes=1)
         cols.append(rf._ip0_reader @ (ad_uinv @ bl.coeffs(rf, u_part)))
     return np.stack(cols, axis=1)

@@ -536,6 +536,16 @@ def test_verify_no_realization(capsys):
     assert "no matrix realization" in err
 
 
+def test_verify_reads_only_ascii_digits_in_a_realized_label(tmp_path, capsys):
+    # an Arabic-Indic three is a digit to the regex class \d, but not to the
+    # catalog format: sl(3,R) was built for it and verified
+    path = tmp_path / "cat.txt"
+    path.write_text("name=sl(\u0663,R); type=A2; black={}; arrows={}\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--catalog", str(path), "--form", "sl(\u0663,R)")
+    assert code == 2 and out == ""
+    assert "no matrix realization shipped for 'sl(\u0663,R)'" in err
+
+
 @pytest.mark.parametrize("label,given,realized", [
     # the diagram of su(2,1) under the label of sl(3,R): its classes are not
     # involutions, and the representative search raised a traceback
@@ -599,21 +609,13 @@ def test_verify_rejects_bad_tolerance_values(capsys, value):
 
 
 @pytest.mark.parametrize("seed", ["184", "262"])
-def test_verify_passes_where_a_sample_needs_the_householder_factorization(
-        capsys, monkeypatch, seed):
+def test_verify_passes_where_a_sample_needs_the_householder_factorization(capsys, seed):
     # one of the 100 Gaussian SL(5,C) samples of iwasawa_roundtrip at each
-    # seed has a triangular-factorization u off unitary by 3e-10 or 8e-10
-    from leafatlas import matrixlie as ml
-
-    original, calls = ml._householder, []
-
-    def counting(m):
-        calls.append(len(m))
-        return original(m)
-
-    monkeypatch.setattr(ml, "_householder", counting)
+    # seed has its u off unitary by 3e-10 or 8e-10 when factored through the
+    # Cholesky factor of m m^dagger; iwasawa's Householder u is unitary to
+    # roundoff
     code, out, err = run(capsys, "verify", "--form", "sl(5,R)", "--seed", seed)
-    assert code == 0 and err == "" and calls == [1]
+    assert code == 0 and err == ""
     assert all(c["passed"] for c in _strict_loads(out)["checks"])
 
 
