@@ -8,70 +8,45 @@ Unrealizable classes are kept in the report and flagged, never dropped.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .rootsys import DEFAULT_WEYL_CAP, Perm, RootSystem, WeylCapError
+from .rootsys import DEFAULT_WEYL_CAP, Perm, RootSystem, WeylCapError, Word
 from .satake import RealFormData, SatakeDiagram, real_form_data
 
 
-def _recorder(rf: RealFormData, rs: RootSystem) -> Callable[[Perm, int, int], dict]:
-    """The class record builder of one form, with the form's constants bound
-    once: record(v, codim_y, a) is the record of the twisted involution
-    psi = v w_b, as the atlas JSON writes it, from its codim_Y and a, the
-    dimension of the +1 eigenspace of the involution psi tau*; every other
-    field follows.
-
-    psi is kept as its lexicographically least reduced word, a `bytes` word
-    (`rootsys.Word`) read with the trace off v(alpha_sigma(i)); every field is
-    then an int, a bool or `bytes`, so the cyclic collector never tracks a
-    record. codim_Y is the codimension of the orbit class on the flag
-    variety; t and a are the toral and vector dimensions of the attached
-    Cartan subalgebra; leaf_dim is the dimension of each leaf in the family
-    and family_dim that of the torus parameterizing the family.
-    """
-    k = rs.permutations
-    rank, roots, dim_x = rs.rank, k.roots, rf.dim_x
-    tau_heights = [k.heights[t] for t in rf.tau_star]  # the height of tau*(root j)
-    alpha_sigma = [k.simple[j] for j in rf.sigma]
-    # an orbit has dimension 2N - codim_Y, and each of its leaves dim k0 - t less
-    leaf_dim_at_codim_0 = 2 * k.npos - rf.dim_k0
-
-    def record(v: Perm, codim_y: int, a: int) -> dict:
-        t = rank - a
-        images = [v[x] for x in alpha_sigma]  # v(alpha_sigma(i))
-        # psi tau* = v w_b w_b sigma = v sigma is an involution, so a - t is its trace
-        assert a - t == sum(roots[x][i] for i, x in enumerate(images))
-        # psi^-1(alpha_j) = w_b sigma v sigma(alpha_j) = tau*(v(alpha_sigma(j)))
-        word = k.word_from_heights([tau_heights[x] for x in images])
-        leaf_dim = leaf_dim_at_codim_0 - codim_y + t
-        leaf_codim = dim_x - leaf_dim
-        assert leaf_codim == a + codim_y
-        return {
-            "a": a,
-            "codim_Y": codim_y,
-            "dims_in_range": 0 <= leaf_dim <= dim_x,
-            "family_dim": a,
-            "is_closed_class": not word,
-            "is_open": codim_y == 0 and a == 0,
-            "leaf_codim": leaf_codim,
-            "leaf_dim": leaf_dim,
-            "parity_ok": leaf_dim % 2 == 0,
-            "psi_word": word,
-            "t": t,
-        }
-
-    return record
+#: A class record, (codim_Y, psi_word, a): two ints and a `bytes` word, which the
+#: cyclic collector stops tracking at its first collection. Records sort natively
+#: in report order, as a word identifies its class; `class_fields` gives the rest.
+Record = tuple[int, Word, int]
 
 
-def realizable_candidate(record: dict) -> bool:
-    """The necessary conditions for a class to carry actual leaves."""
-    return record["parity_ok"] and record["dims_in_range"]
+def class_fields(rf: RealFormData, record: Record) -> dict:
+    """A class record's fields, as the atlas JSON writes them: t and a are the
+    toral and vector dimensions of the attached Cartan subalgebra, leaf_dim that
+    of each leaf and family_dim that of the torus parameterizing the family.
+    Only psi_word and is_closed_class depend on the word."""
+    codim_y, word, a = record
+    rank, dim_x = rf.diagram.rank, rf.dim_x
+    t = rank - a
+    # an orbit has dimension 2N - codim_Y = dim g - rank - codim_Y, a leaf dim k0 - t less
+    leaf_dim = rf.dim_g - rank - codim_y - rf.dim_k0 + t
+    leaf_codim = dim_x - leaf_dim
+    assert leaf_codim == a + codim_y
+    return {"a": a, "codim_Y": codim_y, "dims_in_range": 0 <= leaf_dim <= dim_x,
+            "family_dim": a, "is_closed_class": not word, "is_open": codim_y == 0 and a == 0,
+            "leaf_codim": leaf_codim, "leaf_dim": leaf_dim, "parity_ok": leaf_dim % 2 == 0,
+            "psi_word": word, "t": t}
+
+
+def realizable_candidate(fields: dict) -> bool:
+    """The necessary conditions for a class (`class_fields`) to carry leaves."""
+    return fields["parity_ok"] and fields["dims_in_range"]
 
 
 def twisted_involutions(
     rf: RealFormData, rs: RootSystem, cap: int = DEFAULT_WEYL_CAP
-) -> Iterator[dict]:
-    """The record (`_recorder`) of every psi in W with (psi tau*)^2 = 1.
+) -> Iterator[Record]:
+    """The record of every psi in W with (psi tau*)^2 = 1.
 
     With tau* = w_b sigma, psi is a twisted involution exactly when
     v = psi w_b satisfies sigma v sigma = v^-1. Those v are the orbit of the
@@ -91,12 +66,15 @@ def twisted_involutions(
     codim_Y = N - l(v). a is the dimension of the +1 eigenspace of
     psi tau* = v sigma: at the identity it is the number of sigma-orbits on
     the nodes, a conjugation move keeps it, and a multiplication move turns
-    the eigenvalue of alpha_s from +1 to -1. Classes come in no set order.
-    Raises WeylCapError once more than `cap` classes have been visited.
+    the eigenvalue of alpha_s from +1 to -1. psi is kept as its
+    lexicographically least reduced word (`rootsys.Word`), read with the trace
+    off v(alpha_sigma(i)). Classes come in no set order. Raises WeylCapError
+    once more than `cap` classes have been visited.
     """
     k = rs.permutations
-    npos, pad = k.npos, k.pad
+    npos, pad, rank, roots = k.npos, k.pad, rs.rank, k.roots
     alpha_sigma = [k.simple[j] for j in rf.sigma]
+    tau_heights = [k.heights[t] for t in rf.tau_star]  # the height of tau*(root j)
     # per node i: s_i padded to a translation table, s_sigma(i), alpha_i,
     # alpha_sigma(i), and for t < i the roots that s_i v sends to
     # c(alpha_sigma(t)), for c = s_i v and for c = s_i v sigma(s_i)
@@ -106,7 +84,6 @@ def twisted_involutions(
     # sigma is an involution: its orbits are its fixed points and 2-cycles
     a_identity = sum(1 for i, j in enumerate(rf.sigma) if i <= j)
     todo: list[tuple[Perm, int, int]] = [(k.identity, 0, a_identity)]  # (v, l(v), a)
-    record = _recorder(rf, rs)
     count = 0
     while todo:
         v, ell, a = todo.pop()
@@ -116,7 +93,12 @@ def twisted_involutions(
                 f"{rf.diagram.label}: number of twisted involutions exceeds cap {cap}",
                 partial_count=cap,
             )
-        yield record(v, npos - ell, a)
+        images = [v[x] for x in alpha_sigma]  # v(alpha_sigma(i))
+        # psi tau* = v w_b w_b sigma = v sigma is an involution with a
+        # eigenvalues +1 and t = rank - a eigenvalues -1, so a - t is its trace
+        assert 2 * a - rank == sum(roots[x][i] for i, x in enumerate(images))
+        # psi^-1(alpha_j) = w_b sigma v sigma(alpha_j) = tau*(v(alpha_sigma(j)))
+        yield npos - ell, k.word_from_heights([tau_heights[x] for x in images]), a
         for s, s_sigma, alpha, alpha_sigma_i, earlier, earlier_conj in moves:
             # s_i is a left descent of v iff v^-1 = sigma v sigma sends
             # alpha_i to a negative root, iff v does so to alpha_sigma(i)
@@ -161,7 +143,7 @@ class AtlasReport(NamedTuple):
     """The complete stratification data for one real form."""
 
     form: RealFormData
-    classes: tuple[dict, ...]  # class records in (codim_Y, psi_word) order
+    classes: tuple[Record, ...]  # class records, sorted
     largest_leaf_class: int  # index into classes
     catalog_hash: str
 
@@ -171,8 +153,8 @@ class AtlasReport(NamedTuple):
 
     @property
     def has_open_leaves(self) -> bool:
-        # classes[0] is the unique class with codim_Y = 0, that of w_0 w_b
-        return self.classes[0]["is_open"]
+        # classes[0] is the one class at codim_Y 0, that of w_0 w_b: open if a = 0
+        return self.classes[0][2] == 0
 
     @property
     def notes(self) -> tuple[str, ...]:
@@ -189,14 +171,15 @@ def atlas(
     """Run the full pipeline for one diagram and assemble the report."""
     rs = sd.root_system()
     rf = real_form_data(sd)
-    # a bytes word sorts as the tuple of its letters would
-    classes = sorted(twisted_involutions(rf, rs, cap=weyl_cap),
-                     key=lambda c: (c["codim_Y"], c["psi_word"]))
-    assert sum(c["is_closed_class"] for c in classes) == 1
-    assert classes[0]["codim_Y"] == 0
-    # the open class, when there is one, has leaf_codim 0 and comes first
-    largest = min((c["leaf_codim"], i) for i, c in enumerate(classes)
-                  if realizable_candidate(c))[1]
+    classes = sorted(twisted_involutions(rf, rs, cap=weyl_cap))
+    assert sum(not word for _, word, _ in classes) == 1
+    assert classes[0][0] == 0
+    # leaf_dim = dim X - leaf_codim, so whether a class can carry leaves rests on
+    # its leaf_codim = codim_Y + a alone; the largest have the least such (0 for
+    # the open class, which comes first)
+    least = min(x for x in {codim_y + a for codim_y, _, a in classes}
+                if realizable_candidate(class_fields(rf, (x, b"", 0))))
+    largest = next(i for i, (codim_y, _, a) in enumerate(classes) if codim_y + a == least)
     return AtlasReport(form=rf, classes=tuple(classes),
                        largest_leaf_class=largest, catalog_hash=catalog_hash)
 

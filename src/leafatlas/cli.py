@@ -1,7 +1,8 @@
 """Command-line front end: atlas generation, numerical verification, catalog
 validation, JSON and markdown report serialization.
 
-Exit codes: 0 success, 1 usage error, 2 domain or validation failure.
+Exit codes: 0 success, 1 usage error, 2 domain or validation failure, 141
+(128 + SIGPIPE) when the reader of stdout closes it before the report ends.
 """
 from __future__ import annotations
 
@@ -12,15 +13,16 @@ import os
 import sys
 import tempfile
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import __version__
-from .atlas import (NOTE_OPEN_COUNT, AtlasReport, atlas, catalog_text_hash,
-                    realizable_candidate)
+from .atlas import (NOTE_OPEN_COUNT, AtlasReport, Record, atlas, catalog_text_hash,
+                    class_fields, realizable_candidate)
 from .rootsys import DEFAULT_WEYL_CAP, RANK_CAP, WeylCapError
 from .satake import (
     BUILTIN_CATALOG,
     CatalogParseError,
+    RealFormData,
     SatakeDiagram,
     SatakeError,
     load_catalog,
@@ -33,6 +35,7 @@ ENV_CATALOG = "LEAFATLAS_CATALOG"
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer that a closed pipe ended
 
 #: Thread-count variables of the BLAS and OpenMP runtimes.  `verify` sets
 #: each to 1 unless the caller has: its matrices are at most 6 x 6, where
@@ -105,15 +108,16 @@ def _emit(cfg: RunConfig, pieces: Iterable[str]) -> None:
                 raise
         except OSError as exc:  # name the requested path, not the temporary one
             raise OSError(exc.errno, exc.strerror, cfg.out_path) from None
-    else:
+    else:  # flushed here, so that a closed pipe ends the command (`main`)
         sys.stdout.writelines(pieces)
+        sys.stdout.flush()
 
 
 _BOOL = ("false", "true")
-#: the letter i of a Weyl word (`rootsys.Word`) to the ASCII digit i
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+#: the letter i of a Weyl word (`rootsys.Word`) to the ASCII digit i; the byte 0 stays NUL
+_DIGITS = bytes.maketrans(bytes(range(1, 10)), b"123456789")
 assert RANK_CAP <= 9, "a word letter renders as one digit"
-#: a class record (`atlas._recorder`), after the comma that ends the one before
+#: a class record's fields (`atlas.class_fields`), after the comma that ends the one before
 _ATLAS_RECORD = (',\n    {\n      "a": %d,\n      "codim_Y": %d,\n      "dims_in_range": %s,\n'
                  '      "family_dim": %d,\n      "is_closed_class": %s,\n      "is_open": %s,\n'
                  '      "leaf_codim": %d,\n      "leaf_dim": %d,\n      "parity_ok": %s,\n'
@@ -142,18 +146,38 @@ def _array(values: Sequence, indent: str) -> str:
     return "[" + sep[1:] + sep.join(items) + "\n" + indent + "]"
 
 
+def _class_texts(rf: RealFormData, classes: Iterable[Record],
+                 render: Callable[[dict], str], sep: str) -> Iterator[str]:
+    """render(`class_fields`) of each class record. The text is rendered once
+    per (codim_Y, a, closed) key, with the word b"\0", and split at the NUL;
+    each class joins its letters (`_letters`) by sep between the two parts."""
+    texts = {}
+    for codim_y, word, a in classes:
+        key = codim_y, a, not word
+        around = texts.get(key)
+        if around is None:
+            fields = class_fields(rf, (codim_y, b"\0" if word else b"", a))
+            before, _, after = render(fields).partition("\0")
+            around = texts[key] = before, after
+        yield around[0] + sep.join(word.translate(_DIGITS).decode()) + around[1]
+
+
+def _record_json(c: dict) -> str:
+    return _ATLAS_RECORD % (c["a"], c["codim_Y"], _BOOL[c["dims_in_range"]], c["family_dim"],
+                            _BOOL[c["is_closed_class"]], _BOOL[c["is_open"]], c["leaf_codim"],
+                            c["leaf_dim"], _BOOL[c["parity_ok"]],
+                            _array(_letters(c["psi_word"]), "      "), c["t"])
+
+
 def _atlas_json(doc: dict) -> Iterator[str]:
-    """An atlas document as `json.dumps(doc, sort_keys=True, indent=2)` plus
-    a newline writes it, in pieces: the head, each class record, the tail.
+    """An atlas document as `json.dumps(doc, sort_keys=True, indent=2)` plus a
+    newline writes it, each class record as its fields, in pieces: the head
+    with the first record (no comma before it), each further record, the tail.
     Every string goes through `json.dumps`, so its escaping is the encoder's."""
-    yield '{\n  "catalog_hash": %s,\n  "classes": [' % json.dumps(doc["catalog_hash"])
-    template = _ATLAS_RECORD[1:]
-    for c in doc["classes"]:
-        yield template % (c["a"], c["codim_Y"], _BOOL[c["dims_in_range"]], c["family_dim"],
-                          _BOOL[c["is_closed_class"]], _BOOL[c["is_open"]], c["leaf_codim"],
-                          c["leaf_dim"], _BOOL[c["parity_ok"]],
-                          _array(_letters(c["psi_word"]), "      "), c["t"])
-        template = _ATLAS_RECORD
+    records = _class_texts(doc["real_form"], doc["classes"], _record_json, ",\n        ")
+    yield ('{\n  "catalog_hash": %s,\n  "classes": [' % json.dumps(doc["catalog_hash"])
+           + next(records)[1:])
+    yield from records
     form = doc["form"]
     yield _ATLAS_TAIL % (
         json.dumps(doc["command"]), _BOOL[doc["flags"]["has_open_leaves"]],
@@ -207,6 +231,7 @@ def atlas_document(report: AtlasReport, seed: int) -> dict:
         "w0_word": report.form.w0.word,
         "wb_word": report.form.w_b.word,
         "classes": report.classes,
+        "real_form": report.form,  # reads the records (`class_fields`); not written
         "flags": {"has_open_leaves": report.has_open_leaves},
         "largest_leaf_class": report.largest_leaf_class,
         "open_class_count_note": NOTE_OPEN_COUNT,
@@ -214,31 +239,31 @@ def atlas_document(report: AtlasReport, seed: int) -> dict:
     }
 
 
-def atlas_markdown(report: AtlasReport) -> str:
+def _markdown_row(c: dict) -> str:
+    word = c["psi_word"]
+    return "| %s | %d | %d | %d | %d | %d | %d | %s | %s | %s |\n" % (
+        "s" + " s".join(_letters(word)) if word else "e", c["codim_Y"], c["a"], c["t"],
+        c["leaf_dim"], c["leaf_codim"], c["family_dim"], "*" if c["is_open"] else "",
+        "*" if c["is_closed_class"] else "", "yes" if realizable_candidate(c) else "FLAGGED")
+
+
+def _atlas_md(report: AtlasReport) -> Iterator[str]:
+    """The markdown atlas in pieces: the head, each class's row, the notes."""
     rf = report.form
-    lines = [
-        f"# Leaf atlas: {report.label}",
-        "",
-        f"- type: {rf.diagram.family}{rf.diagram.rank}, black={sorted(rf.diagram.black)}, "
-        f"arrows={sorted(rf.diagram.arrows)}",
-        f"- dim g = {rf.dim_g}, dim k0 = {rf.dim_k0}, dim X = {rf.dim_x}, "
-        f"real rank = {rf.real_rank}",
-        f"- open leaves: {'yes' if report.has_open_leaves else 'no'}",
-        "",
-        "| psi word | codim_Y | a | t | leaf dim | leaf codim | family dim | open | closed | ok |",
-        "|---|---|---|---|---|---|---|---|---|---|",
-    ]
-    row = "| %s | %d | %d | %d | %d | %d | %d | %s | %s | %s |"
-    for c in report.classes:
-        word = c["psi_word"]
-        lines.append(row % ("s" + " s".join(_letters(word)) if word else "e", c["codim_Y"],
-                            c["a"], c["t"], c["leaf_dim"], c["leaf_codim"], c["family_dim"],
-                            "*" if c["is_open"] else "", "*" if c["is_closed_class"] else "",
-                            "yes" if realizable_candidate(c) else "FLAGGED"))
-    lines.append("")
-    for note in report.notes:
-        lines.append(f"> {note}")
-    return "\n".join(lines) + "\n"
+    yield (f"# Leaf atlas: {report.label}\n\n"
+           f"- type: {rf.diagram.family}{rf.diagram.rank}, black={sorted(rf.diagram.black)}, "
+           f"arrows={sorted(rf.diagram.arrows)}\n"
+           f"- dim g = {rf.dim_g}, dim k0 = {rf.dim_k0}, dim X = {rf.dim_x}, "
+           f"real rank = {rf.real_rank}\n"
+           f"- open leaves: {'yes' if report.has_open_leaves else 'no'}\n\n"
+           "| psi word | codim_Y | a | t | leaf dim | leaf codim | family dim | open | closed "
+           "| ok |\n|---|---|---|---|---|---|---|---|---|---|\n")
+    yield from _class_texts(rf, report.classes, _markdown_row, " s")
+    yield "\n" + "".join(f"> {note}\n" for note in report.notes)
+
+
+def atlas_markdown(report: AtlasReport) -> str:
+    return "".join(_atlas_md(report))
 
 
 def _catalog_form(entries: Sequence[SatakeDiagram], label: str | None) -> SatakeDiagram | None:
@@ -262,10 +287,8 @@ def cmd_atlas(cfg: RunConfig) -> int:
             sys.stderr.write(f"  {c.name}: {c.detail}\n")
         return EXIT_DOMAIN
     report = atlas(sd, weyl_cap=cfg.weyl_cap, catalog_hash=cat_hash)
-    if cfg.output_format == "md":
-        _emit(cfg, [atlas_markdown(report)])
-    else:
-        _emit(cfg, _atlas_json(atlas_document(report, cfg.seed)))
+    _emit(cfg, _atlas_md(report) if cfg.output_format == "md"
+          else _atlas_json(atlas_document(report, cfg.seed)))
     return EXIT_OK
 
 
@@ -283,8 +306,7 @@ def _check(name: str, value: float, tolerance: float, info: str = "") -> dict:
 
 
 def _check_exact(name: str, ok: bool, info: str = "") -> dict:
-    return {"name": name, "value": 0.0 if ok else 1.0, "tolerance": 0.0,
-            "passed": bool(ok), "info": info}
+    return _check(name, 0.0 if ok else 1.0, 0.0, info)
 
 
 def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
@@ -350,7 +372,8 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
 
     max_rank, n_borderline = ml.max_sampled_rank(
         rf, n_samples=max(samples, 50), seed=seed + 5, threshold=tol["rank_threshold"])
-    expected_rank = rfe.dim_p0 - report.classes[report.largest_leaf_class]["leaf_codim"]
+    largest = class_fields(rfe, report.classes[report.largest_leaf_class])
+    expected_rank = rfe.dim_p0 - largest["leaf_codim"]
     checks.append(_check_exact(
         "rank_vs_atlas", max_rank == expected_rank,
         f"max sampled rank {max_rank}, atlas ceiling {expected_rank}, "
@@ -373,10 +396,10 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
                              tol["hermitian"]))
 
     realized, reps = [], []
-    for cls in report.classes:
-        u = ml.representative_for(rf, cls["psi_word"])
+    for record in report.classes:
+        u = ml.representative_for(rf, record[1])  # the class's psi_word
         if u is not None:
-            realized.append(cls)
+            realized.append(class_fields(rfe, record))
             reps.append(u)
     threshold = tol["rank_threshold"]
     dims, dims_torus = ml.stabilizer_dim(rf, reps, include_torus=(False, True),
@@ -438,10 +461,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                          f"{sd.label} has {realized.describe()}\n")
         return EXIT_DOMAIN
     doc = run_verify_battery(sd, cfg)
-    if cfg.output_format == "md":
-        _emit(cfg, [verify_markdown(doc)])
-    else:
-        _emit(cfg, [_json_dumps(doc)])
+    _emit(cfg, [verify_markdown(doc) if cfg.output_format == "md" else _json_dumps(doc)])
     return EXIT_OK if doc["passed"] else EXIT_DOMAIN
 
 
@@ -463,13 +483,9 @@ def cmd_catalog(cfg: RunConfig) -> int:
         })
     all_ok = all(r["passed"] for r in rows)
     if cfg.output_format == "md":
-        lines = ["| label | type | result | failures |", "|---|---|---|---|"]
-        for r in rows:
-            lines.append(
-                f"| {r['label']} | {r['type']} | {'pass' if r['passed'] else 'FAIL'} | "
-                f"{', '.join(r['failed_checks'])} |"
-            )
-        _emit(cfg, ["\n".join(lines) + "\n"])
+        _emit(cfg, ["| label | type | result | failures |\n|---|---|---|---|\n"] + [
+            f"| {r['label']} | {r['type']} | {'pass' if r['passed'] else 'FAIL'} | "
+            f"{', '.join(r['failed_checks'])} |\n" for r in rows])
     else:
         _emit(cfg, [_json_dumps({
             "schema_version": SCHEMA_VERSION,
@@ -614,17 +630,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
 
     try:
-        if args.command == "atlas":
-            return cmd_atlas(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "catalog":
-            return cmd_catalog(cfg)
+        return {"atlas": cmd_atlas, "verify": cmd_verify, "catalog": cmd_catalog}[args.command](cfg)
+    except BrokenPipeError:  # `... | head`: the output ends; the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (CatalogParseError, SatakeError, WeylCapError, OSError) as exc:
         count = getattr(exc, "partial_count", None)
         sys.stderr.write(f"{exc}\n" if count is None else f"{exc} (partial count {count})\n")
         return EXIT_DOMAIN
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

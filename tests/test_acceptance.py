@@ -7,7 +7,7 @@ import numpy as np
 import sampled_loops as loops
 
 from leafatlas import matrixlie as ml
-from leafatlas.atlas import atlas, twisted_involutions
+from leafatlas.atlas import atlas, class_fields, twisted_involutions
 from leafatlas.satake import builtin_catalog, real_form_data
 
 import catalog_reference as cr
@@ -38,7 +38,7 @@ def test_criterion_01_rank_one_atlas_exact():
     with timer(1.0) as t:
         report = atlas(BY_LABEL["sl(2,R)"])
         assert len(report.classes) == 2
-        by_word = {tuple(c["psi_word"]): c for c in report.classes}
+        by_word = {tuple(c[1]): class_fields(report.form, c) for c in report.classes}
         open_cls = by_word[(1,)]
         assert (open_cls["codim_Y"], open_cls["a"], open_cls["t"]) == (0, 0, 1)
         assert open_cls["leaf_dim"] == 2 and open_cls["is_open"]
@@ -98,7 +98,8 @@ def test_criterion_03_open_leaf_criterion():
 def test_criterion_04_sl3_rank_ceiling():
     with timer(30.0) as t:
         report = atlas(BY_LABEL["sl(3,R)"])
-        assert report.classes[report.largest_leaf_class]["leaf_codim"] == 1
+        top = class_fields(report.form, report.classes[report.largest_leaf_class])
+        assert top["leaf_codim"] == 1
         rf = ml.realization("sl(3,R)")
         got, _ = ml.max_sampled_rank(rf, n_samples=200, seed=1004, threshold=1e-8)
         assert got == report.form.dim_x - 1 == 4
@@ -108,7 +109,7 @@ def test_criterion_04_sl3_rank_ceiling():
 def test_criterion_05_su21_full_rank():
     with timer(30.0) as t:
         report = atlas(BY_LABEL["su(2,1)"])
-        top = report.classes[report.largest_leaf_class]
+        top = class_fields(report.form, report.classes[report.largest_leaf_class])
         assert top["is_open"] and top["leaf_dim"] == report.form.dim_x == 4
         assert top["family_dim"] == 0
         rf = ml.realization("su(2,1)")
@@ -129,7 +130,8 @@ def test_criterion_06_catalog_structural_invariants():
             assert wm.mat_mul(tau, w0.matrix) == wm.mat_mul(w0.matrix, tau)
             assert wm.mat_mul(tau, wb.matrix) == wm.mat_mul(wb.matrix, tau)
             assert wm.length(rs, wm.multiply(rs, wb, w0)) == wm.length(rs, w0) - wm.length(rs, wb)
-            for cls in twisted_involutions(rfe, rs):
+            for record in twisted_involutions(rfe, rs):
+                cls = class_fields(rfe, record)
                 assert cls["t"] + cls["a"] == rs.rank
                 assert cls["leaf_codim"] == cls["a"] + cls["codim_Y"]
     verdict(6, f"structural invariants across {len(builtin_catalog())} catalog "
@@ -187,7 +189,8 @@ def test_criterion_09_stabilizer_dimensions():
             sd = BY_LABEL[label]
             rs = sd.root_system()
             rfe = real_form_data(sd)
-            for cls in twisted_involutions(rfe, rs):
+            for record in twisted_involutions(rfe, rs):
+                cls = class_fields(rfe, record)
                 u = ml.representative_for(rf, cls["psi_word"])
                 if u is None:
                     continue

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import leafatlas
 from leafatlas import satake
-from leafatlas.atlas import atlas, realizable_candidate, twisted_involutions
+from leafatlas.atlas import atlas, class_fields, realizable_candidate, twisted_involutions
 from leafatlas.rootsys import WeylCapError, build_root_system
 from leafatlas.satake import (
     SatakeDiagram,
@@ -40,18 +40,28 @@ def psi_of(rs, cls):
     return wm.from_word(rs, cls["psi_word"])
 
 
+def walked_fields(rf, rs):
+    """The fields (`class_fields`) of every class the walk yields."""
+    return [class_fields(rf, record) for record in twisted_involutions(rf, rs)]
+
+
+def report_fields(report):
+    """The fields of a report's classes, in report order."""
+    return [class_fields(report.form, record) for record in report.classes]
+
+
 # ---------------------------------------------------------------------------
 # twisted involutions
 
 def test_twisted_involutions_rank_one():
     rs, rf = setup_form("sl(2,R)")
-    words = sorted(tuple(c["psi_word"]) for c in twisted_involutions(rf, rs))
+    words = sorted(tuple(word) for _, word, _ in twisted_involutions(rf, rs))
     assert words == [(), (1,)]
 
 
 def test_twisted_involutions_su21():
     rs, rf = setup_form("su(2,1)")
-    words = sorted(tuple(c["psi_word"]) for c in twisted_involutions(rf, rs))
+    words = sorted(tuple(word) for _, word, _ in twisted_involutions(rf, rs))
     assert words == [(), (1, 2), (1, 2, 1), (2, 1)]
 
 
@@ -59,7 +69,7 @@ def test_twisted_involutions_sl3_are_ordinary_involutions():
     # independent oracle: with trivial involution these are the involutions
     # of the symmetric group on three letters
     rs, rf = setup_form("sl(3,R)")
-    got = {psi_of(rs, c).matrix for c in twisted_involutions(rf, rs)}
+    got = {psi_of(rs, c).matrix for c in walked_fields(rf, rs)}
     expected = {
         w.matrix
         for w in wm.enumerate_weyl(rs)
@@ -88,7 +98,7 @@ def _brute_force(rf, rs):
 
 def _walked(rf, rs):
     walked = {}
-    for cls in twisted_involutions(rf, rs):
+    for cls in walked_fields(rf, rs):
         matrix = psi_of(rs, cls).matrix
         assert matrix not in walked
         walked[matrix] = tuple(cls["psi_word"])
@@ -105,7 +115,7 @@ def _assert_carried_invariants_match(rf, rs):
     for w, ref in ((rf.w_b, mf.w_b), (rf.w0, mf.w0)):
         assert (tuple(w.word), wm.matrix_of(rs, w.perm)) == (ref.word, ref.matrix)
     assert rf.real_rank == mf.real_rank
-    for cls in twisted_involutions(rf, rs):
+    for cls in walked_fields(rf, rs):
         psi = psi_of(rs, cls)
         assert cls == wm.orbit_class(rf, rs, psi)
         m = wm.twisted_matrix(rf, psi)
@@ -138,12 +148,16 @@ def test_walk_matches_brute_force(sd):
     assert _walked(rf, rs) == _brute_force(rf, rs)
 
 
-@pytest.mark.parametrize("sd", WORD_FORMS + (_plain("E", 7),), ids=lambda s: s.label)
+# every catalog form; split A5, B5, C5, D5, D6, G2, F4, E6 and E7; quasi-split E6
+@pytest.mark.parametrize("sd", WORD_FORMS + (_plain("E", 7), _plain("D", 5)),
+                         ids=lambda s: s.label)
 def test_walk_matches_the_upward_walk(sd):
-    # the canonical-parent walk gives the same records as the walk that
-    # keeps every child and drops the v it has already seen
+    # the canonical-parent walk gives the same classes as the walk that keeps
+    # every child and drops the v it has already seen, and the fields read
+    # off each (codim_Y, psi_word, a) equal the 11-field record that the
+    # reference builds from v = psi w_b
     rs, rf = sd.root_system(), real_form_data(sd)
-    got = sorted(twisted_involutions(rf, rs), key=lambda c: (c["codim_Y"], c["psi_word"]))
+    got = [class_fields(rf, record) for record in sorted(twisted_involutions(rf, rs))]
     assert got == wm.upward_walk_records(rf, rs)
 
 
@@ -185,8 +199,9 @@ def test_split_form_class_count_is_the_number_of_involutions(cartan_type, count)
 
 
 def test_split_e7_atlas_peak_memory():
-    # 10,208 class records with bytes words: the traced peak was 7,963 KiB
-    # when each word was a tuple of ints
+    # 10,208 class records: the traced peak was 7,963 KiB when each record
+    # was a dict with a tuple word, 5,955 KiB with a bytes word, and is
+    # 1,319 KiB for (codim_Y, psi_word, a) triples
     sd = _plain("E", 7)
     atlas(sd)  # warm the root-system and real-form caches
     tracemalloc.start()
@@ -195,7 +210,7 @@ def test_split_e7_atlas_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 1024 <= 6500
+    assert peak / 1024 <= 2000
 
 
 def test_weyl_cap_counts_the_classes_visited():
@@ -246,12 +261,12 @@ def test_random_diagrams_rejected_or_consistent(sd):
         return
     rs = sd.root_system()
     assert _walked(rf, rs) == _brute_force(rf, rs)
-    for cls in twisted_involutions(rf, rs):
+    for cls in walked_fields(rf, rs):
         assert len(cls["psi_word"]) == wm.length(rs, psi_of(rs, cls))
     _assert_carried_invariants_match(rf, rs)
     report = atlas(sd)
-    assert sum(c["is_closed_class"] for c in report.classes) == 1
-    assert sum(c["codim_Y"] == 0 for c in report.classes) == 1
+    assert sum(c["is_closed_class"] for c in report_fields(report)) == 1
+    assert sum(c["codim_Y"] == 0 for c in report_fields(report)) == 1
 
 
 # the Satake diagrams of every type of rank at most 6: up to 4,152 classes
@@ -264,9 +279,10 @@ SATAKE_UP_TO_6 = [sd for family, rank in DOMAIN_TYPES if rank <= 6
 @given(st.sampled_from(SATAKE_UP_TO_6))
 def test_random_satake_diagrams_walk_as_the_tuple_reference(sd):
     # the translate products of the canonical-parent walk give the records
-    # of the reference walk, whose products are tuples
+    # of the reference walk, whose products are tuples, and their fields
+    # equal the reference's
     rs, rf = sd.root_system(), real_form_data(sd)
-    got = sorted(twisted_involutions(rf, rs), key=lambda c: (c["codim_Y"], c["psi_word"]))
+    got = [class_fields(rf, record) for record in sorted(twisted_involutions(rf, rs))]
     assert got == wm.upward_walk_records(rf, rs)
 
 
@@ -395,20 +411,20 @@ def test_open_leaf_named_examples():
 def test_atlas_sl2():
     report = atlas(BY_LABEL["sl(2,R)"])
     assert len(report.classes) == 2 and report.has_open_leaves
-    assert report.classes[report.largest_leaf_class]["is_open"]
+    assert report_fields(report)[report.largest_leaf_class]["is_open"]
 
 
 def test_atlas_su21():
     report = atlas(BY_LABEL["su(2,1)"])
     assert len(report.classes) == 4 and report.has_open_leaves
-    top = report.classes[report.largest_leaf_class]
+    top = report_fields(report)[report.largest_leaf_class]
     assert top["leaf_dim"] == 4 == report.form.dim_x and top["family_dim"] == 0
 
 
 def test_atlas_sl3():
     report = atlas(BY_LABEL["sl(3,R)"])
     assert len(report.classes) == 4 and not report.has_open_leaves
-    top = report.classes[report.largest_leaf_class]
+    top = report_fields(report)[report.largest_leaf_class]
     assert top["leaf_codim"] == 1
     rs = BY_LABEL["sl(3,R)"].root_system()
     assert psi_of(rs, top) == wm.longest_element(rs)
@@ -417,7 +433,7 @@ def test_atlas_sl3():
 @pytest.mark.parametrize("sd", WORD_FORMS, ids=lambda s: s.label)
 def test_largest_leaf_class_is_the_least_leaf_codim_that_can_carry_leaves(sd):
     report = atlas(sd)
-    classes = report.classes
+    classes = report_fields(report)
     if classes[0]["is_open"]:
         assert realizable_candidate(classes[0]) and report.largest_leaf_class == 0
     candidates = [i for i, c in enumerate(classes) if realizable_candidate(c)]
@@ -426,15 +442,15 @@ def test_largest_leaf_class_is_the_least_leaf_codim_that_can_carry_leaves(sd):
 
 def test_atlas_sorted_and_unique_closed():
     report = atlas(BY_LABEL["su(2,1)"])
-    keys = [(c["codim_Y"], c["psi_word"]) for c in report.classes]
+    keys = [(c["codim_Y"], c["psi_word"]) for c in report_fields(report)]
     assert keys == sorted(keys)
-    assert sum(c["is_closed_class"] for c in report.classes) == 1
+    assert sum(c["is_closed_class"] for c in report_fields(report)) == 1
 
 
 @pytest.mark.parametrize("label", ["sl(2,R)", "su(2,1)", "sl(3,R)", "so(4,1)", "so*(8)"])
 def test_unique_codim_zero_class_and_max_at_identity(label):
     rs, rf = setup_form(label)
-    classes = list(twisted_involutions(rf, rs))
+    classes = walked_fields(rf, rs)
     zero = [c for c in classes if c["codim_Y"] == 0]
     assert len(zero) == 1
     assert psi_of(rs, zero[0]) == wm.open_class_element(rf, rs)
@@ -449,7 +465,7 @@ def test_unique_codim_zero_class_and_max_at_identity(label):
 @pytest.mark.parametrize("label", ["su(2,1)", "sl(3,R)", "sp(1,1)", "su*(4)"])
 def test_trace_cross_check(label):
     rs, rf = setup_form(label)
-    for cls in twisted_involutions(rf, rs):
+    for cls in walked_fields(rf, rs):
         assert cls["a"] - cls["t"] == wm.mat_trace(wm.twisted_matrix(rf, psi_of(rs, cls)))
         assert cls["a"] + cls["t"] == rs.rank
         assert cls["leaf_codim"] == cls["a"] + cls["codim_Y"]
@@ -457,14 +473,15 @@ def test_trace_cross_check(label):
 
 def test_flagged_classes_are_retained():
     report = atlas(BY_LABEL["su(3,1)"])
-    flagged = [c for c in report.classes if not realizable_candidate(c)]
+    classes = report_fields(report)
+    flagged = [c for c in classes if not realizable_candidate(c)]
     assert any(tuple(c["psi_word"]) == (2,) and c["leaf_dim"] == -2 for c in flagged)
-    assert not report.classes[report.largest_leaf_class] in flagged
+    assert not classes[report.largest_leaf_class] in flagged
 
 
 def test_open_implies_full_dimension():
     for sd in builtin_catalog():
         report = atlas(sd)
-        for c in report.classes:
+        for c in report_fields(report):
             if c["is_open"]:
                 assert c["leaf_dim"] == report.form.dim_x and c["family_dim"] == 0

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from leafatlas.atlas import atlas, realizable_candidate
+from leafatlas.atlas import atlas, class_fields, realizable_candidate
 from leafatlas.cli import (
     ENV_CATALOG,
     THREAD_VARS,
@@ -243,6 +243,33 @@ def test_python_dash_m_runs_from_the_source_tree(capsys, monkeypatch):
     assert run(capsys, "atlas", "--form", "sl(2,R)") == (0, proc.stdout, "")
 
 
+@pytest.mark.parametrize("output_format", ["json", "md"])
+def test_closed_stdout_ends_the_output_quietly(monkeypatch, output_format):
+    # `leafatlas atlas --type E7 | head -1`: the reader closes the pipe after
+    # one line, long before the report ends, which exits 141 (128 + SIGPIPE)
+    # with nothing on stderr, not 2 with "[Errno 32] Broken pipe"
+    monkeypatch.delenv(ENV_CATALOG, raising=False)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leafatlas", "atlas", "--type", "E7", "--format", output_format],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    with proc.stderr:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+
+
+def test_markdown_command_writes_atlas_markdown(capsys, monkeypatch):
+    # the command writes the markdown piece by piece; atlas_markdown joins them
+    monkeypatch.delenv(ENV_CATALOG, raising=False)
+    for argv, sd in ((["--type", "E6"], cr.diagram("custom(E6)", "E", 6)),
+                     (["--form", "su(2,1)"], cr.by_label()["su(2,1)"])):
+        assert run(capsys, "atlas", *argv, "--format", "md") == (
+            0, atlas_markdown(atlas(sd)), "")
+
+
 @pytest.mark.parametrize("cartan_type", ["E9", "A0"])
 def test_atlas_unsupported_cartan_type(capsys, cartan_type):
     code, out, err = run(capsys, "atlas", "--type", cartan_type)
@@ -280,14 +307,22 @@ def _strict_loads(text):
     return json.loads(text, parse_constant=reject)
 
 
+def _written(doc):
+    """An atlas document as it is written: each class record as its fields,
+    without the form data that reads them."""
+    written = dict(doc, classes=[class_fields(doc["real_form"], c) for c in doc["classes"]])
+    del written["real_form"]
+    return written
+
+
 def test_class_writer_matches_json_dumps_on_every_atlas_document():
     # every catalog form and split E6
     forms = builtin_catalog() + (cr.diagram("custom(E6)", "E", 6),)
     words = set()
     for sd in forms:
         doc = atlas_document(atlas(sd, catalog_hash="0123abcd"), 0)
-        assert _json_dumps(doc) == _generic(doc), sd.label
-        words |= {len(c["psi_word"]) for c in doc["classes"]}
+        assert _json_dumps(doc) == _generic(_written(doc)), sd.label
+        words |= {len(word) for _, word, _ in doc["classes"]}
     assert {0, 1} <= words  # a closed class and a one-letter word
 
 
@@ -303,11 +338,12 @@ def test_labels_that_need_escaping_match_json_dumps(tmp_path, capsys, monkeypatc
     catalog.write_text(f"name={ESCAPED_LABEL}; type=A2; arrows={{(1,2)}}\n", encoding="utf-8")
     code, listed, _ = run(capsys, "atlas", "--catalog", str(catalog), "--form", ESCAPED_LABEL)
     assert code == 0
-    for out in (inline, listed):
+    for out, arrows in ((inline, ()), (listed, [(1, 2)])):
         doc = json.loads(out)
         assert doc["form"]["label"] == ESCAPED_LABEL
         assert out == _generic(doc)
-        assert _json_dumps(doc) == out
+        sd = cr.diagram(ESCAPED_LABEL, "A", 2, arrows=arrows)
+        assert _json_dumps(atlas_document(atlas(sd, catalog_hash=doc["catalog_hash"]), 0)) == out
 
 
 def _reference_markdown(report):
@@ -326,7 +362,7 @@ def _reference_markdown(report):
         "| psi word | codim_Y | a | t | leaf dim | leaf codim | family dim | open | closed | ok |",
         "|---|---|---|---|---|---|---|---|---|---|",
     ]
-    for c in report.classes:
+    for c in (class_fields(rf, record) for record in report.classes):
         word = "s" + " s".join(map(str, c["psi_word"])) if c["psi_word"] else "e"
         ok = "yes" if realizable_candidate(c) else "FLAGGED"
         lines.append(
@@ -345,7 +381,8 @@ def test_markdown_matches_the_reference_renderer():
     for sd in builtin_catalog() + (cr.diagram("custom(E6)", "E", 6),):
         report = atlas(sd)
         assert atlas_markdown(report) == _reference_markdown(report), sd.label
-        flagged += sum(not realizable_candidate(c) for c in report.classes)
+        flagged += sum(not realizable_candidate(class_fields(report.form, c))
+                       for c in report.classes)
     assert flagged  # the FLAGGED cell is covered
 
 
@@ -364,16 +401,19 @@ def test_atlas_writers_leave_no_cyclic_garbage():
 
 
 def test_words_are_bytes_and_class_records_are_untracked():
-    # every field of a class record is an int, a bool or bytes, so the
-    # cyclic collector never tracks one; a letter renders as one digit
+    # a class record is (codim_Y, psi_word, a): two ints and bytes, so the
+    # cyclic collector stops tracking it at the first collection that sees
+    # it; a letter renders as one digit
     assert RANK_CAP <= 9
     assert _letters(range(1, RANK_CAP + 1)) == "".join(map(str, range(1, RANK_CAP + 1)))
     for sd in builtin_catalog() + (cr.diagram("custom(E6)", "E", 6),):
         report = atlas(sd)
-        words = [report.form.w0.word, report.form.w_b.word]
-        words += [c["psi_word"] for c in report.classes]
-        assert all(type(word) is bytes for word in words), sd.label
+        assert all(list(map(type, c)) == [int, bytes, int] for c in report.classes), sd.label
+        gc.collect()
         assert not any(gc.is_tracked(c) for c in report.classes), sd.label
+        words = [report.form.w0.word, report.form.w_b.word]
+        words += [word for _, word, _ in report.classes]
+        assert all(type(word) is bytes for word in words), sd.label
         for word in words:
             assert [int(letter) for letter in _letters(word)] == list(word)
 
@@ -381,7 +421,8 @@ def test_words_are_bytes_and_class_records_are_untracked():
 @pytest.mark.slow
 def test_split_e8_document_sha256(tmp_path):
     """Split E8 has 199,952 classes and a 177 MiB document, written piece by
-    piece to --out in under 150 MiB of peak RSS; run with `-m slow`."""
+    piece to --out in under 60 MiB of peak RSS (54 MiB measured, 146 MiB when
+    each class record was a dict); run with `-m slow`."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop(ENV_CATALOG, None)
     out = tmp_path / "e8.json"
@@ -400,7 +441,7 @@ def test_split_e8_document_sha256(tmp_path):
         capture_output=True, text=True, env=env, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) / 1024 < 150  # VmHWM is in kB
+    assert int(proc.stdout) / 1024 < 60  # VmHWM is in kB
     digest = hashlib.sha256()
     with open(out, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

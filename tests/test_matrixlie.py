@@ -8,7 +8,7 @@ import pytest
 import sampled_loops as loops
 
 from leafatlas import matrixlie as ml
-from leafatlas.atlas import twisted_involutions
+from leafatlas.atlas import class_fields, twisted_involutions
 from leafatlas.rootsys import build_root_system
 from leafatlas.satake import real_form_data
 
@@ -18,8 +18,10 @@ BY_LABEL = cr.by_label()
 
 
 def walked_classes(label):
+    """The fields (`class_fields`) of every class of a catalog form."""
     sd = BY_LABEL[label]
-    return twisted_involutions(real_form_data(sd), sd.root_system())
+    rf = real_form_data(sd)
+    return [class_fields(rf, record) for record in twisted_involutions(rf, sd.root_system())]
 
 
 @pytest.fixture(scope="module")
@@ -769,8 +771,8 @@ def test_stabilizer_dim_matches_the_per_matrix_loop(label):
     # every class representative and 20 seeded unitaries, alone and stacked
     rf = ml.realization(label)
     sd = rf.diagram
-    reps = [ml.representative_for(rf, c["psi_word"])
-            for c in twisted_involutions(real_form_data(sd), sd.root_system())]
+    reps = [ml.representative_for(rf, word)
+            for _, word, _ in twisted_involutions(real_form_data(sd), sd.root_system())]
     points = [u for u in reps if u is not None]
     points += list(ml.sample_unitaries(np.random.default_rng(31), 20, rf.n))
     for include_torus in (False, True):

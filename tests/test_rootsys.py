@@ -283,7 +283,7 @@ def test_reduced_words_of_every_class_match_the_permutation_greedy(sd):
     rs, rf = sd.root_system(), real_form_data(sd)
     expected = sorted((codim_y, wm.reduced_word(rs, wm.product(v, rf.w_b.perm)))
                       for v, codim_y, _ in wm.upward_walk(rf, rs))
-    got = sorted((c["codim_Y"], tuple(c["psi_word"])) for c in twisted_involutions(rf, rs))
+    got = sorted((codim_y, tuple(word)) for codim_y, word, _ in twisted_involutions(rf, rs))
     assert got == expected
 
 

@@ -1,7 +1,9 @@
 """The Weyl group as integer matrices on simple-root coordinates: the
 differential reference for the root permutations of `leafatlas.rootsys`, for
 the involution data of `leafatlas.satake`, and for the twisted-involution
-walk of `leafatlas.atlas` and the classes it carries.
+walk of `leafatlas.atlas` and the classes it carries, whose 11 fields are
+built here directly from each v = psi w_b (`reference_recorder`), as the
+reference for `atlas.class_fields`.
 
 Every matrix is a tuple of tuples of Python ints, so every computation here
 is exact. Imported by the test modules; pytest does not collect it.
@@ -13,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from leafatlas.atlas import _recorder
 from leafatlas.rootsys import DEFAULT_WEYL_CAP, IntMatrix, IntVector, RootSystem, WeylCapError
 from leafatlas.satake import RealFormData, SatakeDiagram, real_form_data
 
@@ -277,6 +278,44 @@ def twisted_matrix(rf: RealFormData, psi: WeylElement) -> IntMatrix:
     return mat_mul(psi.matrix, matrix_form(rf.diagram).tau_star)
 
 
+def reference_recorder(rf: RealFormData, rs: RootSystem):
+    """record(v, codim_y, a): the fields of the class of psi = v w_b as one
+    dict, each computed from v and the form, with the trace read off
+    v(alpha_sigma(i)): the reference for `atlas.class_fields`."""
+    k = rs.permutations
+    rank, roots, dim_x = rs.rank, k.roots, rf.dim_x
+    tau_heights = [k.heights[t] for t in rf.tau_star]  # the height of tau*(root j)
+    alpha_sigma = [k.simple[j] for j in rf.sigma]
+    # an orbit has dimension 2N - codim_Y, and each of its leaves dim k0 - t less
+    leaf_dim_at_codim_0 = 2 * k.npos - rf.dim_k0
+
+    def record(v: Sequence[int], codim_y: int, a: int) -> dict:
+        t = rank - a
+        images = [v[x] for x in alpha_sigma]  # v(alpha_sigma(i))
+        # psi tau* = v w_b w_b sigma = v sigma is an involution, so a - t is its trace
+        assert a - t == sum(roots[x][i] for i, x in enumerate(images))
+        # psi^-1(alpha_j) = w_b sigma v sigma(alpha_j) = tau*(v(alpha_sigma(j)))
+        word = k.word_from_heights([tau_heights[x] for x in images])
+        leaf_dim = leaf_dim_at_codim_0 - codim_y + t
+        leaf_codim = dim_x - leaf_dim
+        assert leaf_codim == a + codim_y
+        return {
+            "a": a,
+            "codim_Y": codim_y,
+            "dims_in_range": 0 <= leaf_dim <= dim_x,
+            "family_dim": a,
+            "is_closed_class": not word,
+            "is_open": codim_y == 0 and a == 0,
+            "leaf_codim": leaf_codim,
+            "leaf_dim": leaf_dim,
+            "parity_ok": leaf_dim % 2 == 0,
+            "psi_word": word,
+            "t": t,
+        }
+
+    return record
+
+
 def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> dict:
     """The class of one twisted involution, computed from psi alone: the
     reference for the invariants that `twisted_involutions` carries."""
@@ -288,7 +327,7 @@ def orbit_class(rf: RealFormData, rs: RootSystem, psi: WeylElement) -> dict:
     mf = matrix_form(rf.diagram)
     codim_y = length(rs, multiply(rs, psi, mf.w_b, mf.w0))
     v = perm_of(rs, multiply(rs, psi, mf.w_b))
-    return _recorder(rf, rs)(v, codim_y, (rs.rank + mat_trace(m)) // 2)
+    return reference_recorder(rf, rs)(v, codim_y, (rs.rank + mat_trace(m)) // 2)
 
 
 def upward_walk(rf: RealFormData, rs: RootSystem) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -332,8 +371,9 @@ def upward_walk(rf: RealFormData, rs: RootSystem) -> Iterator[tuple[tuple[int, .
 
 
 def upward_walk_records(rf: RealFormData, rs: RootSystem) -> list[dict]:
-    """The class records of `upward_walk`, sorted as `atlas` sorts them."""
-    record = _recorder(rf, rs)
+    """The class fields of `upward_walk` (`reference_recorder`), sorted as `atlas`
+    sorts its classes."""
+    record = reference_recorder(rf, rs)
     records = (record(v, codim_y, a) for v, codim_y, a in upward_walk(rf, rs))
     return sorted(records, key=lambda c: (c["codim_Y"], c["psi_word"]))
 
