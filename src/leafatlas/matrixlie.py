@@ -4,7 +4,11 @@ Builds the multiplicative bivector on SU(n) from normalized root vectors,
 pushes it to the symmetric-space quotient, implements the triangular-times-
 unitary right action, and runs the independent checks (closed-form example,
 Poisson identities, annihilator identity, stabilizer dimensions, Hermitian
-decomposition) against the exact combinatorial engine.
+decomposition) against the exact combinatorial engine.  The per-form
+identities (the Cartan identities of tau and theta, the annihilator identity,
+the Poisson identities) are decided in integers on su_lattice(n), basis_u
+without its root scale, by exact_rank where a rank is needed; the sampled
+checks and the stabilizer and leaf ranks stay in floating point.
 
 Conventions used throughout, fixed once:
   * the invariant form is kappa(X, Y) = 2n tr(XY);
@@ -65,7 +69,26 @@ class NotHermitianError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# numerical rank: the one rule behind every rank and null-space decision
+# rank: exact on integer rows, under one floored cutoff on float ones
+
+def exact_rank(m: np.ndarray) -> int:
+    """Rank of a matrix of integers (ints or integral floats), exactly: zero
+    rows and rows equal to another up to sign are dropped, then fraction-free
+    (Bareiss) elimination over Python ints runs column by column.  Each entry
+    after a pivot is a minor of m, so the division by the last pivot is exact."""
+    rows = list({tuple(r) if next(filter(None, r)) > 0 else tuple(-x for x in r)
+                 for r in _integral(m).astype(np.int64).tolist() if any(r)})
+    rank, prev = 0, 1
+    while rows and rows[0]:
+        top = next((r for r in rows if r[0]), None)
+        if top is None:  # no pivot in this column
+            rows = [r[1:] for r in rows]
+            continue
+        rows = [r for r in ([(top[0] * x - r[0] * y) // prev for x, y in zip(r[1:], top[1:])]
+                            for r in rows if r is not top) if any(r)]
+        prev, rank = top[0], rank + 1
+    return rank
+
 
 def _floored_rank(s: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """(rank, borderline) from singular values in descending order along the
@@ -84,16 +107,6 @@ def numerical_rank(m: np.ndarray,
     """(rank, borderline) of m, or of each matrix of a stack m, under the
     floored cutoff."""
     return _floored_rank(np.linalg.svd(m, compute_uv=False), threshold)
-
-
-def nullspace(m: np.ndarray, threshold: float = RANK_THRESHOLD) -> np.ndarray:
-    """Orthonormal columns N spanning the numerical null space: m @ N ~ 0.
-    Only a wide m needs the full V. A tall m gives way to the R of m = QR,
-    which has its singular values and V, so no U of m's height is formed."""
-    if m.shape[0] > m.shape[1]:
-        m = np.linalg.qr(m, mode="r")
-    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    return vt[_floored_rank(s, threshold)[0]:].T
 
 
 def column_space(m: np.ndarray) -> np.ndarray:
@@ -158,6 +171,22 @@ def _triangular_basis(n: int) -> np.ndarray:
     return basis
 
 
+def _root_scale(n: int) -> np.ndarray:
+    """The scale of each element of su_basis(n) over su_lattice(n): 1 on the
+    torus, 1/sqrt(2n) on the root vectors."""
+    return np.where(np.arange(n * n - 1) < n - 1, 1.0, 1.0 / math.sqrt(2 * n))
+
+
+def su_lattice(n: int) -> np.ndarray:
+    """su_basis(n) without its 1/sqrt(2n) root scale, as one (n^2 - 1, n, n)
+    stack with entries 0, +-1 and +-i: the torus iH_1..iH_{n-1}, then
+    E_jk - E_kj and i(E_jk + E_kj) for each j < k."""
+    an = _triangular_basis(n)
+    e = an[n - 1::2]
+    roots = np.stack([e - _T(e), 1j * (e + _T(e))], axis=1).reshape(-1, n, n)
+    return np.concatenate([1j * an[: n - 1], roots])
+
+
 def su_basis(n: int) -> np.ndarray:
     """Ordered real basis of su(n) as one (n^2 - 1, n, n) stack: the torus
     iH_1..iH_{n-1}, then X and Y for each positive root e_j - e_k, j < k.
@@ -165,11 +194,9 @@ def su_basis(n: int) -> np.ndarray:
     The root vector E = E_jk / sqrt(2n) is scaled so that kappa(E, theta(E))
     = -1 with theta(X) = -X^dagger; with F = -theta(E) = E_kj / sqrt(2n),
     X = E - F and Y = i(E + F) lie in su(n)."""
-    an = _triangular_basis(n)
-    e = (1.0 / math.sqrt(2 * n)) * an[n - 1::2]
-    f = _T(e)
-    roots = np.stack([e - f, 1j * (e + f)], axis=1).reshape(-1, n, n)
-    return np.concatenate([1j * an[: n - 1], roots])
+    basis = su_lattice(n)
+    basis[n - 1:] *= 1.0 / math.sqrt(2 * n)
+    return basis
 
 
 def lambda_matrix(n: int) -> np.ndarray:
@@ -244,17 +271,16 @@ def _tau_split(tau: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     before, from tau's integer matrix on basis_u.  On the roots tau is a signed
     permutation: a 2-cycle keeps both candidates of its first member, a fixed
     root vector the one on the side of its sign.  Torus candidate j is kept
-    when it raises the rank of candidates 0..j, read on their integer columns."""
+    when it raises the exact rank of candidates 0..j on their integer columns."""
     torus, roots = tau[:n - 1, :n - 1], tau[n - 1:, n - 1:]
     assert not tau[:n - 1, n - 1:].any() and not tau[n - 1:, :n - 1].any()
     assert np.array_equal(np.abs(roots).sum(axis=0), np.ones(len(roots)))
     cols = np.arange(len(roots))
     image = np.abs(roots).argmax(axis=0)
     first, fixed, sign = image > cols, image == cols, roots[image, cols]
-    prefixes = np.tril(np.ones((n - 1, n - 1)))[:, None, :]  # columns 0..j of each j
     split = []
     for side in (1, -1):
-        ranks = numerical_rank((np.eye(n - 1) + side * torus) * prefixes)[0]
+        ranks = [exact_rank((np.eye(n - 1) + side * torus)[:, :j + 1]) for j in range(n - 1)]
         keep = first | fixed & (sign == side)
         split.append(np.concatenate([np.flatnonzero(np.diff(ranks, prepend=0)),
                                      n - 1 + np.flatnonzero(keep)]))
@@ -322,13 +348,6 @@ class MatrixRealForm:
         if self.kind == "sl_real":
             return sl_real_diagram(self.n)
         return su_pq_diagram(self.p, self.q)
-
-    @cached_property
-    def fixed_triangular(self) -> np.ndarray:
-        """A basis of the conjugation-fixed part of the triangular factor, as
-        one stack."""
-        tau_map = _re_im(_columns(self.tau(self.basis_an) - self.basis_an))
-        return np.tensordot(nullspace(tau_map).T, self.basis_an, axes=1)
 
     @cached_property
     def _j_eigenbasis(self) -> tuple[np.ndarray, float]:
@@ -621,30 +640,22 @@ def largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class AnnihilatorResult(NamedTuple):
-    distance: float
     dim_annihilator: int
     dim_fixed_points: int
+    dim_intersection: int
 
 
 def annihilator_check(rf: MatrixRealForm) -> AnnihilatorResult:
-    """Annihilator of k0 inside the triangular factor under Im kappa, compared
-    with the conjugation-fixed subspace of that factor."""
-    # Im kappa(X, Y) = Im 2n tr(XY) for X in basis_k0, Y in the triangular basis
-    pairing = 2 * rf.n * np.einsum("iab,jba->ij", rf.basis_k0, rf.basis_an).imag
-    ann = _re_im(_columns(rf.basis_an)) @ nullspace(pairing)
-    fixed = _re_im(_columns(rf.fixed_triangular))
-
-    def orth(m: np.ndarray) -> np.ndarray:
-        return np.linalg.qr(m)[0] if m.shape[1] else m
-
-    qa, qf = orth(ann), orth(fixed)
-    pa = qa @ qa.T
-    pf = qf @ qf.T
-    return AnnihilatorResult(
-        distance=float(np.linalg.norm(pa - pf, 2)),
-        dim_annihilator=qa.shape[1],
-        dim_fixed_points=qf.shape[1],
-    )
+    """Dimensions of the annihilator of k0 inside the triangular factor under
+    Im kappa, of its conjugation-fixed subspace, and of their intersection: the
+    nullities, by exact_rank, of integer rows P and T on the coordinates over
+    basis_an and of [P; T].  P pairs 2 X / scale, X of basis_k0, with basis_an
+    under Im tr, and T is re/im(tau A - A) over A of basis_an."""
+    k0 = 2 * rf.basis_k0 / _root_scale(rf.n)[rf._k0, None, None]
+    pairing = np.einsum("iab,jba->ij", k0, rf.basis_an).imag
+    fixed = _re_im(_columns(rf.tau(rf.basis_an) - rf.basis_an))
+    return AnnihilatorResult(*(len(rf.basis_an) - exact_rank(m)
+                               for m in (pairing, fixed, np.concatenate([pairing, fixed]))))
 
 
 def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray | Sequence[np.ndarray],
@@ -788,12 +799,11 @@ def _cyclic(t: np.ndarray) -> np.ndarray:  # t[i, j, k] + t[j, k, i] + t[k, i, j
 def poisson_identities(rf: MatrixRealForm) -> tuple[float, float]:
     """(mcybe, k0_coisotropic): the largest entries of ad_X [lam, lam] over X
     and Y of the simple roots, which generate u, and of the i p0 ^ i p0 part of
-    ad_X lam over X of basis_k0.  Both are integers: over basis_u without the
-    1/sqrt(2n) root scale, ad[a] (the matrix of ad B_a), 8n lam and tau are
+    ad_X lam over X of basis_k0.  Both are integers: over su_lattice(n), basis_u
+    without its root scale, ad[a] (the matrix of ad B_a), 8n lam and tau are
     integral, and both identities are homogeneous in lam (see README)."""
     n, d = rf.n, rf.dim_u
-    scale = np.where(np.arange(d) < n - 1, 1.0, 1.0 / math.sqrt(2 * n))
-    basis = rf.basis_u / scale[:, None, None]
+    scale, basis = _root_scale(n), su_lattice(n)
     ad = np.empty((d, d, d))
     for rows in np.split(np.arange(d), n + 1):  # all at once would take 0.9 MiB on n = 5
         b = basis[rows, None]
@@ -907,7 +917,6 @@ def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0,
 class HermitianFitResult(NamedTuple):
     b: float
     max_residual: float
-    invariant_rank: int
 
 
 class HermitianFrame(NamedTuple):
@@ -916,7 +925,6 @@ class HermitianFrame(NamedTuple):
     flag_ad: np.ndarray  # the flag reader (basis_u -> basis_ip0) times Ad(u0)
     flag_lam: np.ndarray  # the seed read by the flag reader (_read_seed)
     c_inv: np.ndarray  # see invariant_bivector
-    rank_inv: int
 
 
 def _levi_across(rf: MatrixRealForm) -> np.ndarray:
@@ -974,8 +982,7 @@ def _hermitian_frame(rf: MatrixRealForm) -> HermitianFrame:
     # back by the inverse differential of u K -> u u0^{-1} (left-trivialized)
     reader = np.zeros((rf.dim_ip0, rf.dim_u))
     reader[:, across] = np.linalg.inv((ad_u0 @ rf.coeffs(rf.basis_ip0))[across])
-    return HermitianFrame(reader @ ad_u0, _read_seed(rf, reader), c_inv,
-                          int(numerical_rank(c_inv, 1e-9)[0]))
+    return HermitianFrame(reader @ ad_u0, _read_seed(rf, reader), c_inv)
 
 
 def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
@@ -1007,7 +1014,7 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
 
     b = math.fsum(terms) / (float(np.sum(c_inv * c_inv)) * n_samples)
     max_residual = float(max(np.max(hi - b * c_inv), np.max(b * c_inv - lo)))
-    return HermitianFitResult(b=b, max_residual=max_residual, invariant_rank=frame.rank_inv)
+    return HermitianFitResult(b=b, max_residual=max_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,26 +1031,16 @@ def tau_root_action(rf: MatrixRealForm) -> tuple[IntVector, ...]:
     return tuple(tuple(int(x) for x in row) for row in images)
 
 
-def cartan_consistency(rf: MatrixRealForm, n_samples: int = 20, seed: int = 3) -> dict[str, float]:
-    """Residuals of the defining identities of the realization."""
-    n = rf.n
-    rng = gaussian_stream(seed)
-    res = dict.fromkeys(("tau_sq", "theta_sq", "commute", "h_stable"), 0.0)
-    for k in _stacks(n_samples, rf.n):
-        x, h = complex_normals(rng, k, (n, n), (n,))
-        x = _traceless(x)
-        h = _traceless(h[..., None] * np.eye(n))
-        for key, err in (("tau_sq", rf.tau(rf.tau(x)) - x),
-                         ("theta_sq", rf.theta(rf.theta(x)) - x),
-                         ("commute", rf.tau(rf.theta(x)) - rf.theta(rf.tau(x))),
-                         ("h_stable", rf.tau(h) * (1 - np.eye(n)))):
-            res[key] = max(res[key], float(np.abs(err).max()))
-
-    # the fixed subspace of the triangular factor must be upper triangular
-    # with real diagonal (Iwasawa compatibility of the chosen Borel)
-    ms = rf.fixed_triangular
-    res["iwasawa_borel"] = max(
-        float(np.abs(np.tril(ms, k=-1)).max(initial=0.0)),
-        float(np.abs(np.diagonal(ms, axis1=-2, axis2=-1).imag).max(initial=0.0)))
-    return res
-
+def cartan_consistency(rf: MatrixRealForm) -> dict[str, float]:
+    """Integer residuals of the defining identities on L = su_lattice(n), where
+    tau's matrix is rf._tau as on basis_u if it keeps the torus and the roots
+    apart (h_stable): rf._tau squares to 1, tau(L_b) = sum_a rf._tau[a, b] L_a
+    (commute: tau preserves su(n), the fixed space of theta), theta^2 fixes L
+    and i L."""
+    lat, tau, m = su_lattice(rf.n), rf._tau, rf.n - 1
+    both = np.concatenate([lat, 1j * lat])
+    residuals = (("tau_sq", tau @ tau - np.eye(rf.dim_u)),
+                 ("theta_sq", rf.theta(rf.theta(both)) - both),
+                 ("commute", rf.tau(lat) - np.tensordot(tau.T, lat, 1)),
+                 ("h_stable", np.concatenate([tau[:m, m:], tau[m:, :m].T], axis=1)))
+    return {key: float(np.abs(r).max(initial=0.0)) for key, r in residuals}

@@ -15,6 +15,10 @@ Jacobiator in the chart centred at each of a few seeded points.
 The invariant bivector has three null-space references: its linear system
 entry by entry, assembled in place (`invariant_system`), and read off a
 stack of images; the package builds it from the centre of k0 instead.
+The per-form identities that the package decides in integers keep their
+float paths here: `cartan_consistency` on Gaussian samples, and
+`annihilator_check` by null spaces (`null_space`), QR frames and
+a projector distance.
 The split of sl(n, C) into su(n) and a + n, which the package reads off a
 lower triangle, has its projection reference here: orthonormal frames of
 a + n and of a + n + t (`triangular_frames`), projected off all n^2 entries
@@ -214,13 +218,29 @@ def cartan_consistency(rf, n_samples, seed):
         img = rf.tau(h)
         off = img - np.diag(np.diag(img))
         res["h_stable"] = max(res["h_stable"], float(np.abs(off).max()))
-
-    worst = 0.0
-    for m in rf.fixed_triangular:
-        worst = max(worst, float(np.abs(np.tril(m, k=-1)).max()),
-                    float(np.abs(np.diag(m).imag).max()))
-    res["iwasawa_borel"] = worst
     return res
+
+
+def annihilator_check(rf):
+    """The annihilator identity in floats, which the package decides by exact
+    ranks: (the 2-norm distance of the orthogonal projectors onto the
+    annihilator of k0 in a + n under Im kappa and onto (a + n)^tau, and their
+    dimensions), each subspace the null space of its float system, carried to
+    the vectorized matrices and orthonormalized by QR."""
+    pairing = 2 * rf.n * np.einsum("iab,jba->ij", rf.basis_k0, rf.basis_an).imag
+    tau_map = ml._re_im(ml._columns(rf.tau(rf.basis_an) - rf.basis_an))
+    an = ml._re_im(ml._columns(rf.basis_an))
+    qa, qf = (np.linalg.qr(an @ null_space(m, 1e-8))[0] for m in (pairing, tau_map))
+    return float(np.linalg.norm(qa @ qa.T - qf @ qf.T, 2)), qa.shape[1], qf.shape[1]
+
+
+def null_space(m, rcond):
+    """Orthonormal columns spanning the null space of m, singular values at
+    most rcond * s_max counting as zero, as scipy.linalg.null_space has them,
+    from an SVD with the full V and no more of U than m's width: a full U of
+    the tall invariance system of su(3,3) would take 54 MB."""
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
+    return vt[np.sum(s > rcond * s.max(initial=0.0)):].T
 
 
 def triangular_frames(rf):
@@ -382,7 +402,7 @@ def invariant_bivector_by_images(rf):
     wedges = wedges - ml._T(wedges)
     images = ads[:, None] @ wedges + wedges @ ml._T(ads)[:, None]
     system = images[(...,) + upper].transpose(0, 2, 1).reshape(-1, len(upper[0]))
-    null = ml.nullspace(system, 1e-9)
+    null = null_space(system, 1e-9)
     assert null.shape[1] == 1
     c_inv = np.zeros((m, m))
     c_inv[upper] = null[:, 0]
@@ -424,7 +444,7 @@ def invariant_system(rf):
 def invariant_bivector_in_place(rf):
     """invariant_bivector as the normalized null vector of invariant_system."""
     m = rf.dim_ip0
-    null = ml.nullspace(invariant_system(rf), 1e-9)
+    null = null_space(invariant_system(rf), 1e-9)
     assert null.shape[1] == 1
     upper = np.triu_indices(m, 1)
     c_inv = np.zeros((m, m))

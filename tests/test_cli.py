@@ -489,7 +489,7 @@ VERIFY_INFO = json.loads((Path(__file__).parent / "verify_info.json").read_text(
 
 BATTERY = [
     "cartan_tau_sq", "cartan_theta_sq", "cartan_commute", "cartan_h_stable",
-    "iwasawa_borel", "tau_root_compatibility", "triangular_fixed_dim",
+    "tau_root_compatibility", "triangular_fixed_dim",
     "annihilator_distance", "annihilator_dims", "iwasawa_roundtrip",
     "action_axiom", "multiplicativity", "t_invariance", "mcybe", "k0_coisotropic",
     "rank_vs_atlas", "leaf_tangency",
@@ -566,9 +566,9 @@ def test_verify_battery_builds_a_fixed_number_of_generators(monkeypatch):
                                  RunConfig(command="verify", samples=samples))
         assert doc["passed"] is True
         counts[samples] = len(built)
-    # nine sampled checks: cartan, iwasawa, action, multiplicativity,
-    # t-invariance, rank, tangency and two Hermitian fits
-    assert 0 < counts[100] == counts[200] <= 3 * 9
+    # eight sampled checks: iwasawa, action, multiplicativity, t-invariance,
+    # rank, tangency and two Hermitian fits (the Cartan identities are exact)
+    assert 0 < counts[100] == counts[200] <= 3 * 8
 
 
 def test_verify_no_realization(capsys):
@@ -639,6 +639,16 @@ def test_verify_jacobi_is_no_longer_a_tolerance(capsys):
     assert code == 1 and out == ""
     assert err.startswith("unknown tolerance 'jacobi'; known: ")
     assert "jacobi" not in err.split("known:")[1]
+
+
+@pytest.mark.parametrize("name", ["cartan", "borel", "annihilator"])
+def test_verify_exact_rows_take_no_tolerance(capsys, name):
+    # the Cartan and annihilator rows are decided in integers, at tolerance 0
+    code, out, err = run(capsys, "verify", "--form", "sl(2,R)", "--tol", f"{name}=1e-3")
+    assert code == 1 and out == ""
+    assert err.endswith(
+        f"unknown tolerance {name!r}; known: action, formula, hermitian, iwasawa, "
+        "multiplicativity, rank_threshold, t_invariance, tangency\n")
 
 
 # an infinite tolerance would reach the document as a bare Infinity

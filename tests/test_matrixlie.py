@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -6,9 +7,13 @@ import catalog_reference as cr
 import numpy as np
 import pytest
 import sampled_loops as loops
+from exact_rank import _fraction_rank
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leafatlas import matrixlie as ml
 from leafatlas.atlas import class_fields, twisted_involutions
+from leafatlas.cli import RunConfig, run_verify_battery
 from leafatlas.rootsys import build_root_system
 from leafatlas.satake import real_form_data
 
@@ -49,7 +54,6 @@ def _with_singular_values(s, rows=6, cols=5, seed=0):
 def test_numerical_rank_of_empty_matrix():
     assert ml.numerical_rank(np.zeros((0, 4))) == (0, False)
     assert ml.numerical_rank(np.zeros((3, 0))) == (0, False)
-    assert ml.nullspace(np.zeros((0, 4))).shape == (4, 4)
     assert ml.column_space(np.zeros((3, 0))).shape == (3, 0)
 
 
@@ -75,12 +79,8 @@ def test_numerical_rank_borderline_band(value, rank, borderline):
     assert ml.numerical_rank(m) == (rank, borderline)
 
 
-def test_nullspace_orthonormal_and_annihilated():
+def test_column_space_orthonormal():
     m = _with_singular_values([3.0, 1.0, 1e-12], rows=4, cols=6, seed=1)
-    null = ml.nullspace(m)
-    assert null.shape == (6, 4)
-    assert np.allclose(null.T @ null, np.eye(4), atol=1e-12)
-    assert np.abs(m @ null).max() < 1e-11
     col = ml.column_space(m)
     assert col.shape == (4, 2)
     assert np.allclose(col.T @ col, np.eye(2), atol=1e-12)
@@ -178,8 +178,8 @@ def test_tau_is_a_signed_permutation_of_the_roots(monkeypatch, label):
     assert np.array_equal(np.abs(roots).sum(axis=0), np.ones(len(roots)))
     assert np.array_equal(np.abs(roots).sum(axis=1), np.ones(len(roots)))
     assert np.array_equal(roots @ roots, np.eye(len(roots)))  # tau is an involution
-    # the split makes no rank search over the roots: at most one rank call per
-    # torus candidate
+    # the split makes no rank search over the roots, and ranks the torus
+    # candidates exactly: no float rank at all
     calls = []
     original = ml.numerical_rank
 
@@ -189,7 +189,7 @@ def test_tau_is_a_signed_permutation_of_the_roots(monkeypatch, label):
 
     monkeypatch.setattr(ml, "numerical_rank", counting)
     fresh = ml.MatrixRealForm(rf.label, rf.kind, n, rf.p, rf.q)
-    assert len(calls) <= 2 * (n - 1)
+    assert calls == []
     for got, want in ((fresh.basis_k0, rf.basis_k0), (fresh.basis_ip0, rf.basis_ip0)):
         assert np.array_equal(got, want)
 
@@ -560,8 +560,8 @@ def test_annihilator_identity(label):
     rf = ml.realization(label)
     rfe = real_form_data(BY_LABEL[label])
     res = ml.annihilator_check(rf)
-    assert res.distance < 1e-12
-    assert res.dim_annihilator == res.dim_fixed_points == rfe.dim_p0
+    assert res == (rfe.dim_p0,) * 3
+    assert all(isinstance(dim, int) for dim in res)
 
 
 @pytest.mark.parametrize("label", ["sl(2,R)", "sl(3,R)", "su(2,1)", "su(2,2)", "su(3,1)"])
@@ -575,15 +575,97 @@ def test_tau_root_action_matches_catalog(label):
 @pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)"])
 def test_cartan_consistency(label):
     res = ml.cartan_consistency(ml.realization(label))
-    for key in ("tau_sq", "theta_sq", "commute", "h_stable"):
-        assert res[key] < 1e-12, key
-    assert res["iwasawa_borel"] < 1e-10
+    assert res == dict.fromkeys(("tau_sq", "theta_sq", "commute", "h_stable"), 0.0)
 
 
 @pytest.mark.parametrize("label", ["sl(2,R)", "sl(3,R)", "su(2,1)", "su(3,1)"])
 def test_fixed_triangular_dimension(label):
     rfe = real_form_data(BY_LABEL[label])
     assert ml.annihilator_check(ml.realization(label)).dim_fixed_points == rfe.dim_p0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 7), st.data())
+def test_exact_rank_matches_gauss_jordan_over_q(rows, cols, data):
+    # small entries, many zeros, and planted zero rows and rows equal up to sign
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    m = np.array(data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                    min_size=rows, max_size=rows)), dtype=int).reshape(rows, cols)
+    m = np.concatenate([m, -m[:2], np.zeros((1, cols), int), m[-1:]])
+    assert ml.exact_rank(m) == ml.exact_rank(m.astype(float)) == _fraction_rank(m.tolist())
+
+
+@pytest.mark.parametrize("label", BASIS_LABELS)
+def test_exact_rows_agree_with_the_float_paths(monkeypatch, label):
+    rf = ml.realization(label)
+    # the Gaussian Cartan residuals of the float path read 0.0, as the exact ones do
+    zero = dict.fromkeys(("tau_sq", "theta_sq", "commute", "h_stable"), 0.0)
+    assert loops.cartan_consistency(rf, 20, 3) == ml.cartan_consistency(rf) == zero
+    # the float annihilator: the same dimensions, and projectors that agree
+    distance, dim_annihilator, dim_fixed = loops.annihilator_check(rf)
+    assert distance < 1e-12
+    assert ml.annihilator_check(rf) == (dim_annihilator, dim_fixed, dim_annihilator)
+    assert dim_annihilator == dim_fixed
+    # every exact rank that a realization and the annihilator check take is
+    # the rank by Gauss-Jordan over the rationals
+    ranked, original = [], ml.exact_rank
+
+    def recording(m):
+        ranked.append((m, original(m)))
+        return ranked[-1][1]
+
+    monkeypatch.setattr(ml, "exact_rank", recording)
+    ml.annihilator_check(ml.MatrixRealForm(rf.label, rf.kind, rf.n, rf.p, rf.q))
+    assert len(ranked) == 2 * (rf.n - 1) + 3
+    for m, rank in ranked:
+        assert rank == _fraction_rank(np.rint(m).astype(int).tolist())
+
+
+def test_a_planted_wrong_tau_fails_the_cartan_rows(monkeypatch):
+    rf = ml.realization("su(2,1)")
+    n = rf.n
+    # negate the column of a root vector that tau moves: tau^2 = -1 there
+    image = np.abs(rf._tau[n - 1:, n - 1:]).argmax(axis=0)
+    col = n - 1 + int(np.flatnonzero(image != np.arange(len(image)))[0])
+    bad = copy.copy(rf)
+    bad._tau = rf._tau.copy()
+    bad._tau[:, col] *= -1
+    assert ml.cartan_consistency(bad) == {"tau_sq": 2.0, "theta_sq": 0.0, "commute": 2.0,
+                                          "h_stable": 0.0}
+    monkeypatch.setattr(ml, "realization", lambda label: bad)
+    doc = run_verify_battery(BY_LABEL["su(2,1)"], RunConfig(command="verify"))
+    # k0_coisotropic reads the same matrix, as 1 - tau
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
+        "cartan_tau_sq", "cartan_commute", "k0_coisotropic"]
+    # a torus coordinate in the image of a root vector breaks h_stable
+    bad._tau = rf._tau.copy()
+    bad._tau[0, n - 1] = 1.0
+    assert ml.cartan_consistency(bad)["h_stable"] == 1.0
+
+
+def test_a_k0_vector_swapped_for_an_ip0_vector_fails_the_annihilator_rows(monkeypatch):
+    rf = ml.realization("sl(3,R)")
+    bad = copy.copy(rf)
+    bad.basis_k0 = rf.basis_k0.copy()
+    # X of the first root for Y of the last: both root vectors, of one scale
+    bad.basis_k0[0] = rf.basis_ip0[-1]
+    # both subspaces keep dimension dim p0 = 5; only the joint rank sees it
+    assert ml.annihilator_check(bad) == (5, 5, 4)
+    monkeypatch.setattr(ml, "realization", lambda label: bad)
+    doc = run_verify_battery(BY_LABEL["sl(3,R)"], RunConfig(command="verify"))
+    failed = {c["name"]: c["value"] for c in doc["checks"] if not c["passed"]}
+    assert failed == {"annihilator_distance": 2.0, "annihilator_dims": 1.0}
+
+
+def test_the_exact_rows_build_no_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    rf = ml.realization("su(3,2)")
+    for name in ("default_rng", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, refuse)
+    assert ml.cartan_consistency(rf)["commute"] == 0.0
+    assert ml.annihilator_check(rf) == (12, 12, 12)
 
 
 def test_leaf_tangency_identity_and_generic(sl2):
@@ -1066,15 +1148,17 @@ def test_hermitian_fit_su11():
     rf = ml.realization("su(1,1)")
     res = ml.hermitian_fit(rf, n_samples=100, seed=19)
     assert res.max_residual < 1e-8
-    assert res.invariant_rank == 2  # nondegenerate on the disk
+    # nondegenerate on the disk
+    assert ml.numerical_rank(rf.hermitian_frame.c_inv, 1e-9)[0] == 2
     res2 = ml.hermitian_fit(rf, n_samples=100, seed=20)
     assert abs(res.b - res2.b) < 1e-8
 
 
 def test_hermitian_fit_su21_smoke():
-    res = ml.hermitian_fit(ml.realization("su(2,1)"), n_samples=30, seed=21)
+    rf = ml.realization("su(2,1)")
+    res = ml.hermitian_fit(rf, n_samples=30, seed=21)
     assert res.max_residual < 1e-8
-    assert res.invariant_rank == ml.realization("su(2,1)").dim_ip0
+    assert ml.numerical_rank(rf.hermitian_frame.c_inv, 1e-9)[0] == rf.dim_ip0
 
 
 def test_hermitian_frame_built_once_per_realization(monkeypatch):
@@ -1104,34 +1188,6 @@ def test_hermitian_fit_does_not_depend_on_the_stack_size(monkeypatch, label):
         fits.append(ml.hermitian_fit(rf, n_samples=100, seed=8))
     assert ml._stacks(100, rf.n) == [100]
     assert fits[0].b == fits[1].b
-
-
-def test_nullspace_of_a_tall_matrix_spans_the_full_svds(monkeypatch):
-    """Every tall system that a realization hands to nullspace, which reduces
-    it to the R of its QR factorization, has the null space of its full SVD,
-    of the same dimension under the floored cutoff."""
-    original, seen = ml.nullspace, []
-
-    def recording(m, threshold=ml.RANK_THRESHOLD):
-        seen.append((label, m, threshold))
-        return original(m, threshold)
-
-    monkeypatch.setattr(ml, "nullspace", recording)
-    for label in REALIZED:
-        rf = ml.realization.__wrapped__(label)  # a fresh form builds its subspaces again
-        ml.annihilator_check(rf)
-        if rf.kind == "su_pq":
-            loops.invariant_bivector_in_place(rf)
-    tall = [(label, m, threshold) for label, m, threshold in seen if m.shape[0] > m.shape[1]]
-    assert {label for label, _, _ in tall} == set(REALIZED)
-    assert max(m.shape for label, m, _ in tall if label == "su(3,2)") == (792, 66)
-    for label, m, threshold in tall:
-        _, s, vt = np.linalg.svd(m, full_matrices=False)
-        full = vt[ml._floored_rank(s, threshold)[0]:].T
-        null = original(m, threshold)
-        assert null.shape == full.shape, label
-        if full.shape[1]:
-            assert ml.largest_principal_angle(null, full) < 1e-12, label
 
 
 def test_hermitian_fit_rejects_split_form(sl3):
@@ -1181,10 +1237,6 @@ def test_stacked_checks_match_the_per_sample_loops(label):
         assert ml.max_sampled_rank(rf, count, seed=5) == loops.max_sampled_rank(rf, count, 5)
         assert _close(ml.iwasawa_residual(rf, count, 0), loops.iwasawa_residual(rf, count, 0))
         assert _close(ml.action_residual(rf, count, 1), loops.action_residual(rf, count, 1))
-        got = ml.cartan_consistency(rf, count, seed=3)
-        want = loops.cartan_consistency(rf, count, 3)
-        assert got.keys() == want.keys()
-        assert all(_close(got[key], want[key]) for key in want), (got, want)
         # the loops moved from the verify battery: same draws, same values
         assert ml.leaf_tangency_residual(rf, count, 6) == loops.leaf_tangency_residual(rf, count, 6)
         if rf.kind == "sl_real" and rf.n == 2:  # stacked, it moves at roundoff
@@ -1237,12 +1289,21 @@ def test_stacked_rank_rule_matches_each_matrix():
 def test_invariant_bivector_matches_the_loop_system(label):
     rf = ml.realization(label)
     # the null space of the invariance system is the construction's line
-    assert ml.nullspace(loops.invariant_system(rf), 1e-9).shape[1] == 1
+    assert loops.null_space(loops.invariant_system(rf), 1e-9).shape[1] == 1
     reference = loops.invariant_bivector_in_place(rf)
     assert np.abs(ml.invariant_bivector(rf) - reference).max() <= 1e-12
     assert np.abs(loops.invariant_bivector(rf) - reference).max() <= 1e-12
     # the system is built in place, entry for entry that of the image stack
     assert np.array_equal(reference, loops.invariant_bivector_by_images(rf))
+
+
+def test_the_tests_null_space_is_scipys():
+    linalg = pytest.importorskip("scipy.linalg")
+    wide = _with_singular_values([3.0, 1.0, 1e-12], rows=4, cols=6, seed=1)
+    for m in (wide, wide.T, loops.invariant_system(ml.realization("su(2,1)"))):
+        got, want = loops.null_space(m, 1e-9), linalg.null_space(m, rcond=1e-9)
+        assert got.shape == want.shape
+        assert ml.largest_principal_angle(got, want) < 1e-12
 
 
 def test_invariant_bivector_refuses_a_centre_that_is_not_invariant(monkeypatch):
@@ -1326,7 +1387,6 @@ def test_each_check_draws_once_per_stack_from_the_stream_of_its_distribution(mon
                          (ml.t_invariance_residual, [normal, uniform] * 2),
                          (ml.max_sampled_rank, [normal] * 2),
                          (ml.hermitian_fit, [normal] * 2),
-                         (ml.cartan_consistency, [normal] * 2),
                          (ml.leaf_tangency_residual, [normal] * 2)):
         log.clear()
         check(rf, count, seed=3)

@@ -28,9 +28,9 @@ FIELDS = {
     RunConfig: ("command", "form", "inline", "output_format", "tolerances", "samples",
                 "seed", "weyl_cap", "catalog_path", "out_path"),
     ml.TangencyResult: ("dim_bivector_image", "dim_orbit_projection", "residual"),
-    ml.AnnihilatorResult: ("distance", "dim_annihilator", "dim_fixed_points"),
-    ml.HermitianFitResult: ("b", "max_residual", "invariant_rank"),
-    ml.HermitianFrame: ("flag_ad", "flag_lam", "c_inv", "rank_inv"),
+    ml.AnnihilatorResult: ("dim_annihilator", "dim_fixed_points", "dim_intersection"),
+    ml.HermitianFitResult: ("b", "max_residual"),
+    ml.HermitianFrame: ("flag_ad", "flag_lam", "c_inv"),
 }
 
 
