@@ -5,7 +5,7 @@ pushes it to the symmetric-space quotient, implements the triangular-times-
 unitary right action, and runs the independent checks (closed-form example,
 Poisson identities, annihilator identity, stabilizer dimensions, Hermitian
 decomposition) against the exact combinatorial engine.  The per-form
-identities (the Cartan identities of tau and theta, the annihilator identity,
+identities (the Cartan identities of tau, the annihilator identity,
 the Poisson identities) are decided in integers on su_lattice(n), basis_u
 without its root scale, by exact_rank where a rank is needed; the sampled
 checks and the stabilizer and leaf ranks stay in floating point.
@@ -271,9 +271,11 @@ def _tau_split(tau: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     before, from tau's integer matrix on basis_u.  On the roots tau is a signed
     permutation: a 2-cycle keeps both candidates of its first member, a fixed
     root vector the one on the side of its sign.  Torus candidate j is kept
-    when it raises the exact rank of candidates 0..j on their integer columns."""
+    when it raises the exact rank of candidates 0..j on their integer columns.
+    A tau that mixes the torus and the roots raises ValueError."""
     torus, roots = tau[:n - 1, :n - 1], tau[n - 1:, n - 1:]
-    assert not tau[:n - 1, n - 1:].any() and not tau[n - 1:, :n - 1].any()
+    if tau[:n - 1, n - 1:].any() or tau[n - 1:, :n - 1].any():
+        raise ValueError("tau's integer matrix mixes the torus and the root vectors")
     assert np.array_equal(np.abs(roots).sum(axis=0), np.ones(len(roots)))
     cols = np.arange(len(roots))
     image = np.abs(roots).argmax(axis=0)
@@ -367,10 +369,6 @@ class MatrixRealForm:
         if self.kind == "sl_real":
             return x.conj()
         return -self.J @ _H(x) @ self.J
-
-    @staticmethod
-    def theta(x: np.ndarray) -> np.ndarray:
-        return -_H(x)
 
     # -- linear bookkeeping -------------------------------------------------
 
@@ -658,30 +656,24 @@ def annihilator_check(rf: MatrixRealForm) -> AnnihilatorResult:
                                for m in (pairing, fixed, np.concatenate([pairing, fixed]))))
 
 
-def stabilizer_dim(rf: MatrixRealForm, u: np.ndarray | Sequence[np.ndarray],
-                   include_torus: bool | tuple[bool, ...] = False,
-                   threshold: float = RANK_THRESHOLD) -> int | list[int] | tuple:
-    """dim { X in g0 : Ad_u X lies in the triangular factor }, the Lie algebra
-    of the action stabilizer; include_torus adds the compact torus directions.
-    For a stack or a list of unitaries, one dimension per matrix, computed in
-    stacks of stack_size(n).  A tuple of include_torus flags gives a tuple of
-    such results, one per flag, from one pass: each stack is checked and
-    conjugated once.  Ad_u X lies in a + n (a + n + t) exactly when its lower
-    triangle rows off a + n (a + n + t) vanish, so the dimension is the
-    nullity of those rows."""
-    flags = include_torus if isinstance(include_torus, tuple) else (include_torus,)
-    us = np.asarray(u)
-    flat, size = us.reshape(-1, rf.n, rf.n), stack_size(rf.n)
-    dims: list[list[int]] = [[] for _ in flags]
+def stabilizer_dim(rf: MatrixRealForm,
+                   us: np.ndarray | Sequence[np.ndarray]) -> tuple[list[int], list[int]]:
+    """For each unitary u of a stack or a list: dim { X in g0 : Ad_u X lies in
+    the triangular factor a + n }, the Lie algebra of the action stabilizer,
+    and the same with the compact torus directions added (a + n + t).  One
+    pass in stacks of stack_size(n) checks and conjugates each stack once.
+    Ad_u X lies in a + n (a + n + t) exactly when its lower triangle rows off
+    a + n (a + n + t) vanish, so each dimension is the nullity of those rows."""
+    flat, size = np.asarray(us).reshape(-1, rf.n, rf.n), stack_size(rf.n)
+    dims: tuple[list[int], list[int]] = [], []
     for start in range(0, len(flat), size):
         stack = flat[start:start + size]
         _check_unitary(stack)
         m = rf.Ad_g0(stack)
-        for t, out in zip(flags, dims):
-            rows = m[..., rf._off_triangular[t], :]
-            out += (m.shape[-1] - numerical_rank(rows, threshold)[0]).tolist()
-    found = tuple(d[0] if us.ndim == 2 else d for d in dims)
-    return found if isinstance(include_torus, tuple) else found[0]
+        for torus, out in enumerate(dims):
+            rows = m[..., rf._off_triangular[torus], :]
+            out += (m.shape[-1] - numerical_rank(rows)[0]).tolist()
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -897,15 +889,14 @@ def t_invariance_residual(rf: MatrixRealForm, n_samples: int = 50,
     return worst
 
 
-def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0,
-                     threshold: float = RANK_THRESHOLD) -> tuple[int, int]:
+def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0) -> tuple[int, int]:
     """(largest quotient-bivector rank over seeded samples, number of
     samples whose rank was borderline)."""
     rng = gaussian_stream(seed)
     best, n_borderline = 0, 0
     for k in _stacks(n_samples, rf.n):
         u = sample_unitaries(rng, k, rf.n)
-        rank, borderline = numerical_rank(pi_0_at(rf, u), threshold)
+        rank, borderline = numerical_rank(pi_0_at(rf, u))
         best = max(best, int(rank.max()))
         n_borderline += int(borderline.sum())
     return best, n_borderline
@@ -1032,15 +1023,13 @@ def tau_root_action(rf: MatrixRealForm) -> tuple[IntVector, ...]:
 
 
 def cartan_consistency(rf: MatrixRealForm) -> dict[str, float]:
-    """Integer residuals of the defining identities on L = su_lattice(n), where
-    tau's matrix is rf._tau as on basis_u if it keeps the torus and the roots
-    apart (h_stable): rf._tau squares to 1, tau(L_b) = sum_a rf._tau[a, b] L_a
-    (commute: tau preserves su(n), the fixed space of theta), theta^2 fixes L
-    and i L."""
-    lat, tau, m = su_lattice(rf.n), rf._tau, rf.n - 1
-    both = np.concatenate([lat, 1j * lat])
+    """Integer residuals of the defining identities on L = su_lattice(n):
+    tau's matrix rf._tau on basis_u squares to 1 (tau_sq), and is tau's
+    matrix on L too, tau(L_b) = sum_a rf._tau[a, b] L_a (commute: tau
+    preserves su(n), the fixed space of theta(X) = -X^dagger).  L drops the
+    root scale of basis_u, so the second holds only if rf._tau keeps the
+    torus and the roots apart."""
+    lat, tau = su_lattice(rf.n), rf._tau
     residuals = (("tau_sq", tau @ tau - np.eye(rf.dim_u)),
-                 ("theta_sq", rf.theta(rf.theta(both)) - both),
-                 ("commute", rf.tau(lat) - np.tensordot(tau.T, lat, 1)),
-                 ("h_stable", np.concatenate([tau[:m, m:], tau[m:, :m].T], axis=1)))
+                 ("commute", rf.tau(lat) - np.tensordot(tau.T, lat, 1)))
     return {key: float(np.abs(r).max(initial=0.0)) for key, r in residuals}

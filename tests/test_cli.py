@@ -478,7 +478,7 @@ def test_verify_small_battery(capsys):
     doc = json.loads(out)
     assert doc["passed"] is True
     names = {c["name"] for c in doc["checks"]}
-    assert {"mcybe", "k0_coisotropic", "annihilator_distance", "rank_vs_atlas",
+    assert {"mcybe", "k0_coisotropic", "annihilator_dims", "rank_vs_atlas",
             "example_formula", "multiplicativity"} <= names
     assert doc["seed"] == 42
 
@@ -488,11 +488,9 @@ def test_verify_small_battery(capsys):
 VERIFY_INFO = json.loads((Path(__file__).parent / "verify_info.json").read_text(encoding="utf-8"))
 
 BATTERY = [
-    "cartan_tau_sq", "cartan_theta_sq", "cartan_commute", "cartan_h_stable",
-    "tau_root_compatibility", "triangular_fixed_dim",
-    "annihilator_distance", "annihilator_dims", "iwasawa_roundtrip",
-    "action_axiom", "multiplicativity", "t_invariance", "mcybe", "k0_coisotropic",
-    "rank_vs_atlas", "leaf_tangency",
+    "cartan_tau_sq", "cartan_commute", "tau_root_compatibility", "annihilator_dims",
+    "iwasawa_roundtrip", "action_axiom", "multiplicativity", "t_invariance", "mcybe",
+    "k0_coisotropic", "rank_vs_atlas", "leaf_tangency",
 ]
 
 
@@ -641,14 +639,15 @@ def test_verify_jacobi_is_no_longer_a_tolerance(capsys):
     assert "jacobi" not in err.split("known:")[1]
 
 
-@pytest.mark.parametrize("name", ["cartan", "borel", "annihilator"])
+@pytest.mark.parametrize("name", ["cartan", "borel", "annihilator", "rank_threshold"])
 def test_verify_exact_rows_take_no_tolerance(capsys, name):
-    # the Cartan and annihilator rows are decided in integers, at tolerance 0
+    # the Cartan and annihilator rows are decided in integers, at tolerance 0,
+    # and the two rank rows rank under the constant cutoff RANK_THRESHOLD
     code, out, err = run(capsys, "verify", "--form", "sl(2,R)", "--tol", f"{name}=1e-3")
     assert code == 1 and out == ""
     assert err.endswith(
         f"unknown tolerance {name!r}; known: action, formula, hermitian, iwasawa, "
-        "multiplicativity, rank_threshold, t_invariance, tangency\n")
+        "multiplicativity, t_invariance, tangency\n")
 
 
 # an infinite tolerance would reach the document as a bare Infinity
@@ -690,9 +689,14 @@ def test_verify_document_is_strict_json_when_tangency_dimensions_differ(capsys, 
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["leaf_tangency"]
 
 
-def test_rank_threshold_override_reaches_both_rank_checks():
-    doc = run_verify_battery(cr.by_label()["su(2,1)"], RunConfig(
-        command="verify", samples=10, tolerances={"rank_threshold": 1.0}))
+def test_rank_threshold_override_reaches_both_rank_checks(monkeypatch):
+    from leafatlas import matrixlie as ml
+
+    original = ml.numerical_rank
+    # both rank rows rank by numerical_rank under the constant RANK_THRESHOLD;
+    # a planted cutoff of 1.0 drops every singular value up to the largest one
+    monkeypatch.setattr(ml, "numerical_rank", lambda m, threshold=None: original(m, 1.0))
+    doc = run_verify_battery(cr.by_label()["su(2,1)"], RunConfig(command="verify", samples=10))
     failed = [c["name"] for c in doc["checks"] if not c["passed"]]
     assert failed == ["rank_vs_atlas", "stabilizer_dims"]
 

@@ -1,6 +1,10 @@
 import copy
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import basis_lists as bl
 import catalog_reference as cr
@@ -136,7 +140,7 @@ def test_killing_symmetric_on_samples():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_root_vector_normalization(n):
     for e, x, y in _root_vectors(n):
-        val = killing(n, e, ml.MatrixRealForm.theta(e))
+        val = killing(n, e, -e.conj().T)  # kappa(E, theta(E))
         assert val == pytest.approx(-1.0)
         for m in (x, y):
             assert np.abs(m + m.conj().T).max() < 1e-14
@@ -575,7 +579,7 @@ def test_tau_root_action_matches_catalog(label):
 @pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)"])
 def test_cartan_consistency(label):
     res = ml.cartan_consistency(ml.realization(label))
-    assert res == dict.fromkeys(("tau_sq", "theta_sq", "commute", "h_stable"), 0.0)
+    assert res == {"tau_sq": 0.0, "commute": 0.0}
 
 
 @pytest.mark.parametrize("label", ["sl(2,R)", "sl(3,R)", "su(2,1)", "su(3,1)"])
@@ -599,7 +603,7 @@ def test_exact_rank_matches_gauss_jordan_over_q(rows, cols, data):
 def test_exact_rows_agree_with_the_float_paths(monkeypatch, label):
     rf = ml.realization(label)
     # the Gaussian Cartan residuals of the float path read 0.0, as the exact ones do
-    zero = dict.fromkeys(("tau_sq", "theta_sq", "commute", "h_stable"), 0.0)
+    zero = {"tau_sq": 0.0, "commute": 0.0}
     assert loops.cartan_consistency(rf, 20, 3) == ml.cartan_consistency(rf) == zero
     # the float annihilator: the same dimensions, and projectors that agree
     distance, dim_annihilator, dim_fixed = loops.annihilator_check(rf)
@@ -630,17 +634,47 @@ def test_a_planted_wrong_tau_fails_the_cartan_rows(monkeypatch):
     bad = copy.copy(rf)
     bad._tau = rf._tau.copy()
     bad._tau[:, col] *= -1
-    assert ml.cartan_consistency(bad) == {"tau_sq": 2.0, "theta_sq": 0.0, "commute": 2.0,
-                                          "h_stable": 0.0}
+    assert ml.cartan_consistency(bad) == {"tau_sq": 2.0, "commute": 2.0}
     monkeypatch.setattr(ml, "realization", lambda label: bad)
     doc = run_verify_battery(BY_LABEL["su(2,1)"], RunConfig(command="verify"))
     # k0_coisotropic reads the same matrix, as 1 - tau
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == [
         "cartan_tau_sq", "cartan_commute", "k0_coisotropic"]
-    # a torus coordinate in the image of a root vector breaks h_stable
+
+
+@pytest.mark.parametrize("label,failed", [
+    ("su(2,1)", {"cartan_tau_sq": 1.0, "cartan_commute": 1.0, "k0_coisotropic": 4.0}),
+    ("sl(3,R)", {"cartan_commute": 1.0, "k0_coisotropic": 8.0}),
+    ("su(3,2)", {"cartan_tau_sq": 1.0, "cartan_commute": 1.0, "k0_coisotropic": 4.0}),
+], ids=["su(2,1)", "sl(3,R)", "su(3,2)"])
+def test_a_tau_that_mixes_the_torus_and_the_roots_fails_cartan_commute(monkeypatch, label,
+                                                                        failed):
+    # a torus coordinate in the image of the first root vector: su_lattice
+    # drops the root scale, so _tau is no longer tau's matrix there
+    rf = ml.realization(label)
+    bad = copy.copy(rf)
     bad._tau = rf._tau.copy()
-    bad._tau[0, n - 1] = 1.0
-    assert ml.cartan_consistency(bad)["h_stable"] == 1.0
+    bad._tau[0, rf.n - 1] = 1.0
+    monkeypatch.setattr(ml, "realization", lambda label: bad)
+    doc = run_verify_battery(BY_LABEL[label], RunConfig(command="verify"))
+    assert {c["name"]: c["value"] for c in doc["checks"] if not c["passed"]} == failed
+
+
+def test_tau_split_rejects_a_mixed_tau_with_asserts_stripped():
+    # the block check raises, so `python -O`, which strips asserts, keeps it
+    code = ("from leafatlas import matrixlie as ml\n"
+            "rf = ml.realization('su(2,1)')\n"
+            "tau = rf._tau.copy()\n"
+            "tau[0, rf.n - 1] = 1.0\n"
+            "try:\n"
+            "    ml._tau_split(tau, rf.n)\n"
+            "except ValueError as exc:\n"
+            "    print(__debug__, exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False tau's integer matrix mixes the torus and the root vectors\n"
 
 
 def test_a_k0_vector_swapped_for_an_ip0_vector_fails_the_annihilator_rows(monkeypatch):
@@ -654,7 +688,7 @@ def test_a_k0_vector_swapped_for_an_ip0_vector_fails_the_annihilator_rows(monkey
     monkeypatch.setattr(ml, "realization", lambda label: bad)
     doc = run_verify_battery(BY_LABEL["sl(3,R)"], RunConfig(command="verify"))
     failed = {c["name"]: c["value"] for c in doc["checks"] if not c["passed"]}
-    assert failed == {"annihilator_distance": 2.0, "annihilator_dims": 1.0}
+    assert failed == {"annihilator_dims": 1.0}
 
 
 def test_the_exact_rows_build_no_generator(monkeypatch):
@@ -823,11 +857,8 @@ def test_su_pq_representatives_follow_the_clans(label, realized):
         # every flagged class is unrealizable
         assert cls["dims_in_range"] and cls["parity_ok"]
         assert abs(np.linalg.det(u) - 1) < 1e-12
-        assert ml.stabilizer_dim(rf, u) == cls["a"] + cls["codim_Y"]
-        assert (
-            ml.stabilizer_dim(rf, u, include_torus=True)
-            == cls["t"] + cls["a"] + cls["codim_Y"]
-        )
+        assert ml.stabilizer_dim(rf, [u]) == (
+            [cls["a"] + cls["codim_Y"]], [cls["t"] + cls["a"] + cls["codim_Y"]])
     assert count == realized
 
 
@@ -837,11 +868,8 @@ def test_stabilizer_dims_match_class_invariants(label):
     for cls in walked_classes(label):
         u = ml.representative_for(rf, cls["psi_word"])
         assert u is not None
-        assert ml.stabilizer_dim(rf, u) == cls["a"] + cls["codim_Y"]
-        assert (
-            ml.stabilizer_dim(rf, u, include_torus=True)
-            == cls["t"] + cls["a"] + cls["codim_Y"]
-        )
+        assert ml.stabilizer_dim(rf, [u]) == (
+            [cls["a"] + cls["codim_Y"]], [cls["t"] + cls["a"] + cls["codim_Y"]])
 
 
 @pytest.mark.parametrize("label", [
@@ -857,10 +885,10 @@ def test_stabilizer_dim_matches_the_per_matrix_loop(label):
             for _, word, _ in twisted_involutions(real_form_data(sd), sd.root_system())]
     points = [u for u in reps if u is not None]
     points += list(ml.sample_unitaries(np.random.default_rng(31), 20, rf.n))
-    for include_torus in (False, True):
-        want = [loops.stabilizer_dim(rf, u, include_torus) for u in points]
-        assert [ml.stabilizer_dim(rf, u, include_torus=include_torus) for u in points] == want
-        assert ml.stabilizer_dim(rf, np.stack(points), include_torus=include_torus) == want
+    want = tuple([loops.stabilizer_dim(rf, u, torus) for u in points] for torus in (False, True))
+    singles = [ml.stabilizer_dim(rf, [u]) for u in points]
+    assert tuple([single[torus][0] for single in singles] for torus in (0, 1)) == want
+    assert ml.stabilizer_dim(rf, np.stack(points)) == want
 
 
 def test_orbit_dimension_count(sl2):
@@ -868,7 +896,7 @@ def test_orbit_dimension_count(sl2):
     rfe = real_form_data(BY_LABEL["sl(2,R)"])
     for cls in walked_classes("sl(2,R)"):
         u = ml.representative_for(sl2, cls["psi_word"])
-        dim_orbit = rfe.dim_g - ml.stabilizer_dim(sl2, u)
+        dim_orbit = rfe.dim_g - ml.stabilizer_dim(sl2, [u])[0][0]
         assert cls["leaf_dim"] == dim_orbit - rfe.dim_k0
 
 
@@ -1443,30 +1471,9 @@ def test_stacked_stabilizer_dim_matches_the_per_matrix_call(monkeypatch, label):
     rf = ml.realization(label)
     reps = [ml.representative_for(rf, c["psi_word"]) for c in walked_classes(label)]
     reps = [u for u in reps if u is not None]
-    stacks = []
-    original = ml.MatrixRealForm.Ad_g0
-
-    def counting(self, u):
-        stacks.append(len(u))
-        return original(self, u)
-
-    for include_torus in (False, True):
-        want = [ml.stabilizer_dim(rf, u, include_torus=include_torus) for u in reps]
-        assert all(type(d) is int for d in want)
-        monkeypatch.setattr(ml.MatrixRealForm, "Ad_g0", counting)
-        stacks.clear()
-        assert ml.stabilizer_dim(rf, reps, include_torus=include_torus) == want
-        assert stacks == ml._stacks(len(reps), rf.n)
-        assert ml.stabilizer_dim(rf, np.stack(reps), include_torus=include_torus) == want
-        monkeypatch.undo()
-
-
-@pytest.mark.parametrize("label", REALIZED)
-def test_two_frame_stabilizer_pass_equals_the_single_frame_calls(monkeypatch, label):
-    rf = ml.realization(label)
-    reps = [ml.representative_for(rf, c["psi_word"]) for c in walked_classes(label)]
-    reps = [u for u in reps if u is not None]
-    want = tuple(ml.stabilizer_dim(rf, reps, include_torus=t) for t in (False, True))
+    singles = [ml.stabilizer_dim(rf, [u]) for u in reps]
+    want = tuple([single[torus][0] for single in singles] for torus in (0, 1))
+    assert all(type(d) is int for dims in want for d in dims)
     calls = []
     for owner, attr in ((ml, "_check_unitary"), (ml.MatrixRealForm, "Ad_g0")):
         def counting(*args, _original=getattr(owner, attr), _attr=attr):
@@ -1474,12 +1481,11 @@ def test_two_frame_stabilizer_pass_equals_the_single_frame_calls(monkeypatch, la
             return _original(*args)
 
         monkeypatch.setattr(owner, attr, counting)
-    assert ml.stabilizer_dim(rf, reps, include_torus=(False, True)) == want
+    # one pass gives both frames: each stack is checked and conjugated once
+    assert ml.stabilizer_dim(rf, reps) == want
     assert calls == [(attr, k) for k in ml._stacks(len(reps), rf.n)
                      for attr in ("_check_unitary", "Ad_g0")]
-    # one matrix alone gives one dimension per frame, as each single call does
-    assert ml.stabilizer_dim(rf, reps[-1], include_torus=(True, False)) == (
-        want[1][-1], want[0][-1])
+    assert ml.stabilizer_dim(rf, np.stack(reps)) == want
 
 
 @pytest.mark.parametrize("count", [624, 625, 626, 1251])
