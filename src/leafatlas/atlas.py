@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterator, NamedTuple
 
-from .rootsys import DEFAULT_WEYL_CAP, Perm, RootSystem, WeylCapError, Word
+from .rootsys import Perm, RootSystem, Word
 from .satake import RealFormData, SatakeDiagram, real_form_data
 
 
@@ -43,9 +43,7 @@ def realizable_candidate(fields: dict) -> bool:
     return fields["parity_ok"] and fields["dims_in_range"]
 
 
-def twisted_involutions(
-    rf: RealFormData, rs: RootSystem, cap: int = DEFAULT_WEYL_CAP
-) -> Iterator[Record]:
+def twisted_involutions(rf: RealFormData, rs: RootSystem) -> Iterator[Record]:
     """The record of every psi in W with (psi tau*)^2 = 1.
 
     With tau* = w_b sigma, psi is a twisted involution exactly when
@@ -68,8 +66,7 @@ def twisted_involutions(
     the nodes, a conjugation move keeps it, and a multiplication move turns
     the eigenvalue of alpha_s from +1 to -1. psi is kept as its
     lexicographically least reduced word (`rootsys.Word`), read with the trace
-    off v(alpha_sigma(i)). Classes come in no set order. Raises WeylCapError
-    once more than `cap` classes have been visited.
+    off v(alpha_sigma(i)). Classes come in no set order.
     """
     k = rs.permutations
     npos, pad, rank, roots = k.npos, k.pad, rs.rank, k.roots
@@ -84,15 +81,8 @@ def twisted_involutions(
     # sigma is an involution: its orbits are its fixed points and 2-cycles
     a_identity = sum(1 for i, j in enumerate(rf.sigma) if i <= j)
     todo: list[tuple[Perm, int, int]] = [(k.identity, 0, a_identity)]  # (v, l(v), a)
-    count = 0
     while todo:
         v, ell, a = todo.pop()
-        count += 1
-        if count > cap:
-            raise WeylCapError(
-                f"{rf.diagram.label}: number of twisted involutions exceeds cap {cap}",
-                partial_count=cap,
-            )
         images = [v[x] for x in alpha_sigma]  # v(alpha_sigma(i))
         # psi tau* = v w_b w_b sigma = v sigma is an involution with a
         # eigenvalues +1 and t = rank - a eigenvalues -1, so a - t is its trace
@@ -163,15 +153,11 @@ class AtlasReport(NamedTuple):
         return NOTE_CONTRACTIBLE, NOTE_CLASS_CAVEAT, NOTE_LARGEST
 
 
-def atlas(
-    sd: SatakeDiagram,
-    weyl_cap: int = DEFAULT_WEYL_CAP,
-    catalog_hash: str = "",
-) -> AtlasReport:
+def atlas(sd: SatakeDiagram, catalog_hash: str = "") -> AtlasReport:
     """Run the full pipeline for one diagram and assemble the report."""
     rs = sd.root_system()
     rf = real_form_data(sd)
-    classes = sorted(twisted_involutions(rf, rs, cap=weyl_cap))
+    classes = sorted(twisted_involutions(rf, rs))
     assert sum(not word for _, word, _ in classes) == 1
     assert classes[0][0] == 0
     # leaf_dim = dim X - leaf_codim, so whether a class can carry leaves rests on

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 from . import __version__
 from .atlas import (NOTE_OPEN_COUNT, AtlasReport, Record, atlas, catalog_text_hash,
                     class_fields, realizable_candidate)
-from .rootsys import DEFAULT_WEYL_CAP, RANK_CAP, WeylCapError
+from .rootsys import RANK_CAP
 from .satake import (
     BUILTIN_CATALOG,
     CatalogParseError,
@@ -52,7 +52,6 @@ class RunConfig(NamedTuple):
     tolerances: Mapping[str, float] = MappingProxyType({})  # overrides, read-only
     samples: int = 100
     seed: int = 0
-    weyl_cap: int = DEFAULT_WEYL_CAP
     catalog_path: str | None = None
     out_path: str | None = None
 
@@ -282,7 +281,7 @@ def cmd_atlas(cfg: RunConfig) -> int:
         for c in report_v.failures():
             sys.stderr.write(f"  {c.name}: {c.detail}\n")
         return EXIT_DOMAIN
-    report = atlas(sd, weyl_cap=cfg.weyl_cap, catalog_hash=cat_hash)
+    report = atlas(sd, catalog_hash=cat_hash)
     _emit(cfg, _atlas_md(report) if cfg.output_format == "md"
           else _atlas_json(atlas_document(report, cfg.seed)))
     return EXIT_OK
@@ -312,7 +311,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
     rf = ml.realization(sd.label)
     tol = default_tolerances()
     tol.update(cfg.tolerances)
-    report = atlas(sd, weyl_cap=cfg.weyl_cap)
+    report = atlas(sd)
     rfe = report.form
     seed = cfg.seed
     samples = cfg.samples
@@ -529,8 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "md"), default="json")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--weyl-cap", type=int, default=DEFAULT_WEYL_CAP,
-                        help="most twisted involutions the atlas walk may visit")
     common.add_argument("--catalog", help=f"catalog file (or ${ENV_CATALOG})")
     common.add_argument("--out", help="write the report to this path atomically")
 
@@ -587,9 +584,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "samples", 1) < 1:
         sys.stderr.write(f"--samples must be at least 1, got {args.samples}\n")
         return EXIT_USAGE
-    if args.weyl_cap < 1:
-        sys.stderr.write(f"--weyl-cap must be at least 1, got {args.weyl_cap}\n")
-        return EXIT_USAGE
     if args.command == "verify" and args.seed < 0:  # numpy seeds are non-negative
         sys.stderr.write(f"--seed must be at least 0 for verify, got {args.seed}\n")
         return EXIT_USAGE
@@ -613,7 +607,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         tolerances=tolerances,
         samples=getattr(args, "samples", 100),
         seed=args.seed,
-        weyl_cap=args.weyl_cap,
         catalog_path=args.catalog,
         out_path=args.out,
     )
@@ -623,9 +616,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BrokenPipeError:  # `... | head`: the output ends; the flush at exit goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (CatalogParseError, SatakeError, WeylCapError, OSError) as exc:
-        count = getattr(exc, "partial_count", None)
-        sys.stderr.write(f"{exc}\n" if count is None else f"{exc} (partial count {count})\n")
+    except (CatalogParseError, SatakeError, OSError) as exc:
+        sys.stderr.write(f"{exc}\n")
         return EXIT_DOMAIN
 
 

@@ -245,10 +245,10 @@ def _integral(x: np.ndarray) -> np.ndarray:  # x rounded to the integers it hold
     return out
 
 
-def _check_unitary(u: np.ndarray, tol: float = TOL_UNITARY) -> None:
+def _check_unitary(u: np.ndarray) -> None:
     """Raise unless u, and every matrix of a stack u, is unitary (NaN is not)."""
     res = np.max(np.linalg.norm(u @ _H(u) - np.eye(u.shape[-1]), axis=(-2, -1)))
-    if not res <= tol:
+    if not res <= TOL_UNITARY:
         raise NonUnitaryError(f"matrix is not unitary (residual {res:.2e})")
 
 
@@ -352,10 +352,11 @@ class MatrixRealForm:
         return su_pq_diagram(self.p, self.q)
 
     @cached_property
-    def _j_eigenbasis(self) -> tuple[np.ndarray, float]:
-        """eigh(J)'s eigenvectors, an n x n matrix, and their determinant."""
-        _, qj = np.linalg.eigh(self.J)
-        return qj, np.linalg.det(qj)
+    def _j_eigh(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """eigh(J): its eigenvalues, its eigenvectors (an n x n matrix) and
+        their determinant."""
+        vals, vecs = np.linalg.eigh(self.J)
+        return vals, vecs, np.linalg.det(vecs)
 
     @cached_property
     def hermitian_frame(self) -> HermitianFrame:
@@ -679,20 +680,17 @@ def stabilizer_dim(rf: MatrixRealForm,
 # ---------------------------------------------------------------------------
 # representatives of twisted involutions
 
-def induced_weyl_matrix(rf: MatrixRealForm, u: np.ndarray) -> tuple[list[int] | None, float]:
-    """Extract the Weyl-group class of u tau(u)^{-1} as the permutation
-    e_j -> e_{perm[j]} of the diagonal; returns (None, residual) off the
-    normalizer.  For unitary u, u tau(u)^{-1} is u u^T on sl(n, R) and
-    u J u^dagger J on su(p, q)."""
+def induced_weyl_matrix(rf: MatrixRealForm, u: np.ndarray) -> tuple[list[int], float]:
+    """(perm, residual): the largest entry of each column of u tau(u)^{-1},
+    read as the map e_j -> e_{perm[j]} of the diagonal, and the norm of the
+    entries off that pattern.  For unitary u, u tau(u)^{-1} is u u^T on
+    sl(n, R) and u J u^dagger J on su(p, q)."""
     m = u @ _T(u) if rf.kind == "sl_real" else u @ rf.J @ _H(u) @ rf.J
     n = rf.n
     perm = [int(np.argmax(np.abs(m[:, j]))) for j in range(n)]
     off = m.copy()
     off[perm, range(n)] = 0  # the entries off the permutation pattern
-    residual = float(np.linalg.norm(off))
-    if residual > TOL_NORMALIZER or sorted(perm) != list(range(n)):
-        return None, residual
-    return perm, residual
+    return perm, float(np.linalg.norm(off))
 
 
 def _weyl_permutation(word: Sequence[int], n: int) -> list[int]:
@@ -706,17 +704,13 @@ def _weyl_permutation(word: Sequence[int], n: int) -> list[int]:
 
 def _sl_real_representative(perm: list[int]) -> np.ndarray:
     """Direct construction for the split realization: the permutation of psi
-    is a product of disjoint transpositions, each realized by a Cayley block."""
+    is a product of disjoint transpositions, each realized by a Cayley block
+    built from its smaller index."""
     n = len(perm)
     u = np.eye(n, dtype=complex)
-    seen = set()
-    for j in range(n):
-        k = perm[j]
-        if k == j or j in seen:
+    for j, k in enumerate(perm):
+        if k <= j:
             continue
-        if perm[k] != j:
-            raise ValueError("word is not an involution")
-        seen |= {j, k}
         block = np.eye(n, dtype=complex)
         block[j, j] = block[k, k] = math.cos(math.pi / 4)
         block[j, k] = block[k, j] = 1j * math.sin(math.pi / 4)
@@ -745,7 +739,7 @@ def _su_pq_representative(rf: MatrixRealForm, perm: list[int]) -> np.ndarray | N
     minus = fixed[rf.p - pairs:]
     h[minus, minus] = -1.0
     _, qh = np.linalg.eigh(h)
-    qj, det_qj = rf._j_eigenbasis
+    _, qj, det_qj = rf._j_eigh
     if np.linalg.det(qh) * det_qj < 0:
         qh[:, 0] = -qh[:, 0]
     return (qh @ qj.T).astype(complex)
@@ -771,7 +765,7 @@ def representative_for(rf: MatrixRealForm, word: Sequence[int]) -> np.ndarray | 
         if u is None:
             return None
     got, residual = induced_weyl_matrix(rf, u)
-    if got != perm:
+    if got != perm or residual > TOL_NORMALIZER:
         raise RuntimeError(
             f"{rf.label}: constructed representative of word {tuple(word)} fails "
             f"the self-check (residual {residual:.2e})"
@@ -930,9 +924,8 @@ def _block_alignment(rf: MatrixRealForm) -> np.ndarray:
     """Unitary u0 conjugating the realization's isotropy algebra onto the
     block Levi: u0 J u0^dagger equals the diagonal signature matrix.  Only
     Ad(u0) is used, so its determinant is left at +-1."""
-    vals, vecs = np.linalg.eigh(rf.J)
-    order = np.argsort(-vals)  # +1 eigenvalues first
-    return vecs[:, order].conj().T
+    vals, vecs, _ = rf._j_eigh
+    return vecs[:, np.argsort(-vals)].conj().T  # +1 eigenvalues first
 
 
 def invariant_bivector(rf: MatrixRealForm) -> np.ndarray:

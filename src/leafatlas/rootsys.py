@@ -21,20 +21,10 @@ Word = bytes  # 1-based simple indices, one byte a letter
 # E8, with 240 roots, is the largest system of rank <= RANK_CAP, so every
 # permutation of the roots is a table of at most 256 bytes
 RANK_CAP = 8
-DEFAULT_WEYL_CAP = 10**6
 
 
 class UnsupportedCartanTypeError(ValueError):
     """Raised for (family, rank) pairs that are not a supported finite type."""
-
-
-class WeylCapError(RuntimeError):
-    """Raised when the twisted-involution walk (`atlas.twisted_involutions`)
-    visits more elements than its configured cap."""
-
-    def __init__(self, message: str, partial_count: int):
-        super().__init__(message)
-        self.partial_count = partial_count
 
 
 # ---------------------------------------------------------------------------

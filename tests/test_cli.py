@@ -1,3 +1,4 @@
+import argparse
 import gc
 import hashlib
 import json
@@ -19,6 +20,7 @@ from leafatlas.cli import (
     _letters,
     atlas_document,
     atlas_markdown,
+    build_parser,
     main,
     run_verify_battery,
 )
@@ -191,20 +193,6 @@ def test_out_onto_an_existing_directory_names_the_out_path(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == f"[Errno 21] Is a directory: {str(target)!r}\n"
     assert list(tmp_path.iterdir()) == [target] and not list(target.iterdir())
-
-
-def test_atlas_weyl_cap_exceeded(capsys):
-    code, _, err = run(capsys, "atlas", "--form", "so(8,1)", "--weyl-cap", "10")
-    assert code == 2
-    assert "number of twisted involutions exceeds cap 10 (partial count 10)" in err
-
-
-@pytest.mark.parametrize("command", ["atlas", "verify"])
-@pytest.mark.parametrize("cap", ["0", "-5"])
-def test_rejects_nonpositive_weyl_cap(capsys, command, cap):
-    code, out, err = run(capsys, command, "--form", "sl(3,R)", "--weyl-cap", cap)
-    assert code == 1 and out == ""
-    assert f"--weyl-cap must be at least 1, got {cap}" in err
 
 
 def test_atlas_split_e6_document(capsys, monkeypatch):
@@ -715,12 +703,6 @@ def test_verify_rejects_a_negative_seed(capsys):
     assert run(capsys, "atlas", "--form", "sl(2,R)", "--seed", "-1")[0] == 0
 
 
-def test_verify_weyl_cap_exceeded(capsys):
-    code, out, err = run(capsys, "verify", "--form", "sl(3,R)", "--weyl-cap", "2")
-    assert code == 2 and out == ""
-    assert "exceeds cap 2 (partial count 2)" in err
-
-
 # ---------------------------------------------------------------------------
 # the numerical engine loads on the verify path only
 
@@ -903,6 +885,25 @@ def test_catalog_builtin_document_sha256(capsys, monkeypatch, fmt, digest):
 
 # ---------------------------------------------------------------------------
 # misc
+
+def _option_strings(parser):
+    """The option strings of a parser and, recursively, of its subparsers."""
+    out = set()
+    for action in parser._actions:
+        out.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                out |= _option_strings(sub)
+    return out
+
+
+def test_readme_names_exactly_the_parsers_long_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    documented.discard("--no-build-isolation")  # pip's, in the install line
+    parsed = {o for o in _option_strings(build_parser()) if o.startswith("--")}
+    assert documented == parsed - {"--help", "--version"}
+
 
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "atlas", "--format", "xml")[0] == 1

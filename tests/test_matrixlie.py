@@ -1255,8 +1255,11 @@ def _close(got, want):
 
 
 @pytest.mark.parametrize("label", REALIZED)
-def test_stacked_checks_match_the_per_sample_loops(label):
+def test_stacked_checks_match_the_per_sample_loops(monkeypatch, label):
     rf = ml.realization(label)
+    if rf.n == 2:  # stacks of 16, not 625: the counts cross the same boundaries
+        monkeypatch.setattr(ml, "STACK_BUDGET", 16 * 2**4)
+        assert ml.stack_size(2) == 16
     for count in _counts(rf):
         assert _close(ml.multiplicativity_residual(rf, count, seed=2),
                       loops.multiplicativity_residual(rf, count, 2))

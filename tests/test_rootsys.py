@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leafatlas import rootsys
-from leafatlas.rootsys import UnsupportedCartanTypeError, WeylCapError, build_root_system
+from leafatlas.rootsys import UnsupportedCartanTypeError, build_root_system
 
 from leafatlas.atlas import twisted_involutions
 from leafatlas.satake import builtin_catalog, real_form_data
@@ -185,7 +185,7 @@ def test_enumeration_deterministic():
 
 def test_enumeration_cap():
     rs = build_root_system("A", 3)
-    with pytest.raises(WeylCapError) as err:
+    with pytest.raises(wm.WeylCapError) as err:
         list(wm.enumerate_weyl(rs, cap=10))
     assert err.value.partial_count == 10
 

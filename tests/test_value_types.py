@@ -26,7 +26,7 @@ FIELDS = {
     ValidationReport: ("label", "checks"),
     AtlasReport: ("form", "classes", "largest_leaf_class", "catalog_hash"),
     RunConfig: ("command", "form", "inline", "output_format", "tolerances", "samples",
-                "seed", "weyl_cap", "catalog_path", "out_path"),
+                "seed", "catalog_path", "out_path"),
     ml.TangencyResult: ("dim_bivector_image", "dim_orbit_projection", "residual"),
     ml.AnnihilatorResult: ("dim_annihilator", "dim_fixed_points", "dim_intersection"),
     ml.HermitianFitResult: ("b", "max_residual"),

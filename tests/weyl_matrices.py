@@ -15,10 +15,22 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from leafatlas.rootsys import DEFAULT_WEYL_CAP, IntMatrix, IntVector, RootSystem, WeylCapError
+from leafatlas.rootsys import IntMatrix, IntVector, RootSystem
 from leafatlas.satake import RealFormData, SatakeDiagram, real_form_data
 
 FracVector = tuple[Fraction, ...]
+
+#: Most elements `enumerate_weyl` yields before it raises; |W(E7)| = 2,903,040
+#: exceeds it.
+DEFAULT_WEYL_CAP = 10**6
+
+
+class WeylCapError(RuntimeError):
+    """Raised when `enumerate_weyl` visits more elements than its cap."""
+
+    def __init__(self, message: str, partial_count: int):
+        super().__init__(message)
+        self.partial_count = partial_count
 
 
 # ---------------------------------------------------------------------------
