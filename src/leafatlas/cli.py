@@ -370,8 +370,9 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         f"{n_borderline} borderline samples",
     ))
 
-    checks.append(_check("leaf_tangency", ml.leaf_tangency_residual(rf, 5, seed + 6),
-                         tol["tangency"]))
+    tangency, n_borderline = ml.leaf_tangency_residual(rf, 5, seed + 6)
+    checks.append(_check("leaf_tangency", tangency, tol["tangency"],
+                         f"{n_borderline} borderline samples"))
 
     if rf.kind == "sl_real" and rf.n == 2:
         checks.append(_check("example_formula", ml.formula_residual(rf, samples, seed + 7),
@@ -391,13 +392,14 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         if u is not None:
             realized.append(class_fields(rfe, record))
             reps.append(u)
-    dims, dims_torus = ml.stabilizer_dim(rf, reps)
+    dims, dims_torus, n_borderline = ml.stabilizer_dim(rf, reps)
     found, total = len(realized), len(report.classes)
     matched = sum(d == cls["a"] + cls["codim_Y"] and dt == cls["t"] + cls["a"] + cls["codim_Y"]
                   for cls, d, dt in zip(realized, dims, dims_torus))
     checks.append(_check_exact(
         "stabilizer_dims", matched == found,
-        f"{matched}/{found} matched of {total} classes ({total - found} unrealizable)",
+        f"{matched}/{found} matched of {total} classes ({total - found} unrealizable), "
+        f"{n_borderline} borderline representatives",
     ))
 
     return {

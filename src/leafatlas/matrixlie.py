@@ -72,22 +72,35 @@ class NotHermitianError(ValueError):
 # rank: exact on integer rows, under one floored cutoff on float ones
 
 def exact_rank(m: np.ndarray) -> int:
-    """Rank of a matrix of integers (ints or integral floats), exactly: zero
-    rows and rows equal to another up to sign are dropped, then fraction-free
-    (Bareiss) elimination over Python ints runs column by column.  Each entry
-    after a pivot is a minor of m, so the division by the last pivot is exact."""
-    rows = list({tuple(r) if next(filter(None, r)) > 0 else tuple(-x for x in r)
-                 for r in _integral(m).astype(np.int64).tolist() if any(r)})
-    rank, prev = 0, 1
-    while rows and rows[0]:
-        top = next((r for r in rows if r[0]), None)
-        if top is None:  # no pivot in this column
-            rows = [r[1:] for r in rows]
-            continue
-        rows = [r for r in ([(top[0] * x - r[0] * y) // prev for x, y in zip(r[1:], top[1:])]
-                            for r in rows if r is not top) if any(r)]
-        prev, rank = top[0], rank + 1
-    return rank
+    """Rank of a matrix of integers (ints or integral floats), exactly, by
+    elimination on sparse rows {column: value} over Python ints.  Each row is
+    reduced against the pivot rows kept so far at its leading column, scaled
+    by the pivot over their gcd and then divided by the gcd of its entries,
+    so that entries stay small; a row that does not reduce to zero becomes the
+    pivot row of its leading column.  Only the row being reduced changes."""
+    pivots: dict[int, dict[int, int]] = {}
+    for r in _integral(m).astype(np.int64).tolist():
+        row = {c: x for c, x in enumerate(r) if x}
+        while row:
+            lead = min(row)
+            top = pivots.get(lead)
+            if top is None:
+                pivots[lead] = row
+                break
+            g = math.gcd(top[lead], row[lead])
+            p, f = top[lead] // g, row[lead] // g
+            if p != 1:
+                row = {c: p * x for c, x in row.items()}
+            for c, y in top.items():
+                x = row.get(c, 0) - f * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {c: x // g for c, x in row.items()}
+    return len(pivots)
 
 
 def _floored_rank(s: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -109,10 +122,12 @@ def numerical_rank(m: np.ndarray,
     return _floored_rank(np.linalg.svd(m, compute_uv=False), threshold)
 
 
-def column_space(m: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the numerical column space of m."""
+def column_space(m: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Orthonormal columns spanning the numerical column space of m, and
+    whether its rank is borderline."""
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :_floored_rank(s, RANK_THRESHOLD)[0]]
+    rank, borderline = _floored_rank(s, RANK_THRESHOLD)
+    return u[:, :rank], bool(borderline)
 
 
 def gaussian_stream(seed: int) -> np.random.Generator:
@@ -600,14 +615,15 @@ class TangencyResult(NamedTuple):
     dim_bivector_image: int
     dim_orbit_projection: int
     residual: float
+    borderline: bool  # either rank is borderline
 
 
 def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray) -> TangencyResult:
     """Compare the image of the quotient bivector with the projected tangent
-    space of the dressing orbit through u; returns dims and the largest
-    principal angle between the two subspaces. When their dimensions differ,
-    a vector of the larger span is orthogonal to the smaller one, so that
-    angle is pi/2."""
+    space of the dressing orbit through u; returns dims, the largest
+    principal angle between the two subspaces and whether either rank was
+    borderline. When their dimensions differ, a vector of the larger span is
+    orthogonal to the smaller one, so that angle is pi/2."""
     _check_unitary(u)
     a_inv = rf._ip0_reader @ rf.Ad_matrix(_H(u))
     c = _T(_bivector(rf, a_inv, rf._ip0_lam))  # pi_0_at(rf, u)
@@ -615,19 +631,21 @@ def leaf_tangency_check(rf: MatrixRealForm, u: np.ndarray) -> TangencyResult:
     # g0 at once, carried back by Ad_u^{-1} and projected onto ip0
     orbit = a_inv @ (rf._compact_reader @ rf.Ad_g0(u))
 
-    img = column_space(c)
-    orb = column_space(orbit)
+    img, img_borderline = column_space(c)
+    orb, orb_borderline = column_space(orbit)
     same = img.shape[1] == orb.shape[1]
     residual = largest_principal_angle(img, orb) if same else math.pi / 2
-    return TangencyResult(img.shape[1], orb.shape[1], residual)
+    return TangencyResult(img.shape[1], orb.shape[1], residual, img_borderline or orb_borderline)
 
 
-def leaf_tangency_residual(rf: MatrixRealForm, n_samples: int, seed: int) -> float:
-    """Largest tangency residual over seeded unitaries: pi/2 when the image
-    and orbit dimensions differ at some sample."""
+def leaf_tangency_residual(rf: MatrixRealForm, n_samples: int, seed: int) -> tuple[float, int]:
+    """(largest tangency residual over seeded unitaries, number of samples
+    with a borderline rank): pi/2 when the image and orbit dimensions differ
+    at some sample."""
     rng = gaussian_stream(seed)
-    return max(leaf_tangency_check(rf, u).residual
-               for k in _stacks(n_samples, rf.n) for u in sample_unitaries(rng, k, rf.n))
+    results = [leaf_tangency_check(rf, u)
+               for k in _stacks(n_samples, rf.n) for u in sample_unitaries(rng, k, rf.n)]
+    return max(r.residual for r in results), sum(r.borderline for r in results)
 
 
 def largest_principal_angle(a: np.ndarray, b: np.ndarray) -> float:
@@ -658,23 +676,28 @@ def annihilator_check(rf: MatrixRealForm) -> AnnihilatorResult:
 
 
 def stabilizer_dim(rf: MatrixRealForm,
-                   us: np.ndarray | Sequence[np.ndarray]) -> tuple[list[int], list[int]]:
+                   us: np.ndarray | Sequence[np.ndarray]) -> tuple[list[int], list[int], int]:
     """For each unitary u of a stack or a list: dim { X in g0 : Ad_u X lies in
     the triangular factor a + n }, the Lie algebra of the action stabilizer,
-    and the same with the compact torus directions added (a + n + t).  One
-    pass in stacks of stack_size(n) checks and conjugates each stack once.
+    and the same with the compact torus directions added (a + n + t); then
+    the number of unitaries with a borderline rank in either.  One pass in
+    stacks of stack_size(n) checks and conjugates each stack once.
     Ad_u X lies in a + n (a + n + t) exactly when its lower triangle rows off
     a + n (a + n + t) vanish, so each dimension is the nullity of those rows."""
     flat, size = np.asarray(us).reshape(-1, rf.n, rf.n), stack_size(rf.n)
     dims: tuple[list[int], list[int]] = [], []
+    n_borderline = 0
     for start in range(0, len(flat), size):
         stack = flat[start:start + size]
         _check_unitary(stack)
         m = rf.Ad_g0(stack)
+        marked = np.zeros(len(stack), dtype=bool)
         for torus, out in enumerate(dims):
-            rows = m[..., rf._off_triangular[torus], :]
-            out += (m.shape[-1] - numerical_rank(rows)[0]).tolist()
-    return dims
+            rank, borderline = numerical_rank(m[..., rf._off_triangular[torus], :])
+            out += (m.shape[-1] - rank).tolist()
+            marked |= borderline
+        n_borderline += int(marked.sum())
+    return dims[0], dims[1], n_borderline
 
 
 # ---------------------------------------------------------------------------

@@ -132,9 +132,9 @@ class WeylElement(NamedTuple):
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct a root system with positive roots from reflection closure.
 
-    Positive roots are generated by repeatedly applying simple reflections to
-    the simple roots and keeping the images with nonnegative coordinates; the
-    resulting list is frozen in lexicographic order.
+    Each new root r is paired once with each simple coroot; a negative
+    <r, alpha_k^vee> makes s_k(r) = r - <r, alpha_k^vee> alpha_k a higher
+    positive root. The resulting list is frozen in lexicographic order.
     """
     family = family.upper()
     if family not in _VALID_RANKS or not isinstance(rank, int) or not _VALID_RANKS[family](rank):
@@ -144,27 +144,26 @@ def build_root_system(family: str, rank: int) -> RootSystem:
             f"unsupported Cartan type {family}{rank}: rank exceeds cap {RANK_CAP}"
         )
 
-    cartan = _cartan_matrix(family, rank)
-
-    simple = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
-    positive = set(simple)
-    frontier = list(simple)
+    cartan = tuple(tuple(row) for row in _cartan_matrix(family, rank))
+    neighbours = _neighbours(cartan)
+    frontier = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
+    positive = set(frontier)
     while frontier:
         new: list[IntVector] = []
-        for v in frontier:
-            for i in range(rank):
-                w = _reflect_vector(cartan, i, v)
-                if min(w) >= 0 and w not in positive:
-                    positive.add(w)
-                    new.append(w)
+        for r in frontier:
+            for k, column in enumerate(neighbours):
+                pairing = 2 * r[k]
+                for j, a_jk in column:
+                    pairing += a_jk * r[j]
+                if pairing < 0:
+                    w = r[:k] + (r[k] - pairing,) + r[k + 1:]
+                    if w not in positive:
+                        positive.add(w)
+                        new.append(w)
         frontier = new
 
-    return RootSystem(
-        family=family,
-        rank=rank,
-        cartan_matrix=tuple(tuple(row) for row in cartan),
-        positive_roots=tuple(sorted(positive)),
-    )
+    return RootSystem(family=family, rank=rank, cartan_matrix=cartan,
+                      positive_roots=tuple(sorted(positive)))
 
 
 def longest_element(rs: RootSystem, subset: Iterable[int] | None = None) -> WeylElement:
@@ -208,27 +207,29 @@ class RootPermutations:
     """
 
     def __init__(self, rs: RootSystem):
-        a = rs.cartan_matrix
         positive = rs.positive_roots
-        if 2 * len(positive) > 256:
-            raise ValueError(f"{rs.family}{rs.rank} has {2 * len(positive)} roots; a root "
+        npos = self.npos = len(positive)
+        if 2 * npos > 256:
+            raise ValueError(f"{rs.family}{rs.rank} has {2 * npos} roots; a root "
                              "permutation is a bytes table of at most 256 entries")
-        self.npos = len(positive)
         self.roots = positive + tuple(tuple(-x for x in r) for r in positive)
-        self.index = {r: j for j, r in enumerate(self.roots)}
-        self.simple = tuple(self.index[r] for r in rs.simple_roots)
-        self.identity: Perm = bytes(range(len(self.roots)))
-        self.pad = bytes(range(len(self.roots), 256))
-        self.reflections: tuple[Perm, ...] = tuple(
-            bytes(self.index[_reflect_vector(a, k, r)] for r in self.roots)
-            for k in range(rs.rank)
-        )
+        self.index = index = {r: j for j, r in enumerate(self.roots)}
+        self.simple = tuple(index[r] for r in rs.simple_roots)
+        self.identity: Perm = bytes(range(2 * npos))
+        self.pad = bytes(range(2 * npos, 256))
+        self._neighbours = _neighbours(rs.cartan_matrix)
+        negate = bytes(range(npos, 2 * npos)) + bytes(range(npos)) + self.pad  # j <-> -j
+        reflections = []
+        for k, column in enumerate(self._neighbours):
+            images = []
+            for r in positive:  # s_k(r) = r - <r, alpha_k^vee> alpha_k; s_k(alpha_k) = -alpha_k
+                pairing = 2 * r[k]
+                for j, a_jk in column:
+                    pairing += a_jk * r[j]
+                images.append(index[r[:k] + (r[k] - pairing,) + r[k + 1:]])
+            reflections.append(bytes(images) + bytes(images).translate(negate))  # s(-r) = -s(r)
+        self.reflections: tuple[Perm, ...] = tuple(reflections)
         self.heights = tuple(sum(r) for r in self.roots)
-        # (j, a_ji) for each Cartan neighbour j of each node i
-        self._neighbours = tuple(
-            tuple((j, a[j][i]) for j in range(rs.rank) if j != i and a[j][i])
-            for i in range(rs.rank)
-        )
 
     def compose(self, p: Perm, q: Perm) -> Perm:
         """The product p·q: q acts first."""
@@ -269,16 +270,15 @@ class RootPermutations:
 
     def automorphism(self, sigma: Sequence[int]) -> Perm:
         """The permutation of the diagram automorphism sigma, which sends
-        alpha_i to alpha_sigma(i) (0-based node indices)."""
+        alpha_i to alpha_sigma(i) (0-based node indices), and -r to -sigma(r)."""
+        if all(i == j for i, j in enumerate(sigma)):
+            return self.identity
         inv = sorted(range(len(sigma)), key=sigma.__getitem__)
-        return bytes(self.index[tuple(r[i] for i in inv)] for r in self.roots)
+        images = [self.index[tuple(r[i] for i in inv)] for r in self.roots[:self.npos]]
+        return bytes(images + [j + self.npos for j in images])
 
 
-def _reflect_vector(a: Sequence[Sequence[int]], k: int, v: IntVector) -> IntVector:
-    """s_k(v) in simple-root coordinates."""
-    pairing = 0
-    for c, x in enumerate(v):
-        if x:
-            pairing += x * a[c][k]
-    return v[:k] + (v[k] - pairing,) + v[k + 1:]
-
+def _neighbours(a: IntMatrix) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(j, a_jk) for each Cartan neighbour j of each node k: column k off its diagonal 2."""
+    return tuple(tuple((j, row[k]) for j, row in enumerate(a) if j != k and row[k])
+                 for k in range(len(a)))

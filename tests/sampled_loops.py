@@ -273,13 +273,15 @@ def orbit_projection(rf, u):
 
 
 def leaf_tangency_residual(rf, n_samples, seed):
-    """The verify battery's former loop: one draw of every unitary."""
-    worst, same = 0.0, True
+    """The verify battery's former loop: one draw of every unitary; with the
+    number of samples whose rank was borderline."""
+    worst, same, n_borderline = 0.0, True, 0
     for u in ml.sample_unitaries(np.random.default_rng(seed), n_samples, rf.n):
         res = ml.leaf_tangency_check(rf, u)
         same = same and res.dim_bivector_image == res.dim_orbit_projection
         worst = max(worst, res.residual)
-    return worst if same else math.pi / 2
+        n_borderline += res.borderline
+    return worst if same else math.pi / 2, n_borderline
 
 
 def chart_su2_section(w):

@@ -195,7 +195,7 @@ def test_criterion_09_stabilizer_dimensions():
                 if u is None:
                     continue
                 assert ml.stabilizer_dim(rf, [u]) == (
-                    [cls["a"] + cls["codim_Y"]], [cls["t"] + cls["a"] + cls["codim_Y"]])
+                    [cls["a"] + cls["codim_Y"]], [cls["t"] + cls["a"] + cls["codim_Y"]], 0)
                 checked += 1
         assert checked == 6  # every class of both split forms has a witness
     verdict(9, f"stabilizer dimensions match for {checked} classes, {t.elapsed:.2f}s")

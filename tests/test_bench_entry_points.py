@@ -35,6 +35,36 @@ def test_atlas_workloads_match_the_golden_documents(onepass, workload):
     assert mismatched == []
 
 
+def test_atlas_catalog_builds_the_tables_once_per_cartan_type(onepass, monkeypatch):
+    # the 32 forms fall on 11 Cartan types: each type's root system and root
+    # permutations are built once, from empty caches, and shared by its forms
+    from leafatlas import rootsys, satake
+
+    built, tabled = [], []
+    build, init = rootsys.build_root_system, rootsys.RootPermutations.__init__
+
+    def counting_build(family, rank):
+        built.append((family, rank))
+        return build(family, rank)
+
+    def counting_init(self, rs):
+        tabled.append((rs.family, rs.rank))
+        init(self, rs)
+
+    monkeypatch.setattr(satake, "build_root_system", counting_build)
+    satake._root_system.cache_clear()  # refilled by the pass, as in a fresh process
+    monkeypatch.setattr(rootsys, "_PERMUTATIONS", {})
+    monkeypatch.setattr(rootsys.RootPermutations, "__init__", counting_init)
+    forms, catalog_hash = onepass._load_forms("atlas-catalog", seed=0)
+    assert len(forms) == 32
+    for sd in forms:
+        onepass.run_form("atlas-catalog", sd, catalog_hash, seed=0)
+    types = {(sd.family, sd.rank) for sd in forms}
+    assert len(types) == 11
+    assert len(built) == len(tabled) == 11
+    assert set(built) == set(tabled) == types
+
+
 @pytest.mark.parametrize("workload,label", [("verify-split", "sl(2,R)"),
                                             ("verify-supq", "su(1,1)")])
 def test_verify_workloads_pass_every_check(onepass, workload, label):

@@ -664,16 +664,16 @@ def test_verify_document_is_strict_json_when_tangency_dimensions_differ(capsys, 
 
     def dropping(m):  # every orbit span loses its last vector
         calls.append(m)
-        q = original(m)
-        return q[:, :-1] if len(calls) % 2 == 0 else q
+        q, borderline = original(m)
+        return (q[:, :-1] if len(calls) % 2 == 0 else q), borderline
 
     monkeypatch.setattr(ml, "column_space", dropping)
     code, out, _ = run(capsys, "verify", "--form", "sl(2,R)", "--samples", "10")
     assert code == 2
     doc = _strict_loads(out)
     tangency = [c for c in doc["checks"] if c["name"] == "leaf_tangency"]
-    assert tangency == [{"name": "leaf_tangency", "value": math.pi / 2,
-                         "tolerance": 1e-8, "passed": False, "info": ""}]
+    assert tangency == [{"name": "leaf_tangency", "value": math.pi / 2, "tolerance": 1e-8,
+                         "passed": False, "info": "0 borderline samples"}]
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["leaf_tangency"]
 
 
@@ -687,6 +687,25 @@ def test_rank_threshold_override_reaches_both_rank_checks(monkeypatch):
     doc = run_verify_battery(cr.by_label()["su(2,1)"], RunConfig(command="verify", samples=10))
     failed = [c["name"] for c in doc["checks"] if not c["passed"]]
     assert failed == ["rank_vs_atlas", "stabilizer_dims"]
+
+
+def test_every_float_rank_row_reports_its_borderline_count(monkeypatch):
+    import numpy as np
+
+    from leafatlas import matrixlie as ml
+
+    original = ml._floored_rank
+    # every rank of the float rows marked borderline, the ranks themselves kept
+    monkeypatch.setattr(ml, "_floored_rank",
+                        lambda s, threshold: (original(s, threshold)[0],
+                                              np.ones(s.shape[:-1], dtype=bool)))
+    doc = run_verify_battery(cr.by_label()["su(2,1)"], RunConfig(command="verify", samples=10))
+    assert doc["passed"] is True
+    info = {c["name"]: c["info"] for c in doc["checks"]}
+    assert info["rank_vs_atlas"].endswith(", 50 borderline samples")
+    assert info["leaf_tangency"] == "5 borderline samples"
+    assert info["stabilizer_dims"] == ("4/4 matched of 4 classes (0 unrealizable), "
+                                       "4 borderline representatives")
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -58,7 +58,8 @@ def _with_singular_values(s, rows=6, cols=5, seed=0):
 def test_numerical_rank_of_empty_matrix():
     assert ml.numerical_rank(np.zeros((0, 4))) == (0, False)
     assert ml.numerical_rank(np.zeros((3, 0))) == (0, False)
-    assert ml.column_space(np.zeros((3, 0))).shape == (3, 0)
+    col, borderline = ml.column_space(np.zeros((3, 0)))
+    assert col.shape == (3, 0) and borderline is False
 
 
 def test_numerical_rank_cutoff_is_floored_at_one():
@@ -85,8 +86,8 @@ def test_numerical_rank_borderline_band(value, rank, borderline):
 
 def test_column_space_orthonormal():
     m = _with_singular_values([3.0, 1.0, 1e-12], rows=4, cols=6, seed=1)
-    col = ml.column_space(m)
-    assert col.shape == (4, 2)
+    col, borderline = ml.column_space(m)
+    assert col.shape == (4, 2) and borderline is False
     assert np.allclose(col.T @ col, np.eye(2), atol=1e-12)
 
 
@@ -760,14 +761,30 @@ def test_leaf_tangency_dimension_mismatch_reads_a_right_angle(monkeypatch):
 
     def dropping(m):  # every orbit span loses its last vector
         calls.append(m)
-        q = original(m)
-        return q[:, :-1] if len(calls) % 2 == 0 else q
+        q, borderline = original(m)
+        return (q[:, :-1] if len(calls) % 2 == 0 else q), borderline
 
     monkeypatch.setattr(ml, "column_space", dropping)
     res = ml.leaf_tangency_check(rf, u)
     assert (res.dim_bivector_image, res.dim_orbit_projection) == (4, 3)
     assert res.residual == math.pi / 2
-    assert ml.leaf_tangency_residual(rf, 3, 6) == math.pi / 2
+    assert ml.leaf_tangency_residual(rf, 3, 6) == (math.pi / 2, 0)
+
+
+def test_leaf_tangency_counts_a_borderline_orbit_rank(monkeypatch):
+    rf = ml.realization("su(2,1)")
+    u = loops.sample_unitary(np.random.default_rng(15), 3)
+    assert ml.leaf_tangency_check(rf, u).borderline is False
+    original, calls = ml.column_space, []
+
+    def marking(m):  # every orbit span, ranked second, is marked borderline
+        calls.append(m)
+        q, borderline = original(m)
+        return q, borderline or len(calls) % 2 == 0
+
+    monkeypatch.setattr(ml, "column_space", marking)
+    assert ml.leaf_tangency_check(rf, u).borderline is True
+    assert ml.leaf_tangency_residual(rf, 3, 6)[1] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +875,7 @@ def test_su_pq_representatives_follow_the_clans(label, realized):
         assert cls["dims_in_range"] and cls["parity_ok"]
         assert abs(np.linalg.det(u) - 1) < 1e-12
         assert ml.stabilizer_dim(rf, [u]) == (
-            [cls["a"] + cls["codim_Y"]], [cls["t"] + cls["a"] + cls["codim_Y"]])
+            [cls["a"] + cls["codim_Y"]], [cls["t"] + cls["a"] + cls["codim_Y"]], 0)
     assert count == realized
 
 
@@ -869,7 +886,7 @@ def test_stabilizer_dims_match_class_invariants(label):
         u = ml.representative_for(rf, cls["psi_word"])
         assert u is not None
         assert ml.stabilizer_dim(rf, [u]) == (
-            [cls["a"] + cls["codim_Y"]], [cls["t"] + cls["a"] + cls["codim_Y"]])
+            [cls["a"] + cls["codim_Y"]], [cls["t"] + cls["a"] + cls["codim_Y"]], 0)
 
 
 @pytest.mark.parametrize("label", [
@@ -888,7 +905,7 @@ def test_stabilizer_dim_matches_the_per_matrix_loop(label):
     want = tuple([loops.stabilizer_dim(rf, u, torus) for u in points] for torus in (False, True))
     singles = [ml.stabilizer_dim(rf, [u]) for u in points]
     assert tuple([single[torus][0] for single in singles] for torus in (0, 1)) == want
-    assert ml.stabilizer_dim(rf, np.stack(points)) == want
+    assert ml.stabilizer_dim(rf, np.stack(points)) == (*want, sum(s[2] for s in singles))
 
 
 def test_orbit_dimension_count(sl2):
@@ -1302,7 +1319,7 @@ def test_stacked_tangency_columns_match_the_loop(label):
             ml.sample_unitaries(np.random.default_rng(6), 3, rf.n)):
         res = ml.leaf_tangency_check(rf, u)
         orbit = loops.orbit_projection(rf, u)
-        assert res.dim_orbit_projection == ml.column_space(orbit).shape[1]
+        assert res.dim_orbit_projection == ml.column_space(orbit)[0].shape[1]
         assert res.dim_bivector_image == res.dim_orbit_projection
         assert res.residual < 1e-12
 
@@ -1477,6 +1494,7 @@ def test_stacked_stabilizer_dim_matches_the_per_matrix_call(monkeypatch, label):
     singles = [ml.stabilizer_dim(rf, [u]) for u in reps]
     want = tuple([single[torus][0] for single in singles] for torus in (0, 1))
     assert all(type(d) is int for dims in want for d in dims)
+    want += (sum(single[2] for single in singles),)
     calls = []
     for owner, attr in ((ml, "_check_unitary"), (ml.MatrixRealForm, "Ad_g0")):
         def counting(*args, _original=getattr(owner, attr), _attr=attr):

@@ -322,6 +322,34 @@ def test_longest_element_matches_the_matrix_greedy(family, rank):
         assert rs.permutations.images(got.perm) == wm.mat_transpose(ref.matrix)
 
 
+@pytest.mark.parametrize("family,rank", IRREDUCIBLE_TYPES)
+def test_tables_match_the_two_pass_reflection_closure(family, rank):
+    # the roots (the positive ones first), each s_k's table and the heights,
+    # against the closure that reflects every coordinate of every root twice
+    rs = build_root_system(family, rank)
+    roots, reflections, heights = wm.root_tables(rs)
+    k = rootsys.RootPermutations(rs)
+    assert k.roots == roots and k.heights == heights
+    assert [tuple(s) for s in k.reflections] == list(reflections)
+    for alpha, s in zip(k.simple, k.reflections):
+        # an involution that sends alpha_k to -alpha_k
+        assert k.compose(s, s) == k.identity
+        assert s[alpha] == alpha + k.npos and s[alpha + k.npos] == alpha
+
+
+# every catalog form, quasi-split E6 (EII) and D4..D8 with the arrow (n-1, n)
+AUTOMORPHISM_FORMS = builtin_catalog() + tuple(
+    [cr.diagram("EII", "E", 6, arrows=[(1, 6), (3, 5)])]
+    + [cr.diagram(f"D{n} ({n - 1},{n})", "D", n, arrows=[(n - 1, n)]) for n in range(4, 9)])
+
+
+@pytest.mark.parametrize("sd", AUTOMORPHISM_FORMS, ids=lambda s: s.label)
+def test_automorphism_matches_the_root_by_root_generator(sd):
+    rs, sigma = sd.root_system(), real_form_data(sd).sigma
+    roots = wm.root_tables(rs)[0]
+    assert tuple(rs.permutations.automorphism(sigma)) == wm.automorphism(roots, sigma)
+
+
 # every type up to RANK_CAP, with C2 = B2 once
 CAPACITY_TYPES = ([("A", r) for r in range(1, 9)] + [("B", r) for r in range(2, 9)]
                   + [("C", r) for r in range(3, 9)] + [("D", r) for r in range(4, 9)]

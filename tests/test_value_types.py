@@ -27,7 +27,8 @@ FIELDS = {
     AtlasReport: ("form", "classes", "largest_leaf_class", "catalog_hash"),
     RunConfig: ("command", "form", "inline", "output_format", "tolerances", "samples",
                 "seed", "catalog_path", "out_path"),
-    ml.TangencyResult: ("dim_bivector_image", "dim_orbit_projection", "residual"),
+    ml.TangencyResult: ("dim_bivector_image", "dim_orbit_projection", "residual",
+                        "borderline"),
     ml.AnnihilatorResult: ("dim_annihilator", "dim_fixed_points", "dim_intersection"),
     ml.HermitianFitResult: ("b", "max_residual"),
     ml.HermitianFrame: ("flag_ad", "flag_lam", "c_inv"),

@@ -1,5 +1,6 @@
 """The Weyl group as integer matrices on simple-root coordinates: the
-differential reference for the root permutations of `leafatlas.rootsys`, for
+differential reference for the root permutations of `leafatlas.rootsys` and
+for the tables they are built from (`root_tables`, `automorphism`), for
 the involution data of `leafatlas.satake`, and for the twisted-involution
 walk of `leafatlas.atlas` and the classes it carries, whose 11 fields are
 built here directly from each v = psi w_b (`reference_recorder`), as the
@@ -196,6 +197,52 @@ def preserves_form(rs: RootSystem, w: WeylElement) -> bool:
     """Check w^T * form * w == form (Weyl invariance of the pairing)."""
     m = mat_mul(mat_transpose(w.matrix), mat_mul(form(rs), w.matrix))
     return m == form(rs)
+
+
+# ---------------------------------------------------------------------------
+# the root tables by brute force
+
+def reflect_vector(a: IntMatrix, k: int, v: IntVector) -> IntVector:
+    """s_k(v) in simple-root coordinates, paired over every coordinate of v."""
+    pairing = sum(x * a[c][k] for c, x in enumerate(v))
+    return v[:k] + (v[k] - pairing,) + v[k + 1:]
+
+
+def root_tables(rs: RootSystem) -> tuple[tuple[IntVector, ...], tuple[tuple[int, ...], ...],
+                                         tuple[int, ...]]:
+    """(roots, reflections, heights) by two passes of `reflect_vector`: the
+    closure of the simple roots under every simple reflection, keeping the
+    images with nonnegative coordinates, sorted, then with their negatives
+    appended; then every one of those roots reflected again to fill each
+    s_k's table. The reference for `build_root_system` and the tables of
+    `RootPermutations`, which pair each positive root once with each coroot."""
+    a, rank = rs.cartan_matrix, rs.rank
+    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    positive, frontier = set(simple), simple
+    while frontier:
+        new: list[IntVector] = []
+        for v in frontier:
+            for k in range(rank):
+                w = reflect_vector(a, k, v)
+                if min(w) >= 0 and w not in positive:
+                    positive.add(w)
+                    new.append(w)
+        frontier = new
+    ordered = tuple(sorted(positive))
+    roots = ordered + tuple(tuple(-x for x in r) for r in ordered)
+    index = {r: j for j, r in enumerate(roots)}
+    reflections = tuple(tuple(index[reflect_vector(a, k, r)] for r in roots)
+                        for k in range(rank))
+    return roots, reflections, tuple(sum(r) for r in roots)
+
+
+def automorphism(roots: Sequence[IntVector], sigma: Sequence[int]) -> tuple[int, ...]:
+    """The permutation of `roots` by the diagram automorphism sigma (alpha_i
+    to alpha_sigma(i), 0-based), root by root: the reference for
+    `RootPermutations.automorphism`."""
+    index = {r: j for j, r in enumerate(roots)}
+    inv = sorted(range(len(sigma)), key=sigma.__getitem__)
+    return tuple(index[tuple(r[i] for i in inv)] for r in roots)
 
 
 # ---------------------------------------------------------------------------
