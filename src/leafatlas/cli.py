@@ -586,7 +586,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "samples", 1) < 1:
         sys.stderr.write(f"--samples must be at least 1, got {args.samples}\n")
         return EXIT_USAGE
-    if args.command == "verify" and args.seed < 0:  # numpy seeds are non-negative
+    if args.command == "verify" and args.seed < 0:  # a stream seed is any int >= 0
         sys.stderr.write(f"--seed must be at least 0 for verify, got {args.seed}\n")
         return EXIT_USAGE
 

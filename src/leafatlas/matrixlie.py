@@ -130,15 +130,87 @@ def column_space(m: np.ndarray) -> tuple[np.ndarray, bool]:
     return u[:, :rank], bool(borderline)
 
 
-def gaussian_stream(seed: int) -> np.random.Generator:
-    """The stream of a sampled check's Gaussian draws: SeedSequence(seed)."""
-    return np.random.default_rng(seed)
+_GOLDEN = 0x9E3779B97F4A7C15  # SplitMix64's Weyl increment, 2^64 / phi rounded to odd
+_MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_MASK = 2**64 - 1
 
 
-def uniform_stream(seed: int) -> np.random.Generator:
-    """The stream of a sampled check's uniform draws (phases, points): the
-    first child of SeedSequence(seed), independent of its Gaussian stream."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array."""
+    z ^= z >> 30
+    z *= _MIX[0]
+    z ^= z >> 27
+    z *= _MIX[1]
+    z ^= z >> 31
+    return z
+
+
+def _mix_int(z: int) -> int:
+    """_mix on one Python int below 2^64: a stream's key, for which numpy
+    calls on a one-element array would cost ten times as much."""
+    z = (z ^ z >> 30) * _MIX[0] & _MASK
+    z = (z ^ z >> 27) * _MIX[1] & _MASK
+    return z ^ z >> 31
+
+
+class SampleStream:
+    """A counter-based stream of 64-bit words: word j of the stream with key
+    K is SplitMix64's finalizer of K + (j + 1) * 0x9E3779B97F4A7C15 mod 2^64
+    (Steele, Lea and Flood, OOPSLA 2014).  `drawn` counts the words read so
+    far; setting it moves the stream to any word without reading those
+    before it.  Each variate takes one word."""
+
+    def __init__(self, seed: int, kind: int):
+        if seed < 0:
+            raise ValueError(f"sample stream seeds are non-negative, got {seed}")
+        key = (kind + 1) * _GOLDEN & _MASK
+        while True:  # fold in the whole seed, 64 bits at a time, low first
+            key = _mix_int(key ^ (seed & _MASK))
+            seed >>= 64
+            if not seed:
+                break
+        self.key, self.drawn = key, 0
+
+    def _words(self, size) -> np.ndarray:
+        count = math.prod(size) if isinstance(size, tuple) else size
+        # little-endian words, so a "<u4" view reads (low, high) halves on any host
+        z = np.arange(self.drawn + 1, self.drawn + 1 + count, dtype="<u8").reshape(size)
+        self.drawn += count
+        z *= _GOLDEN
+        z += self.key
+        return _mix(z)
+
+    def standard_normal(self, size) -> np.ndarray:
+        """Box-Muller, one normal per word: sqrt(-2 ln u) sin(pi v) with
+        u = (high 32 bits + 1) / 2^32 in (0, 1] and v = (low 32 bits, read
+        as a signed integer) / 2^32 in [-1/2, 1/2).  The sine of a uniform
+        angle on that half turn has the law of the cosine on a whole turn,
+        and costs less."""
+        z = self._words(size)
+        r = np.multiply(z.view("<u4")[..., 1::2], 2.0**-32)  # exact
+        r += 2.0**-32
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        angle = np.multiply(z.view("<i4")[..., ::2], math.pi / 2**32)
+        r *= np.sin(angle, out=angle)
+        return r
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """low + (high - low) u, u = (top 53 bits of a word) / 2^53 in [0, 1)."""
+        u = np.multiply(self._words(size) >> 11, 2.0**-53)  # exact
+        return low + (high - low) * u
+
+
+def gaussian_stream(seed: int) -> SampleStream:
+    """The stream of a sampled check's Gaussian draws."""
+    return SampleStream(seed, 0)
+
+
+def uniform_stream(seed: int) -> SampleStream:
+    """The stream of a sampled check's uniform draws (phases, points), keyed
+    apart from its Gaussian stream."""
+    return SampleStream(seed, 1)
 
 
 def stack_size(n: int) -> int:
@@ -153,14 +225,15 @@ def _stacks(count: int, n: int) -> list[int]:
     return [min(size, count - start) for start in range(0, count, size)]
 
 
-def complex_normals(rng: np.random.Generator, k: int, *shapes) -> list[np.ndarray]:
+def complex_normals(rng: SampleStream, k: int, *shapes) -> list[np.ndarray]:
     """The next k samples of complex Gaussians from rng, one stack per shape.
 
     One standard_normal((k, D)) call: row i holds sample i's real then
     imaginary parts, shape by shape, in the order that per-sample
-    rng.normal(size=s) calls would give them.  So sample i of a check is
-    block i of its stream whatever the stack sizes, and is replayed by
-    drawing blocks 0..i from a fresh stream of the same seed."""
+    rng.standard_normal(s) calls would give them.  So sample i of a check
+    is block i of its stream, words iD to (i + 1)D - 1, whatever the stack
+    sizes, and is replayed alone by a fresh stream of the same seed with
+    `drawn` set to iD."""
     sizes = [math.prod(s) for s in shapes]
     rows = rng.standard_normal((k, 2 * sum(sizes)))
     out, at = [], 0
@@ -578,7 +651,7 @@ def su2_transported_coefficient(rf: MatrixRealForm, u: np.ndarray) -> tuple[comp
     return w, -2.0 * (dw.real[..., None, :] @ c @ dw.imag[..., None])[..., 0, 0]
 
 
-def _chart_points(rng: np.random.Generator, count: int, size: int) -> Iterator[np.ndarray]:
+def _chart_points(rng: SampleStream, count: int, size: int) -> Iterator[np.ndarray]:
     """The first count accepted points of a rejection sampler on rng, in
     stacks of size: w from uniform (real, imaginary) pairs on the square of
     side 2.8, kept off the origin and away from the zero circle |w| = 1.
@@ -868,7 +941,7 @@ def _unitary(z: np.ndarray) -> np.ndarray:
     return q * np.exp(-1j * (np.angle(np.linalg.det(q)) / z.shape[-1]))[..., None, None]
 
 
-def sample_unitaries(rng: np.random.Generator, k: int, n: int) -> np.ndarray:
+def sample_unitaries(rng: SampleStream, k: int, n: int) -> np.ndarray:
     """The stack of the next k samples of SU(n) from the Gaussian stream rng."""
     return _unitary(complex_normals(rng, k, (n, n))[0])
 

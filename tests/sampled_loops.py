@@ -2,11 +2,13 @@
 `leafatlas.matrixlie`, which evaluate their samples as stacks.
 
 Each function draws its samples one after another from the streams of its
-seed, with one `rng.normal` or `rng.uniform` call per sample and shape, and
-evaluates each sample on its own: the samplers are the per-matrix
-originals, the rest goes through the single-point kernels.  The streams are
-built here from SeedSequence(seed) itself: Gaussian draws come from its own
-generator and uniform draws from its first spawned child.  `exp_and_phi_ad`
+seed, with one `rng.standard_normal` or `rng.uniform` call per sample and
+shape, and evaluates each sample on its own: the samplers are the
+per-matrix originals, the rest goes through the single-point kernels.  The
+streams are built here from their kinds: Gaussian draws come from
+SampleStream(seed, 0) and uniform draws from SampleStream(seed, 1).
+`splitmix_words`, `standard_normals` and `uniforms` are the streams
+themselves in Python ints and floats, one word at a time.  `exp_and_phi_ad`
 is the exponential and its differential as stacked n x n products, and
 `chart` the exponential chart x -> exp xi(x) K built on them.  The Poisson
 property, which the package checks exactly by two Lie-algebra identities,
@@ -42,22 +44,65 @@ from leafatlas import matrixlie as ml
 def children(seed: int, n: int):
     """The Gaussian stream of seed once per sample: sample i reads the block
     that follows sample i - 1's."""
-    return repeat(np.random.default_rng(np.random.SeedSequence(seed)), n)
+    return repeat(ml.SampleStream(seed, 0), n)
 
 
 def uniform_stream(seed: int):
-    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    return ml.SampleStream(seed, 1)
+
+
+MASK = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix(z: int) -> int:
+    """SplitMix64's finalizer on a Python int below 2^64."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK
+    return z ^ (z >> 31)
+
+
+def splitmix_words(seed: int, kind: int, start: int, count: int) -> list[int]:
+    """Words start..start + count - 1 of the stream (seed, kind): the kind's
+    start (kind + 1) * GOLDEN, each 64 bits of the seed, low first, xored in
+    and finalized, then word j = splitmix(key + (j + 1) * GOLDEN)."""
+    key = (kind + 1) * GOLDEN & MASK
+    while True:
+        key = splitmix(key ^ (seed & MASK))
+        seed >>= 64
+        if not seed:
+            break
+    return [splitmix((key + (j + 1) * GOLDEN) & MASK) for j in range(start, start + count)]
+
+
+def standard_normals(seed: int, start: int, count: int, log=math.log) -> list[float]:
+    """Box-Muller on each word of the Gaussian stream: the high 32 bits give
+    u = (h + 1) / 2^32, the low 32 bits, signed, the angle pi l / 2^32."""
+    out = []
+    for w in splitmix_words(seed, 0, start, count):
+        h, low = w >> 32, w & 0xFFFFFFFF
+        signed = low - (1 << 32) if low >> 31 else low
+        out.append(math.sqrt(-2.0 * log((h + 1) / 2**32))
+                   * math.sin(signed * (math.pi / 2**32)))
+    return out
+
+
+def uniforms(seed: int, low: float, high: float, start: int, count: int) -> list[float]:
+    """low + (high - low) u on each word of the uniform stream, u its top 53
+    bits over 2^53."""
+    return [low + (high - low) * ((w >> 11) / 2**53)
+            for w in splitmix_words(seed, 1, start, count)]
 
 
 def sample_group(rng, n):
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     x -= np.trace(x) / n * np.eye(n)
     lam, v = np.linalg.eig(0.4 * x)
     return (v * np.exp(lam)) @ np.linalg.inv(v)
 
 
 def sample_unitary(rng, n):
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     q = q @ np.diag(np.sign(np.diag(r).real + 1e-300))
     return q * cmath.exp(-1j * cmath.phase(np.linalg.det(q)) / n)
@@ -207,7 +252,7 @@ def cartan_consistency(rf, n_samples, seed):
     traceless matrices."""
     res = {"tau_sq": 0.0, "commute": 0.0}
     for rng in children(seed, n_samples):
-        x = rng.normal(size=(rf.n, rf.n)) + 1j * rng.normal(size=(rf.n, rf.n))
+        x = rng.standard_normal((rf.n, rf.n)) + 1j * rng.standard_normal((rf.n, rf.n))
         x -= np.trace(x) / rf.n * np.eye(rf.n)
         res["tau_sq"] = max(res["tau_sq"], float(np.abs(rf.tau(rf.tau(x)) - x).max()))
         res["commute"] = max(
@@ -276,7 +321,7 @@ def leaf_tangency_residual(rf, n_samples, seed):
     """The verify battery's former loop: one draw of every unitary; with the
     number of samples whose rank was borderline."""
     worst, same, n_borderline = 0.0, True, 0
-    for u in ml.sample_unitaries(np.random.default_rng(seed), n_samples, rf.n):
+    for u in ml.sample_unitaries(ml.SampleStream(seed, 0), n_samples, rf.n):
         res = ml.leaf_tangency_check(rf, u)
         same = same and res.dim_bivector_image == res.dim_orbit_projection
         worst = max(worst, res.residual)
@@ -328,7 +373,7 @@ def formula_residual(rf, n_samples, seed):
 def iwasawa_residual(rf, n_samples, seed):
     worst = 0.0
     for rng in children(seed, n_samples):
-        m = rng.normal(size=(rf.n, rf.n)) + 1j * rng.normal(size=(rf.n, rf.n))
+        m = rng.standard_normal((rf.n, rf.n)) + 1j * rng.standard_normal((rf.n, rf.n))
         m = m / np.linalg.det(m) ** (1.0 / rf.n)
         b, u1 = ml.iwasawa(m)
         worst = max(worst, float(np.abs(b @ u1 - m).max()))

@@ -65,12 +65,23 @@ def test_atlas_catalog_builds_the_tables_once_per_cartan_type(onepass, monkeypat
     assert set(built) == set(tabled) == types
 
 
-@pytest.mark.parametrize("workload,label", [("verify-split", "sl(2,R)"),
-                                            ("verify-supq", "su(1,1)")])
+VERIFY_FORMS = {
+    "verify-split": ("sl(2,R)", "sl(3,R)", "sl(4,R)", "sl(5,R)"),
+    "verify-supq": ("su(1,1)", "su(2,1)", "su(3,1)", "su(2,2)", "su(4,1)", "su(3,2)"),
+}
+
+
+@pytest.mark.parametrize("workload,label", [(workload, label)
+                                            for workload, labels in VERIFY_FORMS.items()
+                                            for label in labels])
 def test_verify_workloads_pass_every_check(onepass, workload, label):
+    # every form of both verify workloads at seeds 0-10, which cover the
+    # benchmark's seeds: a draw that fails a check there fails here first
+    assert set(VERIFY_FORMS[workload]) == set(onepass.form_labels(workload))
     forms, catalog_hash = onepass._load_forms(workload, seed=0)
     sd = next(sd for sd in forms if sd.label == label)
-    assert onepass.run_form(workload, sd, catalog_hash, seed=0) == {"failed_checks": []}
+    outcomes = {seed: onepass.run_form(workload, sd, catalog_hash, seed) for seed in range(11)}
+    assert outcomes == {seed: {"failed_checks": []} for seed in range(11)}
 
 
 # traced functions that left the package; mending one shrinks this set
