@@ -208,8 +208,8 @@ def gaussian_stream(seed: int) -> SampleStream:
 
 
 def uniform_stream(seed: int) -> SampleStream:
-    """The stream of a sampled check's uniform draws (phases, points), keyed
-    apart from its Gaussian stream."""
+    """The stream of a sampled check's uniform draws (the disk chart's
+    points), keyed apart from its Gaussian stream."""
     return SampleStream(seed, 1)
 
 
@@ -412,7 +412,12 @@ class MatrixRealForm:
         self._compact_reader = self._reader * signs
         self._off_triangular = (signs != 0, np.tile(strict, 2))
         self.lam = lambda_matrix(n)
-        self._seed = np.nonzero(np.triu(self.lam, 1))  # lam = sum lam[x, y] e_x ^ e_y
+        upper = np.triu(self.lam, 1)
+        self._seed = np.nonzero(upper)  # lam = sum lam[x, y] e_x ^ e_y
+        # every bivector is _bivector's lam - a lam a^T, read over the seed's
+        # pairs: so pi_U is multiplicative once the pairs cover lam
+        if not np.array_equal(self.lam, upper - upper.T):
+            raise ValueError("lam has entries off the pairs (x, y), x < y, of its seed")
 
         tb = self.tau(self.basis_u)
         # tau's matrix on basis_u, integral in every realization
@@ -870,7 +875,8 @@ def representative_for(rf: MatrixRealForm, word: Sequence[int]) -> np.ndarray | 
 
 
 # ---------------------------------------------------------------------------
-# the Poisson property: two identities in the Lie algebra (see README)
+# the Poisson property and torus invariance: three identities in the Lie
+# algebra (see README)
 
 def _cyclic(t: np.ndarray) -> np.ndarray:  # t[i, j, k] + t[j, k, i] + t[k, i, j]
     out = t + t.transpose(1, 2, 0)
@@ -878,12 +884,15 @@ def _cyclic(t: np.ndarray) -> np.ndarray:  # t[i, j, k] + t[j, k, i] + t[k, i, j
     return out
 
 
-def poisson_identities(rf: MatrixRealForm) -> tuple[float, float]:
-    """(mcybe, k0_coisotropic): the largest entries of ad_X [lam, lam] over X
-    and Y of the simple roots, which generate u, and of the i p0 ^ i p0 part of
-    ad_X lam over X of basis_k0.  Both are integers: over su_lattice(n), basis_u
-    without its root scale, ad[a] (the matrix of ad B_a), 8n lam and tau are
-    integral, and both identities are homogeneous in lam (see README)."""
+def poisson_identities(rf: MatrixRealForm) -> tuple[float, float, float]:
+    """(mcybe, k0_coisotropic, t_invariance): the largest entries of
+    ad_X [lam, lam] over X and Y of the simple roots, which generate u, of the
+    i p0 ^ i p0 part of ad_X lam over X of basis_k0, and of ad_H lam over H of
+    the torus T.  The last vanishes exactly when Ad_t lam Ad_t^T = lam on T,
+    that is pi_U(ut) = pi_U(u) and pi_U(tu) = Ad_t pi_U(u) Ad_t^T.  All three
+    are integers: over su_lattice(n), basis_u without its root scale, ad[a]
+    (the matrix of ad B_a), 8n lam and tau are integral, and each identity is
+    homogeneous in lam (see README)."""
     n, d = rf.n, rf.dim_u
     scale, basis = _root_scale(n), su_lattice(n)
     ad = np.empty((d, d, d))
@@ -895,6 +904,7 @@ def poisson_identities(rf: MatrixRealForm) -> tuple[float, float]:
     ip0, k0 = np.eye(d) - rf._tau, (np.eye(d) + rf._tau)[:, rf._k0].T
     coisotropic = max(np.abs(w - w.T).max()
                       for w in ip0 @ np.tensordot(k0, ad, 1) @ lam @ ip0.T)
+    invariance = max(np.abs(w - w.T).max() for w in ad[:n - 1] @ lam)
     t = _cyclic(np.tensordot(lam, ad @ lam, (0, 0)))  # -[lam, lam], alternating
     j, k = np.triu_indices(n, 1)
     x = n - 1 + 2 * np.flatnonzero(k == j + 1)  # X of each simple root; Y follows it
@@ -902,11 +912,11 @@ def poisson_identities(rf: MatrixRealForm) -> tuple[float, float]:
     del ad  # the peak would hold it beside t and two products of t
     # ad_X of an alternating t is the cyclic sum of ad_X on t's first index
     mcybe = max(np.abs(_cyclic((a @ t.reshape(d, -1)).reshape(t.shape))).max() for a in gens)
-    return float(mcybe), float(coisotropic)
+    return float(mcybe), float(coisotropic), float(invariance)
 
 
 # ---------------------------------------------------------------------------
-# multiplicativity and invariance checks
+# sampled unitaries and the quotient rank
 
 def _sl_exp(x: np.ndarray) -> np.ndarray:
     """exp(0.4 X) for X the traceless part of x, or of each matrix of a
@@ -944,39 +954,6 @@ def _unitary(z: np.ndarray) -> np.ndarray:
 def sample_unitaries(rng: SampleStream, k: int, n: int) -> np.ndarray:
     """The stack of the next k samples of SU(n) from the Gaussian stream rng."""
     return _unitary(complex_normals(rng, k, (n, n))[0])
-
-
-def multiplicativity_residual(rf: MatrixRealForm, n_pairs: int = 100,
-                              seed: int = 0) -> float:
-    """Residual of pi(uv) = Ad_u pi(v) Ad_u^T + pi(u) over seeded pairs."""
-    rng = gaussian_stream(seed)
-    worst = 0.0
-    for k in _stacks(n_pairs, rf.n):
-        u, v = _unitary(np.array(complex_normals(rng, k, (rf.n, rf.n), (rf.n, rf.n))))
-        _check_unitary(u)
-        a = rf.Ad_matrix(u)
-        lhs = pi_U_at(rf, u @ v)
-        rhs = a @ pi_U_at(rf, v) @ _T(a) + _bivector(rf, a, rf.lam)
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
-
-
-def t_invariance_residual(rf: MatrixRealForm, n_samples: int = 50,
-                          seed: int = 1) -> float:
-    """Invariance of the group bivector under left and right torus shifts."""
-    rng, phase_rng = gaussian_stream(seed), uniform_stream(seed)
-    worst = 0.0
-    for k in _stacks(n_samples, rf.n):
-        u = sample_unitaries(rng, k, rf.n)
-        phases = phase_rng.uniform(0, 2 * math.pi, size=(k, rf.n))
-        phases -= phases.mean(axis=-1, keepdims=True)
-        t = np.exp(1j * phases)[..., None] * np.eye(rf.n)
-        at = rf.Ad_matrix(t)
-        pi_u = pi_U_at(rf, u)
-        right = pi_U_at(rf, u @ t) - pi_u
-        left = pi_U_at(rf, t @ u) - at @ pi_u @ _T(at)
-        worst = max(worst, float(np.abs(right).max()), float(np.abs(left).max()))
-    return worst
 
 
 def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0) -> tuple[int, int]:

@@ -14,6 +14,10 @@ is the exponential and its differential as stacked n x n products, and
 property, which the package checks exactly by two Lie-algebra identities,
 has a finite-difference reference here: `jacobi_check` evaluates the
 Jacobiator in the chart centred at each of a few seeded points.
+Two facts that the package does not sample keep their sampled
+residuals here: `multiplicativity_residual`, which holds by construction
+once Ad is a homomorphism, and `t_invariance_residual`, whose exact form is
+the third integer of `poisson_identities`.
 The invariant bivector has three null-space references: its linear system
 entry by entry, assembled in place (`invariant_system`), and read off a
 stack of images; the package builds it from the centre of k0 instead.

@@ -467,7 +467,8 @@ def test_verify_small_battery(capsys):
     assert doc["passed"] is True
     names = {c["name"] for c in doc["checks"]}
     assert {"mcybe", "k0_coisotropic", "annihilator_dims", "rank_vs_atlas",
-            "example_formula", "multiplicativity"} <= names
+            "example_formula", "t_invariance"} <= names
+    assert "multiplicativity" not in names
     assert doc["seed"] == 42
 
 
@@ -477,7 +478,7 @@ VERIFY_INFO = json.loads((Path(__file__).parent / "verify_info.json").read_text(
 
 BATTERY = [
     "cartan_tau_sq", "cartan_commute", "tau_root_compatibility", "annihilator_dims",
-    "iwasawa_roundtrip", "action_axiom", "multiplicativity", "t_invariance", "mcybe",
+    "iwasawa_roundtrip", "action_axiom", "t_invariance", "mcybe",
     "k0_coisotropic", "rank_vs_atlas", "leaf_tangency",
 ]
 
@@ -551,9 +552,9 @@ def test_verify_battery_builds_a_fixed_number_of_generators(monkeypatch):
                                  RunConfig(command="verify", samples=samples))
         assert doc["passed"] is True
         counts[samples] = len(built)
-    # eight sampled checks: iwasawa, action, multiplicativity, t-invariance,
-    # rank, tangency and two Hermitian fits (the Cartan identities are exact)
-    assert 0 < counts[100] == counts[200] <= 3 * 8
+    # six sampled checks: iwasawa, action, rank, tangency and two Hermitian
+    # fits (the Cartan, Poisson and torus identities are exact)
+    assert 0 < counts[100] == counts[200] <= 3 * 6
 
 
 def test_verify_no_realization(capsys):
@@ -597,13 +598,13 @@ def test_verify_unknown_form(capsys):
 def test_verify_tolerance_override_can_fail(capsys):
     code, out, _ = run(
         capsys, "verify", "--form", "sl(2,R)", "--samples", "10",
-        "--tol", "multiplicativity=1e-30",
+        "--tol", "iwasawa=1e-30",
     )
     assert code == 2
     doc = json.loads(out)
     assert doc["passed"] is False
     bad = [c for c in doc["checks"] if not c["passed"]]
-    assert [c["name"] for c in bad] == ["multiplicativity"]
+    assert [c["name"] for c in bad] == ["iwasawa_roundtrip"]
 
 
 def test_verify_bad_tolerance_syntax(capsys):
@@ -626,6 +627,16 @@ def test_verify_jacobi_is_no_longer_a_tolerance(capsys):
     assert "jacobi" not in err.split("known:")[1]
 
 
+@pytest.mark.parametrize("name", ["multiplicativity", "t_invariance"])
+def test_verify_multiplicativity_and_t_invariance_are_no_longer_tolerances(capsys, name):
+    # multiplicativity holds by construction and is checked where it is built;
+    # t_invariance is an integer row at tolerance 0
+    code, out, err = run(capsys, "verify", "--form", "sl(2,R)", "--tol", f"{name}=1e-5")
+    assert code == 1 and out == ""
+    assert err.endswith(f"unknown tolerance {name!r}; known: action, formula, hermitian, "
+                        "iwasawa, tangency\n")
+
+
 @pytest.mark.parametrize("name", ["cartan", "borel", "annihilator", "rank_threshold"])
 def test_verify_exact_rows_take_no_tolerance(capsys, name):
     # the Cartan and annihilator rows are decided in integers, at tolerance 0,
@@ -634,7 +645,7 @@ def test_verify_exact_rows_take_no_tolerance(capsys, name):
     assert code == 1 and out == ""
     assert err.endswith(
         f"unknown tolerance {name!r}; known: action, formula, hermitian, iwasawa, "
-        "multiplicativity, t_invariance, tangency\n")
+        "tangency\n")
 
 
 # an infinite tolerance would reach the document as a bare Infinity

@@ -276,11 +276,58 @@ def test_pi_u_vanishes_on_torus(sl3):
 
 
 def test_pi_u_torus_invariance(sl3):
-    assert ml.t_invariance_residual(sl3, n_samples=20, seed=5) < 1e-10
+    # decided in integers; the per-sample reference shifts by sampled tori
+    assert ml.poisson_identities(sl3)[2] == 0.0
+    assert loops.t_invariance_residual(sl3, n_samples=20, seed=5) < 1e-10
 
 
-def test_pi_u_multiplicativity(sl3):
-    assert ml.multiplicativity_residual(sl3, n_pairs=40, seed=6) < 1e-8
+def test_ad_matrix_is_a_homomorphism():
+    # with pi_U = lam - Ad_u lam Ad_u^T over a seed that covers lam, this is
+    # what makes pi_U multiplicative: pi(uv) = Ad_u pi(v) Ad_u^T + pi(u)
+    for n in range(2, 10):
+        rf = ml.realization(f"sl({n},R)")
+        rng = ml.gaussian_stream(n)
+        u, v = ml.sample_unitaries(rng, 8, n), ml.sample_unitaries(rng, 8, n)
+        assert np.abs(rf.Ad_matrix(u @ v) - rf.Ad_matrix(u) @ rf.Ad_matrix(v)).max() <= 1e-12, n
+
+
+def _planted(monkeypatch, label, entries):
+    """A fresh realization of label built on lambda_matrix with the given
+    {(x, y): value} entries set."""
+    rf, lambda_matrix = ml.realization(label), ml.lambda_matrix
+
+    def planted(n):
+        lam = lambda_matrix(n)
+        for xy, value in entries.items():
+            lam[xy] = value
+        return lam
+
+    monkeypatch.setattr(ml, "lambda_matrix", planted)
+    return ml.MatrixRealForm(label, rf.kind, rf.n, rf.p, rf.q)
+
+
+@pytest.mark.parametrize("entries", [
+    {(4, 2): -0.25},  # below the diagonal, with no partner above it
+    {(1, 1): 0.25},  # on the diagonal
+    {(3, 2): 0.25},  # the plane (X_alpha, Y_alpha) made symmetric
+], ids=["unpaired", "diagonal", "symmetric"])
+def test_a_seed_that_does_not_cover_lam_is_refused(monkeypatch, entries):
+    # _bivector reads lam over the seed's pairs only: an entry off them
+    # would leave pi_U unequal to lam - Ad_u lam Ad_u^T
+    with pytest.raises(ValueError, match="off the pairs"):
+        _planted(monkeypatch, "sl(3,R)", entries)
+
+
+def test_planted_torus_breaking_entry_fails_t_invariance(monkeypatch):
+    # lam[2, 4] pairs X of e1 - e2 with X of e1 - e3: their weights differ,
+    # so the torus moves it.  Its seed covers it, so pi_U reads it in full
+    rf = _planted(monkeypatch, "sl(3,R)", {(2, 4): 0.25, (4, 2): -0.25})
+    assert ml.poisson_identities(rf) == (4.0, 0.0, 2.0)
+    assert loops.t_invariance_residual(rf, 5, seed=3) > 0.1
+    monkeypatch.setattr(ml, "realization", lambda label: rf)
+    doc = run_verify_battery(BY_LABEL["sl(3,R)"], RunConfig("verify", samples=10))
+    rows = {c["name"]: (c["value"], c["passed"]) for c in doc["checks"]}
+    assert rows["t_invariance"] == (2.0, False) and rows["mcybe"] == (4.0, False)
 
 
 @pytest.mark.parametrize("label", ["sl(3,R)", "su(2,1)"])
@@ -1116,12 +1163,12 @@ def test_conjugation_kernel_peak_memory():
 
 
 def test_jacobi_su2(sl2):
-    assert ml.poisson_identities(sl2) == (0.0, 0.0)
+    assert ml.poisson_identities(sl2) == (0.0, 0.0, 0.0)
     assert loops.jacobi_check(sl2, n_points=20, seed=17) < 1e-6
 
 
 def test_jacobi_su3(sl3):
-    assert ml.poisson_identities(sl3) == (0.0, 0.0)
+    assert ml.poisson_identities(sl3) == (0.0, 0.0, 0.0)
     assert loops.jacobi_check(sl3, n_points=10, seed=18) < 1e-5
 
 
@@ -1139,7 +1186,7 @@ def test_jacobi_is_empty_without_an_index_triple(monkeypatch, label):
     monkeypatch.setattr(loops, "centred_bivector", never)
     value = loops.jacobi_check(rf, 20, seed=4)
     assert value == 0.0 and math.copysign(1.0, value) == 1.0
-    assert ml.poisson_identities(rf) == (0.0, 0.0)
+    assert ml.poisson_identities(rf) == (0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1164,7 +1211,7 @@ def _doubled_plane(rf, plane=0):  # twice the seed on one (X_alpha, Y_alpha) pla
 @pytest.mark.parametrize("label", REALIZED)
 def test_exact_identities_and_the_sampled_jacobiator_agree(label):
     rf = ml.realization(label)
-    assert ml.poisson_identities(rf) == (0.0, 0.0)
+    assert ml.poisson_identities(rf) == (0.0, 0.0, 0.0)
     assert loops.jacobi_check(rf, 3, seed=4) <= (1e-6 if rf.dim_ip0 <= 2 else 1e-5)
 
 
@@ -1172,19 +1219,20 @@ def test_exact_identities_and_the_sampled_jacobiator_agree(label):
 def test_planted_non_poisson_seed_fails_mcybe_and_the_sampled_jacobiator(label):
     # the residual is an integer: 6 for any doubled plane of a rank >= 2 form
     rf = _reseeded(label, _doubled_plane)
-    mcybe, coisotropic = ml.poisson_identities(rf)
+    mcybe, coisotropic, invariance = ml.poisson_identities(rf)
     assert mcybe == 6.0
     assert 5e-3 <= loops.jacobi_check(rf, 3, seed=0) <= 5e-2
     if rf.kind == "sl_real":  # X_alpha in k0, Y_alpha in i p0: lam in k0 ^ u, kept by ad k0
         assert coisotropic == 0.0
+    assert invariance == 0.0  # a doubled plane is still torus-invariant
 
 
 def test_doubled_plane_breaks_coisotropy_on_su21():
     # doubling the plane of the first root moves ad_X lam off k0 ^ u for
     # some X in k0; doubling that of the second does not
-    assert ml.poisson_identities(_reseeded("su(2,1)", _doubled_plane)) == (6.0, 2.0)
+    assert ml.poisson_identities(_reseeded("su(2,1)", _doubled_plane)) == (6.0, 2.0, 0.0)
     second = _reseeded("su(2,1)", lambda rf: _doubled_plane(rf, 1))
-    assert ml.poisson_identities(second) == (6.0, 0.0)
+    assert ml.poisson_identities(second) == (6.0, 0.0, 0.0)
 
 
 def _weyl_conjugate(perm):
@@ -1201,11 +1249,11 @@ def test_weyl_conjugate_seed_fails_only_coisotropy(label, perm):
     # pi_U stays Poisson, but its push-forward to U/K is not: the reference
     # Jacobiator reads about 7e-3 on su(2,1)
     rf = _reseeded(label, _weyl_conjugate(perm))
-    assert ml.poisson_identities(rf) == (0.0, 4.0)
+    assert ml.poisson_identities(rf) == (0.0, 4.0, 0.0)
     if label == "su(2,1)":
         assert loops.jacobi_check(rf, 2, seed=0) > 1e-3
     # on the split form every Weyl conjugate keeps both
-    assert ml.poisson_identities(_reseeded("sl(3,R)", _weyl_conjugate(perm[:3]))) == (0.0, 0.0)
+    assert ml.poisson_identities(_reseeded("sl(3,R)", _weyl_conjugate(perm[:3]))) == (0.0, 0.0, 0.0)
 
 
 def test_planted_seed_fails_the_verify_rows(monkeypatch):
@@ -1218,10 +1266,12 @@ def test_planted_seed_fails_the_verify_rows(monkeypatch):
     for label in planted:
         doc = cli.run_verify_battery(BY_LABEL[label], cli.RunConfig("verify", samples=10))
         rows[label] = {c["name"]: (c["value"], c["passed"]) for c in doc["checks"]
-                       if c["name"] in ("mcybe", "k0_coisotropic")}
+                       if c["name"] in ("t_invariance", "mcybe", "k0_coisotropic")}
     # a failing row reports its integer residual
-    assert rows == {"sl(3,R)": {"mcybe": (6.0, False), "k0_coisotropic": (0.0, True)},
-                    "su(2,1)": {"mcybe": (0.0, True), "k0_coisotropic": (4.0, False)}}
+    assert rows == {"sl(3,R)": {"t_invariance": (0.0, True), "mcybe": (6.0, False),
+                                "k0_coisotropic": (0.0, True)},
+                    "su(2,1)": {"t_invariance": (0.0, True), "mcybe": (0.0, True),
+                                "k0_coisotropic": (4.0, False)}}
 
 
 @pytest.mark.parametrize("label,cap", [("sl(5,R)", 694), ("su(3,2)", 633)])
@@ -1323,10 +1373,6 @@ def test_stacked_checks_match_the_per_sample_loops(monkeypatch, label):
         monkeypatch.setattr(ml, "STACK_BUDGET", 16 * 2**4)
         assert ml.stack_size(2) == 16
     for count in _counts(rf):
-        assert _close(ml.multiplicativity_residual(rf, count, seed=2),
-                      loops.multiplicativity_residual(rf, count, 2))
-        assert _close(ml.t_invariance_residual(rf, count, seed=3),
-                      loops.t_invariance_residual(rf, count, 3))
         assert ml.max_sampled_rank(rf, count, seed=5) == loops.max_sampled_rank(rf, count, 5)
         assert _close(ml.iwasawa_residual(rf, count, 0), loops.iwasawa_residual(rf, count, 0))
         assert _close(ml.action_residual(rf, count, 1), loops.action_residual(rf, count, 1))
@@ -1471,12 +1517,10 @@ def test_each_check_draws_once_per_stack_from_the_stream_of_its_distribution(mon
         make = getattr(ml, f"{kind}_stream")
         monkeypatch.setattr(ml, f"{kind}_stream",
                             lambda seed, make=make, kind=kind: _LoggedStream(make(seed), kind, log))
-    normal, uniform = ("gaussian", "standard_normal"), ("uniform", "uniform")
+    normal = ("gaussian", "standard_normal")
     count = ml.stack_size(rf.n) + 1  # two stacks
     for check, draws in ((ml.iwasawa_residual, [normal] * 2),
                          (ml.action_residual, [normal] * 2),
-                         (ml.multiplicativity_residual, [normal] * 2),
-                         (ml.t_invariance_residual, [normal, uniform] * 2),
                          (ml.max_sampled_rank, [normal] * 2),
                          (ml.hermitian_fit, [normal] * 2),
                          (ml.leaf_tangency_residual, [normal] * 2)):
@@ -1485,7 +1529,7 @@ def test_each_check_draws_once_per_stack_from_the_stream_of_its_distribution(mon
         assert log == draws, check.__name__
 
 
-def test_multiplicativity_factors_one_stack_at_a_time(monkeypatch):
+def test_sampled_unitaries_are_factored_one_stack_at_a_time(monkeypatch):
     factored = []
     original = np.linalg.qr
 
@@ -1496,9 +1540,9 @@ def test_multiplicativity_factors_one_stack_at_a_time(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counting)
     size = ml.stack_size(3)
     count = 2 * size + 5  # three stacks
-    ml.multiplicativity_residual(ml.realization("sl(3,R)"), count, seed=0)
-    assert 0 < len(factored) <= math.ceil(2 * count / size)
-    assert all(math.prod(shape[:-2]) <= 2 * size for shape in factored)
+    ml.max_sampled_rank(ml.realization("sl(3,R)"), count, seed=0)
+    assert len(factored) == math.ceil(count / size)
+    assert all(math.prod(shape[:-2]) <= size for shape in factored)
 
 
 def test_each_point_forms_its_adjoint_matrix_once(monkeypatch):
@@ -1513,7 +1557,7 @@ def test_each_point_forms_its_adjoint_matrix_once(monkeypatch):
     assert rf.hermitian_frame.flag_ad.shape == (rf.dim_ip0, rf.dim_u)  # built uncounted
     monkeypatch.setattr(ml.MatrixRealForm, "Ad_matrix", counting)
     stacks = 3
-    for check, per_stack in ((ml.multiplicativity_residual, 3), (ml.hermitian_fit, 1)):
+    for check, per_stack in ((ml.max_sampled_rank, 1), (ml.hermitian_fit, 1)):
         calls.clear()
         check(rf, (stacks - 1) * ml.stack_size(rf.n) + 1, seed=0)
         assert len(calls) == stacks * per_stack, check.__name__
