@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .atlas import (NOTE_OPEN_COUNT, AtlasReport, Record, atlas, catalog_text_hash,
@@ -38,8 +37,9 @@ EXIT_DOMAIN = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer that a closed pipe ended
 
 #: Thread-count variables of the BLAS and OpenMP runtimes.  `verify` sets
-#: each to 1 unless the caller has: its matrices are at most 6 x 6, where
-#: extra threads only contend for cores.
+#: each to 1 unless the caller has.  Its largest matrices are the adjoint
+#: matrices, (n^2 - 1) x (n^2 - 1): 24 x 24 on the shipped forms (n <= 5) and
+#: 80 x 80 for an sl(9,R) given by --catalog, where a second thread was no faster.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -49,21 +49,20 @@ class RunConfig(NamedTuple):
     form: str | None = None
     inline: SatakeDiagram | None = None
     output_format: str = "json"
-    tolerances: Mapping[str, float] = MappingProxyType({})  # overrides, read-only
     samples: int = 100
     seed: int = 0
     catalog_path: str | None = None
     out_path: str | None = None
 
 
-def default_tolerances() -> dict[str, float]:
-    return {
-        "iwasawa": 1e-12,
-        "action": 1e-10,
-        "formula": 1e-8,
-        "hermitian": 1e-8,
-        "tangency": 1e-8,
-    }
+#: The tolerances of verify's sampled rows, fixed; the other rows are exact.
+TOLERANCES = MappingProxyType({
+    "action": 1e-10,
+    "formula": 1e-8,
+    "hermitian": 1e-8,
+    "iwasawa": 1e-12,
+    "tangency": 1e-8,
+})
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +306,6 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
     from . import matrixlie as ml
 
     rf = ml.realization(sd.label)
-    tol = default_tolerances()
-    tol.update(cfg.tolerances)
     report = atlas(sd)
     rfe = report.form
     seed = cfg.seed
@@ -333,10 +330,10 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         "A the annihilator of k0 in a+n under Im kappa and F = (a+n)^tau, by exact ranks"))
 
     checks.append(_check("iwasawa_roundtrip", ml.iwasawa_residual(rf, samples, seed),
-                         tol["iwasawa"]))
+                         TOLERANCES["iwasawa"]))
     checks.append(_check("action_axiom",
                          ml.action_residual(rf, max(samples // 2, 10), seed + 1),
-                         tol["action"]))
+                         TOLERANCES["action"]))
 
     mcybe, coisotropic, invariance = ml.poisson_identities(rf)
     checks.append(_check(
@@ -361,20 +358,18 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
     ))
 
     tangency, n_borderline = ml.leaf_tangency_residual(rf, 5, seed + 6)
-    checks.append(_check("leaf_tangency", tangency, tol["tangency"],
+    checks.append(_check("leaf_tangency", tangency, TOLERANCES["tangency"],
                          f"{n_borderline} borderline samples"))
 
     if rf.kind == "sl_real" and rf.n == 2:
         checks.append(_check("example_formula", ml.formula_residual(rf, samples, seed + 7),
-                             tol["formula"], "relative to the derived 1/8 amplitude"))
+                             TOLERANCES["formula"], "relative to the derived 1/8 amplitude"))
 
     if rf.kind == "su_pq":
-        fit1 = ml.hermitian_fit(rf, n_samples=samples, seed=seed + 8)
-        fit2 = ml.hermitian_fit(rf, n_samples=samples, seed=seed + 9)
-        checks.append(_check("hermitian_fit_residual", fit1.max_residual,
-                             tol["hermitian"], f"b = {fit1.b!r}"))
-        checks.append(_check("hermitian_fit_stability", abs(fit1.b - fit2.b),
-                             tol["hermitian"]))
+        # one b fits all 2 * samples draws, so the residual also states that b is stable
+        fit = ml.hermitian_fit(rf, n_samples=2 * samples, seed=seed + 8)
+        checks.append(_check("hermitian_fit_residual", fit.max_residual,
+                             TOLERANCES["hermitian"], f"b = {fit.b!r}"))
 
     realized, reps = [], []
     for record in report.classes:
@@ -399,7 +394,7 @@ def run_verify_battery(sd: SatakeDiagram, cfg: RunConfig) -> dict:
         "seed": seed,
         "samples": samples,
         "form": _form_doc(report),
-        "tolerances": {k: tol[k] for k in sorted(tol)},
+        "tolerances": dict(TOLERANCES),
         "checks": checks,
         "passed": all(c["passed"] for c in checks),
     }
@@ -489,29 +484,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _parse_tol(items: Sequence[str]) -> dict[str, float]:
-    known = default_tolerances()
-    out = {}
-    for item in items:
-        if "=" not in item:
-            raise ValueError(f"expected NAME=VALUE, got {item!r}")
-        name, _, value = item.partition("=")
-        name = name.strip()
-        if name not in known:
-            raise ValueError(
-                f"unknown tolerance {name!r}; known: {', '.join(sorted(known))}"
-            )
-        try:
-            tol = float(value)
-        except ValueError:
-            tol = math.nan
-        if not 0 <= tol < math.inf:  # NaN fails this too
-            raise ValueError(
-                f"tolerance {name!r} must be a number at least 0, got {value.strip()!r}")
-        out[name] = tol
-    return out
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="leafatlas", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -534,8 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", parents=[common], help="numerical verification")
     pv.add_argument("--form", required=True)
     pv.add_argument("--samples", type=int, default=100)
-    pv.add_argument("--tol", action="append", default=[],
-                    metavar="NAME=VALUE", help="tolerance override, repeatable")
 
     sub.add_parser("catalog", parents=[common], help="validate the catalog")
     return parser
@@ -568,11 +538,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    try:
-        tolerances = _parse_tol(getattr(args, "tol", []))
-    except ValueError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_USAGE
     if getattr(args, "samples", 1) < 1:
         sys.stderr.write(f"--samples must be at least 1, got {args.samples}\n")
         return EXIT_USAGE
@@ -596,7 +561,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         form=getattr(args, "form", None),
         inline=inline,
         output_format=args.format,
-        tolerances=tolerances,
         samples=getattr(args, "samples", 100),
         seed=args.seed,
         catalog_path=args.catalog,

@@ -451,11 +451,6 @@ class MatrixRealForm:
         vals, vecs = np.linalg.eigh(self.J)
         return vals, vecs, np.linalg.det(vecs)
 
-    @cached_property
-    def hermitian_frame(self) -> HermitianFrame:
-        """Seed-independent data of the Hermitian decomposition."""
-        return _hermitian_frame(self)
-
     # -- conjugations ------------------------------------------------------
 
     def tau(self, x: np.ndarray) -> np.ndarray:
@@ -977,14 +972,6 @@ class HermitianFitResult(NamedTuple):
     max_residual: float
 
 
-class HermitianFrame(NamedTuple):
-    """The seed-independent part of hermitian_fit, built once per realization."""
-
-    flag_ad: np.ndarray  # the flag reader (basis_u -> basis_ip0) times Ad(u0)
-    flag_lam: np.ndarray  # the seed read by the flag reader (_read_seed)
-    c_inv: np.ndarray  # see invariant_bivector
-
-
 def _levi_across(rf: MatrixRealForm) -> np.ndarray:
     """Indices of basis_u across the (p, q) block Levi subalgebra: X and Y
     of each root e_j - e_k, j < k, with exactly one of j, k below p."""
@@ -1031,17 +1018,6 @@ def invariant_bivector(rf: MatrixRealForm) -> np.ndarray:
     return c_inv
 
 
-def _hermitian_frame(rf: MatrixRealForm) -> HermitianFrame:
-    c_inv = invariant_bivector(rf)  # raises NotHermitianError off su(p, q)
-    across = _levi_across(rf)
-    ad_u0 = rf.Ad_matrix(_block_alignment(rf))
-    # the flag part keeps the entries across the Levi block and carries them
-    # back by the inverse differential of u K -> u u0^{-1} (left-trivialized)
-    reader = np.zeros((rf.dim_ip0, rf.dim_u))
-    reader[:, across] = np.linalg.inv((ad_u0 @ rf.coeffs(rf.basis_ip0))[across])
-    return HermitianFrame(reader @ ad_u0, _read_seed(rf, reader), c_inv)
-
-
 def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
                   seed: int = 11) -> HermitianFitResult:
     """Least-squares scalar b in: quotient bivector = flag part + b * invariant.
@@ -1052,8 +1028,14 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
 
     The fitted b depends on the documented normalization of the invariant
     bivector and is reported, not asserted against any external convention."""
-    frame = rf.hermitian_frame
-    c_inv = frame.c_inv
+    c_inv = invariant_bivector(rf)  # raises NotHermitianError off su(p, q)
+    across = _levi_across(rf)
+    ad_u0 = rf.Ad_matrix(_block_alignment(rf))
+    # the flag part keeps the entries across the Levi block and carries them
+    # back by the inverse differential of u K -> u u0^{-1} (left-trivialized)
+    reader = np.zeros((rf.dim_ip0, rf.dim_u))
+    reader[:, across] = np.linalg.inv((ad_u0 @ rf.coeffs(rf.basis_ip0))[across])
+    flag_ad, flag_lam = reader @ ad_u0, _read_seed(rf, reader)
     # the residual d - b c_inv peaks at an entrywise extreme of the
     # differences d, so their running max and min replace the samples
     rng = gaussian_stream(seed)
@@ -1064,7 +1046,7 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
         a_inv = rf.Ad_matrix(_H(u))
         # each part is minus the kernel at its point's inverse: u^{-1} for the
         # quotient bivector, u0 u^{-1} for the flag part
-        d = (_bivector(rf, frame.flag_ad @ a_inv, frame.flag_lam)
+        d = (_bivector(rf, flag_ad @ a_inv, flag_lam)
              - _bivector(rf, rf._ip0_reader @ a_inv, rf._ip0_lam))
         terms.extend(np.sum(d * c_inv, axis=(1, 2)).tolist())  # b is free of the stacks
         hi, lo = np.maximum(hi, d.max(axis=0)), np.minimum(lo, d.min(axis=0))

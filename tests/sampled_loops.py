@@ -157,23 +157,38 @@ def pi_0_left_quotient(rf, u):
     return upper - upper.T
 
 
-def flag_part(rf, u):
-    """The flag part of hermitian_fit from Ad(u0 u^{-1}) as one adjoint
-    matrix: the left-trivialized group bivector at u u0^{-1}, across the
-    Levi block, carried back by a transfer matrix built column by column."""
+def _flag_transfer(rf):
+    """u0, the indices across the Levi block, Ad(u0), and the inverse of
+    the transfer matrix built column by column."""
     u0 = ml._block_alignment(rf)
     across = ml._levi_across(rf)
     ad_u0 = rf.Ad_matrix(u0)
     transfer = np.stack([(ad_u0 @ bl.coeffs(rf, b))[across] for b in rf.basis_ip0], axis=1)
+    return u0, across, ad_u0, np.linalg.inv(transfer)
+
+
+def flag_part(rf, u):
+    """The flag part of hermitian_fit from Ad(u0 u^{-1}) as one adjoint
+    matrix: the left-trivialized group bivector at u u0^{-1}, across the
+    Levi block, carried back by the transfer matrix."""
+    u0, across, _, tinv = _flag_transfer(rf)
     a = rf.Ad_matrix(u0 @ u.conj().T)
     c = (a @ rf.lam @ a.T - rf.lam)[np.ix_(across, across)]
-    tinv = np.linalg.inv(transfer)
     return tinv @ c @ tinv.T
+
+
+def flag_reader(rf):
+    """The flag reader times Ad(u0), and the seed that the flag reader
+    reads (`_read_seed`): the pair that `hermitian_fit` hands the kernel."""
+    _, across, ad_u0, tinv = _flag_transfer(rf)
+    reader = np.zeros((rf.dim_ip0, rf.dim_u))
+    reader[:, across] = tinv
+    return reader @ ad_u0, ml._read_seed(rf, reader)
 
 
 def hermitian_fit(rf, n_samples, seed):
     """(b, max_residual), keeping every difference."""
-    c_inv = rf.hermitian_frame.c_inv
+    c_inv = ml.invariant_bivector(rf)
     diffs = []
     for rng in children(seed, n_samples):
         u = sample_unitary(rng, rf.n)

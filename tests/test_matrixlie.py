@@ -1132,8 +1132,7 @@ def test_bivector_kernel_is_exactly_antisymmetric(label):
     rf = ml.realization(label)
     readers = [(None, rf.lam), (rf._ip0_reader, rf._ip0_lam)]
     if rf.kind == "su_pq":
-        frame = rf.hermitian_frame
-        readers.append((frame.flag_ad, frame.flag_lam))
+        readers.append(loops.flag_reader(rf))
     for size in _stack_sizes(rf):
         a = rf.Ad_matrix(_points(rf, size, 28))
         for reader, lam in readers:
@@ -1289,7 +1288,7 @@ def test_hermitian_fit_su11():
     res = ml.hermitian_fit(rf, n_samples=100, seed=19)
     assert res.max_residual < 1e-8
     # nondegenerate on the disk
-    assert ml.numerical_rank(rf.hermitian_frame.c_inv, 1e-9)[0] == 2
+    assert ml.numerical_rank(ml.invariant_bivector(rf), 1e-9)[0] == 2
     res2 = ml.hermitian_fit(rf, n_samples=100, seed=20)
     assert abs(res.b - res2.b) < 1e-8
 
@@ -1298,23 +1297,31 @@ def test_hermitian_fit_su21_smoke():
     rf = ml.realization("su(2,1)")
     res = ml.hermitian_fit(rf, n_samples=30, seed=21)
     assert res.max_residual < 1e-8
-    assert ml.numerical_rank(rf.hermitian_frame.c_inv, 1e-9)[0] == rf.dim_ip0
+    assert ml.numerical_rank(ml.invariant_bivector(rf), 1e-9)[0] == rf.dim_ip0
 
 
-def test_hermitian_frame_built_once_per_realization(monkeypatch):
-    built = []
-    original = ml.invariant_bivector
+@pytest.mark.parametrize("label", ["su(4,1)", "su(3,2)"])
+def test_pooled_hermitian_fit_sees_a_fault_in_its_second_hundred_samples(monkeypatch, label):
+    # verify fits b once over 200 samples, with no second fit to compare b
+    # against: a flag part off by 1e-6 (not a multiple of c_inv) on samples
+    # 100 on, and only there, must show in the residual
+    rf = ml.realization(label)
+    original, seen = ml._bivector, [0]
 
-    def counting(rf):
-        built.append(rf.label)
-        return original(rf)
+    def faulty(rf_, a, lam):
+        out = original(rf_, a, lam)
+        if a.ndim == 3 and lam is not rf_._ip0_lam:  # the flag part of a stack
+            index = seen[0] + np.arange(len(a))
+            seen[0] += len(a)
+            out = out * np.where(index >= 100, 1 + 1e-6, 1.0)[:, None, None]
+        return out
 
-    monkeypatch.setattr(ml, "invariant_bivector", counting)
-    rf = ml.MatrixRealForm("su(2,1)", "su_pq", 3, 2, 1)
-    fit1 = ml.hermitian_fit(rf, n_samples=10, seed=8)
-    fit2 = ml.hermitian_fit(rf, n_samples=10, seed=9)
-    assert built == ["su(2,1)"]
-    assert fit1.max_residual < 1e-8 and abs(fit1.b - fit2.b) < 1e-8
+    monkeypatch.setattr(ml, "_bivector", faulty)
+    first = ml.hermitian_fit(rf, 100, seed=8)
+    seen[0] = 0
+    pooled = ml.hermitian_fit(rf, 200, seed=8)
+    assert seen[0] == 200
+    assert first.max_residual <= 1e-8 < pooled.max_residual
 
 
 @pytest.mark.parametrize("label", ["su(1,1)", "su(2,1)", "su(3,1)", "su(2,2)", "su(4,1)",
@@ -1392,11 +1399,10 @@ def test_hermitian_fit_extremes_match_the_loop_off_the_decomposition(monkeypatch
     # amounts, so the residual can peak at the running max of one entry or
     # at the running min of another
     rf = ml.MatrixRealForm("su(2,1)", "su_pq", 3, 2, 1)
-    frame = rf.hermitian_frame
+    c_inv = ml.invariant_bivector(rf)
     s = np.random.default_rng(43).normal(size=(rf.dim_ip0, rf.dim_ip0))
     for sym in (s + s.T, -(s + s.T)):
-        monkeypatch.setattr(rf, "hermitian_frame",
-                            frame._replace(c_inv=frame.c_inv + sym))
+        monkeypatch.setattr(ml, "invariant_bivector", lambda rf, sym=sym: c_inv + sym)
         fit = ml.hermitian_fit(rf, 37, seed=8)
         b, max_residual = loops.hermitian_fit(rf, 37, 8)
         assert max_residual > 0.1
@@ -1554,13 +1560,14 @@ def test_each_point_forms_its_adjoint_matrix_once(monkeypatch):
         return original(self, u)
 
     rf = ml.MatrixRealForm("su(2,1)", "su_pq", 3, 2, 1)
-    assert rf.hermitian_frame.flag_ad.shape == (rf.dim_ip0, rf.dim_u)  # built uncounted
     monkeypatch.setattr(ml.MatrixRealForm, "Ad_matrix", counting)
     stacks = 3
-    for check, per_stack in ((ml.max_sampled_rank, 1), (ml.hermitian_fit, 1)):
+    # hermitian_fit forms one more, of the fixed alignment u0, before its stacks
+    for check, fixed in ((ml.max_sampled_rank, []), (ml.hermitian_fit, [(rf.n, rf.n)])):
         calls.clear()
         check(rf, (stacks - 1) * ml.stack_size(rf.n) + 1, seed=0)
-        assert len(calls) == stacks * per_stack, check.__name__
+        assert calls[:len(fixed)] == fixed, check.__name__
+        assert len(calls) == len(fixed) + stacks, check.__name__
     calls.clear()
     ml.leaf_tangency_check(rf, loops.sample_unitary(np.random.default_rng(0), rf.n))
     assert calls == [(rf.n, rf.n)]

@@ -25,13 +25,12 @@ FIELDS = {
     CheckResult: ("name", "passed", "detail"),
     ValidationReport: ("label", "checks"),
     AtlasReport: ("form", "classes", "largest_leaf_class", "catalog_hash"),
-    RunConfig: ("command", "form", "inline", "output_format", "tolerances", "samples",
-                "seed", "catalog_path", "out_path"),
+    RunConfig: ("command", "form", "inline", "output_format", "samples", "seed",
+                "catalog_path", "out_path"),
     ml.TangencyResult: ("dim_bivector_image", "dim_orbit_projection", "residual",
                         "borderline"),
     ml.AnnihilatorResult: ("dim_annihilator", "dim_fixed_points", "dim_intersection"),
     ml.HermitianFitResult: ("b", "max_residual"),
-    ml.HermitianFrame: ("flag_ad", "flag_lam", "c_inv"),
 }
 
 
@@ -49,7 +48,6 @@ def instances():
         ml.leaf_tangency_check(rf, np.eye(2, dtype=complex)),
         ml.annihilator_check(rf),
         ml.hermitian_fit(rf, n_samples=3),
-        rf.hermitian_frame,
     ]
 
 
@@ -66,9 +64,8 @@ def test_fields_in_order_and_by_keyword():
 def test_defaults():
     assert CheckResult("structure", True).detail == ""
     cfg = RunConfig(command="verify")
-    assert (cfg.form, cfg.inline, cfg.output_format, dict(cfg.tolerances), cfg.samples,
-            cfg.seed, cfg.catalog_path, cfg.out_path) == (None, None, "json", {}, 100, 0,
-                                                          None, None)
+    assert (cfg.form, cfg.inline, cfg.output_format, cfg.samples, cfg.seed, cfg.catalog_path,
+            cfg.out_path) == (None, None, "json", 100, 0, None, None)
 
 
 @pytest.mark.parametrize("index", range(len(FIELDS)))
@@ -78,15 +75,6 @@ def test_assignment_raises(index):
         setattr(value, FIELDS[type(value)][0], None)
     with pytest.raises(AttributeError):
         value.extra = None
-
-
-def test_run_configs_share_no_mutable_default():
-    first, second = RunConfig(command="atlas"), RunConfig(command="catalog")
-    with pytest.raises(TypeError):
-        first.tolerances["tangency"] = 1.0
-    assert dict(second.tolerances) == {}
-    given = {"tangency": 1e-4}
-    assert RunConfig(command="verify", tolerances=given).tolerances is given
 
 
 def test_weyl_elements_compare_and_hash_by_permutation():
