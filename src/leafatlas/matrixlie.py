@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,11 +115,10 @@ def _floored_rank(s: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarr
     return rank, borderline
 
 
-def numerical_rank(m: np.ndarray,
-                   threshold: float = RANK_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
+def numerical_rank(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rank, borderline) of m, or of each matrix of a stack m, under the
-    floored cutoff."""
-    return _floored_rank(np.linalg.svd(m, compute_uv=False), threshold)
+    floored cutoff at RANK_THRESHOLD."""
+    return _floored_rank(np.linalg.svd(m, compute_uv=False), RANK_THRESHOLD)
 
 
 def column_space(m: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -154,16 +153,17 @@ def _mix_int(z: int) -> int:
 
 
 class SampleStream:
-    """A counter-based stream of 64-bit words: word j of the stream with key
-    K is SplitMix64's finalizer of K + (j + 1) * 0x9E3779B97F4A7C15 mod 2^64
-    (Steele, Lea and Flood, OOPSLA 2014).  `drawn` counts the words read so
-    far; setting it moves the stream to any word without reading those
-    before it.  Each variate takes one word."""
+    """The stream of a sampled check's Gaussian draws: a counter-based stream
+    of 64-bit words, word j of the stream with key K SplitMix64's finalizer
+    of K + (j + 1) * 0x9E3779B97F4A7C15 mod 2^64 (Steele, Lea and Flood,
+    OOPSLA 2014).  `drawn` counts the words read so far; setting it moves
+    the stream to any word without reading those before it.  Each normal
+    takes one word."""
 
-    def __init__(self, seed: int, kind: int):
+    def __init__(self, seed: int):
         if seed < 0:
             raise ValueError(f"sample stream seeds are non-negative, got {seed}")
-        key = (kind + 1) * _GOLDEN & _MASK
+        key = _GOLDEN
         while True:  # fold in the whole seed, 64 bits at a time, low first
             key = _mix_int(key ^ (seed & _MASK))
             seed >>= 64
@@ -195,22 +195,6 @@ class SampleStream:
         angle = np.multiply(z.view("<i4")[..., ::2], math.pi / 2**32)
         r *= np.sin(angle, out=angle)
         return r
-
-    def uniform(self, low: float, high: float, size) -> np.ndarray:
-        """low + (high - low) u, u = (top 53 bits of a word) / 2^53 in [0, 1)."""
-        u = np.multiply(self._words(size) >> 11, 2.0**-53)  # exact
-        return low + (high - low) * u
-
-
-def gaussian_stream(seed: int) -> SampleStream:
-    """The stream of a sampled check's Gaussian draws."""
-    return SampleStream(seed, 0)
-
-
-def uniform_stream(seed: int) -> SampleStream:
-    """The stream of a sampled check's uniform draws (the disk chart's
-    points), keyed apart from its Gaussian stream."""
-    return SampleStream(seed, 1)
 
 
 def stack_size(n: int) -> int:
@@ -573,9 +557,9 @@ def g_act(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     return u1
 
 
-def iwasawa_residual(rf: MatrixRealForm, n_samples: int = 100, seed: int = 0) -> float:
+def iwasawa_residual(rf: MatrixRealForm, n_samples: int, seed: int) -> float:
     """Largest entry of b u - m over seeded random m in SL(n, C)."""
-    rng = gaussian_stream(seed)
+    rng = SampleStream(seed)
     worst = 0.0
     for k in _stacks(n_samples, rf.n):
         (m,) = complex_normals(rng, k, (rf.n, rf.n))
@@ -585,10 +569,10 @@ def iwasawa_residual(rf: MatrixRealForm, n_samples: int = 100, seed: int = 0) ->
     return worst
 
 
-def action_residual(rf: MatrixRealForm, n_samples: int = 50, seed: int = 1) -> float:
+def action_residual(rf: MatrixRealForm, n_samples: int, seed: int) -> float:
     """Residual of the action axiom (u.g).h = u.(gh) over seeded samples
     of u in SU(n) and g, h in SL(n, C)."""
-    rng = gaussian_stream(seed)
+    rng = SampleStream(seed)
     worst = 0.0
     for k in _stacks(n_samples, rf.n):
         z, x, y = complex_normals(rng, k, *[(rf.n, rf.n)] * 3)
@@ -623,16 +607,6 @@ def chart_su2(u: np.ndarray) -> complex | np.ndarray:
     return (num - 1j * den) / w_den
 
 
-def chart_su2_section(w: complex | np.ndarray) -> np.ndarray:
-    """A unitary representative of the coset with chart value w, or the
-    stack of those of each value of an array w."""
-    z = (w + 1j) / (1 + 1j * w)
-    x, y = np.real(z), np.imag(z)
-    d = 1.0 / np.sqrt(1 + x * x + y * y)
-    u = np.stack([1 - 1j * x, 1j * y, 1j * y, 1 + 1j * x], axis=-1)
-    return (d[..., None] * u).reshape(np.shape(w) + (2, 2))
-
-
 def su2_transported_coefficient(rf: MatrixRealForm, u: np.ndarray) -> tuple[complex, float]:
     """(w, F) with the transported quotient bivector F * i dw ^ dwbar at u,
     or the arrays of both over a stack u.
@@ -651,34 +625,22 @@ def su2_transported_coefficient(rf: MatrixRealForm, u: np.ndarray) -> tuple[comp
     return w, -2.0 * (dw.real[..., None, :] @ c @ dw.imag[..., None])[..., 0, 0]
 
 
-def _chart_points(rng: SampleStream, count: int, size: int) -> Iterator[np.ndarray]:
-    """The first count accepted points of a rejection sampler on rng, in
-    stacks of size: w from uniform (real, imaginary) pairs on the square of
-    side 2.8, kept off the origin and away from the zero circle |w| = 1.
-
-    Pairs are drawn size at a time, which reads the stream as one call would,
-    so point i is the i-th accepted pair whatever size is, and at most
-    2 size points are held."""
-    kept = np.empty(0, dtype=complex)
-    for start in range(0, count, size):
-        k = min(size, count - start)
-        while len(kept) < k:
-            xy = rng.uniform(-1.4, 1.4, size=(size, 2))
-            w = xy[:, 0] + 1j * xy[:, 1]
-            kept = np.concatenate([kept, w[(abs(abs(w) - 1.0) > 0.15) & (abs(w) > 0.05)]])
-        yield kept[:k]
-        kept = kept[k:]
-
-
-def formula_residual(rf: MatrixRealForm, n_samples: int, seed: int) -> float:
-    """Largest deviation of the transported coefficient from the closed form
-    SU2_AMPLITUDE * (1 - |w|^4), relative to it, over seeded chart points."""
-    worst = 0.0
-    for w in _chart_points(uniform_stream(seed), n_samples, stack_size(rf.n)):
-        _, coeff = su2_transported_coefficient(rf, chart_su2_section(w))
-        expected = SU2_AMPLITUDE * (1 - np.abs(w) ** 4)
-        worst = max(worst, float(np.max(np.abs(coeff - expected) / np.abs(expected))))
-    return worst
+def formula_residual(rf: MatrixRealForm, n_samples: int, seed: int) -> tuple[float, int]:
+    """(largest deviation of the transported coefficient from the closed form
+    SU2_AMPLITUDE * (1 - |w|^4), relative to it, number of points kept): over
+    seeded Haar points of SU(2), those off the origin and away from the zero
+    circle |w| = 1, where the closed form vanishes."""
+    rng = SampleStream(seed)
+    worst, kept = 0.0, 0
+    for k in _stacks(n_samples, rf.n):
+        w, coeff = su2_transported_coefficient(rf, sample_unitaries(rng, k, rf.n))
+        r = np.abs(w)
+        off = (np.abs(r - 1.0) > 0.15) & (r > 0.05)
+        expected = SU2_AMPLITUDE * (1 - r[off] ** 4)
+        worst = max(worst, float(np.max(np.abs(coeff[off] - expected) / np.abs(expected),
+                                        initial=0.0)))
+        kept += int(off.sum())
+    return worst, kept
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +677,7 @@ def leaf_tangency_residual(rf: MatrixRealForm, n_samples: int, seed: int) -> tup
     """(largest tangency residual over seeded unitaries, number of samples
     with a borderline rank): pi/2 when the image and orbit dimensions differ
     at some sample."""
-    rng = gaussian_stream(seed)
+    rng = SampleStream(seed)
     results = [leaf_tangency_check(rf, u)
                for k in _stacks(n_samples, rf.n) for u in sample_unitaries(rng, k, rf.n)]
     return max(r.residual for r in results), sum(r.borderline for r in results)
@@ -951,10 +913,10 @@ def sample_unitaries(rng: SampleStream, k: int, n: int) -> np.ndarray:
     return _unitary(complex_normals(rng, k, (n, n))[0])
 
 
-def max_sampled_rank(rf: MatrixRealForm, n_samples: int = 200, seed: int = 0) -> tuple[int, int]:
+def max_sampled_rank(rf: MatrixRealForm, n_samples: int, seed: int) -> tuple[int, int]:
     """(largest quotient-bivector rank over seeded samples, number of
     samples whose rank was borderline)."""
-    rng = gaussian_stream(seed)
+    rng = SampleStream(seed)
     best, n_borderline = 0, 0
     for k in _stacks(n_samples, rf.n):
         u = sample_unitaries(rng, k, rf.n)
@@ -1018,8 +980,7 @@ def invariant_bivector(rf: MatrixRealForm) -> np.ndarray:
     return c_inv
 
 
-def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
-                  seed: int = 11) -> HermitianFitResult:
+def hermitian_fit(rf: MatrixRealForm, n_samples: int, seed: int) -> HermitianFitResult:
     """Least-squares scalar b in: quotient bivector = flag part + b * invariant.
 
     The flag part is the left-trivialized group bivector at u u0^{-1},
@@ -1038,7 +999,7 @@ def hermitian_fit(rf: MatrixRealForm, n_samples: int = 100,
     flag_ad, flag_lam = reader @ ad_u0, _read_seed(rf, reader)
     # the residual d - b c_inv peaks at an entrywise extreme of the
     # differences d, so their running max and min replace the samples
-    rng = gaussian_stream(seed)
+    rng = SampleStream(seed)
     terms, hi, lo = [], -np.inf, np.inf
     for k in _stacks(n_samples, rf.n):
         u = sample_unitaries(rng, k, rf.n)

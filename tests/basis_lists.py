@@ -95,7 +95,7 @@ def split_tau(rf, basis_u: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.
             return
         if vecs:
             stack = np.stack(vecs + [v], axis=1)
-            if ml.numerical_rank(stack, 1e-9)[0] == len(vecs):
+            if ml.numerical_rank(stack)[0] == len(vecs):
                 return
         bucket.append(m)
         vecs.append(v)

@@ -4,11 +4,11 @@
 Each function draws its samples one after another from the streams of its
 seed, with one `rng.standard_normal` or `rng.uniform` call per sample and
 shape, and evaluates each sample on its own: the samplers are the
-per-matrix originals, the rest goes through the single-point kernels.  The
-streams are built here from their kinds: Gaussian draws come from
-SampleStream(seed, 0) and uniform draws from SampleStream(seed, 1).
-`splitmix_words`, `standard_normals` and `uniforms` are the streams
-themselves in Python ints and floats, one word at a time.  `exp_and_phi_ad`
+per-matrix originals, the rest goes through the single-point kernels.
+Gaussian draws come from the package's SampleStream(seed); the uniform
+draws of the references (`UniformStream`) from the same words under a
+second key.  `splitmix_words` and `standard_normals` are the Gaussian
+stream itself in Python ints and floats, one word at a time.  `exp_and_phi_ad`
 is the exponential and its differential as stacked n x n products, and
 `chart` the exponential chart x -> exp xi(x) K built on them.  The Poisson
 property, which the package checks exactly by two Lie-algebra identities,
@@ -48,11 +48,7 @@ from leafatlas import matrixlie as ml
 def children(seed: int, n: int):
     """The Gaussian stream of seed once per sample: sample i reads the block
     that follows sample i - 1's."""
-    return repeat(ml.SampleStream(seed, 0), n)
-
-
-def uniform_stream(seed: int):
-    return ml.SampleStream(seed, 1)
+    return repeat(ml.SampleStream(seed), n)
 
 
 MASK = 2**64 - 1
@@ -66,16 +62,20 @@ def splitmix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def splitmix_words(seed: int, kind: int, start: int, count: int) -> list[int]:
-    """Words start..start + count - 1 of the stream (seed, kind): the kind's
-    start (kind + 1) * GOLDEN, each 64 bits of the seed, low first, xored in
-    and finalized, then word j = splitmix(key + (j + 1) * GOLDEN)."""
-    key = (kind + 1) * GOLDEN & MASK
+def stream_key(seed: int, key: int = GOLDEN) -> int:
+    """The key of the stream of seed: key (GOLDEN for the Gaussian stream),
+    each 64 bits of the seed, low first, xored in and finalized."""
     while True:
         key = splitmix(key ^ (seed & MASK))
         seed >>= 64
         if not seed:
-            break
+            return key
+
+
+def splitmix_words(seed: int, start: int, count: int) -> list[int]:
+    """Words start..start + count - 1 of the Gaussian stream of seed: word j
+    is splitmix(key + (j + 1) * GOLDEN)."""
+    key = stream_key(seed)
     return [splitmix((key + (j + 1) * GOLDEN) & MASK) for j in range(start, start + count)]
 
 
@@ -83,7 +83,7 @@ def standard_normals(seed: int, start: int, count: int, log=math.log) -> list[fl
     """Box-Muller on each word of the Gaussian stream: the high 32 bits give
     u = (h + 1) / 2^32, the low 32 bits, signed, the angle pi l / 2^32."""
     out = []
-    for w in splitmix_words(seed, 0, start, count):
+    for w in splitmix_words(seed, start, count):
         h, low = w >> 32, w & 0xFFFFFFFF
         signed = low - (1 << 32) if low >> 31 else low
         out.append(math.sqrt(-2.0 * log((h + 1) / 2**32))
@@ -91,11 +91,18 @@ def standard_normals(seed: int, start: int, count: int, log=math.log) -> list[fl
     return out
 
 
-def uniforms(seed: int, low: float, high: float, start: int, count: int) -> list[float]:
-    """low + (high - low) u on each word of the uniform stream, u its top 53
-    bits over 2^53."""
-    return [low + (high - low) * ((w >> 11) / 2**53)
-            for w in splitmix_words(seed, 1, start, count)]
+class UniformStream(ml.SampleStream):
+    """The references' uniform draws (chart centres, torus phases): the words
+    of SampleStream under the key that starts at 2 GOLDEN, so apart from the
+    Gaussian stream of the same seed, each read as low + (high - low) u, u its
+    top 53 bits over 2^53."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.key = stream_key(seed, 2 * GOLDEN & MASK)
+
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        return low + (high - low) * np.multiply(self._words(size) >> 11, 2.0**-53)
 
 
 def sample_group(rng, n):
@@ -126,7 +133,7 @@ def multiplicativity_residual(rf, n_pairs, seed):
 
 def t_invariance_residual(rf, n_samples, seed):
     worst = 0.0
-    phase_rng = uniform_stream(seed)
+    phase_rng = UniformStream(seed)
     for rng in children(seed, n_samples):
         u = sample_unitary(rng, rf.n)
         phases = phase_rng.uniform(0, 2 * math.pi, size=rf.n)
@@ -258,7 +265,7 @@ def jacobi_check(rf, n_points, seed, h=1e-4, radius=0.4):
     """The Jacobi check in the chart centred at each point u0 = exp xi(x),
     one point and one neighbour at a time."""
     residual = 0.0
-    rng = uniform_stream(seed)
+    rng = UniformStream(seed)
     for _ in range(n_points):
         u0, _ = chart(rf, rng.uniform(-radius, radius, size=rf.dim_ip0))
         residual = max(residual, jacobi_residual(lambda y: centred_bivector(rf, u0, y),
@@ -317,7 +324,7 @@ def stabilizer_dim(rf, u, include_torus):
     a + n (a + n + t), the images built one matrix at a time."""
     q = triangular_frames(rf)[include_torus]
     m = np.stack([bl.vec(u @ x @ u.conj().T) for x in rf.basis_g0], axis=1)
-    return m.shape[1] - int(ml.numerical_rank(m - q @ (q.T @ m), ml.RANK_THRESHOLD)[0])
+    return m.shape[1] - int(ml.numerical_rank(m - q @ (q.T @ m))[0])
 
 
 def orbit_projection(rf, u):
@@ -340,7 +347,7 @@ def leaf_tangency_residual(rf, n_samples, seed):
     """The verify battery's former loop: one draw of every unitary; with the
     number of samples whose rank was borderline."""
     worst, same, n_borderline = 0.0, True, 0
-    for u in ml.sample_unitaries(ml.SampleStream(seed, 0), n_samples, rf.n):
+    for u in ml.sample_unitaries(ml.SampleStream(seed), n_samples, rf.n):
         res = ml.leaf_tangency_check(rf, u)
         same = same and res.dim_bivector_image == res.dim_orbit_projection
         worst = max(worst, res.residual)
@@ -349,7 +356,7 @@ def leaf_tangency_residual(rf, n_samples, seed):
 
 
 def chart_su2_section(w):
-    """The former single-point section: a unitary of chart value w."""
+    """A unitary of chart value w, for one complex w."""
     z = (w + 1j) / (1 + 1j * w)
     x, y = z.real, z.imag
     d = 1.0 / math.sqrt(1 + x * x + y * y)
@@ -367,26 +374,18 @@ def su2_transported_coefficient(rf, u):
     return w, -2.0 * float(dw.real @ c @ dw.imag)
 
 
-def chart_points(rng, count):
-    """The first count accepted points of the chart's rejection sampler,
-    count pairs drawn per call and every point kept in one list."""
-    points = []
-    while len(points) < count:
-        xy = rng.uniform(-1.4, 1.4, size=(count, 2))
-        w = xy[:, 0] + 1j * xy[:, 1]
-        points += w[(abs(abs(w) - 1.0) > 0.15) & (abs(w) > 0.05)].tolist()
-    return points[:count]
-
-
 def formula_residual(rf, n_samples, seed):
-    """The verify battery's former example_formula loop, one chart point
-    after another."""
-    worst = 0.0
-    for w in chart_points(uniform_stream(seed), n_samples):
-        _, coeff = su2_transported_coefficient(rf, chart_su2_section(w))
-        expected = ml.SU2_AMPLITUDE * (1 - abs(w) ** 4)
-        worst = max(worst, abs(coeff - expected) / abs(expected))
-    return worst
+    """The example_formula loop, one Haar point after another: (largest
+    relative deviation from the closed form, number of points kept off the
+    origin and the zero circle)."""
+    worst, kept = 0.0, 0
+    for rng in children(seed, n_samples):
+        w, coeff = su2_transported_coefficient(rf, sample_unitary(rng, 2))
+        if abs(abs(w) - 1.0) > 0.15 and abs(w) > 0.05:
+            expected = ml.SU2_AMPLITUDE * (1 - abs(w) ** 4)
+            worst = max(worst, abs(coeff - expected) / abs(expected))
+            kept += 1
+    return worst, kept
 
 
 def iwasawa_residual(rf, n_samples, seed):

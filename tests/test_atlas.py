@@ -498,3 +498,66 @@ def test_open_implies_full_dimension():
         for c in report_fields(report):
             if c["is_open"]:
                 assert c["leaf_dim"] == report.form.dim_x and c["family_dim"] == 0
+
+
+# the rank of each form's maximal compact subgroup K (Helgason, Ch. X,
+# Table V): the classical families by their parameters, then E6, E7, F4, G2
+EXCEPTIONAL_RANK_K = {
+    "EI": 4,  # Sp(4)
+    "EII": 6,  # SU(6) x SU(2)
+    "EIII": 6,  # Spin(10) x U(1)
+    "EIV": 4,  # F4
+    "EV": 7,  # SU(8)
+    "EVI": 7,  # Spin(12) x SU(2)
+    "EVII": 7,  # E6 x U(1)
+    "FI": 4,  # Sp(3) x SU(2)
+    "FII": 4,  # Spin(9)
+    "G": 2,  # SU(2) x SU(2)
+}
+
+
+def helgason_rank_k(label: str) -> int:
+    if label in EXCEPTIONAL_RANK_K:
+        return EXCEPTIONAL_RANK_K[label]
+    family, args = label[:-1].split("(")
+    a, _, b = args.partition(",")
+    if b == "R":  # sl(n,R): SO(n); sp(n,R): U(n)
+        return {"sl": int(a) // 2, "sp": int(a)}[family]
+    if not b:  # su*(2n): Sp(n); so*(2n): U(n)
+        return int(a) // 2
+    p, q = int(a), int(b)
+    # su(p,q): S(U(p) x U(q)); so(p,q): SO(p) x SO(q); sp(p,q): Sp(p) x Sp(q)
+    return {"su": p + q - 1, "so": p // 2 + q // 2, "sp": p + q}[family]
+
+
+# item 6's E6, E7, F4 and G2 diagrams, in _cartan_matrix numbering
+EXCEPTIONAL_FORMS = (
+    cr.diagram("EI", "E", 6), cr.diagram("EII", "E", 6, arrows=[(1, 6), (3, 5)]),
+    cr.diagram("EIII", "E", 6, black=[3, 4, 5], arrows=[(1, 6)]),
+    cr.diagram("EIV", "E", 6, black=[2, 3, 4, 5]), cr.diagram("EV", "E", 7),
+    cr.diagram("EVI", "E", 7, black=[2, 5, 7]), cr.diagram("EVII", "E", 7, black=[2, 3, 4, 5]),
+    cr.diagram("FI", "F", 4), cr.diagram("FII", "F", 4, black=[1, 2, 3]),
+    cr.diagram("G", "G", 2),
+)
+
+
+@pytest.mark.parametrize("sd", builtin_catalog() + EXCEPTIONAL_FORMS, ids=lambda s: s.label)
+def test_an_a0_class_exists_exactly_on_the_equal_rank_forms(sd):
+    # rank K = rank U exactly when a class with a = 0 exists; it is then the
+    # one open class, of codim_Y 0 and leaf_dim dim X, which is even
+    assert validate(sd).passed
+    report = atlas(sd)
+    equal_rank = helgason_rank_k(sd.label) == sd.rank
+    a0 = [class_fields(report.form, c) for c in report.classes if c[2] == 0]
+    assert bool(a0) == equal_rank == report.has_open_leaves
+    if equal_rank:
+        (cls,) = a0
+        assert cls["codim_Y"] == 0 and cls["is_open"]
+        assert cls["leaf_dim"] == report.form.dim_x and cls["leaf_dim"] % 2 == 0
+
+
+def test_the_forms_without_equal_rank():
+    unequal = [sd.label for sd in builtin_catalog() + EXCEPTIONAL_FORMS
+               if helgason_rank_k(sd.label) != sd.rank]
+    assert unequal == ["sl(3,R)", "sl(4,R)", "sl(5,R)", "su*(4)", "so(7,1)", "so(5,3)",
+                       "EI", "EIV"]

@@ -14,6 +14,7 @@ import pytest
 from leafatlas.atlas import atlas, class_fields, realizable_candidate
 from leafatlas.cli import (
     ENV_CATALOG,
+    SAMPLES,
     THREAD_VARS,
     RunConfig,
     _json_dumps,
@@ -25,7 +26,7 @@ from leafatlas.cli import (
     run_verify_battery,
 )
 from leafatlas.rootsys import RANK_CAP
-from leafatlas.satake import builtin_catalog
+from leafatlas.satake import builtin_catalog, sl_real_diagram, su_pq_diagram
 
 import catalog_reference as cr
 
@@ -441,8 +442,7 @@ def test_split_e8_document_sha256(tmp_path):
 
 def test_verify_and_catalog_documents_take_the_generic_path(capsys, monkeypatch):
     monkeypatch.delenv(ENV_CATALOG, raising=False)
-    doc = run_verify_battery(cr.by_label()["sl(2,R)"], RunConfig(command="verify",
-                                                                      samples=10))
+    doc = run_verify_battery(cr.by_label()["sl(2,R)"], RunConfig(command="verify"))
     assert _json_dumps(doc) == _generic(doc)
     code, out, _ = run(capsys, "catalog")
     assert code == 0
@@ -459,9 +459,7 @@ def test_writer_refuses_non_finite_numbers():
 # verify
 
 def test_verify_small_battery(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--form", "sl(2,R)", "--samples", "20", "--seed", "42"
-    )
+    code, out, _ = run(capsys, "verify", "--form", "sl(2,R)", "--seed", "42")
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] is True
@@ -472,8 +470,8 @@ def test_verify_small_battery(capsys):
     assert doc["seed"] == 42
 
 
-# every check's (name, tolerance, info) at seeds 0 and 1 and the default
-# sample count, for the ten realized forms
+# every check's (name, tolerance, info) at seeds 0 and 1 for the ten realized
+# forms, as tests/make_verify_info.py writes them
 VERIFY_INFO = json.loads((Path(__file__).parent / "verify_info.json").read_text(encoding="utf-8"))
 
 BATTERY = [
@@ -494,16 +492,32 @@ def test_verify_battery_passes_on_every_realized_form(label):
         extra = ["hermitian_fit_residual"]
     else:
         extra = []
-    # seeds 0 and 1 at the default sample count, as `verify` runs by default
     for seed in (0, 1):
         doc = run_verify_battery(cr.by_label()[label], RunConfig(command="verify", seed=seed))
-        assert doc["samples"] == 100
+        assert doc["samples"] == dict(SAMPLES)
         failed = [c["name"] for c in doc["checks"] if not c["passed"]]
         assert failed == [], seed
         assert doc["passed"] is True
         assert [c["name"] for c in doc["checks"]] == BATTERY + extra + ["stabilizer_dims"]
         got = [[c["name"], c["tolerance"], _pinned_info(c)] for c in doc["checks"]]
         assert got == VERIFY_INFO[f"{label} seed {seed}"], seed
+
+
+# type A at n = 6 and 7, past the catalog, built directly so that the
+# built-in catalog_hash does not move: (p, q), q = 0 for sl(p,R), and the
+# realized and total class counts of stabilizer_dims
+TYPE_A_6_7 = [(6, 0, 76, 76), (3, 3, 76, 76), (4, 2, 61, 76), (5, 1, 16, 76),
+              (7, 0, 232, 232), (4, 3, 232, 232), (5, 2, 127, 232), (6, 1, 22, 232)]
+
+
+@pytest.mark.parametrize("p,q,found,total", TYPE_A_6_7)
+def test_verify_battery_passes_on_type_a_at_n_6_and_7(p, q, found, total):
+    sd = su_pq_diagram(p, q) if q else sl_real_diagram(p)
+    doc = run_verify_battery(sd, RunConfig(command="verify"))
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == []
+    (info,) = [c["info"] for c in doc["checks"] if c["name"] == "stabilizer_dims"]
+    assert info.startswith(f"{found}/{found} matched of {total} classes "
+                           f"({total - found} unrealizable), ")
 
 
 def _pinned_info(check):
@@ -515,46 +529,34 @@ def _pinned_info(check):
     return check["info"]
 
 
-def test_chart_points_are_the_accepted_draws_in_order():
-    from leafatlas import matrixlie as ml
-    from leafatlas.matrixlie import _chart_points
-
-    def one_at_a_time(rng, count):  # one pair per try, as a loop draws them
-        points = []
-        while len(points) < count:
-            x, y = rng.uniform(-1.4, 1.4, size=2)
-            w = complex(x, y)
-            if 0.15 < abs(abs(w) - 1.0) and abs(w) > 0.05:
-                points.append(w)
-        return points
-
-    want = one_at_a_time(ml.uniform_stream(7), 37)
-    for count in (1, 5, 37):
-        stacks = list(_chart_points(ml.uniform_stream(7), count, 4))
-        assert [w for stack in stacks for w in stack.tolist()] == want[:count]
+# each sampled row's SAMPLES key, by its stream's offset from the seed, and
+# the words per sample per n^2: 2 for a unitary or an iwasawa m (the real and
+# imaginary parts of n^2 normals), 3 * 2 for an action triple (u, g, h)
+SAMPLED_ROWS = {0: ("iwasawa", 2), 1: ("action", 6), 5: ("rank", 2), 6: ("tangency", 2),
+                7: ("formula", 2), 8: ("hermitian", 2)}
 
 
 def test_verify_battery_builds_a_fixed_number_of_generators(monkeypatch):
-    # each sampled check builds its streams once, not once per sample
+    # each sampled row builds one stream, not one per sample, and reads
+    # SAMPLES[row] samples from it, so the document's samples map is what
+    # each row drew (the Cartan, Poisson and torus identities are exact)
     from leafatlas import matrixlie as ml
 
-    built, init = [], ml.SampleStream.__init__
+    streams, init = [], ml.SampleStream.__init__
 
-    def counting(self, seed, kind):
-        built.append(kind)
-        init(self, seed, kind)
+    def recording(self, seed):
+        init(self, seed)
+        streams.append((SAMPLED_ROWS[seed - 3][0], self))
 
-    monkeypatch.setattr(ml.SampleStream, "__init__", counting)
-    counts = {}
-    for samples in (100, 200):
-        built.clear()
-        doc = run_verify_battery(cr.by_label()["su(2,1)"],
-                                 RunConfig(command="verify", samples=samples))
-        assert doc["passed"] is True
-        counts[samples] = len(built)
-    # five sampled checks: iwasawa, action, rank, tangency and the Hermitian
-    # fit (the Cartan, Poisson and torus identities are exact)
-    assert 0 < counts[100] == counts[200] <= 3 * 5
+    monkeypatch.setattr(ml.SampleStream, "__init__", recording)
+    for label, last in (("su(3,2)", "hermitian"), ("sl(2,R)", "formula")):
+        streams.clear()
+        doc = run_verify_battery(cr.by_label()[label], RunConfig(command="verify", seed=3))
+        assert doc["passed"] is True and doc["samples"] == dict(SAMPLES)
+        assert [row for row, _ in streams] == ["iwasawa", "action", "rank", "tangency", last]
+        n2 = ml.realization(label).n ** 2
+        words = dict(SAMPLED_ROWS.values())
+        assert all(stream.drawn == SAMPLES[row] * words[row] * n2 for row, stream in streams)
 
 
 def test_verify_no_realization(capsys):
@@ -625,7 +627,7 @@ def test_verify_document_is_strict_json_when_tangency_dimensions_differ(capsys, 
         return (q[:, :-1] if len(calls) % 2 == 0 else q), borderline
 
     monkeypatch.setattr(ml, "column_space", dropping)
-    code, out, _ = run(capsys, "verify", "--form", "sl(2,R)", "--samples", "10")
+    code, out, _ = run(capsys, "verify", "--form", "sl(2,R)")
     assert code == 2
     doc = _strict_loads(out)
     tangency = [c for c in doc["checks"] if c["name"] == "leaf_tangency"]
@@ -637,11 +639,10 @@ def test_verify_document_is_strict_json_when_tangency_dimensions_differ(capsys, 
 def test_rank_threshold_override_reaches_both_rank_checks(monkeypatch):
     from leafatlas import matrixlie as ml
 
-    original = ml.numerical_rank
-    # both rank rows rank by numerical_rank under the constant RANK_THRESHOLD;
-    # a planted cutoff of 1.0 drops every singular value up to the largest one
-    monkeypatch.setattr(ml, "numerical_rank", lambda m, threshold=None: original(m, 1.0))
-    doc = run_verify_battery(cr.by_label()["su(2,1)"], RunConfig(command="verify", samples=10))
+    # both rank rows rank by numerical_rank, which reads RANK_THRESHOLD at each
+    # call; a planted cutoff of 1.0 drops every singular value up to the largest one
+    monkeypatch.setattr(ml, "RANK_THRESHOLD", 1.0)
+    doc = run_verify_battery(cr.by_label()["su(2,1)"], RunConfig(command="verify"))
     failed = [c["name"] for c in doc["checks"] if not c["passed"]]
     assert failed == ["rank_vs_atlas", "stabilizer_dims"]
 
@@ -656,20 +657,20 @@ def test_every_float_rank_row_reports_its_borderline_count(monkeypatch):
     monkeypatch.setattr(ml, "_floored_rank",
                         lambda s, threshold: (original(s, threshold)[0],
                                               np.ones(s.shape[:-1], dtype=bool)))
-    doc = run_verify_battery(cr.by_label()["su(2,1)"], RunConfig(command="verify", samples=10))
+    doc = run_verify_battery(cr.by_label()["su(2,1)"], RunConfig(command="verify"))
     assert doc["passed"] is True
     info = {c["name"]: c["info"] for c in doc["checks"]}
-    assert info["rank_vs_atlas"].endswith(", 50 borderline samples")
+    assert info["rank_vs_atlas"].endswith(", 100 borderline samples")
     assert info["leaf_tangency"] == "5 borderline samples"
     assert info["stabilizer_dims"] == ("4/4 matched of 4 classes (0 unrealizable), "
                                        "4 borderline representatives")
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
-def test_verify_rejects_nonpositive_samples(capsys, samples):
-    code, out, err = run(capsys, "verify", "--form", "su(2,1)", "--samples", samples)
+def test_verify_takes_no_samples_option(capsys):
+    # the sample counts are fixed (cli.SAMPLES), and the document prints them
+    code, out, err = run(capsys, "verify", "--form", "sl(2,R)", "--samples", "10")
     assert code == 1 and out == ""
-    assert "--samples" in err
+    assert "unrecognized arguments: --samples 10" in err
 
 
 def test_verify_rejects_a_negative_seed(capsys):
@@ -684,8 +685,7 @@ def test_verify_takes_seeds_past_64_bits(capsys):
     # overflows
     docs = {}
     for seed in (5, 2**64 + 5):
-        code, out, err = run(capsys, "verify", "--form", "su(2,1)", "--samples", "20",
-                             "--seed", str(seed))
+        code, out, err = run(capsys, "verify", "--form", "su(2,1)", "--seed", str(seed))
         assert code == 0 and err == ""
         docs[seed] = _strict_loads(out)
         assert docs[seed]["passed"] is True and docs[seed]["seed"] == seed
@@ -736,8 +736,7 @@ def test_verify_battery_imports_no_scipy():
         "from leafatlas.satake import builtin_catalog\n"
         "by_label = {sd.label: sd for sd in builtin_catalog()}\n"
         "for label in ('sl(2,R)', 'su(2,1)'):\n"
-        "    doc = run_verify_battery(by_label[label],\n"
-        "                             RunConfig(command='verify', samples=10))\n"
+        "    doc = run_verify_battery(by_label[label], RunConfig(command='verify'))\n"
         "    print(doc['passed'], 'numpy' in sys.modules,\n"
         "          [m for m in ('scipy', 'fractions', 'decimal') if m in sys.modules])\n"
     )
@@ -766,7 +765,7 @@ PRINT_THREADS = (
     "    code = cli.main(sys.argv[1:])\n"
     "print(code, [os.environ.get(v) for v in cli.THREAD_VARS])\n"
 )
-VERIFY_SL2 = ("verify", "--form", "sl(2,R)", "--samples", "1")
+VERIFY_SL2 = ("verify", "--form", "sl(2,R)")
 
 
 def test_verify_pins_blas_threads_when_unset():

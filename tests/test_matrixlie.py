@@ -66,7 +66,7 @@ def test_numerical_rank_cutoff_is_floored_at_one():
     # s_max < 1: the cutoff is the threshold itself, not threshold * s_max
     small = _with_singular_values([1e-3, 5e-9])
     assert ml.numerical_rank(small) == (1, False)
-    assert ml.numerical_rank(small, threshold=1e-10) == (2, False)
+    assert ml._floored_rank(np.linalg.svd(small, compute_uv=False), 1e-10) == (2, False)
     # s_max > 1 scales the cutoff
     large = _with_singular_values([1e3, 5e-6])
     assert ml.numerical_rank(large)[0] == 1
@@ -102,49 +102,42 @@ def test_sample_streams_match_the_splitmix_reference(seed, size):
     # reference with numpy's log; numpy vectorizes that log on some hosts,
     # where it and math.log differ by an ulp on a few inputs in a thousand
     count = math.prod(np.atleast_1d(size))
-    normal = ml.gaussian_stream(seed).standard_normal(size)
+    normal = ml.SampleStream(seed).standard_normal(size)
     assert normal.shape == np.shape(np.empty(size))
     want = loops.standard_normals(seed, 0, count, log=lambda x: float(np.log(x)))
     assert normal.ravel().tolist() == want
     np.testing.assert_array_max_ulp(normal.ravel(), loops.standard_normals(seed, 0, count), 2)
-    uniform = ml.uniform_stream(seed).uniform(-1.4, 2.0, size=size)
-    assert uniform.ravel().tolist() == loops.uniforms(seed, -1.4, 2.0, 0, count)
 
 
 def test_sample_streams_read_on_across_calls_and_replay_by_index():
     # stacked draws are one draw cut in pieces, and word j is read alone by
     # a stream whose `drawn` is set to j
-    whole = ml.gaussian_stream(9).standard_normal((5, 12))
-    rng = ml.gaussian_stream(9)
+    whole = ml.SampleStream(9).standard_normal((5, 12))
+    rng = ml.SampleStream(9)
     assert np.array_equal(np.concatenate([rng.standard_normal((k, 12)) for k in (1, 3, 1)]), whole)
     assert rng.drawn == 60
     rng.drawn = 37
     assert np.array_equal(rng.standard_normal(4), whole.ravel()[37:41])
-    phases = ml.uniform_stream(9).uniform(0, 1, size=(6, 4))
-    rng = ml.uniform_stream(9)
-    assert np.array_equal(np.concatenate([rng.uniform(0, 1, size=(k, 4)) for k in (2, 4)]), phases)
 
 
-def test_sample_streams_differ_by_seed_and_by_kind():
+def test_sample_streams_differ_by_seed():
     # 2^64 + 5 and 2^128 neither wrap to 5 and 0 nor overflow
     seeds = [0, 1, 2, 5, 2**64, 2**64 + 5, 2**128]
-    streams = [ml.SampleStream(seed, kind) for seed in seeds for kind in (0, 1)]
-    draws = {tuple(stream.uniform(0, 1, size=4)) for stream in streams}
-    assert len({stream.key for stream in streams}) == len(draws) == 2 * len(seeds)
+    streams = [ml.SampleStream(seed) for seed in seeds]
+    draws = {tuple(stream.standard_normal(4)) for stream in streams}
+    assert len({stream.key for stream in streams}) == len(draws) == len(seeds)
     with pytest.raises(ValueError):
-        ml.SampleStream(-1, 0)
+        ml.SampleStream(-1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_stream_normals_have_the_standard_moments(seed):
     # 4e5 draws: the standard errors are 0.0016 (mean), 0.0022 (variance),
     # 0.0039 (skewness) and 0.0077 (kurtosis); the bounds are five of them
-    x = ml.gaussian_stream(seed).standard_normal(400_000)
+    x = ml.SampleStream(seed).standard_normal(400_000)
     z = (x - x.mean()) / x.std()
     assert abs(x.mean()) < 0.008 and abs(x.var() - 1) < 0.011
     assert abs(np.mean(z**3)) < 0.02 and abs(np.mean(z**4) - 3) < 0.04
-    u = ml.uniform_stream(seed).uniform(0, 1, size=400_000)
-    assert abs(u.mean() - 0.5) < 0.0025 and abs(u.var() - 1 / 12) < 0.001
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ def test_ad_matrix_is_a_homomorphism():
     # what makes pi_U multiplicative: pi(uv) = Ad_u pi(v) Ad_u^T + pi(u)
     for n in range(2, 10):
         rf = ml.realization(f"sl({n},R)")
-        rng = ml.gaussian_stream(n)
+        rng = ml.SampleStream(n)
         u, v = ml.sample_unitaries(rng, 8, n), ml.sample_unitaries(rng, 8, n)
         assert np.abs(rf.Ad_matrix(u @ v) - rf.Ad_matrix(u) @ rf.Ad_matrix(v)).max() <= 1e-12, n
 
@@ -325,7 +318,7 @@ def test_planted_torus_breaking_entry_fails_t_invariance(monkeypatch):
     assert ml.poisson_identities(rf) == (4.0, 0.0, 2.0)
     assert loops.t_invariance_residual(rf, 5, seed=3) > 0.1
     monkeypatch.setattr(ml, "realization", lambda label: rf)
-    doc = run_verify_battery(BY_LABEL["sl(3,R)"], RunConfig("verify", samples=10))
+    doc = run_verify_battery(BY_LABEL["sl(3,R)"], RunConfig("verify"))
     rows = {c["name"]: (c["value"], c["passed"]) for c in doc["checks"]}
     assert rows["t_invariance"] == (2.0, False) and rows["mcybe"] == (4.0, False)
 
@@ -408,7 +401,7 @@ def test_chart_section_roundtrip():
     rng = np.random.default_rng(4)
     for _ in range(20):
         w = rng.uniform(-1.5, 1.5) + 1j * rng.uniform(-1.5, 1.5)
-        assert abs(ml.chart_su2(ml.chart_su2_section(w)) - w) < 1e-12
+        assert abs(ml.chart_su2(loops.chart_su2_section(w)) - w) < 1e-12
 
 
 def su2_leaf_slice(zeta):
@@ -435,22 +428,19 @@ def test_su2_closed_form_against_derived_amplitude(sl2):
         w = rng.uniform(-1.4, 1.4) + 1j * rng.uniform(-1.4, 1.4)
         if abs(abs(w) - 1.0) < 0.15 or abs(w) < 0.05:
             continue
-        got_w, coeff = ml.su2_transported_coefficient(sl2, ml.chart_su2_section(w))
+        got_w, coeff = ml.su2_transported_coefficient(sl2, loops.chart_su2_section(w))
         expected = ml.SU2_AMPLITUDE * (1 - abs(w) ** 4)
         worst = max(worst, abs(coeff - expected) / abs(expected))
     assert worst < 1e-8
 
 
 def test_su2_stacked_transport_matches_each_point(sl2):
-    ws = np.array(loops.chart_points(np.random.default_rng(9), 37))
-    us = ml.chart_su2_section(ws)
+    us = ml.sample_unitaries(ml.SampleStream(9), 37, 2)
     got_w, got = ml.su2_transported_coefficient(sl2, us)
-    assert us.shape == (37, 2, 2) and got_w.shape == got.shape == (37,)
-    for w, u, gw, g in zip(ws, us, got_w, got):
-        u_ref = loops.chart_su2_section(complex(w))
-        assert np.abs(u - u_ref).max() <= 1e-15
-        want_w, want = loops.su2_transported_coefficient(sl2, u_ref)
-        assert abs(gw - want_w) <= 1e-14 and abs(g - want) <= 1e-14 * abs(want)
+    assert got_w.shape == got.shape == (37,)
+    for u, gw, g in zip(us, got_w, got):
+        want_w, want = loops.su2_transported_coefficient(sl2, u)
+        assert abs(gw - want_w) <= 1e-14 * abs(want_w) and abs(g - want) <= 1e-14 * abs(want)
     us[5] = np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2)  # off the chart
     with pytest.raises(ml.ChartSingularityError):
         ml.su2_transported_coefficient(sl2, us)
@@ -467,17 +457,17 @@ def test_su2_stacked_transport_matches_each_point(sl2):
 )
 def test_su2_closed_form_literal_unit_amplitude(sl2):
     w = 0.4 + 0.2j
-    _, coeff = ml.su2_transported_coefficient(sl2, ml.chart_su2_section(w))
+    _, coeff = ml.su2_transported_coefficient(sl2, loops.chart_su2_section(w))
     assert abs(coeff - (1 - abs(w) ** 4)) / (1 - abs(w) ** 4) < 1e-8
 
 
 def test_su2_rank_pattern(sl2):
     for th in np.linspace(0, 2 * math.pi, 9):
-        u = ml.chart_su2_section(np.exp(1j * th))
+        u = loops.chart_su2_section(np.exp(1j * th))
         rank, _ = ml.numerical_rank(ml.pi_0_at(sl2, u.conj().T))
         assert rank == 0
     for w in (0.2 + 0.1j, 1.5 - 0.4j, 0.9j):
-        rank, _ = ml.numerical_rank(ml.pi_0_at(sl2, ml.chart_su2_section(w).conj().T))
+        rank, _ = ml.numerical_rank(ml.pi_0_at(sl2, loops.chart_su2_section(w).conj().T))
         assert rank == 2
 
 
@@ -1263,7 +1253,7 @@ def test_planted_seed_fails_the_verify_rows(monkeypatch):
     monkeypatch.setattr(ml, "realization", planted.get)
     rows = {}
     for label in planted:
-        doc = cli.run_verify_battery(BY_LABEL[label], cli.RunConfig("verify", samples=10))
+        doc = cli.run_verify_battery(BY_LABEL[label], cli.RunConfig("verify"))
         rows[label] = {c["name"]: (c["value"], c["passed"]) for c in doc["checks"]
                        if c["name"] in ("t_invariance", "mcybe", "k0_coisotropic")}
     # a failing row reports its integer residual
@@ -1288,7 +1278,7 @@ def test_hermitian_fit_su11():
     res = ml.hermitian_fit(rf, n_samples=100, seed=19)
     assert res.max_residual < 1e-8
     # nondegenerate on the disk
-    assert ml.numerical_rank(ml.invariant_bivector(rf), 1e-9)[0] == 2
+    assert ml.numerical_rank(ml.invariant_bivector(rf))[0] == 2
     res2 = ml.hermitian_fit(rf, n_samples=100, seed=20)
     assert abs(res.b - res2.b) < 1e-8
 
@@ -1297,7 +1287,7 @@ def test_hermitian_fit_su21_smoke():
     rf = ml.realization("su(2,1)")
     res = ml.hermitian_fit(rf, n_samples=30, seed=21)
     assert res.max_residual < 1e-8
-    assert ml.numerical_rank(ml.invariant_bivector(rf), 1e-9)[0] == rf.dim_ip0
+    assert ml.numerical_rank(ml.invariant_bivector(rf))[0] == rf.dim_ip0
 
 
 @pytest.mark.parametrize("label", ["su(4,1)", "su(3,2)"])
@@ -1339,7 +1329,7 @@ def test_hermitian_fit_does_not_depend_on_the_stack_size(monkeypatch, label):
 
 def test_hermitian_fit_rejects_split_form(sl3):
     with pytest.raises(ml.NotHermitianError):
-        ml.hermitian_fit(sl3)
+        ml.hermitian_fit(sl3, 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1386,7 +1376,9 @@ def test_stacked_checks_match_the_per_sample_loops(monkeypatch, label):
         # the loops moved from the verify battery: same draws, same values
         assert ml.leaf_tangency_residual(rf, count, 6) == loops.leaf_tangency_residual(rf, count, 6)
         if rf.kind == "sl_real" and rf.n == 2:  # stacked, it moves at roundoff
-            assert _close(ml.formula_residual(rf, count, 7), loops.formula_residual(rf, count, 7))
+            (worst, kept), (want, want_kept) = (check(rf, count, 7) for check in (
+                ml.formula_residual, loops.formula_residual))
+            assert _close(worst, want) and kept == want_kept
         if rf.kind == "su_pq":
             fit = ml.hermitian_fit(rf, count, seed=8)
             b, max_residual = loops.hermitian_fit(rf, count, 8)
@@ -1476,7 +1468,7 @@ def _parts(rng, n):
 
 def _at_block(seed, i, n):
     """A fresh Gaussian stream of seed moved to block i, with no draw before it."""
-    rng = ml.gaussian_stream(seed)
+    rng = ml.SampleStream(seed)
     rng.drawn = i * 2 * (n * n + n)
     return rng
 
@@ -1485,14 +1477,11 @@ def test_stacked_draws_replay_each_block_alone():
     n, seed = 3, 40
     count = ml.stack_size(n) + 5
     assert ml._stacks(count, n) == [ml.stack_size(n), 5]
-    rng, phase_rng = ml.gaussian_stream(seed), ml.uniform_stream(seed)
+    rng = ml.SampleStream(seed)
     stacks = [ml.complex_normals(rng, k, (n, n), (n,)) for k in ml._stacks(count, n)]
     z, h = (np.concatenate(part) for part in zip(*stacks))
     unitaries = np.concatenate([ml._unitary(zk) for zk, _ in stacks])
     groups = np.concatenate([ml._sl_exp(zk) for zk, _ in stacks])
-    phases = np.concatenate([phase_rng.uniform(0, 2 * math.pi, size=(k, n))
-                             for k in ml._stacks(count, n)])
-    phase_alone = loops.uniform_stream(seed)
     for i in range(count):
         z_i, h_i = _parts(_at_block(seed, i, n), n)
         assert np.array_equal(z[i], z_i) and np.array_equal(h[i], h_i)
@@ -1502,37 +1491,32 @@ def test_stacked_draws_replay_each_block_alone():
         assert np.abs(unitaries[i] - ref).max() <= 1e-15
         ref = loops.sample_group(_at_block(seed, i, n), n)
         assert np.abs(groups[i] - ref).max() <= 1e-14
-        assert np.array_equal(phases[i], phase_alone.uniform(0, 2 * math.pi, size=n))
 
 
 class _LoggedStream:
     """A generator that logs the name of each method a check calls on it."""
 
-    def __init__(self, rng, kind, log):
-        self._rng, self._kind, self._log = rng, kind, log
+    def __init__(self, rng, log):
+        self._rng, self._log = rng, log
 
     def __getattr__(self, name):
-        self._log.append((self._kind, name))
+        self._log.append(name)
         return getattr(self._rng, name)
 
 
 def test_each_check_draws_once_per_stack_from_the_stream_of_its_distribution(monkeypatch):
-    rf = ml.realization("su(2,1)")
-    log = []
-    for kind in ("gaussian", "uniform"):
-        make = getattr(ml, f"{kind}_stream")
-        monkeypatch.setattr(ml, f"{kind}_stream",
-                            lambda seed, make=make, kind=kind: _LoggedStream(make(seed), kind, log))
-    normal = ("gaussian", "standard_normal")
-    count = ml.stack_size(rf.n) + 1  # two stacks
-    for check, draws in ((ml.iwasawa_residual, [normal] * 2),
-                         (ml.action_residual, [normal] * 2),
-                         (ml.max_sampled_rank, [normal] * 2),
-                         (ml.hermitian_fit, [normal] * 2),
-                         (ml.leaf_tangency_residual, [normal] * 2)):
-        log.clear()
-        check(rf, count, seed=3)
-        assert log == draws, check.__name__
+    log, make = [], ml.SampleStream
+    monkeypatch.setattr(ml, "SampleStream", lambda seed: _LoggedStream(make(seed), log))
+    for label, checks in (("su(2,1)", (ml.iwasawa_residual, ml.action_residual,
+                                       ml.max_sampled_rank, ml.hermitian_fit,
+                                       ml.leaf_tangency_residual)),
+                          ("sl(2,R)", (ml.formula_residual,))):
+        rf = ml.realization(label)
+        count = ml.stack_size(rf.n) + 1  # two stacks
+        for check in checks:
+            log.clear()
+            check(rf, count, 3)
+            assert log == ["standard_normal"] * 2, check.__name__
 
 
 def test_sampled_unitaries_are_factored_one_stack_at_a_time(monkeypatch):
@@ -1605,17 +1589,22 @@ def test_stacked_stabilizer_dim_matches_the_per_matrix_call(monkeypatch, label):
 
 
 @pytest.mark.parametrize("count", [624, 625, 626, 1251])
-def test_chart_point_stacks_are_the_one_call_sampler_points(count):
-    size = ml.stack_size(2)  # 625: the counts fall on both sides of a boundary
-    stacks = list(ml._chart_points(ml.uniform_stream(7), count, size))
-    assert [len(w) for w in stacks] == ml._stacks(count, 2)
-    want = loops.chart_points(ml.uniform_stream(7), count)
-    assert np.concatenate(stacks).tolist() == want
+def test_chart_point_stacks_are_the_one_call_sampler_points(monkeypatch, sl2, count):
+    # formula_residual reads its Haar points in stacks of 625 on n = 2, and
+    # the counts fall on both sides of a boundary: the stacks are cut from
+    # one draw of the stream
+    stacks, original = [], ml.su2_transported_coefficient
+    monkeypatch.setattr(ml, "su2_transported_coefficient",
+                        lambda rf, u: stacks.append(u) or original(rf, u))
+    ml.formula_residual(sl2, count, 7)
+    assert [len(u) for u in stacks] == ml._stacks(count, 2)
+    want = ml.sample_unitaries(ml.SampleStream(7), count, 2)
+    assert np.array_equal(np.concatenate(stacks), want)
 
 
 def test_formula_residual_memory_does_not_grow_with_the_samples(sl2):
-    # the points are drawn and accepted stack by stack: 20,000 samples held
-    # 2 MiB of points before, and about 0.65 MiB in all now
+    # the Haar points are drawn and read stack by stack: 20,000 samples take
+    # about 0.6 MiB in all, as one stack of 625 does
     assert _peak_kib(lambda: ml.formula_residual(sl2, 20_000, 7)) <= 1024
 
 

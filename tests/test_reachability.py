@@ -85,7 +85,7 @@ def test_every_function_in_src_is_reached_by_a_command(tmp_path):
              ["catalog"], ["catalog", "--format", "md"],
              ["atlas", "--form", "su(2,1)", "--out", str(tmp_path / "out.json")],
              ["catalog", "--catalog", str(good)]]
-    runs += [["verify", "--form", label, "--samples", "10", "--format", fmt]
+    runs += [["verify", "--form", label, "--format", fmt]
              for label in ("sl(2,R)", "su(2,1)") for fmt in ("json", "md")]
     runs += [["catalog", "--catalog", str(bad)], ["atlas", "--format", "xml"]]
     env = {k: v for k, v in os.environ.items() if k != "LEAFATLAS_CATALOG"}

@@ -25,8 +25,8 @@ FIELDS = {
     CheckResult: ("name", "passed", "detail"),
     ValidationReport: ("label", "checks"),
     AtlasReport: ("form", "classes", "largest_leaf_class", "catalog_hash"),
-    RunConfig: ("command", "form", "inline", "output_format", "samples", "seed",
-                "catalog_path", "out_path"),
+    RunConfig: ("command", "form", "inline", "output_format", "seed", "catalog_path",
+                "out_path"),
     ml.TangencyResult: ("dim_bivector_image", "dim_orbit_projection", "residual",
                         "borderline"),
     ml.AnnihilatorResult: ("dim_annihilator", "dim_fixed_points", "dim_intersection"),
@@ -47,7 +47,7 @@ def instances():
         RunConfig(command="atlas"),
         ml.leaf_tangency_check(rf, np.eye(2, dtype=complex)),
         ml.annihilator_check(rf),
-        ml.hermitian_fit(rf, n_samples=3),
+        ml.hermitian_fit(rf, 3, 0),
     ]
 
 
@@ -64,8 +64,8 @@ def test_fields_in_order_and_by_keyword():
 def test_defaults():
     assert CheckResult("structure", True).detail == ""
     cfg = RunConfig(command="verify")
-    assert (cfg.form, cfg.inline, cfg.output_format, cfg.samples, cfg.seed, cfg.catalog_path,
-            cfg.out_path) == (None, None, "json", 100, 0, None, None)
+    assert (cfg.form, cfg.inline, cfg.output_format, cfg.seed, cfg.catalog_path,
+            cfg.out_path) == (None, None, "json", 0, None, None)
 
 
 @pytest.mark.parametrize("index", range(len(FIELDS)))
